@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,8 +21,6 @@ from .errors import ConfigError
 from .fft_inversion import FftPlan, reconstruct_fft
 from .fxp import DATAPATH_POLICY, FxpFormat, quantize_array, dequantize_array
 from .matrix_inversion import (
-    BankedOperand,
-    Pinv,
     SvdFactors,
     Tikhonov,
     Tsvd,
@@ -154,8 +152,9 @@ def reference_airy_config() -> ExperimentConfig:
 
 
 @dataclass
-class StudySetup:
-    """Materialized forward model shared by the sweep operations."""
+class ForwardModel:
+    """Simulated acquisition of one experiment: grids, instrument, truth and
+    interferogram."""
 
     config: ExperimentConfig
     spectral_grid: SpectralGrid
@@ -165,9 +164,15 @@ class StudySetup:
     x: Spectrum
     y_clean: Interferogram
     y: Interferogram
+
+
+@dataclass
+class StudySetup(ForwardModel):
+    """Forward model plus what the sweeps derive from it offline."""
+
+    y_norm: Interferogram
     factors: SvdFactors
     adag: np.ndarray
-    y_norm: Interferogram
     lambda_grid: np.ndarray
     rank_grid: list
 
@@ -176,8 +181,8 @@ _RANK_FRACTIONS = (0.015625, 0.03125, 0.0625, 0.125, 0.1875, 0.25, 0.375, 0.5,
                    0.625, 0.75, 0.8125, 0.875, 0.90625, 0.9375, 0.96875, 1.0)
 
 
-def build_setup(cfg: ExperimentConfig, factors: SvdFactors | None = None) -> StudySetup:
-    """Simulate the experiment's forward model and factorize its matrix."""
+def simulate(cfg: ExperimentConfig) -> ForwardModel:
+    """Run the experiment's forward model; no factorization."""
     sg = SpectralGrid(cfg.n, cfg.bandwidth)
     og = OpdGrid.transform_matched(sg, cfg.m, oversampling=cfg.opd_oversampling)
     params = OpticalParams(cfg.a, cfg.r)
@@ -191,18 +196,30 @@ def build_setup(cfg: ExperimentConfig, factors: SvdFactors | None = None) -> Stu
                                    seed=cfg.seed + 1)
     else:
         y = y_clean
-    if factors is None:
-        factors = svd_factorize(transfer)
-    adag = pinv_matrix(factors)
-    y_norm = normalize_interferogram(y, params, y.mean_spectrum)
+    return ForwardModel(cfg, sg, og, params, transfer, x, y_clean, y)
+
+
+def factorize(model: ForwardModel) -> StudySetup:
+    """Factorize the model's transfer matrix, lay out the regularization
+    grids from its singular values and normalize the interferogram for the
+    transform route."""
+    factors = svd_factorize(model.transfer)
+    cfg = model.config
     xi_max = float(factors.xi[0])
     lam_grid = xi_max * np.logspace(math.log10(cfg.lambda_rel_min),
                                     math.log10(cfg.lambda_rel_max),
                                     cfg.lambda_points)
     r_bound = factors.rank_bound
     ranks = sorted({max(1, min(r_bound, round(r_bound * f))) for f in _RANK_FRACTIONS})
-    return StudySetup(cfg, sg, og, params, transfer, x, y_clean, y, factors,
-                      adag, y_norm, lam_grid, ranks)
+    y_norm = normalize_interferogram(model.y, model.params, model.y.mean_spectrum)
+    return StudySetup(**vars(model), y_norm=y_norm, factors=factors,
+                      adag=pinv_matrix(factors), lambda_grid=lam_grid,
+                      rank_grid=ranks)
+
+
+def build_setup(cfg: ExperimentConfig) -> StudySetup:
+    """Simulate the experiment's forward model and factorize its matrix."""
+    return factorize(simulate(cfg))
 
 
 def _fft_plan_for_bits(n: int, bits: int | None, cfg: ExperimentConfig) -> FftPlan:

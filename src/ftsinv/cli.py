@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import bench, fileio, hwmodel
 from .bench import ExperimentConfig
@@ -55,8 +54,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=list(bench.ALL_METHODS))
     p.add_argument("--bits", type=int, help="datapath word width")
-    p.add_argument("--frac-bits", type=int, dest="frac_bits",
-                   help="explicit binary point (default: derived per tensor)")
     p.add_argument("--twiddle-bits", type=int, dest="twiddle_bits")
     p.add_argument("--fft-mode", choices=["pre", "post", "fixed"], dest="fft_mode")
     p.add_argument("--headroom", type=int)
@@ -86,16 +83,8 @@ def _config_from_args(args) -> ExperimentConfig:
             overrides[name] = value
     if getattr(args, "double", False):
         overrides["bits"] = None
-        data = {**_cfg_dict(cfg), **overrides}
-        return ExperimentConfig.from_dict(data)
-    data = {**_cfg_dict(cfg), **overrides}
+    data = {**asdict(cfg), **overrides}
     return ExperimentConfig.from_dict(data)
-
-
-def _cfg_dict(cfg: ExperimentConfig) -> dict:
-    from dataclasses import asdict
-
-    return asdict(cfg)
 
 
 def _needs_seed(args) -> bool:
@@ -103,39 +92,16 @@ def _needs_seed(args) -> bool:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _config_from_args(args)
-    setup = bench.build_setup(cfg) if args.with_factors else None
-    if setup is None:
-        # cheap path without a factorization
-        from .optics import build_transfer_matrix, gaussian_mixture_spectrum, \
-            simulate_interferogram
-        import math
-
-        sg = SpectralGrid(cfg.n, cfg.bandwidth)
-        og = OpdGrid.transform_matched(sg, cfg.m, oversampling=cfg.opd_oversampling)
-        params = OpticalParams(cfg.a, cfg.r)
-        transfer = build_transfer_matrix(sg, og, cfg.kind, params)
-        x = gaussian_mixture_spectrum(sg, cfg.components, seed=cfg.seed)
-        y_clean = simulate_interferogram(transfer, x, noise_std=0.0)
-        if cfg.noise_snr_db is not None:
-            std = (np.linalg.norm(y_clean.values)
-                   * 10.0 ** (-cfg.noise_snr_db / 20.0) / math.sqrt(cfg.m))
-            y = simulate_interferogram(transfer, x, noise_std=float(std),
-                                       seed=cfg.seed + 1)
-        else:
-            y = y_clean
-    else:
-        sg, og, transfer, x, y = (setup.spectral_grid, setup.opd_grid,
-                                  setup.transfer, setup.x, setup.y)
+    model = bench.simulate(_config_from_args(args))
+    sg, og, y = model.spectral_grid, model.opd_grid, model.y
     fileio.write_series_csv(args.out, "opd", og.delta, y.values)
     if args.spectrum_out:
         fileio.write_series_csv(args.spectrum_out, "wavenumber",
-                                sg.midpoints(), x.values)
+                                sg.midpoints(), model.x.values)
     if args.matrix_out:
-        fileio.write_matrix(args.matrix_out, transfer.matrix)
+        fileio.write_matrix(args.matrix_out, model.transfer.matrix)
     if args.normalized_out:
-        y_norm = normalize_interferogram(y, OpticalParams(cfg.a, cfg.r),
-                                         y.mean_spectrum)
+        y_norm = normalize_interferogram(y, model.params, y.mean_spectrum)
         fileio.write_series_csv(args.normalized_out, "opd", og.delta,
                                 y_norm.values)
     print(f"wrote {args.out} ({y.values.size} samples, mean_spectrum="
@@ -256,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transfer matrix container file")
     p.add_argument("--normalized-out", dest="normalized_out",
                    help="normalized interferogram CSV")
-    p.add_argument("--with-factors", dest="with_factors", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("invert", help="one reconstruction from files")

@@ -10,7 +10,7 @@ class NumericalError(RuntimeError):
 
 
 class SvdConvergenceError(NumericalError):
-    """Jacobi sweep limit reached before the off-diagonal mass vanished."""
+    """The SVD (LAPACK) failed to converge."""
 
 
 class OverflowViolationError(NumericalError):

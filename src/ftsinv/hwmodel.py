@@ -264,16 +264,8 @@ def fft_cost(n_points: int, mode: str = "post",
 def resource_table(method: str, k: int = 1,
                    calib: CalibrationTable | None = None):
     """(dsp, bram, lut) for a method at parallelism K (anchors verbatim)."""
-    calib = calib or default_calibration()
-    if method == "fft":
-        return int(calib["fft.dsp"]), int(calib["fft.ram"]), int(calib["fft.lut"])
-    if method == "pinv":
-        return (k * int(calib["pinv.dsp_per_memory"]), int(calib["pinv.ram"]),
-                _interp_int(calib.pinv_lut, k))
-    if method in ("tsvd", "tik"):
-        return (k * int(calib["svd.dsp_per_memory"]), _interp_int(calib.svd_ram, k),
-                _interp_int(calib.svd_lut, k))
-    raise ConfigError(f"unknown method {method!r}")
+    c = method_cost(method, k, calib)
+    return c.dsp, c.bram, c.lut
 
 
 HEADLINE_RATIOS = {

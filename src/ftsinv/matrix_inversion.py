@@ -2,8 +2,8 @@
 over fixed-point matrix-vector datapaths with K-way row-banked memories.
 
 The factorization itself is an offline calibration step computed in double
-precision (one-sided Jacobi with a round-robin pair schedule); only the
-matrix-vector products that run per acquisition are emulated in fixed point.
+precision (LAPACK, under a canonical sign convention); only the matrix-vector
+products that run per acquisition are emulated in fixed point.
 Dot products accumulate exactly in a wide register (two data widths plus
 ``ceil(log2(M))`` guard bits) and round once at the output.
 """
@@ -76,54 +76,15 @@ class SvdFactors:
         return self.condition ** 2
 
 
-def _round_robin_rounds(n: int):
-    """Pair schedule covering every unordered column pair once per sweep.
+def svd_factorize(a) -> SvdFactors:
+    """Thin SVD in double precision (LAPACK, via ``np.linalg.svd``).
 
-    Each round consists of disjoint pairs, so all its rotations commute and
-    can be applied in one vectorized step.
-    """
-    players = list(range(n))
-    if n % 2:
-        players.append(-1)
-    m = len(players)
-    arr = players[:]
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            p, q = arr[i], arr[m - 1 - i]
-            if p >= 0 and q >= 0:
-                ps.append(min(p, q))
-                qs.append(max(p, q))
-        rounds.append((np.asarray(ps), np.asarray(qs)))
-        arr = [arr[0], arr[-1]] + arr[1:-1]
-    return rounds
-
-
-def _complete_basis(u: np.ndarray, cols) -> None:
-    """Fill the listed (zero-norm) columns with an orthonormal complement."""
-    m = u.shape[0]
-    for j in cols:
-        for cand in range(m):
-            vec = np.zeros(m)
-            vec[cand] = 1.0
-            for _ in range(2):                       # twice for stability
-                vec -= u @ (u.T @ vec)
-            nrm = np.linalg.norm(vec)
-            if nrm > 1e-6:
-                u[:, j] = vec / nrm
-                break
-        else:
-            raise SvdConvergenceError("could not complete an orthonormal basis")
-
-
-def svd_factorize(a, max_sweeps: int = 60, tol: float = 1e-14) -> SvdFactors:
-    """One-sided Jacobi SVD (double precision, dependency-free).
-
-    Columns of the working matrix are rotated pairwise until all column
-    pairs are numerically orthogonal; singular values are the final column
-    norms.  Raises :class:`SvdConvergenceError` if the sweep cap is reached
-    while off-diagonal mass remains.
+    Signs are canonical: each (u, v) column pair is flipped so that the
+    largest-magnitude entry of the u column is positive.  Floor truncation
+    and two's-complement saturation are not sign-symmetric, so without a
+    fixed convention the fixed-point SVD routes would depend on the signs
+    the factorizer happened to pick.  Raises :class:`SvdConvergenceError`
+    if LAPACK does not converge.
     """
     if isinstance(a, TransferMatrix):
         a = a.matrix
@@ -132,64 +93,16 @@ def svd_factorize(a, max_sweeps: int = 60, tol: float = 1e-14) -> SvdFactors:
         raise ValueError("expected a 2-D matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite")
-
-    transposed = a.shape[0] < a.shape[1]
-    w = (a.T if transposed else a).copy()
-    m, n = w.shape
-    v = np.eye(n)
-    rounds = _round_robin_rounds(n)
-
-    converged = False
-    for _ in range(max_sweeps):
-        max_rel = 0.0
-        for ps, qs in rounds:
-            p_cols = w[:, ps]
-            q_cols = w[:, qs]
-            alpha = np.einsum("ij,ij->j", p_cols, p_cols)
-            beta = np.einsum("ij,ij->j", q_cols, q_cols)
-            g = np.einsum("ij,ij->j", p_cols, q_cols)
-            denom = np.sqrt(alpha * beta)
-            active = denom > 0
-            rel = np.zeros_like(g)
-            rel[active] = np.abs(g[active]) / denom[active]
-            if rel.size:
-                max_rel = max(max_rel, float(rel.max()))
-            rotate = rel > tol
-            if not np.any(rotate):
-                continue
-            pr, qr = ps[rotate], qs[rotate]
-            gr = g[rotate]
-            zeta = (beta[rotate] - alpha[rotate]) / (2.0 * gr)
-            t = np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-            t = np.where(zeta == 0.0, 1.0, t)        # 45-degree rotation tie
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            wp, wq = w[:, pr], w[:, qr]
-            w[:, pr], w[:, qr] = c * wp - s * wq, s * wp + c * wq
-            vp, vq = v[:, pr], v[:, qr]
-            v[:, pr], v[:, qr] = c * vp - s * vq, s * vp + c * vq
-        if max_rel <= tol:
-            converged = True
-            break
-    if not converged:
-        raise SvdConvergenceError(
-            f"Jacobi SVD did not converge within {max_sweeps} sweeps"
-        )
-
-    norms = np.linalg.norm(w, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    xi = norms[order]
-    v = v[:, order]
-    u = w[:, order]
-    nz = xi > 0
-    u[:, nz] = u[:, nz] / xi[nz]
-    zero_cols = np.flatnonzero(~nz)
-    if zero_cols.size:
-        _complete_basis(u, zero_cols)
-
-    if transposed:
-        return SvdFactors(u=v, xi=xi, v=u)
-    return SvdFactors(u=u, xi=xi, v=v)
+    try:
+        u, xi, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
+    cols = np.arange(xi.size)
+    pivots = u[np.argmax(np.abs(u), axis=0), cols]
+    signs = np.where(pivots < 0, -1.0, 1.0)
+    u *= signs
+    vt *= signs[:, None]
+    return SvdFactors(u=u, xi=xi, v=vt.T)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +291,31 @@ def _fxp_matvec_banked(
     return np.concatenate(outs)
 
 
+def _fxp_scale_banked(banked: BankedOperand, mat_fmt: FxpFormat, diag_raw: np.ndarray,
+                      diag_fmt: FxpFormat, out_fmt: FxpFormat, counter: OpCounter,
+                      telemetry: InversionTelemetry, policy: RoundingPolicy):
+    """Row-partitioned column scaling ``M diag(d)``, one product per entry.
+
+    A function of its own so that its temporaries are freed before products
+    2 and 3 allocate theirs; a lower peak per call lets the allocator reuse
+    heap memory instead of returning it and faulting it back in.
+    """
+    narrow = use_int64(mat_fmt.total_bits, diag_fmt.total_bits)
+    shift = mat_fmt.frac_bits + diag_fmt.frac_bits - out_fmt.frac_bits
+    outs = []
+    for part in banked.partitions:
+        raw = quantize_array(part, mat_fmt, ENTRY_POLICY)
+        if not narrow:
+            raw = raw.astype(object)
+        prod = raw * diag_raw[None, :]
+        out = shift_right_array(prod, shift, policy.mode) if shift >= 0 else prod << (-shift)
+        out, nov = saturate_array(out, out_fmt)
+        telemetry.overflow_events += nov
+        counter.add(part.size)
+        outs.append(np.asarray(out))
+    return np.concatenate(outs)
+
+
 def _attach_latency(telemetry: InversionTelemetry, method: str,
                     n: int, m: int, rank: int | None, k: int) -> None:
     from . import hwmodel
@@ -477,7 +415,8 @@ def reconstruct_svd(
         return InversionResult(np.zeros(n), telemetry)
 
     vk = factors.v[:, kept]
-    ukt = factors.u[:, kept].T
+    # row-major: product 2's int64 matvec is markedly slower on a column-major operand
+    ukt = np.ascontiguousarray(factors.u[:, kept].T)
     zk = z.zeta[kept]
 
     width = _resolve_width(fmt)
@@ -501,20 +440,10 @@ def reconstruct_svd(
         y_raw = quantize_array(y, fmt_y, ENTRY_POLICY)
 
         # product 1: column scaling of V by the penalized diagonal
-        o1_parts = []
-        sh1 = fmt_v.frac_bits + fmt_z.frac_bits - fmt_o1.frac_bits
-        narrow1 = use_int64(fmt_v.total_bits, fmt_z.total_bits)
-        for part in BankedOperand.split(vk, k).partitions:
-            raw = quantize_array(part, fmt_v, ENTRY_POLICY)
-            if not narrow1:
-                raw = raw.astype(object)
-            prod = raw * z_raw[None, :]
-            out = shift_right_array(prod, sh1, policy.mode) if sh1 >= 0 else prod << (-sh1)
-            out, nov = saturate_array(out, fmt_o1)
-            telemetry.overflow_events += nov
-            counter.add(part.shape[0] * rank)
-            o1_parts.append(np.asarray(out))
-        o1_raw = np.concatenate(o1_parts)
+        o1_raw = _fxp_scale_banked(
+            BankedOperand.split(vk, k), fmt_v, z_raw, fmt_z, fmt_o1,
+            counter, telemetry, policy,
+        )
 
         # product 2: U^T y
         o2_tel = _fxp_matvec_banked(

@@ -183,15 +183,7 @@ def build_transfer_matrix(
     """Evaluate the chosen transmittance on the (OPD x wavenumber) lattice."""
     if kind not in _TRANSMITTANCES:
         raise ValueError(f"unknown transmittance kind {kind!r}")
-    sigma = sg.midpoints()[None, :]
-    delta = og.delta[:, None]
-    if kind == "cosine":
-        a = p.a * (1.0 + p.r * np.cos(2.0 * np.pi * sigma * delta))
-    else:
-        if p.r >= 1:
-            raise ValueError("airy transmittance requires r < 1")
-        s = np.sin(np.pi * delta * sigma)
-        a = p.a / ((1.0 - p.r) ** 2 + 4.0 * p.r * s * s)
+    a = _TRANSMITTANCES[kind](sg.midpoints()[None, :], og.delta[:, None], p)
     return TransferMatrix(a, sg, og, kind)
 
 

@@ -55,11 +55,21 @@ class TestSvdFactorize:
         assert f.residuals(a)["orth_u"] <= 1e-10
         assert f.residuals(a)["reconstruction_rel"] <= 1e-9
 
-    def test_sweep_cap_raises(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((10, 10))
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(SvdConvergenceError):
-            svd_factorize(a, max_sweeps=0)
+            svd_factorize(np.eye(3))
+
+    @pytest.mark.parametrize("shape, seed", [((16, 12), 0), ((12, 20), 1)])
+    def test_canonical_signs(self, shape, seed):
+        a = np.random.default_rng(seed).standard_normal(shape)
+        f = svd_factorize(a)
+        pivots = f.u[np.argmax(np.abs(f.u), axis=0), np.arange(f.rank_bound)]
+        assert np.all(pivots > 0)
+        assert f.residuals(a)["reconstruction_rel"] <= 1e-9
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,10 @@
 """Banked-memory FFT, BFP normalization behavior, and the DCT route."""
 
+import hashlib
+import json
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ import ftsinv as fi
 from ftsinv.fft_inversion import (
     BankedMemory,
     FftPlan,
+    _parity,
     bank_map,
     butterfly_radix2,
     dct2_via_fft,
@@ -65,6 +71,19 @@ class TestBankMap:
             bank_map(8, 0, 8)
         with pytest.raises(IndexError):
             bank_map(0, 3, 8)
+
+    def test_vectorized_conflict_freedom(self):
+        """The parity map the engine uses, every stage, n up to 65536."""
+        n = 2
+        while n <= 65536:
+            idx = np.arange(n)
+            par = _parity(idx)
+            slots = par * (n // 2) + (idx >> 1)
+            assert np.array_equal(np.sort(slots), idx)     # bijective
+            for stage in range(n.bit_length() - 1):
+                a = idx[(idx >> stage) & 1 == 0]
+                assert np.all(par[a] != par[a | (1 << stage)])
+            n *= 2
 
     def test_banked_memory_round_trip(self):
         rng = np.random.default_rng(0)
@@ -335,3 +354,50 @@ class TestReconstruct:
         xh, _ = reconstruct_fft(setup.y_norm, plan)
         fft_snr = bench.snr_db(setup.x, xh)
         assert fft_snr < 0.0
+
+
+GOLDEN_PATH = Path(__file__).with_name("fft_golden.json")
+GOLDEN_FUNCTIONS = ("fft_bfp", "dct2_via_fft", "idct2_via_fft")
+
+
+def _golden_digests(function: str) -> dict:
+    """SHA-256 of every output bit and telemetry field of one transform over
+    modes x widths x sizes, keyed ``"mode/bits/n"``; ``bits`` None is the
+    double-precision path.
+
+    Regenerate ``fft_golden.json`` (only when a change is meant to move
+    bits) with ``{f: _golden_digests(f) for f in GOLDEN_FUNCTIONS}``.
+    """
+    digests = {}
+    for mode in ("pre", "post", "fixed"):
+        for bits in (8, 12, 16, 24, 40, None):
+            for n in (8, 256, 4096):
+                rng = np.random.default_rng(1000 * n + (bits or 0))
+                plan = FftPlan.make(n, bits=bits, mode=mode)
+                h = hashlib.sha256()
+                if function == "fft_bfp":
+                    res = fft_bfp(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                                  plan)
+                    # object-dtype mantissas are cast: their bytes are pointers
+                    for part in (res.re, res.im):
+                        part = np.asarray(part)
+                        h.update((part if plan.exact else part.astype(np.int64)).tobytes())
+                    h.update(str(int(res.exponent)).encode())
+                    tel = res.telemetry
+                else:
+                    fn = dct2_via_fft if function == "dct2_via_fft" else idct2_via_fft
+                    values, tel = fn(rng.standard_normal(n), plan)
+                    h.update(np.asarray(values, dtype=np.float64).tobytes())
+                h.update(json.dumps(asdict(tel), sort_keys=True, default=int).encode())
+                digests[f"{mode}/{bits}/{n}"] = h.hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("function", GOLDEN_FUNCTIONS)
+def test_golden_bits(function):
+    """Mantissas, exponents and telemetry are pinned bit for bit."""
+    want = json.loads(GOLDEN_PATH.read_text())[function]
+    got = _golden_digests(function)
+    assert sorted(got) == sorted(want)
+    moved = [key for key in want if got[key] != want[key]]
+    assert not moved, f"{function} output moved at {moved}"

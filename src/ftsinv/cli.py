@@ -110,6 +110,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    if args.quantize is not None:
+        raise ConfigError("--quantize selects a sweep's data-only study; "
+                          "invert always runs the full datapath")
     _, coords, values = fileio.read_series_csv(args.infile)
     grid = OpdGrid(coords)
     y = Interferogram(values, grid)

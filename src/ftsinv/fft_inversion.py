@@ -1,10 +1,16 @@
 """Memory-based radix-2 FFT on block-floating-point data, and the cosine
 transform route for spectrum reconstruction.
 
-The transform structure mirrors a single-butterfly hardware engine: data live
-in two conflict-free memory banks, one butterfly is evaluated per cycle, and
-a block normalization stage (before or after the butterflies of each stage)
-maintains headroom while a shared exponent tracks the scale.
+The transform emulates a memory-based radix-2 engine that issues one
+butterfly per cycle from two memory banks.  Its words enter and leave through
+:class:`BankedMemory`, the two-bank port whose parity map puts both operands
+of every butterfly in distinct banks; that conflict freedom is a property the
+tests check, not a data path the emulation walks.  Each stage's n/2
+butterflies run as one vectorized step on a strided view of one bit-reversed
+store, with the same arithmetic, the same order of rounding and saturation,
+and the same cycle count in telemetry (n/2 per stage) as the one-per-cycle
+schedule.  A block normalization stage (before or after the butterflies of
+each stage) maintains headroom while a shared exponent tracks the scale.
 
 Normalization modes
 -------------------
@@ -33,11 +39,12 @@ from .fxp import (
     FxpFormat,
     OpCounter,
     RoundingPolicy,
+    leading_bit,
     quantize_array,
     saturate_array,
+    shift_block,
     shift_right_array,
     use_int64,
-    _max_shift_magnitude,
 )
 from .optics import Interferogram, SpectralGrid, Spectrum
 
@@ -46,7 +53,7 @@ MODES = ("pre", "post", "fixed")
 
 def _parity(idx: np.ndarray) -> np.ndarray:
     """Parity of the population count of each index (XOR fold)."""
-    v = idx.astype(np.int64).copy()
+    v = np.array(idx, dtype=np.int64)
     for s in (32, 16, 8, 4, 2, 1):
         v ^= v >> s
     return v & 1
@@ -70,73 +77,39 @@ def bank_map(logical_index: int, stage: int, n_points: int):
 
 
 class BankedMemory:
-    """Two-bank complex word store with parallel operand access.
+    """Two-bank complex word store: the transform's input/output port.
 
-    Both operands of every radix-2 butterfly resolve to distinct banks, so a
-    full butterfly issue needs one read per bank per cycle.
+    Logical index ``i`` sits in bank ``parity(i)`` at address ``i >> 1``
+    (:func:`bank_map`), so bank ``b``, address ``a`` holds logical index
+    ``(a << 1) | (b ^ parity(a))``.  Both operands of every radix-2 butterfly
+    resolve to distinct banks, so a full butterfly issue needs one read per
+    bank per cycle.  The words are kept in logical order in ``re`` and ``im``,
+    the store the stage loop works on.
     """
-
-    R = 2
 
     def __init__(self, n_points: int):
         self.n = n_points
         idx = np.arange(n_points)
         self._par = _parity(idx)
         self._adr = idx >> 1
-        self._mask0 = self._par == 0
-        self.bank_re = [None, None]
-        self.bank_im = [None, None]
+        self.re = self.im = None
 
     def load(self, re: np.ndarray, im: np.ndarray) -> None:
-        for b in (0, 1):
-            sel = self._mask0 if b == 0 else ~self._mask0
-            br = np.empty(self.n // 2, dtype=re.dtype)
-            bi = np.empty(self.n // 2, dtype=im.dtype)
-            br[self._adr[sel]] = re[sel]
-            bi[self._adr[sel]] = im[sel]
-            self.bank_re[b], self.bank_im[b] = br, bi
+        self.re = np.empty(self.n, dtype=re.dtype)
+        self.im = np.empty(self.n, dtype=im.dtype)
+        self.scatter(self._par, self._adr, re, im)
 
     def gather(self, par, adr):
-        re = np.where(par == 0, self.bank_re[0][adr], self.bank_re[1][adr])
-        im = np.where(par == 0, self.bank_im[0][adr], self.bank_im[1][adr])
-        return re, im
+        i = (adr << 1) | (par ^ _parity(adr))
+        return self.re[i], self.im[i]
 
     def scatter(self, par, adr, re, im) -> None:
-        m0 = par == 0
-        self.bank_re[0][adr[m0]] = re[m0]
-        self.bank_im[0][adr[m0]] = im[m0]
-        self.bank_re[1][adr[~m0]] = re[~m0]
-        self.bank_im[1][adr[~m0]] = im[~m0]
+        i = (adr << 1) | (par ^ _parity(adr))
+        self.re[i] = re
+        self.im[i] = im
 
     def unload(self):
-        re = np.empty(self.n, dtype=self.bank_re[0].dtype)
-        im = np.empty(self.n, dtype=self.bank_im[0].dtype)
-        for b in (0, 1):
-            sel = self._mask0 if b == 0 else ~self._mask0
-            re[sel] = self.bank_re[b][self._adr[sel]]
-            im[sel] = self.bank_im[b][self._adr[sel]]
-        return re, im
-
-    def shift_in_place(self, shift: int, mode) -> None:
-        """Barrel-shift every stored mantissa; left shifts exact."""
-        for b in (0, 1):
-            if shift > 0:
-                self.bank_re[b] = self.bank_re[b] << shift
-                self.bank_im[b] = self.bank_im[b] << shift
-            else:
-                self.bank_re[b] = shift_right_array(self.bank_re[b], -shift, mode)
-                self.bank_im[b] = shift_right_array(self.bank_im[b], -shift, mode)
-
-    def max_magnitude(self) -> int:
-        return max(
-            _max_shift_magnitude(self.bank_re[0]),
-            _max_shift_magnitude(self.bank_re[1]),
-            _max_shift_magnitude(self.bank_im[0]),
-            _max_shift_magnitude(self.bank_im[1]),
-        )
-
-    def headroom(self, width: int) -> int:
-        return width - 1 - self.max_magnitude().bit_length()
+        return self.gather(self._par, self._adr)
 
 
 def _bit_reverse_permutation(n: int) -> np.ndarray:
@@ -146,15 +119,6 @@ def _bit_reverse_permutation(n: int) -> np.ndarray:
     for b in range(bits):
         rev |= ((idx >> b) & 1) << (bits - 1 - b)
     return rev
-
-
-@dataclass
-class _StagePlan:
-    par_a: np.ndarray
-    adr_a: np.ndarray
-    par_b: np.ndarray
-    adr_b: np.ndarray
-    tw_idx: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -171,7 +135,6 @@ class FftPlan:
     mode: str
     headroom_bits: int
     policy: RoundingPolicy
-    _stages: tuple = field(repr=False, default=())
     _brev: np.ndarray = field(repr=False, default=None)
     _tw_re: dict = field(repr=False, default=None)
     _tw_im: dict = field(repr=False, default=None)
@@ -205,20 +168,6 @@ class FftPlan:
         if not (0 <= headroom_bits <= (bits - 2 if bits else 30)):
             raise ValueError("headroom_bits out of range")
 
-        stages = []
-        s_count = n_points.bit_length() - 1
-        half_all = np.arange(n_points // 2)
-        for s in range(s_count):
-            half = 1 << s
-            idx_a = ((half_all >> s) << (s + 1)) | (half_all & (half - 1))
-            idx_b = idx_a + half
-            tw_idx = (half_all & (half - 1)) * (n_points >> (s + 1))
-            stages.append(
-                _StagePlan(
-                    _parity(idx_a), idx_a >> 1, _parity(idx_b), idx_b >> 1, tw_idx
-                )
-            )
-
         k = np.arange(n_points // 2)
         ang = -2.0 * np.pi * k / n_points
         tw_re = {"f": np.cos(ang)}
@@ -240,7 +189,6 @@ class FftPlan:
             mode=mode,
             headroom_bits=headroom_bits,
             policy=policy,
-            _stages=tuple(stages),
             _brev=_bit_reverse_permutation(n_points),
             _tw_re=tw_re,
             _tw_im=tw_im,
@@ -361,82 +309,71 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
               counter: OpCounter, inverse: bool = False):
     """Stage loop shared by the fixed-point and double-precision paths.
 
-    Input arrives in natural order; the load permutes it into bit-reversed
-    order across the banks, and the output is produced in natural order.
-    Returns (re, im, exponent_delta).
+    Input arrives in natural order and is loaded through the port in
+    bit-reversed order.  Stage s runs on the ``(n/2h, 2, h)`` view of the
+    store, h = 2**s: row 0 holds the a-operands, row 1 the b-operands, and
+    the twiddle of column k is ``w[k * n/2h]``.  The output is unloaded in
+    natural order.  Returns (re, im, exponent_delta).
     """
     n = plan.n_points
     mem = BankedMemory(n)
     mem.load(re[plan._brev], im[plan._brev])
+    re, im = mem.re, mem.im
 
     exact = plan.exact
-    if exact:
-        wre_all = plan._tw_re["f"]
-        wim_all = -plan._tw_im["f"] if inverse else plan._tw_im["f"]
-    else:
-        wre_all = plan._tw_re["q"]
-        wim_all = -plan._tw_im["q"] if inverse else plan._tw_im["q"]
+    key = "f" if exact else "q"
+    wre_all = plan._tw_re[key]
+    wim_all = -plan._tw_im[key] if inverse else plan._tw_im[key]
+    if not exact:
         ft = plan.twiddle_format.frac_bits
         lo, hi = plan.data_format.min_raw, plan.data_format.max_raw
         width = plan.data_format.total_bits
+        target, rounding = plan.headroom_bits, plan.policy.mode
+
+    def _sat(v):
+        if v.max() <= hi and v.min() >= lo:
+            return v
+        telemetry.overflow_events += int(np.count_nonzero((v > hi) | (v < lo)))
+        return np.where(v > hi, hi, np.where(v < lo, lo, v))
 
     gamma = 0
-    bfp = (not exact) and plan.mode in ("pre", "post")
-    if bfp:
-        head_in = mem.headroom(width) if mem.max_magnitude() else None
+    bfp = None if exact or plan.mode == "fixed" else plan.mode
+    for s in range(plan.n_stages):
+        if bfp == "pre":
+            (re, im), shift = shift_block((re, im), width, target, rounding)
+            gamma -= shift
+        elif bfp == "post":
+            # decided from the block entering the stage, applied after it
+            shift = leading_bit((re, im), width) - target
 
-    for st in plan._stages:
-        if bfp and plan.mode == "pre":
-            mag = mem.max_magnitude()
-            if mag:
-                shift = (width - 1 - mag.bit_length()) - plan.headroom_bits
-                if shift:
-                    mem.shift_in_place(shift, plan.policy.mode)
-                    gamma -= shift
-
-        a_re, a_im = mem.gather(st.par_a, st.adr_a)
-        b_re, b_im = mem.gather(st.par_b, st.adr_b)
-        wr = wre_all[st.tw_idx]
-        wi = wim_all[st.tw_idx]
-
+        h = 1 << s
+        step = n >> (s + 1)
+        wr = wre_all[: h * step: step]
+        wi = wim_all[: h * step: step]
+        v_re, v_im = re.reshape(-1, 2, h), im.reshape(-1, 2, h)
+        a_re, a_im, b_re, b_im = v_re[:, 0], v_im[:, 0], v_re[:, 1], v_im[:, 1]
         t_re = b_re * wr - b_im * wi
         t_im = b_re * wi + b_im * wr
         if exact:
-            o1_re, o1_im = a_re + t_re, a_im + t_im
-            o2_re, o2_im = a_re - t_re, a_im - t_im
+            v_re[:, 1], v_im[:, 1] = a_re - t_re, a_im - t_im
+            v_re[:, 0], v_im[:, 0] = a_re + t_re, a_im + t_im
         else:
             sa_re, sa_im = a_re << ft, a_im << ft
-
-            def _sat(v):
-                over = (v > hi) | (v < lo)
-                nov = int(np.count_nonzero(over))
-                if nov:
-                    telemetry.overflow_events += nov
-                    v = np.where(v > hi, hi, np.where(v < lo, lo, v))
-                return v
-
-            o1_re = _sat((sa_re + t_re) >> ft)
-            o1_im = _sat((sa_im + t_im) >> ft)
-            o2_re = _sat((sa_re - t_re) >> ft)
-            o2_im = _sat((sa_im - t_im) >> ft)
-
-        mem.scatter(st.par_a, st.adr_a, o1_re, o1_im)
-        mem.scatter(st.par_b, st.adr_b, o2_re, o2_im)
+            v_re[:, 0] = _sat((sa_re + t_re) >> ft)
+            v_im[:, 0] = _sat((sa_im + t_im) >> ft)
+            v_re[:, 1] = _sat((sa_re - t_re) >> ft)
+            v_im[:, 1] = _sat((sa_im - t_im) >> ft)
         counter.add(4 * (n // 2))
         telemetry.mults += 4 * (n // 2)
         telemetry.butterflies += n // 2
         telemetry.cycles += n // 2
 
-        if bfp:
-            if plan.mode == "post":
-                # shift decided from the block that entered this stage
-                shift = 0 if head_in is None else head_in - plan.headroom_bits
-                if shift and mem.max_magnitude():
-                    mem.shift_in_place(shift, plan.policy.mode)
-                    gamma -= shift
-                head_in = mem.headroom(width) if mem.max_magnitude() else None
+        if bfp == "post":
+            (re, im), shift = shift_block((re, im), width, target, rounding, shift)
+            gamma -= shift
         telemetry.stage_exponents.append(gamma)
 
+    mem.re, mem.im = re, im
     re_out, im_out = mem.unload()
     return re_out, im_out, gamma
 
@@ -472,14 +409,11 @@ def fft_bfp_block(re, im, exponent: int, plan: FftPlan,
         raise ValueError("mantissa entry point requires a fixed-point plan")
     if len(re) != plan.n_points:
         raise ValueError("length mismatch")
-    width = plan.data_format.total_bits
-    mag = _max_shift_magnitude(re) | _max_shift_magnitude(im)
-    if mag and plan.mode in ("pre", "post"):
-        head = width - 1 - mag.bit_length()
-        if head < plan.headroom_bits:
-            raise ValueError(
-                f"input headroom {head} below the plan requirement {plan.headroom_bits}"
-            )
+    head = leading_bit((re, im), plan.data_format.total_bits)
+    if plan.mode in ("pre", "post") and head < plan.headroom_bits:
+        raise ValueError(
+            f"input headroom {head} below the plan requirement {plan.headroom_bits}"
+        )
     counter = counter or OpCounter()
     telemetry = FftTelemetry(plan.n_points, plan.mode)
     telemetry.entry_exponent = exponent
@@ -591,19 +525,9 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan, counter: OpCounter | None = None
     counter.add(4 * n)
 
     # restore the plan headroom before the transform proper
-    mag = _max_shift_magnitude(v_re) | _max_shift_magnitude(v_im)
-    gamma = g0
-    if mag:
-        width = fmt.total_bits
-        shift = (width - 1 - mag.bit_length()) - plan.headroom_bits
-        if shift:
-            if shift > 0:
-                v_re, v_im = v_re << shift, v_im << shift
-            else:
-                v_re = shift_right_array(v_re, -shift, plan.policy.mode)
-                v_im = shift_right_array(v_im, -shift, plan.policy.mode)
-            gamma -= shift
-
+    (v_re, v_im), shift = shift_block((v_re, v_im), fmt.total_bits,
+                                      plan.headroom_bits, plan.policy.mode)
+    gamma = g0 - shift
     telemetry.entry_exponent = gamma
     re, im, g_core = _fft_core(v_re, v_im, plan, telemetry, counter, inverse=True)
     exponent = gamma + g_core - plan.n_stages          # the 1/N of the inverse
@@ -625,12 +549,13 @@ def reconstruct_fft(y_norm: Interferogram, plan: FftPlan,
     grid = y_norm.grid
     if not grid.is_regular:
         raise ValueError("FFT route requires a regularly sampled OPD grid")
+    step = float(grid.delta[1])                 # is_regular checked the lattice
     if grid.n_samples != plan.n_points:
         raise ValueError(
             f"square problem required: {grid.n_samples} samples vs plan {plan.n_points}"
         )
     # the cosine-transform lattice implies this bandwidth
-    bandwidth = 1.0 / (2.0 * grid.step)
+    bandwidth = 1.0 / (2.0 * step)
     values, telemetry = idct2_via_fft(2.0 * y_norm.values, plan, counter)
     spectrum = Spectrum(values, SpectralGrid(plan.n_points, bandwidth))
     return spectrum, telemetry

@@ -196,7 +196,12 @@ def fxp_add(a: FxpValue, b: FxpValue, policy: RoundingPolicy = DATAPATH_POLICY) 
 # ---------------------------------------------------------------------------
 
 def _max_shift_magnitude(mantissas) -> int:
-    """max over elements of the two's-complement shift-limiting magnitude."""
+    """max over elements of the two's-complement shift-limiting magnitude.
+
+    A tuple of arrays is one block: the max runs over all of them.
+    """
+    if isinstance(mantissas, tuple):
+        return max(map(_max_shift_magnitude, mantissas), default=0)
     if isinstance(mantissas, np.ndarray) and mantissas.dtype != object:
         hi = int(mantissas.max(initial=0))
         lo = int(mantissas.min(initial=0))
@@ -243,6 +248,31 @@ class BfpBlock:
         return self.mantissas.astype(np.float64) * 2.0 ** self.exponent
 
 
+def shift_block(parts: tuple, width: int, target_headroom: int,
+                mode: RoundingMode, shift: int | None = None) -> tuple:
+    """Shift a block of mantissa arrays that share one exponent.
+
+    The shift brings the block's headroom (:func:`leading_bit` over all of
+    ``parts``) to ``target_headroom``, unless the caller decided it earlier
+    and passes ``shift``.  Left shifts (positive) are exact; right shifts
+    round under ``mode``.  An all-zero block carries no scale and is left as
+    it is.  Returns ``(parts, applied)``; the shared exponent falls by
+    ``applied``.
+    """
+    if shift == 0:
+        return parts, 0
+    mag = _max_shift_magnitude(parts)
+    if not mag:
+        return parts, 0
+    if shift is None:
+        shift = width - 1 - mag.bit_length() - target_headroom
+    if shift > 0:
+        return tuple(p << shift for p in parts), shift
+    if shift < 0:
+        return tuple(shift_right_array(p, -shift, mode) for p in parts), shift
+    return parts, 0
+
+
 def normalize_block(
     block: BfpBlock,
     target_headroom: int,
@@ -256,15 +286,9 @@ def normalize_block(
     """
     if not (0 <= target_headroom <= block.width - 1):
         raise ValueError("target_headroom outside [0, width-1]")
-    shift = block.headroom() - target_headroom
-    if shift == 0 or not block.mantissas.size or _max_shift_magnitude(block.mantissas) == 0:
-        return BfpBlock(block.mantissas.copy(), block.width, block.exponent)
-    m = block.mantissas
-    if shift > 0:
-        out = m << shift if m.dtype == object else (m.astype(np.int64) << shift)
-    else:
-        out = shift_right_array(m, -shift, policy.mode)
-    return BfpBlock(out, block.width, block.exponent - shift)
+    (m,), shift = shift_block((block.mantissas,), block.width, target_headroom,
+                              policy.mode)
+    return BfpBlock(m if shift else m.copy(), block.width, block.exponent - shift)
 
 
 # ---------------------------------------------------------------------------

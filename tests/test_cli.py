@@ -37,6 +37,43 @@ def test_invert_round_trip(simulated, tmp_path, route):
     assert x_hat.size == N and np.all(np.isfinite(x_hat))
 
 
+@pytest.mark.parametrize("method", ["pinv", "fft"])
+@pytest.mark.parametrize("quantize", ["all", "data-only"])
+def test_invert_rejects_quantize(simulated, tmp_path, method, quantize):
+    y, a = simulated
+    out = tmp_path / "x.csv"
+    assert cli.main(["invert", "--method", method, "--bits", "8", "--quantize", quantize,
+                     "--in", str(y), "--matrix", str(a), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.fixture
+def normalized_cosine(tmp_path):
+    y, yn = tmp_path / "y.csv", tmp_path / "yn.csv"
+    assert cli.main(["simulate", "--kind", "cosine", "--n", "64", "--m", "64",
+                     "--seed", "3", "--out", str(y), "--normalized-out", str(yn)]) == 0
+    return yn
+
+
+@pytest.mark.parametrize("mode", ["pre", "post", "fixed"])
+def test_invert_fft_route(normalized_cosine, tmp_path, mode):
+    out = tmp_path / "x.csv"
+    assert cli.main(["invert", "--method", "fft", "--bits", "16", "--fft-mode", mode,
+                     "--in", str(normalized_cosine), "--out", str(out)]) == 0
+    _, _, x_hat = fileio.read_series_csv(out)
+    assert x_hat.size == 64 and np.all(np.isfinite(x_hat))
+
+
+def test_invert_fft_overflow_exits_3(normalized_cosine, tmp_path, capsys):
+    """No headroom under post-normalization breaks the no-overflow invariant."""
+    out = tmp_path / "x.csv"
+    assert cli.main(["invert", "--method", "fft", "--bits", "16", "--fft-mode", "post",
+                     "--headroom", "0", "--in", str(normalized_cosine),
+                     "--out", str(out)]) == 3
+    assert "no-overflow invariant violated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", *MODEL_FLAGS, "--out", "y.csv", "--with-factors"],
     ["invert", "--bits", "12", "--frac-bits", "3", "--in", "y.csv", "--out", "x.csv"],

@@ -381,7 +381,9 @@ def _golden_digests(function: str) -> dict:
                     # object-dtype mantissas are cast: their bytes are pointers
                     for part in (res.re, res.im):
                         part = np.asarray(part)
-                        h.update((part if plan.exact else part.astype(np.int64)).tobytes())
+                        if not plan.exact:
+                            part = part.astype(np.int64)
+                        h.update(part.tobytes())
                     h.update(str(int(res.exponent)).encode())
                     tel = res.telemetry
                 else:

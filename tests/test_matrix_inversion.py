@@ -1,10 +1,16 @@
 """Factorization, penalization, and the banked fixed-point MAC datapaths."""
 
+import hashlib
+import json
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ftsinv as fi
 from ftsinv.errors import SvdConvergenceError
+from ftsinv.fxp import FxpFormat
 from ftsinv.matrix_inversion import (
     BankedOperand,
     Pinv,
@@ -286,3 +292,52 @@ class TestNoiseAmplification:
         s_tik = max(bench.invert_once(setup, "tik", None, lam=l)[0]
                     for l in setup.lambda_grid[::4])
         assert s_tik > s_pinv + 10.0
+
+
+GOLDEN_PATH = Path(__file__).with_name("matrix_golden.json")
+GOLDEN_SCHEMES = {"pinv": None, "tsvd/4": Tsvd(4), "tsvd/12": Tsvd(12),
+                  "tik/0.001": Tikhonov(1e-3), "tik/0.1": Tikhonov(0.1)}
+
+
+def _golden_problem():
+    """24 x 16, singular values graded over three decades, noisy data."""
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((24, 16)) * np.logspace(0, -3, 16)
+    f = svd_factorize(a)
+    y = a @ rng.standard_normal(16) + 1e-3 * rng.standard_normal(24)
+    return f, pinv_matrix(f), y
+
+
+def matrix_golden_digests() -> dict:
+    """SHA-256 of ``x_hat`` and every telemetry field of each matrix route
+    over widths x K, keyed ``"route/bits/k"``; ``bits`` None is the
+    double-precision path, and the two explicit formats, used verbatim for
+    every operand, saturate.
+
+    Regenerate the ``routes`` entry of ``matrix_golden.json`` (only when a
+    change is meant to move bits) with this function.
+    """
+    f, adag, y = _golden_problem()
+    digests = {}
+    for case, scheme in GOLDEN_SCHEMES.items():
+        for bits in (8, 12, 16, 24, 32, 40, None, FxpFormat(16, 14),
+                     FxpFormat(40, 37)):
+            label = bits.describe() if isinstance(bits, FxpFormat) else bits
+            for k in (1, 3, 6):
+                if scheme is None:
+                    res = reconstruct_pinv(adag, y, fmt=bits, k=k)
+                else:
+                    res = reconstruct_svd(f, penalize(f.xi, scheme), y, fmt=bits, k=k)
+                h = hashlib.sha256(np.asarray(res.x_hat, dtype=np.float64).tobytes())
+                h.update(json.dumps(asdict(res.telemetry), sort_keys=True).encode())
+                digests[f"{case}/{label}/{k}"] = h.hexdigest()
+    return digests
+
+
+def test_golden_bits():
+    """Outputs and telemetry of both matrix routes are pinned bit for bit."""
+    want = json.loads(GOLDEN_PATH.read_text())["routes"]
+    got = matrix_golden_digests()
+    assert sorted(got) == sorted(want)
+    moved = [key for key in want if got[key] != want[key]]
+    assert not moved, f"matrix route output moved at {moved}"

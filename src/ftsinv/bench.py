@@ -24,6 +24,8 @@ from .matrix_inversion import (
     SvdFactors,
     Tikhonov,
     Tsvd,
+    compile_pinv,
+    compile_svd,
     penalize,
     pinv_matrix,
     reconstruct_pinv,
@@ -236,9 +238,31 @@ def _quantize_only_data(values: np.ndarray, bits: int) -> np.ndarray:
     return dequantize_array(quantize_array(values, fmt), fmt)
 
 
+def _datapath_format(setup: StudySetup, bits: int | None):
+    """The matrix datapath's format: double precision when only the data
+    are quantized."""
+    return None if setup.config.quantize == "data-only" else bits
+
+
+def compile_datapath(setup: StudySetup, method: str, bits: int | None, k: int = 1):
+    """The matrix route's compiled datapath at ``bits`` and ``k``, which
+    :func:`invert_once` can run any grid point on; None for the FFT route."""
+    fmt = _datapath_format(setup, bits)
+    if method == "pinv":
+        return compile_pinv(setup.adag, fmt, k)
+    if method in ("tsvd", "tik"):
+        return compile_svd(setup.factors, fmt, k)
+    return None
+
+
 def invert_once(setup: StudySetup, method: str, bits: int | None,
-                k: int = 1, rank: int | None = None, lam: float | None = None):
-    """One reconstruction; returns (snr_db, estimate, telemetry, param_label)."""
+                k: int = 1, rank: int | None = None, lam: float | None = None,
+                datapath=None):
+    """One reconstruction; returns (snr_db, estimate, telemetry, param_label).
+
+    ``datapath`` is the route's :func:`compile_datapath` result for the same
+    ``bits`` and ``k``; without it the matrix routes compile their own.
+    """
     cfg = setup.config
     data_only = cfg.quantize == "data-only" and bits is not None
     if method == "fft":
@@ -250,38 +274,45 @@ def invert_once(setup: StudySetup, method: str, bits: int | None,
         spectrum, telemetry = reconstruct_fft(y_norm, plan)
         return snr_db(setup.x, spectrum), spectrum.values, telemetry, ""
     y = setup.y
-    fmt = None if data_only else bits
+    fmt = _datapath_format(setup, bits)
     if data_only:
         y = Interferogram(_quantize_only_data(y.values, bits), y.grid,
                           y.mean_spectrum)
     if method == "pinv":
-        res = reconstruct_pinv(setup.adag, y, fmt=fmt, k=k)
+        adag = setup.adag if datapath is None else datapath
+        res = reconstruct_pinv(adag, y, fmt=fmt, k=k)
         return snr_db(setup.x, res.x_hat), res.x_hat, res.telemetry, ""
+    factors = setup.factors if datapath is None else datapath
     if method == "tsvd":
         if rank is None:
             raise ConfigError("tsvd requires a rank")
         z = penalize(setup.factors.xi, Tsvd(rank))
-        res = reconstruct_svd(setup.factors, z, y, fmt=fmt, k=k)
+        res = reconstruct_svd(factors, z, y, fmt=fmt, k=k)
         return snr_db(setup.x, res.x_hat), res.x_hat, res.telemetry, str(rank)
     if method == "tik":
         if lam is None:
             raise ConfigError("tik requires a ridge parameter")
         z = penalize(setup.factors.xi, Tikhonov(lam))
-        res = reconstruct_svd(setup.factors, z, y, fmt=fmt, k=k)
+        res = reconstruct_svd(factors, z, y, fmt=fmt, k=k)
         return snr_db(setup.x, res.x_hat), res.x_hat, res.telemetry, f"{lam:.6g}"
     raise ConfigError(f"unknown method {method!r}")
 
 
 def best_inversion(setup: StudySetup, method: str, bits: int | None, k: int = 1):
-    """Best SNR over the method's regularization grid (pinv/fft have none)."""
+    """Best SNR over the method's regularization grid (pinv/fft have none).
+
+    The matrix routes compile their datapath once and run every grid point
+    on it.
+    """
+    datapath = compile_datapath(setup, method, bits, k)
     if method == "tsvd":
-        results = [invert_once(setup, method, bits, k, rank=r)
-                   for r in setup.rank_grid]
+        grid = [{"rank": r} for r in setup.rank_grid]
     elif method == "tik":
-        results = [invert_once(setup, method, bits, k, lam=l)
-                   for l in setup.lambda_grid]
+        grid = [{"lam": lam} for lam in setup.lambda_grid]
     else:
-        results = [invert_once(setup, method, bits, k)]
+        grid = [{}]
+    results = [invert_once(setup, method, bits, k, datapath=datapath, **point)
+               for point in grid]
     return max(results, key=lambda t: t[0])
 
 

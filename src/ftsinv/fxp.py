@@ -312,6 +312,8 @@ def shift_right_array(m: np.ndarray, s: int, mode: RoundingMode) -> np.ndarray:
 def saturate_array(raw: np.ndarray, fmt: FxpFormat):
     """Clamp to the format range; returns (clamped, overflow_count)."""
     lo, hi = fmt.min_raw, fmt.max_raw
+    if not raw.size or (raw.max() <= hi and raw.min() >= lo):
+        return raw, 0
     over = (raw > hi) | (raw < lo)
     n = int(np.count_nonzero(over))
     if n:

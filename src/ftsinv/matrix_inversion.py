@@ -1,11 +1,28 @@
 """Pseudo-inverse, truncated-SVD and ridge (Tikhonov) spectrum reconstruction
 over fixed-point matrix-vector datapaths with K-way row-banked memories.
 
-The factorization itself is an offline calibration step computed in double
-precision (LAPACK, under a canonical sign convention); only the matrix-vector
-products that run per acquisition are emulated in fixed point.
-Dot products accumulate exactly in a wide register (two data widths plus
-``ceil(log2(M))`` guard bits) and round once at the output.
+The factorization is an offline calibration step computed in double precision
+(LAPACK, under a canonical sign convention).  Each route is then split the way
+the hardware splits it:
+
+* **compile** (:func:`compile_pinv`, :func:`compile_svd`) quantizes the
+  coefficient matrices for one word width and lays them out in K row
+  partitions: what is written to on-chip RAM once;
+* **run** (:func:`reconstruct_pinv`, :func:`reconstruct_svd`) streams one
+  acquisition, and on the SVD route one penalized diagonal, through them.
+  Given a matrix or factors instead of a compiled datapath, the run step
+  compiles its own.
+
+Every matrix-vector product (the pseudo-inverse, and products 2 and 3 of the
+SVD route) runs on one MAC kernel, :func:`_fxp_matvec_banked`; product 1 is
+elementwise scaling.  Dot products accumulate exactly in a wide register (two
+data widths plus ``ceil(log2(M))`` guard bits) and round once at the output.
+The register is emulated in int64 at every width: where a product and its
+guard bits would not fit in 62 bits, the coefficient words (and, if that is
+not enough, the vector words too) are split into limbs whose dot products
+are exact in int64, the error-free splitting of Ozaki, Ogita, Oishi and Rump
+(Numer. Algorithms, 2012).  Only the N-element accumulator is recombined,
+exactly, into base-2^b digits before its one output shift and saturation.
 """
 
 from __future__ import annotations
@@ -21,12 +38,12 @@ from .fxp import (
     ENTRY_POLICY,
     FxpFormat,
     OpCounter,
+    RoundingMode,
     RoundingPolicy,
     dequantize_array,
     quantize_array,
     saturate_array,
     shift_right_array,
-    use_int64,
 )
 from .optics import Interferogram, TransferMatrix
 
@@ -192,6 +209,151 @@ def pinv_matrix(f: SvdFactors, drop_tol: float = 1e-12) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# exact wide accumulation in int64
+# ---------------------------------------------------------------------------
+
+_SAFE_BITS = 62     # |sums| <= 2**62 leave an int64 a bit for carries
+
+
+def _guard_bits(terms: int) -> int:
+    return max(1, math.ceil(math.log2(max(terms, 2))))
+
+
+def _limb_count(width: int, bits: int) -> int:
+    """Limbs of at most ``bits`` magnitude bits that a ``width``-bit word needs."""
+    return max(1, -(-(width - 1) // bits))
+
+
+def _limb_plan(wa: int, wb: int, guard: int):
+    """Limb width for exact int64 products of ``wa``-bit coefficient words
+    by ``wb``-bit vector words, up to ``2**guard`` of them summed.
+
+    Returns ``(bits, split_a)``: ``bits`` None when whole words already fit;
+    otherwise the vector words are split into ``bits``-bit limbs, and the
+    coefficient words as well when ``split_a``, whichever needs fewer limb
+    products.  Splitting the vector first costs O(M) per run, where
+    splitting the coefficients costs O(N M).
+    """
+    if wa + wb - 2 + guard <= _SAFE_BITS:
+        return None, False
+    beside_a = _SAFE_BITS - guard - (wa - 1)
+    both = (_SAFE_BITS - guard) // 2
+    if both < 1:
+        raise ValueError(f"{guard} guard bits leave no room in int64")
+    if beside_a >= 1 and (_limb_count(wb, beside_a)
+                          <= _limb_count(wa, both) * _limb_count(wb, both)):
+        return beside_a, False
+    return both, True
+
+
+def _limbs(words: np.ndarray, width: int, bits: int) -> list:
+    """``words == sum(limb << (bits * i))``: unsigned low limbs, a signed top."""
+    n = _limb_count(width, bits)
+    if n == 1:
+        return [words]
+    mask = (1 << bits) - 1
+    return ([words & mask] + [(words >> (bits * i)) & mask for i in range(1, n - 1)]
+            + [words >> (bits * (n - 1))])
+
+
+class _Wide:
+    """Exact integers ``sum(digits[i] << (bits * i))`` in int64 arrays: every
+    digit below the top lies in ``[0, 2**bits)``, the top one is signed."""
+
+    __slots__ = ("digits", "bits")
+
+    def __init__(self, digits: list, bits: int):
+        self.digits = digits
+        self.bits = bits
+
+    def __getitem__(self, rows) -> "_Wide":
+        return _Wide([d[rows] for d in self.digits], self.bits)
+
+    def add(self, term: np.ndarray, pos: int) -> None:
+        """Add ``term << (bits * pos)``, ``|term| <= 2**62``, below the top."""
+        d, mask = self.digits, (1 << self.bits) - 1
+        d[pos] = d[pos] + term
+        for i in range(pos, len(d) - 1):
+            d[i + 1] = d[i + 1] + (d[i] >> self.bits)
+            d[i] = d[i] & mask
+
+    def bit(self, j: int) -> np.ndarray:
+        i, e = divmod(j, self.bits)
+        return (self.digits[i] >> e) & 1
+
+    def any_below(self, j: int) -> np.ndarray:
+        i, e = divmod(j, self.bits)
+        out = (self.digits[i] & ((1 << e) - 1)) != 0
+        for d in self.digits[:i]:
+            out |= d != 0
+        return out
+
+
+def _mac(a: np.ndarray, b: np.ndarray, wa: int, wb: int, guard: int, op) -> _Wide:
+    """Exact ``op(a, b)`` of ``wa``-bit coefficient words by ``wb``-bit
+    vector words, where ``op`` is ``np.matmul`` (summing at most
+    ``2**guard`` products) or ``np.multiply`` (``guard`` 0), computed in
+    int64 limb by limb."""
+    bits, split_a = _limb_plan(wa, wb, guard)
+    if bits is None:
+        return _Wide([op(a, b)], _SAFE_BITS)
+    la = _limbs(a, wa, bits) if split_a else [a]
+    lb = _limbs(b, wb, bits)
+    acc = None
+    for i, x in enumerate(la):
+        for j, v in enumerate(lb):
+            term = op(x, v)
+            if acc is None:
+                acc = _Wide([np.zeros_like(term) for _ in range(len(la) + len(lb))], bits)
+            acc.add(term, i + j)
+    return acc
+
+
+def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
+    """``acc * 2**-shift`` rounded under ``mode`` and saturated to ``fmt``.
+
+    Returns the int64 words and the number of saturated outputs.
+    """
+    if len(acc.digits) == 1 and 0 <= shift < 63:
+        return saturate_array(shift_right_array(acc.digits[0], shift, mode), fmt)
+    bits, mask = acc.bits, (1 << acc.bits) - 1
+    d = list(acc.digits)
+    if shift < 0:                        # a left shift: zero digits below
+        pad = -(shift // bits)
+        d = [np.zeros_like(d[0]) for _ in range(pad)] + d
+        shift += pad * bits
+    sign = shift + fmt.total_bits - 1    # the output word's sign bit
+    while bits * (len(d) - 1) <= sign:   # sign-extend so it sits below the top
+        d.append(d[-1] >> bits)
+        d[-2] = d[-2] & mask
+    wide = _Wide(d, bits)
+    if mode is RoundingMode.ROUND_HALF_EVEN and shift > 0:
+        inc = wide.bit(shift - 1) & (wide.bit(shift) | wide.any_below(shift - 1))
+        wide.add(inc << (shift % bits), shift // bits)
+    # in range when every bit from the sign bit up repeats it
+    c, e = divmod(sign, bits)
+    high = d[c] >> e
+    zeros, ones = high == 0, high == (mask >> e)
+    for x in d[c + 1:-1]:
+        zeros &= x == 0
+        ones &= x == mask
+    fits = (zeros & (d[-1] == 0)) | (ones & (d[-1] == -1))
+    # the word itself is bits [shift, shift + 64), wrapped modulo 2**64
+    c, e = divmod(shift, bits)
+    words = (d[c] >> e).astype(np.uint64)
+    for i in range(c + 1, len(d)):
+        at = bits * i - shift
+        if at >= 64:
+            break
+        words += d[i].astype(np.uint64) << np.uint64(at)
+    words = words.view(np.int64)
+    overflows = int(words.size - np.count_nonzero(fits))
+    if overflows:
+        words = np.where(fits, words, np.where(d[-1] < 0, fmt.min_raw, fmt.max_raw))
+    return words, overflows
+
+
+# ---------------------------------------------------------------------------
 # banked fixed-point datapaths
 # ---------------------------------------------------------------------------
 
@@ -258,6 +420,15 @@ def _tensor_format(fmt, width: int, values: np.ndarray) -> FxpFormat:
     return FxpFormat.for_range(width, float(np.max(np.abs(values), initial=0.0)))
 
 
+def _words(values: np.ndarray, fmt: FxpFormat) -> np.ndarray:
+    """Entry quantization to int64 words."""
+    return np.asarray(quantize_array(values, fmt, ENTRY_POLICY), dtype=np.int64)
+
+
+def _accumulator_bits(mat_fmt: FxpFormat, vec_fmt: FxpFormat, terms: int) -> int:
+    return mat_fmt.total_bits + vec_fmt.total_bits + _guard_bits(terms)
+
+
 def _fxp_matvec_banked(
     banked: BankedOperand,
     mat_fmt: FxpFormat,
@@ -265,55 +436,49 @@ def _fxp_matvec_banked(
     vec_fmt: FxpFormat,
     out_fmt: FxpFormat,
     counter: OpCounter,
-    telemetry: InversionTelemetry,
     policy: RoundingPolicy,
+    acc: _Wide | None = None,
 ):
-    """Row-partitioned MAC streams with exact wide accumulation."""
-    m_len = banked.partitions[0].shape[1]
-    guard = max(1, math.ceil(math.log2(max(m_len, 2))))
-    telemetry.accumulator_bits = mat_fmt.total_bits + vec_fmt.total_bits + guard
-    narrow = use_int64(mat_fmt.total_bits, vec_fmt.total_bits, guard)
+    """Row-banked MAC streams over coefficient words, with exact wide
+    accumulation and one rounding and saturation per output.
+
+    ``acc``, if given, is the accumulator of the stacked partitions for this
+    vector, computed earlier; only the output stage then runs.  Returns the
+    output words and the number of saturated outputs.
+    """
+    m = vec_raw.size
+    guard = _guard_bits(m)
     shift = mat_fmt.frac_bits + vec_fmt.frac_bits - out_fmt.frac_bits
-    outs = []
+    outs, overflows, row = [], 0, 0
     for part in banked.partitions:
-        raw = quantize_array(part, mat_fmt, ENTRY_POLICY)
-        if narrow:
-            acc = raw.astype(np.int64) @ vec_raw.astype(np.int64)
-        else:
-            raw_obj = raw.astype(object)
-            vec_obj = vec_raw.astype(object)
-            acc = np.array([int(np.dot(r, vec_obj)) for r in raw_obj], dtype=object)
-        out = shift_right_array(acc, shift, policy.mode) if shift >= 0 else acc << (-shift)
-        out, nov = saturate_array(out, out_fmt)
-        telemetry.overflow_events += nov
-        counter.add(part.shape[0] * m_len)
-        outs.append(np.asarray(out))
-    return np.concatenate(outs)
+        rows = part.shape[0]
+        wide = (acc[row: row + rows] if acc is not None else
+                _mac(part, vec_raw, mat_fmt.total_bits, vec_fmt.total_bits, guard,
+                     np.matmul))
+        out, nov = _requantize(wide, shift, policy.mode, out_fmt)
+        overflows += nov
+        counter.add(rows * m)
+        outs.append(out)
+        row += rows
+    return np.concatenate(outs), overflows
 
 
 def _fxp_scale_banked(banked: BankedOperand, mat_fmt: FxpFormat, diag_raw: np.ndarray,
                       diag_fmt: FxpFormat, out_fmt: FxpFormat, counter: OpCounter,
-                      telemetry: InversionTelemetry, policy: RoundingPolicy):
-    """Row-partitioned column scaling ``M diag(d)``, one product per entry.
-
-    A function of its own so that its temporaries are freed before products
-    2 and 3 allocate theirs; a lower peak per call lets the allocator reuse
-    heap memory instead of returning it and faulting it back in.
-    """
-    narrow = use_int64(mat_fmt.total_bits, diag_fmt.total_bits)
+                      policy: RoundingPolicy):
+    """Row-banked column scaling ``M diag(d)`` of coefficient words, one
+    product per entry; the result stays in its banks.  Returns the scaled
+    :class:`BankedOperand` and the number of saturated entries."""
     shift = mat_fmt.frac_bits + diag_fmt.frac_bits - out_fmt.frac_bits
-    outs = []
+    outs, overflows = [], 0
     for part in banked.partitions:
-        raw = quantize_array(part, mat_fmt, ENTRY_POLICY)
-        if not narrow:
-            raw = raw.astype(object)
-        prod = raw * diag_raw[None, :]
-        out = shift_right_array(prod, shift, policy.mode) if shift >= 0 else prod << (-shift)
-        out, nov = saturate_array(out, out_fmt)
-        telemetry.overflow_events += nov
+        wide = _mac(part, diag_raw, mat_fmt.total_bits, diag_fmt.total_bits, 0,
+                    np.multiply)
+        out, nov = _requantize(wide, shift, policy.mode, out_fmt)
+        overflows += nov
         counter.add(part.size)
-        outs.append(np.asarray(out))
-    return np.concatenate(outs)
+        outs.append(out)
+    return BankedOperand(outs), overflows
 
 
 def _attach_latency(telemetry: InversionTelemetry, method: str,
@@ -328,6 +493,54 @@ def _attach_latency(telemetry: InversionTelemetry, method: str,
     telemetry.latency_cycles = cost.latency_cycles
 
 
+def _samples(y) -> np.ndarray:
+    if isinstance(y, Interferogram):
+        y = y.values
+    return np.asarray(y, dtype=np.float64)
+
+
+def _check_compiled(datapath, fmt, k: int) -> None:
+    if (fmt is not None and fmt != datapath.fmt) or k not in (1, datapath.k):
+        raise ValueError("a compiled datapath fixes its format and partition count")
+
+
+# ---------------------------------------------------------------------------
+# pseudo-inverse route
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CompiledPinv:
+    """A pseudo-inverse in K row-banked coefficient memories.
+
+    ``banked`` holds the coefficient words, or the doubles when ``fmt`` is
+    None.  ``matrix`` is the double-precision matrix, from which each run
+    fixes its output binary point.
+    """
+
+    banked: BankedOperand
+    fmt: object
+    mat_fmt: FxpFormat | None = None
+    matrix: np.ndarray | None = None
+
+    @property
+    def k(self) -> int:
+        return self.banked.k
+
+
+def compile_pinv(adag, fmt=None, k: int = 1) -> CompiledPinv:
+    """Quantize ``adag`` (a matrix or an already-split
+    :class:`BankedOperand`) for the datapath ``fmt`` and lay it out in ``k``
+    row partitions; see :func:`reconstruct_pinv` for ``fmt``."""
+    banked = adag if isinstance(adag, BankedOperand) else BankedOperand.split(adag, k)
+    width = _resolve_width(fmt)
+    if width is None:
+        return CompiledPinv(banked, None)
+    full = banked.reassemble()
+    mat_fmt = _tensor_format(fmt, width, full)
+    words = BankedOperand([_words(p, mat_fmt) for p in banked.partitions])
+    return CompiledPinv(words, fmt, mat_fmt, full)
+
+
 def reconstruct_pinv(
     adag,
     y,
@@ -338,23 +551,27 @@ def reconstruct_pinv(
 ) -> InversionResult:
     """``x_hat = A_dagger y`` on K independent row-banked MAC streams.
 
-    ``adag`` is the pseudo-inverse matrix (or an already-split
-    :class:`BankedOperand`); ``fmt`` selects the datapath: ``None`` for the
+    ``adag`` is the pseudo-inverse matrix, an already-split
+    :class:`BankedOperand`, or a :class:`CompiledPinv`, which fixes ``fmt``
+    and ``k``.  ``fmt`` selects the datapath: ``None`` for the
     double-precision reference, an integer word width (per-tensor binary
     points are then derived from the operand ranges), or an explicit
     :class:`~ftsinv.fxp.FxpFormat` used verbatim for every operand.
     """
-    if isinstance(y, Interferogram):
-        y = y.values
-    y = np.asarray(y, dtype=np.float64)
-    banked = adag if isinstance(adag, BankedOperand) else BankedOperand.split(adag, k)
+    y = _samples(y)
+    if isinstance(adag, CompiledPinv):
+        _check_compiled(adag, fmt, k)
+        datapath = adag
+    else:
+        datapath = compile_pinv(adag, fmt, k)
+    banked = datapath.banked
     n, m = banked.rows, banked.partitions[0].shape[1]
     if y.size != m:
         raise ValueError(f"interferogram length {y.size} != matrix columns {m}")
     counter = counter or OpCounter()
     telemetry = InversionTelemetry(method="pinv", k=banked.k, scheme="pinv")
 
-    width = _resolve_width(fmt)
+    width = _resolve_width(datapath.fmt)
     if width is None:
         outs = []
         for part in banked.partitions:
@@ -362,15 +579,14 @@ def reconstruct_pinv(
             counter.add(part.shape[0] * m)
         x_hat = np.concatenate(outs)
     else:
-        full = banked.reassemble()
-        x_ref = full @ y                       # double reference fixes the output scale
-        mat_fmt = _tensor_format(fmt, width, full)
-        vec_fmt = _tensor_format(fmt, width, y)
-        out_fmt = _tensor_format(fmt, width, x_ref)
-        y_raw = quantize_array(y, vec_fmt, ENTRY_POLICY)
-        raw = _fxp_matvec_banked(
-            banked, mat_fmt, y_raw, vec_fmt, out_fmt, counter, telemetry, policy
+        mat_fmt = datapath.mat_fmt
+        x_ref = datapath.matrix @ y            # double reference fixes the output scale
+        vec_fmt = _tensor_format(datapath.fmt, width, y)
+        out_fmt = _tensor_format(datapath.fmt, width, x_ref)
+        raw, telemetry.overflow_events = _fxp_matvec_banked(
+            banked, mat_fmt, _words(y, vec_fmt), vec_fmt, out_fmt, counter, policy
         )
+        telemetry.accumulator_bits = _accumulator_bits(mat_fmt, vec_fmt, m)
         x_hat = dequantize_array(raw, out_fmt)
         telemetry.data_format = f"{width}-bit ({mat_fmt.describe()} coeffs)"
     telemetry.mults = counter.mults
@@ -378,8 +594,59 @@ def reconstruct_pinv(
     return InversionResult(x_hat, telemetry)
 
 
+# ---------------------------------------------------------------------------
+# penalized-SVD route
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CompiledSvd:
+    """SVD factors in the coefficient memories of one datapath.
+
+    V and U^T are quantized once per binary point a kept set of columns
+    needs: quantizing a whole matrix and slicing the kept columns gives the
+    words quantizing the slice would, and the per-column maxima give each
+    kept set's format.  The exact U^T y accumulator of the last acquisition
+    is kept per U binary point, so runs that differ only in the penalized
+    diagonal (a rank or ridge sweep) share it.
+    """
+
+    factors: SvdFactors
+    fmt: object
+    k: int
+    ut: np.ndarray                 # U^T, row-major
+    v_colmax: np.ndarray           # max |V| per column
+    ut_rowmax: np.ndarray          # max |U^T| per row
+    _words: dict = field(default_factory=dict, repr=False)
+    _ut_y: dict = field(default_factory=dict, repr=False)
+
+    def words(self, name: str, fmt: FxpFormat) -> np.ndarray:
+        """All of V (``"v"``) or U^T (``"ut"``) quantized at ``fmt``."""
+        key = (name, fmt)
+        if key not in self._words:
+            self._words[key] = _words(self.factors.v if name == "v" else self.ut, fmt)
+        return self._words[key]
+
+    def ut_y(self, fmt_u: FxpFormat, y_raw: np.ndarray, fmt_y: FxpFormat) -> _Wide:
+        """Exact accumulator of U^T y over every row of U^T."""
+        key = (fmt_u, fmt_y)
+        hit = self._ut_y.get(key)
+        if hit is None or not np.array_equal(hit[0], y_raw):
+            acc = _mac(self.words("ut", fmt_u), y_raw, fmt_u.total_bits,
+                       fmt_y.total_bits, _guard_bits(y_raw.size), np.matmul)
+            hit = self._ut_y[key] = (y_raw, acc)
+        return hit[1]
+
+
+def compile_svd(factors: SvdFactors, fmt=None, k: int = 1) -> CompiledSvd:
+    """Lay out the factors for the datapath ``fmt`` with ``k`` banks; see
+    :func:`reconstruct_svd`."""
+    return CompiledSvd(factors, fmt, k, np.ascontiguousarray(factors.u.T),
+                       np.max(np.abs(factors.v), axis=0, initial=0.0),
+                       np.max(np.abs(factors.u), axis=0, initial=0.0))
+
+
 def reconstruct_svd(
-    factors: SvdFactors,
+    factors,
     z: PenalizedDiagonal,
     y,
     fmt=None,
@@ -389,16 +656,22 @@ def reconstruct_svd(
 ) -> InversionResult:
     """Three-product reconstruction ``x_hat = (V Z) (U^T y)`` at runtime.
 
-    All three matrix products run on the emulated datapath (the penalized
-    diagonal stays a runtime input so regularization parameters can change
-    per acquisition).  Lanes with a zero penalized value are skipped, so the
-    multiplier count is exactly ``rank * (2N + M)`` for the effective rank.
+    ``factors`` are :class:`SvdFactors` or a :class:`CompiledSvd`, which
+    fixes ``fmt`` and ``k``.  All three matrix products run on the emulated
+    datapath (the penalized diagonal stays a runtime input so
+    regularization parameters can change per acquisition).  Lanes with a
+    zero penalized value are skipped, so the multiplier count is exactly
+    ``rank * (2N + M)`` for the effective rank.
     """
-    if isinstance(y, Interferogram):
-        y = y.values
-    y = np.asarray(y, dtype=np.float64)
-    m, r = factors.u.shape
-    n = factors.v.shape[0]
+    y = _samples(y)
+    if isinstance(factors, CompiledSvd):
+        _check_compiled(factors, fmt, k)
+        datapath = factors
+    else:
+        datapath = compile_svd(factors, fmt, k)
+    f, k = datapath.factors, datapath.k
+    m, r = f.u.shape
+    n = f.v.shape[0]
     if y.size != m:
         raise ValueError(f"interferogram length {y.size} != matrix rows {m}")
     if z.zeta.size != r:
@@ -410,68 +683,50 @@ def reconstruct_svd(
     kept = np.flatnonzero(z.zeta)
     rank = kept.size
     if rank == 0:
-        telemetry.mults = 0
-        telemetry.latency_cycles = 0
         return InversionResult(np.zeros(n), telemetry)
-
-    vk = factors.v[:, kept]
-    # row-major: product 2's int64 matvec is markedly slower on a column-major operand
-    ukt = np.ascontiguousarray(factors.u[:, kept].T)
+    # a leading run of kept lanes (every rank and most ridge weights) is a view
+    kept = slice(0, rank) if kept[-1] == rank - 1 else kept
+    vk = f.v[:, kept]
+    ukt = datapath.ut[kept]
     zk = z.zeta[kept]
 
-    width = _resolve_width(fmt)
+    width = _resolve_width(datapath.fmt)
     if width is None:
         o1 = _banked_apply(vk, k, lambda part: part * zk[None, :], counter)
         o2 = _banked_apply(ukt, k, lambda part: part @ y, counter)
         x_hat = _banked_apply(o1, k, lambda part: part @ o2, counter)
     else:
+        fmt = datapath.fmt
+        v_colmax = datapath.v_colmax[kept]
         o1_ref = vk * zk[None, :]
         o2_ref = ukt @ y
         x_ref = o1_ref @ o2_ref
-        fmt_v = _tensor_format(fmt, width, vk)
-        fmt_u = _tensor_format(fmt, width, ukt)
+        fmt_v = _tensor_format(fmt, width, v_colmax)
+        fmt_u = _tensor_format(fmt, width, datapath.ut_rowmax[kept])
         fmt_z = _tensor_format(fmt, width, zk)
         fmt_y = _tensor_format(fmt, width, y)
-        fmt_o1 = _tensor_format(fmt, width, o1_ref)
+        # rounding is monotone: max_j colmax|V|_j |z_j| is max |V_k diag(z)|
+        fmt_o1 = _tensor_format(fmt, width, v_colmax * np.abs(zk))
         fmt_o2 = _tensor_format(fmt, width, o2_ref)
         fmt_x = _tensor_format(fmt, width, x_ref)
-
-        z_raw = quantize_array(zk, fmt_z, ENTRY_POLICY)
-        y_raw = quantize_array(y, fmt_y, ENTRY_POLICY)
+        y_raw = _words(y, fmt_y)
 
         # product 1: column scaling of V by the penalized diagonal
-        o1_raw = _fxp_scale_banked(
-            BankedOperand.split(vk, k), fmt_v, z_raw, fmt_z, fmt_o1,
-            counter, telemetry, policy,
+        o1, nov1 = _fxp_scale_banked(
+            BankedOperand.split(datapath.words("v", fmt_v)[:, kept], k), fmt_v,
+            _words(zk, fmt_z), fmt_z, fmt_o1, counter, policy,
         )
-
-        # product 2: U^T y
-        o2_tel = _fxp_matvec_banked(
-            BankedOperand.split(ukt, min(k, rank), ), fmt_u, y_raw, fmt_y,
-            fmt_o2, counter, telemetry, policy,
+        # product 2: U^T y, from the accumulator shared across diagonals
+        o2, nov2 = _fxp_matvec_banked(
+            BankedOperand.split(datapath.words("ut", fmt_u)[kept], min(k, rank)),
+            fmt_u, y_raw, fmt_y, fmt_o2, counter, policy,
+            acc=datapath.ut_y(fmt_u, y_raw, fmt_y)[kept],
         )
-
-        # product 3: O1 O2
-        o3_banked = BankedOperand(list(np.array_split(o1_raw, k, axis=0)))
-        sh3 = fmt_o1.frac_bits + fmt_o2.frac_bits - fmt_x.frac_bits
-        narrow3 = use_int64(fmt_o1.total_bits, fmt_o2.total_bits,
-                            max(1, math.ceil(math.log2(max(rank, 2)))))
-        x_parts = []
-        for part in o3_banked.partitions:
-            if narrow3:
-                acc = part.astype(np.int64) @ o2_tel.astype(np.int64)
-            else:
-                acc = np.array(
-                    [int(np.dot(rrow.astype(object), o2_tel.astype(object)))
-                     for rrow in part],
-                    dtype=object,
-                )
-            out = shift_right_array(acc, sh3, policy.mode) if sh3 >= 0 else acc << (-sh3)
-            out, nov = saturate_array(out, fmt_x)
-            telemetry.overflow_events += nov
-            counter.add(part.shape[0] * rank)
-            x_parts.append(np.asarray(out))
-        x_hat = dequantize_array(np.concatenate(x_parts), fmt_x)
+        # product 3: O1 O2, each bank on the rows product 1 left in it
+        x_raw, nov3 = _fxp_matvec_banked(o1, fmt_o1, o2, fmt_o2, fmt_x, counter, policy)
+        telemetry.overflow_events = nov1 + nov2 + nov3
+        telemetry.accumulator_bits = _accumulator_bits(fmt_u, fmt_y, m)
+        x_hat = dequantize_array(x_raw, fmt_x)
         telemetry.data_format = f"{width}-bit"
 
     telemetry.mults = counter.mults

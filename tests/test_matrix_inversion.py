@@ -10,12 +10,24 @@ import pytest
 
 import ftsinv as fi
 from ftsinv.errors import SvdConvergenceError
-from ftsinv.fxp import FxpFormat
+from ftsinv.fxp import (
+    FxpFormat,
+    OpCounter,
+    OverflowMode,
+    RoundingMode,
+    RoundingPolicy,
+    apply_overflow,
+    rshift_round,
+)
 from ftsinv.matrix_inversion import (
     BankedOperand,
     Pinv,
     Tikhonov,
     Tsvd,
+    _fxp_matvec_banked,
+    _fxp_scale_banked,
+    compile_pinv,
+    compile_svd,
     penalize,
     pinv_matrix,
     reconstruct_pinv,
@@ -279,6 +291,125 @@ class TestReconstructSvd:
         ref = reconstruct_svd(f, z, y, fmt=None).x_hat
         got = reconstruct_svd(f, z, y, fmt=40).x_hat
         assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+class TestCompiledDatapaths:
+    @pytest.mark.parametrize("fmt", [10, 32, None])
+    def test_compiled_svd_matches_one_shot(self, tall_problem, fmt):
+        _, f, _, _, y = tall_problem
+        datapath = compile_svd(f, fmt, k=3)
+        schemes = [Tsvd(4), Tsvd(16), Tikhonov(1e-3), Tikhonov(0.3)]
+        for scheme in schemes:
+            z = penalize(f.xi, scheme)
+            got = reconstruct_svd(datapath, z, y)
+            want = reconstruct_svd(f, z, y, fmt=fmt, k=3)
+            assert np.array_equal(got.x_hat, want.x_hat)
+            assert got.telemetry == want.telemetry
+
+    def test_shared_accumulator_follows_the_data(self, tall_problem):
+        """A compiled datapath run on new data does not reuse U^T y."""
+        _, f, _, _, y = tall_problem
+        other = y[::-1].copy()
+        datapath = compile_svd(f, 12)
+        z = penalize(f.xi, Tsvd(9))
+        for data in (y, other, y):
+            got = reconstruct_svd(datapath, z, data).x_hat
+            assert np.array_equal(got, reconstruct_svd(f, z, data, fmt=12).x_hat)
+
+    @pytest.mark.parametrize("fmt", [12, 32, None])
+    def test_compiled_pinv_matches_one_shot(self, tall_problem, fmt):
+        _, _, adag, _, y = tall_problem
+        got = reconstruct_pinv(compile_pinv(adag, fmt, k=2), y)
+        want = reconstruct_pinv(adag, y, fmt=fmt, k=2)
+        assert np.array_equal(got.x_hat, want.x_hat)
+        assert got.telemetry == want.telemetry
+
+    def test_compiled_format_and_k_are_fixed(self, tall_problem):
+        _, f, adag, _, y = tall_problem
+        z = penalize(f.xi, Tsvd(4))
+        with pytest.raises(ValueError):
+            reconstruct_svd(compile_svd(f, 12), z, y, fmt=16)
+        with pytest.raises(ValueError):
+            reconstruct_svd(compile_svd(f, 12, k=2), z, y, k=3)
+        with pytest.raises(ValueError):
+            reconstruct_pinv(compile_pinv(adag, 12), y, fmt=14)
+        # restating the compiled format and K is allowed
+        reconstruct_pinv(compile_pinv(adag, 12, k=2), y, fmt=12, k=2)
+
+
+def _shift_formats(width: int, shift: int):
+    """(coefficient, vector, output) formats whose output shift is ``shift``."""
+    out_frac = max(0, -shift)
+    total = shift + out_frac
+    mat_frac = min(width - 1, total)
+    return (FxpFormat(width, mat_frac), FxpFormat(width, total - mat_frac),
+            FxpFormat(width, out_frac))
+
+
+def _python_outputs(exact, shift, mode, fmt):
+    """Pure-Python-int shift, rounding and saturation of exact sums."""
+    outs, overflows = [], 0
+    for v in exact:
+        q, over = apply_overflow(rshift_round(v, shift, mode), fmt, OverflowMode.SATURATE)
+        outs.append(q)
+        overflows += over
+    return outs, overflows
+
+
+def _kernel_operands(width: int, shape, rng):
+    """Random words at every magnitude, plus all-``min_raw`` and all-``max_raw``
+    rows, the worst cases for carries."""
+    fmt = FxpFormat(width, 0)
+    words = rng.integers(fmt.min_raw, fmt.max_raw, size=shape, endpoint=True,
+                         dtype=np.int64)
+    words >>= rng.integers(0, width, size=shape[:-1] + (1,))
+    words[0] = fmt.min_raw
+    words[1] = fmt.max_raw
+    return words
+
+
+class TestLimbKernel:
+    """The int64 limb MAC against exact Python integers."""
+
+    @pytest.mark.parametrize("m", [1, 7, 256])
+    @pytest.mark.parametrize("width", [33, 40, 48, 64])
+    def test_matvec_matches_python_ints(self, width, m):
+        rng = np.random.default_rng(width * 1000 + m)
+        a = _kernel_operands(width, (12, m), rng)
+        min_raw = FxpFormat(width, 0).min_raw
+        vectors = (_kernel_operands(width, (2, m), rng)[-1],
+                   np.full(m, min_raw, dtype=np.int64))
+        banked = BankedOperand.split(a, 3)
+        for b in vectors:
+            exact = [sum(int(x) * int(v) for x, v in zip(row, b)) for row in a]
+            for shift in (-3, 0, width - 1, width + 5, 2 * width - 2):
+                mat_fmt, vec_fmt, out_fmt = _shift_formats(width, shift)
+                for mode in RoundingMode:
+                    counter = OpCounter()
+                    out, overflows = _fxp_matvec_banked(
+                        banked, mat_fmt, b, vec_fmt, out_fmt, counter,
+                        RoundingPolicy(mode))
+                    want, want_over = _python_outputs(exact, shift, mode, out_fmt)
+                    assert out.dtype == np.int64
+                    assert out.tolist() == want, (shift, mode)
+                    assert overflows == want_over
+                    assert counter.mults == a.size
+
+    @pytest.mark.parametrize("width", [33, 40, 48, 64])
+    def test_scale_matches_python_ints(self, width):
+        rng = np.random.default_rng(width)
+        a = _kernel_operands(width, (6, 9), rng)
+        d = _kernel_operands(width, (3, 9), rng)[0]
+        exact = [int(x) * int(v) for row in a for x, v in zip(row, d)]
+        for shift in (-2, 0, width - 1, 2 * width - 2):
+            mat_fmt, diag_fmt, out_fmt = _shift_formats(width, shift)
+            for mode in RoundingMode:
+                scaled, overflows = _fxp_scale_banked(
+                    BankedOperand.split(a, 2), mat_fmt, d, diag_fmt, out_fmt,
+                    OpCounter(), RoundingPolicy(mode))
+                want, want_over = _python_outputs(exact, shift, mode, out_fmt)
+                assert scaled.reassemble().ravel().tolist() == want, (shift, mode)
+                assert overflows == want_over
 
 
 class TestNoiseAmplification:

@@ -76,6 +76,15 @@ def bank_map(logical_index: int, stage: int, n_points: int):
     return bank, logical_index >> 1
 
 
+def _port_map(n_points: int) -> tuple:
+    """The two-bank map as the port reads it: ``(par, adr)``, the bank and
+    address of every logical index, and the parity of every address."""
+    idx = np.arange(n_points)
+    adr = idx >> 1
+    adr_parity = _parity(np.arange(max(n_points // 2, 1))).astype(np.int8)
+    return adr_parity[adr] ^ (idx & 1).astype(np.int8), adr, adr_parity
+
+
 class BankedMemory:
     """Two-bank complex word store: the transform's input/output port.
 
@@ -84,15 +93,17 @@ class BankedMemory:
     ``(a << 1) | (b ^ parity(a))``.  Both operands of every radix-2 butterfly
     resolve to distinct banks, so a full butterfly issue needs one read per
     bank per cycle.  The words are kept in logical order in ``re`` and ``im``,
-    the store the stage loop works on.
+    the store the stage loop works on.  ``port`` is :func:`_port_map`'s
+    result, which a plan computes once for every transform it runs.
     """
 
-    def __init__(self, n_points: int):
+    def __init__(self, n_points: int, port: tuple | None = None):
         self.n = n_points
-        idx = np.arange(n_points)
-        self._par = _parity(idx)
-        self._adr = idx >> 1
+        self._par, self._adr, self._adr_parity = port or _port_map(n_points)
         self.re = self.im = None
+
+    def _index(self, par, adr):
+        return (adr << 1) | (par ^ self._adr_parity[adr])
 
     def load(self, re: np.ndarray, im: np.ndarray) -> None:
         self.re = np.empty(self.n, dtype=re.dtype)
@@ -100,11 +111,11 @@ class BankedMemory:
         self.scatter(self._par, self._adr, re, im)
 
     def gather(self, par, adr):
-        i = (adr << 1) | (par ^ _parity(adr))
+        i = self._index(par, adr)
         return self.re[i], self.im[i]
 
     def scatter(self, par, adr, re, im) -> None:
-        i = (adr << 1) | (par ^ _parity(adr))
+        i = self._index(par, adr)
         self.re[i] = re
         self.im[i] = im
 
@@ -136,6 +147,7 @@ class FftPlan:
     headroom_bits: int
     policy: RoundingPolicy
     _brev: np.ndarray = field(repr=False, default=None)
+    _port: tuple = field(repr=False, default=None)
     _tw_re: dict = field(repr=False, default=None)
     _tw_im: dict = field(repr=False, default=None)
     _dct_cos: dict = field(repr=False, default=None)
@@ -190,6 +202,7 @@ class FftPlan:
             headroom_bits=headroom_bits,
             policy=policy,
             _brev=_bit_reverse_permutation(n_points),
+            _port=_port_map(n_points),
             _tw_re=tw_re,
             _tw_im=tw_im,
             _dct_cos=dct_cos,
@@ -316,7 +329,7 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
     natural order.  Returns (re, im, exponent_delta).
     """
     n = plan.n_points
-    mem = BankedMemory(n)
+    mem = BankedMemory(n, plan._port)
     mem.load(re[plan._brev], im[plan._brev])
     re, im = mem.re, mem.im
 

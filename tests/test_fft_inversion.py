@@ -13,6 +13,7 @@ from ftsinv.fft_inversion import (
     BankedMemory,
     FftPlan,
     _parity,
+    _port_map,
     bank_map,
     butterfly_radix2,
     dct2_via_fft,
@@ -83,6 +84,17 @@ class TestBankMap:
             for stage in range(n.bit_length() - 1):
                 a = idx[(idx >> stage) & 1 == 0]
                 assert np.all(par[a] != par[a | (1 << stage)])
+            n *= 2
+
+    def test_port_map_matches_bank_map(self):
+        """The plan's precomputed port arrays are the parity bank map."""
+        n = 2
+        while n <= 65536:
+            idx = np.arange(n)
+            par, adr, adr_parity = _port_map(n)
+            assert np.array_equal(par, _parity(idx))
+            assert np.array_equal(adr, idx >> 1)
+            assert np.array_equal(adr_parity, _parity(np.arange(n // 2)))
             n *= 2
 
     def test_banked_memory_round_trip(self):

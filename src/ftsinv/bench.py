@@ -244,9 +244,9 @@ def _datapath_format(setup: StudySetup, bits: int | None):
     return None if setup.config.quantize == "data-only" else bits
 
 
-def compile_datapath(setup: StudySetup, method: str, bits: int | None, k: int = 1):
-    """The matrix route's compiled datapath at ``bits`` and ``k``, which
-    :func:`invert_once` can run any grid point on; None for the FFT route."""
+def _compile_datapath(setup: StudySetup, method: str, bits: int | None, k: int = 1):
+    """The matrix route's datapath compiled at ``bits`` and ``k``, on which
+    :func:`invert_once` runs any grid point; None for the FFT route."""
     fmt = _datapath_format(setup, bits)
     if method == "pinv":
         return compile_pinv(setup.adag, fmt, k)
@@ -260,8 +260,10 @@ def invert_once(setup: StudySetup, method: str, bits: int | None,
                 datapath=None):
     """One reconstruction; returns (snr_db, estimate, telemetry, param_label).
 
-    ``datapath`` is the route's :func:`compile_datapath` result for the same
-    ``bits`` and ``k``; without it the matrix routes compile their own.
+    ``datapath`` is the matrix route's datapath compiled for the same
+    ``bits`` and ``k`` (:func:`~ftsinv.matrix_inversion.compile_pinv`,
+    :func:`~ftsinv.matrix_inversion.compile_svd`); without it the route
+    compiles its own.
     """
     cfg = setup.config
     data_only = cfg.quantize == "data-only" and bits is not None
@@ -304,7 +306,7 @@ def best_inversion(setup: StudySetup, method: str, bits: int | None, k: int = 1)
     The matrix routes compile their datapath once and run every grid point
     on it.
     """
-    datapath = compile_datapath(setup, method, bits, k)
+    datapath = _compile_datapath(setup, method, bits, k)
     if method == "tsvd":
         grid = [{"rank": r} for r in setup.rank_grid]
     elif method == "tik":

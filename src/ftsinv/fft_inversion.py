@@ -28,6 +28,7 @@ Normalization modes
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,13 +77,21 @@ def bank_map(logical_index: int, stage: int, n_points: int):
     return bank, logical_index >> 1
 
 
+@functools.lru_cache(maxsize=8)
 def _port_map(n_points: int) -> tuple:
     """The two-bank map as the port reads it: ``(par, adr)``, the bank and
-    address of every logical index, and the parity of every address."""
+    address of every logical index, and the parity of every address.
+
+    It depends on the size alone, so it is computed once per size and kept
+    read-only.
+    """
     idx = np.arange(n_points)
     adr = idx >> 1
     adr_parity = _parity(np.arange(max(n_points // 2, 1))).astype(np.int8)
-    return adr_parity[adr] ^ (idx & 1).astype(np.int8), adr, adr_parity
+    port = (adr_parity[adr] ^ (idx & 1).astype(np.int8), adr, adr_parity)
+    for a in port:
+        a.setflags(write=False)
+    return port
 
 
 class BankedMemory:
@@ -93,13 +102,12 @@ class BankedMemory:
     ``(a << 1) | (b ^ parity(a))``.  Both operands of every radix-2 butterfly
     resolve to distinct banks, so a full butterfly issue needs one read per
     bank per cycle.  The words are kept in logical order in ``re`` and ``im``,
-    the store the stage loop works on.  ``port`` is :func:`_port_map`'s
-    result, which a plan computes once for every transform it runs.
+    the store the stage loop works on.
     """
 
-    def __init__(self, n_points: int, port: tuple | None = None):
+    def __init__(self, n_points: int):
         self.n = n_points
-        self._par, self._adr, self._adr_parity = port or _port_map(n_points)
+        self._par, self._adr, self._adr_parity = _port_map(n_points)
         self.re = self.im = None
 
     def _index(self, par, adr):
@@ -147,7 +155,6 @@ class FftPlan:
     headroom_bits: int
     policy: RoundingPolicy
     _brev: np.ndarray = field(repr=False, default=None)
-    _port: tuple = field(repr=False, default=None)
     _tw_re: dict = field(repr=False, default=None)
     _tw_im: dict = field(repr=False, default=None)
     _dct_cos: dict = field(repr=False, default=None)
@@ -202,7 +209,6 @@ class FftPlan:
             headroom_bits=headroom_bits,
             policy=policy,
             _brev=_bit_reverse_permutation(n_points),
-            _port=_port_map(n_points),
             _tw_re=tw_re,
             _tw_im=tw_im,
             _dct_cos=dct_cos,
@@ -329,7 +335,7 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
     natural order.  Returns (re, im, exponent_delta).
     """
     n = plan.n_points
-    mem = BankedMemory(n, plan._port)
+    mem = BankedMemory(n)
     mem.load(re[plan._brev], im[plan._brev])
     re, im = mem.re, mem.im
 

@@ -299,13 +299,10 @@ def _mac(a: np.ndarray, b: np.ndarray, wa: int, wb: int, guard: int, op) -> _Wid
         return _Wide([op(a, b)], _SAFE_BITS)
     la = _limbs(a, wa, bits) if split_a else [a]
     lb = _limbs(b, wb, bits)
-    acc = None
-    for i, x in enumerate(la):
-        for j, v in enumerate(lb):
-            term = op(x, v)
-            if acc is None:
-                acc = _Wide([np.zeros_like(term) for _ in range(len(la) + len(lb))], bits)
-            acc.add(term, i + j)
+    terms = [(op(x, v), i + j) for i, x in enumerate(la) for j, v in enumerate(lb)]
+    acc = _Wide([np.zeros_like(terms[0][0]) for _ in range(len(la) + len(lb))], bits)
+    for term, pos in terms:
+        acc.add(term, pos)
     return acc
 
 

@@ -22,6 +22,7 @@ from ftsinv.fxp import (
 from ftsinv.matrix_inversion import (
     BankedOperand,
     Pinv,
+    SvdFactors,
     Tikhonov,
     Tsvd,
     _fxp_matvec_banked,
@@ -315,6 +316,21 @@ class TestCompiledDatapaths:
         for data in (y, other, y):
             got = reconstruct_svd(datapath, z, data).x_hat
             assert np.array_equal(got, reconstruct_svd(f, z, data, fmt=12).x_hat)
+
+    @pytest.mark.parametrize("fmt", [12, 32])
+    def test_scattered_lanes_match_compacted_factors(self, tall_problem, fmt):
+        """Kept lanes that are not a leading run give what factors holding
+        only those lanes give."""
+        _, f, _, _, y = tall_problem
+        z = penalize(f.xi, Tikhonov(0.05))
+        kept = np.array([1, 2, 5, 9, 15])
+        z.zeta[np.setdiff1d(np.arange(f.rank_bound), kept)] = 0.0
+        compact = SvdFactors(f.u[:, kept], f.xi[kept], f.v[:, kept])
+        z_compact = penalize(compact.xi, Tikhonov(0.05))
+        got = reconstruct_svd(f, z, y, fmt=fmt, k=2)
+        want = reconstruct_svd(compact, z_compact, y, fmt=fmt, k=2)
+        assert np.array_equal(got.x_hat, want.x_hat)
+        assert got.telemetry == want.telemetry
 
     @pytest.mark.parametrize("fmt", [12, 32, None])
     def test_compiled_pinv_matches_one_shot(self, tall_problem, fmt):

@@ -46,12 +46,16 @@ from .hwmodel import (
 )
 from .matrix_inversion import (
     BankedOperand,
+    CompiledPinv,
+    CompiledSvd,
     InversionResult,
     PenalizedDiagonal,
     Pinv,
     SvdFactors,
     Tikhonov,
     Tsvd,
+    compile_pinv,
+    compile_svd,
     penalize,
     pinv_matrix,
     reconstruct_pinv,

@@ -87,7 +87,7 @@ class TestBankMap:
             n *= 2
 
     def test_port_map_matches_bank_map(self):
-        """The plan's precomputed port arrays are the parity bank map."""
+        """The port's precomputed arrays are the parity bank map."""
         n = 2
         while n <= 65536:
             idx = np.arange(n)

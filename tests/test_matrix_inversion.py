@@ -1,6 +1,7 @@
 """Factorization, penalization, and the banked fixed-point MAC datapaths."""
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -415,9 +416,9 @@ class TestLimbKernel:
     def test_scale_matches_python_ints(self, width):
         rng = np.random.default_rng(width)
         a = _kernel_operands(width, (6, 9), rng)
-        d = _kernel_operands(width, (3, 9), rng)[0]
-        exact = [int(x) * int(v) for row in a for x, v in zip(row, d)]
-        for shift in (-2, 0, width - 1, 2 * width - 2):
+        diagonals = _kernel_operands(width, (3, 9), rng)[[0, 2]]
+        for d, shift in itertools.product(diagonals, (-2, 0, width - 1, 2 * width - 2)):
+            exact = [int(x) * int(v) for row in a for x, v in zip(row, d)]
             mat_fmt, diag_fmt, out_fmt = _shift_formats(width, shift)
             for mode in RoundingMode:
                 scaled, overflows = _fxp_scale_banked(

@@ -18,11 +18,12 @@ SVD route) runs on one MAC kernel, :func:`_fxp_matvec_banked`; product 1 is
 elementwise scaling.  Dot products accumulate exactly in a wide register (two
 data widths plus ``ceil(log2(M))`` guard bits) and round once at the output.
 The register is emulated in int64 at every width: where a product and its
-guard bits would not fit in 62 bits, the coefficient words (and, if that is
-not enough, the vector words too) are split into limbs whose dot products
-are exact in int64, the error-free splitting of Ozaki, Ogita, Oishi and Rump
-(Numer. Algorithms, 2012).  Only the N-element accumulator is recombined,
-exactly, into base-2^b digits before its one output shift and saturation.
+guard bits would not fit in 62 bits, the vector words (and, where that needs
+fewer limb products, the coefficient words too) are split into limbs whose
+dot products are exact in int64, the error-free splitting of Ozaki, Ogita,
+Oishi and Rump (Numer. Algorithms, 2012).  Only the N-element accumulator
+is recombined, exactly, into base-2^b digits before its one output shift
+and saturation.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def pinv_matrix(f: SvdFactors, drop_tol: float = 1e-12) -> np.ndarray:
 # exact wide accumulation in int64
 # ---------------------------------------------------------------------------
 
-_SAFE_BITS = 62     # |sums| <= 2**62 leave an int64 a bit for carries
+_SAFE_BITS = 62     # |sums| <= 2**62 leaves an int64 a bit for carries
 
 
 def _guard_bits(terms: int) -> int:
@@ -252,7 +253,7 @@ def _limbs(words: np.ndarray, width: int, bits: int) -> list:
     if n == 1:
         return [words]
     mask = (1 << bits) - 1
-    return ([words & mask] + [(words >> (bits * i)) & mask for i in range(1, n - 1)]
+    return ([(words >> (bits * i)) & mask for i in range(n - 1)]
             + [words >> (bits * (n - 1))])
 
 

@@ -506,7 +506,7 @@ def _check_compiled(datapath, fmt, k: int) -> None:
 # pseudo-inverse route
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class CompiledPinv:
     """A pseudo-inverse in K row-banked coefficient memories.
 
@@ -596,7 +596,7 @@ def reconstruct_pinv(
 # penalized-SVD route
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class CompiledSvd:
     """SVD factors in the coefficient memories of one datapath.
 

@@ -13,17 +13,19 @@ the hardware splits it:
   Given a matrix or factors instead of a compiled datapath, the run step
   compiles its own.
 
-Every matrix-vector product (the pseudo-inverse, and products 2 and 3 of the
-SVD route) runs on one MAC kernel, :func:`_fxp_matvec_banked`; product 1 is
-elementwise scaling.  Dot products accumulate exactly in a wide register (two
-data widths plus ``ceil(log2(M))`` guard bits) and round once at the output.
-The register is emulated in int64 at every width: where a product and its
-guard bits would not fit in 62 bits, the vector words (and, where that needs
-fewer limb products, the coefficient words too) are split into limbs whose
-dot products are exact in int64, the error-free splitting of Ozaki, Ogita,
-Oishi and Rump (Numer. Algorithms, 2012).  Only the N-element accumulator
-is recombined, exactly, into base-2^b digits before its one output shift
-and saturation.
+Every product accumulates exactly in one MAC, :func:`_mac`, and rounds once
+in one output stage, :func:`_requantize`.  The banked kernel
+:func:`_fxp_matvec_banked` runs the pseudo-inverse and product 3 of the SVD
+route per row partition; product 2 (U^T y) is one accumulator over all of
+U^T, shared by the runs of a rank or ridge sweep; product 1 is elementwise
+scaling.  The wide register (two data widths plus ``ceil(log2(M))`` guard
+bits) is emulated in int64 at every width: where a product and its guard
+bits would not fit in 62 bits, the vector words (and, where whole
+coefficient words leave them no room, the coefficient words too) are split
+into limbs whose dot products are exact in int64, the error-free splitting
+of Ozaki, Ogita, Oishi and Rump (Numer. Algorithms, 2012).  Only the
+N-element accumulator is recombined, exactly, into base-2^b digits before
+its one output shift and saturation.
 """
 
 from __future__ import annotations
@@ -231,19 +233,19 @@ def _limb_plan(wa: int, wb: int, guard: int):
 
     Returns ``(bits, split_a)``: ``bits`` None when whole words already fit;
     otherwise the vector words are split into ``bits``-bit limbs, and the
-    coefficient words as well when ``split_a``, whichever needs fewer limb
-    products.  Splitting the vector first costs O(M) per run, where
-    splitting the coefficients costs O(N M).
+    coefficient words as well when ``split_a``, which happens only where
+    whole coefficient words leave no room beside them (about 55 bits and
+    up).  Splitting the vector costs O(M) per run, where splitting the
+    coefficients costs O(N M).
     """
     if wa + wb - 2 + guard <= _SAFE_BITS:
         return None, False
     beside_a = _SAFE_BITS - guard - (wa - 1)
+    if beside_a >= 1:
+        return beside_a, False
     both = (_SAFE_BITS - guard) // 2
     if both < 1:
         raise ValueError(f"{guard} guard bits leave no room in int64")
-    if beside_a >= 1 and (_limb_count(wb, beside_a)
-                          <= _limb_count(wa, both) * _limb_count(wb, both)):
-        return beside_a, False
     return both, True
 
 
@@ -435,29 +437,23 @@ def _fxp_matvec_banked(
     out_fmt: FxpFormat,
     counter: OpCounter,
     policy: RoundingPolicy,
-    acc: _Wide | None = None,
 ):
     """Row-banked MAC streams over coefficient words, with exact wide
     accumulation and one rounding and saturation per output.
 
-    ``acc``, if given, is the accumulator of the stacked partitions for this
-    vector, computed earlier; only the output stage then runs.  Returns the
-    output words and the number of saturated outputs.
+    Returns the output words and the number of saturated outputs.
     """
     m = vec_raw.size
     guard = _guard_bits(m)
     shift = mat_fmt.frac_bits + vec_fmt.frac_bits - out_fmt.frac_bits
-    outs, overflows, row = [], 0, 0
+    outs, overflows = [], 0
     for part in banked.partitions:
-        rows = part.shape[0]
-        wide = (acc[row: row + rows] if acc is not None else
-                _mac(part, vec_raw, mat_fmt.total_bits, vec_fmt.total_bits, guard,
-                     np.matmul))
+        wide = _mac(part, vec_raw, mat_fmt.total_bits, vec_fmt.total_bits, guard,
+                    np.matmul)
         out, nov = _requantize(wide, shift, policy.mode, out_fmt)
         overflows += nov
-        counter.add(rows * m)
+        counter.add(part.shape[0] * m)
         outs.append(out)
-        row += rows
     return np.concatenate(outs), overflows
 
 
@@ -497,9 +493,26 @@ def _samples(y) -> np.ndarray:
     return np.asarray(y, dtype=np.float64)
 
 
-def _check_compiled(datapath, fmt, k: int) -> None:
-    if (fmt is not None and fmt != datapath.fmt) or k not in (1, datapath.k):
+class _Unset:
+    """Default of a run's ``fmt`` and ``k``: what a compiled datapath fixes,
+    else the double-precision reference on one bank."""
+
+    def __repr__(self) -> str:
+        return "<unset>"
+
+
+_UNSET = _Unset()
+
+
+def _datapath(source, compiled_type, compile_fn, fmt, k):
+    """The compiled datapath a run streams through: ``source`` itself when
+    it is one (``fmt`` and ``k``, where given, must restate what it fixes),
+    else ``source`` compiled at ``fmt`` (default None) and ``k`` (default 1)."""
+    if not isinstance(source, compiled_type):
+        return compile_fn(source, None if fmt is _UNSET else fmt, 1 if k is _UNSET else k)
+    if (fmt is not _UNSET and fmt != source.fmt) or (k is not _UNSET and k != source.k):
         raise ValueError("a compiled datapath fixes its format and partition count")
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -542,26 +555,24 @@ def compile_pinv(adag, fmt=None, k: int = 1) -> CompiledPinv:
 def reconstruct_pinv(
     adag,
     y,
-    fmt=None,
-    k: int = 1,
+    fmt=_UNSET,
+    k: int = _UNSET,
     policy: RoundingPolicy = DATAPATH_POLICY,
     counter: OpCounter | None = None,
 ) -> InversionResult:
     """``x_hat = A_dagger y`` on K independent row-banked MAC streams.
 
     ``adag`` is the pseudo-inverse matrix, an already-split
-    :class:`BankedOperand`, or a :class:`CompiledPinv`, which fixes ``fmt``
-    and ``k``.  ``fmt`` selects the datapath: ``None`` for the
-    double-precision reference, an integer word width (per-tensor binary
-    points are then derived from the operand ranges), or an explicit
-    :class:`~ftsinv.fxp.FxpFormat` used verbatim for every operand.
+    :class:`BankedOperand`, or a :class:`CompiledPinv`.  ``fmt`` selects the
+    datapath: ``None`` (the default) for the double-precision reference, an
+    integer word width (per-tensor binary points are then derived from the
+    operand ranges), or an explicit :class:`~ftsinv.fxp.FxpFormat` used
+    verbatim for every operand; ``k`` defaults to 1.  A compiled datapath
+    fixes both: left out, they are its own; given, they must equal them, or
+    :class:`ValueError` is raised.
     """
     y = _samples(y)
-    if isinstance(adag, CompiledPinv):
-        _check_compiled(adag, fmt, k)
-        datapath = adag
-    else:
-        datapath = compile_pinv(adag, fmt, k)
+    datapath = _datapath(adag, CompiledPinv, compile_pinv, fmt, k)
     banked = datapath.banked
     n, m = banked.rows, banked.partitions[0].shape[1]
     if y.size != m:
@@ -647,26 +658,22 @@ def reconstruct_svd(
     factors,
     z: PenalizedDiagonal,
     y,
-    fmt=None,
-    k: int = 1,
+    fmt=_UNSET,
+    k: int = _UNSET,
     policy: RoundingPolicy = DATAPATH_POLICY,
     counter: OpCounter | None = None,
 ) -> InversionResult:
     """Three-product reconstruction ``x_hat = (V Z) (U^T y)`` at runtime.
 
     ``factors`` are :class:`SvdFactors` or a :class:`CompiledSvd`, which
-    fixes ``fmt`` and ``k``.  All three matrix products run on the emulated
-    datapath (the penalized diagonal stays a runtime input so
-    regularization parameters can change per acquisition).  Lanes with a
-    zero penalized value are skipped, so the multiplier count is exactly
-    ``rank * (2N + M)`` for the effective rank.
+    fixes ``fmt`` and ``k`` as in :func:`reconstruct_pinv`.  All three
+    matrix products run on the emulated datapath (the penalized diagonal
+    stays a runtime input so regularization parameters can change per
+    acquisition).  Lanes with a zero penalized value are skipped, so the
+    multiplier count is exactly ``rank * (2N + M)`` for the effective rank.
     """
     y = _samples(y)
-    if isinstance(factors, CompiledSvd):
-        _check_compiled(factors, fmt, k)
-        datapath = factors
-    else:
-        datapath = compile_svd(factors, fmt, k)
+    datapath = _datapath(factors, CompiledSvd, compile_svd, fmt, k)
     f, k = datapath.factors, datapath.k
     m, r = f.u.shape
     n = f.v.shape[0]
@@ -714,12 +721,12 @@ def reconstruct_svd(
             BankedOperand.split(datapath.words("v", fmt_v)[:, kept], k), fmt_v,
             _words(zk, fmt_z), fmt_z, fmt_o1, counter, policy,
         )
-        # product 2: U^T y, from the accumulator shared across diagonals
-        o2, nov2 = _fxp_matvec_banked(
-            BankedOperand.split(datapath.words("ut", fmt_u)[kept], min(k, rank)),
-            fmt_u, y_raw, fmt_y, fmt_o2, counter, policy,
-            acc=datapath.ut_y(fmt_u, y_raw, fmt_y)[kept],
-        )
+        # product 2: U^T y, from the accumulator shared across diagonals;
+        # the output stage is elementwise, so its banks need no split
+        o2, nov2 = _requantize(datapath.ut_y(fmt_u, y_raw, fmt_y)[kept],
+                               fmt_u.frac_bits + fmt_y.frac_bits - fmt_o2.frac_bits,
+                               policy.mode, fmt_o2)
+        counter.add(rank * m)
         # product 3: O1 O2, each bank on the rows product 1 left in it
         x_raw, nov3 = _fxp_matvec_banked(o1, fmt_o1, o2, fmt_o2, fmt_x, counter, policy)
         telemetry.overflow_events = nov1 + nov2 + nov3

@@ -350,8 +350,21 @@ class TestCompiledDatapaths:
             reconstruct_svd(compile_svd(f, 12, k=2), z, y, k=3)
         with pytest.raises(ValueError):
             reconstruct_pinv(compile_pinv(adag, 12), y, fmt=14)
-        # restating the compiled format and K is allowed
+        # an explicit double-precision run or K = 1 is a request too
+        with pytest.raises(ValueError):
+            reconstruct_pinv(compile_pinv(adag, 12), y, fmt=None)
+        with pytest.raises(ValueError):
+            reconstruct_svd(compile_svd(f, 12), z, y, fmt=None)
+        with pytest.raises(ValueError):
+            reconstruct_svd(compile_svd(f, None, k=2), z, y, k=1)
+        with pytest.raises(ValueError):
+            reconstruct_pinv(compile_pinv(adag, None, k=2), y, fmt=None, k=1)
+        # restating the compiled format and K is allowed, and left out they
+        # are the compiled ones
         reconstruct_pinv(compile_pinv(adag, 12, k=2), y, fmt=12, k=2)
+        reconstruct_svd(compile_svd(f, None, k=2), z, y, fmt=None, k=2)
+        got = reconstruct_svd(compile_svd(f, 12, k=2), z, y)
+        assert got.telemetry.data_format == "12-bit" and got.telemetry.k == 2
 
 
 def _shift_formats(width: int, shift: int):

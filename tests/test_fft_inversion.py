@@ -415,3 +415,47 @@ def test_golden_bits(function):
     assert sorted(got) == sorted(want)
     moved = [key for key in want if got[key] != want[key]]
     assert not moved, f"{function} output moved at {moved}"
+
+
+WIDE_GOLDEN_PATH = Path(__file__).with_name("fft_wide_golden.json")
+
+
+def _wide_golden_digests(function: str) -> dict:
+    """SHA-256 of one transform's mantissas (as int64), exponent, values and
+    telemetry over modes x widths {48, 56, 64} x sizes {8, 256}, keyed
+    ``"mode/bits/n"``: the widths whose products overflow an int64.
+
+    Regenerate ``fft_wide_golden.json`` (only when a change is meant to move
+    bits) with ``{f: _wide_golden_digests(f) for f in GOLDEN_FUNCTIONS}``.
+    """
+    digests = {}
+    for mode in ("pre", "post", "fixed"):
+        for bits in (48, 56, 64):
+            for n in (8, 256):
+                rng = np.random.default_rng(1000 * n + bits)
+                plan = FftPlan.make(n, bits=bits, mode=mode)
+                h = hashlib.sha256()
+                if function == "fft_bfp":
+                    res = fft_bfp(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                                  plan)
+                    for part in (res.re, res.im):
+                        h.update(np.asarray(part).astype(np.int64).tobytes())
+                    h.update(str(int(res.exponent)).encode())
+                    values, tel = res.to_complex(), res.telemetry
+                else:
+                    fn = dct2_via_fft if function == "dct2_via_fft" else idct2_via_fft
+                    values, tel = fn(rng.standard_normal(n), plan)
+                h.update(np.asarray(values).tobytes())
+                h.update(json.dumps(asdict(tel), sort_keys=True, default=int).encode())
+                digests[f"{mode}/{bits}/{n}"] = h.hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("function", GOLDEN_FUNCTIONS)
+def test_wide_golden_bits(function):
+    """Words too wide for an int64 product are pinned bit for bit too."""
+    want = json.loads(WIDE_GOLDEN_PATH.read_text())[function]
+    got = _wide_golden_digests(function)
+    assert sorted(got) == sorted(want)
+    moved = [key for key in want if got[key] != want[key]]
+    assert not moved, f"{function} output moved at {moved}"

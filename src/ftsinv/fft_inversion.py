@@ -24,6 +24,10 @@ Normalization modes
            (per-stage growth factor 1 + sqrt(2) = 2.414).
 ``fixed``  plain fixed point, no normalization (overflow is possible and is
            counted in telemetry).
+
+Words are int64 at every width.  A butterfly output ``(a 2**ft +- b w) >> ft``
+is computed inline where its three products fit an int64, else through the
+exact limb MAC of :mod:`ftsinv.fxp`, which runs the DCT twiddle stages too.
 """
 
 from __future__ import annotations
@@ -39,13 +43,15 @@ from .fxp import (
     ENTRY_POLICY,
     FxpFormat,
     OpCounter,
+    RoundingMode,
     RoundingPolicy,
+    _limb_plan,
+    _mac,
+    _requantize,
     leading_bit,
     quantize_array,
     saturate_array,
     shift_block,
-    shift_right_array,
-    use_int64,
 )
 from .optics import Interferogram, SpectralGrid, Spectrum
 
@@ -223,14 +229,6 @@ class FftPlan:
     def n_stages(self) -> int:
         return self.n_points.bit_length() - 1
 
-    @property
-    def wide(self) -> bool:
-        """True when data*twiddle products would not fit an int64."""
-        if self.exact:
-            return False
-        return not use_int64(self.data_format.total_bits,
-                             self.twiddle_format.total_bits)
-
 
 @dataclass
 class FftTelemetry:
@@ -254,9 +252,7 @@ class FftResult:
     telemetry: FftTelemetry
 
     def to_complex(self) -> np.ndarray:
-        scale = 2.0 ** self.exponent
-        return (np.asarray(self.re, dtype=np.float64)
-                + 1j * np.asarray(self.im, dtype=np.float64)) * scale
+        return (self.re + 1j * self.im) * 2.0 ** self.exponent
 
 
 def butterfly_radix2(a, b, w, data_fmt: FxpFormat, twiddle_fmt: FxpFormat,
@@ -291,37 +287,45 @@ def butterfly_radix2(a, b, w, data_fmt: FxpFormat, twiddle_fmt: FxpFormat,
     return outs[0], outs[1], overflow
 
 
-def quantize_complex_block(x: np.ndarray, fmt: FxpFormat, target_headroom: int,
-                           force_object: bool = False):
-    """Scale-and-quantize a complex vector into mantissas plus an exponent.
+def quantize_complex_block(x: np.ndarray, fmt: FxpFormat, target_headroom: int):
+    """Scale-and-quantize a complex vector into int64 mantissas and an exponent.
 
     Returns (re, im, exponent) with every mantissa magnitude at most
     ``2**(total_bits - 1 - target_headroom) - 1``.
     """
     x = np.asarray(x, dtype=np.complex128)
     w = fmt.total_bits
-    narrow = use_int64(w) and not force_object
     if w - 1 - target_headroom < 1:
         raise ValueError(
             f"headroom {target_headroom} leaves no mantissa in {w}-bit words"
         )
     limit = (1 << (w - 1 - target_headroom)) - 1
+    # |v| <= limit as |v| < 2**k, exact in floats, where limit may round up
+    bound = 2.0 ** (w - 1 - target_headroom)
     peak = max(float(np.max(np.abs(x.real), initial=0.0)),
                float(np.max(np.abs(x.imag), initial=0.0)))
     if peak == 0.0:
-        z = np.zeros(x.size, dtype=np.int64 if narrow else object)
+        z = np.zeros(x.size, dtype=np.int64)
         return z, z.copy(), 0
     gamma = math.ceil(math.log2(peak / limit))
     while True:
         re = np.rint(np.ldexp(x.real, -gamma))
         im = np.rint(np.ldexp(x.imag, -gamma))
-        if max(np.max(np.abs(re)), np.max(np.abs(im))) <= limit:
+        if max(np.max(np.abs(re)), np.max(np.abs(im))) < bound:
             break
         gamma += 1
-    if narrow:
-        return re.astype(np.int64), im.astype(np.int64), gamma
-    return (np.array([int(v) for v in re], dtype=object),
-            np.array([int(v) for v in im], dtype=object), gamma)
+    return re.astype(np.int64), im.astype(np.int64), gamma
+
+
+def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):
+    """One DCT twiddle stage output ``(w1 x1 + sign w2 x2) >> tf``, rounded
+    under the plan's policy and saturated to the data format.  Returns the
+    words and the number of saturated outputs."""
+    wt, wd = plan.twiddle_format.total_bits, plan.data_format.total_bits
+    acc = _mac(w1, x1, wt, wd, 1, np.multiply).plus(
+        _mac(w2, x2, wt, wd, 1, np.multiply), sign)
+    return _requantize(acc, plan.twiddle_format.frac_bits, plan.policy.mode,
+                       plan.data_format)
 
 
 def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
@@ -344,16 +348,14 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
     wre_all = plan._tw_re[key]
     wim_all = -plan._tw_im[key] if inverse else plan._tw_im[key]
     if not exact:
-        ft = plan.twiddle_format.frac_bits
-        lo, hi = plan.data_format.min_raw, plan.data_format.max_raw
-        width = plan.data_format.total_bits
+        fmt, width = plan.data_format, plan.data_format.total_bits
+        wt, ft = plan.twiddle_format.total_bits, plan.twiddle_format.frac_bits
         target, rounding = plan.headroom_bits, plan.policy.mode
+        # a 2**ft +- b w sums three products of a data and a twiddle word
+        fits = _limb_plan(wt, width, 2)[0] is None
 
-    def _sat(v):
-        if v.max() <= hi and v.min() >= lo:
-            return v
-        telemetry.overflow_events += int(np.count_nonzero((v > hi) | (v < lo)))
-        return np.where(v > hi, hi, np.where(v < lo, lo, v))
+        def mac(w, x):
+            return _mac(w, x, wt, width, 2, np.multiply)
 
     gamma = 0
     bfp = None if exact or plan.mode == "fixed" else plan.mode
@@ -371,17 +373,28 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
         wi = wim_all[: h * step: step]
         v_re, v_im = re.reshape(-1, 2, h), im.reshape(-1, 2, h)
         a_re, a_im, b_re, b_im = v_re[:, 0], v_im[:, 0], v_re[:, 1], v_im[:, 1]
-        t_re = b_re * wr - b_im * wi
-        t_im = b_re * wi + b_im * wr
+        if exact or fits:
+            t_re = b_re * wr - b_im * wi
+            t_im = b_re * wi + b_im * wr
         if exact:
             v_re[:, 1], v_im[:, 1] = a_re - t_re, a_im - t_im
             v_re[:, 0], v_im[:, 0] = a_re + t_re, a_im + t_im
-        else:
+        elif fits:
             sa_re, sa_im = a_re << ft, a_im << ft
-            v_re[:, 0] = _sat((sa_re + t_re) >> ft)
-            v_im[:, 0] = _sat((sa_im + t_im) >> ft)
-            v_re[:, 1] = _sat((sa_re - t_re) >> ft)
-            v_im[:, 1] = _sat((sa_im - t_im) >> ft)
+            v_re[:, 0], n0 = saturate_array((sa_re + t_re) >> ft, fmt)
+            v_im[:, 0], n1 = saturate_array((sa_im + t_im) >> ft, fmt)
+            v_re[:, 1], n2 = saturate_array((sa_re - t_re) >> ft, fmt)
+            v_im[:, 1], n3 = saturate_array((sa_im - t_im) >> ft, fmt)
+            telemetry.overflow_events += n0 + n1 + n2 + n3
+        else:
+            t_re = mac(wr, b_re).plus(mac(wi, b_im), -1)
+            t_im = mac(wi, b_re).plus(mac(wr, b_im))
+            for v, a, t in ((v_re, a_re, t_re), (v_im, a_im, t_im)):
+                sa = mac(np.int64(1 << ft), a)      # a times 1.0 as a twiddle word
+                for j, sign in ((0, 1), (1, -1)):
+                    v[:, j], nov = _requantize(sa.plus(t, sign), ft,
+                                               RoundingMode.TRUNCATE, fmt)
+                    telemetry.overflow_events += nov
         counter.add(4 * (n // 2))
         telemetry.mults += 4 * (n // 2)
         telemetry.butterflies += n // 2
@@ -413,7 +426,7 @@ def fft_bfp(x: np.ndarray, plan: FftPlan, counter: OpCounter | None = None) -> F
         re, im, _ = _fft_core(x.real.copy(), x.imag.copy(), plan, telemetry, counter)
         telemetry.final_exponent = 0
         return FftResult(re, im, 0, telemetry)
-    re, im, g_in = _quantized_entry(x, plan)
+    re, im, g_in = quantize_complex_block(x, plan.data_format, plan.headroom_bits)
     telemetry.entry_exponent = g_in
     re, im, g_core = _fft_core(re, im, plan, telemetry, counter)
     telemetry.final_exponent = g_in + g_core
@@ -440,11 +453,6 @@ def fft_bfp_block(re, im, exponent: int, plan: FftPlan,
                                    telemetry, counter, inverse=inverse)
     telemetry.final_exponent = exponent + g_core
     return FftResult(re_o, im_o, exponent + g_core, telemetry)
-
-
-def _quantized_entry(x: np.ndarray, plan: FftPlan):
-    return quantize_complex_block(x, plan.data_format, plan.headroom_bits,
-                                  force_object=plan.wide)
 
 
 def _even_odd_permute(x: np.ndarray) -> np.ndarray:
@@ -482,12 +490,10 @@ def dct2_via_fft(x: np.ndarray, plan: FftPlan, counter: OpCounter | None = None)
 
     fmt = plan.data_format
     re, im, g0 = quantize_complex_block(v.astype(np.complex128), fmt,
-                                        plan.headroom_bits, force_object=plan.wide)
+                                        plan.headroom_bits)
     res = fft_bfp_block(re, im, g0, plan, counter)
-    tf = plan.twiddle_format.frac_bits
-    prod = res.re * plan._dct_cos["q"] + res.im * plan._dct_sin["q"]
-    c_raw = shift_right_array(prod, tf, plan.policy.mode)
-    c_raw, nov = saturate_array(c_raw, fmt)
+    c_raw, nov = _twiddle_mac(plan, plan._dct_cos["q"], res.re,
+                              plan._dct_sin["q"], res.im, 1)
     res.telemetry.overflow_events += nov
     res.telemetry.dct_stage_mults += 2 * n
     res.telemetry.mults += 2 * n
@@ -525,19 +531,15 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan, counter: OpCounter | None = None
         return x, telemetry
 
     fmt = plan.data_format
-    tf = plan.twiddle_format.frac_bits
     # entry quantization with one extra headroom bit: the pre-twiddle mixes
     # re/im components and can grow magnitudes by sqrt(2)
     raw, _, g0 = quantize_complex_block(c.astype(np.complex128), fmt,
-                                        plan.headroom_bits + 1,
-                                        force_object=plan.wide)
+                                        plan.headroom_bits + 1)
     raw_rev = np.concatenate([raw[:1] * 0, raw[:0:-1]])
     cos_t, sin_t = plan._dct_cos["q"], plan._dct_sin["q"]
-    v_re = shift_right_array(raw * cos_t + raw_rev * sin_t, tf, plan.policy.mode)
-    v_im = shift_right_array(raw * sin_t - raw_rev * cos_t, tf, plan.policy.mode)
+    v_re, nov1 = _twiddle_mac(plan, cos_t, raw, sin_t, raw_rev, 1)
+    v_im, nov2 = _twiddle_mac(plan, sin_t, raw, cos_t, raw_rev, -1)
     telemetry = FftTelemetry(n, plan.mode)
-    v_re, nov1 = saturate_array(v_re, fmt)
-    v_im, nov2 = saturate_array(v_im, fmt)
     telemetry.overflow_events += nov1 + nov2
     telemetry.dct_stage_mults += 4 * n
     telemetry.mults += 4 * n

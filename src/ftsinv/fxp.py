@@ -1,9 +1,14 @@
 """Bit-exact fixed-point and block-floating-point arithmetic.
 
-Every datapath in this package (FFT butterflies, matrix-vector MACs) runs on
-the primitives defined here.  Scalars are carried as Python integers so that
-intermediate products are exact at any width; the vectorized helpers switch
-between an int64 fast path and an object-dtype path automatically.
+Every datapath in this package (FFT butterflies, DCT twiddle stages,
+matrix-vector MACs) runs on the primitives defined here.  Scalars are carried
+as Python integers so that intermediate products are exact at any width;
+arrays of words are int64 at every width up to 64 bits.  Products and sums
+too wide for an int64 go through one exact MAC, :func:`_mac`, and one output
+stage, :func:`_requantize`: the words are split into limbs whose products
+are exact in int64 (the error-free splitting of Ozaki, Ogita, Oishi and
+Rump, Numer. Algorithms, 2012), and only the accumulator is recombined, in
+base-2^b int64 digits, before its one shift, rounding and saturation.
 
 Conventions:
   * two's-complement signed rasters, ``value = raw * 2**(-frac_bits)``
@@ -15,7 +20,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -202,14 +207,9 @@ def _max_shift_magnitude(mantissas) -> int:
     """
     if isinstance(mantissas, tuple):
         return max(map(_max_shift_magnitude, mantissas), default=0)
-    if isinstance(mantissas, np.ndarray) and mantissas.dtype != object:
-        hi = int(mantissas.max(initial=0))
-        lo = int(mantissas.min(initial=0))
-    else:
-        vals = [int(v) for v in np.asarray(mantissas, dtype=object).ravel()]
-        if not vals:
-            return 0
-        hi, lo = max(vals), min(vals)
+    mantissas = np.asarray(mantissas)
+    hi = int(mantissas.max(initial=0))
+    lo = int(mantissas.min(initial=0))
     # for v >= 0 the limit is v itself; for v < 0 it is ~v = -v－1
     return max(hi, ~lo, 0)
 
@@ -292,7 +292,7 @@ def normalize_block(
 
 
 # ---------------------------------------------------------------------------
-# vectorized helpers (int64 fast path / object-dtype exact path)
+# vectorized helpers (int64 words at every width up to 64 bits)
 # ---------------------------------------------------------------------------
 
 def shift_right_array(m: np.ndarray, s: int, mode: RoundingMode) -> np.ndarray:
@@ -303,10 +303,7 @@ def shift_right_array(m: np.ndarray, s: int, mode: RoundingMode) -> np.ndarray:
     q = m >> s
     r = m - (q << s)
     half = 1 << (s - 1)
-    inc = (r > half) | ((r == half) & ((q & 1) == 1))
-    if m.dtype == object:
-        return q + np.where(inc, 1, 0).astype(object)
-    return q + inc.astype(m.dtype)
+    return q + ((r > half) | ((r == half) & ((q & 1) == 1)))
 
 
 def saturate_array(raw: np.ndarray, fmt: FxpFormat):
@@ -326,7 +323,8 @@ def quantize_array(
     fmt: FxpFormat,
     policy: RoundingPolicy = ENTRY_POLICY,
 ) -> np.ndarray:
-    """Vector quantization; returns raw mantissas (int64 or object dtype)."""
+    """Vector quantization to int64 mantissas; overflow is resolved on the
+    rounded floats, so the one cast never sees a value outside the format."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot quantize non-finite values")
@@ -335,15 +333,16 @@ def quantize_array(
         r = np.rint(scaled)
     else:
         r = np.floor(scaled)
-    if fmt.total_bits <= 62:
-        raw = r.astype(np.int64)
-    else:
-        raw = np.array([int(v) for v in r], dtype=object).reshape(x.shape)
-    if policy.overflow is OverflowMode.SATURATE:
-        raw, _ = saturate_array(raw, fmt)
-    else:
-        span = 1 << fmt.total_bits
-        raw = ((raw - fmt.min_raw) % span) + fmt.min_raw
+    top = 2.0 ** (fmt.total_bits - 1)
+    if policy.overflow is OverflowMode.WRAP:
+        r = np.fmod(r, 2 * top)
+        return np.where(r >= top, r - 2 * top, np.where(r < -top, r + 2 * top, r)
+                        ).astype(np.int64)
+    if r.max(initial=0.0) < top and r.min(initial=0.0) >= -top:
+        return r.astype(np.int64)
+    hi, lo = r >= top, r < -top
+    raw = np.where(hi | lo, 0.0, r).astype(np.int64)
+    raw[hi], raw[lo] = fmt.max_raw, fmt.min_raw
     return raw
 
 
@@ -351,6 +350,148 @@ def dequantize_array(raw: np.ndarray, fmt: FxpFormat) -> np.ndarray:
     return np.asarray(raw, dtype=np.float64) * fmt.resolution
 
 
-def use_int64(*bit_budgets: int) -> bool:
-    """True when every intermediate fits an int64 with margin."""
-    return sum(bit_budgets) <= 60
+# ---------------------------------------------------------------------------
+# exact wide accumulation in int64
+# ---------------------------------------------------------------------------
+
+_SAFE_BITS = 62     # |sums| <= 2**62 leaves an int64 a bit for carries
+
+
+def _guard_bits(terms: int) -> int:
+    return max(1, math.ceil(math.log2(max(terms, 2))))
+
+
+def _limb_plan(wa: int, wb: int, guard: int):
+    """Limb width for exact int64 products of ``wa``-bit coefficient words
+    by ``wb``-bit vector words, up to ``2**guard`` of them summed.
+
+    Returns ``(bits, split_a)``: ``bits`` None when whole words already fit;
+    otherwise the vector words are split into ``bits``-bit limbs, and the
+    coefficient words as well when ``split_a``, which happens only where
+    whole coefficient words leave no room beside them (about 55 bits and
+    up).  Splitting the vector costs O(M) per run, where splitting the
+    coefficients costs O(N M).
+    """
+    if wa + wb - 2 + guard <= _SAFE_BITS:
+        return None, False
+    beside_a = _SAFE_BITS - guard - (wa - 1)
+    if beside_a >= 1:
+        return beside_a, False
+    both = (_SAFE_BITS - guard) // 2
+    if both < 1:
+        raise ValueError(f"{guard} guard bits leave no room in int64")
+    return both, True
+
+
+def _limbs(words: np.ndarray, width: int, bits: int) -> list:
+    """``words == sum(limb << (bits * i))``: unsigned low limbs, a signed top,
+    as many as ``width``-bit words need."""
+    n = max(1, -(-(width - 1) // bits))
+    if n == 1:
+        return [words]
+    mask = (1 << bits) - 1
+    return ([(words >> (bits * i)) & mask for i in range(n - 1)]
+            + [words >> (bits * (n - 1))])
+
+
+class _Wide:
+    """Exact integers ``sum(digits[i] << (bits * i))`` in int64 arrays: every
+    digit below the top lies in ``[0, 2**bits)``, the top one is signed."""
+
+    __slots__ = ("digits", "bits")
+
+    def __init__(self, digits: list, bits: int):
+        self.digits = digits
+        self.bits = bits
+
+    def __getitem__(self, rows) -> "_Wide":
+        return _Wide([d[rows] for d in self.digits], self.bits)
+
+    def add(self, term: np.ndarray, pos: int) -> None:
+        """Add ``term << (bits * pos)``, ``|term| <= 2**62``, below the top."""
+        d, mask = self.digits, (1 << self.bits) - 1
+        d[pos] = d[pos] + term
+        for i in range(pos, len(d) - 1):
+            d[i + 1] = d[i + 1] + (d[i] >> self.bits)
+            d[i] = d[i] & mask
+
+    def plus(self, other: "_Wide", sign: int = 1) -> "_Wide":
+        """``self + sign * other``, both from the same limb plan, whose
+        guard bits cover the terms of the sum."""
+        op = np.add if sign > 0 else np.subtract
+        out = _Wide([op(x, y) for x, y in zip(self.digits, other.digits)], self.bits)
+        out.add(0, 0)                    # carry every digit back into range
+        return out
+
+    def bit(self, j: int) -> np.ndarray:
+        i, e = divmod(j, self.bits)
+        return (self.digits[i] >> e) & 1
+
+    def any_below(self, j: int) -> np.ndarray:
+        i, e = divmod(j, self.bits)
+        out = (self.digits[i] & ((1 << e) - 1)) != 0
+        for d in self.digits[:i]:
+            out |= d != 0
+        return out
+
+
+def _mac(a: np.ndarray, b: np.ndarray, wa: int, wb: int, guard: int, op) -> _Wide:
+    """Exact ``op(a, b)`` of ``wa``-bit coefficient words by ``wb``-bit
+    vector words, where ``op`` is ``np.matmul`` (summing at most
+    ``2**guard`` products) or ``np.multiply``, computed in int64 limb by
+    limb.  A ``guard`` above 0 with ``np.multiply`` leaves room for
+    :meth:`_Wide.plus` to sum up to ``2**guard`` such products."""
+    bits, split_a = _limb_plan(wa, wb, guard)
+    if bits is None:
+        return _Wide([op(a, b)], _SAFE_BITS)
+    la = _limbs(a, wa, bits) if split_a else [a]
+    lb = _limbs(b, wb, bits)
+    terms = [(op(x, v), i + j) for i, x in enumerate(la) for j, v in enumerate(lb)]
+    acc = _Wide([np.zeros_like(terms[0][0]) for _ in range(len(la) + len(lb))], bits)
+    for term, pos in terms:
+        acc.add(term, pos)
+    return acc
+
+
+def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
+    """``acc * 2**-shift`` rounded under ``mode`` and saturated to ``fmt``.
+
+    Returns the int64 words and the number of saturated outputs.
+    """
+    if len(acc.digits) == 1 and 0 <= shift < 63:
+        return saturate_array(shift_right_array(acc.digits[0], shift, mode), fmt)
+    bits, mask = acc.bits, (1 << acc.bits) - 1
+    d = list(acc.digits)
+    if shift < 0:                        # a left shift: zero digits below
+        pad = -(shift // bits)
+        d = [np.zeros_like(d[0]) for _ in range(pad)] + d
+        shift += pad * bits
+    sign = shift + fmt.total_bits - 1    # the output word's sign bit
+    while bits * (len(d) - 1) <= sign:   # sign-extend so it sits below the top
+        d.append(d[-1] >> bits)
+        d[-2] = d[-2] & mask
+    wide = _Wide(d, bits)
+    if mode is RoundingMode.ROUND_HALF_EVEN and shift > 0:
+        inc = wide.bit(shift - 1) & (wide.bit(shift) | wide.any_below(shift - 1))
+        wide.add(inc << (shift % bits), shift // bits)
+    # in range when every bit from the sign bit up repeats it
+    c, e = divmod(sign, bits)
+    high = d[c] >> e
+    zeros, ones = high == 0, high == (mask >> e)
+    for x in d[c + 1:-1]:
+        zeros &= x == 0
+        ones &= x == mask
+    fits = (zeros & (d[-1] == 0)) | (ones & (d[-1] == -1))
+    # the word itself is bits [shift, shift + 64), wrapped modulo 2**64
+    c, e = divmod(shift, bits)
+    words = (d[c] >> e).astype(np.uint64)
+    for i in range(c + 1, len(d)):
+        at = bits * i - shift
+        if at >= 64:
+            break
+        words += d[i].astype(np.uint64) << np.uint64(at)
+    words = words.view(np.int64)
+    overflows = int(words.size - np.count_nonzero(fits))
+    if overflows:
+        words = np.where(fits, words, np.where(d[-1] < 0, fmt.min_raw, fmt.max_raw))
+    return words, overflows

@@ -13,19 +13,14 @@ the hardware splits it:
   Given a matrix or factors instead of a compiled datapath, the run step
   compiles its own.
 
-Every product accumulates exactly in one MAC, :func:`_mac`, and rounds once
-in one output stage, :func:`_requantize`.  The banked kernel
+Every product accumulates exactly in the package's one MAC,
+:func:`~ftsinv.fxp._mac`, and rounds once in its output stage,
+:func:`~ftsinv.fxp._requantize`, in int64 at every width.  The banked kernel
 :func:`_fxp_matvec_banked` runs the pseudo-inverse and product 3 of the SVD
 route per row partition; product 2 (U^T y) is one accumulator over all of
 U^T, shared by the runs of a rank or ridge sweep; product 1 is elementwise
-scaling.  The wide register (two data widths plus ``ceil(log2(M))`` guard
-bits) is emulated in int64 at every width: where a product and its guard
-bits would not fit in 62 bits, the vector words (and, where whole
-coefficient words leave them no room, the coefficient words too) are split
-into limbs whose dot products are exact in int64, the error-free splitting
-of Ozaki, Ogita, Oishi and Rump (Numer. Algorithms, 2012).  Only the
-N-element accumulator is recombined, exactly, into base-2^b digits before
-its one output shift and saturation.
+scaling.  The accumulator is two data widths plus ``ceil(log2(M))`` guard
+bits wide.
 """
 
 from __future__ import annotations
@@ -38,15 +33,15 @@ import numpy as np
 from .errors import SvdConvergenceError
 from .fxp import (
     DATAPATH_POLICY,
-    ENTRY_POLICY,
     FxpFormat,
     OpCounter,
-    RoundingMode,
     RoundingPolicy,
+    _guard_bits,
+    _mac,
+    _requantize,
+    _Wide,
     dequantize_array,
     quantize_array,
-    saturate_array,
-    shift_right_array,
 )
 from .optics import Interferogram, TransferMatrix
 
@@ -212,148 +207,6 @@ def pinv_matrix(f: SvdFactors, drop_tol: float = 1e-12) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact wide accumulation in int64
-# ---------------------------------------------------------------------------
-
-_SAFE_BITS = 62     # |sums| <= 2**62 leaves an int64 a bit for carries
-
-
-def _guard_bits(terms: int) -> int:
-    return max(1, math.ceil(math.log2(max(terms, 2))))
-
-
-def _limb_count(width: int, bits: int) -> int:
-    """Limbs of at most ``bits`` magnitude bits that a ``width``-bit word needs."""
-    return max(1, -(-(width - 1) // bits))
-
-
-def _limb_plan(wa: int, wb: int, guard: int):
-    """Limb width for exact int64 products of ``wa``-bit coefficient words
-    by ``wb``-bit vector words, up to ``2**guard`` of them summed.
-
-    Returns ``(bits, split_a)``: ``bits`` None when whole words already fit;
-    otherwise the vector words are split into ``bits``-bit limbs, and the
-    coefficient words as well when ``split_a``, which happens only where
-    whole coefficient words leave no room beside them (about 55 bits and
-    up).  Splitting the vector costs O(M) per run, where splitting the
-    coefficients costs O(N M).
-    """
-    if wa + wb - 2 + guard <= _SAFE_BITS:
-        return None, False
-    beside_a = _SAFE_BITS - guard - (wa - 1)
-    if beside_a >= 1:
-        return beside_a, False
-    both = (_SAFE_BITS - guard) // 2
-    if both < 1:
-        raise ValueError(f"{guard} guard bits leave no room in int64")
-    return both, True
-
-
-def _limbs(words: np.ndarray, width: int, bits: int) -> list:
-    """``words == sum(limb << (bits * i))``: unsigned low limbs, a signed top."""
-    n = _limb_count(width, bits)
-    if n == 1:
-        return [words]
-    mask = (1 << bits) - 1
-    return ([(words >> (bits * i)) & mask for i in range(n - 1)]
-            + [words >> (bits * (n - 1))])
-
-
-class _Wide:
-    """Exact integers ``sum(digits[i] << (bits * i))`` in int64 arrays: every
-    digit below the top lies in ``[0, 2**bits)``, the top one is signed."""
-
-    __slots__ = ("digits", "bits")
-
-    def __init__(self, digits: list, bits: int):
-        self.digits = digits
-        self.bits = bits
-
-    def __getitem__(self, rows) -> "_Wide":
-        return _Wide([d[rows] for d in self.digits], self.bits)
-
-    def add(self, term: np.ndarray, pos: int) -> None:
-        """Add ``term << (bits * pos)``, ``|term| <= 2**62``, below the top."""
-        d, mask = self.digits, (1 << self.bits) - 1
-        d[pos] = d[pos] + term
-        for i in range(pos, len(d) - 1):
-            d[i + 1] = d[i + 1] + (d[i] >> self.bits)
-            d[i] = d[i] & mask
-
-    def bit(self, j: int) -> np.ndarray:
-        i, e = divmod(j, self.bits)
-        return (self.digits[i] >> e) & 1
-
-    def any_below(self, j: int) -> np.ndarray:
-        i, e = divmod(j, self.bits)
-        out = (self.digits[i] & ((1 << e) - 1)) != 0
-        for d in self.digits[:i]:
-            out |= d != 0
-        return out
-
-
-def _mac(a: np.ndarray, b: np.ndarray, wa: int, wb: int, guard: int, op) -> _Wide:
-    """Exact ``op(a, b)`` of ``wa``-bit coefficient words by ``wb``-bit
-    vector words, where ``op`` is ``np.matmul`` (summing at most
-    ``2**guard`` products) or ``np.multiply`` (``guard`` 0), computed in
-    int64 limb by limb."""
-    bits, split_a = _limb_plan(wa, wb, guard)
-    if bits is None:
-        return _Wide([op(a, b)], _SAFE_BITS)
-    la = _limbs(a, wa, bits) if split_a else [a]
-    lb = _limbs(b, wb, bits)
-    terms = [(op(x, v), i + j) for i, x in enumerate(la) for j, v in enumerate(lb)]
-    acc = _Wide([np.zeros_like(terms[0][0]) for _ in range(len(la) + len(lb))], bits)
-    for term, pos in terms:
-        acc.add(term, pos)
-    return acc
-
-
-def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
-    """``acc * 2**-shift`` rounded under ``mode`` and saturated to ``fmt``.
-
-    Returns the int64 words and the number of saturated outputs.
-    """
-    if len(acc.digits) == 1 and 0 <= shift < 63:
-        return saturate_array(shift_right_array(acc.digits[0], shift, mode), fmt)
-    bits, mask = acc.bits, (1 << acc.bits) - 1
-    d = list(acc.digits)
-    if shift < 0:                        # a left shift: zero digits below
-        pad = -(shift // bits)
-        d = [np.zeros_like(d[0]) for _ in range(pad)] + d
-        shift += pad * bits
-    sign = shift + fmt.total_bits - 1    # the output word's sign bit
-    while bits * (len(d) - 1) <= sign:   # sign-extend so it sits below the top
-        d.append(d[-1] >> bits)
-        d[-2] = d[-2] & mask
-    wide = _Wide(d, bits)
-    if mode is RoundingMode.ROUND_HALF_EVEN and shift > 0:
-        inc = wide.bit(shift - 1) & (wide.bit(shift) | wide.any_below(shift - 1))
-        wide.add(inc << (shift % bits), shift // bits)
-    # in range when every bit from the sign bit up repeats it
-    c, e = divmod(sign, bits)
-    high = d[c] >> e
-    zeros, ones = high == 0, high == (mask >> e)
-    for x in d[c + 1:-1]:
-        zeros &= x == 0
-        ones &= x == mask
-    fits = (zeros & (d[-1] == 0)) | (ones & (d[-1] == -1))
-    # the word itself is bits [shift, shift + 64), wrapped modulo 2**64
-    c, e = divmod(shift, bits)
-    words = (d[c] >> e).astype(np.uint64)
-    for i in range(c + 1, len(d)):
-        at = bits * i - shift
-        if at >= 64:
-            break
-        words += d[i].astype(np.uint64) << np.uint64(at)
-    words = words.view(np.int64)
-    overflows = int(words.size - np.count_nonzero(fits))
-    if overflows:
-        words = np.where(fits, words, np.where(d[-1] < 0, fmt.min_raw, fmt.max_raw))
-    return words, overflows
-
-
-# ---------------------------------------------------------------------------
 # banked fixed-point datapaths
 # ---------------------------------------------------------------------------
 
@@ -418,11 +271,6 @@ def _tensor_format(fmt, width: int, values: np.ndarray) -> FxpFormat:
     if isinstance(fmt, FxpFormat):
         return fmt
     return FxpFormat.for_range(width, float(np.max(np.abs(values), initial=0.0)))
-
-
-def _words(values: np.ndarray, fmt: FxpFormat) -> np.ndarray:
-    """Entry quantization to int64 words."""
-    return np.asarray(quantize_array(values, fmt, ENTRY_POLICY), dtype=np.int64)
 
 
 def _accumulator_bits(mat_fmt: FxpFormat, vec_fmt: FxpFormat, terms: int) -> int:
@@ -548,7 +396,7 @@ def compile_pinv(adag, fmt=None, k: int = 1) -> CompiledPinv:
         return CompiledPinv(banked, None)
     full = banked.reassemble()
     mat_fmt = _tensor_format(fmt, width, full)
-    words = BankedOperand([_words(p, mat_fmt) for p in banked.partitions])
+    words = BankedOperand([quantize_array(p, mat_fmt) for p in banked.partitions])
     return CompiledPinv(words, fmt, mat_fmt, full)
 
 
@@ -593,7 +441,7 @@ def reconstruct_pinv(
         vec_fmt = _tensor_format(datapath.fmt, width, y)
         out_fmt = _tensor_format(datapath.fmt, width, x_ref)
         raw, telemetry.overflow_events = _fxp_matvec_banked(
-            banked, mat_fmt, _words(y, vec_fmt), vec_fmt, out_fmt, counter, policy
+            banked, mat_fmt, quantize_array(y, vec_fmt), vec_fmt, out_fmt, counter, policy
         )
         telemetry.accumulator_bits = _accumulator_bits(mat_fmt, vec_fmt, m)
         x_hat = dequantize_array(raw, out_fmt)
@@ -632,7 +480,8 @@ class CompiledSvd:
         """All of V (``"v"``) or U^T (``"ut"``) quantized at ``fmt``."""
         key = (name, fmt)
         if key not in self._words:
-            self._words[key] = _words(self.factors.v if name == "v" else self.ut, fmt)
+            self._words[key] = quantize_array(
+                self.factors.v if name == "v" else self.ut, fmt)
         return self._words[key]
 
     def ut_y(self, fmt_u: FxpFormat, y_raw: np.ndarray, fmt_y: FxpFormat) -> _Wide:
@@ -648,7 +497,11 @@ class CompiledSvd:
 
 def compile_svd(factors: SvdFactors, fmt=None, k: int = 1) -> CompiledSvd:
     """Lay out the factors for the datapath ``fmt`` with ``k`` banks; see
-    :func:`reconstruct_svd`."""
+    :func:`reconstruct_svd`.  The banks partition the N rows of V, so
+    ``1 <= k <= N``."""
+    n = factors.v.shape[0]
+    if not (1 <= k <= n):
+        raise ValueError(f"partition count must be in [1, {n}], got {k}")
     return CompiledSvd(factors, fmt, k, np.ascontiguousarray(factors.u.T),
                        np.max(np.abs(factors.v), axis=0, initial=0.0),
                        np.max(np.abs(factors.u), axis=0, initial=0.0))
@@ -714,12 +567,12 @@ def reconstruct_svd(
         fmt_o1 = _tensor_format(fmt, width, v_colmax * np.abs(zk))
         fmt_o2 = _tensor_format(fmt, width, o2_ref)
         fmt_x = _tensor_format(fmt, width, x_ref)
-        y_raw = _words(y, fmt_y)
+        y_raw = quantize_array(y, fmt_y)
 
         # product 1: column scaling of V by the penalized diagonal
         o1, nov1 = _fxp_scale_banked(
             BankedOperand.split(datapath.words("v", fmt_v)[:, kept], k), fmt_v,
-            _words(zk, fmt_z), fmt_z, fmt_o1, counter, policy,
+            quantize_array(zk, fmt_z), fmt_z, fmt_o1, counter, policy,
         )
         # product 2: U^T y, from the accumulator shared across diagonals;
         # the output stage is elementwise, so its banks need no split

@@ -74,6 +74,13 @@ def test_invert_fft_overflow_exits_3(normalized_cosine, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_requires_seed(tmp_path, capsys):
+    flags = [f for f in MODEL_FLAGS if f not in ("--seed", "11")]
+    assert cli.main(["simulate", *flags, "--out", str(tmp_path / "y.csv")]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", *MODEL_FLAGS, "--out", "y.csv", "--with-factors"],
     ["invert", "--bits", "12", "--frac-bits", "3", "--in", "y.csv", "--out", "x.csv"],

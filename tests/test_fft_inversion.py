@@ -256,6 +256,18 @@ class TestFftBfp:
         with pytest.raises(ValueError):
             fft_bfp_block(re, im, g, plan)
 
+    @pytest.mark.parametrize("bits", [16, 60, 64])
+    @pytest.mark.parametrize("headroom", [0, 3])
+    def test_entry_mantissas_within_headroom_limit(self, bits, headroom):
+        """A power-of-two peak lands on the limit's float neighbour 2**k;
+        the mantissas must still stay at or below 2**k - 1."""
+        limit = (1 << (bits - 1 - headroom)) - 1
+        x = np.array([1.0, -0.5j, 0.25 + 0.75j, 0.0])
+        re, im, g = quantize_complex_block(x, FxpFormat(bits, bits - 1), headroom)
+        assert re.dtype == im.dtype == np.int64
+        assert max(np.abs(re).max(), np.abs(im).max()) <= limit
+        assert np.array_equal((re + 1j * im) * 2.0 ** g, x)
+
     def test_fixed_mode_runs_and_may_overflow(self):
         plan = FftPlan.make(256, bits=10, mode="fixed", headroom_bits=1)
         rng = np.random.default_rng(9)
@@ -453,9 +465,13 @@ def _wide_golden_digests(function: str) -> dict:
 
 @pytest.mark.parametrize("function", GOLDEN_FUNCTIONS)
 def test_wide_golden_bits(function):
-    """Words too wide for an int64 product are pinned bit for bit too."""
+    """Words too wide for an int64 product are pinned bit for bit too, and
+    are int64 words like every other width."""
     want = json.loads(WIDE_GOLDEN_PATH.read_text())[function]
     got = _wide_golden_digests(function)
     assert sorted(got) == sorted(want)
     moved = [key for key in want if got[key] != want[key]]
     assert not moved, f"{function} output moved at {moved}"
+    for bits in (40, 64):
+        res = fft_bfp(np.arange(8.0) - 3.5j, FftPlan.make(8, bits=bits))
+        assert res.re.dtype == res.im.dtype == np.int64

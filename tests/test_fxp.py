@@ -267,3 +267,13 @@ class TestRounding:
                              fmt, RoundingPolicy(RoundingMode.ROUND_HALF_EVEN,
                                                  OverflowMode.WRAP))
         assert int(raw[0]) == -126
+
+    def test_saturation_beyond_int64(self):
+        """Values whose scaled magnitude passes 2**63 saturate by their sign,
+        without an overflowing cast."""
+        raw = quantize_array(np.array([1e30, -1e30]), FxpFormat(16, 8))
+        assert raw.tolist() == [32767, -32768]
+        fmt = FxpFormat(64, 0)
+        raw = quantize_array(np.array([1e30, -1e30, 2.0 ** 62]), fmt)
+        assert raw.dtype == np.int64
+        assert raw.tolist() == [fmt.max_raw, fmt.min_raw, 2 ** 62]

@@ -17,6 +17,8 @@ from ftsinv.fxp import (
     OverflowMode,
     RoundingMode,
     RoundingPolicy,
+    _mac,
+    _requantize,
     apply_overflow,
     rshift_round,
 )
@@ -366,6 +368,17 @@ class TestCompiledDatapaths:
         got = reconstruct_svd(compile_svd(f, 12, k=2), z, y)
         assert got.telemetry.data_format == "12-bit" and got.telemetry.k == 2
 
+    @pytest.mark.parametrize("fmt", [None, 16])
+    def test_partition_count_bounded_by_unknowns(self, fmt):
+        """K banks partition the N rows of V: K > N is refused at every
+        width, double precision included."""
+        f = svd_factorize(np.random.default_rng(3).standard_normal((6, 4)))
+        z = penalize(f.xi, Pinv())
+        for k in (0, 5, 100):
+            with pytest.raises(ValueError, match="partition count"):
+                reconstruct_svd(f, z, np.ones(6), fmt=fmt, k=k)
+        assert reconstruct_svd(f, z, np.ones(6), fmt=fmt, k=4).telemetry.k == 4
+
 
 def _shift_formats(width: int, shift: int):
     """(coefficient, vector, output) formats whose output shift is ``shift``."""
@@ -439,6 +452,27 @@ class TestLimbKernel:
                     OpCounter(), RoundingPolicy(mode))
                 want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                 assert scaled.reassemble().ravel().tolist() == want, (shift, mode)
+                assert overflows == want_over
+
+    @pytest.mark.parametrize("width", [30, 40, 48, 64])
+    def test_signed_sums_match_python_ints(self, width):
+        """``p0 +- (p1 - p2)`` of three elementwise products, a butterfly
+        output's shape, with room for all three in the guard bits."""
+        rng = np.random.default_rng(width + 7)
+        c = _kernel_operands(width, (5, 40), rng)
+        v = _kernel_operands(width, (5, 40), rng)[[4, 1, 0, 2, 3]]
+        for sign, shift, (i, j, k) in itertools.product(
+                (1, -1), (0, width - 2, 2 * width - 2), ((0, 1, 2), (2, 3, 4))):
+            p = [_mac(c[r], v[r], width, width, 2, np.multiply) for r in (i, j, k)]
+            exact = [int(c[i, n]) * int(v[i, n]) + sign * (
+                int(c[j, n]) * int(v[j, n]) - int(c[k, n]) * int(v[k, n]))
+                for n in range(c.shape[1])]
+            out_fmt = _shift_formats(width, shift)[2]
+            for mode in RoundingMode:
+                acc = p[0].plus(p[1].plus(p[2], -1), sign)
+                out, overflows = _requantize(acc, shift, mode, out_fmt)
+                want, want_over = _python_outputs(exact, shift, mode, out_fmt)
+                assert out.tolist() == want, (sign, shift, i, mode)
                 assert overflows == want_over
 
 

@@ -336,8 +336,8 @@ def quantize_array(
     top = 2.0 ** (fmt.total_bits - 1)
     if policy.overflow is OverflowMode.WRAP:
         r = np.fmod(r, 2 * top)
-        return np.where(r >= top, r - 2 * top, np.where(r < -top, r + 2 * top, r)
-                        ).astype(np.int64)
+        r = np.where(r >= top, r - 2 * top, np.where(r < -top, r + 2 * top, r))
+        return r.astype(np.int64)
     if r.max(initial=0.0) < top and r.min(initial=0.0) >= -top:
         return r.astype(np.int64)
     hi, lo = r >= top, r < -top

@@ -18,6 +18,7 @@ from ftsinv.fft_inversion import (
     butterfly_radix2,
     dct2_via_fft,
     fft_bfp,
+    fft_bfp_block,
     idct2_via_fft,
     quantize_complex_block,
     reconstruct_fft,
@@ -142,6 +143,37 @@ class TestButterfly:
             for got, want in ((out1, av + wv * bv), (out2, av - wv * bv)):
                 assert abs(got[0] * ulp - want.real) <= ulp
                 assert abs(got[1] * ulp - want.imag) <= ulp
+
+    @pytest.mark.parametrize("bits,twiddle_bits",
+                             [(30, 32), (31, 31), (31, 32), (32, 32), (33, 30)])
+    def test_stage_loop_matches_scalar_butterflies(self, bits, twiddle_bits):
+        """The vector stage loop against the scalar butterfly on Python ints,
+        at widths where a butterfly's three products just fit an int64
+        (data + twiddle bits = 62) and just do not (63 and up)."""
+        n = 8
+        plan = FftPlan.make(n, bits=bits, twiddle_bits=twiddle_bits, mode="fixed")
+        fmt = plan.data_format
+        rng = np.random.default_rng(bits * 100 + twiddle_bits)
+        for _ in range(4):
+            re, im = rng.integers(fmt.min_raw, fmt.max_raw, size=(2, n),
+                                  endpoint=True, dtype=np.int64)
+            res = fft_bfp_block(re, im, 0, plan)
+            words = [(int(r), int(i)) for r, i in zip(re[plan._brev], im[plan._brev])]
+            overflows = 0
+            for s in range(plan.n_stages):
+                h, step = 1 << s, n >> (s + 1)
+                for base in range(0, n, 2 * h):
+                    for k in range(h):
+                        w = (int(plan._tw_re["q"][k * step]),
+                             int(plan._tw_im["q"][k * step]))
+                        words[base + k], words[base + k + h], nov = butterfly_radix2(
+                            words[base + k], words[base + k + h], w, fmt,
+                            plan.twiddle_format)
+                        overflows += nov
+            assert overflows > 0
+            assert res.re.tolist() == [w[0] for w in words]
+            assert res.im.tolist() == [w[1] for w in words]
+            assert res.telemetry.overflow_events == overflows
 
 
 class TestFftBfp:

@@ -45,12 +45,10 @@ from .fxp import (
     OpCounter,
     RoundingMode,
     RoundingPolicy,
-    _limb_plan,
     _mac,
     _requantize,
     leading_bit,
     quantize_array,
-    saturate_array,
     shift_block,
 )
 from .optics import Interferogram, SpectralGrid, Spectrum
@@ -351,9 +349,8 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
         fmt, width = plan.data_format, plan.data_format.total_bits
         wt, ft = plan.twiddle_format.total_bits, plan.twiddle_format.frac_bits
         target, rounding = plan.headroom_bits, plan.policy.mode
-        # a 2**ft +- b w sums three products of a data and a twiddle word
-        fits = _limb_plan(wt, width, 2)[0] is None
 
+        # a 2**ft +- b w sums three products of a data and a twiddle word
         def mac(w, x):
             return _mac(w, x, wt, width, 2, np.multiply)
 
@@ -373,19 +370,11 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
         wi = wim_all[: h * step: step]
         v_re, v_im = re.reshape(-1, 2, h), im.reshape(-1, 2, h)
         a_re, a_im, b_re, b_im = v_re[:, 0], v_im[:, 0], v_re[:, 1], v_im[:, 1]
-        if exact or fits:
+        if exact:
             t_re = b_re * wr - b_im * wi
             t_im = b_re * wi + b_im * wr
-        if exact:
             v_re[:, 1], v_im[:, 1] = a_re - t_re, a_im - t_im
             v_re[:, 0], v_im[:, 0] = a_re + t_re, a_im + t_im
-        elif fits:
-            sa_re, sa_im = a_re << ft, a_im << ft
-            v_re[:, 0], n0 = saturate_array((sa_re + t_re) >> ft, fmt)
-            v_im[:, 0], n1 = saturate_array((sa_im + t_im) >> ft, fmt)
-            v_re[:, 1], n2 = saturate_array((sa_re - t_re) >> ft, fmt)
-            v_im[:, 1], n3 = saturate_array((sa_im - t_im) >> ft, fmt)
-            telemetry.overflow_events += n0 + n1 + n2 + n3
         else:
             t_re = mac(wr, b_re).plus(mac(wi, b_im), -1)
             t_im = mac(wi, b_re).plus(mac(wr, b_im))

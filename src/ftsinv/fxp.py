@@ -420,7 +420,8 @@ class _Wide:
         guard bits cover the terms of the sum."""
         op = np.add if sign > 0 else np.subtract
         out = _Wide([op(x, y) for x, y in zip(self.digits, other.digits)], self.bits)
-        out.add(0, 0)                    # carry every digit back into range
+        if len(out.digits) > 1:
+            out.add(0, 0)                # carry every digit back into range
         return out
 
     def bit(self, j: int) -> np.ndarray:

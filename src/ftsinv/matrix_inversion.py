@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import hwmodel
 from .errors import SvdConvergenceError
 from .fxp import (
     DATAPATH_POLICY,
@@ -277,62 +278,27 @@ def _accumulator_bits(mat_fmt: FxpFormat, vec_fmt: FxpFormat, terms: int) -> int
     return mat_fmt.total_bits + vec_fmt.total_bits + _guard_bits(terms)
 
 
-def _fxp_matvec_banked(
-    banked: BankedOperand,
-    mat_fmt: FxpFormat,
-    vec_raw: np.ndarray,
-    vec_fmt: FxpFormat,
-    out_fmt: FxpFormat,
-    counter: OpCounter,
-    policy: RoundingPolicy,
-):
-    """Row-banked MAC streams over coefficient words, with exact wide
-    accumulation and one rounding and saturation per output.
+def _banked_mac(parts: list, op, vec: np.ndarray, fmts: tuple, counter: OpCounter,
+                policy: RoundingPolicy):
+    """One MAC stream per bank: ``op(part, vec)`` of each partition's
+    coefficient words by one vector of words, accumulated exactly and
+    rounded and saturated once per output.  ``op`` is ``np.matmul`` (a
+    matrix-vector product) or ``np.multiply`` (column scaling, one product
+    per entry); ``fmts`` are the coefficient, vector and output formats.
 
-    Returns the output words and the number of saturated outputs.
+    Returns the output partitions and the number of saturated outputs.
     """
-    m = vec_raw.size
-    guard = _guard_bits(m)
+    mat_fmt, vec_fmt, out_fmt = fmts
+    guard = _guard_bits(vec.size) if op is np.matmul else 0
     shift = mat_fmt.frac_bits + vec_fmt.frac_bits - out_fmt.frac_bits
     outs, overflows = [], 0
-    for part in banked.partitions:
-        wide = _mac(part, vec_raw, mat_fmt.total_bits, vec_fmt.total_bits, guard,
-                    np.matmul)
+    for part in parts:
+        wide = _mac(part, vec, mat_fmt.total_bits, vec_fmt.total_bits, guard, op)
         out, nov = _requantize(wide, shift, policy.mode, out_fmt)
         overflows += nov
-        counter.add(part.shape[0] * m)
+        counter.add(part.shape[0] * vec.size)
         outs.append(out)
-    return np.concatenate(outs), overflows
-
-
-def _fxp_scale_banked(banked: BankedOperand, mat_fmt: FxpFormat, diag_raw: np.ndarray,
-                      diag_fmt: FxpFormat, out_fmt: FxpFormat, counter: OpCounter,
-                      policy: RoundingPolicy):
-    """Row-banked column scaling ``M diag(d)`` of coefficient words, one
-    product per entry; the result stays in its banks.  Returns the scaled
-    :class:`BankedOperand` and the number of saturated entries."""
-    shift = mat_fmt.frac_bits + diag_fmt.frac_bits - out_fmt.frac_bits
-    outs, overflows = [], 0
-    for part in banked.partitions:
-        wide = _mac(part, diag_raw, mat_fmt.total_bits, diag_fmt.total_bits, 0,
-                    np.multiply)
-        out, nov = _requantize(wide, shift, policy.mode, out_fmt)
-        overflows += nov
-        counter.add(part.size)
-        outs.append(out)
-    return BankedOperand(outs), overflows
-
-
-def _attach_latency(telemetry: InversionTelemetry, method: str,
-                    n: int, m: int, rank: int | None, k: int) -> None:
-    from . import hwmodel
-
-    calib = hwmodel.default_calibration()
-    if method == "pinv":
-        cost = hwmodel.pinv_cost(k, calib, n=n, m=m)
-    else:
-        cost = hwmodel.svd_cost(k, calib, n=n, m=m, rank=rank)
-    telemetry.latency_cycles = cost.latency_cycles
+    return outs, overflows
 
 
 def _samples(y) -> np.ndarray:
@@ -371,15 +337,16 @@ def _datapath(source, compiled_type, compile_fn, fmt, k):
 class CompiledPinv:
     """A pseudo-inverse in K row-banked coefficient memories.
 
-    ``banked`` holds the coefficient words, or the doubles when ``fmt`` is
-    None.  ``matrix`` is the double-precision matrix, from which each run
-    fixes its output binary point.
+    ``banked`` holds the coefficient words in ``mat_fmt``, or the doubles
+    when ``fmt`` is None.  ``matrix`` is the whole double-precision matrix:
+    the double reference's one product, and where a fixed-point run fixes
+    its output binary point.
     """
 
     banked: BankedOperand
     fmt: object
+    matrix: np.ndarray
     mat_fmt: FxpFormat | None = None
-    matrix: np.ndarray | None = None
 
     @property
     def k(self) -> int:
@@ -391,13 +358,13 @@ def compile_pinv(adag, fmt=None, k: int = 1) -> CompiledPinv:
     :class:`BankedOperand`) for the datapath ``fmt`` and lay it out in ``k``
     row partitions; see :func:`reconstruct_pinv` for ``fmt``."""
     banked = adag if isinstance(adag, BankedOperand) else BankedOperand.split(adag, k)
+    full = banked.reassemble()
     width = _resolve_width(fmt)
     if width is None:
-        return CompiledPinv(banked, None)
-    full = banked.reassemble()
+        return CompiledPinv(banked, None, full)
     mat_fmt = _tensor_format(fmt, width, full)
     words = BankedOperand([quantize_array(p, mat_fmt) for p in banked.partitions])
-    return CompiledPinv(words, fmt, mat_fmt, full)
+    return CompiledPinv(words, fmt, full, mat_fmt)
 
 
 def reconstruct_pinv(
@@ -429,25 +396,22 @@ def reconstruct_pinv(
     telemetry = InversionTelemetry(method="pinv", k=banked.k, scheme="pinv")
 
     width = _resolve_width(datapath.fmt)
+    x_ref = datapath.matrix @ y
     if width is None:
-        outs = []
-        for part in banked.partitions:
-            outs.append(part @ y)
-            counter.add(part.shape[0] * m)
-        x_hat = np.concatenate(outs)
+        x_hat = x_ref
+        counter.add(n * m)
     else:
         mat_fmt = datapath.mat_fmt
-        x_ref = datapath.matrix @ y            # double reference fixes the output scale
         vec_fmt = _tensor_format(datapath.fmt, width, y)
-        out_fmt = _tensor_format(datapath.fmt, width, x_ref)
-        raw, telemetry.overflow_events = _fxp_matvec_banked(
-            banked, mat_fmt, quantize_array(y, vec_fmt), vec_fmt, out_fmt, counter, policy
-        )
+        out_fmt = _tensor_format(datapath.fmt, width, x_ref)    # the output scale
+        outs, telemetry.overflow_events = _banked_mac(
+            banked.partitions, np.matmul, quantize_array(y, vec_fmt),
+            (mat_fmt, vec_fmt, out_fmt), counter, policy)
         telemetry.accumulator_bits = _accumulator_bits(mat_fmt, vec_fmt, m)
-        x_hat = dequantize_array(raw, out_fmt)
+        x_hat = dequantize_array(np.concatenate(outs), out_fmt)
         telemetry.data_format = f"{width}-bit ({mat_fmt.describe()} coeffs)"
     telemetry.mults = counter.mults
-    _attach_latency(telemetry, "pinv", n, m, None, banked.k)
+    telemetry.latency_cycles = hwmodel.method_cost("pinv", banked.k, n=n, m=m).latency_cycles
     return InversionResult(x_hat, telemetry)
 
 
@@ -548,17 +512,17 @@ def reconstruct_svd(
     ukt = datapath.ut[kept]
     zk = z.zeta[kept]
 
+    # the double reference; V's column-major layout fixes the order in
+    # which BLAS sums, and so its bits
+    o2_ref = ukt @ y
+    x_ref = (vk * zk) @ o2_ref
     width = _resolve_width(datapath.fmt)
     if width is None:
-        o1 = _banked_apply(vk, k, lambda part: part * zk[None, :], counter)
-        o2 = _banked_apply(ukt, k, lambda part: part @ y, counter)
-        x_hat = _banked_apply(o1, k, lambda part: part @ o2, counter)
+        x_hat = x_ref
+        counter.add(rank * (2 * n + m))
     else:
         fmt = datapath.fmt
         v_colmax = datapath.v_colmax[kept]
-        o1_ref = vk * zk[None, :]
-        o2_ref = ukt @ y
-        x_ref = o1_ref @ o2_ref
         fmt_v = _tensor_format(fmt, width, v_colmax)
         fmt_u = _tensor_format(fmt, width, datapath.ut_rowmax[kept])
         fmt_z = _tensor_format(fmt, width, zk)
@@ -570,10 +534,9 @@ def reconstruct_svd(
         y_raw = quantize_array(y, fmt_y)
 
         # product 1: column scaling of V by the penalized diagonal
-        o1, nov1 = _fxp_scale_banked(
-            BankedOperand.split(datapath.words("v", fmt_v)[:, kept], k), fmt_v,
-            quantize_array(zk, fmt_z), fmt_z, fmt_o1, counter, policy,
-        )
+        o1, nov1 = _banked_mac(
+            np.array_split(datapath.words("v", fmt_v)[:, kept], k), np.multiply,
+            quantize_array(zk, fmt_z), (fmt_v, fmt_z, fmt_o1), counter, policy)
         # product 2: U^T y, from the accumulator shared across diagonals;
         # the output stage is elementwise, so its banks need no split
         o2, nov2 = _requantize(datapath.ut_y(fmt_u, y_raw, fmt_y)[kept],
@@ -581,27 +544,15 @@ def reconstruct_svd(
                                policy.mode, fmt_o2)
         counter.add(rank * m)
         # product 3: O1 O2, each bank on the rows product 1 left in it
-        x_raw, nov3 = _fxp_matvec_banked(o1, fmt_o1, o2, fmt_o2, fmt_x, counter, policy)
+        x_raw, nov3 = _banked_mac(o1, np.matmul, o2, (fmt_o1, fmt_o2, fmt_x), counter,
+                                  policy)
         telemetry.overflow_events = nov1 + nov2 + nov3
         telemetry.accumulator_bits = _accumulator_bits(fmt_u, fmt_y, m)
-        x_hat = dequantize_array(x_raw, fmt_x)
+        x_hat = dequantize_array(np.concatenate(x_raw), fmt_x)
         telemetry.data_format = f"{width}-bit"
 
     telemetry.mults = counter.mults
-    _attach_latency(telemetry, "svd", n, m, rank, k)
+    telemetry.latency_cycles = hwmodel.method_cost(scheme_name, k, n=n, m=m,
+                                                   rank=rank).latency_cycles
     return InversionResult(np.asarray(x_hat, dtype=np.float64), telemetry)
 
-
-def _banked_apply(matrix: np.ndarray, k: int, fn, counter: OpCounter):
-    """Apply ``fn`` per row partition (double path); counts one mult per
-    produced element times the reduction length."""
-    banked = BankedOperand.split(matrix, min(k, matrix.shape[0]))
-    outs = []
-    for part in banked.partitions:
-        res = fn(part)
-        outs.append(res)
-        if res.ndim == 1:
-            counter.add(part.shape[0] * part.shape[1])
-        else:
-            counter.add(part.shape[0] * res.shape[1])
-    return np.concatenate(outs)

@@ -1,5 +1,6 @@
 """Sweep harness: pinned precision sweep, sweep schemas and determinism."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -21,8 +22,11 @@ def test_reference_sweep_precision_pinned(reference_setup):
     assert hashlib.sha256(csv.encode()).hexdigest() == want
 
 
-def test_sweep_parallelism_schema_and_k_identity(small_cosine_setup):
-    cfg = small_cosine_setup.config
+@pytest.mark.parametrize("bits", [16, None])
+def test_sweep_parallelism_schema_and_k_identity(small_cosine_setup, bits):
+    """Every K gives the K = 1 estimate bit for bit, on the fixed-point
+    datapath and on the double-precision reference alike."""
+    cfg = dataclasses.replace(small_cosine_setup.config, bits=bits)
     result = bench.sweep_parallelism(cfg, setup=small_cosine_setup)
     assert result.columns == ["method", "k", "identical_to_k1", "snr_db",
                               "latency_cycles", "time_us", "dsp", "bram", "lut",

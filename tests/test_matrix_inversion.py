@@ -28,8 +28,7 @@ from ftsinv.matrix_inversion import (
     SvdFactors,
     Tikhonov,
     Tsvd,
-    _fxp_matvec_banked,
-    _fxp_scale_banked,
+    _banked_mac,
     compile_pinv,
     compile_svd,
     penalize,
@@ -429,9 +428,10 @@ class TestLimbKernel:
                 mat_fmt, vec_fmt, out_fmt = _shift_formats(width, shift)
                 for mode in RoundingMode:
                     counter = OpCounter()
-                    out, overflows = _fxp_matvec_banked(
-                        banked, mat_fmt, b, vec_fmt, out_fmt, counter,
-                        RoundingPolicy(mode))
+                    outs, overflows = _banked_mac(
+                        banked.partitions, np.matmul, b, (mat_fmt, vec_fmt, out_fmt),
+                        counter, RoundingPolicy(mode))
+                    out = np.concatenate(outs)
                     want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                     assert out.dtype == np.int64
                     assert out.tolist() == want, (shift, mode)
@@ -447,11 +447,11 @@ class TestLimbKernel:
             exact = [int(x) * int(v) for row in a for x, v in zip(row, d)]
             mat_fmt, diag_fmt, out_fmt = _shift_formats(width, shift)
             for mode in RoundingMode:
-                scaled, overflows = _fxp_scale_banked(
-                    BankedOperand.split(a, 2), mat_fmt, d, diag_fmt, out_fmt,
-                    OpCounter(), RoundingPolicy(mode))
+                scaled, overflows = _banked_mac(
+                    BankedOperand.split(a, 2).partitions, np.multiply, d,
+                    (mat_fmt, diag_fmt, out_fmt), OpCounter(), RoundingPolicy(mode))
                 want, want_over = _python_outputs(exact, shift, mode, out_fmt)
-                assert scaled.reassemble().ravel().tolist() == want, (shift, mode)
+                assert np.vstack(scaled).ravel().tolist() == want, (shift, mode)
                 assert overflows == want_over
 
     @pytest.mark.parametrize("width", [30, 40, 48, 64])

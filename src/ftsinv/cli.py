@@ -109,15 +109,30 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# the invert flags that only some routes read: (routes, {dest: flag})
+_ROUTE_FLAGS = (
+    (("pinv", "tsvd", "tik"), {"matrix": "--matrix", "k": "--parallel-k",
+                               "bandwidth": "--bandwidth"}),
+    (("tsvd",), {"rank": "--rank"}),
+    (("tik",), {"lam": "--lambda"}),
+    (("fft",), {"twiddle_bits": "--twiddle-bits", "fft_mode": "--fft-mode",
+                "headroom": "--headroom", "normalize": "--normalize",
+                "mean_spectrum": "--mean-spectrum", "a": "--a", "r": "--r"}),
+    ((), {"quantize": "--quantize"}),     # a sweep's data-only study
+)
+
+
 def _cmd_invert(args) -> int:
-    if args.quantize is not None:
-        raise ConfigError("--quantize selects a sweep's data-only study; "
-                          "invert always runs the full datapath")
+    method = args.method or "pinv"
+    for routes, flags in _ROUTE_FLAGS:
+        for dest, flag in flags.items():
+            value = getattr(args, dest)
+            if value is not None and value is not False and method not in routes:
+                raise ConfigError(f"{flag} is not read by the {method} route")
     _, coords, values = fileio.read_series_csv(args.infile)
     grid = OpdGrid(coords)
     y = Interferogram(values, grid)
     bits = None if args.double else args.bits
-    method = args.method or "pinv"
 
     if method == "fft":
         n = grid.n_samples
@@ -134,6 +149,8 @@ def _cmd_invert(args) -> int:
             params = OpticalParams(args.a if args.a is not None else 1.0,
                                    args.r if args.r is not None else 0.5)
             y = normalize_interferogram(y, params, args.mean_spectrum)
+        elif (args.mean_spectrum, args.a, args.r) != (None, None, None):
+            raise ConfigError("--mean-spectrum, --a and --r are read only with --normalize")
         spectrum, telemetry = reconstruct_fft(y, plan)
         if plan.mode in ("pre", "post") and telemetry.overflow_events:
             raise NumericalError(

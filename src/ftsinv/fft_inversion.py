@@ -26,8 +26,9 @@ Normalization modes
            counted in telemetry).
 
 Words are int64 at every width.  A butterfly output ``(a 2**ft +- b w) >> ft``
-is computed inline where its three products fit an int64, else through the
-exact limb MAC of :mod:`ftsinv.fxp`, which runs the DCT twiddle stages too.
+sums three products in the exact MAC of :mod:`ftsinv.fxp` and truncates and
+saturates once in its output stage, as the DCT twiddle stages do; the MAC is
+one int64 product per term wherever the three fit an int64.
 """
 
 from __future__ import annotations

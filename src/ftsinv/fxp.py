@@ -3,12 +3,12 @@
 Every datapath in this package (FFT butterflies, DCT twiddle stages,
 matrix-vector MACs) runs on the primitives defined here.  Scalars are carried
 as Python integers so that intermediate products are exact at any width;
-arrays of words are int64 at every width up to 64 bits.  Products and sums
-too wide for an int64 go through one exact MAC, :func:`_mac`, and one output
-stage, :func:`_requantize`: the words are split into limbs whose products
-are exact in int64 (the error-free splitting of Ozaki, Ogita, Oishi and
-Rump, Numer. Algorithms, 2012), and only the accumulator is recombined, in
-base-2^b int64 digits, before its one shift, rounding and saturation.
+arrays of words are int64 at every width up to 64 bits.  Every array product
+and sum goes through one exact MAC, :func:`_mac`, and one output stage,
+:func:`_requantize`: one int64 operation where the words fit, else limbs
+whose products are exact in int64 (the error-free splitting of Ozaki, Ogita,
+Oishi and Rump, Numer. Algorithms, 2012), recombined in base-2^b int64
+digits only in the accumulator, before its one shift, rounding and saturation.
 
 Conventions:
   * two's-complement signed rasters, ``value = raw * 2**(-frac_bits)``

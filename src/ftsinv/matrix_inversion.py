@@ -13,14 +13,14 @@ the hardware splits it:
   Given a matrix or factors instead of a compiled datapath, the run step
   compiles its own.
 
-Every product accumulates exactly in the package's one MAC,
+Every fixed-point product accumulates exactly in the package's one MAC,
 :func:`~ftsinv.fxp._mac`, and rounds once in its output stage,
-:func:`~ftsinv.fxp._requantize`, in int64 at every width.  The banked kernel
-:func:`_fxp_matvec_banked` runs the pseudo-inverse and product 3 of the SVD
-route per row partition; product 2 (U^T y) is one accumulator over all of
-U^T, shared by the runs of a rank or ridge sweep; product 1 is elementwise
-scaling.  The accumulator is two data widths plus ``ceil(log2(M))`` guard
-bits wide.
+:func:`~ftsinv.fxp._requantize`, in int64 at every width.  The one banked
+kernel, :func:`_banked_mac`, runs the pseudo-inverse and products 1 (column
+scaling of V) and 3 of the SVD route per row partition; product 2 (U^T y)
+is one accumulator over all of U^T, shared by the runs of a rank or ridge
+sweep.  The double-precision reference is not hardware: it computes each
+product whole, so its output is the same at every K.
 """
 
 from __future__ import annotations
@@ -234,10 +234,6 @@ class BankedOperand:
     def k(self) -> int:
         return len(self.partitions)
 
-    @property
-    def rows(self) -> int:
-        return sum(p.shape[0] for p in self.partitions)
-
     def reassemble(self) -> np.ndarray:
         return np.vstack(self.partitions)
 
@@ -388,12 +384,11 @@ def reconstruct_pinv(
     """
     y = _samples(y)
     datapath = _datapath(adag, CompiledPinv, compile_pinv, fmt, k)
-    banked = datapath.banked
-    n, m = banked.rows, banked.partitions[0].shape[1]
+    n, m = datapath.matrix.shape
     if y.size != m:
         raise ValueError(f"interferogram length {y.size} != matrix columns {m}")
     counter = counter or OpCounter()
-    telemetry = InversionTelemetry(method="pinv", k=banked.k, scheme="pinv")
+    telemetry = InversionTelemetry(method="pinv", k=datapath.k, scheme="pinv")
 
     width = _resolve_width(datapath.fmt)
     x_ref = datapath.matrix @ y
@@ -405,13 +400,13 @@ def reconstruct_pinv(
         vec_fmt = _tensor_format(datapath.fmt, width, y)
         out_fmt = _tensor_format(datapath.fmt, width, x_ref)    # the output scale
         outs, telemetry.overflow_events = _banked_mac(
-            banked.partitions, np.matmul, quantize_array(y, vec_fmt),
+            datapath.banked.partitions, np.matmul, quantize_array(y, vec_fmt),
             (mat_fmt, vec_fmt, out_fmt), counter, policy)
         telemetry.accumulator_bits = _accumulator_bits(mat_fmt, vec_fmt, m)
         x_hat = dequantize_array(np.concatenate(outs), out_fmt)
         telemetry.data_format = f"{width}-bit ({mat_fmt.describe()} coeffs)"
     telemetry.mults = counter.mults
-    telemetry.latency_cycles = hwmodel.method_cost("pinv", banked.k, n=n, m=m).latency_cycles
+    telemetry.latency_cycles = hwmodel.method_cost("pinv", datapath.k, n=n, m=m).latency_cycles
     return InversionResult(x_hat, telemetry)
 
 
@@ -554,5 +549,5 @@ def reconstruct_svd(
     telemetry.mults = counter.mults
     telemetry.latency_cycles = hwmodel.method_cost(scheme_name, k, n=n, m=m,
                                                    rank=rank).latency_cycles
-    return InversionResult(np.asarray(x_hat, dtype=np.float64), telemetry)
+    return InversionResult(x_hat, telemetry)
 

@@ -47,6 +47,33 @@ def test_invert_rejects_quantize(simulated, tmp_path, method, quantize):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method,flags", [
+    ("pinv", ["--rank", "24"]),
+    ("pinv", ["--lambda", "0"]),
+    ("pinv", ["--twiddle-bits", "16"]),
+    ("pinv", ["--fft-mode", "pre"]),
+    ("pinv", ["--headroom", "0"]),
+    ("pinv", ["--normalize", "--mean-spectrum", "1.0"]),
+    ("tsvd", ["--rank", "24", "--lambda", "1.0"]),
+    ("tik", ["--lambda", "1.0", "--rank", "24"]),
+    ("fft", ["--parallel-k", "2"]),
+    ("fft", ["--rank", "24"]),
+    ("fft", ["--lambda", "1.0"]),
+    ("fft", ["--bandwidth", "2.0"]),
+    ("fft", ["--matrix", "a.bin"]),
+    ("fft", ["--a", "0.9"]),
+])
+def test_invert_rejects_flags_its_route_does_not_read(simulated, tmp_path, capsys,
+                                                       method, flags):
+    y, a = simulated
+    out = tmp_path / "x.csv"
+    matrix = [] if method == "fft" else ["--matrix", str(a)]
+    assert cli.main(["invert", "--method", method, "--bits", "16", *flags, *matrix,
+                     "--in", str(y), "--out", str(out)]) == 2
+    assert "read" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture
 def normalized_cosine(tmp_path):
     y, yn = tmp_path / "y.csv", tmp_path / "yn.csv"

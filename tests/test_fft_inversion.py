@@ -284,7 +284,6 @@ class TestFftBfp:
         plan = FftPlan.make(16, bits=12, mode="post", headroom_bits=3)
         re, im, g = quantize_complex_block(np.ones(16, dtype=complex),
                                            plan.data_format, 1)
-        from ftsinv.fft_inversion import fft_bfp_block
         with pytest.raises(ValueError):
             fft_bfp_block(re, im, g, plan)
 

@@ -7,8 +7,10 @@ arrays of words are int64 at every width up to 64 bits.  Every array product
 and sum goes through one exact MAC, :func:`_mac`, and one output stage,
 :func:`_requantize`: one int64 operation where the words fit, else limbs
 whose products are exact in int64 (the error-free splitting of Ozaki, Ogita,
-Oishi and Rump, Numer. Algorithms, 2012), recombined in base-2^b int64
-digits only in the accumulator, before its one shift, rounding and saturation.
+Oishi and Rump, Numer. Algorithms, 2012), summed uncarried into base-2^b
+int64 digits.  Each accumulator is carried once, at the output stage, and
+its high digits collapse into one int64 wherever they fit, so a wide output
+costs one shift, rounding and saturation, as a one-digit output does.
 
 Conventions:
   * two's-complement signed rasters, ``value = raw * 2**(-frac_bits)``
@@ -19,6 +21,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -210,7 +213,7 @@ def _max_shift_magnitude(mantissas) -> int:
     mantissas = np.asarray(mantissas)
     hi = int(mantissas.max(initial=0))
     lo = int(mantissas.min(initial=0))
-    # for v >= 0 the limit is v itself; for v < 0 it is ~v = -v－1
+    # for v >= 0 the limit is v itself; for v < 0 it is ~v = -v - 1
     return max(hi, ~lo, 0)
 
 
@@ -295,7 +298,11 @@ def normalize_block(
 # vectorized helpers (int64 words at every width up to 64 bits)
 # ---------------------------------------------------------------------------
 
-def shift_right_array(m: np.ndarray, s: int, mode: RoundingMode) -> np.ndarray:
+def shift_right_array(m: np.ndarray, s: int, mode: RoundingMode,
+                      sticky: np.ndarray | None = None) -> np.ndarray:
+    """``m * 2**-s`` rounded under ``mode``.  ``sticky`` marks words whose
+    exact value goes on, nonzero, below the bits of ``m``: a remainder of
+    one half is then above half."""
     if s <= 0:
         return m << (-s)
     if mode is RoundingMode.TRUNCATE:
@@ -303,7 +310,10 @@ def shift_right_array(m: np.ndarray, s: int, mode: RoundingMode) -> np.ndarray:
     q = m >> s
     r = m - (q << s)
     half = 1 << (s - 1)
-    return q + ((r > half) | ((r == half) & ((q & 1) == 1)))
+    up = (q & 1) == 1
+    if sticky is not None:
+        up |= sticky
+    return q + ((r > half) | ((r == half) & up))
 
 
 def saturate_array(raw: np.ndarray, fmt: FxpFormat):
@@ -354,13 +364,38 @@ def dequantize_array(raw: np.ndarray, fmt: FxpFormat) -> np.ndarray:
 # exact wide accumulation in int64
 # ---------------------------------------------------------------------------
 
-_SAFE_BITS = 62     # |sums| <= 2**62 leaves an int64 a bit for carries
+_SAFE_BITS = 62     # sums of 2**guard products stay within 2**62; the spare
+                    # bit of an int64 absorbs lazy digit sums and their carry
 
 
 def _guard_bits(terms: int) -> int:
     return max(1, math.ceil(math.log2(max(terms, 2))))
 
 
+def _limb_magnitudes(width: int, bits: int) -> list:
+    """Largest ``|limb|`` of each limb :func:`_limbs` cuts from ``width``-bit
+    words: ``2**bits - 1`` below the top, and for the signed top that of its
+    most negative value."""
+    n = max(1, -(-(width - 1) // bits))
+    return [(1 << bits) - 1] * (n - 1) + [1 << (width - 1 - bits * (n - 1))]
+
+
+def _lazy_digits_fit(mags_a: list, mags_b: list, guard: int, bits: int) -> bool:
+    """Whether every digit stays inside an int64 while it is summed and then
+    carried: digit p holds ``2**guard`` products of every limb pair with
+    ``i + j = p``, plus the carry out of digit p - 1."""
+    carry = 0
+    for p in range(len(mags_a) + len(mags_b) - 1):
+        pairs = sum(x * mags_b[p - i] for i, x in enumerate(mags_a)
+                    if 0 <= p - i < len(mags_b))
+        digit = (pairs << guard) + carry
+        if digit >= 1 << 63:
+            return False
+        carry = -(-digit >> bits)
+    return True
+
+
+@functools.lru_cache(maxsize=None)
 def _limb_plan(wa: int, wb: int, guard: int):
     """Limb width for exact int64 products of ``wa``-bit coefficient words
     by ``wb``-bit vector words, up to ``2**guard`` of them summed.
@@ -371,16 +406,28 @@ def _limb_plan(wa: int, wb: int, guard: int):
     whole coefficient words leave no room beside them (about 55 bits and
     up).  Splitting the vector costs O(M) per run, where splitting the
     coefficients costs O(N M).
+
+    Digits are summed lazily and carried once, at the output stage, so the
+    plan guarantees from the limb magnitudes alone, whatever the data, that
+    every digit stays below 2**63: ``2**guard`` products of each limb pair
+    that meets it (the terms of a matrix product, or up to ``2**guard``
+    accumulators summed by :meth:`_Wide.plus`), plus the carry from the digit
+    below.  With whole coefficient words one pair meets each digit, within
+    2**62.  With both split, at most two low-limb pairs share a digit at
+    every width for up to 2**19 terms, and ``2 * 2**guard * (2**bits - 1)**2
+    < 2**63`` because ``2 bits <= 62 - guard``; past that the plan narrows
+    its limbs until the bound holds.
     """
     if wa + wb - 2 + guard <= _SAFE_BITS:
         return None, False
-    beside_a = _SAFE_BITS - guard - (wa - 1)
-    if beside_a >= 1:
-        return beside_a, False
-    both = (_SAFE_BITS - guard) // 2
-    if both < 1:
-        raise ValueError(f"{guard} guard bits leave no room in int64")
-    return both, True
+    split_a = wa - 1 + guard >= _SAFE_BITS
+    bits = (_SAFE_BITS - guard) // 2 if split_a else _SAFE_BITS - guard - (wa - 1)
+    while bits >= 1:
+        mags_a = _limb_magnitudes(wa, bits) if split_a else [1 << (wa - 1)]
+        if _lazy_digits_fit(mags_a, _limb_magnitudes(wb, bits), guard, bits):
+            return bits, split_a
+        bits -= 1
+    raise ValueError(f"{guard} guard bits leave no room in int64")
 
 
 def _limbs(words: np.ndarray, width: int, bits: int) -> list:
@@ -394,9 +441,23 @@ def _limbs(words: np.ndarray, width: int, bits: int) -> list:
             + [words >> (bits * (n - 1))])
 
 
+def _carry(digits: list, bits: int) -> list:
+    """The same integer with every digit below the top in ``[0, 2**bits)``
+    and a signed top: one carry pass, into new arrays."""
+    d, mask = list(digits), (1 << bits) - 1
+    for i in range(len(d) - 1):
+        d[i + 1] = d[i + 1] + (d[i] >> bits)
+        d[i] = d[i] & mask
+    return d
+
+
 class _Wide:
-    """Exact integers ``sum(digits[i] << (bits * i))`` in int64 arrays: every
-    digit below the top lies in ``[0, 2**bits)``, the top one is signed."""
+    """Exact integers ``sum(digits[i] << (bits * i))`` in int64 arrays.
+
+    The digits are lazy sums of limb products, of either sign and never
+    carried here: :func:`_limb_plan` bounds them, and :func:`_requantize`
+    carries once per accumulator.
+    """
 
     __slots__ = ("digits", "bits")
 
@@ -407,33 +468,11 @@ class _Wide:
     def __getitem__(self, rows) -> "_Wide":
         return _Wide([d[rows] for d in self.digits], self.bits)
 
-    def add(self, term: np.ndarray, pos: int) -> None:
-        """Add ``term << (bits * pos)``, ``|term| <= 2**62``, below the top."""
-        d, mask = self.digits, (1 << self.bits) - 1
-        d[pos] = d[pos] + term
-        for i in range(pos, len(d) - 1):
-            d[i + 1] = d[i + 1] + (d[i] >> self.bits)
-            d[i] = d[i] & mask
-
     def plus(self, other: "_Wide", sign: int = 1) -> "_Wide":
         """``self + sign * other``, both from the same limb plan, whose
-        guard bits cover the terms of the sum."""
+        guard bits cover the terms of the sum: digit by digit, no carry."""
         op = np.add if sign > 0 else np.subtract
-        out = _Wide([op(x, y) for x, y in zip(self.digits, other.digits)], self.bits)
-        if len(out.digits) > 1:
-            out.add(0, 0)                # carry every digit back into range
-        return out
-
-    def bit(self, j: int) -> np.ndarray:
-        i, e = divmod(j, self.bits)
-        return (self.digits[i] >> e) & 1
-
-    def any_below(self, j: int) -> np.ndarray:
-        i, e = divmod(j, self.bits)
-        out = (self.digits[i] & ((1 << e) - 1)) != 0
-        for d in self.digits[:i]:
-            out |= d != 0
-        return out
+        return _Wide([op(x, y) for x, y in zip(self.digits, other.digits)], self.bits)
 
 
 def _mac(a: np.ndarray, b: np.ndarray, wa: int, wb: int, guard: int, op) -> _Wide:
@@ -441,28 +480,52 @@ def _mac(a: np.ndarray, b: np.ndarray, wa: int, wb: int, guard: int, op) -> _Wid
     vector words, where ``op`` is ``np.matmul`` (summing at most
     ``2**guard`` products) or ``np.multiply``, computed in int64 limb by
     limb.  A ``guard`` above 0 with ``np.multiply`` leaves room for
-    :meth:`_Wide.plus` to sum up to ``2**guard`` such products."""
+    :meth:`_Wide.plus` to sum up to ``2**guard`` such products.  Each limb
+    product lands in its digit uncarried."""
     bits, split_a = _limb_plan(wa, wb, guard)
     if bits is None:
         return _Wide([op(a, b)], _SAFE_BITS)
     la = _limbs(a, wa, bits) if split_a else [a]
     lb = _limbs(b, wb, bits)
-    terms = [(op(x, v), i + j) for i, x in enumerate(la) for j, v in enumerate(lb)]
-    acc = _Wide([np.zeros_like(terms[0][0]) for _ in range(len(la) + len(lb))], bits)
-    for term, pos in terms:
-        acc.add(term, pos)
-    return acc
+    digits = [None] * (len(la) + len(lb) - 1)
+    for i, x in enumerate(la):
+        for j, v in enumerate(lb):
+            term = op(x, v)
+            if digits[i + j] is None:
+                digits[i + j] = term
+            else:
+                digits[i + j] += term
+    return _Wide(digits, bits)
 
 
 def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
     """``acc * 2**-shift`` rounded under ``mode`` and saturated to ``fmt``.
 
-    Returns the int64 words and the number of saturated outputs.
+    The digits are carried once.  Where the digits from the one holding bit
+    ``shift - 1`` up make one int64, they collapse into it, and the output
+    is one shift, rounding and saturation, a one-digit accumulator's whole
+    path; round-half-even takes its sticky bit from the digits below.  Left
+    shifts and outputs whose high digits do not fit one int64 take the bit
+    window below.  Returns the int64 words and the number of saturated
+    outputs.
     """
-    if len(acc.digits) == 1 and 0 <= shift < 63:
-        return saturate_array(shift_right_array(acc.digits[0], shift, mode), fmt)
     bits, mask = acc.bits, (1 << acc.bits) - 1
-    d = list(acc.digits)
+    d = _carry(acc.digits, bits)
+    c = max(shift - 1, 0) // bits        # the digit holding the rounding bit
+    if shift >= 0 and c < len(d):
+        top, room = d[-1], 63 - bits * (len(d) - 1 - c)
+        if c == len(d) - 1 or (room >= 0 and top.min(initial=0) >= -(1 << room)
+                               and top.max(initial=0) < 1 << room):
+            high = top
+            for x in reversed(d[c:-1]):
+                high = (high << bits) + x
+            sticky = None
+            if mode is RoundingMode.ROUND_HALF_EVEN and c:
+                sticky = d[0] != 0
+                for x in d[1:c]:
+                    sticky |= x != 0
+            return saturate_array(shift_right_array(high, shift - bits * c, mode,
+                                                    sticky), fmt)
     if shift < 0:                        # a left shift: zero digits below
         pad = -(shift // bits)
         d = [np.zeros_like(d[0]) for _ in range(pad)] + d
@@ -471,10 +534,12 @@ def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
     while bits * (len(d) - 1) <= sign:   # sign-extend so it sits below the top
         d.append(d[-1] >> bits)
         d[-2] = d[-2] & mask
-    wide = _Wide(d, bits)
     if mode is RoundingMode.ROUND_HALF_EVEN and shift > 0:
-        inc = wide.bit(shift - 1) & (wide.bit(shift) | wide.any_below(shift - 1))
-        wide.add(inc << (shift % bits), shift // bits)
+        inc = _bit(d, bits, shift - 1) & (_bit(d, bits, shift)
+                                         | _any_below(d, bits, shift - 1))
+        c, e = divmod(shift, bits)
+        d[c] = d[c] + (inc << e)
+        d = _carry(d, bits)
     # in range when every bit from the sign bit up repeats it
     c, e = divmod(sign, bits)
     high = d[c] >> e
@@ -496,3 +561,18 @@ def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
     if overflows:
         words = np.where(fits, words, np.where(d[-1] < 0, fmt.min_raw, fmt.max_raw))
     return words, overflows
+
+
+def _bit(digits: list, bits: int, j: int) -> np.ndarray:
+    """Bit ``j`` of carried digits."""
+    i, e = divmod(j, bits)
+    return (digits[i] >> e) & 1
+
+
+def _any_below(digits: list, bits: int, j: int) -> np.ndarray:
+    """Whether any bit below bit ``j`` of carried digits is set."""
+    i, e = divmod(j, bits)
+    out = (digits[i] & ((1 << e) - 1)) != 0
+    for d in digits[:i]:
+        out |= d != 0
+    return out

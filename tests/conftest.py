@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import ftsinv as fi
 from ftsinv import bench
+
+# property tests draw the same examples on every run
+settings.register_profile("tier1", derandomize=True, max_examples=200,
+                          deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

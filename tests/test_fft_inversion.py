@@ -144,6 +144,24 @@ class TestButterfly:
                 assert abs(got[0] * ulp - want.real) <= ulp
                 assert abs(got[1] * ulp - want.imag) <= ulp
 
+    @staticmethod
+    def _scalar_stages(plan, re, im):
+        """The stage loop on Python ints, one scalar butterfly at a time;
+        returns the words in natural order and the saturated outputs."""
+        n = plan.n_points
+        words = [(int(r), int(i)) for r, i in zip(re[plan._brev], im[plan._brev])]
+        overflows = 0
+        for s in range(plan.n_stages):
+            h, step = 1 << s, n >> (s + 1)
+            for base in range(0, n, 2 * h):
+                for k in range(h):
+                    w = (int(plan._tw_re["q"][k * step]), int(plan._tw_im["q"][k * step]))
+                    words[base + k], words[base + k + h], nov = butterfly_radix2(
+                        words[base + k], words[base + k + h], w, plan.data_format,
+                        plan.twiddle_format)
+                    overflows += nov
+        return words, overflows
+
     @pytest.mark.parametrize("bits,twiddle_bits",
                              [(30, 32), (31, 31), (31, 32), (32, 32), (33, 30)])
     def test_stage_loop_matches_scalar_butterflies(self, bits, twiddle_bits):
@@ -158,22 +176,25 @@ class TestButterfly:
             re, im = rng.integers(fmt.min_raw, fmt.max_raw, size=(2, n),
                                   endpoint=True, dtype=np.int64)
             res = fft_bfp_block(re, im, 0, plan)
-            words = [(int(r), int(i)) for r, i in zip(re[plan._brev], im[plan._brev])]
-            overflows = 0
-            for s in range(plan.n_stages):
-                h, step = 1 << s, n >> (s + 1)
-                for base in range(0, n, 2 * h):
-                    for k in range(h):
-                        w = (int(plan._tw_re["q"][k * step]),
-                             int(plan._tw_im["q"][k * step]))
-                        words[base + k], words[base + k + h], nov = butterfly_radix2(
-                            words[base + k], words[base + k + h], w, fmt,
-                            plan.twiddle_format)
-                        overflows += nov
+            words, overflows = self._scalar_stages(plan, re, im)
             assert overflows > 0
             assert res.re.tolist() == [w[0] for w in words]
             assert res.im.tolist() == [w[1] for w in words]
             assert res.telemetry.overflow_events == overflows
+
+    @pytest.mark.parametrize("fill", ["max_raw", "min_raw"])
+    def test_extreme_words_match_scalar_butterflies(self, fill):
+        """64-bit words all at one extreme, where the stage loop saturates
+        and sums three products of split words in every butterfly."""
+        n = 8
+        plan = FftPlan.make(n, bits=64, mode="fixed")
+        word = getattr(plan.data_format, fill)
+        re, im = np.full(n, word, dtype=np.int64), np.full(n, word, dtype=np.int64)
+        res = fft_bfp_block(re, im, 0, plan)
+        words, overflows = self._scalar_stages(plan, re, im)
+        assert res.re.tolist() == [w[0] for w in words]
+        assert res.im.tolist() == [w[1] for w in words]
+        assert res.telemetry.overflow_events == overflows
 
 
 class TestFftBfp:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ftsinv.fxp import (
     DATAPATH_POLICY,
@@ -16,6 +18,11 @@ from ftsinv.fxp import (
     OverflowMode,
     RoundingMode,
     RoundingPolicy,
+    _guard_bits,
+    _limb_plan,
+    _mac,
+    _requantize,
+    apply_overflow,
     fxp_add,
     fxp_mul,
     leading_bit,
@@ -277,3 +284,73 @@ class TestRounding:
         raw = quantize_array(np.array([1e30, -1e30, 2.0 ** 62]), fmt)
         assert raw.dtype == np.int64
         assert raw.tolist() == [fmt.max_raw, fmt.min_raw, 2 ** 62]
+
+
+def _mac_words(rng, width: int, shape, fill: str) -> np.ndarray:
+    """``width``-bit words: all ``max_raw``, all ``min_raw``, or random at
+    every magnitude with a tenth of them set to either extreme."""
+    fmt = FxpFormat(width, 0)
+    if fill != "random":
+        return np.full(shape, fmt.max_raw if fill == "max" else fmt.min_raw, np.int64)
+    words = rng.integers(fmt.min_raw, fmt.max_raw, size=shape, endpoint=True,
+                         dtype=np.int64)
+    words >>= rng.integers(0, width, size=shape)
+    extreme = rng.random(shape) < 0.1
+    words[extreme] = rng.choice([fmt.min_raw, fmt.max_raw], size=int(extreme.sum()))
+    return words
+
+
+@st.composite
+def _mac_cases(draw):
+    wa, wb = draw(st.integers(2, 64)), draw(st.integers(2, 64))
+    length, matmul = draw(st.integers(1, 300)), draw(st.booleans())
+    accumulators = draw(st.integers(1, 3))
+    terms = accumulators * (length if matmul else 1)
+    guard = _guard_bits(terms) if terms > 1 else draw(st.integers(0, 1))
+    top = 2 * max(wa, wb)
+    bits = _limb_plan(wa, wb, guard)[0] or 62
+    # every shift in range, and more often those next to a digit boundary
+    near_digits = [s for k in range(1, top // bits + 1)
+                   for s in (k * bits - 1, k * bits, k * bits + 1)
+                   if s <= top]
+    shift = draw(st.one_of(st.integers(-3, top), st.sampled_from(near_digits))
+                 if near_digits else st.integers(-3, top))
+    return dict(
+        wa=wa, wb=wb, length=length, op=np.matmul if matmul else np.multiply,
+        rows=draw(st.integers(1, 3)) if matmul else None, guard=guard,
+        signs=draw(st.lists(st.sampled_from((1, -1)), min_size=accumulators - 1,
+                            max_size=accumulators - 1)),
+        shift=shift, mode=draw(st.sampled_from(list(RoundingMode))),
+        out_fmt=FxpFormat(draw(st.integers(2, 64)), 0),
+        fills=draw(st.tuples(*[st.sampled_from(("random", "random", "max", "min"))] * 2)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestExactMac:
+    """``_mac``, ``_Wide.plus`` and ``_requantize`` against Python ints."""
+
+    @given(_mac_cases())
+    def test_mac_plus_requantize_match_python_ints(self, case):
+        rng = np.random.default_rng(case["seed"])
+        wa, wb, n = case["wa"], case["wb"], len(case["signs"]) + 1
+        a_shape = (case["rows"], case["length"]) if case["rows"] else (case["length"],)
+        a = [_mac_words(rng, wa, a_shape, case["fills"][0]) for _ in range(n)]
+        b = [_mac_words(rng, wb, (case["length"],), case["fills"][1]) for _ in range(n)]
+        accs = [_mac(x, v, wa, wb, case["guard"], case["op"]) for x, v in zip(a, b)]
+        if case["op"] is np.matmul:
+            exact = [[sum(p * q for p, q in zip(row, v.tolist())) for row in x.tolist()]
+                     for x, v in zip(a, b)]
+        else:
+            exact = [[p * q for p, q in zip(x.tolist(), v.tolist())]
+                     for x, v in zip(a, b)]
+        # the butterfly's shape: p0 + s1 (p1 + s2 p2)
+        acc, want = accs[-1], exact[-1]
+        for sign, term, values in zip(case["signs"][::-1], accs[-2::-1], exact[-2::-1]):
+            acc = term.plus(acc, sign)
+            want = [t + sign * w for t, w in zip(values, want)]
+        out, overflows = _requantize(acc, case["shift"], case["mode"], case["out_fmt"])
+        results = [apply_overflow(rshift_round(v, case["shift"], case["mode"]),
+                                  case["out_fmt"], OverflowMode.SATURATE) for v in want]
+        assert out.dtype == np.int64
+        assert out.tolist() == [r for r, _ in results]
+        assert overflows == sum(over for _, over in results)

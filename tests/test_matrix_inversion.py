@@ -17,6 +17,8 @@ from ftsinv.fxp import (
     OverflowMode,
     RoundingMode,
     RoundingPolicy,
+    _guard_bits,
+    _limb_plan,
     _mac,
     _requantize,
     apply_overflow,
@@ -453,6 +455,54 @@ class TestLimbKernel:
                 want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                 assert np.vstack(scaled).ravel().tolist() == want, (shift, mode)
                 assert overflows == want_over
+
+    @pytest.mark.parametrize("fills", [("max_raw", "max_raw"), ("min_raw", "min_raw"),
+                                       ("max_raw", "min_raw")])
+    @pytest.mark.parametrize("width", [56, 64])
+    def test_largest_lazy_digits_match_python_ints(self, width, fills):
+        """Every word at an extreme, M = 256 = 2**guard terms, both operands
+        split into limbs: the largest uncarried digit sums the limb plan
+        allows (all ``max_raw`` brings a digit within 2**38 of 2**63)."""
+        m, fmt = 256, FxpFormat(width, 0)
+        x, y = (getattr(fmt, f) for f in fills)
+        a, b = np.full((4, m), x, dtype=np.int64), np.full(m, y, dtype=np.int64)
+        guard = _guard_bits(m)
+        assert _limb_plan(width, width, guard)[1]         # coefficients split too
+        if fills == ("max_raw", "max_raw"):
+            top = max(int(d.max()) for d in _mac(a, b, width, width, guard,
+                                                 np.matmul).digits)
+            assert (1 << 63) - top < 1 << 38
+        exact = [m * x * y] * a.shape[0]
+        for shift in (-3, 0, width - 1, width + 7, 2 * width - 2):
+            mat_fmt, vec_fmt, out_fmt = _shift_formats(width, shift)
+            for mode in RoundingMode:
+                outs, overflows = _banked_mac(
+                    BankedOperand.split(a, 2).partitions, np.matmul, b,
+                    (mat_fmt, vec_fmt, out_fmt), OpCounter(), RoundingPolicy(mode))
+                want, want_over = _python_outputs(exact, shift, mode, out_fmt)
+                assert np.concatenate(outs).tolist() == want, (shift, mode)
+                assert overflows == want_over
+
+    @pytest.mark.parametrize("width", [56, 64])
+    def test_largest_lazy_signed_sums(self, width):
+        """A butterfly output's ``p0 +- (p1 + p2)`` with every word at an
+        extreme: three uncarried accumulators under guard 2, with digits
+        above 2**61."""
+        fmt = FxpFormat(width, 0)
+        for x, y in itertools.product((fmt.max_raw, fmt.min_raw), repeat=2):
+            p = _mac(np.full(3, x, dtype=np.int64), np.full(3, y, dtype=np.int64),
+                     width, width, 2, np.multiply)
+            for sign, shift in itertools.product((1, -1), (0, width - 1, 2 * width - 2)):
+                acc = p.plus(p.plus(p), sign)
+                if x == y == fmt.max_raw and sign == 1:
+                    assert max(int(d.max()) for d in acc.digits) > 1 << 61
+                out_fmt = _shift_formats(width, shift)[2]
+                for mode in RoundingMode:
+                    out, overflows = _requantize(acc, shift, mode, out_fmt)
+                    want, want_over = _python_outputs([x * y * (1 + 2 * sign)] * 3,
+                                                      shift, mode, out_fmt)
+                    assert out.tolist() == want, (x, y, sign, shift, mode)
+                    assert overflows == want_over
 
     @pytest.mark.parametrize("width", [30, 40, 48, 64])
     def test_signed_sums_match_python_ints(self, width):

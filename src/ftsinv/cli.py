@@ -82,6 +82,8 @@ def _config_from_args(args) -> ExperimentConfig:
         if value is not None:
             overrides[name] = value
     if getattr(args, "double", False):
+        if args.bits is not None:
+            raise ConfigError("--bits is not read under --double")
         overrides["bits"] = None
     data = {**asdict(cfg), **overrides}
     return ExperimentConfig.from_dict(data)
@@ -120,6 +122,9 @@ _ROUTE_FLAGS = (
                 "mean_spectrum": "--mean-spectrum", "a": "--a", "r": "--r"}),
     ((), {"quantize": "--quantize"}),     # a sweep's data-only study
 )
+# the invert flags that only a fixed-point datapath reads
+_FIXED_POINT_FLAGS = {"bits": "--bits", "twiddle_bits": "--twiddle-bits",
+                      "fft_mode": "--fft-mode", "headroom": "--headroom"}
 
 
 def _cmd_invert(args) -> int:
@@ -129,16 +134,18 @@ def _cmd_invert(args) -> int:
             value = getattr(args, dest)
             if value is not None and value is not False and method not in routes:
                 raise ConfigError(f"{flag} is not read by the {method} route")
+    for dest, flag in _FIXED_POINT_FLAGS.items():
+        if args.double and getattr(args, dest) is not None:
+            raise ConfigError(f"{flag} is not read under --double")
     _, coords, values = fileio.read_series_csv(args.infile)
     grid = OpdGrid(coords)
     y = Interferogram(values, grid)
-    bits = None if args.double else args.bits
 
     if method == "fft":
         n = grid.n_samples
         plan = FftPlan.make(
             n,
-            bits=bits,
+            bits=args.bits,
             twiddle_bits=args.twiddle_bits,
             mode=args.fft_mode or "post",
             headroom_bits=args.headroom if args.headroom is not None else 3,
@@ -172,17 +179,17 @@ def _cmd_invert(args) -> int:
     factors = svd_factorize(a)
     k = args.k or 1
     if method == "pinv":
-        res = reconstruct_pinv(pinv_matrix(factors), y, fmt=bits, k=k)
+        res = reconstruct_pinv(pinv_matrix(factors), y, fmt=args.bits, k=k)
     elif method == "tsvd":
         if args.rank is None:
             raise ConfigError("tsvd requires --rank")
         res = reconstruct_svd(factors, penalize(factors.xi, Tsvd(args.rank)),
-                              y, fmt=bits, k=k)
+                              y, fmt=args.bits, k=k)
     else:
         if args.lam is None:
             raise ConfigError("tik requires --lambda")
         res = reconstruct_svd(factors, penalize(factors.xi, Tikhonov(args.lam)),
-                              y, fmt=bits, k=k)
+                              y, fmt=args.bits, k=k)
     bandwidth = args.bandwidth if args.bandwidth is not None else 1.0
     sg = SpectralGrid(res.x_hat.size, bandwidth)
     fileio.write_series_csv(args.out, "wavenumber", sg.midpoints(), res.x_hat)

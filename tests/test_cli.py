@@ -74,6 +74,34 @@ def test_invert_rejects_flags_its_route_does_not_read(simulated, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method,flags", [
+    ("pinv", ["--bits", "16"]),
+    ("tsvd", ["--rank", "24", "--bits", "8"]),
+    ("tik", ["--lambda", "1.0", "--bits", "32"]),
+    ("fft", ["--bits", "16"]),
+    ("fft", ["--twiddle-bits", "16"]),
+    ("fft", ["--fft-mode", "fixed"]),
+    ("fft", ["--headroom", "0"]),
+])
+def test_invert_double_rejects_width_flags(tmp_path, capsys, method, flags):
+    """Exit 2 before any file is read: the input does not exist."""
+    out = tmp_path / "x.csv"
+    matrix = [] if method == "fft" else ["--matrix", str(tmp_path / "a.bin")]
+    assert cli.main(["invert", "--method", method, "--double", *flags, *matrix,
+                     "--in", str(tmp_path / "y.csv"), "--out", str(out)]) == 2
+    assert f"{flags[-2]} is not read under --double" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-precision", "sweep-parallel", "compare"])
+def test_sweeps_reject_bits_with_double(tmp_path, capsys, command):
+    out = tmp_path / "s.csv"
+    assert cli.main([command, *MODEL_FLAGS, "--double", "--bits", "8",
+                     "--out", str(out)]) == 2
+    assert "--bits is not read under --double" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture
 def normalized_cosine(tmp_path):
     y, yn = tmp_path / "y.csv", tmp_path / "yn.csv"

@@ -395,7 +395,7 @@ def _lazy_digits_fit(mags_a: list, mags_b: list, guard: int, bits: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _limb_plan(wa: int, wb: int, guard: int):
     """Limb width for exact int64 products of ``wa``-bit coefficient words
     by ``wb``-bit vector words, up to ``2**guard`` of them summed.
@@ -521,9 +521,7 @@ def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
                 high = (high << bits) + x
             sticky = None
             if mode is RoundingMode.ROUND_HALF_EVEN and c:
-                sticky = d[0] != 0
-                for x in d[1:c]:
-                    sticky |= x != 0
+                sticky = _any_below(d, bits, bits * c)
             return saturate_array(shift_right_array(high, shift - bits * c, mode,
                                                     sticky), fmt)
     if shift < 0:                        # a left shift: zero digits below

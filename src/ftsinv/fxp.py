@@ -502,17 +502,19 @@ def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
     """``acc * 2**-shift`` rounded under ``mode`` and saturated to ``fmt``.
 
     The digits are carried once.  Where the digits from the one holding bit
-    ``shift - 1`` up make one int64, they collapse into it, and the output
-    is one shift, rounding and saturation, a one-digit accumulator's whole
-    path; round-half-even takes its sticky bit from the digits below.  Left
-    shifts and outputs whose high digits do not fit one int64 take the bit
-    window below.  Returns the int64 words and the number of saturated
-    outputs.
+    ``shift - 1`` (or the top one, if that is lower) up make one int64, they
+    collapse into it, and the output is one shift, rounding and saturation,
+    a one-digit accumulator's whole path; round-half-even takes its sticky
+    bit from the digits below.  Left shifts, shifts of 63 bits or more past
+    the top digit, and outputs whose high digits do not fit one int64 take
+    the bit window below.  Returns the int64 words and the number of
+    saturated outputs.
     """
     bits, mask = acc.bits, (1 << acc.bits) - 1
     d = _carry(acc.digits, bits)
-    c = max(shift - 1, 0) // bits        # the digit holding the rounding bit
-    if shift >= 0 and c < len(d):
+    # the digit holding the rounding bit, or the top one
+    c = min(max(shift - 1, 0) // bits, len(d) - 1)
+    if 0 <= shift - bits * c < 63:
         top, room = d[-1], 63 - bits * (len(d) - 1 - c)
         if c == len(d) - 1 or (room >= 0 and top.min(initial=0) >= -(1 << room)
                                and top.max(initial=0) < 1 << room):

@@ -24,7 +24,6 @@ from .fxp import (
     BfpBlock,
     FxpFormat,
     FxpValue,
-    OpCounter,
     OverflowMode,
     RoundingMode,
     RoundingPolicy,
@@ -45,7 +44,6 @@ from .hwmodel import (
     svd_cost,
 )
 from .matrix_inversion import (
-    BankedOperand,
     CompiledPinv,
     CompiledSvd,
     InversionResult,

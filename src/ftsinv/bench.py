@@ -372,8 +372,7 @@ def sweep_precision(cfg: ExperimentConfig, setup: StudySetup | None = None) -> S
                 rank=(int(label) if method == "tsvd" else None),
                 fft_points=cfg.n,
             )
-            mults = getattr(telemetry, "mults", 0)
-            rows.append((method, bits, label, s, mults,
+            rows.append((method, bits, label, s, telemetry.mults,
                          cost.latency_cycles, cost.time_us))
     return SweepResult(columns, rows, _metadata(cfg, "sweep-precision"))
 
@@ -417,7 +416,7 @@ def run_comparison(cfg: ExperimentConfig, setup: StudySetup | None = None) -> Sw
             rank=(int(label) if method == "tsvd" else None), fft_points=cfg.n,
         )
         rows.append((method, cfg.bits, cfg.k, label, s,
-                     getattr(telemetry, "mults", 0), cost.latency_cycles,
+                     telemetry.mults, cost.latency_cycles,
                      cost.time_us, cost.dsp, cost.bram, cost.lut))
     return SweepResult(columns, rows, _metadata(cfg, "compare"))
 

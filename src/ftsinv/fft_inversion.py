@@ -43,7 +43,6 @@ from .fxp import (
     DATAPATH_POLICY,
     ENTRY_POLICY,
     FxpFormat,
-    OpCounter,
     RoundingMode,
     RoundingPolicy,
     _mac,
@@ -150,7 +149,9 @@ class FftPlan:
     """Immutable transform descriptor: size, formats, normalization mode.
 
     ``data_format is None`` selects the double-precision reference path; the
-    transform then runs the same butterfly schedule on float64 words.
+    transform then runs the same butterfly schedule on float64 words.  The
+    twiddle tables hold what the datapath reads: the words in
+    ``twiddle_format`` on a fixed-point plan, the doubles on an exact one.
     """
 
     n_points: int
@@ -160,10 +161,10 @@ class FftPlan:
     headroom_bits: int
     policy: RoundingPolicy
     _brev: np.ndarray = field(repr=False, default=None)
-    _tw_re: dict = field(repr=False, default=None)
-    _tw_im: dict = field(repr=False, default=None)
-    _dct_cos: dict = field(repr=False, default=None)
-    _dct_sin: dict = field(repr=False, default=None)
+    _tw_re: np.ndarray = field(repr=False, default=None)
+    _tw_im: np.ndarray = field(repr=False, default=None)
+    _dct_cos: np.ndarray = field(repr=False, default=None)
+    _dct_sin: np.ndarray = field(repr=False, default=None)
 
     @classmethod
     def make(
@@ -192,19 +193,12 @@ class FftPlan:
         if not (0 <= headroom_bits <= (bits - 2 if bits else 30)):
             raise ValueError("headroom_bits out of range")
 
-        k = np.arange(n_points // 2)
-        ang = -2.0 * np.pi * k / n_points
-        tw_re = {"f": np.cos(ang)}
-        tw_im = {"f": np.sin(ang)}
-        kd = np.arange(n_points)
-        angd = np.pi * kd / (2.0 * n_points)
-        dct_cos = {"f": np.cos(angd)}
-        dct_sin = {"f": np.sin(angd)}
+        ang = -2.0 * np.pi * np.arange(n_points // 2) / n_points
+        angd = np.pi * np.arange(n_points) / (2.0 * n_points)
+        tables = (np.cos(ang), np.sin(ang), np.cos(angd), np.sin(angd))
         if tw_fmt is not None:
-            tw_re["q"] = quantize_array(tw_re["f"], tw_fmt, ENTRY_POLICY)
-            tw_im["q"] = quantize_array(tw_im["f"], tw_fmt, ENTRY_POLICY)
-            dct_cos["q"] = quantize_array(dct_cos["f"], tw_fmt, ENTRY_POLICY)
-            dct_sin["q"] = quantize_array(dct_sin["f"], tw_fmt, ENTRY_POLICY)
+            tables = tuple(quantize_array(t, tw_fmt, ENTRY_POLICY) for t in tables)
+        tw_re, tw_im, dct_cos, dct_sin = tables
 
         return cls(
             n_points=n_points,
@@ -255,8 +249,7 @@ class FftResult:
 
 
 def butterfly_radix2(a, b, w, data_fmt: FxpFormat, twiddle_fmt: FxpFormat,
-                     policy: RoundingPolicy = DATAPATH_POLICY,
-                     counter: OpCounter | None = None):
+                     policy: RoundingPolicy = DATAPATH_POLICY):
     """Scalar radix-2 butterfly on complex mantissa pairs.
 
     ``a``, ``b`` are (re, im) integer mantissa pairs in the data format,
@@ -270,8 +263,6 @@ def butterfly_radix2(a, b, w, data_fmt: FxpFormat, twiddle_fmt: FxpFormat,
     wr, wi = int(w[0]), int(w[1])
     t_re = br * wr - bi * wi
     t_im = br * wi + bi * wr
-    if counter is not None:
-        counter.add(4)
     outs = []
     overflow = 0
     for sign in (1, -1):
@@ -328,7 +319,7 @@ def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):
 
 
 def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
-              counter: OpCounter, inverse: bool = False):
+              inverse: bool = False):
     """Stage loop shared by the fixed-point and double-precision paths.
 
     Input arrives in natural order and is loaded through the port in
@@ -343,9 +334,8 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
     re, im = mem.re, mem.im
 
     exact = plan.exact
-    key = "f" if exact else "q"
-    wre_all = plan._tw_re[key]
-    wim_all = -plan._tw_im[key] if inverse else plan._tw_im[key]
+    wre_all = plan._tw_re
+    wim_all = -plan._tw_im if inverse else plan._tw_im
     if not exact:
         fmt, width = plan.data_format, plan.data_format.total_bits
         wt, ft = plan.twiddle_format.total_bits, plan.twiddle_format.frac_bits
@@ -385,7 +375,6 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
                     v[:, j], nov = _requantize(sa.plus(t, sign), ft,
                                                RoundingMode.TRUNCATE, fmt)
                     telemetry.overflow_events += nov
-        counter.add(4 * (n // 2))
         telemetry.mults += 4 * (n // 2)
         telemetry.butterflies += n // 2
         telemetry.cycles += n // 2
@@ -400,7 +389,7 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
     return re_out, im_out, gamma
 
 
-def fft_bfp(x: np.ndarray, plan: FftPlan, counter: OpCounter | None = None) -> FftResult:
+def fft_bfp(x: np.ndarray, plan: FftPlan) -> FftResult:
     """Forward DFT of a complex vector on the planned datapath.
 
     Fixed-point plans quantize the input to the plan's headroom first; the
@@ -410,21 +399,19 @@ def fft_bfp(x: np.ndarray, plan: FftPlan, counter: OpCounter | None = None) -> F
     x = np.asarray(x, dtype=np.complex128)
     if x.size != plan.n_points:
         raise ValueError(f"input length {x.size} != plan size {plan.n_points}")
-    counter = counter or OpCounter()
     telemetry = FftTelemetry(plan.n_points, plan.mode)
     if plan.exact:
-        re, im, _ = _fft_core(x.real.copy(), x.imag.copy(), plan, telemetry, counter)
+        re, im, _ = _fft_core(x.real.copy(), x.imag.copy(), plan, telemetry)
         telemetry.final_exponent = 0
         return FftResult(re, im, 0, telemetry)
     re, im, g_in = quantize_complex_block(x, plan.data_format, plan.headroom_bits)
     telemetry.entry_exponent = g_in
-    re, im, g_core = _fft_core(re, im, plan, telemetry, counter)
+    re, im, g_core = _fft_core(re, im, plan, telemetry)
     telemetry.final_exponent = g_in + g_core
     return FftResult(re, im, g_in + g_core, telemetry)
 
 
 def fft_bfp_block(re, im, exponent: int, plan: FftPlan,
-                  counter: OpCounter | None = None,
                   inverse: bool = False) -> FftResult:
     """Transform pre-quantized mantissas (headroom must already be in place)."""
     if plan.exact:
@@ -436,11 +423,10 @@ def fft_bfp_block(re, im, exponent: int, plan: FftPlan,
         raise ValueError(
             f"input headroom {head} below the plan requirement {plan.headroom_bits}"
         )
-    counter = counter or OpCounter()
     telemetry = FftTelemetry(plan.n_points, plan.mode)
     telemetry.entry_exponent = exponent
     re_o, im_o, g_core = _fft_core(np.asarray(re), np.asarray(im), plan,
-                                   telemetry, counter, inverse=inverse)
+                                   telemetry, inverse=inverse)
     telemetry.final_exponent = exponent + g_core
     return FftResult(re_o, im_o, exponent + g_core, telemetry)
 
@@ -457,7 +443,7 @@ def _even_odd_unpermute(v: np.ndarray) -> np.ndarray:
     return x
 
 
-def dct2_via_fft(x: np.ndarray, plan: FftPlan, counter: OpCounter | None = None):
+def dct2_via_fft(x: np.ndarray, plan: FftPlan):
     """Unnormalized DCT-II: ``C_k = sum_n x_n cos(pi k (2n+1) / (2N))``.
 
     Computed as an N-point complex FFT of the even-odd permuted sequence
@@ -467,32 +453,28 @@ def dct2_via_fft(x: np.ndarray, plan: FftPlan, counter: OpCounter | None = None)
     n = plan.n_points
     if x.size != n:
         raise ValueError(f"input length {x.size} != plan size {n}")
-    counter = counter or OpCounter()
     v = _even_odd_permute(x)
 
     if plan.exact:
-        res = fft_bfp(v.astype(np.complex128), plan, counter)
-        c = res.re * plan._dct_cos["f"] + res.im * plan._dct_sin["f"]
+        res = fft_bfp(v.astype(np.complex128), plan)
+        c = res.re * plan._dct_cos + res.im * plan._dct_sin
         res.telemetry.dct_stage_mults += 2 * n
-        counter.add(2 * n)
         res.telemetry.mults += 2 * n
         return c, res.telemetry
 
     fmt = plan.data_format
     re, im, g0 = quantize_complex_block(v.astype(np.complex128), fmt,
                                         plan.headroom_bits)
-    res = fft_bfp_block(re, im, g0, plan, counter)
-    c_raw, nov = _twiddle_mac(plan, plan._dct_cos["q"], res.re,
-                              plan._dct_sin["q"], res.im, 1)
+    res = fft_bfp_block(re, im, g0, plan)
+    c_raw, nov = _twiddle_mac(plan, plan._dct_cos, res.re, plan._dct_sin, res.im, 1)
     res.telemetry.overflow_events += nov
     res.telemetry.dct_stage_mults += 2 * n
     res.telemetry.mults += 2 * n
-    counter.add(2 * n)
     values = np.asarray(c_raw, dtype=np.float64) * 2.0 ** res.exponent
     return values, res.telemetry
 
 
-def idct2_via_fft(c: np.ndarray, plan: FftPlan, counter: OpCounter | None = None):
+def idct2_via_fft(c: np.ndarray, plan: FftPlan):
     """Exact inverse of :func:`dct2_via_fft`'s sum convention.
 
     Implements the transposed pipeline: complex pre-twiddle, inverse FFT
@@ -504,10 +486,9 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan, counter: OpCounter | None = None
     n = plan.n_points
     if c.size != n:
         raise ValueError(f"input length {c.size} != plan size {n}")
-    counter = counter or OpCounter()
 
     if plan.exact:
-        cos_t, sin_t = plan._dct_cos["f"], plan._dct_sin["f"]
+        cos_t, sin_t = plan._dct_cos, plan._dct_sin
         c_rev = np.concatenate([[0.0], c[:0:-1]])      # C_{N-k}, zero at k=0
         v_re = c * cos_t + c_rev * sin_t
         v_im = c * sin_t - c_rev * cos_t
@@ -515,8 +496,7 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan, counter: OpCounter | None = None
         telemetry = FftTelemetry(n, plan.mode)
         telemetry.dct_stage_mults += 4 * n
         telemetry.mults += 4 * n
-        counter.add(4 * n)
-        re, im, _ = _fft_core(v_re, v_im, plan, telemetry, counter, inverse=True)
+        re, im, _ = _fft_core(v_re, v_im, plan, telemetry, inverse=True)
         x = _even_odd_unpermute(re / n)
         return x, telemetry
 
@@ -526,29 +506,27 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan, counter: OpCounter | None = None
     raw, _, g0 = quantize_complex_block(c.astype(np.complex128), fmt,
                                         plan.headroom_bits + 1)
     raw_rev = np.concatenate([raw[:1] * 0, raw[:0:-1]])
-    cos_t, sin_t = plan._dct_cos["q"], plan._dct_sin["q"]
+    cos_t, sin_t = plan._dct_cos, plan._dct_sin
     v_re, nov1 = _twiddle_mac(plan, cos_t, raw, sin_t, raw_rev, 1)
     v_im, nov2 = _twiddle_mac(plan, sin_t, raw, cos_t, raw_rev, -1)
     telemetry = FftTelemetry(n, plan.mode)
     telemetry.overflow_events += nov1 + nov2
     telemetry.dct_stage_mults += 4 * n
     telemetry.mults += 4 * n
-    counter.add(4 * n)
 
     # restore the plan headroom before the transform proper
     (v_re, v_im), shift = shift_block((v_re, v_im), fmt.total_bits,
                                       plan.headroom_bits, plan.policy.mode)
     gamma = g0 - shift
     telemetry.entry_exponent = gamma
-    re, im, g_core = _fft_core(v_re, v_im, plan, telemetry, counter, inverse=True)
+    re, im, g_core = _fft_core(v_re, v_im, plan, telemetry, inverse=True)
     exponent = gamma + g_core - plan.n_stages          # the 1/N of the inverse
     telemetry.final_exponent = exponent
     x_raw = _even_odd_unpermute(re)
     return np.asarray(x_raw, dtype=np.float64) * 2.0 ** exponent, telemetry
 
 
-def reconstruct_fft(y_norm: Interferogram, plan: FftPlan,
-                    counter: OpCounter | None = None):
+def reconstruct_fft(y_norm: Interferogram, plan: FftPlan):
     """Spectrum estimate from a normalized interferogram via the inverse DCT.
 
     The route requires a regular OPD grid and a square problem
@@ -567,6 +545,6 @@ def reconstruct_fft(y_norm: Interferogram, plan: FftPlan,
         )
     # the cosine-transform lattice implies this bandwidth
     bandwidth = 1.0 / (2.0 * step)
-    values, telemetry = idct2_via_fft(2.0 * y_norm.values, plan, counter)
+    values, telemetry = idct2_via_fft(2.0 * y_norm.values, plan)
     spectrum = Spectrum(values, SpectralGrid(plan.n_points, bandwidth))
     return spectrum, telemetry

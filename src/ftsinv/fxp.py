@@ -116,22 +116,6 @@ class FxpValue:
         return self.fmt.value_of(self.raw)
 
 
-class OpCounter:
-    """Per-datapath multiplier tally.
-
-    One instance per inversion/transform invocation; never shared between
-    concurrent datapaths.
-    """
-
-    __slots__ = ("mults",)
-
-    def __init__(self):
-        self.mults = 0
-
-    def add(self, n: int) -> None:
-        self.mults += n
-
-
 # ---------------------------------------------------------------------------
 # integer rounding / overflow primitives
 # ---------------------------------------------------------------------------
@@ -179,15 +163,12 @@ def fxp_mul(
     b: FxpValue,
     out_fmt: FxpFormat,
     policy: RoundingPolicy = DATAPATH_POLICY,
-    counter: OpCounter | None = None,
 ) -> FxpValue:
     """Exact double-width product realigned and rounded to ``out_fmt``."""
     prod = a.raw * b.raw                      # exact, arbitrary precision
     shift = a.fmt.frac_bits + b.fmt.frac_bits - out_fmt.frac_bits
     raw = rshift_round(prod, shift, policy.mode)
     raw, _ = apply_overflow(raw, out_fmt, policy.overflow)
-    if counter is not None:
-        counter.add(1)
     return FxpValue(raw, out_fmt)
 
 

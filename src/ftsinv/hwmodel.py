@@ -155,23 +155,9 @@ def default_calibration() -> CalibrationTable:
     return _DEFAULT
 
 
-def _interp_int(table: dict, k: int) -> int:
+def _interp(table: dict, k: int) -> float:
+    """An anchor row at K: linear between anchors, held at the end anchors."""
     ks = sorted(table)
-    if k in table:
-        return int(round(table[k]))
-    if k <= ks[0]:
-        return int(round(table[ks[0]]))
-    if k >= ks[-1]:
-        return int(round(table[ks[-1]]))
-    return int(round(float(np.interp(k, ks, [table[i] for i in ks]))))
-
-
-def _interp_float(table: dict, k: int) -> float:
-    ks = sorted(table)
-    if k <= ks[0]:
-        return float(table[ks[0]])
-    if k >= ks[-1]:
-        return float(table[ks[-1]])
     return float(np.interp(k, ks, [table[i] for i in ks]))
 
 
@@ -195,9 +181,9 @@ def pinv_cost(k: int, calib: CalibrationTable | None = None,
     return HwCost(
         dsp=k * int(calib["pinv.dsp_per_memory"]),
         bram=int(calib["pinv.ram"]),
-        lut=_interp_int(calib.pinv_lut, k),
+        lut=round(_interp(calib.pinv_lut, k)),
         latency_cycles=cycles,
-        fmax_mhz=_interp_float(calib.pinv_fmax, k),
+        fmax_mhz=_interp(calib.pinv_fmax, k),
     )
 
 
@@ -224,10 +210,10 @@ def svd_cost(k: int, calib: CalibrationTable | None = None,
     cycles = math.ceil(work / k) + round(fit.intercept)
     return HwCost(
         dsp=k * int(calib["svd.dsp_per_memory"]),
-        bram=_interp_int(calib.svd_ram, k),
-        lut=_interp_int(calib.svd_lut, k),
+        bram=round(_interp(calib.svd_ram, k)),
+        lut=round(_interp(calib.svd_lut, k)),
         latency_cycles=cycles,
-        fmax_mhz=_interp_float(calib.svd_fmax, k),
+        fmax_mhz=_interp(calib.svd_fmax, k),
     )
 
 

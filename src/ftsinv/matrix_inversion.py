@@ -7,7 +7,8 @@ the hardware splits it:
 
 * **compile** (:func:`compile_pinv`, :func:`compile_svd`) quantizes the
   coefficient matrices for one word width and lays them out in K row
-  partitions: what is written to on-chip RAM once;
+  partitions (plain ``np.array_split`` pieces, one per memory): what is
+  written to on-chip RAM once;
 * **run** (:func:`reconstruct_pinv`, :func:`reconstruct_svd`) streams one
   acquisition, and on the SVD route one penalized diagonal, through them.
   Given a matrix or factors instead of a compiled datapath, the run step
@@ -19,7 +20,8 @@ Every fixed-point product accumulates exactly in the package's one MAC,
 kernel, :func:`_banked_mac`, runs the pseudo-inverse and products 1 (column
 scaling of V) and 3 of the SVD route per row partition; product 2 (U^T y)
 is one accumulator over all of U^T, shared by the runs of a rank or ridge
-sweep.  The double-precision reference is not hardware: it computes each
+sweep.  Each run counts the multiplies its products issue in its own
+telemetry.  The double-precision reference is not hardware: it computes each
 product whole, so its output is the same at every K.
 """
 
@@ -35,7 +37,6 @@ from .errors import SvdConvergenceError
 from .fxp import (
     DATAPATH_POLICY,
     FxpFormat,
-    OpCounter,
     RoundingPolicy,
     _guard_bits,
     _mac,
@@ -212,33 +213,6 @@ def pinv_matrix(f: SvdFactors, drop_tol: float = 1e-12) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BankedOperand:
-    """Row partition of a matrix across K independent memories."""
-
-    partitions: list
-
-    def __post_init__(self):
-        if not self.partitions:
-            raise ValueError("at least one partition required")
-        self.partitions = [np.atleast_2d(np.asarray(p)) for p in self.partitions]
-
-    @classmethod
-    def split(cls, matrix: np.ndarray, k: int) -> "BankedOperand":
-        matrix = np.atleast_2d(np.asarray(matrix))
-        rows = matrix.shape[0]
-        if not (1 <= k <= rows):
-            raise ValueError(f"partition count must be in [1, {rows}], got {k}")
-        return cls(list(np.array_split(matrix, k, axis=0)))
-
-    @property
-    def k(self) -> int:
-        return len(self.partitions)
-
-    def reassemble(self) -> np.ndarray:
-        return np.vstack(self.partitions)
-
-
-@dataclass
 class InversionTelemetry:
     method: str
     mults: int = 0
@@ -274,27 +248,27 @@ def _accumulator_bits(mat_fmt: FxpFormat, vec_fmt: FxpFormat, terms: int) -> int
     return mat_fmt.total_bits + vec_fmt.total_bits + _guard_bits(terms)
 
 
-def _banked_mac(parts: list, op, vec: np.ndarray, fmts: tuple, counter: OpCounter,
-                policy: RoundingPolicy):
+def _banked_mac(parts: list, op, vec: np.ndarray, fmts: tuple, policy: RoundingPolicy):
     """One MAC stream per bank: ``op(part, vec)`` of each partition's
     coefficient words by one vector of words, accumulated exactly and
     rounded and saturated once per output.  ``op`` is ``np.matmul`` (a
     matrix-vector product) or ``np.multiply`` (column scaling, one product
     per entry); ``fmts`` are the coefficient, vector and output formats.
 
-    Returns the output partitions and the number of saturated outputs.
+    Returns the output partitions, the number of saturated outputs and the
+    number of multiplies issued, ``part.shape[0] * vec.size`` per partition.
     """
     mat_fmt, vec_fmt, out_fmt = fmts
     guard = _guard_bits(vec.size) if op is np.matmul else 0
     shift = mat_fmt.frac_bits + vec_fmt.frac_bits - out_fmt.frac_bits
-    outs, overflows = [], 0
+    outs, overflows, mults = [], 0, 0
     for part in parts:
         wide = _mac(part, vec, mat_fmt.total_bits, vec_fmt.total_bits, guard, op)
         out, nov = _requantize(wide, shift, policy.mode, out_fmt)
         overflows += nov
-        counter.add(part.shape[0] * vec.size)
+        mults += part.shape[0] * vec.size
         outs.append(out)
-    return outs, overflows
+    return outs, overflows, mults
 
 
 def _samples(y) -> np.ndarray:
@@ -333,34 +307,33 @@ def _datapath(source, compiled_type, compile_fn, fmt, k):
 class CompiledPinv:
     """A pseudo-inverse in K row-banked coefficient memories.
 
-    ``banked`` holds the coefficient words in ``mat_fmt``, or the doubles
-    when ``fmt`` is None.  ``matrix`` is the whole double-precision matrix:
-    the double reference's one product, and where a fixed-point run fixes
-    its output binary point.
+    ``matrix`` is the whole double-precision matrix: the double reference's
+    one product, and where a fixed-point run fixes its output binary point.
+    ``parts`` are the coefficient words in ``mat_fmt``, split into ``k`` row
+    partitions; the double reference reads none, so it holds none.
     """
 
-    banked: BankedOperand
-    fmt: object
     matrix: np.ndarray
+    fmt: object
+    k: int
     mat_fmt: FxpFormat | None = None
-
-    @property
-    def k(self) -> int:
-        return self.banked.k
+    parts: list = field(default_factory=list)
 
 
 def compile_pinv(adag, fmt=None, k: int = 1) -> CompiledPinv:
-    """Quantize ``adag`` (a matrix or an already-split
-    :class:`BankedOperand`) for the datapath ``fmt`` and lay it out in ``k``
-    row partitions; see :func:`reconstruct_pinv` for ``fmt``."""
-    banked = adag if isinstance(adag, BankedOperand) else BankedOperand.split(adag, k)
-    full = banked.reassemble()
+    """Quantize the matrix ``adag`` once for the datapath ``fmt`` and lay its
+    words out in ``k`` row partitions, ``1 <= k <= N``; see
+    :func:`reconstruct_pinv` for ``fmt``."""
+    matrix = np.atleast_2d(np.asarray(adag))
+    n = matrix.shape[0]
+    if not (1 <= k <= n):
+        raise ValueError(f"partition count must be in [1, {n}], got {k}")
     width = _resolve_width(fmt)
     if width is None:
-        return CompiledPinv(banked, None, full)
-    mat_fmt = _tensor_format(fmt, width, full)
-    words = BankedOperand([quantize_array(p, mat_fmt) for p in banked.partitions])
-    return CompiledPinv(words, fmt, full, mat_fmt)
+        return CompiledPinv(matrix, None, k)
+    mat_fmt = _tensor_format(fmt, width, matrix)
+    return CompiledPinv(matrix, fmt, k, mat_fmt,
+                        np.array_split(quantize_array(matrix, mat_fmt), k))
 
 
 def reconstruct_pinv(
@@ -369,43 +342,39 @@ def reconstruct_pinv(
     fmt=_UNSET,
     k: int = _UNSET,
     policy: RoundingPolicy = DATAPATH_POLICY,
-    counter: OpCounter | None = None,
 ) -> InversionResult:
     """``x_hat = A_dagger y`` on K independent row-banked MAC streams.
 
-    ``adag`` is the pseudo-inverse matrix, an already-split
-    :class:`BankedOperand`, or a :class:`CompiledPinv`.  ``fmt`` selects the
-    datapath: ``None`` (the default) for the double-precision reference, an
-    integer word width (per-tensor binary points are then derived from the
-    operand ranges), or an explicit :class:`~ftsinv.fxp.FxpFormat` used
-    verbatim for every operand; ``k`` defaults to 1.  A compiled datapath
-    fixes both: left out, they are its own; given, they must equal them, or
-    :class:`ValueError` is raised.
+    ``adag`` is the pseudo-inverse matrix or a :class:`CompiledPinv`.
+    ``fmt`` selects the datapath: ``None`` (the default) for the
+    double-precision reference, an integer word width (per-tensor binary
+    points are then derived from the operand ranges), or an explicit
+    :class:`~ftsinv.fxp.FxpFormat` used verbatim for every operand; ``k``
+    defaults to 1.  A compiled datapath fixes both: left out, they are its
+    own; given, they must equal them, or :class:`ValueError` is raised.
     """
     y = _samples(y)
     datapath = _datapath(adag, CompiledPinv, compile_pinv, fmt, k)
     n, m = datapath.matrix.shape
     if y.size != m:
         raise ValueError(f"interferogram length {y.size} != matrix columns {m}")
-    counter = counter or OpCounter()
     telemetry = InversionTelemetry(method="pinv", k=datapath.k, scheme="pinv")
 
     width = _resolve_width(datapath.fmt)
     x_ref = datapath.matrix @ y
     if width is None:
         x_hat = x_ref
-        counter.add(n * m)
+        telemetry.mults = n * m
     else:
         mat_fmt = datapath.mat_fmt
         vec_fmt = _tensor_format(datapath.fmt, width, y)
         out_fmt = _tensor_format(datapath.fmt, width, x_ref)    # the output scale
-        outs, telemetry.overflow_events = _banked_mac(
-            datapath.banked.partitions, np.matmul, quantize_array(y, vec_fmt),
-            (mat_fmt, vec_fmt, out_fmt), counter, policy)
+        outs, telemetry.overflow_events, telemetry.mults = _banked_mac(
+            datapath.parts, np.matmul, quantize_array(y, vec_fmt),
+            (mat_fmt, vec_fmt, out_fmt), policy)
         telemetry.accumulator_bits = _accumulator_bits(mat_fmt, vec_fmt, m)
         x_hat = dequantize_array(np.concatenate(outs), out_fmt)
         telemetry.data_format = f"{width}-bit ({mat_fmt.describe()} coeffs)"
-    telemetry.mults = counter.mults
     telemetry.latency_cycles = hwmodel.method_cost("pinv", datapath.k, n=n, m=m).latency_cycles
     return InversionResult(x_hat, telemetry)
 
@@ -473,7 +442,6 @@ def reconstruct_svd(
     fmt=_UNSET,
     k: int = _UNSET,
     policy: RoundingPolicy = DATAPATH_POLICY,
-    counter: OpCounter | None = None,
 ) -> InversionResult:
     """Three-product reconstruction ``x_hat = (V Z) (U^T y)`` at runtime.
 
@@ -493,7 +461,6 @@ def reconstruct_svd(
         raise ValueError(f"interferogram length {y.size} != matrix rows {m}")
     if z.zeta.size != r:
         raise ValueError("penalized diagonal length does not match the factors")
-    counter = counter or OpCounter()
     scheme_name = "tik" if isinstance(z.scheme, Tikhonov) else "tsvd"
     telemetry = InversionTelemetry(method=scheme_name, k=k, scheme=z.describe())
 
@@ -514,7 +481,7 @@ def reconstruct_svd(
     width = _resolve_width(datapath.fmt)
     if width is None:
         x_hat = x_ref
-        counter.add(rank * (2 * n + m))
+        telemetry.mults = rank * (2 * n + m)
     else:
         fmt = datapath.fmt
         v_colmax = datapath.v_colmax[kept]
@@ -529,24 +496,24 @@ def reconstruct_svd(
         y_raw = quantize_array(y, fmt_y)
 
         # product 1: column scaling of V by the penalized diagonal
-        o1, nov1 = _banked_mac(
+        o1, nov1, mults1 = _banked_mac(
             np.array_split(datapath.words("v", fmt_v)[:, kept], k), np.multiply,
-            quantize_array(zk, fmt_z), (fmt_v, fmt_z, fmt_o1), counter, policy)
+            quantize_array(zk, fmt_z), (fmt_v, fmt_z, fmt_o1), policy)
         # product 2: U^T y, from the accumulator shared across diagonals;
         # the output stage is elementwise, so its banks need no split
         o2, nov2 = _requantize(datapath.ut_y(fmt_u, y_raw, fmt_y)[kept],
                                fmt_u.frac_bits + fmt_y.frac_bits - fmt_o2.frac_bits,
                                policy.mode, fmt_o2)
-        counter.add(rank * m)
+        mults2 = rank * m
         # product 3: O1 O2, each bank on the rows product 1 left in it
-        x_raw, nov3 = _banked_mac(o1, np.matmul, o2, (fmt_o1, fmt_o2, fmt_x), counter,
-                                  policy)
+        x_raw, nov3, mults3 = _banked_mac(o1, np.matmul, o2, (fmt_o1, fmt_o2, fmt_x),
+                                          policy)
+        telemetry.mults = mults1 + mults2 + mults3
         telemetry.overflow_events = nov1 + nov2 + nov3
         telemetry.accumulator_bits = _accumulator_bits(fmt_u, fmt_y, m)
         x_hat = dequantize_array(np.concatenate(x_raw), fmt_x)
         telemetry.data_format = f"{width}-bit"
 
-    telemetry.mults = counter.mults
     telemetry.latency_cycles = hwmodel.method_cost(scheme_name, k, n=n, m=m,
                                                    rank=rank).latency_cycles
     return InversionResult(x_hat, telemetry)

@@ -144,3 +144,42 @@ def test_removed_flags_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+def _csv(text):
+    """(metadata, header, rows) of a sweep CSV."""
+    lines = text.splitlines()
+    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    table = [line.split(",") for line in lines if not line.startswith("#")]
+    return meta, table[0], table[1:]
+
+
+def test_compare_writes_one_row_per_method(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert cli.main(["compare", "--kind", "cosine", "--n", "16", "--m", "16",
+                     "--seed", "1", "--bits", "12", "--out", str(out)]) == 0
+    meta, header, rows = _csv(out.read_text())
+    assert meta["operation"] == "compare"
+    assert header == ["method", "bits", "k", "reg_param", "snr_db", "mults",
+                      "latency_cycles", "time_us", "dsp", "bram", "lut"]
+    assert [r[0] for r in rows] == list(bench.ALL_METHODS)
+    assert all(len(r) == len(header) for r in rows)
+    mults = {r[0]: int(r[header.index("mults")]) for r in rows}
+    # inverse DCT twiddles plus 4 per butterfly slot; one per pinv MAC
+    assert mults["fft"] == 4 * 16 + 4 * 8 * 4
+    assert mults["pinv"] == 16 * 16
+    assert "4 rows" in capsys.readouterr().out
+
+
+def test_costs_prints_csv_with_ratios(capsys):
+    assert cli.main(["costs", "--out", "-"]) == 0
+    meta, header, rows = _csv(capsys.readouterr().out)
+    assert meta["operation"] == "costs"
+    assert header == ["method", "k", "latency_cycles", "fmax_mhz", "time_us",
+                      "dsp", "bram", "lut"]
+    assert [(r[0], r[1]) for r in rows] == [
+        ("fft", "1"), ("pinv", "1"), ("pinv", "6"), ("tsvd", "1"), ("tik", "1"),
+        ("tsvd", "6"), ("tik", "6")]
+    assert float(meta["ratio.time_pinv_k1_over_fft"]) == pytest.approx(8.0, rel=0.15)
+    assert float(meta["ratio.opcount_svd_over_pinv_square"]) == 3.0
+    assert not any(key.startswith("flag.") for key in meta)

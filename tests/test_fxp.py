@@ -14,7 +14,6 @@ from ftsinv.fxp import (
     BfpBlock,
     FxpFormat,
     FxpValue,
-    OpCounter,
     OverflowMode,
     RoundingMode,
     RoundingPolicy,
@@ -132,14 +131,6 @@ class TestMulAdd:
             want = math.floor(exact * fo.scale)
             want = min(max(want, fo.min_raw), fo.max_raw)
             assert got == want
-
-    def test_mul_counter(self):
-        fmt = FxpFormat(8, 7)
-        c = OpCounter()
-        v = FxpValue(10, fmt)
-        for _ in range(5):
-            fxp_mul(v, v, fmt, counter=c)
-        assert c.mults == 5
 
     def test_add_identity_and_saturation(self):
         fmt = FxpFormat(8, 7)

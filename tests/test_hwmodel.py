@@ -1,5 +1,7 @@
 """Cost model: anchor fidelity, structural terms, telemetry cross-validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,41 @@ class TestResources:
                 dsp, bram, _ = hwmodel.resource_table(method, k)
                 assert dsp == 2 * k
                 assert bram == ram_row[k]
+
+
+def _gap_calibration():
+    """The shipped calibration with only the K = 1 and K = 4 anchors."""
+    text = hwmodel.resources.files("ftsinv.data").joinpath("calibration.txt").read_text()
+    kept = [line for line in text.splitlines()
+            if not re.match(r"\s*(pinv|svd)\.\w+\.k[2356]\s*=", line)]
+    return hwmodel.CalibrationTable.parse("\n".join(kept))
+
+
+class TestOffAnchorK:
+    """Resources and fmax between and beyond the measured K anchors: held at
+    the last anchor past either end, linear in K between two anchors."""
+
+    # (calibration, method, k): (dsp, bram, lut), latency_cycles, fmax_mhz
+    PINNED = {
+        (None, "pinv", 7): ((7, 27, 6670), 8350, 147.776),
+        (None, "pinv", 16): ((16, 27, 6670), 4067, 147.776),
+        (None, "tsvd", 7): ((14, 78, 8176), 22792, 185.49),
+        (None, "tsvd", 16): ((32, 78, 8176), 10422, 185.49),
+        ("gap", "pinv", 2): ((2, 27, 6451), 27331, 148.86333333333334),
+        ("gap", "pinv", 3): ((3, 27, 6511), 18453, 148.31666666666666),
+        ("gap", "tsvd", 2): ((4, 75, 7556), 77703, 152.76333333333332),
+        ("gap", "tsvd", 3): ((6, 78, 7616), 52047, 160.32666666666665),
+    }
+
+    @pytest.mark.parametrize("key", PINNED)
+    def test_pinned(self, key):
+        calib = _gap_calibration() if key[0] == "gap" else None
+        _, method, k = key
+        resources, cycles, fmax = self.PINNED[key]
+        assert hwmodel.resource_table(method, k, calib) == resources
+        cost = hwmodel.method_cost(method, k, calib)
+        assert cost.latency_cycles == cycles
+        assert cost.fmax_mhz == pytest.approx(fmax, rel=1e-12)
 
 
 class TestCompareMethods:

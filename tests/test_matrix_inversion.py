@@ -13,7 +13,6 @@ import ftsinv as fi
 from ftsinv.errors import SvdConvergenceError
 from ftsinv.fxp import (
     FxpFormat,
-    OpCounter,
     OverflowMode,
     RoundingMode,
     RoundingPolicy,
@@ -22,10 +21,10 @@ from ftsinv.fxp import (
     _mac,
     _requantize,
     apply_overflow,
+    quantize_array,
     rshift_round,
 )
 from ftsinv.matrix_inversion import (
-    BankedOperand,
     Pinv,
     SvdFactors,
     Tikhonov,
@@ -167,20 +166,23 @@ class TestPinvMatrix:
         assert np.all(np.isfinite(adag))
 
 
-class TestBankedOperand:
+class TestCompilePinvBanks:
     def test_partition_sizes(self):
         m = np.arange(22 * 3).reshape(22, 3).astype(float)
-        banked = BankedOperand.split(m, 4)
-        sizes = [p.shape[0] for p in banked.partitions]
+        datapath = compile_pinv(m, 16, k=4)
+        sizes = [p.shape[0] for p in datapath.parts]
         assert sizes == [6, 6, 5, 5]            # ceil/floor split
-        assert np.array_equal(banked.reassemble(), m)
+        assert np.array_equal(np.vstack(datapath.parts),
+                              quantize_array(m, datapath.mat_fmt))
+        assert compile_pinv(m, None, k=4).parts == []   # the double path reads none
 
-    def test_k_bounds(self):
+    @pytest.mark.parametrize("fmt", [None, 16])
+    def test_k_bounds(self, fmt):
         m = np.zeros((4, 2))
-        with pytest.raises(ValueError):
-            BankedOperand.split(m, 5)
-        with pytest.raises(ValueError):
-            BankedOperand.split(m, 0)
+        for k in (0, 5):
+            with pytest.raises(ValueError, match="partition count"):
+                compile_pinv(m, fmt, k)
+        assert compile_pinv(m, fmt, 4).k == 4
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +346,17 @@ class TestCompiledDatapaths:
         assert np.array_equal(got.x_hat, want.x_hat)
         assert got.telemetry == want.telemetry
 
+    @pytest.mark.parametrize("fmt", [12, None])
+    def test_each_run_counts_its_own_mults(self, tall_problem, fmt):
+        """A compiled datapath run twice reports its multiplies once per run,
+        also when product 2 reuses the cached U^T y accumulator."""
+        _, f, adag, _, y = tall_problem
+        pinv = compile_pinv(adag, fmt, k=2)
+        svd, z = compile_svd(f, fmt, k=2), penalize(f.xi, Tsvd(4))
+        for _ in range(2):
+            assert reconstruct_pinv(pinv, y).telemetry.mults == 16 * 20
+            assert reconstruct_svd(svd, z, y).telemetry.mults == 4 * (2 * 16 + 20)
+
     def test_compiled_format_and_k_are_fixed(self, tall_problem):
         _, f, adag, _, y = tall_problem
         z = penalize(f.xi, Tsvd(4))
@@ -423,22 +436,21 @@ class TestLimbKernel:
         min_raw = FxpFormat(width, 0).min_raw
         vectors = (_kernel_operands(width, (2, m), rng)[-1],
                    np.full(m, min_raw, dtype=np.int64))
-        banked = BankedOperand.split(a, 3)
+        parts = np.array_split(a, 3)
         for b in vectors:
             exact = [sum(int(x) * int(v) for x, v in zip(row, b)) for row in a]
             for shift in (-3, 0, width - 1, width + 5, 2 * width - 2):
                 mat_fmt, vec_fmt, out_fmt = _shift_formats(width, shift)
                 for mode in RoundingMode:
-                    counter = OpCounter()
-                    outs, overflows = _banked_mac(
-                        banked.partitions, np.matmul, b, (mat_fmt, vec_fmt, out_fmt),
-                        counter, RoundingPolicy(mode))
+                    outs, overflows, mults = _banked_mac(
+                        parts, np.matmul, b, (mat_fmt, vec_fmt, out_fmt),
+                        RoundingPolicy(mode))
                     out = np.concatenate(outs)
                     want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                     assert out.dtype == np.int64
                     assert out.tolist() == want, (shift, mode)
                     assert overflows == want_over
-                    assert counter.mults == a.size
+                    assert mults == a.size
 
     @pytest.mark.parametrize("width", [33, 40, 48, 64])
     def test_scale_matches_python_ints(self, width):
@@ -449,12 +461,13 @@ class TestLimbKernel:
             exact = [int(x) * int(v) for row in a for x, v in zip(row, d)]
             mat_fmt, diag_fmt, out_fmt = _shift_formats(width, shift)
             for mode in RoundingMode:
-                scaled, overflows = _banked_mac(
-                    BankedOperand.split(a, 2).partitions, np.multiply, d,
-                    (mat_fmt, diag_fmt, out_fmt), OpCounter(), RoundingPolicy(mode))
+                scaled, overflows, mults = _banked_mac(
+                    np.array_split(a, 2), np.multiply, d,
+                    (mat_fmt, diag_fmt, out_fmt), RoundingPolicy(mode))
                 want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                 assert np.vstack(scaled).ravel().tolist() == want, (shift, mode)
                 assert overflows == want_over
+                assert mults == a.size
 
     @pytest.mark.parametrize("fills", [("max_raw", "max_raw"), ("min_raw", "min_raw"),
                                        ("max_raw", "min_raw")])
@@ -476,9 +489,9 @@ class TestLimbKernel:
         for shift in (-3, 0, width - 1, width + 7, 2 * width - 2):
             mat_fmt, vec_fmt, out_fmt = _shift_formats(width, shift)
             for mode in RoundingMode:
-                outs, overflows = _banked_mac(
-                    BankedOperand.split(a, 2).partitions, np.matmul, b,
-                    (mat_fmt, vec_fmt, out_fmt), OpCounter(), RoundingPolicy(mode))
+                outs, overflows, _ = _banked_mac(
+                    np.array_split(a, 2), np.matmul, b,
+                    (mat_fmt, vec_fmt, out_fmt), RoundingPolicy(mode))
                 want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                 assert np.concatenate(outs).tolist() == want, (shift, mode)
                 assert overflows == want_over

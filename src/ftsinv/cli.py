@@ -177,7 +177,7 @@ def _cmd_invert(args) -> int:
             f"matrix rows {a.shape[0]} != interferogram length {y.values.size}"
         )
     factors = svd_factorize(a)
-    k = args.k or 1
+    k = args.k if args.k is not None else 1
     if method == "pinv":
         res = reconstruct_pinv(pinv_matrix(factors), y, fmt=args.bits, k=k)
     elif method == "tsvd":

@@ -10,7 +10,11 @@ whose products are exact in int64 (the error-free splitting of Ozaki, Ogita,
 Oishi and Rump, Numer. Algorithms, 2012), summed uncarried into base-2^b
 int64 digits.  Each accumulator is carried once, at the output stage, and
 its high digits collapse into one int64 wherever they fit, so a wide output
-costs one shift, rounding and saturation, as a one-digit output does.
+costs one shift, rounding and saturation, as a one-digit output does.  A
+matrix product whose partial sums all stay within 2^52 (words up to 23 bits
+at 256 terms) runs as one float64 BLAS product instead: every integer it
+forms is then exact in float64, by the same argument, and numpy has no BLAS
+for int64.
 
 Conventions:
   * two's-complement signed rasters, ``value = raw * 2**(-frac_bits)``
@@ -93,10 +97,14 @@ class FxpFormat:
         known coefficient range."""
         if max_abs <= 0 or not math.isfinite(max_abs):
             return cls(total_bits, total_bits - 1)
-        frac = total_bits - 1
-        while frac > 0 and round(max_abs * (1 << frac)) > (1 << (total_bits - 1)) - 1:
+        # max_abs = m * 2**e with 0.5 <= m < 1: with frac = total_bits - 1 - e
+        # it scales to m * 2**(total_bits - 1), which fits unless it rounds
+        # up to 2**(total_bits - 1); one fractional bit fewer always fits
+        m, e = math.frexp(max_abs)
+        frac = total_bits - 1 - e
+        if round(math.ldexp(m, total_bits - 1)) > (1 << (total_bits - 1)) - 1:
             frac -= 1
-        return cls(total_bits, frac)
+        return cls(total_bits, min(max(frac, 0), total_bits - 1))
 
     def describe(self) -> str:
         return f"Q{self.total_bits - self.frac_bits}.{self.frac_bits}"
@@ -347,6 +355,8 @@ def dequantize_array(raw: np.ndarray, fmt: FxpFormat) -> np.ndarray:
 
 _SAFE_BITS = 62     # sums of 2**guard products stay within 2**62; the spare
                     # bit of an int64 absorbs lazy digit sums and their carry
+_FLOAT_EXACT_BITS = 52  # sums of 2**guard products within 2**52 are integers
+                        # float64 holds exactly, so a matmul of them may run on BLAS
 
 
 def _guard_bits(terms: int) -> int:
@@ -462,7 +472,16 @@ def _mac(a: np.ndarray, b: np.ndarray, wa: int, wb: int, guard: int, op) -> _Wid
     ``2**guard`` products) or ``np.multiply``, computed in int64 limb by
     limb.  A ``guard`` above 0 with ``np.multiply`` leaves room for
     :meth:`_Wide.plus` to sum up to ``2**guard`` such products.  Each limb
-    product lands in its digit uncarried."""
+    product lands in its digit uncarried.
+
+    A matmul whose sums stay within ``2**_FLOAT_EXACT_BITS`` runs as one
+    float64 BLAS product: every word, product and partial sum is then an
+    integer that float64 holds exactly, in any order of summation and with
+    or without fused multiply-adds, so it gives the int64 product's bits.
+    Every other product runs in int64."""
+    if op is np.matmul and wa + wb - 2 + guard <= _FLOAT_EXACT_BITS:
+        exact = np.matmul(a.astype(np.float64), b.astype(np.float64))
+        return _Wide([exact.astype(np.int64)], _SAFE_BITS)
     bits, split_a = _limb_plan(wa, wb, guard)
     if bits is None:
         return _Wide([op(a, b)], _SAFE_BITS)

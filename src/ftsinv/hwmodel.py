@@ -161,23 +161,38 @@ def _interp(table: dict, k: int) -> float:
     return float(np.interp(k, ks, [table[i] for i in ks]))
 
 
-def pinv_cost(k: int, calib: CalibrationTable | None = None,
-              n: int | None = None, m: int | None = None) -> HwCost:
-    """Cost of the pseudo-inverse route with K row-banked memories.
-
-    With explicit problem sizes the work term is ``N*M`` MAC issues (one per
-    cycle per memory); without them the fitted anchor-scale work is used, so
-    the model reproduces the measured sweep.
-    """
+def latency_cycles(method: str, k: int, calib: CalibrationTable | None = None,
+                   n: int | None = None, m: int | None = None,
+                   rank: int | None = None) -> int:
+    """Latency of a matrix route with K row-banked memories: the work over K
+    plus the route's fitted intercept.  With explicit sizes the work is one
+    MAC issue per cycle per memory, ``N*M`` for ``"pinv"`` and
+    ``rank * (2N + M)`` for ``"tsvd"``/``"tik"`` (rank defaulting to
+    ``min(N, M)``); without them it is the fitted anchor-scale work, so the
+    model reproduces the measured sweep."""
     if k < 1:
         raise ConfigError("K must be >= 1")
     calib = calib or default_calibration()
-    fit = calib.pinv_fit
-    if n is not None and m is not None:
-        work = n * m * calib["mac.cycles_per_op"]
+    sized = n is not None and m is not None
+    if method == "pinv":
+        fit, ops = calib.pinv_fit, n * m if sized else None
+    elif method in ("tsvd", "tik"):
+        if rank is not None and not sized:
+            raise ConfigError("rank scaling requires explicit n and m")
+        fit = calib.svd_fit
+        ops = (rank if rank is not None else min(n, m)) * (2 * n + m) if sized else None
     else:
-        work = fit.slope
-    cycles = math.ceil(work / k) + round(fit.intercept)
+        raise ConfigError(f"unknown matrix method {method!r}")
+    work = fit.slope if ops is None else ops * calib["mac.cycles_per_op"]
+    return math.ceil(work / k) + round(fit.intercept)
+
+
+def pinv_cost(k: int, calib: CalibrationTable | None = None,
+              n: int | None = None, m: int | None = None) -> HwCost:
+    """Cost of the pseudo-inverse route with K row-banked memories; see
+    :func:`latency_cycles`."""
+    cycles = latency_cycles("pinv", k, calib, n=n, m=m)
+    calib = calib or default_calibration()
     return HwCost(
         dsp=k * int(calib["pinv.dsp_per_memory"]),
         bram=int(calib["pinv.ram"]),
@@ -190,24 +205,11 @@ def pinv_cost(k: int, calib: CalibrationTable | None = None,
 def svd_cost(k: int, calib: CalibrationTable | None = None,
              n: int | None = None, m: int | None = None,
              rank: int | None = None) -> HwCost:
-    """Cost of the penalized-SVD route (truncation or ridge).
-
-    The work term is ``rank * (2N + M)``; a reduced truncation rank scales
-    the latency proportionally.  DSP usage doubles per memory because two
-    products are in flight.
-    """
-    if k < 1:
-        raise ConfigError("K must be >= 1")
+    """Cost of the penalized-SVD route (truncation or ridge); see
+    :func:`latency_cycles`.  DSP usage doubles per memory because two
+    products are in flight."""
+    cycles = latency_cycles("tsvd", k, calib, n=n, m=m, rank=rank)
     calib = calib or default_calibration()
-    fit = calib.svd_fit
-    if n is not None and m is not None:
-        r = rank if rank is not None else min(n, m)
-        work = r * (2 * n + m) * calib["mac.cycles_per_op"]
-    elif rank is not None and (n is None or m is None):
-        raise ConfigError("rank scaling requires explicit n and m")
-    else:
-        work = fit.slope
-    cycles = math.ceil(work / k) + round(fit.intercept)
     return HwCost(
         dsp=k * int(calib["svd.dsp_per_memory"]),
         bram=round(_interp(calib.svd_ram, k)),

@@ -16,13 +16,17 @@ the hardware splits it:
 
 Every fixed-point product accumulates exactly in the package's one MAC,
 :func:`~ftsinv.fxp._mac`, and rounds once in its output stage,
-:func:`~ftsinv.fxp._requantize`, in int64 at every width.  The one banked
-kernel, :func:`_banked_mac`, runs the pseudo-inverse and products 1 (column
-scaling of V) and 3 of the SVD route per row partition; product 2 (U^T y)
-is one accumulator over all of U^T, shared by the runs of a rank or ridge
-sweep.  Each run counts the multiplies its products issue in its own
-telemetry.  The double-precision reference is not hardware: it computes each
-product whole, so its output is the same at every K.
+:func:`~ftsinv.fxp._requantize`, in int64 at every width; a matrix-vector
+product whose sums fit the float64 significand (words up to 23 bits at
+M = 256) runs exactly on BLAS.  The one banked kernel, :func:`_banked_mac`,
+runs the pseudo-inverse and products 1 (column scaling of V) and 3 of the
+SVD route per row partition.  Product 2 (U^T y) changes only with the
+acquisition and the kept lanes, so a compiled SVD datapath forms it once per
+acquisition and kept set of lanes, output stage included, and every run of
+a rank or ridge sweep on that set reads it (see :class:`CompiledSvd`).  Each
+run counts the multiplies its products issue in its own telemetry, product
+2's included.  The double-precision reference is not hardware: it computes
+each product whole, so its output is the same at every K.
 """
 
 from __future__ import annotations
@@ -37,11 +41,11 @@ from .errors import SvdConvergenceError
 from .fxp import (
     DATAPATH_POLICY,
     FxpFormat,
+    RoundingMode,
     RoundingPolicy,
     _guard_bits,
     _mac,
     _requantize,
-    _Wide,
     dequantize_array,
     quantize_array,
 )
@@ -375,13 +379,28 @@ def reconstruct_pinv(
         telemetry.accumulator_bits = _accumulator_bits(mat_fmt, vec_fmt, m)
         x_hat = dequantize_array(np.concatenate(outs), out_fmt)
         telemetry.data_format = f"{width}-bit ({mat_fmt.describe()} coeffs)"
-    telemetry.latency_cycles = hwmodel.method_cost("pinv", datapath.k, n=n, m=m).latency_cycles
+    telemetry.latency_cycles = hwmodel.latency_cycles("pinv", datapath.k, n=n, m=m)
     return InversionResult(x_hat, telemetry)
 
 
 # ---------------------------------------------------------------------------
 # penalized-SVD route
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Product2:
+    """Everything product 2 gives a run of one acquisition on one kept set of
+    lanes, whatever its diagonal: the double reference ``o2_ref = U_k^T y``,
+    and on a fixed-point datapath the formats of y, U_k^T and product 2's
+    output, the output words and their saturation count."""
+
+    o2_ref: np.ndarray
+    fmt_y: FxpFormat | None = None
+    fmt_u: FxpFormat | None = None
+    fmt_o2: FxpFormat | None = None
+    o2: np.ndarray | None = None
+    overflows: int = 0
+
 
 @dataclass(eq=False)
 class CompiledSvd:
@@ -390,9 +409,16 @@ class CompiledSvd:
     V and U^T are quantized once per binary point a kept set of columns
     needs: quantizing a whole matrix and slicing the kept columns gives the
     words quantizing the slice would, and the per-column maxima give each
-    kept set's format.  The exact U^T y accumulator of the last acquisition
-    is kept per U binary point, so runs that differ only in the penalized
-    diagonal (a rank or ridge sweep) share it.
+    kept set's format.
+
+    Product 2 depends on the acquisition and the kept lanes, not on the
+    penalized values, so runs that differ only in the diagonal (a rank or
+    ridge sweep) share it.  For the latest acquisition the datapath keeps
+    y's words, the exact U^T y accumulator per U binary point, and one
+    product-2 stage per kept set and rounding mode (:class:`_Product2`);
+    every ridge weight keeps all lanes, so a whole ridge sweep runs one
+    stage.  A run whose y differs from the latest acquisition in any bit,
+    also after an in-place change, starts them afresh.
     """
 
     factors: SvdFactors
@@ -402,7 +428,10 @@ class CompiledSvd:
     v_colmax: np.ndarray           # max |V| per column
     ut_rowmax: np.ndarray          # max |U^T| per row
     _words: dict = field(default_factory=dict, repr=False)
+    _y: np.ndarray | None = field(default=None, repr=False)
+    _y_words: tuple = field(default=(), repr=False)     # (fmt_y, y_raw)
     _ut_y: dict = field(default_factory=dict, repr=False)
+    _stages: dict = field(default_factory=dict, repr=False)
 
     def words(self, name: str, fmt: FxpFormat) -> np.ndarray:
         """All of V (``"v"``) or U^T (``"ut"``) quantized at ``fmt``."""
@@ -412,15 +441,48 @@ class CompiledSvd:
                 self.factors.v if name == "v" else self.ut, fmt)
         return self._words[key]
 
-    def ut_y(self, fmt_u: FxpFormat, y_raw: np.ndarray, fmt_y: FxpFormat) -> _Wide:
-        """Exact accumulator of U^T y over every row of U^T."""
-        key = (fmt_u, fmt_y)
-        hit = self._ut_y.get(key)
-        if hit is None or not np.array_equal(hit[0], y_raw):
-            acc = _mac(self.words("ut", fmt_u), y_raw, fmt_u.total_bits,
-                       fmt_y.total_bits, _guard_bits(y_raw.size), np.matmul)
-            hit = self._ut_y[key] = (y_raw, acc)
-        return hit[1]
+    def product2(self, y: np.ndarray, kept, mode: RoundingMode) -> _Product2:
+        """Product 2 of the acquisition ``y`` on the lanes ``kept`` (a
+        leading slice or an index array), its output stage rounding under
+        ``mode``."""
+        if self._y is None or not _same_bits(self._y, y):
+            y = np.array(y, order="C")       # a contiguous copy of its own
+            width = _resolve_width(self.fmt)
+            y_words = ()
+            if width is not None:
+                fmt_y = _tensor_format(self.fmt, width, y)
+                y_words = (fmt_y, quantize_array(y, fmt_y))
+            self._y, self._y_words, self._ut_y, self._stages = y, y_words, {}, {}
+        key = (kept.stop if isinstance(kept, slice) else kept.tobytes(), mode)
+        stage = self._stages.get(key)
+        if stage is None:
+            stage = self._stages[key] = self._product2(kept, mode)
+        return stage
+
+    def _product2(self, kept, mode: RoundingMode) -> _Product2:
+        o2_ref = self.ut[kept] @ self._y
+        if not self._y_words:
+            return _Product2(o2_ref)
+        fmt_y, y_raw = self._y_words
+        width = fmt_y.total_bits
+        fmt_u = _tensor_format(self.fmt, width, self.ut_rowmax[kept])
+        fmt_o2 = _tensor_format(self.fmt, width, o2_ref)
+        acc = self._ut_y.get(fmt_u)
+        if acc is None:
+            # exact U^T y over every row of U^T, shared by every kept set
+            acc = self._ut_y[fmt_u] = _mac(
+                self.words("ut", fmt_u), y_raw, fmt_u.total_bits, fmt_y.total_bits,
+                _guard_bits(y_raw.size), np.matmul)
+        # the output stage is elementwise, so its banks need no split
+        o2, overflows = _requantize(acc[kept],
+                                    fmt_u.frac_bits + fmt_y.frac_bits - fmt_o2.frac_bits,
+                                    mode, fmt_o2)
+        return _Product2(o2_ref, fmt_y, fmt_u, fmt_o2, o2, overflows)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays hold the same bits (NaN and -0.0 included)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def compile_svd(factors: SvdFactors, fmt=None, k: int = 1) -> CompiledSvd:
@@ -470,14 +532,13 @@ def reconstruct_svd(
         return InversionResult(np.zeros(n), telemetry)
     # a leading run of kept lanes (every rank and most ridge weights) is a view
     kept = slice(0, rank) if kept[-1] == rank - 1 else kept
+    stage = datapath.product2(y, kept, policy.mode)
     vk = f.v[:, kept]
-    ukt = datapath.ut[kept]
     zk = z.zeta[kept]
 
     # the double reference; V's column-major layout fixes the order in
     # which BLAS sums, and so its bits
-    o2_ref = ukt @ y
-    x_ref = (vk * zk) @ o2_ref
+    x_ref = (vk * zk) @ stage.o2_ref
     width = _resolve_width(datapath.fmt)
     if width is None:
         x_hat = x_ref
@@ -486,35 +547,26 @@ def reconstruct_svd(
         fmt = datapath.fmt
         v_colmax = datapath.v_colmax[kept]
         fmt_v = _tensor_format(fmt, width, v_colmax)
-        fmt_u = _tensor_format(fmt, width, datapath.ut_rowmax[kept])
         fmt_z = _tensor_format(fmt, width, zk)
-        fmt_y = _tensor_format(fmt, width, y)
         # rounding is monotone: max_j colmax|V|_j |z_j| is max |V_k diag(z)|
         fmt_o1 = _tensor_format(fmt, width, v_colmax * np.abs(zk))
-        fmt_o2 = _tensor_format(fmt, width, o2_ref)
         fmt_x = _tensor_format(fmt, width, x_ref)
-        y_raw = quantize_array(y, fmt_y)
 
         # product 1: column scaling of V by the penalized diagonal
         o1, nov1, mults1 = _banked_mac(
             np.array_split(datapath.words("v", fmt_v)[:, kept], k), np.multiply,
             quantize_array(zk, fmt_z), (fmt_v, fmt_z, fmt_o1), policy)
-        # product 2: U^T y, from the accumulator shared across diagonals;
-        # the output stage is elementwise, so its banks need no split
-        o2, nov2 = _requantize(datapath.ut_y(fmt_u, y_raw, fmt_y)[kept],
-                               fmt_u.frac_bits + fmt_y.frac_bits - fmt_o2.frac_bits,
-                               policy.mode, fmt_o2)
+        # product 2: U^T y, from the stage this acquisition and kept set share
         mults2 = rank * m
         # product 3: O1 O2, each bank on the rows product 1 left in it
-        x_raw, nov3, mults3 = _banked_mac(o1, np.matmul, o2, (fmt_o1, fmt_o2, fmt_x),
-                                          policy)
+        x_raw, nov3, mults3 = _banked_mac(o1, np.matmul, stage.o2,
+                                          (fmt_o1, stage.fmt_o2, fmt_x), policy)
         telemetry.mults = mults1 + mults2 + mults3
-        telemetry.overflow_events = nov1 + nov2 + nov3
-        telemetry.accumulator_bits = _accumulator_bits(fmt_u, fmt_y, m)
+        telemetry.overflow_events = nov1 + stage.overflows + nov3
+        telemetry.accumulator_bits = _accumulator_bits(stage.fmt_u, stage.fmt_y, m)
         x_hat = dequantize_array(np.concatenate(x_raw), fmt_x)
         telemetry.data_format = f"{width}-bit"
 
-    telemetry.latency_cycles = hwmodel.method_cost(scheme_name, k, n=n, m=m,
-                                                   rank=rank).latency_cycles
+    telemetry.latency_cycles = hwmodel.latency_cycles(scheme_name, k, n=n, m=m, rank=rank)
     return InversionResult(x_hat, telemetry)
 

@@ -47,6 +47,21 @@ def test_invert_rejects_quantize(simulated, tmp_path, method, quantize):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", [["--method", "pinv"],
+                                   ["--method", "tsvd", "--rank", "24"],
+                                   ["--method", "tik", "--lambda", "1.0"]])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_invert_rejects_partition_counts_below_one(simulated, tmp_path, capsys,
+                                                    route, k):
+    """``--parallel-k 0`` is refused like any K below 1, not run at K = 1."""
+    y, a = simulated
+    out = tmp_path / "x.csv"
+    assert cli.main(["invert", *route, "--bits", "16", "--parallel-k", k,
+                     "--in", str(y), "--matrix", str(a), "--out", str(out)]) == 2
+    assert "partition count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method,flags", [
     ("pinv", ["--rank", "24"]),
     ("pinv", ["--lambda", "0"]),

@@ -39,6 +39,17 @@ def exact_quantize(x, fmt, mode):
     return min(max(raw, fmt.min_raw), fmt.max_raw)
 
 
+def _for_range_by_search(total_bits: int, max_abs: float) -> FxpFormat:
+    """The binary-point search ``FxpFormat.for_range`` used to run: one
+    fractional bit fewer until the rounded scaled value fits."""
+    if max_abs <= 0 or not math.isfinite(max_abs):
+        return FxpFormat(total_bits, total_bits - 1)
+    frac = total_bits - 1
+    while frac > 0 and round(max_abs * (1 << frac)) > (1 << (total_bits - 1)) - 1:
+        frac -= 1
+    return FxpFormat(total_bits, frac)
+
+
 class TestFormat:
     def test_ranges(self):
         fmt = FxpFormat(8, 7)
@@ -59,6 +70,27 @@ class TestFormat:
         fmt = FxpFormat.for_range(8, 3.0)
         # 3.0 * 2**5 = 96 fits, 3.0 * 2**6 = 192 does not
         assert fmt.frac_bits == 5
+
+    @pytest.mark.parametrize("width", range(2, 65))
+    def test_for_range_matches_the_search(self, width):
+        """The closed form against the search it replaced, at powers of two,
+        at the rounding threshold (``m * 2**(w-1)`` rounding to
+        ``2**(w-1) - 1``, a tie, and above it), at subnormals, past
+        ``2**(w-1)``, and at 0, inf and nan."""
+        values = [0.0, -0.0, -1.0, math.inf, math.nan, 5e-324, 3 * 5e-324,
+                  2.0 ** -1030, 2.0 ** -1022, math.nextafter(2.0 ** -1022, 0.0),
+                  1e30, 2.0 ** 900]
+        values += [2.0 ** e for e in range(-70, width + 4)]
+        for m in (1 - 2.0 ** -(width - 1), 1 - 2.0 ** -width, 1 - 2.0 ** -(width + 1)):
+            values += [m * 2.0 ** e for e in range(-66, width + 4)]
+        values += [2.0 ** (width - 1) * f for f in (1.0, 1.5, 2.0, 1 + 2.0 ** -20)]
+        for v in values:
+            assert FxpFormat.for_range(width, v) == _for_range_by_search(width, v), v
+
+    def test_for_range_past_the_float_range_saturates(self):
+        """Where the search overflowed a float, the closed form gives the
+        format with no fractional bits."""
+        assert FxpFormat.for_range(64, 1e300) == FxpFormat(64, 0)
 
     def test_raw_bounds_enforced(self):
         with pytest.raises(ValueError):

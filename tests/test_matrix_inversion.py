@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ftsinv as fi
+from ftsinv import hwmodel
 from ftsinv.errors import SvdConvergenceError
 from ftsinv.fxp import (
     FxpFormat,
@@ -226,10 +227,16 @@ class TestReconstructPinv:
             reconstruct_pinv(adag, np.zeros(7), fmt=12)
 
     def test_latency_attached(self, tall_problem):
-        _, _, adag, _, y = tall_problem
+        """A run reports the cost model's latency for its route, K and size."""
+        _, f, adag, _, y = tall_problem
         res = reconstruct_pinv(adag, y, fmt=12, k=2)
         assert res.telemetry.latency_cycles > 0
         assert res.telemetry.k == 2
+        cost = hwmodel.method_cost("pinv", 2, n=16, m=20)
+        assert res.telemetry.latency_cycles == cost.latency_cycles
+        res = reconstruct_svd(f, penalize(f.xi, Tikhonov(0.1)), y, fmt=12, k=3)
+        assert res.telemetry.latency_cycles == hwmodel.method_cost(
+            "tik", 3, n=16, m=20, rank=16).latency_cycles
 
 
 class TestReconstructSvd:
@@ -314,14 +321,34 @@ class TestCompiledDatapaths:
             assert got.telemetry == want.telemetry
 
     def test_shared_accumulator_follows_the_data(self, tall_problem):
-        """A compiled datapath run on new data does not reuse U^T y."""
+        """A compiled datapath reuses product 2 only for the same data: each
+        run equals a freshly compiled one on another acquisition, on one
+        scaled so that y's and o2's formats change, and on the same array
+        changed in place; with a rank and a ridge diagonal, in both rounding
+        modes of the output stages, and at a one-digit, a limb and the
+        double-precision width."""
         _, f, _, _, y = tall_problem
-        other = y[::-1].copy()
-        datapath = compile_svd(f, 12)
-        z = penalize(f.xi, Tsvd(9))
-        for data in (y, other, y):
-            got = reconstruct_svd(datapath, z, data).x_hat
-            assert np.array_equal(got, reconstruct_svd(f, z, data, fmt=12).x_hat)
+        diagonals = [penalize(f.xi, Tsvd(9)), penalize(f.xi, Tikhonov(0.05))]
+        policies = [RoundingPolicy(RoundingMode.TRUNCATE),
+                    RoundingPolicy(RoundingMode.ROUND_HALF_EVEN)]
+        for fmt in (12, 32, None):
+            datapath = compile_svd(f, fmt)
+
+            def check(data):
+                for z, policy in itertools.product(diagonals, policies):
+                    got = reconstruct_svd(datapath, z, data, policy=policy)
+                    want = reconstruct_svd(f, z, data.copy(), fmt=fmt, policy=policy)
+                    assert np.array_equal(got.x_hat, want.x_hat), fmt
+                    assert got.telemetry == want.telemetry
+
+            for data in (y, y[::-1].copy(), 8 * y, y):
+                check(data)
+            data = y.copy()
+            check(data)
+            data *= 8
+            check(data)
+            data[3] += 0.5
+            check(data)
 
     @pytest.mark.parametrize("fmt", [12, 32])
     def test_scattered_lanes_match_compacted_factors(self, tall_problem, fmt):
@@ -429,7 +456,7 @@ class TestLimbKernel:
     """The int64 limb MAC against exact Python integers."""
 
     @pytest.mark.parametrize("m", [1, 7, 256])
-    @pytest.mark.parametrize("width", [33, 40, 48, 64])
+    @pytest.mark.parametrize("width", [16, 23, 33, 40, 48, 64])
     def test_matvec_matches_python_ints(self, width, m):
         rng = np.random.default_rng(width * 1000 + m)
         a = _kernel_operands(width, (12, m), rng)
@@ -452,7 +479,7 @@ class TestLimbKernel:
                     assert overflows == want_over
                     assert mults == a.size
 
-    @pytest.mark.parametrize("width", [33, 40, 48, 64])
+    @pytest.mark.parametrize("width", [16, 23, 33, 40, 48, 64])
     def test_scale_matches_python_ints(self, width):
         rng = np.random.default_rng(width)
         a = _kernel_operands(width, (6, 9), rng)
@@ -468,6 +495,42 @@ class TestLimbKernel:
                 assert np.vstack(scaled).ravel().tolist() == want, (shift, mode)
                 assert overflows == want_over
                 assert mults == a.size
+
+    @pytest.mark.parametrize("wa, wb", [(22, 22), (23, 23), (23, 24), (24, 24),
+                                        (24, 25), (25, 25)])
+    def test_matvec_at_the_float_switch(self, wa, wb):
+        """M = 256 products of ``wa``- by ``wb``-bit words, whose sums need
+        50 to 56 bits: up to 52 they run on float64 BLAS, from 53 in int64.
+        Where a 54-bit accumulator took BLAS, all ``max_raw`` words with one
+        vector word a step lower would give an odd sum past 2**53, which
+        float64 cannot hold."""
+        m = 256
+        fa, fb = FxpFormat(wa, 0), FxpFormat(wb, 0)
+        rng = np.random.default_rng(wa * 100 + wb)
+
+        def odd(fmt, shape):
+            return 2 * rng.integers(fmt.min_raw // 2, fmt.max_raw // 2,
+                                    size=shape, endpoint=True) + 1
+
+        odd_sum = np.full(m, fb.max_raw)
+        odd_sum[0] -= 1
+        operands = [(np.full((4, m), fa.max_raw), np.full(m, fb.max_raw)),
+                    (np.full((4, m), fa.max_raw), odd_sum),
+                    (np.full((4, m), fa.min_raw), np.full(m, fb.min_raw)),
+                    (odd(fa, (4, m)), odd(fb, m))]
+        out_fmt = FxpFormat(64, 0)
+        for a, b in operands:
+            exact = [sum(int(x) * int(v) for x, v in zip(row, b)) for row in a]
+            for shift in (0, wa - 1, wa + wb - 2):
+                mat_fmt = FxpFormat(wa, min(shift, wa - 1))
+                vec_fmt = FxpFormat(wb, shift - mat_fmt.frac_bits)
+                for mode in RoundingMode:
+                    outs, overflows, _ = _banked_mac(
+                        np.array_split(a, 2), np.matmul, b,
+                        (mat_fmt, vec_fmt, out_fmt), RoundingPolicy(mode))
+                    want, want_over = _python_outputs(exact, shift, mode, out_fmt)
+                    assert np.concatenate(outs).tolist() == want, (a[0, 0], shift, mode)
+                    assert overflows == want_over == 0
 
     @pytest.mark.parametrize("fills", [("max_raw", "max_raw"), ("min_raw", "min_raw"),
                                        ("max_raw", "min_raw")])

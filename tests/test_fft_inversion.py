@@ -521,3 +521,39 @@ def test_wide_golden_bits(function):
     for bits in (40, 64):
         res = fft_bfp(np.arange(8.0) - 3.5j, FftPlan.make(8, bits=bits))
         assert res.re.dtype == res.im.dtype == np.int64
+
+
+LARGE_GOLDEN_PATH = Path(__file__).with_name("fft_large_golden.json")
+
+
+def _large_golden_digests() -> dict:
+    """SHA-256 of ``reconstruct_fft``'s mantissas (as int64), exponent, values
+    and telemetry at n = 65536 and 16 bits, keyed ``"mode/bits/n"``: the
+    16-stage transform, the largest size any test or workload runs.
+
+    Regenerate ``fft_large_golden.json`` (only when a change is meant to move
+    bits) with ``{"reconstruct_fft": _large_golden_digests()}``.
+    """
+    n, bits = 65536, 16
+    grid = fi.OpdGrid.transform_matched(fi.SpectralGrid(n, 1.0), n)
+    digests = {}
+    for mode in ("pre", "post", "fixed"):
+        rng = np.random.default_rng(n + bits)
+        y = fi.Interferogram(rng.standard_normal(n), grid)
+        spectrum, tel = reconstruct_fft(y, FftPlan.make(n, bits=bits, mode=mode))
+        h = hashlib.sha256()
+        h.update(np.ldexp(spectrum.values, -tel.final_exponent).astype(np.int64).tobytes())
+        h.update(str(int(tel.final_exponent)).encode())
+        h.update(spectrum.values.tobytes())
+        h.update(json.dumps(asdict(tel), sort_keys=True, default=int).encode())
+        digests[f"{mode}/{bits}/{n}"] = h.hexdigest()
+    return digests
+
+
+def test_large_golden_bits():
+    """The transform at n = 65536 is pinned bit for bit."""
+    want = json.loads(LARGE_GOLDEN_PATH.read_text())["reconstruct_fft"]
+    got = _large_golden_digests()
+    assert sorted(got) == sorted(want)
+    moved = [key for key in want if got[key] != want[key]]
+    assert not moved, f"reconstruct_fft output moved at {moved}"

@@ -6,11 +6,16 @@ butterfly per cycle from two memory banks.  Its words enter and leave through
 :class:`BankedMemory`, the two-bank port whose parity map puts both operands
 of every butterfly in distinct banks; that conflict freedom is a property the
 tests check, not a data path the emulation walks.  Each stage's n/2
-butterflies run as one vectorized step on a strided view of one bit-reversed
-store, with the same arithmetic, the same order of rounding and saturation,
-and the same cycle count in telemetry (n/2 per stage) as the one-per-cycle
-schedule.  A block normalization stage (before or after the butterflies of
-each stage) maintains headroom while a shared exponent tracks the scale.
+butterflies run as one vectorized step on a view of one bit-reversed store,
+with the same arithmetic, the same order of rounding and saturation, and the
+same cycle count in telemetry (n/2 per stage) as the one-per-cycle schedule.
+The store is laid out so that every stage's operands run along a long
+contiguous axis: the first half of the stages works on its transpose, whose
+rows they pair, and the second half on the store itself, whose blocks of
+h >= sqrt(n) words they pair.  A block normalization stage (before or after
+the butterflies of each stage) maintains headroom while a shared exponent
+tracks the scale; it acts on the whole block, so the layout does not enter
+it.
 
 Normalization modes
 -------------------
@@ -46,6 +51,7 @@ from .fxp import (
     RoundingMode,
     RoundingPolicy,
     _mac,
+    _macs,
     _requantize,
     leading_bit,
     quantize_array,
@@ -86,8 +92,10 @@ def _port_map(n_points: int) -> tuple:
     """The two-bank map as the port reads it: ``(par, adr)``, the bank and
     address of every logical index, and the parity of every address.
 
-    It depends on the size alone, so it is computed once per size and kept
-    read-only.
+    Read through this full map, ``(adr << 1) | (par ^ parity(adr))`` is the
+    logical index itself, in order: the map is the identity permutation of
+    the store.  It depends on the size alone, so it is computed once per size
+    and kept read-only, and :class:`BankedMemory` knows it by these arrays.
     """
     idx = np.arange(n_points)
     adr = idx >> 1
@@ -107,6 +115,11 @@ class BankedMemory:
     resolve to distinct banks, so a full butterfly issue needs one read per
     bank per cycle.  The words are kept in logical order in ``re`` and ``im``,
     the store the stage loop works on.
+
+    :meth:`gather` and :meth:`scatter` resolve any ``(par, adr)`` list through
+    the XOR map.  The full map of :func:`_port_map`, which :meth:`load` and
+    :meth:`unload` pass, resolves to every logical index in order, so those
+    two move the words as one copy each.
     """
 
     def __init__(self, n_points: int):
@@ -115,6 +128,8 @@ class BankedMemory:
         self.re = self.im = None
 
     def _index(self, par, adr):
+        if par is self._par and adr is self._adr:
+            return slice(None)                  # the full map: every index, in order
         return (adr << 1) | (par ^ self._adr_parity[adr])
 
     def load(self, re: np.ndarray, im: np.ndarray) -> None:
@@ -124,6 +139,8 @@ class BankedMemory:
 
     def gather(self, par, adr):
         i = self._index(par, adr)
+        if isinstance(i, slice):
+            return self.re.copy(), self.im.copy()
         return self.re[i], self.im[i]
 
     def scatter(self, par, adr, re, im) -> None:
@@ -144,6 +161,14 @@ def _bit_reverse_permutation(n: int) -> np.ndarray:
     return rev
 
 
+def _load_order(n: int) -> np.ndarray:
+    """The order the transform loads its natural-order input in: bit-reversed,
+    and transposed to the ``(2**split, n / 2**split)`` array that the first
+    ``split = n_stages // 2`` stages run on (:func:`_fft_core`)."""
+    rows = 1 << ((n.bit_length() - 1) // 2)
+    return _bit_reverse_permutation(n).reshape(-1, rows).T.ravel()
+
+
 @dataclass(frozen=True)
 class FftPlan:
     """Immutable transform descriptor: size, formats, normalization mode.
@@ -152,6 +177,7 @@ class FftPlan:
     transform then runs the same butterfly schedule on float64 words.  The
     twiddle tables hold what the datapath reads: the words in
     ``twiddle_format`` on a fixed-point plan, the doubles on an exact one.
+    ``_load`` is the input's load order (:func:`_load_order`).
     """
 
     n_points: int
@@ -160,7 +186,7 @@ class FftPlan:
     mode: str
     headroom_bits: int
     policy: RoundingPolicy
-    _brev: np.ndarray = field(repr=False, default=None)
+    _load: np.ndarray = field(repr=False, default=None)
     _tw_re: np.ndarray = field(repr=False, default=None)
     _tw_im: np.ndarray = field(repr=False, default=None)
     _dct_cos: np.ndarray = field(repr=False, default=None)
@@ -207,7 +233,7 @@ class FftPlan:
             mode=mode,
             headroom_bits=headroom_bits,
             policy=policy,
-            _brev=_bit_reverse_permutation(n_points),
+            _load=_load_order(n_points),
             _tw_re=tw_re,
             _tw_im=tw_im,
             _dct_cos=dct_cos,
@@ -281,9 +307,16 @@ def quantize_complex_block(x: np.ndarray, fmt: FxpFormat, target_headroom: int):
     """Scale-and-quantize a complex vector into int64 mantissas and an exponent.
 
     Returns (re, im, exponent) with every mantissa magnitude at most
-    ``2**(total_bits - 1 - target_headroom) - 1``.
+    ``2**(total_bits - 1 - target_headroom) - 1``.  A real vector is a complex
+    one with a zero imaginary part: it gives the same words and exponent
+    without forming that part.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        x = x.astype(np.complex128, copy=False)
+        parts = (x.real, x.imag)
+    else:
+        parts = (x.astype(np.float64, copy=False),)
     w = fmt.total_bits
     if w - 1 - target_headroom < 1:
         raise ValueError(
@@ -292,19 +325,19 @@ def quantize_complex_block(x: np.ndarray, fmt: FxpFormat, target_headroom: int):
     limit = (1 << (w - 1 - target_headroom)) - 1
     # |v| <= limit as |v| < 2**k, exact in floats, where limit may round up
     bound = 2.0 ** (w - 1 - target_headroom)
-    peak = max(float(np.max(np.abs(x.real), initial=0.0)),
-               float(np.max(np.abs(x.imag), initial=0.0)))
+    peak = max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
     if peak == 0.0:
         z = np.zeros(x.size, dtype=np.int64)
         return z, z.copy(), 0
     gamma = math.ceil(math.log2(peak / limit))
     while True:
-        re = np.rint(np.ldexp(x.real, -gamma))
-        im = np.rint(np.ldexp(x.imag, -gamma))
-        if max(np.max(np.abs(re)), np.max(np.abs(im))) < bound:
+        words = [np.rint(np.ldexp(p, -gamma)) for p in parts]
+        if max(np.max(np.abs(v)) for v in words) < bound:
             break
         gamma += 1
-    return re.astype(np.int64), im.astype(np.int64), gamma
+    re = words[0].astype(np.int64)
+    im = words[1].astype(np.int64) if len(words) > 1 else np.zeros_like(re)
+    return re, im, gamma
 
 
 def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):
@@ -318,36 +351,77 @@ def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):
                        plan.data_format)
 
 
+def _butterflies(v_re, v_im, wr, wi, plan: FftPlan) -> int:
+    """One stage's butterflies, in place: ``v[:, 0]`` holds the a-operands
+    and ``v[:, 1]`` the b-operands, and the twiddle words ``wr``, ``wi``
+    broadcast against them; ``a + w b`` replaces a and ``a - w b`` replaces
+    b.  Returns the number of saturated outputs.  Every temporary of the
+    stage lives and dies here."""
+    a_re, a_im, b_re, b_im = v_re[:, 0], v_im[:, 0], v_re[:, 1], v_im[:, 1]
+    if plan.exact:
+        t_re = b_re * wr - b_im * wi
+        t_im = b_re * wi + b_im * wr
+        v_re[:, 1], v_im[:, 1] = a_re - t_re, a_im - t_im
+        v_re[:, 0], v_im[:, 0] = a_re + t_re, a_im + t_im
+        return 0
+    fmt, ft = plan.data_format, plan.twiddle_format.frac_bits
+    # a 2**ft +- b w sums three products of a data and a twiddle word; each
+    # b operand meets both twiddle words, so its limbs are cut once
+    widths = (plan.twiddle_format.total_bits, fmt.total_bits, 2, np.multiply)
+    t_re, t_im = _macs([wr, wi], b_re, *widths)         # wr b_re, wi b_re
+    u_im, u_re = _macs([wr, wi], b_im, *widths)         # wr b_im, wi b_im
+    t_re -= u_re
+    t_im += u_im
+    del u_re, u_im                                      # free them before the output stage
+    overflows = 0
+    for v, a, t in ((v_re, a_re, t_re), (v_im, a_im, t_im)):
+        sa = _mac(np.int64(1 << ft), a, *widths)        # a times 1.0 as a twiddle word
+        for j, sign in ((0, 1), (1, -1)):
+            v[:, j], nov = _requantize(sa.plus(t, sign), ft, RoundingMode.TRUNCATE, fmt)
+            overflows += nov
+    return overflows
+
+
 def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
               inverse: bool = False):
     """Stage loop shared by the fixed-point and double-precision paths.
 
     Input arrives in natural order and is loaded through the port in
-    bit-reversed order.  Stage s runs on the ``(n/2h, 2, h)`` view of the
-    store, h = 2**s: row 0 holds the a-operands, row 1 the b-operands, and
-    the twiddle of column k is ``w[k * n/2h]``.  The output is unloaded in
-    natural order.  Returns (re, im, exponent_delta).
+    bit-reversed order, transposed for the first ``split = n_stages // 2``
+    stages.  Stage s (h = 2**s) pairs the words at bit-reversed positions
+    j and j + h, j with bit s clear, with the twiddle ``w[k * n/2h]`` of
+    k = j mod h, and every stage's operands run along a long contiguous axis:
+
+    - s < split runs on the transposed store, a ``(2**split, n / 2**split)``
+      array, viewed as ``(2**split / 2h, 2, h, n / 2**split)``: rows r and
+      r + h are the a- and b-operands, n / 2**split words long, and the
+      twiddles are an ``(h, 1)`` column;
+    - the store is then transposed back once, and s >= split runs on its
+      ``(n/2h, 2, h)`` view, whose operands are h >= 2**split words long.
+
+    The twiddles of a stage are contiguous copies of its stride through the
+    table.  The output is unloaded in natural order.  Returns (re, im,
+    exponent_delta).
     """
     n = plan.n_points
     mem = BankedMemory(n)
-    mem.load(re[plan._brev], im[plan._brev])
+    mem.load(re[plan._load], im[plan._load])
     re, im = mem.re, mem.im
 
-    exact = plan.exact
     wre_all = plan._tw_re
     wim_all = -plan._tw_im if inverse else plan._tw_im
-    if not exact:
-        fmt, width = plan.data_format, plan.data_format.total_bits
-        wt, ft = plan.twiddle_format.total_bits, plan.twiddle_format.frac_bits
-        target, rounding = plan.headroom_bits, plan.policy.mode
+    if not plan.exact:
+        width, target = plan.data_format.total_bits, plan.headroom_bits
+        rounding = plan.policy.mode
 
-        # a 2**ft +- b w sums three products of a data and a twiddle word
-        def mac(w, x):
-            return _mac(w, x, wt, width, 2, np.multiply)
-
+    split = plan.n_stages // 2
+    rows, cols = 1 << split, n >> split
     gamma = 0
-    bfp = None if exact or plan.mode == "fixed" else plan.mode
+    bfp = None if plan.exact or plan.mode == "fixed" else plan.mode
     for s in range(plan.n_stages):
+        if s == split and split:
+            re, im = (np.ascontiguousarray(p.reshape(rows, cols).T).reshape(n)
+                      for p in (re, im))
         if bfp == "pre":
             (re, im), shift = shift_block((re, im), width, target, rounding)
             gamma -= shift
@@ -357,24 +431,14 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
 
         h = 1 << s
         step = n >> (s + 1)
-        wr = wre_all[: h * step: step]
-        wi = wim_all[: h * step: step]
-        v_re, v_im = re.reshape(-1, 2, h), im.reshape(-1, 2, h)
-        a_re, a_im, b_re, b_im = v_re[:, 0], v_im[:, 0], v_re[:, 1], v_im[:, 1]
-        if exact:
-            t_re = b_re * wr - b_im * wi
-            t_im = b_re * wi + b_im * wr
-            v_re[:, 1], v_im[:, 1] = a_re - t_re, a_im - t_im
-            v_re[:, 0], v_im[:, 0] = a_re + t_re, a_im + t_im
+        wr = np.ascontiguousarray(wre_all[: h * step: step])
+        wi = np.ascontiguousarray(wim_all[: h * step: step])
+        if s < split:
+            v_re, v_im = re.reshape(-1, 2, h, cols), im.reshape(-1, 2, h, cols)
+            wr, wi = wr[:, None], wi[:, None]
         else:
-            t_re = mac(wr, b_re).plus(mac(wi, b_im), -1)
-            t_im = mac(wi, b_re).plus(mac(wr, b_im))
-            for v, a, t in ((v_re, a_re, t_re), (v_im, a_im, t_im)):
-                sa = mac(np.int64(1 << ft), a)      # a times 1.0 as a twiddle word
-                for j, sign in ((0, 1), (1, -1)):
-                    v[:, j], nov = _requantize(sa.plus(t, sign), ft,
-                                               RoundingMode.TRUNCATE, fmt)
-                    telemetry.overflow_events += nov
+            v_re, v_im = re.reshape(-1, 2, h), im.reshape(-1, 2, h)
+        telemetry.overflow_events += _butterflies(v_re, v_im, wr, wi, plan)
         telemetry.mults += 4 * (n // 2)
         telemetry.butterflies += n // 2
         telemetry.cycles += n // 2
@@ -463,8 +527,7 @@ def dct2_via_fft(x: np.ndarray, plan: FftPlan):
         return c, res.telemetry
 
     fmt = plan.data_format
-    re, im, g0 = quantize_complex_block(v.astype(np.complex128), fmt,
-                                        plan.headroom_bits)
+    re, im, g0 = quantize_complex_block(v, fmt, plan.headroom_bits)
     res = fft_bfp_block(re, im, g0, plan)
     c_raw, nov = _twiddle_mac(plan, plan._dct_cos, res.re, plan._dct_sin, res.im, 1)
     res.telemetry.overflow_events += nov
@@ -503,8 +566,7 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan):
     fmt = plan.data_format
     # entry quantization with one extra headroom bit: the pre-twiddle mixes
     # re/im components and can grow magnitudes by sqrt(2)
-    raw, _, g0 = quantize_complex_block(c.astype(np.complex128), fmt,
-                                        plan.headroom_bits + 1)
+    raw, _, g0 = quantize_complex_block(c, fmt, plan.headroom_bits + 1)
     raw_rev = np.concatenate([raw[:1] * 0, raw[:0:-1]])
     cos_t, sin_t = plan._dct_cos, plan._dct_sin
     v_re, nov1 = _twiddle_mac(plan, cos_t, raw, sin_t, raw_rev, 1)

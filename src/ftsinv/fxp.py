@@ -465,14 +465,33 @@ class _Wide:
         op = np.add if sign > 0 else np.subtract
         return _Wide([op(x, y) for x, y in zip(self.digits, other.digits)], self.bits)
 
+    def __iadd__(self, other: "_Wide") -> "_Wide":
+        """:meth:`plus` into this accumulator's own digits, which nothing
+        else may hold: a fresh result of :func:`_macs` or :meth:`plus`."""
+        for x, y in zip(self.digits, other.digits):
+            x += y
+        return self
+
+    def __isub__(self, other: "_Wide") -> "_Wide":
+        for x, y in zip(self.digits, other.digits):
+            x -= y
+        return self
+
 
 def _mac(a: np.ndarray, b: np.ndarray, wa: int, wb: int, guard: int, op) -> _Wide:
     """Exact ``op(a, b)`` of ``wa``-bit coefficient words by ``wb``-bit
-    vector words, where ``op`` is ``np.matmul`` (summing at most
-    ``2**guard`` products) or ``np.multiply``, computed in int64 limb by
-    limb.  A ``guard`` above 0 with ``np.multiply`` leaves room for
-    :meth:`_Wide.plus` to sum up to ``2**guard`` such products.  Each limb
-    product lands in its digit uncarried.
+    vector words: :func:`_macs` of the one coefficient operand."""
+    return _macs([a], b, wa, wb, guard, op)[0]
+
+
+def _macs(coefs: list, b: np.ndarray, wa: int, wb: int, guard: int, op) -> list:
+    """Exact ``op(a, b)`` for each ``a`` of ``coefs``, ``wa``-bit coefficient
+    words, by the same ``wb``-bit vector words ``b``, where ``op`` is
+    ``np.matmul`` (summing at most ``2**guard`` products) or ``np.multiply``,
+    computed in int64 limb by limb.  A ``guard`` above 0 with ``np.multiply``
+    leaves room for :meth:`_Wide.plus` to sum up to ``2**guard`` such
+    products.  Each limb product lands in its digit uncarried.  ``b`` is
+    converted or split into limbs once for all the coefficient operands.
 
     A matmul whose sums stay within ``2**_FLOAT_EXACT_BITS`` runs as one
     float64 BLAS product: every word, product and partial sum is then an
@@ -480,22 +499,26 @@ def _mac(a: np.ndarray, b: np.ndarray, wa: int, wb: int, guard: int, op) -> _Wid
     or without fused multiply-adds, so it gives the int64 product's bits.
     Every other product runs in int64."""
     if op is np.matmul and wa + wb - 2 + guard <= _FLOAT_EXACT_BITS:
-        exact = np.matmul(a.astype(np.float64), b.astype(np.float64))
-        return _Wide([exact.astype(np.int64)], _SAFE_BITS)
+        fb = b.astype(np.float64)
+        return [_Wide([np.matmul(a.astype(np.float64), fb).astype(np.int64)], _SAFE_BITS)
+                for a in coefs]
     bits, split_a = _limb_plan(wa, wb, guard)
     if bits is None:
-        return _Wide([op(a, b)], _SAFE_BITS)
-    la = _limbs(a, wa, bits) if split_a else [a]
+        return [_Wide([op(a, b)], _SAFE_BITS) for a in coefs]
     lb = _limbs(b, wb, bits)
-    digits = [None] * (len(la) + len(lb) - 1)
-    for i, x in enumerate(la):
-        for j, v in enumerate(lb):
-            term = op(x, v)
-            if digits[i + j] is None:
-                digits[i + j] = term
-            else:
-                digits[i + j] += term
-    return _Wide(digits, bits)
+    accs = []
+    for a in coefs:
+        la = _limbs(a, wa, bits) if split_a else [a]
+        digits = [None] * (len(la) + len(lb) - 1)
+        for i, x in enumerate(la):
+            for j, v in enumerate(lb):
+                term = op(x, v)
+                if digits[i + j] is None:
+                    digits[i + j] = term
+                else:
+                    digits[i + j] += term
+        accs.append(_Wide(digits, bits))
+    return accs
 
 
 def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):

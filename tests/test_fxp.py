@@ -20,6 +20,7 @@ from ftsinv.fxp import (
     _guard_bits,
     _limb_plan,
     _mac,
+    _macs,
     _requantize,
     apply_overflow,
     fxp_add,
@@ -351,6 +352,29 @@ def _mac_cases(draw):
 
 class TestExactMac:
     """``_mac``, ``_Wide.plus`` and ``_requantize`` against Python ints."""
+
+    @pytest.mark.parametrize("wa,wb", [(16, 16), (24, 30), (32, 40), (64, 64)])
+    @pytest.mark.parametrize("op", [np.multiply, np.matmul])
+    def test_macs_share_the_vector(self, wa, wb, op):
+        """``_macs`` of several coefficient operands by one vector gives each
+        operand's ``_mac``, and ``+=`` and ``-=`` give ``plus``'s digits."""
+        rng = np.random.default_rng(wa * 100 + wb)
+        length = 50
+        shape = (3, length) if op is np.matmul else (length,)
+        coefs = [_mac_words(rng, wa, shape, "random") for _ in range(3)]
+        b = _mac_words(rng, wb, (length,), "random")
+        guard = _guard_bits(2 * length if op is np.matmul else 2)
+
+        def digits(acc):
+            return [d.tolist() for d in acc.digits]
+
+        accs = _macs(coefs, b, wa, wb, guard, op)
+        assert [digits(x) for x in accs] == [digits(_mac(a, b, wa, wb, guard, op))
+                                             for a in coefs]
+        diff, total = digits(accs[0].plus(accs[1], -1)), digits(accs[2].plus(accs[1]))
+        accs[0] -= accs[1]
+        accs[2] += accs[1]
+        assert digits(accs[0]) == diff and digits(accs[2]) == total
 
     @given(_mac_cases())
     def test_mac_plus_requantize_match_python_ints(self, case):

@@ -6,9 +6,10 @@ butterfly per cycle from two memory banks.  Its words enter and leave through
 :class:`BankedMemory`, the two-bank port whose parity map puts both operands
 of every butterfly in distinct banks; that conflict freedom is a property the
 tests check, not a data path the emulation walks.  Each stage's n/2
-butterflies run as one vectorized step on a view of one bit-reversed store,
-with the same arithmetic, the same order of rounding and saturation, and the
-same cycle count in telemetry (n/2 per stage) as the one-per-cycle schedule.
+butterflies run as vectorized steps of up to 2**14 butterflies on a view of
+one bit-reversed store, with the same arithmetic, the same order of rounding
+and saturation, and the same cycle count in telemetry (n/2 per stage) as the
+one-per-cycle schedule.
 The store is laid out so that every stage's operands run along a long
 contiguous axis: the first half of the stages works on its transpose, whose
 rows they pair, and the second half on the store itself, whose blocks of
@@ -60,6 +61,12 @@ from .fxp import (
 from .optics import Interferogram, SpectralGrid, Spectrum
 
 MODES = ("pre", "post", "fixed")
+
+# Butterflies per vectorized step.  A step's temporaries are then at most
+# 2**14 words (128 KiB) each: whole-stage temporaries at n = 65536 (256 KiB
+# each, a few MiB per stage) made the C heap give memory back and fault it in
+# again every stage, which cost more than the extra steps do.
+_BLOCK = 1 << 14
 
 
 def _parity(idx: np.ndarray) -> np.ndarray:
@@ -352,11 +359,11 @@ def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):
 
 
 def _butterflies(v_re, v_im, wr, wi, plan: FftPlan) -> int:
-    """One stage's butterflies, in place: ``v[:, 0]`` holds the a-operands
-    and ``v[:, 1]`` the b-operands, and the twiddle words ``wr``, ``wi``
-    broadcast against them; ``a + w b`` replaces a and ``a - w b`` replaces
-    b.  Returns the number of saturated outputs.  Every temporary of the
-    stage lives and dies here."""
+    """One step of a stage's butterflies, in place: ``v[:, 0]`` holds the
+    a-operands and ``v[:, 1]`` the b-operands, and the twiddle words ``wr``,
+    ``wi`` broadcast against them; ``a + w b`` replaces a and ``a - w b``
+    replaces b.  Returns the number of saturated outputs.  Every temporary of
+    the step lives and dies here."""
     a_re, a_im, b_re, b_im = v_re[:, 0], v_im[:, 0], v_re[:, 1], v_im[:, 1]
     if plan.exact:
         t_re = b_re * wr - b_im * wi
@@ -390,18 +397,21 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
     bit-reversed order, transposed for the first ``split = n_stages // 2``
     stages.  Stage s (h = 2**s) pairs the words at bit-reversed positions
     j and j + h, j with bit s clear, with the twiddle ``w[k * n/2h]`` of
-    k = j mod h, and every stage's operands run along a long contiguous axis:
+    k = j mod h, and every stage's operands run along a long contiguous axis.
+    Each stage runs on a ``(groups, 2, h, c)`` view, ``[:, 0]`` the a- and
+    ``[:, 1]`` the b-operands, with its twiddles as an ``(h, 1)`` column:
 
     - s < split runs on the transposed store, a ``(2**split, n / 2**split)``
-      array, viewed as ``(2**split / 2h, 2, h, n / 2**split)``: rows r and
-      r + h are the a- and b-operands, n / 2**split words long, and the
-      twiddles are an ``(h, 1)`` column;
-    - the store is then transposed back once, and s >= split runs on its
-      ``(n/2h, 2, h)`` view, whose operands are h >= 2**split words long.
+      array, so c = n / 2**split: rows r and r + h are paired, and each
+      operand is a row of c words;
+    - the store is then transposed back once, and s >= split runs on it
+      with c = 1, pairing blocks of h >= 2**split words.
 
     The twiddles of a stage are contiguous copies of its stride through the
-    table.  The output is unloaded in natural order.  Returns (re, im,
-    exponent_delta).
+    table.  A stage runs in steps of at most ``_BLOCK`` butterflies, whole
+    groups or a run of one group's twiddles at a time; the butterflies of a
+    stage are independent, so the steps give the whole stage's words.  The
+    output is unloaded in natural order.  Returns (re, im, exponent_delta).
     """
     n = plan.n_points
     mem = BankedMemory(n)
@@ -431,14 +441,18 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
 
         h = 1 << s
         step = n >> (s + 1)
-        wr = np.ascontiguousarray(wre_all[: h * step: step])
-        wi = np.ascontiguousarray(wim_all[: h * step: step])
-        if s < split:
-            v_re, v_im = re.reshape(-1, 2, h, cols), im.reshape(-1, 2, h, cols)
-            wr, wi = wr[:, None], wi[:, None]
-        else:
-            v_re, v_im = re.reshape(-1, 2, h), im.reshape(-1, 2, h)
-        telemetry.overflow_events += _butterflies(v_re, v_im, wr, wi, plan)
+        wr = np.ascontiguousarray(wre_all[: h * step: step])[:, None]
+        wi = np.ascontiguousarray(wim_all[: h * step: step])[:, None]
+        c = cols if s < split else 1
+        v_re, v_im = re.reshape(-1, 2, h, c), im.reshape(-1, 2, h, c)
+        # blocks of whole groups, or of a run of one group's twiddles
+        g = max(1, _BLOCK // (h * c))
+        k = min(h, max(1, _BLOCK // c))
+        for g0 in range(0, v_re.shape[0], g):
+            for k0 in range(0, h, k):
+                blk = np.s_[g0: g0 + g, :, k0: k0 + k]
+                telemetry.overflow_events += _butterflies(
+                    v_re[blk], v_im[blk], wr[k0: k0 + k], wi[k0: k0 + k], plan)
         telemetry.mults += 4 * (n // 2)
         telemetry.butterflies += n // 2
         telemetry.cycles += n // 2

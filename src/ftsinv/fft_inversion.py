@@ -404,7 +404,7 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
     - s < split runs on the transposed store, a ``(2**split, n / 2**split)``
       array, so c = n / 2**split: rows r and r + h are paired, and each
       operand is a row of c words;
-    - the store is then transposed back once, and s >= split runs on it
+    - the store is then transposed back in place, and s >= split runs on it
       with c = 1, pairing blocks of h >= 2**split words.
 
     The twiddles of a stage are contiguous copies of its stride through the
@@ -430,8 +430,9 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
     bfp = None if plan.exact or plan.mode == "fixed" else plan.mode
     for s in range(plan.n_stages):
         if s == split and split:
-            re, im = (np.ascontiguousarray(p.reshape(rows, cols).T).reshape(n)
-                      for p in (re, im))
+            # transposed back in place: numpy reads an overlapping source first
+            for p in (re, im):
+                p.reshape(cols, rows)[...] = p.reshape(rows, cols).T
         if bfp == "pre":
             (re, im), shift = shift_block((re, im), width, target, rounding)
             gamma -= shift

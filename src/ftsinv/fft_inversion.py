@@ -62,10 +62,12 @@ from .optics import Interferogram, SpectralGrid, Spectrum
 
 MODES = ("pre", "post", "fixed")
 
-# Butterflies per vectorized step.  A step's temporaries are then at most
-# 2**14 words (128 KiB) each: whole-stage temporaries at n = 65536 (256 KiB
-# each, a few MiB per stage) made the C heap give memory back and fault it in
-# again every stage, which cost more than the extra steps do.
+# Butterflies per vectorized step, so that a step's temporaries are at most
+# 2**14 words (128 KiB) each.  Whole-stage temporaries at n = 65536 are
+# 256 KiB each and a few MiB per stage, and in a process whose heap had not
+# grown that far before, malloc gave that memory back and faulted it in again
+# at every stage (about 8000 minor faults per fixed-mode transform, against
+# about 1200 in steps), which cost more than the extra steps do.
 _BLOCK = 1 << 14
 
 
@@ -446,7 +448,7 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
         wi = np.ascontiguousarray(wim_all[: h * step: step])[:, None]
         c = cols if s < split else 1
         v_re, v_im = re.reshape(-1, 2, h, c), im.reshape(-1, 2, h, c)
-        # blocks of whole groups, or of a run of one group's twiddles
+        # steps of whole groups, or of a run of one group's twiddles
         g = max(1, _BLOCK // (h * c))
         k = min(h, max(1, _BLOCK // c))
         for g0 in range(0, v_re.shape[0], g):

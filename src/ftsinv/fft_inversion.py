@@ -6,10 +6,9 @@ butterfly per cycle from two memory banks.  Its words enter and leave through
 :class:`BankedMemory`, the two-bank port whose parity map puts both operands
 of every butterfly in distinct banks; that conflict freedom is a property the
 tests check, not a data path the emulation walks.  Each stage's n/2
-butterflies run as vectorized steps of up to 2**14 butterflies on a view of
-one bit-reversed store, with the same arithmetic, the same order of rounding
-and saturation, and the same cycle count in telemetry (n/2 per stage) as the
-one-per-cycle schedule.
+butterflies run as one vectorized step on a view of one bit-reversed store,
+with the same arithmetic, the same order of rounding and saturation, and the
+same cycle count in telemetry (n/2 per stage) as the one-per-cycle schedule.
 The store is laid out so that every stage's operands run along a long
 contiguous axis: the first half of the stages works on its transpose, whose
 rows they pair, and the second half on the store itself, whose blocks of
@@ -61,14 +60,6 @@ from .fxp import (
 from .optics import Interferogram, SpectralGrid, Spectrum
 
 MODES = ("pre", "post", "fixed")
-
-# Butterflies per vectorized step, so that a step's temporaries are at most
-# 2**14 words (128 KiB) each.  Whole-stage temporaries at n = 65536 are
-# 256 KiB each and a few MiB per stage, and in a process whose heap had not
-# grown that far before, malloc gave that memory back and faulted it in again
-# at every stage (about 8000 minor faults per fixed-mode transform, against
-# about 1200 in steps), which cost more than the extra steps do.
-_BLOCK = 1 << 14
 
 
 def _parity(idx: np.ndarray) -> np.ndarray:
@@ -361,11 +352,11 @@ def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):
 
 
 def _butterflies(v_re, v_im, wr, wi, plan: FftPlan) -> int:
-    """One step of a stage's butterflies, in place: ``v[:, 0]`` holds the
-    a-operands and ``v[:, 1]`` the b-operands, and the twiddle words ``wr``,
-    ``wi`` broadcast against them; ``a + w b`` replaces a and ``a - w b``
-    replaces b.  Returns the number of saturated outputs.  Every temporary of
-    the step lives and dies here."""
+    """A stage's butterflies, in place: ``v[:, 0]`` holds the a-operands and
+    ``v[:, 1]`` the b-operands, and the twiddle words ``wr``, ``wi`` broadcast
+    against them; ``a + w b`` replaces a and ``a - w b`` replaces b.  Returns
+    the number of saturated outputs.  Every temporary of the stage lives and
+    dies here."""
     a_re, a_im, b_re, b_im = v_re[:, 0], v_im[:, 0], v_re[:, 1], v_im[:, 1]
     if plan.exact:
         t_re = b_re * wr - b_im * wi
@@ -379,8 +370,7 @@ def _butterflies(v_re, v_im, wr, wi, plan: FftPlan) -> int:
     widths = (plan.twiddle_format.total_bits, fmt.total_bits, 2, np.multiply)
     t_re, t_im = _macs([wr, wi], b_re, *widths)         # wr b_re, wi b_re
     u_im, u_re = _macs([wr, wi], b_im, *widths)         # wr b_im, wi b_im
-    t_re -= u_re
-    t_im += u_im
+    t_re, t_im = t_re.plus(u_re, -1), t_im.plus(u_im)
     del u_re, u_im                                      # free them before the output stage
     overflows = 0
     for v, a, t in ((v_re, a_re, t_re), (v_im, a_im, t_im)):
@@ -410,10 +400,7 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
       with c = 1, pairing blocks of h >= 2**split words.
 
     The twiddles of a stage are contiguous copies of its stride through the
-    table.  A stage runs in steps of at most ``_BLOCK`` butterflies, whole
-    groups or a run of one group's twiddles at a time; the butterflies of a
-    stage are independent, so the steps give the whole stage's words.  The
-    output is unloaded in natural order.  Returns (re, im, exponent_delta).
+    table.  The output is unloaded in natural order.  Returns (re, im, exponent_delta).
     """
     n = plan.n_points
     mem = BankedMemory(n)
@@ -447,15 +434,8 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
         wr = np.ascontiguousarray(wre_all[: h * step: step])[:, None]
         wi = np.ascontiguousarray(wim_all[: h * step: step])[:, None]
         c = cols if s < split else 1
-        v_re, v_im = re.reshape(-1, 2, h, c), im.reshape(-1, 2, h, c)
-        # steps of whole groups, or of a run of one group's twiddles
-        g = max(1, _BLOCK // (h * c))
-        k = min(h, max(1, _BLOCK // c))
-        for g0 in range(0, v_re.shape[0], g):
-            for k0 in range(0, h, k):
-                blk = np.s_[g0: g0 + g, :, k0: k0 + k]
-                telemetry.overflow_events += _butterflies(
-                    v_re[blk], v_im[blk], wr[k0: k0 + k], wi[k0: k0 + k], plan)
+        telemetry.overflow_events += _butterflies(
+            re.reshape(-1, 2, h, c), im.reshape(-1, 2, h, c), wr, wi, plan)
         telemetry.mults += 4 * (n // 2)
         telemetry.butterflies += n // 2
         telemetry.cycles += n // 2

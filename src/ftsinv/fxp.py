@@ -465,18 +465,6 @@ class _Wide:
         op = np.add if sign > 0 else np.subtract
         return _Wide([op(x, y) for x, y in zip(self.digits, other.digits)], self.bits)
 
-    def __iadd__(self, other: "_Wide") -> "_Wide":
-        """:meth:`plus` into this accumulator's own digits, which nothing
-        else may hold: a fresh result of :func:`_macs` or :meth:`plus`."""
-        for x, y in zip(self.digits, other.digits):
-            x += y
-        return self
-
-    def __isub__(self, other: "_Wide") -> "_Wide":
-        for x, y in zip(self.digits, other.digits):
-            x -= y
-        return self
-
 
 def _mac(a: np.ndarray, b: np.ndarray, wa: int, wb: int, guard: int, op) -> _Wide:
     """Exact ``op(a, b)`` of ``wa``-bit coefficient words by ``wb``-bit

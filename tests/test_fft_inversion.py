@@ -217,33 +217,10 @@ class TestButterfly:
             assert res.re.tolist() == [w[0] for w in words]
             assert res.im.tolist() == [w[1] for w in words]
             assert res.telemetry.overflow_events == overflows
+            # a single n = 2 draw stays in range with probability 1/4
+            assert overflows > 0 or n == 2
             saturated += overflows
-        # a single n = 2 draw stays in range with probability 1/4
         assert saturated > 0
-
-    @pytest.mark.parametrize("block", [1, 2, 16])
-    @pytest.mark.parametrize("n", [32, 64])
-    def test_blocked_stages_match_scalar_butterflies(self, monkeypatch, block, n):
-        """Stages cut into steps of at most ``block`` butterflies, by whole
-        groups and by runs of one group's twiddles, in both layouts, give the
-        scalar butterflies' words; the double-precision path gives its
-        unblocked bits."""
-        plan = FftPlan.make(n, bits=33, twiddle_bits=30, mode="fixed")
-        exact = FftPlan.make(n)
-        fmt = plan.data_format
-        rng = np.random.default_rng(n + block)
-        re, im = rng.integers(fmt.min_raw, fmt.max_raw, size=(2, n), endpoint=True,
-                              dtype=np.int64)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        whole = fft_bfp(x, exact)
-        monkeypatch.setattr(fft_inversion, "_BLOCK", block)
-        res = fft_bfp_block(re, im, 0, plan)
-        words, overflows = self._scalar_stages(plan, re, im)
-        assert res.re.tolist() == [w[0] for w in words]
-        assert res.im.tolist() == [w[1] for w in words]
-        assert res.telemetry.overflow_events == overflows
-        blocked = fft_bfp(x, exact)
-        assert np.array_equal(blocked.re, whole.re) and np.array_equal(blocked.im, whole.im)
 
     @pytest.mark.parametrize("fill,n", _at_sizes([("max_raw",), ("min_raw",)]))
     def test_extreme_words_match_scalar_butterflies(self, fill, n):

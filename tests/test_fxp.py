@@ -357,7 +357,7 @@ class TestExactMac:
     @pytest.mark.parametrize("op", [np.multiply, np.matmul])
     def test_macs_share_the_vector(self, wa, wb, op):
         """``_macs`` of several coefficient operands by one vector gives each
-        operand's ``_mac``, and ``+=`` and ``-=`` give ``plus``'s digits."""
+        operand's ``_mac``."""
         rng = np.random.default_rng(wa * 100 + wb)
         length = 50
         shape = (3, length) if op is np.matmul else (length,)
@@ -371,10 +371,6 @@ class TestExactMac:
         accs = _macs(coefs, b, wa, wb, guard, op)
         assert [digits(x) for x in accs] == [digits(_mac(a, b, wa, wb, guard, op))
                                              for a in coefs]
-        diff, total = digits(accs[0].plus(accs[1], -1)), digits(accs[2].plus(accs[1]))
-        accs[0] -= accs[1]
-        accs[2] += accs[1]
-        assert digits(accs[0]) == diff and digits(accs[2]) == total
 
     @given(_mac_cases())
     def test_mac_plus_requantize_match_python_ints(self, case):

@@ -400,7 +400,8 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
       with c = 1, pairing blocks of h >= 2**split words.
 
     The twiddles of a stage are contiguous copies of its stride through the
-    table.  The output is unloaded in natural order.  Returns (re, im, exponent_delta).
+    table.  The output is unloaded in natural order.  Returns (re, im,
+    exponent_delta).
     """
     n = plan.n_points
     mem = BankedMemory(n)

@@ -13,26 +13,12 @@ from .fft_inversion import (
     FftPlan,
     FftResult,
     FftTelemetry,
-    bank_map,
-    butterfly_radix2,
     dct2_via_fft,
     fft_bfp,
     idct2_via_fft,
     reconstruct_fft,
 )
-from .fxp import (
-    BfpBlock,
-    FxpFormat,
-    FxpValue,
-    OverflowMode,
-    RoundingMode,
-    RoundingPolicy,
-    fxp_add,
-    fxp_mul,
-    leading_bit,
-    normalize_block,
-    quantize,
-)
+from .fxp import FxpFormat, RoundingMode, RoundingPolicy, leading_bit
 from .hwmodel import (
     CalibrationTable,
     HwCost,
@@ -40,7 +26,6 @@ from .hwmodel import (
     default_calibration,
     fft_cost,
     pinv_cost,
-    resource_table,
     svd_cost,
 )
 from .matrix_inversion import (

@@ -45,11 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fxp import (
-    DATAPATH_POLICY,
     ENTRY_POLICY,
     FxpFormat,
     RoundingMode,
-    RoundingPolicy,
     _mac,
     _macs,
     _requantize,
@@ -70,27 +68,15 @@ def _parity(idx: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-def bank_map(logical_index: int, stage: int, n_points: int):
-    """Map a logical index to (bank, address) for the two-bank layout.
-
-    The assignment is the XOR fold of the index bits: butterfly partners at
-    any stage differ in exactly one address bit, so they always land in
-    different banks; indices 2a and 2a+1 share address a, one per bank, which
-    makes the map bijective.  The mapping is stage-invariant (``stage`` is
-    accepted for interface symmetry).
-    """
-    if not (0 <= logical_index < n_points):
-        raise IndexError(f"index {logical_index} outside [0, {n_points})")
-    if not (0 <= stage < max(1, n_points.bit_length() - 1)):
-        raise IndexError(f"stage {stage} out of range")
-    bank = int(_parity(np.asarray([logical_index]))[0])
-    return bank, logical_index >> 1
-
-
 @functools.lru_cache(maxsize=8)
 def _port_map(n_points: int) -> tuple:
     """The two-bank map as the port reads it: ``(par, adr)``, the bank and
     address of every logical index, and the parity of every address.
+
+    Index ``i`` sits in bank ``parity(i)``, the XOR fold of its bits, at
+    address ``i >> 1``.  Butterfly partners at any stage differ in exactly
+    one index bit, so they always land in different banks; indices 2a and
+    2a + 1 share address a, one per bank, so the map is bijective.
 
     Read through this full map, ``(adr << 1) | (par ^ parity(adr))`` is the
     logical index itself, in order: the map is the identity permutation of
@@ -110,7 +96,7 @@ class BankedMemory:
     """Two-bank complex word store: the transform's input/output port.
 
     Logical index ``i`` sits in bank ``parity(i)`` at address ``i >> 1``
-    (:func:`bank_map`), so bank ``b``, address ``a`` holds logical index
+    (:func:`_port_map`), so bank ``b``, address ``a`` holds logical index
     ``(a << 1) | (b ^ parity(a))``.  Both operands of every radix-2 butterfly
     resolve to distinct banks, so a full butterfly issue needs one read per
     bank per cycle.  The words are kept in logical order in ``re`` and ``im``,
@@ -185,7 +171,6 @@ class FftPlan:
     twiddle_format: FxpFormat | None
     mode: str
     headroom_bits: int
-    policy: RoundingPolicy
     _load: np.ndarray = field(repr=False, default=None)
     _tw_re: np.ndarray = field(repr=False, default=None)
     _tw_im: np.ndarray = field(repr=False, default=None)
@@ -200,12 +185,14 @@ class FftPlan:
         twiddle_bits: int | None = None,
         mode: str = "post",
         headroom_bits: int = 3,
-        policy: RoundingPolicy = DATAPATH_POLICY,
     ) -> "FftPlan":
         if n_points < 2 or (n_points & (n_points - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 2, got {n_points}")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if bits is None and twiddle_bits is not None:
+            raise ValueError("twiddle_bits needs bits: a double-precision plan "
+                             "has no twiddle words")
         data_fmt = None
         tw_fmt = None
         if bits is not None:
@@ -232,7 +219,6 @@ class FftPlan:
             twiddle_format=tw_fmt,
             mode=mode,
             headroom_bits=headroom_bits,
-            policy=policy,
             _load=_load_order(n_points),
             _tw_re=tw_re,
             _tw_im=tw_im,
@@ -274,35 +260,6 @@ class FftResult:
         return (self.re + 1j * self.im) * 2.0 ** self.exponent
 
 
-def butterfly_radix2(a, b, w, data_fmt: FxpFormat, twiddle_fmt: FxpFormat,
-                     policy: RoundingPolicy = DATAPATH_POLICY):
-    """Scalar radix-2 butterfly on complex mantissa pairs.
-
-    ``a``, ``b`` are (re, im) integer mantissa pairs in the data format,
-    ``w`` a (re, im) twiddle pair in the twiddle format.  The complex product
-    uses 4 real multiplications; the full-precision accumulation is truncated
-    to the data format once.  Returns ``(a + w*b, a - w*b, overflow_count)``.
-    """
-    ft = twiddle_fmt.frac_bits
-    ar, ai = int(a[0]), int(a[1])
-    br, bi = int(b[0]), int(b[1])
-    wr, wi = int(w[0]), int(w[1])
-    t_re = br * wr - bi * wi
-    t_im = br * wi + bi * wr
-    outs = []
-    overflow = 0
-    for sign in (1, -1):
-        o_re = ((ar << ft) + sign * t_re) >> ft
-        o_im = ((ai << ft) + sign * t_im) >> ft
-        for v in (o_re, o_im):
-            if not (data_fmt.min_raw <= v <= data_fmt.max_raw):
-                overflow += 1
-        o_re = min(max(o_re, data_fmt.min_raw), data_fmt.max_raw)
-        o_im = min(max(o_im, data_fmt.min_raw), data_fmt.max_raw)
-        outs.append((o_re, o_im))
-    return outs[0], outs[1], overflow
-
-
 def quantize_complex_block(x: np.ndarray, fmt: FxpFormat, target_headroom: int):
     """Scale-and-quantize a complex vector into int64 mantissas and an exponent.
 
@@ -341,13 +298,13 @@ def quantize_complex_block(x: np.ndarray, fmt: FxpFormat, target_headroom: int):
 
 
 def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):
-    """One DCT twiddle stage output ``(w1 x1 + sign w2 x2) >> tf``, rounded
-    under the plan's policy and saturated to the data format.  Returns the
-    words and the number of saturated outputs."""
+    """One DCT twiddle stage output ``(w1 x1 + sign w2 x2) >> tf``, truncated
+    and saturated to the data format.  Returns the words and the number of
+    saturated outputs."""
     wt, wd = plan.twiddle_format.total_bits, plan.data_format.total_bits
     acc = _mac(w1, x1, wt, wd, 1, np.multiply).plus(
         _mac(w2, x2, wt, wd, 1, np.multiply), sign)
-    return _requantize(acc, plan.twiddle_format.frac_bits, plan.policy.mode,
+    return _requantize(acc, plan.twiddle_format.frac_bits, RoundingMode.TRUNCATE,
                        plan.data_format)
 
 
@@ -412,7 +369,6 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
     wim_all = -plan._tw_im if inverse else plan._tw_im
     if not plan.exact:
         width, target = plan.data_format.total_bits, plan.headroom_bits
-        rounding = plan.policy.mode
 
     split = plan.n_stages // 2
     rows, cols = 1 << split, n >> split
@@ -424,7 +380,8 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
             for p in (re, im):
                 p.reshape(cols, rows)[...] = p.reshape(rows, cols).T
         if bfp == "pre":
-            (re, im), shift = shift_block((re, im), width, target, rounding)
+            (re, im), shift = shift_block((re, im), width, target,
+                                          RoundingMode.TRUNCATE)
             gamma -= shift
         elif bfp == "post":
             # decided from the block entering the stage, applied after it
@@ -442,7 +399,8 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
         telemetry.cycles += n // 2
 
         if bfp == "post":
-            (re, im), shift = shift_block((re, im), width, target, rounding, shift)
+            (re, im), shift = shift_block((re, im), width, target,
+                                          RoundingMode.TRUNCATE, shift)
             gamma -= shift
         telemetry.stage_exponents.append(gamma)
 
@@ -473,8 +431,7 @@ def fft_bfp(x: np.ndarray, plan: FftPlan) -> FftResult:
     return FftResult(re, im, g_in + g_core, telemetry)
 
 
-def fft_bfp_block(re, im, exponent: int, plan: FftPlan,
-                  inverse: bool = False) -> FftResult:
+def fft_bfp_block(re, im, exponent: int, plan: FftPlan) -> FftResult:
     """Transform pre-quantized mantissas (headroom must already be in place)."""
     if plan.exact:
         raise ValueError("mantissa entry point requires a fixed-point plan")
@@ -487,8 +444,7 @@ def fft_bfp_block(re, im, exponent: int, plan: FftPlan,
         )
     telemetry = FftTelemetry(plan.n_points, plan.mode)
     telemetry.entry_exponent = exponent
-    re_o, im_o, g_core = _fft_core(np.asarray(re), np.asarray(im), plan,
-                                   telemetry, inverse=inverse)
+    re_o, im_o, g_core = _fft_core(np.asarray(re), np.asarray(im), plan, telemetry)
     telemetry.final_exponent = exponent + g_core
     return FftResult(re_o, im_o, exponent + g_core, telemetry)
 
@@ -576,7 +532,7 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan):
 
     # restore the plan headroom before the transform proper
     (v_re, v_im), shift = shift_block((v_re, v_im), fmt.total_bits,
-                                      plan.headroom_bits, plan.policy.mode)
+                                      plan.headroom_bits, RoundingMode.TRUNCATE)
     gamma = g0 - shift
     telemetry.entry_exponent = gamma
     re, im, g_core = _fft_core(v_re, v_im, plan, telemetry, inverse=True)

@@ -1,4 +1,4 @@
-"""Matrix/vector container and CSV import/export.
+"""Matrix container and two-column CSV import/export.
 
 Binary container layout (little-endian):
   bytes  0..15   magic ``FTSINV-MATRIX-01``
@@ -36,37 +36,6 @@ def read_matrix(path) -> np.ndarray:
     if len(payload) != expected:
         raise ValueError(f"{path}: payload size {len(payload)} != {expected}")
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
-
-
-def write_vector(path, vector: np.ndarray) -> None:
-    write_matrix(path, np.asarray(vector, dtype=np.float64).reshape(-1, 1))
-
-
-def read_vector(path) -> np.ndarray:
-    m = read_matrix(path)
-    if 1 not in m.shape:
-        raise ValueError(f"{path}: container holds a matrix, not a vector")
-    return m.ravel()
-
-
-def write_matrix_csv(path, matrix: np.ndarray) -> None:
-    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    with open(path, "w") as fh:
-        for row in m:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    if not rows:
-        raise ValueError(f"{path}: empty CSV")
-    return np.asarray(rows, dtype=np.float64)
 
 
 def write_series_csv(path, coordinate_name: str, coords, values) -> None:

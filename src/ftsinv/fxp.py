@@ -1,10 +1,9 @@
 """Bit-exact fixed-point and block-floating-point arithmetic.
 
 Every datapath in this package (FFT butterflies, DCT twiddle stages,
-matrix-vector MACs) runs on the primitives defined here.  Scalars are carried
-as Python integers so that intermediate products are exact at any width;
-arrays of words are int64 at every width up to 64 bits.  Every array product
-and sum goes through one exact MAC, :func:`_mac`, and one output stage,
+matrix-vector MACs) runs on the primitives defined here.  Words are int64
+arrays at every width up to 64 bits.  Every array product and sum goes
+through one exact MAC, :func:`_mac`, and one output stage,
 :func:`_requantize`: one int64 operation where the words fit, else limbs
 whose products are exact in int64 (the error-free splitting of Ozaki, Ogita,
 Oishi and Rump, Numer. Algorithms, 2012), summed uncarried into base-2^b
@@ -19,8 +18,7 @@ for int64.
 Conventions:
   * two's-complement signed rasters, ``value = raw * 2**(-frac_bits)``
   * round-half-to-even at datapath entry, truncation (floor) inside datapaths
-  * saturation at quantization boundaries; wrap exists but is never used by
-    the shipped datapaths
+  * saturation wherever a word leaves its format; no datapath wraps
 """
 
 from __future__ import annotations
@@ -38,22 +36,18 @@ class RoundingMode(Enum):
     ROUND_HALF_EVEN = "round-half-even"
 
 
-class OverflowMode(Enum):
-    SATURATE = "saturate"
-    WRAP = "wrap"
-
-
 @dataclass(frozen=True)
 class RoundingPolicy:
+    """How a stage rounds; every stage saturates on overflow."""
+
     mode: RoundingMode = RoundingMode.ROUND_HALF_EVEN
-    overflow: OverflowMode = OverflowMode.SATURATE
 
     def describe(self) -> str:
-        return f"{self.mode.value}/{self.overflow.value}"
+        return f"{self.mode.value}/saturate"
 
 
-ENTRY_POLICY = RoundingPolicy(RoundingMode.ROUND_HALF_EVEN, OverflowMode.SATURATE)
-DATAPATH_POLICY = RoundingPolicy(RoundingMode.TRUNCATE, OverflowMode.SATURATE)
+ENTRY_POLICY = RoundingPolicy(RoundingMode.ROUND_HALF_EVEN)
+DATAPATH_POLICY = RoundingPolicy(RoundingMode.TRUNCATE)
 
 
 @dataclass(frozen=True)
@@ -87,9 +81,6 @@ class FxpFormat:
     def resolution(self) -> float:
         return 2.0 ** (-self.frac_bits)
 
-    def value_of(self, raw: int) -> float:
-        return raw * self.resolution
-
     @classmethod
     def for_range(cls, total_bits: int, max_abs: float) -> "FxpFormat":
         """Widest fractional split that still represents ``max_abs`` without
@@ -108,84 +99,6 @@ class FxpFormat:
 
     def describe(self) -> str:
         return f"Q{self.total_bits - self.frac_bits}.{self.frac_bits}"
-
-
-@dataclass(frozen=True)
-class FxpValue:
-    raw: int
-    fmt: FxpFormat
-
-    def __post_init__(self):
-        if not (self.fmt.min_raw <= self.raw <= self.fmt.max_raw):
-            raise ValueError(f"raw {self.raw} outside {self.fmt.describe()}")
-
-    @property
-    def value(self) -> float:
-        return self.fmt.value_of(self.raw)
-
-
-# ---------------------------------------------------------------------------
-# integer rounding / overflow primitives
-# ---------------------------------------------------------------------------
-
-def rshift_round(v: int, s: int, mode: RoundingMode) -> int:
-    """Round ``v / 2**s`` to an integer under ``mode`` (s >= 0)."""
-    if s <= 0:
-        return v << (-s)
-    if mode is RoundingMode.TRUNCATE:
-        return v >> s
-    q = v >> s
-    r = v - (q << s)
-    half = 1 << (s - 1)
-    if r > half or (r == half and (q & 1)):
-        q += 1
-    return q
-
-
-def apply_overflow(raw: int, fmt: FxpFormat, mode: OverflowMode):
-    """Fold ``raw`` into the format range; returns (raw, overflowed)."""
-    if fmt.min_raw <= raw <= fmt.max_raw:
-        return raw, False
-    if mode is OverflowMode.SATURATE:
-        return (fmt.max_raw if raw > fmt.max_raw else fmt.min_raw), True
-    span = 1 << fmt.total_bits
-    return ((raw - fmt.min_raw) % span) + fmt.min_raw, True
-
-
-def quantize(x: float, fmt: FxpFormat, policy: RoundingPolicy = ENTRY_POLICY) -> FxpValue:
-    """Quantize a real number to the nearest representable fixed-point value."""
-    if not math.isfinite(x):
-        raise ValueError(f"cannot quantize non-finite value {x!r}")
-    # scaling by a power of two is exact in binary floating point
-    scaled = math.ldexp(x, fmt.frac_bits)
-    if policy.mode is RoundingMode.ROUND_HALF_EVEN:
-        raw = round(scaled)
-    else:
-        raw = math.floor(scaled)
-    raw, _ = apply_overflow(raw, fmt, policy.overflow)
-    return FxpValue(raw, fmt)
-
-
-def fxp_mul(
-    a: FxpValue,
-    b: FxpValue,
-    out_fmt: FxpFormat,
-    policy: RoundingPolicy = DATAPATH_POLICY,
-) -> FxpValue:
-    """Exact double-width product realigned and rounded to ``out_fmt``."""
-    prod = a.raw * b.raw                      # exact, arbitrary precision
-    shift = a.fmt.frac_bits + b.fmt.frac_bits - out_fmt.frac_bits
-    raw = rshift_round(prod, shift, policy.mode)
-    raw, _ = apply_overflow(raw, out_fmt, policy.overflow)
-    return FxpValue(raw, out_fmt)
-
-
-def fxp_add(a: FxpValue, b: FxpValue, policy: RoundingPolicy = DATAPATH_POLICY) -> FxpValue:
-    """Exact sum (one growth bit) folded back into the common format."""
-    if a.fmt != b.fmt:
-        raise ValueError("fxp_add requires identical formats")
-    raw, _ = apply_overflow(a.raw + b.raw, a.fmt, policy.overflow)
-    return FxpValue(raw, a.fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -219,27 +132,6 @@ def leading_bit(mantissas, width: int) -> int:
     return width - 1 - mag.bit_length()
 
 
-@dataclass
-class BfpBlock:
-    """Vector of uniform-width integer mantissas sharing one exponent.
-
-    Element ``i`` represents the real value ``mantissas[i] * 2**exponent``.
-    """
-
-    mantissas: np.ndarray
-    width: int
-    exponent: int = 0
-
-    def __post_init__(self):
-        self.mantissas = np.asarray(self.mantissas)
-
-    def headroom(self) -> int:
-        return leading_bit(self.mantissas, self.width)
-
-    def values(self) -> np.ndarray:
-        return self.mantissas.astype(np.float64) * 2.0 ** self.exponent
-
-
 def shift_block(parts: tuple, width: int, target_headroom: int,
                 mode: RoundingMode, shift: int | None = None) -> tuple:
     """Shift a block of mantissa arrays that share one exponent.
@@ -263,24 +155,6 @@ def shift_block(parts: tuple, width: int, target_headroom: int,
     if shift < 0:
         return tuple(shift_right_array(p, -shift, mode) for p in parts), shift
     return parts, 0
-
-
-def normalize_block(
-    block: BfpBlock,
-    target_headroom: int,
-    policy: RoundingPolicy = DATAPATH_POLICY,
-) -> BfpBlock:
-    """Shift every mantissa so the block headroom becomes ``target_headroom``.
-
-    Left shifts are exact; right shifts round under ``policy``.  The shared
-    exponent absorbs the shift so real values are preserved up to the
-    right-shift rounding loss.
-    """
-    if not (0 <= target_headroom <= block.width - 1):
-        raise ValueError("target_headroom outside [0, width-1]")
-    (m,), shift = shift_block((block.mantissas,), block.width, target_headroom,
-                              policy.mode)
-    return BfpBlock(m if shift else m.copy(), block.width, block.exponent - shift)
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +201,13 @@ def quantize_array(
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot quantize non-finite values")
-    scaled = np.ldexp(x, fmt.frac_bits)
+    with np.errstate(over="ignore"):        # past the float range: inf, saturated below
+        scaled = np.ldexp(x, fmt.frac_bits)
     if policy.mode is RoundingMode.ROUND_HALF_EVEN:
         r = np.rint(scaled)
     else:
         r = np.floor(scaled)
     top = 2.0 ** (fmt.total_bits - 1)
-    if policy.overflow is OverflowMode.WRAP:
-        r = np.fmod(r, 2 * top)
-        r = np.where(r >= top, r - 2 * top, np.where(r < -top, r + 2 * top, r))
-        return r.astype(np.int64)
     if r.max(initial=0.0) < top and r.min(initial=0.0) >= -top:
         return r.astype(np.int64)
     hi, lo = r >= top, r < -top

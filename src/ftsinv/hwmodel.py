@@ -249,19 +249,15 @@ def fft_cost(n_points: int, mode: str = "post",
     )
 
 
-def resource_table(method: str, k: int = 1,
-                   calib: CalibrationTable | None = None):
-    """(dsp, bram, lut) for a method at parallelism K (anchors verbatim)."""
-    c = method_cost(method, k, calib)
-    return c.dsp, c.bram, c.lut
-
-
 HEADLINE_RATIOS = {
     ("pinv", 1): 8.0,     # times slower than the transform route
     ("tik", 1): 24.0,
     ("pinv", 6): 1.5,
     ("tik", 6): 3.2,
 }
+_TOLERANCE = 0.15   # relative deviation from a headline ratio that is flagged
+_COMPARED = (("fft", 1), ("pinv", 1), ("pinv", 6),
+             ("tsvd", 1), ("tik", 1), ("tsvd", 6), ("tik", 6))
 
 
 def method_cost(method: str, k: int, calib: CalibrationTable | None = None,
@@ -279,22 +275,19 @@ def method_cost(method: str, k: int, calib: CalibrationTable | None = None,
     raise ConfigError(f"unknown method {method!r}")
 
 
-def compare_methods(configs=None, calib: CalibrationTable | None = None,
-                    tolerance: float = 0.15):
+def compare_methods(calib: CalibrationTable | None = None):
     """Cost rows plus speed ratios under the anchor-scale configuration.
 
-    Returns ``(rows, ratios, flags)``: one row dict per (method, K); the
-    ratios of each configuration's time to the transform route's time (the
-    ridge-to-pseudo-inverse ratio is reported both as measured cycles and as
-    the operation-count ratio, which differ); and warning strings for any
-    ratio straying more than ``tolerance`` from its headline value.
+    Returns ``(rows, ratios, flags)``: one row dict per (method, K) of
+    ``_COMPARED``; the ratios of each configuration's time to the transform
+    route's time (the ridge-to-pseudo-inverse ratio is reported both as
+    measured cycles and as the operation-count ratio, which differ); and
+    warning strings for any ratio straying more than ``_TOLERANCE`` from its
+    headline value.
     """
     calib = calib or default_calibration()
-    if configs is None:
-        configs = [("fft", 1), ("pinv", 1), ("pinv", 6),
-                   ("tsvd", 1), ("tik", 1), ("tsvd", 6), ("tik", 6)]
     rows = []
-    for method, k in configs:
+    for method, k in _COMPARED:
         cost = method_cost(method, k, calib)
         rows.append({
             "method": method,
@@ -316,10 +309,10 @@ def compare_methods(configs=None, calib: CalibrationTable | None = None,
         ratio = row["time_us"] / t_fft
         ratios[f"time_{row['method']}_k{row['k']}_over_fft"] = ratio
         headline = HEADLINE_RATIOS.get(key)
-        if headline is not None and abs(ratio - headline) / headline > tolerance:
+        if headline is not None and abs(ratio - headline) / headline > _TOLERANCE:
             flags.append(
                 f"{row['method']} K={row['k']}: ratio {ratio:.2f} deviates "
-                f">{tolerance:.0%} from headline {headline}"
+                f">{_TOLERANCE:.0%} from headline {headline}"
             )
     # measured-cycle vs operation-count views of the ridge/pseudo-inverse gap
     ratios["cycles_svd_over_pinv_k1"] = (

@@ -195,16 +195,16 @@ def penalize(xi: np.ndarray, scheme) -> PenalizedDiagonal:
     raise TypeError(f"unknown scheme {scheme!r}")
 
 
-def pinv_matrix(f: SvdFactors, drop_tol: float = 1e-12) -> np.ndarray:
+def pinv_matrix(f: SvdFactors) -> np.ndarray:
     """Moore-Penrose pseudo-inverse from the factors (double precision).
 
-    Singular values below ``drop_tol`` times the largest are treated as zero
-    rather than inverted.
+    Singular values below 1e-12 times the largest are treated as zero rather
+    than inverted.
     """
     xi = f.xi
     if xi.size == 0 or xi[0] == 0:
         raise ValueError("cannot invert an all-zero matrix")
-    keep = xi >= drop_tol * xi[0]
+    keep = xi >= 1e-12 * xi[0]
     if not np.any(keep):
         raise ValueError("no singular values above the drop threshold")
     inv = np.zeros_like(xi)

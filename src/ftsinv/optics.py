@@ -8,6 +8,7 @@ only happens afterwards, at the entry of the emulated datapaths.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,24 +41,30 @@ class SpectralGrid:
 
 @dataclass(frozen=True)
 class OpdGrid:
-    """Optical-path-difference sampling positions (non-negative, increasing)."""
+    """Optical-path-difference sampling positions (finite, non-negative,
+    increasing), held as a read-only copy."""
 
     delta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", np.asarray(self.delta, dtype=np.float64))
-        if self.delta.size < 2:
+        delta = np.array(self.delta, dtype=np.float64)
+        delta.setflags(write=False)
+        object.__setattr__(self, "delta", delta)
+        if delta.size < 2:
             raise ValueError("OPD grid needs at least 2 samples")
-        if self.delta[0] < 0 or np.any(np.diff(self.delta) <= 0):
+        if not np.all(np.isfinite(delta)):
+            raise ValueError("OPD values must be finite")
+        if delta[0] < 0 or np.any(np.diff(delta) <= 0):
             raise ValueError("OPD values must be non-negative and strictly increasing")
 
     @property
     def n_samples(self) -> int:
         return int(self.delta.size)
 
-    @property
+    @functools.cached_property
     def is_regular(self) -> bool:
-        """True when delta_k = k * step (zero-based arithmetic progression)."""
+        """True when delta_k = k * step (zero-based arithmetic progression).
+        Computed once: ``delta`` cannot change."""
         d = self.delta
         if d[0] != 0.0:
             return False

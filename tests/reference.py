@@ -1,0 +1,120 @@
+"""Python-int model of the fixed-point rules, the oracle tests compare against.
+
+Scalar copies of the rounding, saturation and butterfly rules that
+``ftsinv.fxp`` and ``ftsinv.fft_inversion`` apply to int64 arrays.  Python
+integers are exact at any width, so every product and sum here is the exact
+one; nothing in the package calls this module.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from ftsinv.fxp import (
+    DATAPATH_POLICY,
+    ENTRY_POLICY,
+    FxpFormat,
+    RoundingMode,
+    RoundingPolicy,
+)
+
+
+def value_of(fmt: FxpFormat, raw: int) -> float:
+    return raw * fmt.resolution
+
+
+@dataclass(frozen=True)
+class FxpValue:
+    raw: int
+    fmt: FxpFormat
+
+    def __post_init__(self):
+        if not (self.fmt.min_raw <= self.raw <= self.fmt.max_raw):
+            raise ValueError(f"raw {self.raw} outside {self.fmt.describe()}")
+
+    @property
+    def value(self) -> float:
+        return value_of(self.fmt, self.raw)
+
+
+def rshift_round(v: int, s: int, mode: RoundingMode) -> int:
+    """Round ``v / 2**s`` to an integer under ``mode``; ``s < 0`` shifts left."""
+    if s <= 0:
+        return v << (-s)
+    if mode is RoundingMode.TRUNCATE:
+        return v >> s
+    q = v >> s
+    r = v - (q << s)
+    half = 1 << (s - 1)
+    if r > half or (r == half and (q & 1)):
+        q += 1
+    return q
+
+
+def apply_overflow(raw: int, fmt: FxpFormat):
+    """Saturate ``raw`` to the format range; returns (raw, overflowed)."""
+    if fmt.min_raw <= raw <= fmt.max_raw:
+        return raw, False
+    return (fmt.max_raw if raw > fmt.max_raw else fmt.min_raw), True
+
+
+def quantize(x: float, fmt: FxpFormat, policy: RoundingPolicy = ENTRY_POLICY) -> FxpValue:
+    """Quantize a real number to the nearest representable fixed-point value."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot quantize non-finite value {x!r}")
+    scaled = Fraction(x) * fmt.scale            # exact at any magnitude
+    if policy.mode is RoundingMode.ROUND_HALF_EVEN:
+        raw = round(scaled)
+    else:
+        raw = math.floor(scaled)
+    return FxpValue(apply_overflow(raw, fmt)[0], fmt)
+
+
+def fxp_mul(a: FxpValue, b: FxpValue, out_fmt: FxpFormat,
+            policy: RoundingPolicy = DATAPATH_POLICY) -> FxpValue:
+    """Exact product realigned and rounded to ``out_fmt``."""
+    shift = a.fmt.frac_bits + b.fmt.frac_bits - out_fmt.frac_bits
+    raw = rshift_round(a.raw * b.raw, shift, policy.mode)
+    return FxpValue(apply_overflow(raw, out_fmt)[0], out_fmt)
+
+
+def fxp_add(a: FxpValue, b: FxpValue) -> FxpValue:
+    """Exact sum folded back into the common format."""
+    if a.fmt != b.fmt:
+        raise ValueError("fxp_add requires identical formats")
+    return FxpValue(apply_overflow(a.raw + b.raw, a.fmt)[0], a.fmt)
+
+
+def butterfly_radix2(a, b, w, data_fmt: FxpFormat, twiddle_fmt: FxpFormat):
+    """Radix-2 butterfly on complex mantissa pairs.
+
+    ``a``, ``b`` are (re, im) mantissa pairs in the data format, ``w`` a
+    (re, im) twiddle pair in the twiddle format.  ``a 2**ft +- w b`` is
+    formed exactly, truncated by ``ft`` bits and saturated to the data
+    format once.  Returns ``(a + w*b, a - w*b, overflow_count)``.
+    """
+    ft = twiddle_fmt.frac_bits
+    ar, ai = int(a[0]), int(a[1])
+    br, bi = int(b[0]), int(b[1])
+    wr, wi = int(w[0]), int(w[1])
+    t_re = br * wr - bi * wi
+    t_im = br * wi + bi * wr
+    outs, overflow = [], 0
+    for sign in (1, -1):
+        out = []
+        for x, t in ((ar, t_re), (ai, t_im)):
+            raw, over = apply_overflow(((x << ft) + sign * t) >> ft, data_fmt)
+            out.append(raw)
+            overflow += over
+        outs.append(tuple(out))
+    return outs[0], outs[1], overflow
+
+
+def bank_map(logical_index: int, n_points: int):
+    """(bank, address) of a logical index in the two-bank store: the bank is
+    the parity of the index's set bits, the address the index over two."""
+    if not (0 <= logical_index < n_points):
+        raise IndexError(f"index {logical_index} outside [0, {n_points})")
+    return bin(logical_index).count("1") & 1, logical_index >> 1

@@ -62,6 +62,19 @@ def test_invert_rejects_partition_counts_below_one(simulated, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_invert_rejects_non_finite_opd(simulated, tmp_path, capsys):
+    """An interferogram with nan in its opd column exits 2, writing nothing."""
+    y, a = simulated
+    name, coords, values = fileio.read_series_csv(y)
+    coords[3] = np.nan
+    bad, out = tmp_path / "bad.csv", tmp_path / "x.csv"
+    fileio.write_series_csv(bad, name, coords, values)
+    assert cli.main(["invert", "--method", "pinv", "--bits", "16", "--in", str(bad),
+                     "--matrix", str(a), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method,flags", [
     ("pinv", ["--rank", "24"]),
     ("pinv", ["--lambda", "0"]),

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ftsinv as fi
 from ftsinv import fft_inversion
@@ -16,8 +18,6 @@ from ftsinv.fft_inversion import (
     _bit_reverse_permutation,
     _parity,
     _port_map,
-    bank_map,
-    butterfly_radix2,
     dct2_via_fft,
     fft_bfp,
     fft_bfp_block,
@@ -28,6 +28,7 @@ from ftsinv.fft_inversion import (
 from ftsinv.fxp import FxpFormat
 
 from conftest import complex_snr_db
+from reference import bank_map, butterfly_radix2
 
 
 def direct_dct2(x):
@@ -45,11 +46,10 @@ def make_sign_adversary(n, seed):
 
 class TestBankMap:
     def test_partner_separation_examples(self):
-        b0, _ = bank_map(0, 0, 8)
-        b4, _ = bank_map(4, 0, 8)
+        b0, _ = bank_map(0, 8)
+        b4, _ = bank_map(4, 8)
         assert {b0, b4} == {0, 1}
-        b0, _ = bank_map(0, 2, 8)
-        b1, _ = bank_map(1, 2, 8)
+        b1, _ = bank_map(1, 8)
         assert {b0, b1} == {0, 1}
 
     def test_exhaustive_conflict_freedom(self):
@@ -61,20 +61,20 @@ class TestBankMap:
                 half = 1 << stage
                 seen = set()
                 for i in range(n):
-                    bank, addr = bank_map(i, stage, n)
+                    bank, addr = bank_map(i, n)
                     assert 0 <= addr < n // 2
                     seen.add((bank, addr))
                     partner = i ^ half
-                    pbank, _ = bank_map(partner, stage, n)
+                    pbank, _ = bank_map(partner, n)
                     assert bank != pbank
                 assert len(seen) == n            # bijective per stage
             n *= 4
 
     def test_range_checks(self):
         with pytest.raises(IndexError):
-            bank_map(8, 0, 8)
+            bank_map(8, 8)
         with pytest.raises(IndexError):
-            bank_map(0, 3, 8)
+            bank_map(-1, 8)
 
     def test_vectorized_conflict_freedom(self):
         """The parity map the engine uses, every stage, n up to 65536."""
@@ -99,6 +99,8 @@ class TestBankMap:
             assert np.array_equal(adr, idx >> 1)
             assert np.array_equal(adr_parity, _parity(np.arange(n // 2)))
             n *= 2
+        par, adr, _ = _port_map(64)
+        assert [bank_map(i, 64) for i in range(64)] == list(zip(par.tolist(), adr.tolist()))
 
     def test_partial_port_lists_resolve_through_the_xor_map(self):
         """Any (bank, address) list other than the full map reads and writes
@@ -222,6 +224,26 @@ class TestButterfly:
             saturated += overflows
         assert saturated > 0
 
+    @settings(max_examples=8)
+    @given(n=st.sampled_from((2, 8, 16)), twiddle_bits=st.integers(2, 64),
+           words=st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=32, max_size=32))
+    def test_fixed_stages_match_the_model_at_every_width(self, n, twiddle_bits, words):
+        """``fft_bfp_block`` in fixed mode against ``butterfly_radix2`` on
+        Python ints at every data width from 2 to 64: n = 2 is one stage of
+        one butterfly, n = 8 and 16 add stages on the transposed store and
+        nontrivial twiddles.  ``v >> (64 - bits)`` keeps the top bits of
+        each drawn 64-bit word."""
+        for bits in range(2, 65):
+            plan = FftPlan.make(n, bits=bits, twiddle_bits=twiddle_bits, mode="fixed",
+                                headroom_bits=0)
+            re, im = (np.array([v >> (64 - bits) for v in part], dtype=np.int64)
+                      for part in (words[:n], words[16:16 + n]))
+            res = fft_bfp_block(re, im, 0, plan)
+            want, overflows = self._scalar_stages(plan, re, im)
+            assert res.re.tolist() == [w[0] for w in want], bits
+            assert res.im.tolist() == [w[1] for w in want], bits
+            assert res.telemetry.overflow_events == overflows, bits
+
     @pytest.mark.parametrize("fill,n", _at_sizes([("max_raw",), ("min_raw",)]))
     def test_extreme_words_match_scalar_butterflies(self, fill, n):
         """64-bit words all at one extreme, where the stage loop saturates
@@ -338,6 +360,11 @@ class TestFftBfp:
         plan = FftPlan.make(64)
         with pytest.raises(ValueError):
             fft_bfp(np.zeros(32, dtype=complex), plan)
+
+    def test_twiddle_width_without_data_width_refused(self):
+        """A double-precision plan has no twiddle words to size."""
+        with pytest.raises(ValueError, match="twiddle_bits"):
+            FftPlan.make(64, twiddle_bits=8)
 
     def test_insufficient_headroom_rejected(self):
         plan = FftPlan.make(16, bits=12, mode="post", headroom_bits=3)

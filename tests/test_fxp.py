@@ -5,16 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftsinv.fxp import (
     DATAPATH_POLICY,
-    ENTRY_POLICY,
-    BfpBlock,
     FxpFormat,
-    FxpValue,
-    OverflowMode,
     RoundingMode,
     RoundingPolicy,
     _guard_bits,
@@ -22,14 +18,19 @@ from ftsinv.fxp import (
     _mac,
     _macs,
     _requantize,
+    leading_bit,
+    quantize_array,
+    shift_block,
+)
+
+from reference import (
+    FxpValue,
     apply_overflow,
     fxp_add,
     fxp_mul,
-    leading_bit,
-    normalize_block,
     quantize,
-    quantize_array,
     rshift_round,
+    value_of,
 )
 
 
@@ -55,7 +56,7 @@ class TestFormat:
     def test_ranges(self):
         fmt = FxpFormat(8, 7)
         assert fmt.min_raw == -128 and fmt.max_raw == 127
-        assert fmt.value_of(64) == 0.5
+        assert value_of(fmt, 64) == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -236,24 +237,25 @@ class TestLeadingBit:
 
 
 class TestNormalizeBlock:
+    """Block normalization by ``shift_block``: the shared exponent falls by
+    the shift it returns."""
+
+    TRUNC = RoundingMode.TRUNCATE
+
     def test_all_zero_unchanged(self):
-        b = BfpBlock(np.zeros(4, dtype=np.int64), 8, exponent=3)
-        out = normalize_block(b, 2)
-        assert np.array_equal(out.mantissas, b.mantissas)
-        assert out.exponent == 3
+        m = np.zeros(4, dtype=np.int64)
+        (out,), shift = shift_block((m,), 8, 2, self.TRUNC)
+        assert np.array_equal(out, m) and shift == 0
 
     def test_already_at_target_identity(self):
-        b = BfpBlock(np.array([5, -3, 2]), 8, exponent=0)
-        out = normalize_block(b, 4)
-        assert np.array_equal(out.mantissas, b.mantissas)
-        assert out.exponent == 0
+        m = np.array([5, -3, 2])
+        (out,), shift = shift_block((m,), 8, 4, self.TRUNC)
+        assert np.array_equal(out, m) and shift == 0
 
     def test_left_shift_exact(self):
-        b = BfpBlock(np.array([5, -3, 2]), 8, exponent=0)
-        out = normalize_block(b, 2)
-        assert np.array_equal(out.mantissas, [20, -12, 8])
-        assert out.exponent == -2
-        assert np.array_equal(out.values(), b.values())
+        (out,), shift = shift_block((np.array([5, -3, 2]),), 8, 2, self.TRUNC)
+        assert np.array_equal(out, [20, -12, 8])
+        assert shift == 2
 
     def test_value_preservation_bound(self):
         rng = np.random.default_rng(23)
@@ -261,18 +263,13 @@ class TestNormalizeBlock:
             width = int(rng.integers(6, 17))
             lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
             m = rng.integers(lo, hi + 1, size=8)
-            b = BfpBlock(m, width, exponent=int(rng.integers(-5, 6)))
+            exponent = int(rng.integers(-5, 6))
             target = int(rng.integers(0, width))
-            out = normalize_block(b, target)
-            diff = np.abs(out.values() - b.values())
-            assert np.all(diff <= 2.0 ** out.exponent + 1e-12)
-            if out.exponent <= b.exponent:   # left shift is exact
+            (out,), shift = shift_block((m,), width, target, self.TRUNC)
+            diff = np.abs(np.ldexp(out, exponent - shift) - np.ldexp(m, exponent))
+            assert np.all(diff <= 2.0 ** (exponent - shift) + 1e-12)
+            if shift >= 0:   # left shift is exact
                 assert np.all(diff == 0)
-
-    def test_target_validation(self):
-        b = BfpBlock(np.array([1]), 8)
-        with pytest.raises(ValueError):
-            normalize_block(b, 8)
 
 
 class TestRounding:
@@ -292,13 +289,6 @@ class TestRounding:
             assert rshift_round(v, s, RoundingMode.ROUND_HALF_EVEN) == round(exact)
             assert rshift_round(v, s, RoundingMode.TRUNCATE) == math.floor(exact)
 
-    def test_wrap_mode(self):
-        fmt = FxpFormat(8, 0)
-        raw = quantize_array(np.array([130.0]),
-                             fmt, RoundingPolicy(RoundingMode.ROUND_HALF_EVEN,
-                                                 OverflowMode.WRAP))
-        assert int(raw[0]) == -126
-
     def test_saturation_beyond_int64(self):
         """Values whose scaled magnitude passes 2**63 saturate by their sign,
         without an overflowing cast."""
@@ -308,6 +298,74 @@ class TestRounding:
         raw = quantize_array(np.array([1e30, -1e30, 2.0 ** 62]), fmt)
         assert raw.dtype == np.int64
         assert raw.tolist() == [fmt.max_raw, fmt.min_raw, 2 ** 62]
+
+
+WIDTHS = range(2, 65)
+
+
+def _at_width(v: int, width: int, low: bool) -> int:
+    """A ``width``-bit word from a 64-bit draw: its top bits, so that the
+    int64 extremes give each width's extremes, or its low bits sign-extended,
+    so that small draws stay small words."""
+    if low:
+        half = 1 << (width - 1)
+        return (v + half) % (2 * half) - half
+    return v >> (64 - width)
+
+
+class TestAgainstReference:
+    """The vector primitives against the Python-int model: each example is
+    checked at every width from 2 to 64."""
+
+    @settings(max_examples=60)
+    @given(raws=st.lists(st.integers(-(1 << 64), (1 << 64) - 1), min_size=1, max_size=8),
+           steps=st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75)), min_size=8, max_size=8),
+           reals=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+           frac=st.integers(0, 63), mode=st.sampled_from(list(RoundingMode)))
+    def test_quantize_array_matches_quantize(self, raws, steps, reals, frac, mode):
+        """Reals up to twice each format's range, on its grid points, quarter
+        steps and ties, and reals of any magnitude."""
+        policy = RoundingPolicy(mode)
+        for width in WIDTHS:
+            fmt = FxpFormat(width, min(frac, width - 1))
+            xs = [math.ldexp((v >> (65 - width)) + step, -fmt.frac_bits)
+                  for v, step in zip(raws, steps)] + reals
+            got = quantize_array(np.array(xs), fmt, policy)
+            assert got.dtype == np.int64
+            assert got.tolist() == [quantize(x, fmt, policy).raw for x in xs], width
+
+    @settings(max_examples=60)
+    @given(parts=st.lists(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=6,
+                                   max_size=6), min_size=1, max_size=2),
+           low=st.booleans(), scale=st.integers(0, 63), target=st.integers(0, 63),
+           mode=st.sampled_from(list(RoundingMode)),
+           shift=st.none() | st.integers(-66, 63))
+    def test_shift_block_matches_rshift_round(self, parts, low, scale, target, mode,
+                                              shift):
+        """The applied shift brings the block to its target headroom, or is
+        the caller's (an exact left shift or any right shift), and each word
+        is ``rshift_round`` of it, saturated."""
+        for width in WIDTHS:
+            fmt = FxpFormat(width, 0)
+            # words of every magnitude: ``scale`` of the width's bits dropped
+            block = [[_at_width(v, width, low) >> min(scale, width - 1) for v in p]
+                     for p in parts]
+            words = [v for p in block for v in p]
+            room = brute_force_headroom(words, width)
+            aim = min(target, width - 1)
+            given_shift = None if shift is None else min(shift, room)
+            got, applied = shift_block(tuple(np.array(p, dtype=np.int64) for p in block),
+                                       width, aim, mode, given_shift)
+            # a block of 0 and -1 words is left as it is, although leading_bit
+            # gives it width - 1 bits of headroom
+            if all(v in (0, -1) for v in words):
+                want = 0
+            else:
+                want = room - aim if given_shift is None else given_shift
+            assert applied == want, width
+            for p, q in zip(block, got):
+                assert q.tolist() == [apply_overflow(rshift_round(v, -want, mode), fmt)[0]
+                                      for v in p], width
 
 
 def _mac_words(rng, width: int, shape, fill: str) -> np.ndarray:
@@ -339,19 +397,23 @@ def _mac_cases(draw):
                    if s <= top]
     shift = draw(st.one_of(st.integers(-3, top), st.sampled_from(near_digits))
                  if near_digits else st.integers(-3, top))
+    # often an output wide enough for the rounded sum, where a wide sum's
+    # rounding shows instead of saturating
+    fits = min(64, max(2, wa + wb + guard + 1 - max(shift, 0)))
     return dict(
         wa=wa, wb=wb, length=length, op=np.matmul if matmul else np.multiply,
         rows=draw(st.integers(1, 3)) if matmul else None, guard=guard,
         signs=draw(st.lists(st.sampled_from((1, -1)), min_size=accumulators - 1,
                             max_size=accumulators - 1)),
         shift=shift, mode=draw(st.sampled_from(list(RoundingMode))),
-        out_fmt=FxpFormat(draw(st.integers(2, 64)), 0),
+        out_fmt=FxpFormat(draw(st.just(fits) | st.integers(2, 64)), 0),
         fills=draw(st.tuples(*[st.sampled_from(("random", "random", "max", "min"))] * 2)),
         seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
 class TestExactMac:
-    """``_mac``, ``_Wide.plus`` and ``_requantize`` against Python ints."""
+    """``_mac``, ``_Wide.plus`` and ``_requantize`` against the Python-int
+    model."""
 
     @pytest.mark.parametrize("wa,wb", [(16, 16), (24, 30), (32, 40), (64, 64)])
     @pytest.mark.parametrize("op", [np.multiply, np.matmul])
@@ -393,7 +455,7 @@ class TestExactMac:
             want = [t + sign * w for t, w in zip(values, want)]
         out, overflows = _requantize(acc, case["shift"], case["mode"], case["out_fmt"])
         results = [apply_overflow(rshift_round(v, case["shift"], case["mode"]),
-                                  case["out_fmt"], OverflowMode.SATURATE) for v in want]
+                                  case["out_fmt"]) for v in want]
         assert out.dtype == np.int64
         assert out.tolist() == [r for r, _ in results]
         assert overflows == sum(over for _, over in results)

@@ -100,25 +100,30 @@ class TestStructure:
         with pytest.raises(ConfigError):
             hwmodel.fft_cost(48)
         with pytest.raises(ConfigError):
-            hwmodel.resource_table("dft")
+            hwmodel.method_cost("dft", 1)
+
+
+def _resources(method, k=1, calib=None):
+    cost = hwmodel.method_cost(method, k, calib)
+    return cost.dsp, cost.bram, cost.lut
 
 
 class TestResources:
     def test_fft_row_verbatim(self):
-        assert hwmodel.resource_table("fft") == (5, 3, 5540)
+        assert _resources("fft") == (5, 3, 5540)
 
     def test_pinv_rows_verbatim(self):
         for k in range(1, 7):
-            dsp, bram, _ = hwmodel.resource_table("pinv", k)
+            dsp, bram, _ = _resources("pinv", k)
             assert dsp == k and bram == 27
-        assert hwmodel.resource_table("pinv", 1)[2] == 6390
-        assert hwmodel.resource_table("pinv", 6)[2] == 6670
+        assert _resources("pinv", 1)[2] == 6390
+        assert _resources("pinv", 6)[2] == 6670
 
     def test_svd_rows_verbatim(self):
         ram_row = {1: 73, 2: 76, 3: 76, 4: 80, 5: 80, 6: 78}
         for k in range(1, 7):
             for method in ("tsvd", "tik"):
-                dsp, bram, _ = hwmodel.resource_table(method, k)
+                dsp, bram, _ = _resources(method, k)
                 assert dsp == 2 * k
                 assert bram == ram_row[k]
 
@@ -152,7 +157,7 @@ class TestOffAnchorK:
         calib = _gap_calibration() if key[0] == "gap" else None
         _, method, k = key
         resources, cycles, fmax = self.PINNED[key]
-        assert hwmodel.resource_table(method, k, calib) == resources
+        assert _resources(method, k, calib) == resources
         cost = hwmodel.method_cost(method, k, calib)
         assert cost.latency_cycles == cycles
         assert cost.fmax_mhz == pytest.approx(fmax, rel=1e-12)

@@ -49,6 +49,23 @@ class TestGrids:
         with pytest.raises(ValueError):
             fi.OpdGrid(np.array([-0.1, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_opd_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fi.OpdGrid(np.array([0.0, bad, 2.0]))
+        with pytest.raises(ValueError, match="finite"):
+            fi.OpdGrid(np.array([0.0, 1.0, bad]))
+
+    def test_opd_holds_a_read_only_copy(self):
+        """The grid cannot change under its cached regularity."""
+        delta = np.array([0.0, 0.5, 1.0])
+        og = fi.OpdGrid(delta)
+        assert og.is_regular
+        delta[1] = 0.7
+        assert og.delta[1] == 0.5 and og.is_regular
+        with pytest.raises(ValueError):
+            og.delta[1] = 0.7
+
     def test_transform_matched(self):
         og = fi.OpdGrid.transform_matched(SG8, 8)
         assert is_transform_matched(SG8, og)
@@ -257,23 +274,11 @@ class TestFileIO:
         fileio.write_matrix(path, m)
         assert np.array_equal(fileio.read_matrix(path), m)
 
-    def test_vector_round_trip(self, tmp_path):
-        v = np.array([1.5, -2.25, 3.0])
-        path = tmp_path / "v.bin"
-        fileio.write_vector(path, v)
-        assert np.array_equal(fileio.read_vector(path), v)
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not a container at all.........")
         with pytest.raises(ValueError):
             fileio.read_matrix(path)
-
-    def test_csv_matrix_round_trip(self, tmp_path):
-        m = np.array([[1.0, 2.5], [-3.125, 4.0]])
-        path = tmp_path / "m.csv"
-        fileio.write_matrix_csv(path, m)
-        assert np.array_equal(fileio.read_matrix_csv(path), m)
 
     def test_series_round_trip(self, tmp_path):
         path = tmp_path / "s.csv"

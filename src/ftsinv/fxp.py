@@ -170,6 +170,8 @@ def shift_right_array(m: np.ndarray, s: int, mode: RoundingMode,
         return m << (-s)
     if mode is RoundingMode.TRUNCATE:
         return m >> s
+    if s > 63:                  # |m| <= 2**63 is at most one half: it rounds to 0
+        return np.zeros_like(m)
     q = m >> s
     r = m - (q << s)
     half = 1 << (s - 1)

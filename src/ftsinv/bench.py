@@ -19,7 +19,7 @@ import numpy as np
 from . import hwmodel
 from .errors import ConfigError
 from .fft_inversion import FftPlan, reconstruct_fft
-from .fxp import DATAPATH_POLICY, FxpFormat, quantize_array, dequantize_array
+from .fxp import DATAPATH_POLICY, ENTRY_POLICY, FxpFormat, quantize_array, dequantize_array
 from .matrix_inversion import (
     SvdFactors,
     Tikhonov,
@@ -83,13 +83,10 @@ class ExperimentConfig:
     seed: int = 0
     components: int = 4               # gaussian mixture components
 
-    method: str = "pinv"
     bits: int | None = 16
     twiddle_bits: int | None = None
     fft_mode: str = "post"
     headroom: int = 3
-    rank: int | None = None
-    lam: float | None = None
     k: int = 1
     quantize: str = "all"             # "all" or "data-only"
 
@@ -103,8 +100,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("cosine", "airy"):
             raise ConfigError(f"unknown model kind {self.kind!r}")
-        if self.method not in ALL_METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
         if self.quantize not in ("all", "data-only"):
             raise ConfigError("quantize must be 'all' or 'data-only'")
         for name in self.methods:
@@ -349,7 +344,7 @@ def _metadata(cfg: ExperimentConfig, operation: str) -> dict:
         "generator": f"ftsinv {VERSION}",
         "operation": operation,
         "snr_definition": SNR_DEFINITION,
-        "rounding_policy": f"entry=round-half-even datapath={DATAPATH_POLICY.describe()}",
+        "rounding_policy": f"entry={ENTRY_POLICY.value} datapath={DATAPATH_POLICY.value}/saturate",
         "config": cfg.to_json(),
     }
 

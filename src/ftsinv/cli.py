@@ -2,8 +2,10 @@
 
 Subcommands: ``simulate`` (forward model to files), ``invert`` (one
 reconstruction), ``sweep-precision``, ``sweep-parallel``, ``compare``,
-``costs``.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure (no-overflow invariant violated, factorization non-convergence).
+``costs``.  Each command registers only the flags it reads, so a flag it
+does not read exits 2 like any unknown one.  Exit codes: 0 success,
+2 configuration error, 3 numerical failure (no-overflow invariant violated,
+factorization non-convergence).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 from . import bench, fileio, hwmodel
 from .bench import ExperimentConfig
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, OverflowViolationError
 from .fft_inversion import FftPlan, reconstruct_fft
 from .matrix_inversion import (
     Tikhonov,
@@ -51,46 +53,41 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="experiment seed")
 
 
-def _add_method_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=list(bench.ALL_METHODS))
-    p.add_argument("--bits", type=int, help="datapath word width")
-    p.add_argument("--twiddle-bits", type=int, dest="twiddle_bits")
-    p.add_argument("--fft-mode", choices=["pre", "post", "fixed"], dest="fft_mode")
-    p.add_argument("--headroom", type=int)
-    p.add_argument("--rank", type=int, help="kept singular values (tsvd)")
-    p.add_argument("--lambda", type=float, dest="lam", help="ridge parameter (tik)")
-    p.add_argument("--parallel-k", type=int, dest="k", help="banked memories")
-    p.add_argument("--quantize", choices=["all", "data-only"])
-    p.add_argument("--double", action="store_true",
-                   help="double-precision reference datapath")
+# the datapath flags, each registered only on the commands that read it
+_DATAPATH_FLAGS = {
+    "--method": dict(choices=list(bench.ALL_METHODS)),
+    "--bits": dict(type=int, help="datapath word width"),
+    "--twiddle-bits": dict(type=int, dest="twiddle_bits"),
+    "--fft-mode": dict(choices=["pre", "post", "fixed"], dest="fft_mode"),
+    "--headroom": dict(type=int),
+    "--rank": dict(type=int, help="kept singular values (tsvd)"),
+    "--lambda": dict(type=float, dest="lam", help="ridge parameter (tik)"),
+    "--parallel-k": dict(type=int, dest="k", help="banked memories"),
+    "--quantize": dict(choices=["all", "data-only"]),
+    "--double": dict(action="store_true", help="double-precision reference datapath"),
+}
+
+
+def _add_datapath_flags(p: argparse.ArgumentParser, flags: str) -> None:
+    for flag in flags.split():
+        p.add_argument(flag, **_DATAPATH_FLAGS[flag])
 
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+    elif args.seed is None:
+        raise ConfigError("--seed is mandatory for stochastic runs "
+                          "(or provide it via --config)")
     else:
         cfg = ExperimentConfig()
-        if getattr(args, "seed", None) is None and _needs_seed(args):
-            raise ConfigError("--seed is mandatory for stochastic runs "
-                              "(or provide it via --config)")
-    overrides = {}
-    for name in ("kind", "n", "m", "bandwidth", "a", "r", "opd_oversampling",
-                 "noise_snr_db", "components", "seed", "method", "bits",
-                 "twiddle_bits", "fft_mode", "headroom", "rank", "lam", "k",
-                 "quantize"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in ExperimentConfig.__dataclass_fields__ and value is not None}
     if getattr(args, "double", False):
         if args.bits is not None:
             raise ConfigError("--bits is not read under --double")
         overrides["bits"] = None
-    data = {**asdict(cfg), **overrides}
-    return ExperimentConfig.from_dict(data)
-
-
-def _needs_seed(args) -> bool:
-    return args.command in ("simulate", "sweep-precision", "sweep-parallel", "compare")
+    return ExperimentConfig.from_dict({**asdict(cfg), **overrides})
 
 
 def _cmd_simulate(args) -> int:
@@ -120,7 +117,6 @@ _ROUTE_FLAGS = (
     (("fft",), {"twiddle_bits": "--twiddle-bits", "fft_mode": "--fft-mode",
                 "headroom": "--headroom", "normalize": "--normalize",
                 "mean_spectrum": "--mean-spectrum", "a": "--a", "r": "--r"}),
-    ((), {"quantize": "--quantize"}),     # a sweep's data-only study
 )
 # the invert flags that only a fixed-point datapath reads
 _FIXED_POINT_FLAGS = {"bits": "--bits", "twiddle_bits": "--twiddle-bits",
@@ -160,7 +156,7 @@ def _cmd_invert(args) -> int:
             raise ConfigError("--mean-spectrum, --a and --r are read only with --normalize")
         spectrum, telemetry = reconstruct_fft(y, plan)
         if plan.mode in ("pre", "post") and telemetry.overflow_events:
-            raise NumericalError(
+            raise OverflowViolationError(
                 f"no-overflow invariant violated ({telemetry.overflow_events} events)"
             )
         fileio.write_series_csv(args.out, "wavenumber",
@@ -198,25 +194,8 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _cmd_sweep_precision(args) -> int:
-    cfg = _config_from_args(args)
-    result = bench.sweep_precision(cfg)
-    result.write_csv(args.out)
-    print(f"wrote {args.out} ({len(result.rows)} rows)")
-    return 0
-
-
-def _cmd_sweep_parallel(args) -> int:
-    cfg = _config_from_args(args)
-    result = bench.sweep_parallelism(cfg)
-    result.write_csv(args.out)
-    print(f"wrote {args.out} ({len(result.rows)} rows)")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    cfg = _config_from_args(args)
-    result = bench.run_comparison(cfg)
+def _cmd_study(args) -> int:
+    result = args.study(_config_from_args(args))
     result.write_csv(args.out)
     print(f"wrote {args.out} ({len(result.rows)} rows)")
     return 0
@@ -252,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("invert", help="one reconstruction from files")
-    _add_method_flags(p)
+    _add_datapath_flags(p, "--method --bits --twiddle-bits --fft-mode --headroom "
+                           "--rank --lambda --parallel-k --double")
     p.add_argument("--in", dest="infile", required=True, help="interferogram CSV")
     p.add_argument("--matrix", help="transfer matrix container (matrix methods)")
     p.add_argument("--out", required=True, help="spectrum CSV")
@@ -264,14 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=float)
     p.set_defaults(func=_cmd_invert)
 
-    for name, func in (("sweep-precision", _cmd_sweep_precision),
-                       ("sweep-parallel", _cmd_sweep_parallel),
-                       ("compare", _cmd_compare)):
+    fft = "--twiddle-bits --fft-mode --headroom"
+    for name, study, flags in (
+            ("sweep-precision", bench.sweep_precision, f"{fft} --parallel-k --quantize"),
+            ("sweep-parallel", bench.sweep_parallelism, "--bits --quantize --double"),
+            ("compare", bench.run_comparison,
+             f"--bits {fft} --parallel-k --quantize --double")):
         p = sub.add_parser(name, help=f"{name} experiment to CSV")
         _add_model_flags(p)
-        _add_method_flags(p)
+        _add_datapath_flags(p, flags)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_study, study=study)
 
     p = sub.add_parser("costs", help="hardware cost table to CSV")
     p.add_argument("--out", default="-")

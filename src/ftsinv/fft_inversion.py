@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fxp import (
+    DATAPATH_POLICY,
     ENTRY_POLICY,
     FxpFormat,
-    RoundingMode,
     _mac,
     _macs,
     _requantize,
@@ -304,7 +304,7 @@ def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):
     wt, wd = plan.twiddle_format.total_bits, plan.data_format.total_bits
     acc = _mac(w1, x1, wt, wd, 1, np.multiply).plus(
         _mac(w2, x2, wt, wd, 1, np.multiply), sign)
-    return _requantize(acc, plan.twiddle_format.frac_bits, RoundingMode.TRUNCATE,
+    return _requantize(acc, plan.twiddle_format.frac_bits, DATAPATH_POLICY,
                        plan.data_format)
 
 
@@ -333,7 +333,7 @@ def _butterflies(v_re, v_im, wr, wi, plan: FftPlan) -> int:
     for v, a, t in ((v_re, a_re, t_re), (v_im, a_im, t_im)):
         sa = _mac(np.int64(1 << ft), a, *widths)        # a times 1.0 as a twiddle word
         for j, sign in ((0, 1), (1, -1)):
-            v[:, j], nov = _requantize(sa.plus(t, sign), ft, RoundingMode.TRUNCATE, fmt)
+            v[:, j], nov = _requantize(sa.plus(t, sign), ft, DATAPATH_POLICY, fmt)
             overflows += nov
     return overflows
 
@@ -380,8 +380,7 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
             for p in (re, im):
                 p.reshape(cols, rows)[...] = p.reshape(rows, cols).T
         if bfp == "pre":
-            (re, im), shift = shift_block((re, im), width, target,
-                                          RoundingMode.TRUNCATE)
+            (re, im), shift = shift_block((re, im), width, target, DATAPATH_POLICY)
             gamma -= shift
         elif bfp == "post":
             # decided from the block entering the stage, applied after it
@@ -400,7 +399,7 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
 
         if bfp == "post":
             (re, im), shift = shift_block((re, im), width, target,
-                                          RoundingMode.TRUNCATE, shift)
+                                          DATAPATH_POLICY, shift)
             gamma -= shift
         telemetry.stage_exponents.append(gamma)
 
@@ -532,7 +531,7 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan):
 
     # restore the plan headroom before the transform proper
     (v_re, v_im), shift = shift_block((v_re, v_im), fmt.total_bits,
-                                      plan.headroom_bits, RoundingMode.TRUNCATE)
+                                      plan.headroom_bits, DATAPATH_POLICY)
     gamma = g0 - shift
     telemetry.entry_exponent = gamma
     re, im, g_core = _fft_core(v_re, v_im, plan, telemetry, inverse=True)

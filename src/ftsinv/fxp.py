@@ -32,22 +32,14 @@ import numpy as np
 
 
 class RoundingMode(Enum):
+    """How a stage rounds; every stage saturates on overflow."""
+
     TRUNCATE = "truncate"          # toward negative infinity
     ROUND_HALF_EVEN = "round-half-even"
 
 
-@dataclass(frozen=True)
-class RoundingPolicy:
-    """How a stage rounds; every stage saturates on overflow."""
-
-    mode: RoundingMode = RoundingMode.ROUND_HALF_EVEN
-
-    def describe(self) -> str:
-        return f"{self.mode.value}/saturate"
-
-
-ENTRY_POLICY = RoundingPolicy(RoundingMode.ROUND_HALF_EVEN)
-DATAPATH_POLICY = RoundingPolicy(RoundingMode.TRUNCATE)
+ENTRY_POLICY = RoundingMode.ROUND_HALF_EVEN     # quantization at datapath entry
+DATAPATH_POLICY = RoundingMode.TRUNCATE         # every stage inside a datapath
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,7 @@ def shift_block(parts: tuple, width: int, target_headroom: int,
     if shift == 0:
         return parts, 0
     mag = _max_shift_magnitude(parts)
-    if not mag:
+    if not mag and not any(np.any(p) for p in parts):  # -1 words have magnitude 0 too
         return parts, 0
     if shift is None:
         shift = width - 1 - mag.bit_length() - target_headroom
@@ -196,7 +188,7 @@ def saturate_array(raw: np.ndarray, fmt: FxpFormat):
 def quantize_array(
     x: np.ndarray,
     fmt: FxpFormat,
-    policy: RoundingPolicy = ENTRY_POLICY,
+    mode: RoundingMode = ENTRY_POLICY,
 ) -> np.ndarray:
     """Vector quantization to int64 mantissas; overflow is resolved on the
     rounded floats, so the one cast never sees a value outside the format."""
@@ -205,7 +197,7 @@ def quantize_array(
         raise ValueError("cannot quantize non-finite values")
     with np.errstate(over="ignore"):        # past the float range: inf, saturated below
         scaled = np.ldexp(x, fmt.frac_bits)
-    if policy.mode is RoundingMode.ROUND_HALF_EVEN:
+    if mode is RoundingMode.ROUND_HALF_EVEN:
         r = np.rint(scaled)
     else:
         r = np.floor(scaled)

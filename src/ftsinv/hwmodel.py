@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-METHODS = ("fft", "pinv", "tsvd", "tik")
-
 
 @dataclass(frozen=True)
 class HwCost:
@@ -55,9 +53,6 @@ class LatencyFit:
     slope: float
     intercept: float
     max_rel_residual: float
-
-    def cycles(self, k: int) -> int:
-        return math.ceil(self.slope / k) + round(self.intercept)
 
 
 def _fit_inverse_k(points: dict) -> LatencyFit:
@@ -316,7 +311,7 @@ def compare_methods(calib: CalibrationTable | None = None):
             )
     # measured-cycle vs operation-count views of the ridge/pseudo-inverse gap
     ratios["cycles_svd_over_pinv_k1"] = (
-        calib.svd_fit.cycles(1) / calib.pinv_fit.cycles(1)
+        latency_cycles("tsvd", 1, calib) / latency_cycles("pinv", 1, calib)
     )
     ratios["opcount_svd_over_pinv_square"] = 3.0   # R(2N+M)/(N*M) at R=N=M
     return rows, ratios, flags

@@ -42,7 +42,6 @@ from .fxp import (
     DATAPATH_POLICY,
     FxpFormat,
     RoundingMode,
-    RoundingPolicy,
     _guard_bits,
     _mac,
     _requantize,
@@ -252,7 +251,7 @@ def _accumulator_bits(mat_fmt: FxpFormat, vec_fmt: FxpFormat, terms: int) -> int
     return mat_fmt.total_bits + vec_fmt.total_bits + _guard_bits(terms)
 
 
-def _banked_mac(parts: list, op, vec: np.ndarray, fmts: tuple, policy: RoundingPolicy):
+def _banked_mac(parts: list, op, vec: np.ndarray, fmts: tuple, mode: RoundingMode):
     """One MAC stream per bank: ``op(part, vec)`` of each partition's
     coefficient words by one vector of words, accumulated exactly and
     rounded and saturated once per output.  ``op`` is ``np.matmul`` (a
@@ -268,7 +267,7 @@ def _banked_mac(parts: list, op, vec: np.ndarray, fmts: tuple, policy: RoundingP
     outs, overflows, mults = [], 0, 0
     for part in parts:
         wide = _mac(part, vec, mat_fmt.total_bits, vec_fmt.total_bits, guard, op)
-        out, nov = _requantize(wide, shift, policy.mode, out_fmt)
+        out, nov = _requantize(wide, shift, mode, out_fmt)
         overflows += nov
         mults += part.shape[0] * vec.size
         outs.append(out)
@@ -345,7 +344,7 @@ def reconstruct_pinv(
     y,
     fmt=_UNSET,
     k: int = _UNSET,
-    policy: RoundingPolicy = DATAPATH_POLICY,
+    mode: RoundingMode = DATAPATH_POLICY,
 ) -> InversionResult:
     """``x_hat = A_dagger y`` on K independent row-banked MAC streams.
 
@@ -375,7 +374,7 @@ def reconstruct_pinv(
         out_fmt = _tensor_format(datapath.fmt, width, x_ref)    # the output scale
         outs, telemetry.overflow_events, telemetry.mults = _banked_mac(
             datapath.parts, np.matmul, quantize_array(y, vec_fmt),
-            (mat_fmt, vec_fmt, out_fmt), policy)
+            (mat_fmt, vec_fmt, out_fmt), mode)
         telemetry.accumulator_bits = _accumulator_bits(mat_fmt, vec_fmt, m)
         x_hat = dequantize_array(np.concatenate(outs), out_fmt)
         telemetry.data_format = f"{width}-bit ({mat_fmt.describe()} coeffs)"
@@ -503,7 +502,7 @@ def reconstruct_svd(
     y,
     fmt=_UNSET,
     k: int = _UNSET,
-    policy: RoundingPolicy = DATAPATH_POLICY,
+    mode: RoundingMode = DATAPATH_POLICY,
 ) -> InversionResult:
     """Three-product reconstruction ``x_hat = (V Z) (U^T y)`` at runtime.
 
@@ -532,7 +531,7 @@ def reconstruct_svd(
         return InversionResult(np.zeros(n), telemetry)
     # a leading run of kept lanes (every rank and most ridge weights) is a view
     kept = slice(0, rank) if kept[-1] == rank - 1 else kept
-    stage = datapath.product2(y, kept, policy.mode)
+    stage = datapath.product2(y, kept, mode)
     vk = f.v[:, kept]
     zk = z.zeta[kept]
 
@@ -555,12 +554,12 @@ def reconstruct_svd(
         # product 1: column scaling of V by the penalized diagonal
         o1, nov1, mults1 = _banked_mac(
             np.array_split(datapath.words("v", fmt_v)[:, kept], k), np.multiply,
-            quantize_array(zk, fmt_z), (fmt_v, fmt_z, fmt_o1), policy)
+            quantize_array(zk, fmt_z), (fmt_v, fmt_z, fmt_o1), mode)
         # product 2: U^T y, from the stage this acquisition and kept set share
         mults2 = rank * m
         # product 3: O1 O2, each bank on the rows product 1 left in it
         x_raw, nov3, mults3 = _banked_mac(o1, np.matmul, stage.o2,
-                                          (fmt_o1, stage.fmt_o2, fmt_x), policy)
+                                          (fmt_o1, stage.fmt_o2, fmt_x), mode)
         telemetry.mults = mults1 + mults2 + mults3
         telemetry.overflow_events = nov1 + stage.overflows + nov3
         telemetry.accumulator_bits = _accumulator_bits(stage.fmt_u, stage.fmt_y, m)

@@ -17,7 +17,6 @@ from ftsinv.fxp import (
     ENTRY_POLICY,
     FxpFormat,
     RoundingMode,
-    RoundingPolicy,
 )
 
 
@@ -60,12 +59,12 @@ def apply_overflow(raw: int, fmt: FxpFormat):
     return (fmt.max_raw if raw > fmt.max_raw else fmt.min_raw), True
 
 
-def quantize(x: float, fmt: FxpFormat, policy: RoundingPolicy = ENTRY_POLICY) -> FxpValue:
+def quantize(x: float, fmt: FxpFormat, mode: RoundingMode = ENTRY_POLICY) -> FxpValue:
     """Quantize a real number to the nearest representable fixed-point value."""
     if not math.isfinite(x):
         raise ValueError(f"cannot quantize non-finite value {x!r}")
     scaled = Fraction(x) * fmt.scale            # exact at any magnitude
-    if policy.mode is RoundingMode.ROUND_HALF_EVEN:
+    if mode is RoundingMode.ROUND_HALF_EVEN:
         raw = round(scaled)
     else:
         raw = math.floor(scaled)
@@ -73,10 +72,10 @@ def quantize(x: float, fmt: FxpFormat, policy: RoundingPolicy = ENTRY_POLICY) ->
 
 
 def fxp_mul(a: FxpValue, b: FxpValue, out_fmt: FxpFormat,
-            policy: RoundingPolicy = DATAPATH_POLICY) -> FxpValue:
+            mode: RoundingMode = DATAPATH_POLICY) -> FxpValue:
     """Exact product realigned and rounded to ``out_fmt``."""
     shift = a.fmt.frac_bits + b.fmt.frac_bits - out_fmt.frac_bits
-    raw = rshift_round(a.raw * b.raw, shift, policy.mode)
+    raw = rshift_round(a.raw * b.raw, shift, mode)
     return FxpValue(apply_overflow(raw, out_fmt)[0], out_fmt)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ftsinv import bench, cli, fileio
+from ftsinv.errors import ConfigError, OverflowViolationError
 
 N = 32
 MODEL_FLAGS = ["--kind", "airy", "--n", str(N), "--m", str(N), "--r", "0.7",
@@ -35,16 +36,6 @@ def test_invert_round_trip(simulated, tmp_path, route):
                      "--matrix", str(a), "--out", str(out)]) == 0
     _, _, x_hat = fileio.read_series_csv(out)
     assert x_hat.size == N and np.all(np.isfinite(x_hat))
-
-
-@pytest.mark.parametrize("method", ["pinv", "fft"])
-@pytest.mark.parametrize("quantize", ["all", "data-only"])
-def test_invert_rejects_quantize(simulated, tmp_path, method, quantize):
-    y, a = simulated
-    out = tmp_path / "x.csv"
-    assert cli.main(["invert", "--method", method, "--bits", "8", "--quantize", quantize,
-                     "--in", str(y), "--matrix", str(a), "--out", str(out)]) == 2
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("route", [["--method", "pinv"],
@@ -121,7 +112,7 @@ def test_invert_double_rejects_width_flags(tmp_path, capsys, method, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["sweep-precision", "sweep-parallel", "compare"])
+@pytest.mark.parametrize("command", ["sweep-parallel", "compare"])
 def test_sweeps_reject_bits_with_double(tmp_path, capsys, command):
     out = tmp_path / "s.csv"
     assert cli.main([command, *MODEL_FLAGS, "--double", "--bits", "8",
@@ -148,11 +139,15 @@ def test_invert_fft_route(normalized_cosine, tmp_path, mode):
 
 
 def test_invert_fft_overflow_exits_3(normalized_cosine, tmp_path, capsys):
-    """No headroom under post-normalization breaks the no-overflow invariant."""
+    """No headroom under post-normalization breaks the no-overflow invariant,
+    which raises the overflow error, not just any numerical one."""
     out = tmp_path / "x.csv"
-    assert cli.main(["invert", "--method", "fft", "--bits", "16", "--fft-mode", "post",
-                     "--headroom", "0", "--in", str(normalized_cosine),
-                     "--out", str(out)]) == 3
+    argv = ["invert", "--method", "fft", "--bits", "16", "--fft-mode", "post",
+            "--headroom", "0", "--in", str(normalized_cosine), "--out", str(out)]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(OverflowViolationError):
+        args.func(args)
+    assert cli.main(argv) == 3
     assert "no-overflow invariant violated" in capsys.readouterr().err
     assert not out.exists()
 
@@ -172,6 +167,64 @@ def test_removed_flags_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+# every flag that a command does not read, with a value where it takes one
+UNREAD_FLAGS = {
+    "sweep-precision": ["--method pinv", "--rank 3", "--lambda 1.0", "--bits 8",
+                        "--double"],
+    "sweep-parallel": ["--method pinv", "--rank 3", "--lambda 1.0", "--parallel-k 4",
+                       "--twiddle-bits 16", "--fft-mode fixed", "--headroom 0"],
+    "compare": ["--method pinv", "--rank 3", "--lambda 1.0"],
+}
+
+
+@pytest.mark.parametrize("argv,flag", [
+    *[pytest.param([command, *MODEL_FLAGS], flag.split(), id=command + flag.split()[0])
+      for command, flags in UNREAD_FLAGS.items() for flag in flags],
+    *[pytest.param(["invert", "--method", method, "--bits", "8", "--in", "y.csv"],
+                   ["--quantize", quantize], id=f"invert-{method}--quantize-{quantize}")
+      for method in ("pinv", "fft") for quantize in ("all", "data-only")],
+])
+def test_unread_flags_rejected(tmp_path, capsys, argv, flag):
+    """A flag its command does not read is unknown to it: the command line
+    parses without the flag and exits 2 with it, writing nothing."""
+    out = ["--out", str(tmp_path / "out.csv")]
+    cli.build_parser().parse_args([*argv, *out])
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, *flag, *out])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command,flag,knob,columns,rows", [
+    ("sweep-precision", ["--parallel-k", "2"], {"k": 2},
+     ["method", "bits", "reg_param", "snr_db", "mults", "latency_cycles", "time_us"],
+     4 * 8),
+    ("sweep-parallel", ["--bits", "12"], {"bits": 12},
+     ["method", "k", "identical_to_k1", "snr_db", "latency_cycles", "time_us", "dsp",
+      "bram", "lut", "mults"],
+     3 * 6),
+], ids=["sweep-precision", "sweep-parallel"])
+def test_sweep_round_trip(tmp_path, capsys, command, flag, knob, columns, rows):
+    """A sweep on a 16-point cosine study exits 0, and its config echo parses
+    back to the study the flags describe."""
+    out = tmp_path / "s.csv"
+    assert cli.main([command, "--kind", "cosine", "--n", "16", "--m", "16",
+                     "--seed", "1", *flag, "--out", str(out)]) == 0
+    meta, header, table = _csv(out.read_text())
+    assert meta["operation"] == command
+    assert header == columns and len(table) == rows
+    assert f"{rows} rows" in capsys.readouterr().out
+    want = bench.ExperimentConfig(kind="cosine", n=16, m=16, seed=1, **knob)
+    assert bench.ExperimentConfig.from_json(meta["config"]) == want
+
+
+@pytest.mark.parametrize("key,value", [("method", "pinv"), ("rank", 3), ("lam", 1.0)])
+def test_config_refuses_removed_keys(key, value):
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        bench.ExperimentConfig.from_dict({key: value})
 
 
 def _csv(text):

@@ -12,7 +12,6 @@ from ftsinv.fxp import (
     DATAPATH_POLICY,
     FxpFormat,
     RoundingMode,
-    RoundingPolicy,
     _guard_bits,
     _limb_plan,
     _mac,
@@ -117,7 +116,7 @@ class TestQuantize:
         fmt = FxpFormat(12, 9)
         for x in rng.uniform(-6, 6, 300):
             for mode in RoundingMode:
-                got = quantize(float(x), fmt, RoundingPolicy(mode)).raw
+                got = quantize(float(x), fmt, mode).raw
                 assert got == exact_quantize(float(x), fmt, mode)
 
     def test_idempotent(self):
@@ -247,6 +246,15 @@ class TestNormalizeBlock:
         (out,), shift = shift_block((m,), 8, 2, self.TRUNC)
         assert np.array_equal(out, m) and shift == 0
 
+    def test_zero_and_minus_one_block_shifts(self):
+        """A block of 0 and -1 words has ``width - 1`` bits of headroom and
+        shifts like any other; only an all-zero block is left as it is."""
+        m = np.array([-1, 0, -1])
+        (out,), shift = shift_block((m,), 8, 2, self.TRUNC)
+        assert out.tolist() == [-32, 0, -32] and shift == 5
+        (out,), shift = shift_block((m,), 8, 2, self.TRUNC, 3)
+        assert out.tolist() == [-8, 0, -8] and shift == 3
+
     def test_already_at_target_identity(self):
         m = np.array([5, -3, 2])
         (out,), shift = shift_block((m,), 8, 4, self.TRUNC)
@@ -325,14 +333,13 @@ class TestAgainstReference:
     def test_quantize_array_matches_quantize(self, raws, steps, reals, frac, mode):
         """Reals up to twice each format's range, on its grid points, quarter
         steps and ties, and reals of any magnitude."""
-        policy = RoundingPolicy(mode)
         for width in WIDTHS:
             fmt = FxpFormat(width, min(frac, width - 1))
             xs = [math.ldexp((v >> (65 - width)) + step, -fmt.frac_bits)
                   for v, step in zip(raws, steps)] + reals
-            got = quantize_array(np.array(xs), fmt, policy)
+            got = quantize_array(np.array(xs), fmt, mode)
             assert got.dtype == np.int64
-            assert got.tolist() == [quantize(x, fmt, policy).raw for x in xs], width
+            assert got.tolist() == [quantize(x, fmt, mode).raw for x in xs], width
 
     @settings(max_examples=60)
     @given(parts=st.lists(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=6,
@@ -356,9 +363,8 @@ class TestAgainstReference:
             given_shift = None if shift is None else min(shift, room)
             got, applied = shift_block(tuple(np.array(p, dtype=np.int64) for p in block),
                                        width, aim, mode, given_shift)
-            # a block of 0 and -1 words is left as it is, although leading_bit
-            # gives it width - 1 bits of headroom
-            if all(v in (0, -1) for v in words):
+            # an all-zero block carries no scale and is left as it is
+            if not any(words):
                 want = 0
             else:
                 want = room - aim if given_shift is None else given_shift

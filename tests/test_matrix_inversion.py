@@ -15,7 +15,6 @@ from ftsinv.errors import SvdConvergenceError
 from ftsinv.fxp import (
     FxpFormat,
     RoundingMode,
-    RoundingPolicy,
     _guard_bits,
     _limb_plan,
     _mac,
@@ -328,15 +327,14 @@ class TestCompiledDatapaths:
         double-precision width."""
         _, f, _, _, y = tall_problem
         diagonals = [penalize(f.xi, Tsvd(9)), penalize(f.xi, Tikhonov(0.05))]
-        policies = [RoundingPolicy(RoundingMode.TRUNCATE),
-                    RoundingPolicy(RoundingMode.ROUND_HALF_EVEN)]
+        modes = [RoundingMode.TRUNCATE, RoundingMode.ROUND_HALF_EVEN]
         for fmt in (12, 32, None):
             datapath = compile_svd(f, fmt)
 
             def check(data):
-                for z, policy in itertools.product(diagonals, policies):
-                    got = reconstruct_svd(datapath, z, data, policy=policy)
-                    want = reconstruct_svd(f, z, data.copy(), fmt=fmt, policy=policy)
+                for z, mode in itertools.product(diagonals, modes):
+                    got = reconstruct_svd(datapath, z, data, mode=mode)
+                    want = reconstruct_svd(f, z, data.copy(), fmt=fmt, mode=mode)
                     assert np.array_equal(got.x_hat, want.x_hat), fmt
                     assert got.telemetry == want.telemetry
 
@@ -470,7 +468,7 @@ class TestLimbKernel:
                 for mode in RoundingMode:
                     outs, overflows, mults = _banked_mac(
                         parts, np.matmul, b, (mat_fmt, vec_fmt, out_fmt),
-                        RoundingPolicy(mode))
+                        mode)
                     out = np.concatenate(outs)
                     want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                     assert out.dtype == np.int64
@@ -489,7 +487,7 @@ class TestLimbKernel:
             for mode in RoundingMode:
                 scaled, overflows, mults = _banked_mac(
                     np.array_split(a, 2), np.multiply, d,
-                    (mat_fmt, diag_fmt, out_fmt), RoundingPolicy(mode))
+                    (mat_fmt, diag_fmt, out_fmt), mode)
                 want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                 assert np.vstack(scaled).ravel().tolist() == want, (shift, mode)
                 assert overflows == want_over
@@ -526,7 +524,7 @@ class TestLimbKernel:
                 for mode in RoundingMode:
                     outs, overflows, _ = _banked_mac(
                         np.array_split(a, 2), np.matmul, b,
-                        (mat_fmt, vec_fmt, out_fmt), RoundingPolicy(mode))
+                        (mat_fmt, vec_fmt, out_fmt), mode)
                     want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                     assert np.concatenate(outs).tolist() == want, (a[0, 0], shift, mode)
                     assert overflows == want_over == 0
@@ -553,7 +551,7 @@ class TestLimbKernel:
             for mode in RoundingMode:
                 outs, overflows, _ = _banked_mac(
                     np.array_split(a, 2), np.matmul, b,
-                    (mat_fmt, vec_fmt, out_fmt), RoundingPolicy(mode))
+                    (mat_fmt, vec_fmt, out_fmt), mode)
                 want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                 assert np.concatenate(outs).tolist() == want, (shift, mode)
                 assert overflows == want_over

@@ -3,14 +3,18 @@
 Subcommands: ``simulate`` (forward model to files), ``invert`` (one
 reconstruction), ``sweep-precision``, ``sweep-parallel``, ``compare``,
 ``costs``.  Each command registers only the flags it reads, so a flag it
-does not read exits 2 like any unknown one.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure (no-overflow invariant violated,
-factorization non-convergence).
+does not read exits 2 like any unknown one.  One parser is built per
+process and serves every ``main`` call; the handlers look up what they call
+(``bench.<study>``, the datapath functions) when they run, not when the
+parser is built.  Exit codes: 0 success, 2 configuration error,
+3 numerical failure (no-overflow invariant violated, factorization
+non-convergence).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -195,7 +199,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    result = args.study(_config_from_args(args))
+    result = getattr(bench, args.study)(_config_from_args(args))
     result.write_csv(args.out)
     print(f"wrote {args.out} ({len(result.rows)} rows)")
     return 0
@@ -212,7 +216,10 @@ def _cmd_costs(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ftsinv`` parser, built once per process and shared by every
+    caller: it is read-only, so nothing may mutate it."""
     parser = argparse.ArgumentParser(
         prog="ftsinv",
         description="Interferogram-to-spectrum inversion on emulated "
@@ -246,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fft = "--twiddle-bits --fft-mode --headroom"
     for name, study, flags in (
-            ("sweep-precision", bench.sweep_precision, f"{fft} --parallel-k --quantize"),
-            ("sweep-parallel", bench.sweep_parallelism, "--bits --quantize --double"),
-            ("compare", bench.run_comparison,
+            ("sweep-precision", "sweep_precision", f"{fft} --parallel-k --quantize"),
+            ("sweep-parallel", "sweep_parallelism", "--bits --quantize --double"),
+            ("compare", "run_comparison",
              f"--bits {fft} --parallel-k --quantize --double")):
         p = sub.add_parser(name, help=f"{name} experiment to CSV")
         _add_model_flags(p)
@@ -264,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,10 +1,15 @@
 """Command-line round trips: simulate to files, invert from them."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ftsinv import bench, cli, fileio
 from ftsinv.errors import ConfigError, OverflowViolationError
+from ftsinv.matrix_inversion import pinv_matrix, reconstruct_pinv, svd_factorize
 
 N = 32
 MODEL_FLAGS = ["--kind", "airy", "--n", str(N), "--m", str(N), "--r", "0.7",
@@ -36,6 +41,72 @@ def test_invert_round_trip(simulated, tmp_path, route):
                      "--matrix", str(a), "--out", str(out)]) == 0
     _, _, x_hat = fileio.read_series_csv(out)
     assert x_hat.size == N and np.all(np.isfinite(x_hat))
+
+
+def _fresh_process_main(argv) -> int:
+    """``cli.main(argv)`` in a new interpreter, so on a parser no call has used."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); from ftsinv import cli; "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True).returncode
+
+
+def _is_words(values, width: int) -> bool:
+    """Whether ``values`` are ``width``-bit two's-complement words sharing one
+    exponent."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    scale = max(q for _, q in ratios)
+    words = [p * (scale // q) for p, q in ratios]
+    while any(words) and all(w % 2 == 0 for w in words):
+        words = [w // 2 for w in words]
+    return all(-2**(width - 1) <= w < 2**(width - 1) for w in words)
+
+
+def test_one_parser_serves_calls_without_carrying_state(simulated, tmp_path):
+    """A flag of one call, or a refused call, leaves nothing for the next."""
+    y, a = simulated
+    files = ["--in", str(y), "--matrix", str(a)]
+    assert cli.build_parser() is cli.build_parser()
+    double, fixed, ref = tmp_path / "d.csv", tmp_path / "f.csv", tmp_path / "r.csv"
+    assert cli.main(["invert", "--method", "pinv", "--double", *files,
+                     "--out", str(double)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["invert", "--method", "pinv", "--double", "--frac-bits", "3",
+                  *files, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert cli.main(["invert", "--method", "pinv", "--bits", "16", *files,
+                     "--out", str(fixed)]) == 0
+    assert _fresh_process_main(["invert", "--method", "pinv", "--double", *files,
+                                "--out", str(ref)]) == 0
+    assert double.read_bytes() == ref.read_bytes()
+    _, _, x16 = fileio.read_series_csv(fixed)
+    _, _, values = fileio.read_series_csv(y)
+    alone = reconstruct_pinv(pinv_matrix(svd_factorize(fileio.read_matrix(a))),
+                             values, fmt=16).x_hat
+    assert np.array_equal(x16, alone)
+    assert _is_words(x16, 16)
+    assert not _is_words(fileio.read_series_csv(double)[2], 16)
+
+
+def test_sweeps_look_up_their_bench_function_when_they_run(tmp_path, capsys,
+                                                           monkeypatch):
+    """A bench function replaced after the parser is built is the one a sweep
+    runs, so a wrapper installed after the first call sees every later one."""
+    assert cli.main(["costs", "--out", "-"]) == 0
+    seen = []
+
+    def stub(cfg):
+        seen.append(cfg)
+        return bench.SweepResult(["method"], [["stub"]], {"operation": "stub"})
+
+    monkeypatch.setattr(bench, "sweep_precision", stub)
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep-precision", "--kind", "cosine", "--n", "16", "--m", "16",
+                     "--seed", "1", "--out", str(out)]) == 0
+    assert [cfg.n for cfg in seen] == [16]
+    assert out.read_text() == "# operation=stub\nmethod\nstub\n"
+    assert "1 rows" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("route", [["--method", "pinv"],

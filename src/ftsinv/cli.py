@@ -3,18 +3,15 @@
 Subcommands: ``simulate`` (forward model to files), ``invert`` (one
 reconstruction), ``sweep-precision``, ``sweep-parallel``, ``compare``,
 ``costs``.  Each command registers only the flags it reads, so a flag it
-does not read exits 2 like any unknown one.  One parser is built per
-process and serves every ``main`` call; the handlers look up what they call
-(``bench.<study>``, the datapath functions) when they run, not when the
-parser is built.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure (no-overflow invariant violated, factorization
+does not read exits 2 like any unknown one, and ``main`` registers only
+the flags of the command it runs.  Exit codes: 0 success, 2 configuration
+error, 3 numerical failure (no-overflow invariant violated, factorization
 non-convergence).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -199,7 +196,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    result = getattr(bench, args.study)(_config_from_args(args))
+    result = args.study(_config_from_args(args))
     result.write_csv(args.out)
     print(f"wrote {args.out} ({len(result.rows)} rows)")
     return 0
@@ -216,10 +213,12 @@ def _cmd_costs(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``ftsinv`` parser, built once per process and shared by every
-    caller: it is read-only, so nothing may mutate it."""
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``ftsinv`` parser.  Every command is registered; given the ``argv``
+    it will parse, only the command they run gets its flags, because the
+    others' flags are never read."""
+    # no top-level option takes a value: argparse runs the first non-option
+    command = argv and next((a for a in argv if not a.startswith("-")), "")
     parser = argparse.ArgumentParser(
         prog="ftsinv",
         description="Interferogram-to-spectrum inversion on emulated "
@@ -228,50 +227,55 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="forward model to interferogram files")
-    _add_model_flags(p)
-    p.add_argument("--out", required=True, help="interferogram CSV")
-    p.add_argument("--spectrum-out", dest="spectrum_out")
-    p.add_argument("--matrix-out", dest="matrix_out",
-                   help="transfer matrix container file")
-    p.add_argument("--normalized-out", dest="normalized_out",
-                   help="normalized interferogram CSV")
-    p.set_defaults(func=_cmd_simulate)
+    if command in (None, "simulate"):
+        _add_model_flags(p)
+        p.add_argument("--out", required=True, help="interferogram CSV")
+        p.add_argument("--spectrum-out", dest="spectrum_out")
+        p.add_argument("--matrix-out", dest="matrix_out",
+                       help="transfer matrix container file")
+        p.add_argument("--normalized-out", dest="normalized_out",
+                       help="normalized interferogram CSV")
+        p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("invert", help="one reconstruction from files")
-    _add_datapath_flags(p, "--method --bits --twiddle-bits --fft-mode --headroom "
-                           "--rank --lambda --parallel-k --double")
-    p.add_argument("--in", dest="infile", required=True, help="interferogram CSV")
-    p.add_argument("--matrix", help="transfer matrix container (matrix methods)")
-    p.add_argument("--out", required=True, help="spectrum CSV")
-    p.add_argument("--normalize", action="store_true",
-                   help="apply pedestal/gain normalization before the fft route")
-    p.add_argument("--mean-spectrum", type=float, dest="mean_spectrum")
-    p.add_argument("--a", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--bandwidth", type=float)
-    p.set_defaults(func=_cmd_invert)
+    if command in (None, "invert"):
+        _add_datapath_flags(p, "--method --bits --twiddle-bits --fft-mode --headroom "
+                               "--rank --lambda --parallel-k --double")
+        p.add_argument("--in", dest="infile", required=True, help="interferogram CSV")
+        p.add_argument("--matrix", help="transfer matrix container (matrix methods)")
+        p.add_argument("--out", required=True, help="spectrum CSV")
+        p.add_argument("--normalize", action="store_true",
+                       help="apply pedestal/gain normalization before the fft route")
+        p.add_argument("--mean-spectrum", type=float, dest="mean_spectrum")
+        p.add_argument("--a", type=float)
+        p.add_argument("--r", type=float)
+        p.add_argument("--bandwidth", type=float)
+        p.set_defaults(func=_cmd_invert)
 
     fft = "--twiddle-bits --fft-mode --headroom"
     for name, study, flags in (
-            ("sweep-precision", "sweep_precision", f"{fft} --parallel-k --quantize"),
-            ("sweep-parallel", "sweep_parallelism", "--bits --quantize --double"),
-            ("compare", "run_comparison",
+            ("sweep-precision", bench.sweep_precision, f"{fft} --parallel-k --quantize"),
+            ("sweep-parallel", bench.sweep_parallelism, "--bits --quantize --double"),
+            ("compare", bench.run_comparison,
              f"--bits {fft} --parallel-k --quantize --double")):
         p = sub.add_parser(name, help=f"{name} experiment to CSV")
-        _add_model_flags(p)
-        _add_datapath_flags(p, flags)
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=_cmd_study, study=study)
+        if command in (None, name):
+            _add_model_flags(p)
+            _add_datapath_flags(p, flags)
+            p.add_argument("--out", required=True)
+            p.set_defaults(func=_cmd_study, study=study)
 
     p = sub.add_parser("costs", help="hardware cost table to CSV")
-    p.add_argument("--out", default="-")
-    p.add_argument("--calibration", help="alternate calibration file")
-    p.set_defaults(func=_cmd_costs)
+    if command in (None, "costs"):
+        p.add_argument("--out", default="-")
+        p.add_argument("--calibration", help="alternate calibration file")
+        p.set_defaults(func=_cmd_costs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

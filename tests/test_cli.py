@@ -44,7 +44,7 @@ def test_invert_round_trip(simulated, tmp_path, route):
 
 
 def _fresh_process_main(argv) -> int:
-    """``cli.main(argv)`` in a new interpreter, so on a parser no call has used."""
+    """``cli.main(argv)`` in a new interpreter, which no earlier call has touched."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); from ftsinv import cli; "
             "sys.exit(cli.main(sys.argv[1:]))")
@@ -52,22 +52,10 @@ def _fresh_process_main(argv) -> int:
                           capture_output=True).returncode
 
 
-def _is_words(values, width: int) -> bool:
-    """Whether ``values`` are ``width``-bit two's-complement words sharing one
-    exponent."""
-    ratios = [float(v).as_integer_ratio() for v in values]
-    scale = max(q for _, q in ratios)
-    words = [p * (scale // q) for p, q in ratios]
-    while any(words) and all(w % 2 == 0 for w in words):
-        words = [w // 2 for w in words]
-    return all(-2**(width - 1) <= w < 2**(width - 1) for w in words)
-
-
-def test_one_parser_serves_calls_without_carrying_state(simulated, tmp_path):
+def test_calls_in_one_process_carry_no_state(simulated, tmp_path):
     """A flag of one call, or a refused call, leaves nothing for the next."""
     y, a = simulated
     files = ["--in", str(y), "--matrix", str(a)]
-    assert cli.build_parser() is cli.build_parser()
     double, fixed, ref = tmp_path / "d.csv", tmp_path / "f.csv", tmp_path / "r.csv"
     assert cli.main(["invert", "--method", "pinv", "--double", *files,
                      "--out", str(double)]) == 0
@@ -85,14 +73,47 @@ def test_one_parser_serves_calls_without_carrying_state(simulated, tmp_path):
     alone = reconstruct_pinv(pinv_matrix(svd_factorize(fileio.read_matrix(a))),
                              values, fmt=16).x_hat
     assert np.array_equal(x16, alone)
-    assert _is_words(x16, 16)
-    assert not _is_words(fileio.read_series_csv(double)[2], 16)
 
 
-def test_sweeps_look_up_their_bench_function_when_they_run(tmp_path, capsys,
-                                                           monkeypatch):
-    """A bench function replaced after the parser is built is the one a sweep
-    runs, so a wrapper installed after the first call sees every later one."""
+@pytest.mark.parametrize("argv", [
+    ["simulate", *MODEL_FLAGS, "--out", "y.csv"],
+    ["invert", "--method", "tik", "--lambda", "1", "--bits", "16", "--in", "y.csv",
+     "--out", "x.csv"],
+    ["compare", *MODEL_FLAGS, "--quantize", "all", "--out", "c.csv"],
+    ["costs"],
+    ["--verbose", "invert", "--in", "y.csv"],
+    ["invert", "--bogus", "1"],
+    ["sweep-parallel", "--rank", "3"],
+    ["invert", "-h"],
+    ["-h"],
+    ["bogus"],
+    ["-5", "invert"],
+    [],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_parser_for_argv_parses_like_the_full_parser(capsys, argv):
+    """The parser built for ``argv`` gives it the same arguments, or the same
+    exit and messages, as the parser with every command's flags."""
+    def parse(parser):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    assert parse(cli.build_parser(argv)) == parse(cli.build_parser())
+
+
+def test_parser_for_argv_registers_no_other_commands_flags():
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser(["costs"]).parse_args(["simulate", "--seed", "1",
+                                                "--out", "y.csv"])
+    assert exc.value.code == 2
+
+
+def test_sweeps_run_the_bench_function_present_when_called(tmp_path, capsys,
+                                                            monkeypatch):
+    """A bench function replaced after an earlier call is the one a sweep
+    runs, so a wrapper installed between calls sees every later sweep."""
     assert cli.main(["costs", "--out", "-"]) == 0
     seen = []
 

@@ -30,10 +30,14 @@ Normalization modes
 ``fixed``  plain fixed point, no normalization (overflow is possible and is
            counted in telemetry).
 
-Words are int64 at every width.  A butterfly output ``(a 2**ft +- b w) >> ft``
-sums three products in the exact MAC of :mod:`ftsinv.fxp` and truncates and
-saturates once in its output stage, as the DCT twiddle stages do; the MAC is
-one int64 product per term wherever the three fit an int64.
+Words are int64 at every width.  A butterfly output ``(a 2**ft +- w b) >> ft``
+is formed as ``a + (+-w b >> ft)``: the datapath truncates, and a floor moves
+no integer across the binary point, so ``a`` bypasses the multiplier as in a
+BFP engine (Welch, 1969).  ``w b`` sums two products in the exact MAC of
+:mod:`ftsinv.fxp`, one int64 product per term wherever they fit an int64.  A
+stage's outputs are saturated once, as one block, which yields the block's
+least and greatest words; the block exponent is decided from those, carried
+from stage to stage, so no stage reads the store again to normalize it.
 """
 
 from __future__ import annotations
@@ -48,11 +52,14 @@ from .fxp import (
     DATAPATH_POLICY,
     ENTRY_POLICY,
     FxpFormat,
+    _add_floor,
     _mac,
     _macs,
     _requantize,
-    leading_bit,
+    block_extremes,
+    headroom,
     quantize_array,
+    saturate_array,
     shift_block,
 )
 from .optics import Interferogram, SpectralGrid, Spectrum
@@ -163,7 +170,8 @@ class FftPlan:
     transform then runs the same butterfly schedule on float64 words.  The
     twiddle tables hold what the datapath reads: the words in
     ``twiddle_format`` on a fixed-point plan, the doubles on an exact one.
-    ``_load`` is the input's load order (:func:`_load_order`).
+    ``_load`` is the input's load order (:func:`_load_order`).  Every table
+    is read-only, so a stage that wrote into one would raise.
     """
 
     n_points: int
@@ -211,6 +219,9 @@ class FftPlan:
         tables = (np.cos(ang), np.sin(ang), np.cos(angd), np.sin(angd))
         if tw_fmt is not None:
             tables = tuple(quantize_array(t, tw_fmt, ENTRY_POLICY) for t in tables)
+        load = _load_order(n_points)
+        for t in (load, *tables):
+            t.setflags(write=False)         # a frozen plan's tables stay as built
         tw_re, tw_im, dct_cos, dct_sin = tables
 
         return cls(
@@ -219,7 +230,7 @@ class FftPlan:
             twiddle_format=tw_fmt,
             mode=mode,
             headroom_bits=headroom_bits,
-            _load=_load_order(n_points),
+            _load=load,
             _tw_re=tw_re,
             _tw_im=tw_im,
             _dct_cos=dct_cos,
@@ -308,37 +319,46 @@ def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):
                        plan.data_format)
 
 
-def _butterflies(v_re, v_im, wr, wi, plan: FftPlan) -> int:
+def _butterflies(v_re, v_im, wr, wi, plan: FftPlan) -> tuple:
     """A stage's butterflies, in place: ``v[:, 0]`` holds the a-operands and
     ``v[:, 1]`` the b-operands, and the twiddle words ``wr``, ``wi`` broadcast
     against them; ``a + w b`` replaces a and ``a - w b`` replaces b.  Returns
-    the number of saturated outputs.  Every temporary of the stage lives and
-    dies here."""
+    the number of saturated outputs and the
+    :func:`~ftsinv.fxp.block_extremes` of the outputs, which their
+    saturation reads anyway (None on an exact plan).  Every temporary of the
+    stage lives and dies here."""
     a_re, a_im, b_re, b_im = v_re[:, 0], v_im[:, 0], v_re[:, 1], v_im[:, 1]
     if plan.exact:
         t_re = b_re * wr - b_im * wi
         t_im = b_re * wi + b_im * wr
         v_re[:, 1], v_im[:, 1] = a_re - t_re, a_im - t_im
         v_re[:, 0], v_im[:, 0] = a_re + t_re, a_im + t_im
-        return 0
+        return 0, None
     fmt, ft = plan.data_format, plan.twiddle_format.frac_bits
-    # a 2**ft +- b w sums three products of a data and a twiddle word; each
-    # b operand meets both twiddle words, so its limbs are cut once
-    widths = (plan.twiddle_format.total_bits, fmt.total_bits, 2, np.multiply)
+    # w b sums two products of a data and a twiddle word; each b operand
+    # meets both twiddle words, so its limbs are cut once
+    widths = (plan.twiddle_format.total_bits, fmt.total_bits, 1, np.multiply)
     t_re, t_im = _macs([wr, wi], b_re, *widths)         # wr b_re, wi b_re
     u_im, u_re = _macs([wr, wi], b_im, *widths)         # wr b_im, wi b_im
     t_re, t_im = t_re.plus(u_re, -1), t_im.plus(u_im)
     del u_re, u_im                                      # free them before the output stage
     overflows = 0
     for v, a, t in ((v_re, a_re, t_re), (v_im, a_im, t_im)):
-        sa = _mac(np.int64(1 << ft), a, *widths)        # a times 1.0 as a twiddle word
-        for j, sign in ((0, 1), (1, -1)):
-            v[:, j], nov = _requantize(sa.plus(t, sign), ft, DATAPATH_POLICY, fmt)
-            overflows += nov
-    return overflows
+        # (a 2**ft -+ t) >> ft is a + (-+t >> ft) under DATAPATH_POLICY, a
+        # truncation, so a bypasses the product; a - w b goes first, because
+        # a + w b overwrites a
+        overflows += _add_floor(a, t, -1, ft, fmt, v[:, 1])
+        overflows += _add_floor(a, t, 1, ft, fmt, v[:, 0])
+    # every output saturated once, as one block
+    lo, hi = 0, 0
+    for v in (v_re, v_im):
+        _, nov, (v_lo, v_hi) = saturate_array(v, fmt)
+        overflows += nov
+        lo, hi = min(lo, v_lo), max(hi, v_hi)
+    return overflows, (lo, hi)
 
 
-def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
+def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry, extremes,
               inverse: bool = False):
     """Stage loop shared by the fixed-point and double-precision paths.
 
@@ -357,7 +377,12 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
       with c = 1, pairing blocks of h >= 2**split words.
 
     The twiddles of a stage are contiguous copies of its stride through the
-    table.  The output is unloaded in natural order.  Returns (re, im,
+    table.  ``extremes`` are the entry block's
+    :func:`~ftsinv.fxp.block_extremes` (None on an exact plan); after that
+    the block is never read for them: each stage's output stage reports
+    its outputs' extremes, and a block shift carries them along.  A pre or
+    post shift is decided from the extremes of the block entering the
+    stage.  The output is unloaded in natural order.  Returns (re, im,
     exponent_delta).
     """
     n = plan.n_points
@@ -379,28 +404,27 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry,
             # transposed back in place: numpy reads an overlapping source first
             for p in (re, im):
                 p.reshape(cols, rows)[...] = p.reshape(rows, cols).T
+        if bfp:
+            shift = headroom(extremes, width) - target
         if bfp == "pre":
-            (re, im), shift = shift_block((re, im), width, target, DATAPATH_POLICY)
-            gamma -= shift
-        elif bfp == "post":
-            # decided from the block entering the stage, applied after it
-            shift = leading_bit((re, im), width) - target
+            applied, extremes = shift_block((re, im), shift, DATAPATH_POLICY, extremes)
+            gamma -= applied
 
         h = 1 << s
         step = n >> (s + 1)
         wr = np.ascontiguousarray(wre_all[: h * step: step])[:, None]
         wi = np.ascontiguousarray(wim_all[: h * step: step])[:, None]
         c = cols if s < split else 1
-        telemetry.overflow_events += _butterflies(
+        overflows, extremes = _butterflies(
             re.reshape(-1, 2, h, c), im.reshape(-1, 2, h, c), wr, wi, plan)
+        telemetry.overflow_events += overflows
         telemetry.mults += 4 * (n // 2)
         telemetry.butterflies += n // 2
         telemetry.cycles += n // 2
 
         if bfp == "post":
-            (re, im), shift = shift_block((re, im), width, target,
-                                          DATAPATH_POLICY, shift)
-            gamma -= shift
+            applied, extremes = shift_block((re, im), shift, DATAPATH_POLICY, extremes)
+            gamma -= applied
         telemetry.stage_exponents.append(gamma)
 
     mem.re, mem.im = re, im
@@ -420,12 +444,12 @@ def fft_bfp(x: np.ndarray, plan: FftPlan) -> FftResult:
         raise ValueError(f"input length {x.size} != plan size {plan.n_points}")
     telemetry = FftTelemetry(plan.n_points, plan.mode)
     if plan.exact:
-        re, im, _ = _fft_core(x.real.copy(), x.imag.copy(), plan, telemetry)
+        re, im, _ = _fft_core(x.real.copy(), x.imag.copy(), plan, telemetry, None)
         telemetry.final_exponent = 0
         return FftResult(re, im, 0, telemetry)
     re, im, g_in = quantize_complex_block(x, plan.data_format, plan.headroom_bits)
     telemetry.entry_exponent = g_in
-    re, im, g_core = _fft_core(re, im, plan, telemetry)
+    re, im, g_core = _fft_core(re, im, plan, telemetry, block_extremes((re, im)))
     telemetry.final_exponent = g_in + g_core
     return FftResult(re, im, g_in + g_core, telemetry)
 
@@ -436,14 +460,16 @@ def fft_bfp_block(re, im, exponent: int, plan: FftPlan) -> FftResult:
         raise ValueError("mantissa entry point requires a fixed-point plan")
     if len(re) != plan.n_points:
         raise ValueError("length mismatch")
-    head = leading_bit((re, im), plan.data_format.total_bits)
+    re, im = np.asarray(re), np.asarray(im)
+    extremes = block_extremes((re, im))
+    head = headroom(extremes, plan.data_format.total_bits)
     if plan.mode in ("pre", "post") and head < plan.headroom_bits:
         raise ValueError(
             f"input headroom {head} below the plan requirement {plan.headroom_bits}"
         )
     telemetry = FftTelemetry(plan.n_points, plan.mode)
     telemetry.entry_exponent = exponent
-    re_o, im_o, g_core = _fft_core(np.asarray(re), np.asarray(im), plan, telemetry)
+    re_o, im_o, g_core = _fft_core(re, im, plan, telemetry, extremes)
     telemetry.final_exponent = exponent + g_core
     return FftResult(re_o, im_o, exponent + g_core, telemetry)
 
@@ -512,7 +538,7 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan):
         telemetry = FftTelemetry(n, plan.mode)
         telemetry.dct_stage_mults += 4 * n
         telemetry.mults += 4 * n
-        re, im, _ = _fft_core(v_re, v_im, plan, telemetry, inverse=True)
+        re, im, _ = _fft_core(v_re, v_im, plan, telemetry, None, inverse=True)
         x = _even_odd_unpermute(re / n)
         return x, telemetry
 
@@ -530,11 +556,13 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan):
     telemetry.mults += 4 * n
 
     # restore the plan headroom before the transform proper
-    (v_re, v_im), shift = shift_block((v_re, v_im), fmt.total_bits,
-                                      plan.headroom_bits, DATAPATH_POLICY)
+    extremes = block_extremes((v_re, v_im))
+    shift, extremes = shift_block(
+        (v_re, v_im), headroom(extremes, fmt.total_bits) - plan.headroom_bits,
+        DATAPATH_POLICY, extremes)
     gamma = g0 - shift
     telemetry.entry_exponent = gamma
-    re, im, g_core = _fft_core(v_re, v_im, plan, telemetry, inverse=True)
+    re, im, g_core = _fft_core(v_re, v_im, plan, telemetry, extremes, inverse=True)
     exponent = gamma + g_core - plan.n_stages          # the 1/N of the inverse
     telemetry.final_exponent = exponent
     x_raw = _even_odd_unpermute(re)

@@ -97,56 +97,58 @@ class FxpFormat:
 # block floating point
 # ---------------------------------------------------------------------------
 
-def _max_shift_magnitude(mantissas) -> int:
-    """max over elements of the two's-complement shift-limiting magnitude.
+def block_extremes(parts) -> tuple:
+    """``(lo, hi)``: the least and greatest word of a block, one array or a
+    tuple of arrays that share one exponent, with 0 counted as a word.  The
+    block is all zero iff both are 0."""
+    if isinstance(parts, tuple):
+        ext = [block_extremes(p) for p in parts]
+        return min((lo for lo, _ in ext), default=0), max((hi for _, hi in ext), default=0)
+    parts = np.asarray(parts)
+    return int(parts.min(initial=0)), int(parts.max(initial=0))
 
-    A tuple of arrays is one block: the max runs over all of them.
-    """
-    if isinstance(mantissas, tuple):
-        return max(map(_max_shift_magnitude, mantissas), default=0)
-    mantissas = np.asarray(mantissas)
-    hi = int(mantissas.max(initial=0))
-    lo = int(mantissas.min(initial=0))
+
+def headroom(extremes: tuple, width: int) -> int:
+    """Redundant sign bits of the largest-magnitude word of a block whose
+    :func:`block_extremes` are ``extremes``: the largest left shift
+    applicable to every word without overflowing ``width``-bit two's
+    complement.  An all-zero block has ``width - 1``."""
+    if width < 2:
+        raise ValueError("width must be >= 2")
+    lo, hi = extremes
     # for v >= 0 the limit is v itself; for v < 0 it is ~v = -v - 1
-    return max(hi, ~lo, 0)
+    return width - 1 - max(hi, ~lo, 0).bit_length()
 
 
 def leading_bit(mantissas, width: int) -> int:
-    """Redundant sign bits of the largest-magnitude element.
+    """:func:`headroom` of a block of mantissas, read from its words."""
+    return headroom(block_extremes(mantissas), width)
 
-    Equals the largest left shift applicable to every element of the block
-    without overflowing ``width``-bit two's complement.  An all-zero block
-    returns ``width - 1``.
+
+def shift_block(parts: tuple, shift: int, mode: RoundingMode, extremes: tuple) -> tuple:
+    """Shift a block of mantissa arrays that share one exponent by ``shift``
+    bits, in place; ``extremes`` are the block's :func:`block_extremes`.
+
+    Left shifts (positive) are exact; right shifts round under ``mode``.  An
+    all-zero block carries no scale and is left as it is.  Returns
+    ``(applied, extremes)``: the shared exponent falls by ``applied``, and
+    the extremes are those of the shifted block, which rounding keeps in
+    order.  A left shift that carries a word past int64 wraps it, and the
+    wrapped block is read again for its extremes.
     """
-    if width < 2:
-        raise ValueError("width must be >= 2")
-    mag = _max_shift_magnitude(mantissas)
-    return width - 1 - mag.bit_length()
-
-
-def shift_block(parts: tuple, width: int, target_headroom: int,
-                mode: RoundingMode, shift: int | None = None) -> tuple:
-    """Shift a block of mantissa arrays that share one exponent.
-
-    The shift brings the block's headroom (:func:`leading_bit` over all of
-    ``parts``) to ``target_headroom``, unless the caller decided it earlier
-    and passes ``shift``.  Left shifts (positive) are exact; right shifts
-    round under ``mode``.  An all-zero block carries no scale and is left as
-    it is.  Returns ``(parts, applied)``; the shared exponent falls by
-    ``applied``.
-    """
-    if shift == 0:
-        return parts, 0
-    mag = _max_shift_magnitude(parts)
-    if not mag and not any(np.any(p) for p in parts):  # -1 words have magnitude 0 too
-        return parts, 0
-    if shift is None:
-        shift = width - 1 - mag.bit_length() - target_headroom
-    if shift > 0:
-        return tuple(p << shift for p in parts), shift
+    lo, hi = extremes
+    if shift == 0 or not (lo or hi):
+        return 0, extremes
     if shift < 0:
-        return tuple(shift_right_array(p, -shift, mode) for p in parts), shift
-    return parts, 0
+        for p in parts:
+            p[...] = shift_right_array(p, -shift, mode)
+        return shift, tuple(shift_right_array(np.array(extremes), -shift, mode).tolist())
+    for p in parts:
+        p <<= shift
+    lo, hi = lo << shift, hi << shift
+    if lo < -(1 << 63) or hi >= 1 << 63:
+        return shift, block_extremes(parts)
+    return shift, (lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +176,14 @@ def shift_right_array(m: np.ndarray, s: int, mode: RoundingMode,
 
 
 def saturate_array(raw: np.ndarray, fmt: FxpFormat):
-    """Clamp to the format range; returns (clamped, overflow_count)."""
-    lo, hi = fmt.min_raw, fmt.max_raw
-    if not raw.size or (raw.max() <= hi and raw.min() >= lo):
-        return raw, 0
-    over = (raw > hi) | (raw < lo)
-    n = int(np.count_nonzero(over))
-    if n:
-        raw = np.where(raw > hi, hi, np.where(raw < lo, lo, raw))
-    return raw, n
+    """Clamp to the format range, in place; returns ``(raw, overflow_count,
+    extremes)``, the :func:`block_extremes` of the clamped words."""
+    lo, hi = block_extremes(raw)
+    if lo >= fmt.min_raw and hi <= fmt.max_raw:
+        return raw, 0, (lo, hi)
+    n = int(np.count_nonzero((raw > fmt.max_raw) | (raw < fmt.min_raw)))
+    np.clip(raw, fmt.min_raw, fmt.max_raw, out=raw)
+    return raw, n, (max(lo, fmt.min_raw), min(hi, fmt.max_raw))
 
 
 def quantize_array(
@@ -330,6 +331,25 @@ class _Wide:
         op = np.add if sign > 0 else np.subtract
         return _Wide([op(x, y) for x, y in zip(self.digits, other.digits)], self.bits)
 
+    def plus_shifted(self, words: np.ndarray, shift: int) -> "_Wide":
+        """``self + words * 2**shift`` for int64 ``words`` and ``shift >= 0``,
+        carried: the words' bits join the digits at the offset of the shift,
+        and no product is formed.  The digits are carried and sign-extended
+        first, so every digit the words reach holds less than ``2**bits``
+        and the sums stay inside an int64."""
+        bits, mask = self.bits, (1 << self.bits) - 1
+        c, e = divmod(shift, bits)
+        # words * 2**e from digit c up: their low bits - e bits, then limbs
+        add = [(words & (mask >> e)) << e]
+        add += _limbs(words >> (bits - e), 64 - bits + e, bits)
+        d = _carry(self.digits, bits)
+        while len(d) <= c + len(add):
+            d.append(d[-1] >> bits)
+            d[-2] = d[-2] & mask
+        for i, x in enumerate(add):
+            d[c + i] = d[c + i] + x
+        return _Wide(d, bits)
+
 
 def _mac(a: np.ndarray, b: np.ndarray, wa: int, wb: int, guard: int, op) -> _Wide:
     """Exact ``op(a, b)`` of ``wa``-bit coefficient words by ``wb``-bit
@@ -374,34 +394,46 @@ def _macs(coefs: list, b: np.ndarray, wa: int, wb: int, guard: int, op) -> list:
     return accs
 
 
+def _collapse(d: list, bits: int, shift: int):
+    """The carried digits ``d`` from the one holding bit ``shift - 1`` (or
+    the top one, if that is lower) up as one int64 word, and that digit's
+    index: ``(high, c)``, or None where they do not make one int64 or the
+    shift left below digit ``c`` is not in ``[0, 63)``."""
+    c = min(max(shift - 1, 0) // bits, len(d) - 1)
+    if not 0 <= shift - bits * c < 63:
+        return None
+    top, room = d[-1], 63 - bits * (len(d) - 1 - c)
+    if c < len(d) - 1 and not (room >= 0 and top.min(initial=0) >= -(1 << room)
+                               and top.max(initial=0) < 1 << room):
+        return None
+    high = top
+    for x in reversed(d[c:-1]):
+        high = (high << bits) + x
+    return high, c
+
+
 def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
     """``acc * 2**-shift`` rounded under ``mode`` and saturated to ``fmt``.
 
     The digits are carried once.  Where the digits from the one holding bit
     ``shift - 1`` (or the top one, if that is lower) up make one int64, they
-    collapse into it, and the output is one shift, rounding and saturation,
-    a one-digit accumulator's whole path; round-half-even takes its sticky
-    bit from the digits below.  Left shifts, shifts of 63 bits or more past
-    the top digit, and outputs whose high digits do not fit one int64 take
-    the bit window below.  Returns the int64 words and the number of
-    saturated outputs.
+    collapse into it (:func:`_collapse`), and the output is one shift,
+    rounding and saturation, a one-digit accumulator's whole path;
+    round-half-even takes its sticky bit from the digits below.  Left shifts,
+    shifts of 63 bits or more past the top digit, and outputs whose high
+    digits do not fit one int64 take the bit window below.  Returns the int64
+    words and the number of saturated outputs.
     """
     bits, mask = acc.bits, (1 << acc.bits) - 1
     d = _carry(acc.digits, bits)
-    # the digit holding the rounding bit, or the top one
-    c = min(max(shift - 1, 0) // bits, len(d) - 1)
-    if 0 <= shift - bits * c < 63:
-        top, room = d[-1], 63 - bits * (len(d) - 1 - c)
-        if c == len(d) - 1 or (room >= 0 and top.min(initial=0) >= -(1 << room)
-                               and top.max(initial=0) < 1 << room):
-            high = top
-            for x in reversed(d[c:-1]):
-                high = (high << bits) + x
-            sticky = None
-            if mode is RoundingMode.ROUND_HALF_EVEN and c:
-                sticky = _any_below(d, bits, bits * c)
-            return saturate_array(shift_right_array(high, shift - bits * c, mode,
-                                                    sticky), fmt)
+    collapsed = _collapse(d, bits, shift)
+    if collapsed is not None:
+        high, c = collapsed
+        sticky = None
+        if mode is RoundingMode.ROUND_HALF_EVEN and c:
+            sticky = _any_below(d, bits, bits * c)
+        return saturate_array(shift_right_array(high, shift - bits * c, mode,
+                                                sticky), fmt)[:2]
     if shift < 0:                        # a left shift: zero digits below
         pad = -(shift // bits)
         d = [np.zeros_like(d[0]) for _ in range(pad)] + d
@@ -437,6 +469,39 @@ def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
     if overflows:
         words = np.where(fits, words, np.where(d[-1] < 0, fmt.min_raw, fmt.max_raw))
     return words, overflows
+
+
+def _add_floor(addend: np.ndarray, acc: _Wide, sign: int, shift: int,
+               fmt: FxpFormat, out: np.ndarray) -> int:
+    """Write ``addend + floor(sign * acc * 2**-shift)`` into ``out``, for the
+    caller to saturate to ``fmt``.
+
+    A floor moves no integer across the binary point, so this is
+    ``floor((addend * 2**shift + sign * acc) * 2**-shift)`` with the addend
+    kept out of the accumulator: the truncated output stage of a sum whose
+    integer term bypasses the multiplier.  Where the floored accumulator
+    collapses into one int64 of at most 62 bits (:func:`_collapse`) and
+    ``fmt`` is at most 61 bits wide, the sum is one int64 addition, written
+    as it is: addend words up to twice the format's range cannot carry it
+    past int64.  Otherwise the addend joins the accumulator at the digit
+    offset of ``shift`` (:meth:`_Wide.plus_shifted`), and :func:`_requantize`
+    truncates the sum and saturates it to ``fmt`` here; saturating those
+    words again leaves them as they are.  ``out`` may be ``addend`` itself.
+    Returns the number of words saturated here.
+    """
+    if sign < 0:
+        acc = _Wide([-x for x in acc.digits], acc.bits)
+    d = _carry(acc.digits, acc.bits)
+    collapsed = _collapse(d, acc.bits, shift)
+    if collapsed is not None and fmt.total_bits <= 61:
+        high, c = collapsed
+        below = shift - acc.bits * c
+        if below or len(d) == 1:            # |high >> below| <= 2**62
+            np.add(addend, shift_right_array(high, below, RoundingMode.TRUNCATE), out=out)
+            return 0
+    out[...], overflows = _requantize(_Wide(d, acc.bits).plus_shifted(addend, shift),
+                                      shift, RoundingMode.TRUNCATE, fmt)
+    return overflows
 
 
 def _bit(digits: list, bits: int, j: int) -> np.ndarray:

@@ -117,3 +117,61 @@ def bank_map(logical_index: int, n_points: int):
     if not (0 <= logical_index < n_points):
         raise IndexError(f"index {logical_index} outside [0, {n_points})")
     return bin(logical_index).count("1") & 1, logical_index >> 1
+
+
+def int64(v: int) -> int:
+    """``v`` wrapped to a 64-bit two's-complement word."""
+    return (v + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
+def block_headroom(words, width: int) -> int:
+    """``fxp.leading_bit`` on Python ints: the redundant sign bits of the
+    largest-magnitude word, ``width - 1`` for an all-zero block and negative
+    for a word past the width."""
+    return width - 1 - max([v if v >= 0 else ~v for v in words] + [0]).bit_length()
+
+
+def bfp_stages(plan, re, im):
+    """The radix-2 stage loop of ``plan`` on Python ints, one scalar butterfly
+    at a time, with its block normalization.
+
+    Every stage decides a shift from the block entering it, its headroom
+    less ``plan.headroom_bits``.  ``pre`` shifts the entering block by it and
+    ``post`` the stage's outputs; ``fixed`` shifts nothing.  A left shift is
+    exact and a right shift truncates; an all-zero block is not shifted and
+    keeps its exponent.  The store holds int64 words and a shift does not
+    saturate, so a left shift that carries a word past 64 bits wraps it
+    (``post`` below two headroom bits, at 63 and 64 bits).  Returns the words
+    in natural order as (re, im) pairs, the block exponent after each stage
+    and the saturated outputs.
+    """
+    n, width, target = plan.n_points, plan.data_format.total_bits, plan.headroom_bits
+    stages = n.bit_length() - 1
+    brev = [int(format(i, f"0{stages}b")[::-1], 2) for i in range(n)] if stages else [0]
+    words = [(int(re[i]), int(im[i])) for i in brev]
+
+    def shifted(block, shift):
+        if not any(v for w in block for v in w):
+            return block, 0
+        return [tuple(int64(rshift_round(v, -shift, DATAPATH_POLICY)) for v in w)
+                for w in block], shift
+
+    exponent, exponents, overflows = 0, [], 0
+    for s in range(stages):
+        shift = block_headroom([v for w in words for v in w], width) - target
+        if plan.mode == "pre":
+            words, applied = shifted(words, shift)
+            exponent -= applied
+        h, step = 1 << s, n >> (s + 1)
+        for base in range(0, n, 2 * h):
+            for k in range(h):
+                w = (int(plan._tw_re[k * step]), int(plan._tw_im[k * step]))
+                words[base + k], words[base + k + h], nov = butterfly_radix2(
+                    words[base + k], words[base + k + h], w, plan.data_format,
+                    plan.twiddle_format)
+                overflows += nov
+        if plan.mode == "post":
+            words, applied = shifted(words, shift)
+            exponent -= applied
+        exponents.append(exponent)
+    return words, exponents, overflows

@@ -28,7 +28,7 @@ from ftsinv.fft_inversion import (
 from ftsinv.fxp import FxpFormat
 
 from conftest import complex_snr_db
-from reference import bank_map, butterfly_radix2
+from reference import bank_map, bfp_stages, block_headroom, butterfly_radix2
 
 
 def direct_dct2(x):
@@ -258,6 +258,82 @@ class TestButterfly:
         assert res.telemetry.overflow_events == overflows
 
 
+    @staticmethod
+    def _bfp_block(plan, words, n):
+        """The first ``n`` drawn words and the ``n`` from the 17th on as one
+        block of ``plan``'s width: their top bits, shifted right as far as
+        the plan's headroom requires."""
+        bits = plan.data_format.total_bits
+        block = [v >> (64 - bits) for v in words[:n] + words[16:16 + n]]
+        block = [v >> max(0, plan.headroom_bits - block_headroom(block, bits))
+                 for v in block]
+        return (np.array(block[:n], dtype=np.int64),
+                np.array(block[n:], dtype=np.int64))
+
+    @staticmethod
+    def _check_bfp_stages(plan, re, im):
+        """``fft_bfp_block`` against the Python-int stage loop; returns the
+        model's block exponents and saturated outputs."""
+        res = fft_bfp_block(re, im, 0, plan)
+        want, exponents, overflows = bfp_stages(plan, re, im)
+        bits = plan.data_format.total_bits
+        assert res.re.tolist() == [w[0] for w in want], bits
+        assert res.im.tolist() == [w[1] for w in want], bits
+        assert res.telemetry.stage_exponents == exponents, bits
+        assert res.telemetry.overflow_events == overflows, bits
+        return exponents, overflows
+
+    @settings(max_examples=12)
+    @given(n=st.sampled_from((2, 8, 16)), twiddle_bits=st.integers(2, 64),
+           mode=st.sampled_from(("pre", "post")), headroom_bits=st.integers(0, 3),
+           scale=st.integers(0, 63),
+           words=st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=32, max_size=32))
+    def test_bfp_stages_match_the_model_at_every_width(self, n, twiddle_bits, mode,
+                                                       headroom_bits, scale, words):
+        """``fft_bfp_block`` in pre and post mode against ``bfp_stages`` on
+        Python ints at every data width the headroom leaves: words, block
+        exponents and saturated outputs.  ``scale`` drops low bits of the
+        draws, so small blocks take left shifts and full ones right shifts."""
+        words = [v >> scale for v in words]
+        for bits in range(headroom_bits + 2, 65):
+            plan = FftPlan.make(n, bits=bits, twiddle_bits=twiddle_bits, mode=mode,
+                                headroom_bits=headroom_bits)
+            self._check_bfp_stages(plan, *self._bfp_block(plan, words, n))
+
+    @pytest.mark.parametrize("mode", ["pre", "post"])
+    @pytest.mark.parametrize("block", ["zero", "minus_one", "small", "full"])
+    def test_bfp_blocks_match_the_model(self, mode, block):
+        """Named blocks at every width: an all-zero block keeps its exponent,
+        an all-(-1) block and a block of small words shift left, and a
+        full-scale block shifts right, against ``bfp_stages``."""
+        fill = {"zero": 0, "minus_one": -1, "small": 1 << 56, "full": -(1 << 63)}[block]
+        words = [fill, fill ^ (fill >> 1)] * 16
+        for bits in range(8, 65):
+            plan = FftPlan.make(16, bits=bits, mode=mode)
+            exponents, _ = self._check_bfp_stages(plan, *self._bfp_block(plan, words, 16))
+            if block == "zero":
+                assert exponents == [0] * 4
+            elif block == "full":
+                assert exponents[-1] > 0, bits
+            else:
+                assert exponents[0] < 0, bits
+
+    @pytest.mark.parametrize("headroom_bits,n,widths", [
+        (0, 16, range(2, 65)), (1, 16, range(3, 65)), (2, 1024, (14, 16, 40, 62, 63, 64))])
+    def test_post_blocks_below_three_headroom_bits_saturate_like_the_model(
+            self, headroom_bits, n, widths):
+        """Post mode corrects a stage's growth one stage late, so with fewer
+        than three headroom bits a full-scale block saturates (at two bits
+        only an adversary of many stages does); words, exponents and
+        saturated outputs still match the model."""
+        x = make_sign_adversary(n, 0)
+        for bits in widths:
+            plan = FftPlan.make(n, bits=bits, mode="post", headroom_bits=headroom_bits)
+            re, im, _ = quantize_complex_block(x, plan.data_format, headroom_bits)
+            _, overflows = self._check_bfp_stages(plan, re, im)
+            assert overflows > 0, bits
+
+
 class TestFftBfp:
     def test_zero_input(self):
         plan = FftPlan.make(16, bits=12, mode="post", headroom_bits=3)
@@ -406,6 +482,44 @@ class TestFftBfp:
         x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         res = fft_bfp(x, plan)
         assert res.telemetry.overflow_events > 0   # growth with no normalization
+
+
+class TestPlanIsFrozen:
+    TABLES = ("_load", "_tw_re", "_tw_im", "_dct_cos", "_dct_sin")
+
+    @pytest.mark.parametrize("bits", [None, 16])
+    def test_tables_are_read_only(self, bits):
+        plan = FftPlan.make(16, bits=bits)
+        for name in self.TABLES:
+            with pytest.raises(ValueError):
+                getattr(plan, name)[0] = 0
+
+    @pytest.mark.parametrize("mode", ["pre", "post", "fixed"])
+    def test_runs_change_no_input_and_repeat(self, mode):
+        """``reconstruct_fft``, ``dct2_via_fft`` and ``fft_bfp_block`` leave the
+        caller's arrays as they were, and a second run on the same plan gives
+        the same words, exponents and telemetry."""
+        n = 64
+        plan = FftPlan.make(n, bits=16, mode=mode)
+        rng = np.random.default_rng(5)
+        y = fi.Interferogram(rng.standard_normal(n),
+                             fi.OpdGrid.transform_matched(fi.SpectralGrid(n, 1.0), n))
+        x = rng.standard_normal(n)
+        re, im, _ = quantize_complex_block(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                                           plan.data_format, plan.headroom_bits)
+        inputs = (y.values, x, re, im)
+        kept = [a.copy() for a in inputs]
+        runs = []
+        for _ in range(2):
+            spectrum, tel_y = reconstruct_fft(y, plan)
+            values, tel_x = dct2_via_fft(x, plan)
+            res = fft_bfp_block(re, im, 0, plan)
+            runs.append((spectrum.values.tolist(), asdict(tel_y), values.tolist(),
+                         asdict(tel_x), res.re.tolist(), res.im.tolist(), res.exponent,
+                         asdict(res.telemetry)))
+        for a, b in zip(inputs, kept):
+            assert np.array_equal(a, b)
+        assert runs[0] == runs[1]
 
 
 class TestDct:

@@ -17,6 +17,8 @@ from ftsinv.fxp import (
     _mac,
     _macs,
     _requantize,
+    block_extremes,
+    headroom,
     leading_bit,
     quantize_array,
     shift_block,
@@ -235,6 +237,20 @@ class TestLeadingBit:
             leading_bit([1], 1)
 
 
+def normalize(parts, width, target, mode, shift=None):
+    """One block normalization of a BFP stage on copies of ``parts``:
+    :func:`shift_block` by ``shift``, or by the shift that brings the
+    block's headroom to ``target``.  The extremes it carries must be those
+    of the shifted block."""
+    parts = tuple(np.array(p, dtype=np.int64) for p in parts)
+    extremes = block_extremes(parts)
+    if shift is None:
+        shift = headroom(extremes, width) - target
+    applied, carried = shift_block(parts, shift, mode, extremes)
+    assert carried == block_extremes(parts)
+    return parts, applied
+
+
 class TestNormalizeBlock:
     """Block normalization by ``shift_block``: the shared exponent falls by
     the shift it returns."""
@@ -243,25 +259,31 @@ class TestNormalizeBlock:
 
     def test_all_zero_unchanged(self):
         m = np.zeros(4, dtype=np.int64)
-        (out,), shift = shift_block((m,), 8, 2, self.TRUNC)
+        (out,), shift = normalize((m,), 8, 2, self.TRUNC)
         assert np.array_equal(out, m) and shift == 0
 
     def test_zero_and_minus_one_block_shifts(self):
         """A block of 0 and -1 words has ``width - 1`` bits of headroom and
         shifts like any other; only an all-zero block is left as it is."""
         m = np.array([-1, 0, -1])
-        (out,), shift = shift_block((m,), 8, 2, self.TRUNC)
+        (out,), shift = normalize((m,), 8, 2, self.TRUNC)
         assert out.tolist() == [-32, 0, -32] and shift == 5
-        (out,), shift = shift_block((m,), 8, 2, self.TRUNC, 3)
+        (out,), shift = normalize((m,), 8, 2, self.TRUNC, 3)
         assert out.tolist() == [-8, 0, -8] and shift == 3
+
+    def test_left_shift_past_int64_reads_the_block_again(self):
+        """A left shift past the block's headroom wraps the int64 words, so
+        the extremes of the shifted block come from its words."""
+        (out,), shift = normalize((np.array([1 << 62, -3]),), 64, 0, self.TRUNC, 2)
+        assert out.tolist() == [0, -12] and shift == 2
 
     def test_already_at_target_identity(self):
         m = np.array([5, -3, 2])
-        (out,), shift = shift_block((m,), 8, 4, self.TRUNC)
+        (out,), shift = normalize((m,), 8, 4, self.TRUNC)
         assert np.array_equal(out, m) and shift == 0
 
     def test_left_shift_exact(self):
-        (out,), shift = shift_block((np.array([5, -3, 2]),), 8, 2, self.TRUNC)
+        (out,), shift = normalize((np.array([5, -3, 2]),), 8, 2, self.TRUNC)
         assert np.array_equal(out, [20, -12, 8])
         assert shift == 2
 
@@ -273,7 +295,7 @@ class TestNormalizeBlock:
             m = rng.integers(lo, hi + 1, size=8)
             exponent = int(rng.integers(-5, 6))
             target = int(rng.integers(0, width))
-            (out,), shift = shift_block((m,), width, target, self.TRUNC)
+            (out,), shift = normalize((m,), width, target, self.TRUNC)
             diff = np.abs(np.ldexp(out, exponent - shift) - np.ldexp(m, exponent))
             assert np.all(diff <= 2.0 ** (exponent - shift) + 1e-12)
             if shift >= 0:   # left shift is exact
@@ -361,8 +383,7 @@ class TestAgainstReference:
             room = brute_force_headroom(words, width)
             aim = min(target, width - 1)
             given_shift = None if shift is None else min(shift, room)
-            got, applied = shift_block(tuple(np.array(p, dtype=np.int64) for p in block),
-                                       width, aim, mode, given_shift)
+            got, applied = normalize(block, width, aim, mode, given_shift)
             # an all-zero block carries no scale and is left as it is
             if not any(words):
                 want = 0

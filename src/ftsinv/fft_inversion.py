@@ -404,7 +404,7 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry, extremes,
             # transposed back in place: numpy reads an overlapping source first
             for p in (re, im):
                 p.reshape(cols, rows)[...] = p.reshape(rows, cols).T
-        if bfp:
+        if bfp:                 # decided from the block entering the stage
             shift = headroom(extremes, width) - target
         if bfp == "pre":
             applied, extremes = shift_block((re, im), shift, DATAPATH_POLICY, extremes)
@@ -427,7 +427,6 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry, extremes,
             gamma -= applied
         telemetry.stage_exponents.append(gamma)
 
-    mem.re, mem.im = re, im
     re_out, im_out = mem.unload()
     return re_out, im_out, gamma
 

@@ -496,7 +496,9 @@ def _add_floor(addend: np.ndarray, acc: _Wide, sign: int, shift: int,
     if collapsed is not None and fmt.total_bits <= 61:
         high, c = collapsed
         below = shift - acc.bits * c
-        if below or len(d) == 1:            # |high >> below| <= 2**62
+        # |high >> below| <= 2**62: below >= 1 halves an int64, and one digit
+        # holds at most 2**62 (_SAFE_BITS)
+        if below or len(d) == 1:
             np.add(addend, shift_right_array(high, below, RoundingMode.TRUNCATE), out=out)
             return 0
     out[...], overflows = _requantize(_Wide(d, acc.bits).plus_shifted(addend, shift),

@@ -482,12 +482,12 @@ def _add_floor(addend: np.ndarray, acc: _Wide, sign: int, shift: int,
     integer term bypasses the multiplier.  Where the floored accumulator
     collapses into one int64 of at most 62 bits (:func:`_collapse`) and
     ``fmt`` is at most 61 bits wide, the sum is one int64 addition, written
-    as it is: addend words up to twice the format's range cannot carry it
-    past int64.  Otherwise the addend joins the accumulator at the digit
-    offset of ``shift`` (:meth:`_Wide.plus_shifted`), and :func:`_requantize`
-    truncates the sum and saturates it to ``fmt`` here; saturating those
-    words again leaves them as they are.  ``out`` may be ``addend`` itself.
-    Returns the number of words saturated here.
+    as it is: addend words within four times the format's range cannot
+    carry it past int64.  Otherwise the addend joins the accumulator at the
+    digit offset of ``shift`` (:meth:`_Wide.plus_shifted`), and
+    :func:`_requantize` truncates the sum and saturates it to ``fmt`` here;
+    saturating those words again leaves them as they are.  ``out`` may be
+    ``addend`` itself.  Returns the number of words saturated here.
     """
     if sign < 0:
         acc = _Wide([-x for x in acc.digits], acc.bits)

@@ -306,8 +306,9 @@ class TestButterfly:
         """Named blocks at every width: an all-zero block keeps its exponent,
         an all-(-1) block and a block of small words shift left, and a
         full-scale block shifts right, against ``bfp_stages``."""
-        fill = {"zero": 0, "minus_one": -1, "small": 1 << 56, "full": -(1 << 63)}[block]
-        words = [fill, fill ^ (fill >> 1)] * 16
+        pair = {"zero": (0, 0), "minus_one": (-1, -1), "small": (1 << 56, 3 << 55),
+                "full": (-(1 << 63), 1 << 62)}[block]
+        words = list(pair) * 16
         for bits in range(8, 65):
             plan = FftPlan.make(16, bits=bits, mode=mode)
             exponents, _ = self._check_bfp_stages(plan, *self._bfp_block(plan, words, 16))

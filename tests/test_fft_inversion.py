@@ -257,7 +257,6 @@ class TestButterfly:
         assert res.im.tolist() == [w[1] for w in words]
         assert res.telemetry.overflow_events == overflows
 
-
     @staticmethod
     def _bfp_block(plan, words, n):
         """The first ``n`` drawn words and the ``n`` from the 17th on as one

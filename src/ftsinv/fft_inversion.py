@@ -345,8 +345,9 @@ def _butterflies(v_re, v_im, wr, wi, plan: FftPlan) -> tuple:
     overflows = 0
     for v, a, t in ((v_re, a_re, t_re), (v_im, a_im, t_im)):
         # (a 2**ft -+ t) >> ft is a + (-+t >> ft) under DATAPATH_POLICY, a
-        # truncation, so a bypasses the product; a - w b goes first, because
-        # a + w b overwrites a
+        # truncation (not under round-half-even, whose ties read a's parity),
+        # so a bypasses the product; a - w b goes first, because a + w b
+        # overwrites a
         overflows += _add_floor(a, t, -1, ft, fmt, v[:, 1])
         overflows += _add_floor(a, t, 1, ft, fmt, v[:, 0])
     # every output saturated once, as one block

@@ -18,7 +18,7 @@ from .fft_inversion import (
     idct2_via_fft,
     reconstruct_fft,
 )
-from .fxp import FxpFormat, RoundingMode, leading_bit
+from .fxp import FxpFormat, RoundingMode
 from .hwmodel import (
     CalibrationTable,
     HwCost,

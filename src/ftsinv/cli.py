@@ -19,7 +19,7 @@ from pathlib import Path
 from . import bench, fileio, hwmodel
 from .bench import ExperimentConfig
 from .errors import ConfigError, NumericalError, OverflowViolationError
-from .fft_inversion import FftPlan, reconstruct_fft
+from .fft_inversion import MODES, FftPlan, reconstruct_fft
 from .matrix_inversion import (
     Tikhonov,
     Tsvd,
@@ -59,7 +59,7 @@ _DATAPATH_FLAGS = {
     "--method": dict(choices=list(bench.ALL_METHODS)),
     "--bits": dict(type=int, help="datapath word width"),
     "--twiddle-bits": dict(type=int, dest="twiddle_bits"),
-    "--fft-mode": dict(choices=["pre", "post", "fixed"], dest="fft_mode"),
+    "--fft-mode": dict(choices=list(MODES), dest="fft_mode"),
     "--headroom": dict(type=int),
     "--rank": dict(type=int, help="kept singular values (tsvd)"),
     "--lambda": dict(type=float, dest="lam", help="ridge parameter (tik)"),

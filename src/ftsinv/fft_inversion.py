@@ -38,6 +38,10 @@ BFP engine (Welch, 1969).  ``w b`` sums two products in the exact MAC of
 stage's outputs are saturated once, as one block, which yields the block's
 least and greatest words; the block exponent is decided from those, carried
 from stage to stage, so no stage reads the store again to normalize it.
+
+Each entry point runs one body for both kinds of plan; a double-precision
+plan differs only in its entry, its products and its lack of block
+normalization, and the stage loop :func:`_fft_core` alone writes telemetry.
 """
 
 from __future__ import annotations
@@ -166,8 +170,9 @@ def _load_order(n: int) -> np.ndarray:
 class FftPlan:
     """Immutable transform descriptor: size, formats, normalization mode.
 
-    ``data_format is None`` selects the double-precision reference path; the
-    transform then runs the same butterfly schedule on float64 words.  The
+    ``data_format is None`` selects the double-precision reference: every
+    entry point runs the same body, and the same butterfly schedule, on
+    float64 words, with float products and no block exponent.  The
     twiddle tables hold what the datapath reads: the words in
     ``twiddle_format`` on a fixed-point plan, the doubles on an exact one.
     ``_load`` is the input's load order (:func:`_load_order`).  Every table
@@ -310,8 +315,10 @@ def quantize_complex_block(x: np.ndarray, fmt: FxpFormat, target_headroom: int):
 
 def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):
     """One DCT twiddle stage output ``(w1 x1 + sign w2 x2) >> tf``, truncated
-    and saturated to the data format.  Returns the words and the number of
-    saturated outputs."""
+    and saturated to the data format; on an exact plan, ``w1 x1 + sign w2 x2``
+    in float64.  Returns the words and the number of saturated outputs."""
+    if plan.exact:
+        return (np.add if sign > 0 else np.subtract)(w1 * x1, w2 * x2), 0
     wt, wd = plan.twiddle_format.total_bits, plan.data_format.total_bits
     acc = _mac(w1, x1, wt, wd, 1, np.multiply).plus(
         _mac(w2, x2, wt, wd, 1, np.multiply), sign)
@@ -359,9 +366,9 @@ def _butterflies(v_re, v_im, wr, wi, plan: FftPlan) -> tuple:
     return overflows, (lo, hi)
 
 
-def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry, extremes,
-              inverse: bool = False):
-    """Stage loop shared by the fixed-point and double-precision paths.
+def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
+              inverse: bool = False) -> FftResult:
+    """Stage loop of every entry point, for both kinds of plan.
 
     Input arrives in natural order and is loaded through the port in
     bit-reversed order, transposed for the first ``split = n_stages // 2``
@@ -378,27 +385,29 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry, extremes,
       with c = 1, pairing blocks of h >= 2**split words.
 
     The twiddles of a stage are contiguous copies of its stride through the
-    table.  ``extremes`` are the entry block's
-    :func:`~ftsinv.fxp.block_extremes` (None on an exact plan); after that
-    the block is never read for them: each stage's output stage reports
+    table.  ``exponent`` is the entry block's exponent and ``extremes`` its
+    :func:`~ftsinv.fxp.block_extremes` (0 and None on an exact plan); after
+    that the block is never read for them: each stage's output stage reports
     its outputs' extremes, and a block shift carries them along.  A pre or
     post shift is decided from the extremes of the block entering the
-    stage.  The output is unloaded in natural order.  Returns (re, im,
-    exponent_delta).
+    stage.  The output is unloaded in natural order.  ``inverse`` conjugates
+    the twiddles and takes the 1/N as an exponent step of -log2 N.
+
+    It is the one writer of :class:`FftTelemetry`, whose counts depend on n
+    alone (n/2 butterflies, cycles and four products per stage); an exact
+    plan has no block exponent, so it reads 0 as entry and final exponent.
     """
     n = plan.n_points
     mem = BankedMemory(n)
     mem.load(re[plan._load], im[plan._load])
     re, im = mem.re, mem.im
 
-    wre_all = plan._tw_re
     wim_all = -plan._tw_im if inverse else plan._tw_im
-    if not plan.exact:
-        width, target = plan.data_format.total_bits, plan.headroom_bits
 
     split = plan.n_stages // 2
     rows, cols = 1 << split, n >> split
-    gamma = 0
+    gamma = overflows = 0
+    stage_exponents = []
     bfp = None if plan.exact or plan.mode == "fixed" else plan.mode
     for s in range(plan.n_stages):
         if s == split and split:
@@ -406,30 +415,32 @@ def _fft_core(re, im, plan: FftPlan, telemetry: FftTelemetry, extremes,
             for p in (re, im):
                 p.reshape(cols, rows)[...] = p.reshape(rows, cols).T
         if bfp:                 # decided from the block entering the stage
-            shift = headroom(extremes, width) - target
+            shift = headroom(extremes, plan.data_format.total_bits) - plan.headroom_bits
         if bfp == "pre":
             applied, extremes = shift_block((re, im), shift, DATAPATH_POLICY, extremes)
             gamma -= applied
 
         h = 1 << s
         step = n >> (s + 1)
-        wr = np.ascontiguousarray(wre_all[: h * step: step])[:, None]
+        wr = np.ascontiguousarray(plan._tw_re[: h * step: step])[:, None]
         wi = np.ascontiguousarray(wim_all[: h * step: step])[:, None]
         c = cols if s < split else 1
-        overflows, extremes = _butterflies(
+        nov, extremes = _butterflies(
             re.reshape(-1, 2, h, c), im.reshape(-1, 2, h, c), wr, wi, plan)
-        telemetry.overflow_events += overflows
-        telemetry.mults += 4 * (n // 2)
-        telemetry.butterflies += n // 2
-        telemetry.cycles += n // 2
+        overflows += nov
 
         if bfp == "post":
             applied, extremes = shift_block((re, im), shift, DATAPATH_POLICY, extremes)
             gamma -= applied
-        telemetry.stage_exponents.append(gamma)
+        stage_exponents.append(gamma)
 
-    re_out, im_out = mem.unload()
-    return re_out, im_out, gamma
+    final = exponent + gamma - (plan.n_stages if inverse else 0)
+    slots = plan.n_stages * (n // 2)
+    telemetry = FftTelemetry(
+        n, plan.mode, stage_exponents, butterflies=slots, mults=4 * slots, cycles=slots,
+        overflow_events=overflows, entry_exponent=exponent,
+        final_exponent=0 if plan.exact else final)
+    return FftResult(*mem.unload(), final, telemetry)
 
 
 def fft_bfp(x: np.ndarray, plan: FftPlan) -> FftResult:
@@ -442,36 +453,28 @@ def fft_bfp(x: np.ndarray, plan: FftPlan) -> FftResult:
     x = np.asarray(x, dtype=np.complex128)
     if x.size != plan.n_points:
         raise ValueError(f"input length {x.size} != plan size {plan.n_points}")
-    telemetry = FftTelemetry(plan.n_points, plan.mode)
     if plan.exact:
-        re, im, _ = _fft_core(x.real.copy(), x.imag.copy(), plan, telemetry, None)
-        telemetry.final_exponent = 0
-        return FftResult(re, im, 0, telemetry)
-    re, im, g_in = quantize_complex_block(x, plan.data_format, plan.headroom_bits)
-    telemetry.entry_exponent = g_in
-    re, im, g_core = _fft_core(re, im, plan, telemetry, block_extremes((re, im)))
-    telemetry.final_exponent = g_in + g_core
-    return FftResult(re, im, g_in + g_core, telemetry)
+        return _fft_core(x.real, x.imag, 0, plan, None)
+    re, im, exponent = quantize_complex_block(x, plan.data_format, plan.headroom_bits)
+    return _fft_core(re, im, exponent, plan, block_extremes((re, im)))
 
 
 def fft_bfp_block(re, im, exponent: int, plan: FftPlan) -> FftResult:
     """Transform pre-quantized mantissas (headroom must already be in place)."""
     if plan.exact:
         raise ValueError("mantissa entry point requires a fixed-point plan")
-    if len(re) != plan.n_points:
-        raise ValueError("length mismatch")
     re, im = np.asarray(re), np.asarray(im)
+    if re.shape != (plan.n_points,) or im.shape != (plan.n_points,):
+        raise ValueError(f"re {re.shape} and im {im.shape} must be ({plan.n_points},)")
     extremes = block_extremes((re, im))
     head = headroom(extremes, plan.data_format.total_bits)
+    if head < 0:
+        raise ValueError(f"words {extremes} outside the data format")
     if plan.mode in ("pre", "post") and head < plan.headroom_bits:
         raise ValueError(
             f"input headroom {head} below the plan requirement {plan.headroom_bits}"
         )
-    telemetry = FftTelemetry(plan.n_points, plan.mode)
-    telemetry.entry_exponent = exponent
-    re_o, im_o, g_core = _fft_core(re, im, plan, telemetry, extremes)
-    telemetry.final_exponent = exponent + g_core
-    return FftResult(re_o, im_o, exponent + g_core, telemetry)
+    return _fft_core(re, im, exponent, plan, extremes)
 
 
 def _even_odd_permute(x: np.ndarray) -> np.ndarray:
@@ -492,28 +495,13 @@ def dct2_via_fft(x: np.ndarray, plan: FftPlan):
     Computed as an N-point complex FFT of the even-odd permuted sequence
     followed by a real-part twiddle stage.  Returns (values, telemetry).
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = plan.n_points
-    if x.size != n:
-        raise ValueError(f"input length {x.size} != plan size {n}")
-    v = _even_odd_permute(x)
-
-    if plan.exact:
-        res = fft_bfp(v.astype(np.complex128), plan)
-        c = res.re * plan._dct_cos + res.im * plan._dct_sin
-        res.telemetry.dct_stage_mults += 2 * n
-        res.telemetry.mults += 2 * n
-        return c, res.telemetry
-
-    fmt = plan.data_format
-    re, im, g0 = quantize_complex_block(v, fmt, plan.headroom_bits)
-    res = fft_bfp_block(re, im, g0, plan)
-    c_raw, nov = _twiddle_mac(plan, plan._dct_cos, res.re, plan._dct_sin, res.im, 1)
-    res.telemetry.overflow_events += nov
-    res.telemetry.dct_stage_mults += 2 * n
-    res.telemetry.mults += 2 * n
-    values = np.asarray(c_raw, dtype=np.float64) * 2.0 ** res.exponent
-    return values, res.telemetry
+    res = fft_bfp(_even_odd_permute(np.asarray(x, dtype=np.float64)), plan)
+    c, nov = _twiddle_mac(plan, plan._dct_cos, res.re, plan._dct_sin, res.im, 1)
+    telemetry = res.telemetry
+    telemetry.overflow_events += nov
+    telemetry.dct_stage_mults += 2 * plan.n_points
+    telemetry.mults += 2 * plan.n_points
+    return c * 2.0 ** res.exponent, telemetry
 
 
 def idct2_via_fft(c: np.ndarray, plan: FftPlan):
@@ -528,45 +516,32 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan):
     n = plan.n_points
     if c.size != n:
         raise ValueError(f"input length {c.size} != plan size {n}")
-
     if plan.exact:
-        cos_t, sin_t = plan._dct_cos, plan._dct_sin
-        c_rev = np.concatenate([[0.0], c[:0:-1]])      # C_{N-k}, zero at k=0
-        v_re = c * cos_t + c_rev * sin_t
-        v_im = c * sin_t - c_rev * cos_t
-        v_im[0] = 0.0
-        telemetry = FftTelemetry(n, plan.mode)
-        telemetry.dct_stage_mults += 4 * n
-        telemetry.mults += 4 * n
-        re, im, _ = _fft_core(v_re, v_im, plan, telemetry, None, inverse=True)
-        x = _even_odd_unpermute(re / n)
-        return x, telemetry
-
-    fmt = plan.data_format
-    # entry quantization with one extra headroom bit: the pre-twiddle mixes
-    # re/im components and can grow magnitudes by sqrt(2)
-    raw, _, g0 = quantize_complex_block(c, fmt, plan.headroom_bits + 1)
-    raw_rev = np.concatenate([raw[:1] * 0, raw[:0:-1]])
+        raw, exponent = c, 0
+    else:
+        # entry quantization with one extra headroom bit: the pre-twiddle mixes
+        # re/im components and can grow magnitudes by sqrt(2)
+        raw, _, exponent = quantize_complex_block(c, plan.data_format,
+                                                  plan.headroom_bits + 1)
+    raw_rev = np.concatenate([np.zeros_like(raw[:1]), raw[:0:-1]])   # C_{N-k}, 0 at k=0
     cos_t, sin_t = plan._dct_cos, plan._dct_sin
-    v_re, nov1 = _twiddle_mac(plan, cos_t, raw, sin_t, raw_rev, 1)
-    v_im, nov2 = _twiddle_mac(plan, sin_t, raw, cos_t, raw_rev, -1)
-    telemetry = FftTelemetry(n, plan.mode)
-    telemetry.overflow_events += nov1 + nov2
+    v_re, nov_re = _twiddle_mac(plan, cos_t, raw, sin_t, raw_rev, 1)
+    v_im, nov_im = _twiddle_mac(plan, sin_t, raw, cos_t, raw_rev, -1)
+    v_im[0] = 0                         # a negative c[0] gives -0.0 on an exact plan
+    extremes = None
+    if not plan.exact:
+        # restore the plan headroom before the transform proper
+        extremes = block_extremes((v_re, v_im))
+        shift, extremes = shift_block(
+            (v_re, v_im), headroom(extremes, plan.data_format.total_bits)
+            - plan.headroom_bits, DATAPATH_POLICY, extremes)
+        exponent -= shift
+    res = _fft_core(v_re, v_im, exponent, plan, extremes, inverse=True)
+    telemetry = res.telemetry
+    telemetry.overflow_events += nov_re + nov_im
     telemetry.dct_stage_mults += 4 * n
     telemetry.mults += 4 * n
-
-    # restore the plan headroom before the transform proper
-    extremes = block_extremes((v_re, v_im))
-    shift, extremes = shift_block(
-        (v_re, v_im), headroom(extremes, fmt.total_bits) - plan.headroom_bits,
-        DATAPATH_POLICY, extremes)
-    gamma = g0 - shift
-    telemetry.entry_exponent = gamma
-    re, im, g_core = _fft_core(v_re, v_im, plan, telemetry, extremes, inverse=True)
-    exponent = gamma + g_core - plan.n_stages          # the 1/N of the inverse
-    telemetry.final_exponent = exponent
-    x_raw = _even_odd_unpermute(re)
-    return np.asarray(x_raw, dtype=np.float64) * 2.0 ** exponent, telemetry
+    return _even_odd_unpermute(res.re) * 2.0 ** res.exponent, telemetry
 
 
 def reconstruct_fft(y_norm: Interferogram, plan: FftPlan):

@@ -120,11 +120,6 @@ def headroom(extremes: tuple, width: int) -> int:
     return width - 1 - max(hi, ~lo, 0).bit_length()
 
 
-def leading_bit(mantissas, width: int) -> int:
-    """:func:`headroom` of a block of mantissas, read from its words."""
-    return headroom(block_extremes(mantissas), width)
-
-
 def shift_block(parts: tuple, shift: int, mode: RoundingMode, extremes: tuple) -> tuple:
     """Shift a block of mantissa arrays that share one exponent by ``shift``
     bits, in place; ``extremes`` are the block's :func:`block_extremes`.

@@ -19,6 +19,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError
+from .fft_inversion import MODES
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def fft_cost(n_points: int, mode: str = "post",
     """
     if n_points < 2 or n_points & (n_points - 1):
         raise ConfigError("n_points must be a power of two >= 2")
-    if mode not in ("pre", "post", "fixed"):
+    if mode not in MODES:
         raise ConfigError(f"unknown transform mode {mode!r}")
     calib = calib or default_calibration()
     stages = n_points.bit_length() - 1

@@ -125,9 +125,9 @@ def int64(v: int) -> int:
 
 
 def block_headroom(words, width: int) -> int:
-    """``fxp.leading_bit`` on Python ints: the redundant sign bits of the
-    largest-magnitude word, ``width - 1`` for an all-zero block and negative
-    for a word past the width."""
+    """``fxp.headroom(fxp.block_extremes(words), width)`` on Python ints:
+    the redundant sign bits of the largest-magnitude word, ``width - 1`` for
+    an all-zero block and negative for a word past the width."""
     return width - 1 - max([v if v >= 0 else ~v for v in words] + [0]).bit_length()
 
 

@@ -203,8 +203,9 @@ class TestButterfly:
         [(30, 32), (31, 31), (31, 32), (32, 32), (33, 30)]))
     def test_stage_loop_matches_scalar_butterflies(self, bits, twiddle_bits, n):
         """The vector stage loop against the scalar butterfly on Python ints,
-        at widths where a butterfly's three products just fit an int64
-        (data + twiddle bits = 62) and just do not (63 and up).  With 1, 3
+        at widths that straddle where a butterfly's two products stop
+        fitting one int64 word each: at data + twiddle bits of 62 and 63 they
+        do, at 64 (32 + 32) they are split into limbs.  With 1, 3
         and 5 stages, none, one and two of them run on the transposed
         store."""
         plan = FftPlan.make(n, bits=bits, twiddle_bits=twiddle_bits, mode="fixed")
@@ -247,7 +248,7 @@ class TestButterfly:
     @pytest.mark.parametrize("fill,n", _at_sizes([("max_raw",), ("min_raw",)]))
     def test_extreme_words_match_scalar_butterflies(self, fill, n):
         """64-bit words all at one extreme, where the stage loop saturates
-        and sums three products of split words in every butterfly."""
+        and sums two products of split words in every butterfly."""
         plan = FftPlan.make(n, bits=64, mode="fixed")
         word = getattr(plan.data_format, fill)
         re, im = np.full(n, word, dtype=np.int64), np.full(n, word, dtype=np.int64)
@@ -421,12 +422,23 @@ class TestFftBfp:
         assert abs(e_freq - e_time) <= 1e-10 * e_time
 
     def test_mult_counter_and_slots(self):
-        plan = FftPlan.make(128, bits=14, mode="post", headroom_bits=3)
-        res = fft_bfp(np.ones(128, dtype=complex), plan)
-        slots = (128 // 2) * 7
-        assert res.telemetry.butterflies == slots
-        assert res.telemetry.cycles == slots
-        assert res.telemetry.mults == 4 * slots
+        """Every entry point on both kinds of plan counts n/2 log2 n
+        butterfly slots of four products, and its DCT stage's products; an
+        exact plan has no block exponent."""
+        n = 128
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        slots = (n // 2) * 7
+        for bits in (None, 14):
+            plan = FftPlan.make(n, bits=bits, mode="post", headroom_bits=3)
+            for tel, dct_mults in ((fft_bfp(x, plan).telemetry, 0),
+                                   (dct2_via_fft(x.real, plan)[1], 2 * n),
+                                   (idct2_via_fft(x.real, plan)[1], 4 * n)):
+                assert tel.butterflies == tel.cycles == slots
+                assert tel.dct_stage_mults == dct_mults
+                assert tel.mults == 4 * slots + dct_mults
+                if bits is None:
+                    assert tel.entry_exponent == tel.final_exponent == 0
 
     def test_length_and_mode_validation(self):
         with pytest.raises(ValueError):
@@ -436,6 +448,15 @@ class TestFftBfp:
         plan = FftPlan.make(64)
         with pytest.raises(ValueError):
             fft_bfp(np.zeros(32, dtype=complex), plan)
+        # the mantissa entry point checks both parts and the data format
+        words = np.arange(8, dtype=np.int64)
+        for mode in fft_inversion.MODES:
+            plan = FftPlan.make(8, bits=16, mode=mode)
+            for im in (np.zeros(9, dtype=np.int64), np.zeros(7, dtype=np.int64)):
+                with pytest.raises(ValueError, match="must be"):
+                    fft_bfp_block(words, im, 0, plan)
+            with pytest.raises(ValueError, match="outside the data format"):
+                fft_bfp_block(words << 17, words, 0, plan)        # 21-bit words
 
     def test_twiddle_width_without_data_width_refused(self):
         """A double-precision plan has no twiddle words to size."""

@@ -19,7 +19,6 @@ from ftsinv.fxp import (
     _requantize,
     block_extremes,
     headroom,
-    leading_bit,
     quantize_array,
     shift_block,
 )
@@ -209,20 +208,23 @@ def brute_force_headroom(values, width):
 
 
 class TestLeadingBit:
+    """:func:`headroom` of a block's :func:`block_extremes`: the redundant
+    sign bits of its words."""
+
     def test_all_zero_convention(self):
-        assert leading_bit([0, 0, 0], 8) == 7
+        assert headroom(block_extremes([0, 0, 0]), 8) == 7
 
     def test_boundary(self):
-        assert leading_bit([64, -3], 8) == 0
+        assert headroom(block_extremes([64, -3]), 8) == 0
 
     def test_small_example(self):
-        assert leading_bit([5, -3, 2], 8) == 4
+        assert headroom(block_extremes([5, -3, 2]), 8) == 4
 
     def test_negative_power_of_two_asymmetry(self):
         # -64 can shift once (to -128); +64 cannot shift at all
-        assert leading_bit([-64], 8) == 1
-        assert leading_bit([64], 8) == 0
-        assert leading_bit([-128], 8) == 0
+        assert headroom(block_extremes([-64]), 8) == 1
+        assert headroom(block_extremes([64]), 8) == 0
+        assert headroom(block_extremes([-128]), 8) == 0
 
     def test_against_brute_force_oracle(self):
         rng = np.random.default_rng(17)
@@ -230,11 +232,12 @@ class TestLeadingBit:
             lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
             for _ in range(100):
                 vals = [int(v) for v in rng.integers(lo, hi + 1, size=5)]
-                assert leading_bit(vals, width) == brute_force_headroom(vals, width)
+                want = brute_force_headroom(vals, width)
+                assert headroom(block_extremes(vals), width) == want
 
     def test_width_validation(self):
         with pytest.raises(ValueError):
-            leading_bit([1], 1)
+            headroom(block_extremes([1]), 1)
 
 
 def normalize(parts, width, target, mode, shift=None):

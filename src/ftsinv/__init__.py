@@ -33,7 +33,6 @@ from .matrix_inversion import (
     CompiledSvd,
     InversionResult,
     PenalizedDiagonal,
-    Pinv,
     SvdFactors,
     Tikhonov,
     Tsvd,

@@ -239,15 +239,34 @@ def _datapath_format(setup: StudySetup, bits: int | None):
     return None if setup.config.quantize == "data-only" else bits
 
 
-def _compile_datapath(setup: StudySetup, method: str, bits: int | None, k: int = 1):
-    """The matrix route's datapath compiled at ``bits`` and ``k``, on which
-    :func:`invert_once` runs any grid point; None for the FFT route."""
-    fmt = _datapath_format(setup, bits)
+def _compile_datapath(method: str, factors: SvdFactors, fmt, k: int = 1, adag=None):
+    """The matrix route's datapath compiled at ``fmt`` and ``k``, on which
+    :func:`run_matrix_route` runs any grid point; None for the FFT route.
+    The pseudo-inverse route compiles ``adag``, formed from ``factors`` when
+    not given."""
     if method == "pinv":
-        return compile_pinv(setup.adag, fmt, k)
+        return compile_pinv(pinv_matrix(factors) if adag is None else adag, fmt, k)
     if method in ("tsvd", "tik"):
-        return compile_svd(setup.factors, fmt, k)
+        return compile_svd(factors, fmt, k)
     return None
+
+
+def run_matrix_route(datapath, xi: np.ndarray, y, method: str,
+                     rank: int | None = None, lam: float | None = None):
+    """Run the acquisition ``y`` through a matrix route's compiled
+    ``datapath`` at one grid point: pinv reads none, tsvd keeps ``rank`` and
+    tik weights by ``lam`` of the singular values ``xi``.  Returns the
+    :class:`~ftsinv.matrix_inversion.InversionResult` and the point's label."""
+    if method == "pinv":
+        return reconstruct_pinv(datapath, y), ""
+    if method not in ("tsvd", "tik"):
+        raise ConfigError(f"unknown method {method!r}")
+    point, flag = (rank, "--rank") if method == "tsvd" else (lam, "--lambda")
+    if point is None:
+        raise ConfigError(f"{method} requires {flag}")
+    scheme = Tsvd(rank) if method == "tsvd" else Tikhonov(lam)
+    res = reconstruct_svd(datapath, penalize(xi, scheme), y)
+    return res, str(rank) if method == "tsvd" else f"{lam:.6g}"
 
 
 def invert_once(setup: StudySetup, method: str, bits: int | None,
@@ -255,10 +274,10 @@ def invert_once(setup: StudySetup, method: str, bits: int | None,
                 datapath=None):
     """One reconstruction; returns (snr_db, estimate, telemetry, param_label).
 
-    ``datapath`` is the matrix route's datapath compiled for the same
-    ``bits`` and ``k`` (:func:`~ftsinv.matrix_inversion.compile_pinv`,
-    :func:`~ftsinv.matrix_inversion.compile_svd`); without it the route
-    compiles its own.
+    The matrix routes run :func:`run_matrix_route` on ``datapath``, the
+    route compiled by :func:`_compile_datapath` for the same ``bits`` and
+    ``k``; without it this compiles its own there, as ``ftsinv invert``
+    does.
     """
     cfg = setup.config
     data_only = cfg.quantize == "data-only" and bits is not None
@@ -271,28 +290,14 @@ def invert_once(setup: StudySetup, method: str, bits: int | None,
         spectrum, telemetry = reconstruct_fft(y_norm, plan)
         return snr_db(setup.x, spectrum), spectrum.values, telemetry, ""
     y = setup.y
-    fmt = _datapath_format(setup, bits)
     if data_only:
         y = Interferogram(_quantize_only_data(y.values, bits), y.grid,
                           y.mean_spectrum)
-    if method == "pinv":
-        adag = setup.adag if datapath is None else datapath
-        res = reconstruct_pinv(adag, y, fmt=fmt, k=k)
-        return snr_db(setup.x, res.x_hat), res.x_hat, res.telemetry, ""
-    factors = setup.factors if datapath is None else datapath
-    if method == "tsvd":
-        if rank is None:
-            raise ConfigError("tsvd requires a rank")
-        z = penalize(setup.factors.xi, Tsvd(rank))
-        res = reconstruct_svd(factors, z, y, fmt=fmt, k=k)
-        return snr_db(setup.x, res.x_hat), res.x_hat, res.telemetry, str(rank)
-    if method == "tik":
-        if lam is None:
-            raise ConfigError("tik requires a ridge parameter")
-        z = penalize(setup.factors.xi, Tikhonov(lam))
-        res = reconstruct_svd(factors, z, y, fmt=fmt, k=k)
-        return snr_db(setup.x, res.x_hat), res.x_hat, res.telemetry, f"{lam:.6g}"
-    raise ConfigError(f"unknown method {method!r}")
+    if datapath is None:
+        datapath = _compile_datapath(method, setup.factors,
+                                     _datapath_format(setup, bits), k, setup.adag)
+    res, label = run_matrix_route(datapath, setup.factors.xi, y, method, rank, lam)
+    return snr_db(setup.x, res.x_hat), res.x_hat, res.telemetry, label
 
 
 def best_inversion(setup: StudySetup, method: str, bits: int | None, k: int = 1):
@@ -301,7 +306,8 @@ def best_inversion(setup: StudySetup, method: str, bits: int | None, k: int = 1)
     The matrix routes compile their datapath once and run every grid point
     on it.
     """
-    datapath = _compile_datapath(setup, method, bits, k)
+    datapath = _compile_datapath(method, setup.factors,
+                                 _datapath_format(setup, bits), k, setup.adag)
     if method == "tsvd":
         grid = [{"rank": r} for r in setup.rank_grid]
     elif method == "tik":
@@ -349,6 +355,14 @@ def _metadata(cfg: ExperimentConfig, operation: str) -> dict:
     }
 
 
+def _cost(cfg: ExperimentConfig, method: str, k: int, label: str):
+    """The modelled hardware cost of a sweep row, at the study's sizes and
+    transform mode and, on tsvd, the rank its ``label`` names."""
+    return hwmodel.method_cost(method, k, n=cfg.n, m=cfg.m,
+                               rank=int(label) if method == "tsvd" else None,
+                               fft_points=cfg.n, fft_mode=cfg.fft_mode)
+
+
 def sweep_precision(cfg: ExperimentConfig, setup: StudySetup | None = None) -> SweepResult:
     """Quality versus word width for every requested method.
 
@@ -362,11 +376,7 @@ def sweep_precision(cfg: ExperimentConfig, setup: StudySetup | None = None) -> S
     for method in cfg.methods:
         for bits in cfg.bits_list:
             s, _, telemetry, label = best_inversion(setup, method, bits, cfg.k)
-            cost = hwmodel.method_cost(
-                method, cfg.k, n=cfg.n, m=cfg.m,
-                rank=(int(label) if method == "tsvd" else None),
-                fft_points=cfg.n,
-            )
+            cost = _cost(cfg, method, cfg.k, label)
             rows.append((method, bits, label, s, telemetry.mults,
                          cost.latency_cycles, cost.time_us))
     return SweepResult(columns, rows, _metadata(cfg, "sweep-precision"))
@@ -382,16 +392,14 @@ def sweep_parallelism(cfg: ExperimentConfig, setup: StudySetup | None = None) ->
     for method in methods:
         baseline = None
         for k in cfg.k_list:
-            rank = setup.factors.rank_bound if method in ("tsvd", "tik") else None
+            rank = setup.factors.rank_bound if method == "tsvd" else None
             lam = setup.lambda_grid[len(setup.lambda_grid) // 2] if method == "tik" else None
-            s, estimate, telemetry, _ = invert_once(
-                setup, method, cfg.bits, k=k,
-                rank=rank, lam=lam,
-            )
+            s, estimate, telemetry, label = invert_once(setup, method, cfg.bits, k=k,
+                                                        rank=rank, lam=lam)
             if baseline is None:
                 baseline = estimate
             identical = bool(np.array_equal(baseline, estimate))
-            cost = hwmodel.method_cost(method, k, n=cfg.n, m=cfg.m, rank=rank)
+            cost = _cost(cfg, method, k, label)
             rows.append((method, k, identical, s, cost.latency_cycles,
                          cost.time_us, cost.dsp, cost.bram, cost.lut,
                          telemetry.mults))
@@ -406,10 +414,7 @@ def run_comparison(cfg: ExperimentConfig, setup: StudySetup | None = None) -> Sw
     rows = []
     for method in cfg.methods:
         s, _, telemetry, label = best_inversion(setup, method, cfg.bits, cfg.k)
-        cost = hwmodel.method_cost(
-            method, cfg.k, n=cfg.n, m=cfg.m,
-            rank=(int(label) if method == "tsvd" else None), fft_points=cfg.n,
-        )
+        cost = _cost(cfg, method, cfg.k, label)
         rows.append((method, cfg.bits, cfg.k, label, s,
                      telemetry.mults, cost.latency_cycles,
                      cost.time_us, cost.dsp, cost.bram, cost.lut))

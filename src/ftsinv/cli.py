@@ -20,15 +20,7 @@ from . import bench, fileio, hwmodel
 from .bench import ExperimentConfig
 from .errors import ConfigError, NumericalError, OverflowViolationError
 from .fft_inversion import MODES, FftPlan, reconstruct_fft
-from .matrix_inversion import (
-    Tikhonov,
-    Tsvd,
-    penalize,
-    pinv_matrix,
-    reconstruct_pinv,
-    reconstruct_svd,
-    svd_factorize,
-)
+from .matrix_inversion import svd_factorize
 from .optics import (
     Interferogram,
     OpdGrid,
@@ -174,19 +166,9 @@ def _cmd_invert(args) -> int:
             f"matrix rows {a.shape[0]} != interferogram length {y.values.size}"
         )
     factors = svd_factorize(a)
-    k = args.k if args.k is not None else 1
-    if method == "pinv":
-        res = reconstruct_pinv(pinv_matrix(factors), y, fmt=args.bits, k=k)
-    elif method == "tsvd":
-        if args.rank is None:
-            raise ConfigError("tsvd requires --rank")
-        res = reconstruct_svd(factors, penalize(factors.xi, Tsvd(args.rank)),
-                              y, fmt=args.bits, k=k)
-    else:
-        if args.lam is None:
-            raise ConfigError("tik requires --lambda")
-        res = reconstruct_svd(factors, penalize(factors.xi, Tikhonov(args.lam)),
-                              y, fmt=args.bits, k=k)
+    datapath = bench._compile_datapath(method, factors, args.bits,
+                                       args.k if args.k is not None else 1)
+    res, _ = bench.run_matrix_route(datapath, factors.xi, y, method, args.rank, args.lam)
     bandwidth = args.bandwidth if args.bandwidth is not None else 1.0
     sg = SpectralGrid(res.x_hat.size, bandwidth)
     fileio.write_series_csv(args.out, "wavenumber", sg.midpoints(), res.x_hat)

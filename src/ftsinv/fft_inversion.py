@@ -272,9 +272,6 @@ class FftResult:
     exponent: int
     telemetry: FftTelemetry
 
-    def to_complex(self) -> np.ndarray:
-        return (self.re + 1j * self.im) * 2.0 ** self.exponent
-
 
 def quantize_complex_block(x: np.ndarray, fmt: FxpFormat, target_headroom: int):
     """Scale-and-quantize a complex vector into int64 mantissas and an exponent.
@@ -527,7 +524,6 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan):
     cos_t, sin_t = plan._dct_cos, plan._dct_sin
     v_re, nov_re = _twiddle_mac(plan, cos_t, raw, sin_t, raw_rev, 1)
     v_im, nov_im = _twiddle_mac(plan, sin_t, raw, cos_t, raw_rev, -1)
-    v_im[0] = 0                         # a negative c[0] gives -0.0 on an exact plan
     extremes = None
     if not plan.exact:
         # restore the plan headroom before the transform proper

@@ -31,7 +31,6 @@ each product whole, so its output is the same at every K.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,34 +65,6 @@ class SvdFactors:
     @property
     def rank_bound(self) -> int:
         return int(self.xi.size)
-
-    def reconstruction(self) -> np.ndarray:
-        return (self.u * self.xi) @ self.v.T
-
-    def residuals(self, a: np.ndarray) -> dict:
-        """Orthogonality and reconstruction residuals (max norms)."""
-        r = self.rank_bound
-        utu = self.u.T @ self.u - np.eye(r)
-        vtv = self.v.T @ self.v - np.eye(r)
-        rec = self.reconstruction() - a
-        denom = max(float(np.max(np.abs(a))), np.finfo(float).tiny)
-        return {
-            "orth_u": float(np.max(np.abs(utu))),
-            "orth_v": float(np.max(np.abs(vtv))),
-            "reconstruction_rel": float(np.max(np.abs(rec))) / denom,
-        }
-
-    @property
-    def condition(self) -> float:
-        nz = self.xi[self.xi > 0]
-        if nz.size == 0:
-            return math.inf
-        return float(self.xi[0] / nz[-1]) if nz.size == self.xi.size else math.inf
-
-    @property
-    def gram_condition(self) -> float:
-        """Condition number of the normal-equations matrix ``A^T A``."""
-        return self.condition ** 2
 
 
 def svd_factorize(a) -> SvdFactors:
@@ -139,41 +110,24 @@ class Tikhonov:
     lam: float
 
 
-@dataclass(frozen=True)
-class Pinv:
-    pass
-
-
 @dataclass
 class PenalizedDiagonal:
     zeta: np.ndarray
     scheme: object
 
-    @property
-    def effective_rank(self) -> int:
-        return int(np.count_nonzero(self.zeta))
-
     def describe(self) -> str:
         s = self.scheme
-        if isinstance(s, Tsvd):
-            return f"tsvd(rank={s.rank})"
-        if isinstance(s, Tikhonov):
-            return f"tik(lambda={s.lam:g})"
-        return "pinv"
+        return f"tsvd(rank={s.rank})" if isinstance(s, Tsvd) else f"tik(lambda={s.lam:g})"
 
 
 def penalize(xi: np.ndarray, scheme) -> PenalizedDiagonal:
     """Penalized reciprocal diagonal for the chosen regularization scheme.
 
     Truncation keeps the reciprocals of the ``rank`` largest singular values;
-    ridge weighting maps each value to ``xi / (xi^2 + lambda^2)``.  The plain
-    pseudo-inverse is the shared special case (full rank, zero ridge) and is
-    produced by the identical code path so the collapse is exact.
+    ridge weighting maps each value to ``xi / (xi^2 + lambda^2)``.
     """
     xi = np.asarray(xi, dtype=np.float64)
     r = xi.size
-    if isinstance(scheme, Pinv):
-        scheme = Tsvd(rank=r)
     if isinstance(scheme, Tsvd):
         if not (1 <= scheme.rank <= r):
             raise ValueError(f"rank must be in [1, {r}], got {scheme.rank}")

@@ -3,7 +3,9 @@
 Scalar copies of the rounding, saturation and butterfly rules that
 ``ftsinv.fxp`` and ``ftsinv.fft_inversion`` apply to int64 arrays.  Python
 integers are exact at any width, so every product and sum here is the exact
-one; nothing in the package calls this module.
+one.  The last functions read package results in double precision: the
+residuals and condition of SVD factors and the value of an FFT result.
+Nothing in the package calls this module.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from ftsinv.fxp import (
     DATAPATH_POLICY,
@@ -175,3 +179,32 @@ def bfp_stages(plan, re, im):
             exponent -= applied
         exponents.append(exponent)
     return words, exponents, overflows
+
+
+def svd_residuals(f, a) -> dict:
+    """Orthogonality and reconstruction residuals (max norms) of the SVD
+    factors ``f`` of the matrix ``a``."""
+    r = f.rank_bound
+    utu = f.u.T @ f.u - np.eye(r)
+    vtv = f.v.T @ f.v - np.eye(r)
+    rec = (f.u * f.xi) @ f.v.T - a
+    denom = max(float(np.max(np.abs(a))), np.finfo(float).tiny)
+    return {
+        "orth_u": float(np.max(np.abs(utu))),
+        "orth_v": float(np.max(np.abs(vtv))),
+        "reconstruction_rel": float(np.max(np.abs(rec))) / denom,
+    }
+
+
+def gram_condition(f) -> float:
+    """Condition number of the normal-equations matrix ``A^T A`` from the
+    SVD factors ``f`` of ``A``; infinite when a singular value is zero."""
+    nz = f.xi[f.xi > 0]
+    if nz.size == 0 or nz.size < f.xi.size:
+        return math.inf
+    return float(f.xi[0] / nz[-1]) ** 2
+
+
+def to_complex(res) -> np.ndarray:
+    """The complex values an ``FftResult`` holds: its words times 2**exponent."""
+    return (res.re + 1j * res.im) * 2.0 ** res.exponent

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ftsinv import bench
+from ftsinv.errors import ConfigError
 
 GOLDEN_PATH = Path(__file__).with_name("matrix_golden.json")
 
@@ -58,3 +59,16 @@ def test_best_inversion_is_the_best_grid_point(small_cosine_setup, method, bits)
     assert (got[3], got[0]) == (want[3], want[0])
     assert np.array_equal(got[1], want[1])
     assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("method,point,message", [
+    ("tsvd", {}, "tsvd requires --rank"),
+    ("tsvd", {"lam": 1.0}, "tsvd requires --rank"),
+    ("tik", {}, "tik requires --lambda"),
+    ("tik", {"rank": 4}, "tik requires --lambda"),
+    ("bogus", {}, "unknown method 'bogus'"),
+])
+def test_invert_once_refuses_a_missing_grid_point(small_cosine_setup, method, point,
+                                                  message):
+    with pytest.raises(ConfigError, match=message):
+        bench.invert_once(small_cosine_setup, method, 12, **point)

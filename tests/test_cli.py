@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ftsinv import bench, cli, fileio
+from ftsinv import bench, cli, fileio, hwmodel
 from ftsinv.errors import ConfigError, OverflowViolationError
 from ftsinv.matrix_inversion import pinv_matrix, reconstruct_pinv, svd_factorize
 
@@ -142,6 +142,25 @@ def test_invert_rejects_partition_counts_below_one(simulated, tmp_path, capsys,
     assert cli.main(["invert", *route, "--bits", "16", "--parallel-k", k,
                      "--in", str(y), "--matrix", str(a), "--out", str(out)]) == 2
     assert "partition count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route,flag", [
+    (["--method", "tsvd"], "--rank"),
+    (["--method", "tik"], "--lambda"),
+    (["--method", "pinv"], "--matrix"),
+    (["--method", "tsvd", "--rank", "24"], "--matrix"),
+    (["--method", "tik", "--lambda", "1.0"], "--matrix"),
+])
+def test_invert_names_the_missing_flag(simulated, tmp_path, capsys, route, flag):
+    """A matrix route without its matrix, or without its grid point, exits 2
+    naming the flag, writing nothing."""
+    y, a = simulated
+    matrix = [] if flag == "--matrix" else ["--matrix", str(a)]
+    out = tmp_path / "x.csv"
+    assert cli.main(["invert", *route, "--bits", "16", *matrix, "--in", str(y),
+                     "--out", str(out)]) == 2
+    assert f"requires {flag}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -342,6 +361,21 @@ def test_compare_writes_one_row_per_method(tmp_path, capsys):
     assert mults["fft"] == 4 * 16 + 4 * 8 * 4
     assert mults["pinv"] == 16 * 16
     assert "4 rows" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["sweep-precision", "compare"])
+@pytest.mark.parametrize("mode", ["pre", "post", "fixed"])
+def test_fft_rows_are_priced_in_the_fft_mode(tmp_path, command, mode):
+    """Every FFT row costs what the transform engine costs in ``--fft-mode``."""
+    out = tmp_path / "s.csv"
+    assert cli.main([command, "--kind", "cosine", "--n", "16", "--m", "16",
+                     "--seed", "1", "--fft-mode", mode, "--out", str(out)]) == 0
+    _, header, rows = _csv(out.read_text())
+    cost = hwmodel.fft_cost(16, mode)
+    fft_rows = [dict(zip(header, r)) for r in rows if r[0] == "fft"]
+    assert fft_rows and all(
+        (int(r["latency_cycles"]), float(r["time_us"])) == (cost.latency_cycles, cost.time_us)
+        for r in fft_rows)
 
 
 def test_costs_prints_csv_with_ratios(capsys):

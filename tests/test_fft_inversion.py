@@ -28,7 +28,7 @@ from ftsinv.fft_inversion import (
 from ftsinv.fxp import FxpFormat
 
 from conftest import complex_snr_db
-from reference import bank_map, bfp_stages, block_headroom, butterfly_radix2
+from reference import bank_map, bfp_stages, block_headroom, butterfly_radix2, to_complex
 
 
 def direct_dct2(x):
@@ -348,7 +348,7 @@ class TestFftBfp:
         x = np.zeros(32, dtype=complex)
         x[0] = 1.0
         res = fft_bfp(x, plan)
-        vals = res.to_complex()
+        vals = to_complex(res)
         assert np.allclose(vals, vals[0])
         assert vals[0].real == pytest.approx(1.0, rel=1e-3)
 
@@ -357,7 +357,7 @@ class TestFftBfp:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         res = fft_bfp(x, plan)
-        assert np.max(np.abs(res.to_complex() - np.fft.fft(x))) < 1e-11
+        assert np.max(np.abs(to_complex(res) - np.fft.fft(x))) < 1e-11
 
     def test_bfp_snr_regression(self):
         # measured ~51 dB for 16-bit mantissas at n=1024; fail below 45
@@ -366,7 +366,7 @@ class TestFftBfp:
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         res = fft_bfp(x, plan)
         assert res.telemetry.overflow_events == 0
-        assert complex_snr_db(np.fft.fft(x), res.to_complex()) > 45.0
+        assert complex_snr_db(np.fft.fft(x), to_complex(res)) > 45.0
 
     def test_bfp_snr_monotone_in_width(self):
         rng = np.random.default_rng(2024)
@@ -377,7 +377,7 @@ class TestFftBfp:
         for width in range(10, 25, 2):
             plan = FftPlan.make(256, bits=width, mode="post", headroom_bits=3)
             num = sum(np.linalg.norm(r) ** 2 for r in refs)
-            den = sum(np.linalg.norm(r - fft_bfp(x, plan).to_complex()) ** 2
+            den = sum(np.linalg.norm(r - to_complex(fft_bfp(x, plan))) ** 2
                       for x, r in zip(inputs, refs))
             snr = 10 * np.log10(num / den)
             assert snr >= prev
@@ -408,7 +408,7 @@ class TestFftBfp:
         for mode in ("pre", "post"):
             plan = FftPlan.make(64, bits=48, mode=mode, headroom_bits=3)
             res = fft_bfp(x, plan)
-            outs[mode] = res.to_complex()
+            outs[mode] = to_complex(res)
             assert complex_snr_db(ref, outs[mode]) > 200.0
         assert np.max(np.abs(outs["pre"] - outs["post"])) < 1e-10 * np.max(np.abs(ref))
 
@@ -416,7 +416,7 @@ class TestFftBfp:
         plan = FftPlan.make(512)
         rng = np.random.default_rng(8)
         x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-        X = fft_bfp(x, plan).to_complex()
+        X = to_complex(fft_bfp(x, plan))
         e_time = np.linalg.norm(x) ** 2
         e_freq = np.linalg.norm(X) ** 2 / 512
         assert abs(e_freq - e_time) <= 1e-10 * e_time
@@ -583,6 +583,36 @@ class TestDct:
         got, _ = idct2_via_fft(c, plan)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("bits", [None, 12])
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_idct_output_never_reads_the_dc_imaginary_word(self, monkeypatch, bits, n):
+        """The pre-twiddle's DC imaginary word enters the inverse FFT at store
+        position 0, an a-operand of every stage, so it reaches imaginary
+        outputs only, which the inverse DCT drops.  An exact plan gives the
+        same output bits with that word replaced by NaN, on inputs whose first
+        coefficient is -1 or -0.0 (which make the word -0.0) and whose others
+        are signed zeros or random; on a fixed-point plan the word is 0."""
+        rng = np.random.default_rng(14)
+        inputs = []
+        for rest in (*rng.choice([-0.0, 0.0], size=(6, n)), rng.standard_normal(n)):
+            for c0 in (-1.0, -0.0):
+                inputs.append(np.concatenate([[c0], rest[1:]]))
+        plan = FftPlan.make(n, bits=bits)
+        want = [idct2_via_fft(c, plan)[0].tobytes() for c in inputs]
+        core, words = fft_inversion._fft_core, []
+
+        def poisoned(re, im, *args, **kwargs):
+            words.append(im[0])
+            if plan.exact:
+                im = im.copy()
+                im[0] = np.nan
+            return core(re, im, *args, **kwargs)
+
+        monkeypatch.setattr(fft_inversion, "_fft_core", poisoned)
+        assert [idct2_via_fft(c, plan)[0].tobytes() for c in inputs] == want
+        if not plan.exact:
+            assert words == [0] * len(inputs)
+
     def test_fixed_point_dct_tracks_oracle(self):
         plan = FftPlan.make(64, bits=18, mode="post", headroom_bits=3)
         rng = np.random.default_rng(13)
@@ -720,7 +750,7 @@ def _wide_golden_digests(function: str) -> dict:
                     for part in (res.re, res.im):
                         h.update(np.asarray(part).astype(np.int64).tobytes())
                     h.update(str(int(res.exponent)).encode())
-                    values, tel = res.to_complex(), res.telemetry
+                    values, tel = to_complex(res), res.telemetry
                 else:
                     fn = dct2_via_fft if function == "dct2_via_fft" else idct2_via_fft
                     values, tel = fn(rng.standard_normal(n), plan)

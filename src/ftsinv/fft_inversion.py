@@ -33,15 +33,19 @@ Normalization modes
 Words are int64 at every width.  A butterfly output ``(a 2**ft +- w b) >> ft``
 is formed as ``a + (+-w b >> ft)``: the datapath truncates, and a floor moves
 no integer across the binary point, so ``a`` bypasses the multiplier as in a
-BFP engine (Welch, 1969).  ``w b`` sums two products in the exact MAC of
-:mod:`ftsinv.fxp`, one int64 product per term wherever they fit an int64.  A
+BFP engine (Welch, 1969).  ``w b`` sums two products.  Where they fit one
+int64, as :func:`~ftsinv.fxp._limb_plan` decides, a stage forms them with
+``np.multiply(..., out=)`` in three half-store scratch planes, allocated
+once per transform, and writes its outputs from there, so it allocates
+nothing; wider words take the exact limb MAC of :mod:`ftsinv.fxp`.  A
 stage's outputs are saturated once, as one block, which yields the block's
 least and greatest words; the block exponent is decided from those, carried
 from stage to stage, so no stage reads the store again to normalize it.
 
 Each entry point runs one body for both kinds of plan; a double-precision
-plan differs only in its entry, its products and its lack of block
-normalization, and the stage loop :func:`_fft_core` alone writes telemetry.
+plan differs only in its entry, its word type (float64 words and scratch
+planes, with no floor or saturation) and its lack of block normalization,
+and the stage loop :func:`_fft_core` alone writes telemetry.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .fxp import (
     ENTRY_POLICY,
     FxpFormat,
     _add_floor,
+    _limb_plan,
     _mac,
     _macs,
     _requantize,
@@ -323,37 +328,55 @@ def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):
                        plan.data_format)
 
 
-def _butterflies(v_re, v_im, wr, wi, plan: FftPlan) -> tuple:
+def _butterflies(v_re, v_im, wr, wi, plan: FftPlan, scratch) -> tuple:
     """A stage's butterflies, in place: ``v[:, 0]`` holds the a-operands and
     ``v[:, 1]`` the b-operands, and the twiddle words ``wr``, ``wi`` broadcast
     against them; ``a + w b`` replaces a and ``a - w b`` replaces b.  Returns
     the number of saturated outputs and the
     :func:`~ftsinv.fxp.block_extremes` of the outputs, which their
-    saturation reads anyway (None on an exact plan).  Every temporary of the
-    stage lives and dies here."""
+    saturation reads anyway (None on an exact plan).
+
+    ``scratch`` holds three half-store planes of the plan's word type where
+    the products fit one word, else None (:func:`_fft_core`).  With them,
+    ``w b`` is formed in two planes, the third holding each second product
+    and then each negated sum, and the outputs are written from there: the
+    stage allocates no temporary.  Without them, ``w b`` is limbs
+    (:func:`~ftsinv.fxp._macs`), and :func:`~ftsinv.fxp._add_floor` writes
+    each output."""
     a_re, a_im, b_re, b_im = v_re[:, 0], v_im[:, 0], v_re[:, 1], v_im[:, 1]
-    if plan.exact:
-        t_re = b_re * wr - b_im * wi
-        t_im = b_re * wi + b_im * wr
-        v_re[:, 1], v_im[:, 1] = a_re - t_re, a_im - t_im
-        v_re[:, 0], v_im[:, 0] = a_re + t_re, a_im + t_im
-        return 0, None
-    fmt, ft = plan.data_format, plan.twiddle_format.frac_bits
-    # w b sums two products of a data and a twiddle word; each b operand
-    # meets both twiddle words, so its limbs are cut once
-    widths = (plan.twiddle_format.total_bits, fmt.total_bits, 1, np.multiply)
-    t_re, t_im = _macs([wr, wi], b_re, *widths)         # wr b_re, wi b_re
-    u_im, u_re = _macs([wr, wi], b_im, *widths)         # wr b_im, wi b_im
-    t_re, t_im = t_re.plus(u_re, -1), t_im.plus(u_im)
-    del u_re, u_im                                      # free them before the output stage
+    fmt = plan.data_format
     overflows = 0
-    for v, a, t in ((v_re, a_re, t_re), (v_im, a_im, t_im)):
-        # (a 2**ft -+ t) >> ft is a + (-+t >> ft) under DATAPATH_POLICY, a
-        # truncation (not under round-half-even, whose ties read a's parity),
-        # so a bypasses the product; a - w b goes first, because a + w b
-        # overwrites a
-        overflows += _add_floor(a, t, -1, ft, fmt, v[:, 1])
-        overflows += _add_floor(a, t, 1, ft, fmt, v[:, 0])
+    # a fixed-point (a 2**ft -+ t) >> ft is a + (-+t >> ft) under
+    # DATAPATH_POLICY, a truncation (not under round-half-even, whose ties
+    # read a's parity), so a bypasses the product; a - w b goes first,
+    # because a + w b overwrites a
+    if scratch is not None:
+        t_re, t_im, u = (p.reshape(b_re.shape) for p in scratch)
+        np.multiply(b_re, wr, out=t_re)
+        np.subtract(t_re, np.multiply(b_im, wi, out=u), out=t_re)
+        np.multiply(b_re, wi, out=t_im)
+        np.add(t_im, np.multiply(b_im, wr, out=u), out=t_im)
+        if plan.exact:
+            for a, b, t in ((a_re, b_re, t_re), (a_im, b_im, t_im)):
+                np.subtract(a, t, out=b)
+                a += t
+            return 0, None
+        ft = plan.twiddle_format.frac_bits
+        for a, b, t in ((a_re, b_re, t_re), (a_im, b_im, t_im)):
+            np.add(a, np.right_shift(np.negative(t, out=u), ft, out=u), out=b)
+            a += np.right_shift(t, ft, out=t)
+    else:
+        ft = plan.twiddle_format.frac_bits
+        # w b sums two products of a data and a twiddle word; each b operand
+        # meets both twiddle words, so its limbs are cut once
+        widths = (plan.twiddle_format.total_bits, fmt.total_bits, 1, np.multiply)
+        t_re, t_im = _macs([wr, wi], b_re, *widths)         # wr b_re, wi b_re
+        u_im, u_re = _macs([wr, wi], b_im, *widths)         # wr b_im, wi b_im
+        t_re, t_im = t_re.plus(u_re, -1), t_im.plus(u_im)
+        del u_re, u_im                                      # free them before the output stage
+        for v, a, t in ((v_re, a_re, t_re), (v_im, a_im, t_im)):
+            overflows += _add_floor(a, t, -1, ft, fmt, v[:, 1])
+            overflows += _add_floor(a, t, 1, ft, fmt, v[:, 0])
     # every output saturated once, as one block
     lo, hi = 0, 0
     for v in (v_re, v_im):
@@ -382,7 +405,10 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
       with c = 1, pairing blocks of h >= 2**split words.
 
     The twiddles of a stage are contiguous copies of its stride through the
-    table.  ``exponent`` is the entry block's exponent and ``extremes`` its
+    table.  The three scratch planes of :func:`_butterflies`, n/2 words each
+    of the plan's word type, are allocated once here and serve every stage;
+    a plan whose butterfly products need limbs gets none.  ``exponent`` is
+    the entry block's exponent and ``extremes`` its
     :func:`~ftsinv.fxp.block_extremes` (0 and None on an exact plan); after
     that the block is never read for them: each stage's output stage reports
     its outputs' extremes, and a block shift carries them along.  A pre or
@@ -400,6 +426,13 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     re, im = mem.re, mem.im
 
     wim_all = -plan._tw_im if inverse else plan._tw_im
+    scratch = None
+    # no limbs means twiddle and data widths sum to at most 63 bits, so data
+    # words are within 61: there fxp._add_floor's sum is this same addition
+    if plan.exact or _limb_plan(plan.twiddle_format.total_bits,
+                                plan.data_format.total_bits, 1)[0] is None:
+        dtype = np.float64 if plan.exact else np.int64
+        scratch = [np.empty(n // 2, dtype=dtype) for _ in range(3)]
 
     split = plan.n_stages // 2
     rows, cols = 1 << split, n >> split
@@ -423,7 +456,7 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
         wi = np.ascontiguousarray(wim_all[: h * step: step])[:, None]
         c = cols if s < split else 1
         nov, extremes = _butterflies(
-            re.reshape(-1, 2, h, c), im.reshape(-1, 2, h, c), wr, wi, plan)
+            re.reshape(-1, 2, h, c), im.reshape(-1, 2, h, c), wr, wi, plan, scratch)
         overflows += nov
 
         if bfp == "post":

@@ -4,12 +4,14 @@ Every datapath in this package (FFT butterflies, DCT twiddle stages,
 matrix-vector MACs) runs on the primitives defined here.  Words are int64
 arrays at every width up to 64 bits.  Every array product and sum goes
 through one exact MAC, :func:`_mac`, and one output stage,
-:func:`_requantize`: one int64 operation where the words fit, else limbs
-whose products are exact in int64 (the error-free splitting of Ozaki, Ogita,
-Oishi and Rump, Numer. Algorithms, 2012), summed uncarried into base-2^b
-int64 digits.  Each accumulator is carried once, at the output stage, and
-its high digits collapse into one int64 wherever they fit, so a wide output
-costs one shift, rounding and saturation, as a one-digit output does.  A
+:func:`_requantize` or :func:`_add_floor`: one int64 operation where the
+words fit, else limbs whose products are exact in int64 (the error-free
+splitting of Ozaki, Ogita, Oishi and Rump, Numer. Algorithms, 2012), summed
+uncarried into base-2^b int64 digits.  Each accumulator is carried once, at
+the output stage, and its high digits collapse into one int64 wherever they
+fit, so a wide output costs one shift, rounding and saturation, as a
+one-digit output does.  An FFT stage whose products fit one int64
+(:func:`_limb_plan`) forms those same int64 operations itself, in place.  A
 matrix product whose partial sums all stay within 2^52 (words up to 23 bits
 at 256 terms) runs as one float64 BLAS product instead: every integer it
 forms is then exact in float64, by the same argument, and numpy has no BLAS
@@ -360,6 +362,8 @@ def _macs(coefs: list, b: np.ndarray, wa: int, wb: int, guard: int, op) -> list:
     leaves room for :meth:`_Wide.plus` to sum up to ``2**guard`` such
     products.  Each limb product lands in its digit uncarried.  ``b`` is
     converted or split into limbs once for all the coefficient operands.
+    Where whole words fit (:func:`_limb_plan` gives no limb width), each
+    accumulator is the one int64 ``op(a, b)``.
 
     A matmul whose sums stay within ``2**_FLOAT_EXACT_BITS`` runs as one
     float64 BLAS product: every word, product and partial sum is then an
@@ -474,15 +478,18 @@ def _add_floor(addend: np.ndarray, acc: _Wide, sign: int, shift: int,
     A floor moves no integer across the binary point, so this is
     ``floor((addend * 2**shift + sign * acc) * 2**-shift)`` with the addend
     kept out of the accumulator: the truncated output stage of a sum whose
-    integer term bypasses the multiplier.  Where the floored accumulator
-    collapses into one int64 of at most 62 bits (:func:`_collapse`) and
-    ``fmt`` is at most 61 bits wide, the sum is one int64 addition, written
-    as it is: addend words within four times the format's range cannot
-    carry it past int64.  Otherwise the addend joins the accumulator at the
-    digit offset of ``shift`` (:meth:`_Wide.plus_shifted`), and
-    :func:`_requantize` truncates the sum and saturates it to ``fmt`` here;
-    saturating those words again leaves them as they are.  ``out`` may be
-    ``addend`` itself.  Returns the number of words saturated here.
+    integer term bypasses the multiplier.  ``acc`` is limbs: a sum of
+    products that fit one int64 is one int64 addition of the shifted
+    product, which its caller forms in place.  Where the floored
+    accumulator collapses into one int64 (:func:`_collapse`), at least one
+    bit is floored away below it, and ``fmt`` is at most 61 bits wide, the
+    sum is one int64 addition as well, written as it is: addend words within
+    four times the format's range cannot carry it past int64.  Otherwise the
+    addend joins the accumulator at the digit offset of ``shift``
+    (:meth:`_Wide.plus_shifted`), and :func:`_requantize` truncates the sum
+    and saturates it to ``fmt`` here; saturating those words again leaves
+    them as they are.  ``out`` may be ``addend`` itself.  Returns the number
+    of words saturated here.
     """
     if sign < 0:
         acc = _Wide([-x for x in acc.digits], acc.bits)
@@ -491,10 +498,8 @@ def _add_floor(addend: np.ndarray, acc: _Wide, sign: int, shift: int,
     if collapsed is not None and fmt.total_bits <= 61:
         high, c = collapsed
         below = shift - acc.bits * c
-        # |high >> below| <= 2**62: below >= 1 halves an int64, and one digit
-        # holds at most 2**62 (_SAFE_BITS)
-        if below or len(d) == 1:
-            np.add(addend, shift_right_array(high, below, RoundingMode.TRUNCATE), out=out)
+        if below:               # |high >> below| <= 2**62: it halves an int64
+            np.add(addend, high >> below, out=out)
             return 0
     out[...], overflows = _requantize(_Wide(d, acc.bits).plus_shifted(addend, shift),
                                       shift, RoundingMode.TRUNCATE, fmt)

@@ -542,6 +542,31 @@ class TestPlanIsFrozen:
             assert np.array_equal(a, b)
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("bits", [16, 40, None])
+    def test_entry_points_leave_their_inputs_unchanged(self, bits):
+        """``fft_bfp``, ``fft_bfp_block``, ``dct2_via_fft`` and ``idct2_via_fft``
+        leave the caller's arrays as they were on a plan whose stages run in
+        place (16 bits), one whose stages take limbs (40 bits) and an exact
+        one, which reads the parts of a complex128 input as views."""
+        n = 64
+        plan = FftPlan.make(n, bits=bits)
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x, c = rng.standard_normal(n), rng.standard_normal(n)
+        inputs = [z, x, c]
+        calls = [lambda: fft_bfp(z, plan), lambda: dct2_via_fft(x, plan),
+                 lambda: idct2_via_fft(c, plan)]
+        if bits is not None:
+            re, im, exponent = quantize_complex_block(z, plan.data_format,
+                                                      plan.headroom_bits)
+            inputs += [re, im]
+            calls.append(lambda: fft_bfp_block(re, im, exponent, plan))
+        kept = [a.copy() for a in inputs]
+        for call in calls:
+            call()
+        for a, b in zip(inputs, kept):
+            assert np.array_equal(a, b)
+
 
 class TestDct:
     def test_constant_input(self):

@@ -4,11 +4,12 @@ transform route for spectrum reconstruction.
 The transform emulates a memory-based radix-2 engine that issues one
 butterfly per cycle from two memory banks.  Its words enter and leave through
 :class:`BankedMemory`, the two-bank port whose parity map puts both operands
-of every butterfly in distinct banks; that conflict freedom is a property the
-tests check, not a data path the emulation walks.  Each stage's n/2
-butterflies run as one vectorized step on a view of one bit-reversed store,
-with the same arithmetic, the same order of rounding and saturation, and the
-same cycle count in telemetry (n/2 per stage) as the one-per-cycle schedule.
+of every butterfly in distinct banks; that conflict freedom is modelled,
+not walked: the ``_parity`` and ``bank_map`` tests check it, and the port
+moves only whole stores.  Each stage's n/2 butterflies run as one vectorized
+step on a view of one bit-reversed store, with the same arithmetic, the same
+order of rounding and saturation, and the same cycle count in telemetry
+(n/2 per stage) as the one-per-cycle schedule.
 The store is laid out so that every stage's operands run along a long
 contiguous axis: the first half of the stages works on its transpose, whose
 rows they pair, and the second half on the store itself, whose blocks of
@@ -87,22 +88,18 @@ def _parity(idx: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _port_map(n_points: int) -> tuple:
     """The two-bank map as the port reads it: ``(par, adr)``, the bank and
-    address of every logical index, and the parity of every address.
+    address of every logical index.
 
     Index ``i`` sits in bank ``parity(i)``, the XOR fold of its bits, at
     address ``i >> 1``.  Butterfly partners at any stage differ in exactly
     one index bit, so they always land in different banks; indices 2a and
-    2a + 1 share address a, one per bank, so the map is bijective.
-
-    Read through this full map, ``(adr << 1) | (par ^ parity(adr))`` is the
-    logical index itself, in order: the map is the identity permutation of
-    the store.  It depends on the size alone, so it is computed once per size
-    and kept read-only, and :class:`BankedMemory` knows it by these arrays.
+    2a + 1 share address a, one per bank, so the map is bijective.  The
+    ``_parity`` and ``bank_map`` tests check both; read in full, the map is
+    the identity permutation of the store.  It depends on the size alone, so
+    it is computed once per size and kept read-only.
     """
     idx = np.arange(n_points)
-    adr = idx >> 1
-    adr_parity = _parity(np.arange(max(n_points // 2, 1))).astype(np.int8)
-    port = (adr_parity[adr] ^ (idx & 1).astype(np.int8), adr, adr_parity)
+    port = (_parity(idx).astype(np.int8), idx >> 1)
     for a in port:
         a.setflags(write=False)
     return port
@@ -112,27 +109,24 @@ class BankedMemory:
     """Two-bank complex word store: the transform's input/output port.
 
     Logical index ``i`` sits in bank ``parity(i)`` at address ``i >> 1``
-    (:func:`_port_map`), so bank ``b``, address ``a`` holds logical index
-    ``(a << 1) | (b ^ parity(a))``.  Both operands of every radix-2 butterfly
-    resolve to distinct banks, so a full butterfly issue needs one read per
-    bank per cycle.  The words are kept in logical order in ``re`` and ``im``,
-    the store the stage loop works on.
-
-    :meth:`gather` and :meth:`scatter` resolve any ``(par, adr)`` list through
-    the XOR map.  The full map of :func:`_port_map`, which :meth:`load` and
-    :meth:`unload` pass, resolves to every logical index in order, so those
-    two move the words as one copy each.
+    (:func:`_port_map`), so a full butterfly issue needs one read per bank
+    per cycle; the ``_parity`` and ``bank_map`` tests check that layout, and
+    the words are kept in logical order in ``re`` and ``im``, the store the
+    stage loop works on.  :meth:`gather` and :meth:`scatter` move the whole
+    store through the full map, one copy each, and refuse any other
+    ``(par, adr)`` list.
     """
 
     def __init__(self, n_points: int):
         self.n = n_points
-        self._par, self._adr, self._adr_parity = _port_map(n_points)
+        self._par, self._adr = _port_map(n_points)
         self.re = self.im = None
 
-    def _index(self, par, adr):
-        if par is self._par and adr is self._adr:
-            return slice(None)                  # the full map: every index, in order
-        return (adr << 1) | (par ^ self._adr_parity[adr])
+    def _check_full_map(self, par, adr) -> None:
+        for got, full in ((par, self._par), (adr, self._adr)):
+            if got is not full and not np.array_equal(got, full):
+                raise ValueError("the port moves the whole store: pass its full "
+                                 "(bank, address) map")
 
     def load(self, re: np.ndarray, im: np.ndarray) -> None:
         self.re = np.empty(self.n, dtype=re.dtype)
@@ -140,15 +134,13 @@ class BankedMemory:
         self.scatter(self._par, self._adr, re, im)
 
     def gather(self, par, adr):
-        i = self._index(par, adr)
-        if isinstance(i, slice):
-            return self.re.copy(), self.im.copy()
-        return self.re[i], self.im[i]
+        self._check_full_map(par, adr)
+        return self.re.copy(), self.im.copy()
 
     def scatter(self, par, adr, re, im) -> None:
-        i = self._index(par, adr)
-        self.re[i] = re
-        self.im[i] = im
+        self._check_full_map(par, adr)
+        self.re[:] = re
+        self.im[:] = im
 
     def unload(self):
         return self.gather(self._par, self._adr)
@@ -405,9 +397,10 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
       with c = 1, pairing blocks of h >= 2**split words.
 
     The twiddles of a stage are contiguous copies of its stride through the
-    table.  The three scratch planes of :func:`_butterflies`, n/2 words each
-    of the plan's word type, are allocated once here and serve every stage;
-    a plan whose butterfly products need limbs gets none.  ``exponent`` is
+    table.  The store, and the three scratch planes of :func:`_butterflies`
+    (n/2 words each, allocated once here to serve every stage), hold the
+    plan's word type, int64 or float64, whatever the input's dtype;
+    a plan whose butterfly products need limbs gets no planes.  ``exponent`` is
     the entry block's exponent and ``extremes`` its
     :func:`~ftsinv.fxp.block_extremes` (0 and None on an exact plan); after
     that the block is never read for them: each stage's output stage reports
@@ -421,8 +414,10 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     plan has no block exponent, so it reads 0 as entry and final exponent.
     """
     n = plan.n_points
+    dtype = np.float64 if plan.exact else np.int64
     mem = BankedMemory(n)
-    mem.load(re[plan._load], im[plan._load])
+    mem.load(re[plan._load].astype(dtype, copy=False),
+             im[plan._load].astype(dtype, copy=False))
     re, im = mem.re, mem.im
 
     wim_all = -plan._tw_im if inverse else plan._tw_im
@@ -431,7 +426,6 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     # words are within 61: there fxp._add_floor's sum is this same addition
     if plan.exact or _limb_plan(plan.twiddle_format.total_bits,
                                 plan.data_format.total_bits, 1)[0] is None:
-        dtype = np.float64 if plan.exact else np.int64
         scratch = [np.empty(n // 2, dtype=dtype) for _ in range(3)]
 
     split = plan.n_stages // 2
@@ -490,12 +484,15 @@ def fft_bfp(x: np.ndarray, plan: FftPlan) -> FftResult:
 
 
 def fft_bfp_block(re, im, exponent: int, plan: FftPlan) -> FftResult:
-    """Transform pre-quantized mantissas (headroom must already be in place)."""
+    """Transform pre-quantized integer mantissas, of any integer dtype, on the
+    plan's int64 words (headroom must already be in place)."""
     if plan.exact:
         raise ValueError("mantissa entry point requires a fixed-point plan")
     re, im = np.asarray(re), np.asarray(im)
     if re.shape != (plan.n_points,) or im.shape != (plan.n_points,):
         raise ValueError(f"re {re.shape} and im {im.shape} must be ({plan.n_points},)")
+    if not (np.issubdtype(re.dtype, np.integer) and np.issubdtype(im.dtype, np.integer)):
+        raise ValueError(f"mantissas must be integers, got {re.dtype} and {im.dtype}")
     extremes = block_extremes((re, im))
     head = headroom(extremes, plan.data_format.total_bits)
     if head < 0:

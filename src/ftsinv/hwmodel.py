@@ -137,7 +137,8 @@ class CalibrationTable:
         if path is not None:
             with open(path) as fh:
                 return CalibrationTable.parse(fh.read())
-        text = resources.files("ftsinv.data").joinpath("calibration.txt").read_text()
+        # a relative name, so a checkout imported under another name loads too
+        text = resources.files(__package__).joinpath("data", "calibration.txt").read_text()
         return CalibrationTable.parse(text)
 
 

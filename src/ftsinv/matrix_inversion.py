@@ -6,9 +6,8 @@ The factorization is an offline calibration step computed in double precision
 the hardware splits it:
 
 * **compile** (:func:`compile_pinv`, :func:`compile_svd`) quantizes the
-  coefficient matrices for one word width and lays them out in K row
-  partitions (plain ``np.array_split`` pieces, one per memory): what is
-  written to on-chip RAM once;
+  coefficient matrices for one word width and fixes the bank count K: what
+  is written to on-chip RAM once;
 * **run** (:func:`reconstruct_pinv`, :func:`reconstruct_svd`) streams one
   acquisition, and on the SVD route one penalized diagonal, through them.
   Given a matrix or factors instead of a compiled datapath, the run step
@@ -20,13 +19,14 @@ Every fixed-point product accumulates exactly in the package's one MAC,
 product whose sums fit the float64 significand (words up to 23 bits at
 M = 256) runs exactly on BLAS.  The one banked kernel, :func:`_banked_mac`,
 runs the pseudo-inverse and products 1 (column scaling of V) and 3 of the
-SVD route per row partition.  Product 2 (U^T y) changes only with the
+SVD route whole: each output row is one bank's own dot product, so K is
+modelled, not walked, in ``telemetry.k``, the cost model's latency and the
+K-identity tests.  Product 2 (U^T y) changes only with the
 acquisition and the kept lanes, so a compiled SVD datapath forms it once per
 acquisition and kept set of lanes, output stage included, and every run of
 a rank or ridge sweep on that set reads it (see :class:`CompiledSvd`).  Each
 run counts the multiplies its products issue in its own telemetry, product
-2's included.  The double-precision reference is not hardware: it computes
-each product whole, so its output is the same at every K.
+2's included.
 """
 
 from __future__ import annotations
@@ -205,27 +205,25 @@ def _accumulator_bits(mat_fmt: FxpFormat, vec_fmt: FxpFormat, terms: int) -> int
     return mat_fmt.total_bits + vec_fmt.total_bits + _guard_bits(terms)
 
 
-def _banked_mac(parts: list, op, vec: np.ndarray, fmts: tuple, mode: RoundingMode):
-    """One MAC stream per bank: ``op(part, vec)`` of each partition's
+def _banked_mac(coef: np.ndarray, op, vec: np.ndarray, fmts: tuple, mode: RoundingMode):
+    """The K row-banked MAC streams of one product: ``op(coef, vec)`` of the
     coefficient words by one vector of words, accumulated exactly and
     rounded and saturated once per output.  ``op`` is ``np.matmul`` (a
     matrix-vector product) or ``np.multiply`` (column scaling, one product
     per entry); ``fmts`` are the coefficient, vector and output formats.
 
-    Returns the output partitions, the number of saturated outputs and the
-    number of multiplies issued, ``part.shape[0] * vec.size`` per partition.
+    Each output row is one bank's independent dot product, so the words of
+    K banks are those of one product over all rows, and it runs as one.
+
+    Returns the output words, the number of saturated outputs and the
+    number of multiplies issued, ``coef.shape[0] * vec.size``.
     """
     mat_fmt, vec_fmt, out_fmt = fmts
     guard = _guard_bits(vec.size) if op is np.matmul else 0
     shift = mat_fmt.frac_bits + vec_fmt.frac_bits - out_fmt.frac_bits
-    outs, overflows, mults = [], 0, 0
-    for part in parts:
-        wide = _mac(part, vec, mat_fmt.total_bits, vec_fmt.total_bits, guard, op)
-        out, nov = _requantize(wide, shift, mode, out_fmt)
-        overflows += nov
-        mults += part.shape[0] * vec.size
-        outs.append(out)
-    return outs, overflows, mults
+    wide = _mac(coef, vec, mat_fmt.total_bits, vec_fmt.total_bits, guard, op)
+    out, overflows = _requantize(wide, shift, mode, out_fmt)
+    return out, overflows, coef.shape[0] * vec.size
 
 
 def _samples(y) -> np.ndarray:
@@ -266,20 +264,20 @@ class CompiledPinv:
 
     ``matrix`` is the whole double-precision matrix: the double reference's
     one product, and where a fixed-point run fixes its output binary point.
-    ``parts`` are the coefficient words in ``mat_fmt``, split into ``k`` row
-    partitions; the double reference reads none, so it holds none.
+    ``words`` are the coefficient words in ``mat_fmt``, every bank's rows in
+    one array (:func:`_banked_mac`); the double reference reads none.
     """
 
     matrix: np.ndarray
     fmt: object
     k: int
     mat_fmt: FxpFormat | None = None
-    parts: list = field(default_factory=list)
+    words: np.ndarray | None = None
 
 
 def compile_pinv(adag, fmt=None, k: int = 1) -> CompiledPinv:
-    """Quantize the matrix ``adag`` once for the datapath ``fmt`` and lay its
-    words out in ``k`` row partitions, ``1 <= k <= N``; see
+    """Quantize the matrix ``adag`` once for the datapath ``fmt`` on ``k``
+    row banks, ``1 <= k <= N``, which telemetry and the cost model read; see
     :func:`reconstruct_pinv` for ``fmt``."""
     matrix = np.atleast_2d(np.asarray(adag))
     n = matrix.shape[0]
@@ -289,8 +287,7 @@ def compile_pinv(adag, fmt=None, k: int = 1) -> CompiledPinv:
     if width is None:
         return CompiledPinv(matrix, None, k)
     mat_fmt = _tensor_format(fmt, width, matrix)
-    return CompiledPinv(matrix, fmt, k, mat_fmt,
-                        np.array_split(quantize_array(matrix, mat_fmt), k))
+    return CompiledPinv(matrix, fmt, k, mat_fmt, quantize_array(matrix, mat_fmt))
 
 
 def reconstruct_pinv(
@@ -326,11 +323,11 @@ def reconstruct_pinv(
         mat_fmt = datapath.mat_fmt
         vec_fmt = _tensor_format(datapath.fmt, width, y)
         out_fmt = _tensor_format(datapath.fmt, width, x_ref)    # the output scale
-        outs, telemetry.overflow_events, telemetry.mults = _banked_mac(
-            datapath.parts, np.matmul, quantize_array(y, vec_fmt),
+        out, telemetry.overflow_events, telemetry.mults = _banked_mac(
+            datapath.words, np.matmul, quantize_array(y, vec_fmt),
             (mat_fmt, vec_fmt, out_fmt), mode)
         telemetry.accumulator_bits = _accumulator_bits(mat_fmt, vec_fmt, m)
-        x_hat = dequantize_array(np.concatenate(outs), out_fmt)
+        x_hat = dequantize_array(out, out_fmt)
         telemetry.data_format = f"{width}-bit ({mat_fmt.describe()} coeffs)"
     telemetry.latency_cycles = hwmodel.latency_cycles("pinv", datapath.k, n=n, m=m)
     return InversionResult(x_hat, telemetry)
@@ -507,7 +504,7 @@ def reconstruct_svd(
 
         # product 1: column scaling of V by the penalized diagonal
         o1, nov1, mults1 = _banked_mac(
-            np.array_split(datapath.words("v", fmt_v)[:, kept], k), np.multiply,
+            datapath.words("v", fmt_v)[:, kept], np.multiply,
             quantize_array(zk, fmt_z), (fmt_v, fmt_z, fmt_o1), mode)
         # product 2: U^T y, from the stage this acquisition and kept set share
         mults2 = rank * m
@@ -517,7 +514,7 @@ def reconstruct_svd(
         telemetry.mults = mults1 + mults2 + mults3
         telemetry.overflow_events = nov1 + stage.overflows + nov3
         telemetry.accumulator_bits = _accumulator_bits(stage.fmt_u, stage.fmt_y, m)
-        x_hat = dequantize_array(np.concatenate(x_raw), fmt_x)
+        x_hat = dequantize_array(x_raw, fmt_x)
         telemetry.data_format = f"{width}-bit"
 
     telemetry.latency_cycles = hwmodel.latency_cycles(scheme_name, k, n=n, m=m, rank=rank)

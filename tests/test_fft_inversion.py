@@ -94,37 +94,34 @@ class TestBankMap:
         n = 2
         while n <= 65536:
             idx = np.arange(n)
-            par, adr, adr_parity = _port_map(n)
+            par, adr = _port_map(n)
             assert np.array_equal(par, _parity(idx))
             assert np.array_equal(adr, idx >> 1)
-            assert np.array_equal(adr_parity, _parity(np.arange(n // 2)))
             n *= 2
-        par, adr, _ = _port_map(64)
+        par, adr = _port_map(64)
         assert [bank_map(i, 64) for i in range(64)] == list(zip(par.tolist(), adr.tolist()))
 
-    def test_partial_port_lists_resolve_through_the_xor_map(self):
-        """Any (bank, address) list other than the full map reads and writes
-        logical index ``(a << 1) | (b ^ parity(a))``; a copy of the full map
-        resolves like the map itself."""
+    def test_partial_port_lists_are_refused(self):
+        """The port moves only whole stores: any (bank, address) list other
+        than the full map is refused, and the full map, or a copy of it,
+        round-trips every word in logical order."""
         n = 64
         rng = np.random.default_rng(3)
         mem = BankedMemory(n)
         mem.load(np.arange(n), -np.arange(n))
         slots = rng.choice(n, size=20, replace=False)
-        par, adr = slots & 1, slots >> 1
-        logical = (adr << 1) | (par ^ _parity(adr))
-        assert not np.array_equal(logical, slots)       # the XOR map moves them
-        re, im = mem.gather(par, adr)
-        assert np.array_equal(re, logical) and np.array_equal(im, -logical)
-        mem.scatter(par, adr, 1000 + slots, -1000 - slots)
-        assert np.array_equal(mem.gather(par, adr)[0], 1000 + slots)
-        out_re, out_im = mem.unload()
-        want = np.arange(n)
-        want[logical] = 1000 + slots
-        assert np.array_equal(out_re, want) and np.array_equal(out_im, -want)
-        full = _port_map(n)
-        copy_re, copy_im = mem.gather(full[0].copy(), full[1].copy())
-        assert np.array_equal(copy_re, out_re) and np.array_equal(copy_im, out_im)
+        par, adr = _port_map(n)
+        for partial in ((slots & 1, slots >> 1), (par[slots], adr[slots]),
+                        (par, adr[::-1].copy())):
+            with pytest.raises(ValueError, match="whole store"):
+                mem.gather(*partial)
+            with pytest.raises(ValueError, match="whole store"):
+                mem.scatter(*partial, slots, -slots)
+        mem.scatter(par, adr, 1000 + np.arange(n), -1000 - np.arange(n))
+        for full in ((par, adr), (par.copy(), adr.copy())):
+            re, im = mem.gather(*full)
+            assert np.array_equal(re, 1000 + np.arange(n))
+            assert np.array_equal(im, -1000 - np.arange(n))
 
     def test_unload_is_a_copy(self):
         mem = BankedMemory(8)
@@ -457,6 +454,26 @@ class TestFftBfp:
                     fft_bfp_block(words, im, 0, plan)
             with pytest.raises(ValueError, match="outside the data format"):
                 fft_bfp_block(words << 17, words, 0, plan)        # 21-bit words
+
+    @pytest.mark.parametrize("bits, dtype", [(32, np.int32), (16, np.int16)])
+    def test_narrow_mantissas_run_on_int64_words(self, bits, dtype):
+        """Mantissas of a narrower integer dtype give the int64 run's bits:
+        with no headroom in fixed mode they saturate, where a store in their
+        own dtype would wrap.  Non-integer mantissas are refused."""
+        plan = FftPlan.make(64, bits=bits, mode="fixed", headroom_bits=0)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        re, im, g = quantize_complex_block(x, plan.data_format, 0)
+        want = fft_bfp_block(re, im, g, plan)
+        assert want.telemetry.overflow_events > 0
+        got = fft_bfp_block(re.astype(dtype), im.astype(dtype), g, plan)
+        assert got.re.dtype == got.im.dtype == np.int64
+        assert np.array_equal(got.re, want.re) and np.array_equal(got.im, want.im)
+        assert got.exponent == want.exponent and got.telemetry == want.telemetry
+        for parts in ((re.astype(float), im), (re, im.astype(float)),
+                      (re.astype(complex), im)):
+            with pytest.raises(ValueError, match="integers"):
+                fft_bfp_block(*parts, g, plan)
 
     def test_twiddle_width_without_data_width_refused(self):
         """A double-precision plan has no twiddle words to size."""

@@ -1,6 +1,9 @@
 """Cost model: anchor fidelity, structural terms, telemetry cross-validation."""
 
+import importlib.util
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +14,35 @@ from ftsinv.errors import ConfigError
 
 PINV_ANCHORS = {1: 53965, 2: 27559, 3: 18529, 4: 14014, 5: 11434, 6: 9499}
 SVD_ANCHORS = {1: 154673, 2: 77918, 3: 52118, 4: 39218, 5: 31693, 6: 26318}
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ftsinv"
 
 
 class TestCalibration:
+    def test_loads_under_another_package_name(self, monkeypatch):
+        """The package reaches its modules and its calibration data by
+        relative names: loaded as ``ftsinv_alias`` while ``ftsinv`` cannot be
+        imported, it reads the same calibration and runs a fixed-point route
+        to the same words and latency."""
+        want = fi.reconstruct_pinv(np.eye(4) / 3, np.arange(4.0), fmt=16)
+        for name in [m for m in sys.modules if m.split(".")[0] == "ftsinv"]:
+            monkeypatch.setitem(sys.modules, name, None)
+        spec = importlib.util.spec_from_file_location(
+            "ftsinv_alias", PACKAGE / "__init__.py",
+            submodule_search_locations=[str(PACKAGE)])
+        alias = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "ftsinv_alias", alias)
+        try:
+            spec.loader.exec_module(alias)
+            calib = alias.hwmodel.default_calibration()
+            assert calib.entries.keys() == hwmodel.default_calibration().entries.keys()
+            got = alias.matrix_inversion.reconstruct_pinv(np.eye(4) / 3, np.arange(4.0),
+                                                          fmt=16)
+        finally:
+            for name in [m for m in sys.modules if m.startswith("ftsinv_alias.")]:
+                del sys.modules[name]
+        assert np.array_equal(got.x_hat, want.x_hat)
+        assert got.telemetry.latency_cycles == want.telemetry.latency_cycles > 0
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ConfigError):
             hwmodel.CalibrationTable.parse("pinv.latency.k1 = not_a_number")

@@ -163,14 +163,15 @@ class TestPinvMatrix:
 
 
 class TestCompilePinvBanks:
-    def test_partition_sizes(self):
+    def test_words_are_the_same_at_every_k(self):
+        """K sets the bank count telemetry and the cost model read; the
+        coefficient words are those of the whole matrix at every K."""
         m = np.arange(22 * 3).reshape(22, 3).astype(float)
-        datapath = compile_pinv(m, 16, k=4)
-        sizes = [p.shape[0] for p in datapath.parts]
-        assert sizes == [6, 6, 5, 5]            # ceil/floor split
-        assert np.array_equal(np.vstack(datapath.parts),
-                              quantize_array(m, datapath.mat_fmt))
-        assert compile_pinv(m, None, k=4).parts == []   # the double path reads none
+        for k in range(1, 5):
+            datapath = compile_pinv(m, 16, k)
+            assert datapath.k == k
+            assert np.array_equal(datapath.words, quantize_array(m, datapath.mat_fmt))
+        assert compile_pinv(m, None, k=4).words is None     # the double path reads none
 
     @pytest.mark.parametrize("fmt", [None, 16])
     def test_k_bounds(self, fmt):
@@ -457,16 +458,13 @@ class TestLimbKernel:
         min_raw = FxpFormat(width, 0).min_raw
         vectors = (_kernel_operands(width, (2, m), rng)[-1],
                    np.full(m, min_raw, dtype=np.int64))
-        parts = np.array_split(a, 3)
         for b in vectors:
             exact = [sum(int(x) * int(v) for x, v in zip(row, b)) for row in a]
             for shift in (-3, 0, width - 1, width + 5, 2 * width - 2):
                 mat_fmt, vec_fmt, out_fmt = _shift_formats(width, shift)
                 for mode in RoundingMode:
-                    outs, overflows, mults = _banked_mac(
-                        parts, np.matmul, b, (mat_fmt, vec_fmt, out_fmt),
-                        mode)
-                    out = np.concatenate(outs)
+                    out, overflows, mults = _banked_mac(
+                        a, np.matmul, b, (mat_fmt, vec_fmt, out_fmt), mode)
                     want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                     assert out.dtype == np.int64
                     assert out.tolist() == want, (shift, mode)
@@ -483,10 +481,9 @@ class TestLimbKernel:
             mat_fmt, diag_fmt, out_fmt = _shift_formats(width, shift)
             for mode in RoundingMode:
                 scaled, overflows, mults = _banked_mac(
-                    np.array_split(a, 2), np.multiply, d,
-                    (mat_fmt, diag_fmt, out_fmt), mode)
+                    a, np.multiply, d, (mat_fmt, diag_fmt, out_fmt), mode)
                 want, want_over = _python_outputs(exact, shift, mode, out_fmt)
-                assert np.vstack(scaled).ravel().tolist() == want, (shift, mode)
+                assert scaled.ravel().tolist() == want, (shift, mode)
                 assert overflows == want_over
                 assert mults == a.size
 
@@ -519,11 +516,10 @@ class TestLimbKernel:
                 mat_fmt = FxpFormat(wa, min(shift, wa - 1))
                 vec_fmt = FxpFormat(wb, shift - mat_fmt.frac_bits)
                 for mode in RoundingMode:
-                    outs, overflows, _ = _banked_mac(
-                        np.array_split(a, 2), np.matmul, b,
-                        (mat_fmt, vec_fmt, out_fmt), mode)
+                    out, overflows, _ = _banked_mac(
+                        a, np.matmul, b, (mat_fmt, vec_fmt, out_fmt), mode)
                     want, want_over = _python_outputs(exact, shift, mode, out_fmt)
-                    assert np.concatenate(outs).tolist() == want, (a[0, 0], shift, mode)
+                    assert out.tolist() == want, (a[0, 0], shift, mode)
                     assert overflows == want_over == 0
 
     @pytest.mark.parametrize("fills", [("max_raw", "max_raw"), ("min_raw", "min_raw"),
@@ -546,11 +542,10 @@ class TestLimbKernel:
         for shift in (-3, 0, width - 1, width + 7, 2 * width - 2):
             mat_fmt, vec_fmt, out_fmt = _shift_formats(width, shift)
             for mode in RoundingMode:
-                outs, overflows, _ = _banked_mac(
-                    np.array_split(a, 2), np.matmul, b,
-                    (mat_fmt, vec_fmt, out_fmt), mode)
+                out, overflows, _ = _banked_mac(
+                    a, np.matmul, b, (mat_fmt, vec_fmt, out_fmt), mode)
                 want, want_over = _python_outputs(exact, shift, mode, out_fmt)
-                assert np.concatenate(outs).tolist() == want, (shift, mode)
+                assert out.tolist() == want, (shift, mode)
                 assert overflows == want_over
 
     @pytest.mark.parametrize("width", [56, 64])

@@ -7,7 +7,9 @@ package fails here; removing it must leave every binding as it was.
 import importlib.util
 from pathlib import Path
 
-from ftsinv import hwmodel
+import numpy as np
+
+from ftsinv import bench, fft_inversion, hwmodel, optics
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,3 +38,19 @@ def test_tracer_binds_every_name_and_restores_it():
         assert all(vars(mod)[attr] is value for attr, value in names.items()), mod
     for (cls, name), original in methods.items():
         assert cls.__dict__[name] is original, name
+
+
+def test_traced_routes_reach_the_wrapped_layers(small_cosine_setup):
+    """The routes call the names the benchmark wraps: a change that routed
+    around one would leave its metrics unmeasured in a traced run."""
+    tracing = _load_tracing()
+    grid = optics.OpdGrid.transform_matched(optics.SpectralGrid(16, 1.0), 16)
+    y = optics.Interferogram(np.cos(np.arange(16.0)), grid)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        fft_inversion.reconstruct_fft(y, fft_inversion.FftPlan.make(16, bits=16))
+        for method in ("pinv", "tik"):
+            bench.best_inversion(small_cosine_setup, method, 12)
+    for layer in ("fft_inversion.BankedMemory.gather", "fft_inversion.BankedMemory.scatter",
+                  "matrix_inversion.reconstruct_pinv", "matrix_inversion.reconstruct_svd"):
+        assert layer in tracer.layers, layer

@@ -178,7 +178,16 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    result = args.study(_config_from_args(args))
+    cfg = _config_from_args(args)
+    # sweep-precision reads bits_list, not bits; the FFT runs a double plan under
+    # --double and --quantize data-only, and --fft-mode still prices its row
+    double = args.command != "sweep-precision" and cfg.bits is None
+    unread = ["twiddle_bits", "headroom"] if double or cfg.quantize == "data-only" else []
+    for name in unread + (["quantize"] if double else []):
+        if getattr(cfg, name) != getattr(ExperimentConfig, name):     # its default
+            raise ConfigError(f"--{name.replace('_', '-')} is not read under "
+                              + ("--double" if double else "--quantize data-only"))
+    result = args.study(cfg)
     result.write_csv(args.out)
     print(f"wrote {args.out} ({len(result.rows)} rows)")
     return 0
@@ -260,16 +269,11 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        # ConfigError is a ValueError; NumericalError is a RuntimeError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,11 +5,12 @@ The transform emulates a memory-based radix-2 engine that issues one
 butterfly per cycle from two memory banks.  Its words enter and leave through
 :class:`BankedMemory`, the two-bank port whose parity map puts both operands
 of every butterfly in distinct banks; that conflict freedom is modelled,
-not walked: the ``_parity`` and ``bank_map`` tests check it, and the port
-moves only whole stores.  Each stage's n/2 butterflies run as one vectorized
-step on a view of one bit-reversed store, with the same arithmetic, the same
-order of rounding and saturation, and the same cycle count in telemetry
-(n/2 per stage) as the one-per-cycle schedule.
+not walked: the ``_parity`` and ``bank_map`` tests check it.  The port holds
+the one store: its scatter is the load, into bit-reversed order, and its
+gather the read-out.  Each stage's n/2 butterflies run as one vectorized
+step on a view of that store, with the same arithmetic, the same order of
+rounding and saturation, and the same cycle count in telemetry (n/2 per
+stage) as the one-per-cycle schedule.
 The store is laid out so that every stage's operands run along a long
 contiguous axis: the first half of the stages works on its transpose, whose
 rows they pair, and the second half on the store itself, whose blocks of
@@ -110,17 +111,18 @@ class BankedMemory:
 
     Logical index ``i`` sits in bank ``parity(i)`` at address ``i >> 1``
     (:func:`_port_map`), so a full butterfly issue needs one read per bank
-    per cycle; the ``_parity`` and ``bank_map`` tests check that layout, and
-    the words are kept in logical order in ``re`` and ``im``, the store the
-    stage loop works on.  :meth:`gather` and :meth:`scatter` move the whole
-    store through the full map, one copy each, and refuse any other
-    ``(par, adr)`` list.
+    per cycle; the ``_parity`` and ``bank_map`` tests check that layout.
+    ``re`` and ``im`` are the one store the stage loop works on, in the
+    plan's word type.  :meth:`scatter`, the load, writes natural-order words
+    into the slots the stages read them from (:func:`_load_order`), and
+    :meth:`gather`, the read-out, hands over the store itself.  Both refuse
+    any ``(par, adr)`` list other than the full map.
     """
 
-    def __init__(self, n_points: int):
-        self.n = n_points
+    def __init__(self, n_points: int, dtype):
         self._par, self._adr = _port_map(n_points)
-        self.re = self.im = None
+        self._order = _load_order(n_points)
+        self.re, self.im = np.empty(n_points, dtype), np.empty(n_points, dtype)
 
     def _check_full_map(self, par, adr) -> None:
         for got, full in ((par, self._par), (adr, self._adr)):
@@ -128,22 +130,15 @@ class BankedMemory:
                 raise ValueError("the port moves the whole store: pass its full "
                                  "(bank, address) map")
 
-    def load(self, re: np.ndarray, im: np.ndarray) -> None:
-        self.re = np.empty(self.n, dtype=re.dtype)
-        self.im = np.empty(self.n, dtype=im.dtype)
-        self.scatter(self._par, self._adr, re, im)
-
     def gather(self, par, adr):
         self._check_full_map(par, adr)
-        return self.re.copy(), self.im.copy()
+        return self.re, self.im
 
     def scatter(self, par, adr, re, im) -> None:
         self._check_full_map(par, adr)
-        self.re[:] = re
-        self.im[:] = im
-
-    def unload(self):
-        return self.gather(self._par, self._adr)
+        # mode="clip" writes into the store unbuffered; a permutation never clips
+        for part, store in ((re, self.re), (im, self.im)):
+            np.asarray(part, dtype=store.dtype).take(self._order, out=store, mode="clip")
 
 
 def _bit_reverse_permutation(n: int) -> np.ndarray:
@@ -155,12 +150,15 @@ def _bit_reverse_permutation(n: int) -> np.ndarray:
     return rev
 
 
+@functools.lru_cache(maxsize=8)
 def _load_order(n: int) -> np.ndarray:
-    """The order the transform loads its natural-order input in: bit-reversed,
-    and transposed to the ``(2**split, n / 2**split)`` array that the first
-    ``split = n_stages // 2`` stages run on (:func:`_fft_core`)."""
+    """The order the port loads the natural-order input in: bit-reversed, and
+    transposed to the ``(2**split, n / 2**split)`` array that the first
+    ``split = n_stages // 2`` stages run on; read-only, built once per size."""
     rows = 1 << ((n.bit_length() - 1) // 2)
-    return _bit_reverse_permutation(n).reshape(-1, rows).T.ravel()
+    order = _bit_reverse_permutation(n).reshape(-1, rows).T.ravel()
+    order.setflags(write=False)
+    return order
 
 
 @dataclass(frozen=True)
@@ -172,8 +170,7 @@ class FftPlan:
     float64 words, with float products and no block exponent.  The
     twiddle tables hold what the datapath reads: the words in
     ``twiddle_format`` on a fixed-point plan, the doubles on an exact one.
-    ``_load`` is the input's load order (:func:`_load_order`).  Every table
-    is read-only, so a stage that wrote into one would raise.
+    Every table is read-only, so a stage that wrote into one would raise.
     """
 
     n_points: int
@@ -181,7 +178,6 @@ class FftPlan:
     twiddle_format: FxpFormat | None
     mode: str
     headroom_bits: int
-    _load: np.ndarray = field(repr=False, default=None)
     _tw_re: np.ndarray = field(repr=False, default=None)
     _tw_im: np.ndarray = field(repr=False, default=None)
     _dct_cos: np.ndarray = field(repr=False, default=None)
@@ -221,8 +217,7 @@ class FftPlan:
         tables = (np.cos(ang), np.sin(ang), np.cos(angd), np.sin(angd))
         if tw_fmt is not None:
             tables = tuple(quantize_array(t, tw_fmt, ENTRY_POLICY) for t in tables)
-        load = _load_order(n_points)
-        for t in (load, *tables):
+        for t in tables:
             t.setflags(write=False)         # a frozen plan's tables stay as built
         tw_re, tw_im, dct_cos, dct_sin = tables
 
@@ -232,7 +227,6 @@ class FftPlan:
             twiddle_format=tw_fmt,
             mode=mode,
             headroom_bits=headroom_bits,
-            _load=load,
             _tw_re=tw_re,
             _tw_im=tw_im,
             _dct_cos=dct_cos,
@@ -382,11 +376,12 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
               inverse: bool = False) -> FftResult:
     """Stage loop of every entry point, for both kinds of plan.
 
-    Input arrives in natural order and is loaded through the port in
-    bit-reversed order, transposed for the first ``split = n_stages // 2``
-    stages.  Stage s (h = 2**s) pairs the words at bit-reversed positions
-    j and j + h, j with bit s clear, with the twiddle ``w[k * n/2h]`` of
-    k = j mod h, and every stage's operands run along a long contiguous axis.
+    Input arrives in natural order; the port's scatter loads it into the
+    store bit-reversed, transposed for the first ``split = n_stages // 2``
+    stages (:func:`_load_order`).  Stage s (h = 2**s) pairs the words at
+    bit-reversed positions j and j + h, j with bit s clear, with the twiddle
+    ``w[k * n/2h]`` of k = j mod h, and every stage's operands run along a
+    long contiguous axis.
     Each stage runs on a ``(groups, 2, h, c)`` view, ``[:, 0]`` the a- and
     ``[:, 1]`` the b-operands, with its twiddles as an ``(h, 1)`` column:
 
@@ -397,27 +392,27 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
       with c = 1, pairing blocks of h >= 2**split words.
 
     The twiddles of a stage are contiguous copies of its stride through the
-    table.  The store, and the three scratch planes of :func:`_butterflies`
-    (n/2 words each, allocated once here to serve every stage), hold the
-    plan's word type, int64 or float64, whatever the input's dtype;
-    a plan whose butterfly products need limbs gets no planes.  ``exponent`` is
-    the entry block's exponent and ``extremes`` its
+    table.  The port's store, and the three scratch planes of
+    :func:`_butterflies` (n/2 words each, allocated once here to serve every
+    stage), hold the plan's word type, int64 or float64, whatever the
+    input's dtype; a plan whose butterfly products need limbs gets no
+    planes.  ``exponent`` is the entry block's exponent and ``extremes`` its
     :func:`~ftsinv.fxp.block_extremes` (0 and None on an exact plan); after
     that the block is never read for them: each stage's output stage reports
     its outputs' extremes, and a block shift carries them along.  A pre or
     post shift is decided from the extremes of the block entering the
-    stage.  The output is unloaded in natural order.  ``inverse`` conjugates
-    the twiddles and takes the 1/N as an exponent step of -log2 N.
+    stage.  The last stage leaves the store in natural order, and the port's
+    gather hands it over as the result.  ``inverse`` conjugates the twiddles
+    and takes the 1/N as an exponent step of -log2 N.
 
     It is the one writer of :class:`FftTelemetry`, whose counts depend on n
     alone (n/2 butterflies, cycles and four products per stage); an exact
     plan has no block exponent, so it reads 0 as entry and final exponent.
     """
     n = plan.n_points
-    dtype = np.float64 if plan.exact else np.int64
-    mem = BankedMemory(n)
-    mem.load(re[plan._load].astype(dtype, copy=False),
-             im[plan._load].astype(dtype, copy=False))
+    port = _port_map(n)
+    mem = BankedMemory(n, np.float64 if plan.exact else np.int64)
+    mem.scatter(*port, re, im)
     re, im = mem.re, mem.im
 
     wim_all = -plan._tw_im if inverse else plan._tw_im
@@ -426,7 +421,7 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     # words are within 61: there fxp._add_floor's sum is this same addition
     if plan.exact or _limb_plan(plan.twiddle_format.total_bits,
                                 plan.data_format.total_bits, 1)[0] is None:
-        scratch = [np.empty(n // 2, dtype=dtype) for _ in range(3)]
+        scratch = [np.empty(n // 2, dtype=re.dtype) for _ in range(3)]
 
     split = plan.n_stages // 2
     rows, cols = 1 << split, n >> split
@@ -464,7 +459,7 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
         n, plan.mode, stage_exponents, butterflies=slots, mults=4 * slots, cycles=slots,
         overflow_events=overflows, entry_exponent=exponent,
         final_exponent=0 if plan.exact else final)
-    return FftResult(*mem.unload(), final, telemetry)
+    return FftResult(*mem.gather(*port), final, telemetry)
 
 
 def fft_bfp(x: np.ndarray, plan: FftPlan) -> FftResult:

@@ -10,6 +10,8 @@ import pytest
 
 from ftsinv import bench
 from ftsinv.errors import ConfigError
+from ftsinv.fxp import FxpFormat, dequantize_array, quantize_array
+from ftsinv.optics import Interferogram
 
 GOLDEN_PATH = Path(__file__).with_name("matrix_golden.json")
 
@@ -59,6 +61,47 @@ def test_best_inversion_is_the_best_grid_point(small_cosine_setup, method, bits)
     assert (got[3], got[0]) == (want[3], want[0])
     assert np.array_equal(got[1], want[1])
     assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("method", ["fft", "pinv", "tik"])
+@pytest.mark.parametrize("bits", [8, 12])
+def test_data_only_runs_the_double_route_on_quantized_data(small_cosine_setup, monkeypatch,
+                                                          method, bits):
+    """``quantize="data-only"`` quantizes the acquisition alone, at ``bits``
+    over its own range, and runs the double-precision route on it: the FFT on
+    an exact plan, a matrix route on a datapath that holds no words."""
+    setup = dataclasses.replace(small_cosine_setup, config=dataclasses.replace(
+        small_cosine_setup.config, quantize="data-only"))
+    name = "y_norm" if method == "fft" else "y"
+    y = getattr(setup, name)
+    fmt = FxpFormat.for_range(bits, float(np.max(np.abs(y.values))))
+    quantized = Interferogram(dequantize_array(quantize_array(y.values, fmt), fmt),
+                              y.grid, y.mean_spectrum)
+    reference = dataclasses.replace(small_cosine_setup, **{name: quantized})
+    point = {"lam": setup.lambda_grid[len(setup.lambda_grid) // 2]} if method == "tik" else {}
+    got = bench.invert_once(setup, method, bits, **point)
+    want = bench.invert_once(reference, method, None, **point)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    if method == "fft":
+        assert got[2] == want[2]
+        assert got[2].final_exponent == got[2].overflow_events == 0
+
+    compiled = []
+    compile_datapath = bench._compile_datapath
+
+    def recording(*args):
+        compiled.append(compile_datapath(*args))
+        return compiled[-1]
+
+    monkeypatch.setattr(bench, "_compile_datapath", recording)
+    bench.best_inversion(setup, method, bits)
+    (datapath,) = compiled
+    if method == "pinv":
+        assert datapath.fmt is None and datapath.words is None
+    elif method == "tik":
+        assert datapath.fmt is None and datapath._words == {}
+    else:
+        assert datapath is None
 
 
 @pytest.mark.parametrize("method,point,message", [

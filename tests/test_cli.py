@@ -1,5 +1,6 @@
 """Command-line round trips: simulate to files, invert from them."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -230,6 +231,56 @@ def test_sweeps_reject_bits_with_double(tmp_path, capsys, command):
                      "--out", str(out)]) == 2
     assert "--bits is not read under --double" in capsys.readouterr().err
     assert not out.exists()
+
+
+STUDY_FLAGS = ["--kind", "cosine", "--n", "16", "--m", "16", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    *[pytest.param([command, "--double", *flag], f"{flag[0]} is not read under --double",
+                   id=f"{command}--double{flag[0]}")
+      for command, flag in (("compare", ["--twiddle-bits", "12"]),
+                            ("compare", ["--headroom", "2"]),
+                            ("compare", ["--quantize", "data-only"]),
+                            ("sweep-parallel", ["--quantize", "data-only"]))],
+    *[pytest.param([command, *bits, "--quantize", "data-only", *flag],
+                   f"{flag[0]} is not read under --quantize data-only",
+                   id=f"{command}--data-only{flag[0]}")
+      for command, bits in (("sweep-precision", []), ("compare", ["--bits", "12"]))
+      for flag in (["--twiddle-bits", "8"], ["--headroom", "1"])],
+])
+def test_studies_refuse_fixed_point_flags_they_do_not_read(tmp_path, capsys, argv, message):
+    """Under --double nothing is quantized, and under --quantize data-only
+    the FFT runs a double-precision plan: a study refuses the fixed-point
+    flags it would not read, exits 2 and writes nothing."""
+    out = tmp_path / "s.csv"
+    assert cli.main([*argv, *STUDY_FLAGS, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--double"], "--quantize is not read under --double"),
+    (["--bits", "12", "--twiddle-bits", "8"], "--twiddle-bits is not read under --quantize data-only"),
+])
+def test_study_refusals_read_the_config_file(tmp_path, capsys, flags, message):
+    """A config file's ``"quantize": "data-only"`` counts like the flag."""
+    config, out = tmp_path / "c.json", tmp_path / "s.csv"
+    config.write_text(json.dumps({"kind": "cosine", "n": 16, "m": 16, "seed": 1,
+                                  "quantize": "data-only"}))
+    assert cli.main(["compare", "--config", str(config), *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_double_study_reads_fft_mode(tmp_path):
+    """--fft-mode stays read under --double: the FFT row is priced by it."""
+    out = tmp_path / "s.csv"
+    assert cli.main(["compare", "--double", "--fft-mode", "pre", *STUDY_FLAGS,
+                     "--out", str(out)]) == 0
+    _, header, rows = _csv(out.read_text())
+    (fft,) = [dict(zip(header, r)) for r in rows if r[0] == "fft"]
+    assert int(fft["latency_cycles"]) == hwmodel.fft_cost(16, "pre").latency_cycles
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from ftsinv.fft_inversion import (
     BankedMemory,
     FftPlan,
     _bit_reverse_permutation,
+    _load_order,
     _parity,
     _port_map,
     dct2_via_fft,
@@ -103,12 +104,12 @@ class TestBankMap:
 
     def test_partial_port_lists_are_refused(self):
         """The port moves only whole stores: any (bank, address) list other
-        than the full map is refused, and the full map, or a copy of it,
-        round-trips every word in logical order."""
+        than the full map is refused; with the full map, or a copy of it,
+        natural-order words scatter into the load order and gather back as
+        stored."""
         n = 64
         rng = np.random.default_rng(3)
-        mem = BankedMemory(n)
-        mem.load(np.arange(n), -np.arange(n))
+        mem = BankedMemory(n, np.int64)
         slots = rng.choice(n, size=20, replace=False)
         par, adr = _port_map(n)
         for partial in ((slots & 1, slots >> 1), (par[slots], adr[slots]),
@@ -117,28 +118,27 @@ class TestBankMap:
                 mem.gather(*partial)
             with pytest.raises(ValueError, match="whole store"):
                 mem.scatter(*partial, slots, -slots)
-        mem.scatter(par, adr, 1000 + np.arange(n), -1000 - np.arange(n))
+        order = _load_order(n)
         for full in ((par, adr), (par.copy(), adr.copy())):
+            mem.scatter(*full, 1000 + np.arange(n), -1000 - np.arange(n))
             re, im = mem.gather(*full)
-            assert np.array_equal(re, 1000 + np.arange(n))
-            assert np.array_equal(im, -1000 - np.arange(n))
-
-    def test_unload_is_a_copy(self):
-        mem = BankedMemory(8)
-        mem.load(np.arange(8), np.zeros(8, dtype=np.int64))
-        re, _ = mem.unload()
-        re[:] = -1
-        assert np.array_equal(mem.unload()[0], np.arange(8))
+            assert np.array_equal(re, 1000 + order)
+            assert np.array_equal(im, -1000 - order)
 
     def test_banked_memory_round_trip(self):
+        """Scatter then gather gives the words in load order, in the store's
+        int64 word type, for int32 input too."""
         rng = np.random.default_rng(0)
-        mem = BankedMemory(16)
-        re = rng.integers(-100, 100, 16)
-        im = rng.integers(-100, 100, 16)
-        mem.load(re, im)
-        out_re, out_im = mem.unload()
-        assert np.array_equal(out_re, re)
-        assert np.array_equal(out_im, im)
+        port = _port_map(16)
+        for dtype in (np.int64, np.int32):
+            mem = BankedMemory(16, np.int64)
+            re = rng.integers(-100, 100, 16).astype(dtype)
+            im = rng.integers(-100, 100, 16).astype(dtype)
+            mem.scatter(*port, re, im)
+            out_re, out_im = mem.gather(*port)
+            assert out_re.dtype == out_im.dtype == np.int64
+            assert np.array_equal(out_re, re[_load_order(16)])
+            assert np.array_equal(out_im, im[_load_order(16)])
 
 
 def _at_sizes(cases, sizes=(2, 8, 32)):
@@ -523,14 +523,16 @@ class TestFftBfp:
 
 
 class TestPlanIsFrozen:
-    TABLES = ("_load", "_tw_re", "_tw_im", "_dct_cos", "_dct_sin")
+    TABLES = ("_tw_re", "_tw_im", "_dct_cos", "_dct_sin")
 
     @pytest.mark.parametrize("bits", [None, 16])
     def test_tables_are_read_only(self, bits):
+        """The plan's tables, and the per-size load order every plan of the
+        size shares, are read-only."""
         plan = FftPlan.make(16, bits=bits)
-        for name in self.TABLES:
+        for table in (*(getattr(plan, name) for name in self.TABLES), _load_order(16)):
             with pytest.raises(ValueError):
-                getattr(plan, name)[0] = 0
+                table[0] = 0
 
     @pytest.mark.parametrize("mode", ["pre", "post", "fixed"])
     def test_runs_change_no_input_and_repeat(self, mode):

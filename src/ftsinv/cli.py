@@ -179,14 +179,22 @@ def _cmd_invert(args) -> int:
 
 def _cmd_study(args) -> int:
     cfg = _config_from_args(args)
-    # sweep-precision reads bits_list, not bits; the FFT runs a double plan under
-    # --double and --quantize data-only, and --fft-mode still prices its row
+    # sweep-parallel runs no FFT; sweep-precision reads bits_list, not bits; the
+    # FFT runs a double plan under --double and --quantize data-only, and
+    # --fft-mode still prices its row
     double = args.command != "sweep-precision" and cfg.bits is None
-    unread = ["twiddle_bits", "headroom"] if double or cfg.quantize == "data-only" else []
-    for name in unread + (["quantize"] if double else []):
+    unread = {}
+    if args.command == "sweep-parallel":
+        unread = dict.fromkeys(("twiddle_bits", "headroom", "fft_mode"),
+                               "by sweep-parallel, which runs no FFT")
+    elif double or cfg.quantize == "data-only":
+        unread = dict.fromkeys(("twiddle_bits", "headroom"), "under --double" if double
+                               else "under --quantize data-only")
+    if double:
+        unread["quantize"] = "under --double"
+    for name, why in unread.items():
         if getattr(cfg, name) != getattr(ExperimentConfig, name):     # its default
-            raise ConfigError(f"--{name.replace('_', '-')} is not read under "
-                              + ("--double" if double else "--quantize data-only"))
+            raise ConfigError(f"--{name.replace('_', '-')} is not read {why}")
     result = args.study(cfg)
     result.write_csv(args.out)
     print(f"wrote {args.out} ({len(result.rows)} rows)")

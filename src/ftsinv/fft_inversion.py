@@ -44,6 +44,14 @@ stage's outputs are saturated once, as one block, which yields the block's
 least and greatest words; the block exponent is decided from those, carried
 from stage to stage, so no stage reads the store again to normalize it.
 
+numpy's ufunc iterator copies every operand whose contiguous rows are shorter
+than its buffer (8192 elements) through that buffer, and the stages' operands
+are rows of n / 2**split or blocks of h words, so with one-word products the
+stage loop sets the buffer to its shortest row, and sets it back on return:
+``reconstruct_fft`` at n = 65 536 takes 0.86-0.91x the time at 16 bits.  Limb
+plans and rows under 64 words keep numpy's default, because there the
+row-sized buffer measured no clear gain (:func:`_fft_core` gives the figures).
+
 Each entry point runs one body for both kinds of plan; a double-precision
 plan differs only in its entry, its word type (float64 words and scratch
 planes, with no floor or saturation) and its lack of block normalization,
@@ -52,6 +60,7 @@ and the stage loop :func:`_fft_core` alone writes telemetry.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -372,6 +381,18 @@ def _butterflies(v_re, v_im, wr, wi, plan: FftPlan, scratch) -> tuple:
     return overflows, (lo, hi)
 
 
+@contextlib.contextmanager
+def _ufunc_buffer(size: int):
+    """numpy's ufunc buffer set to ``size`` elements, and on exit set back to
+    what the caller had: numpy 2 scopes it to an ``errstate`` context, numpy 1
+    keeps it process-wide, so it is restored explicitly."""
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
               inverse: bool = False) -> FftResult:
     """Stage loop of every entry point, for both kinds of plan.
@@ -405,6 +426,17 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     gather hands it over as the result.  ``inverse`` conjugates the twiddles
     and takes the 1/N as an exponent step of -log2 N.
 
+    The stages run with numpy's ufunc buffer (:func:`_ufunc_buffer`) set to
+    their shortest row, ``min(2**split, n / 2**split)`` words, because numpy
+    copies an operand whose contiguous rows are shorter than the buffer through
+    it on every pass: in process, interleaved, on one thread, that made
+    ``reconstruct_fft`` at n = 65 536 take 0.86-0.91x the time at 16 bits and
+    0.73x on an exact plan.  A limb plan keeps numpy's default, because with
+    the row-sized buffer it read 0.93-1.06x at n = 65 536 and 0.94-1.03x at
+    n = 4096, no gain clear of the noise.  Rows under 64 words keep it too,
+    because forcing the buffer to them read 1.06x at n = 256 (rows of 16) and
+    1.05x at n = 1024 (rows of 32).
+
     It is the one writer of :class:`FftTelemetry`, whose counts depend on n
     alone (n/2 butterflies, cycles and four products per stage); an exact
     plan has no block exponent, so it reads 0 as entry and final exponent.
@@ -428,30 +460,34 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     gamma = overflows = 0
     stage_exponents = []
     bfp = None if plan.exact or plan.mode == "fixed" else plan.mode
-    for s in range(plan.n_stages):
-        if s == split and split:
-            # transposed back in place: numpy reads an overlapping source first
-            for p in (re, im):
-                p.reshape(cols, rows)[...] = p.reshape(rows, cols).T
-        if bfp:                 # decided from the block entering the stage
-            shift = headroom(extremes, plan.data_format.total_bits) - plan.headroom_bits
-        if bfp == "pre":
-            applied, extremes = shift_block((re, im), shift, DATAPATH_POLICY, extremes)
-            gamma -= applied
+    short = min(rows, cols)         # the shortest contiguous row of any stage
+    buffer = (_ufunc_buffer(short) if scratch is not None and short >= 64
+              else contextlib.nullcontext())
+    with buffer:
+        for s in range(plan.n_stages):
+            if s == split and split:
+                # transposed back in place: numpy reads an overlapping source first
+                for p in (re, im):
+                    p.reshape(cols, rows)[...] = p.reshape(rows, cols).T
+            if bfp:                 # decided from the block entering the stage
+                shift = headroom(extremes, plan.data_format.total_bits) - plan.headroom_bits
+            if bfp == "pre":
+                applied, extremes = shift_block((re, im), shift, DATAPATH_POLICY, extremes)
+                gamma -= applied
 
-        h = 1 << s
-        step = n >> (s + 1)
-        wr = np.ascontiguousarray(plan._tw_re[: h * step: step])[:, None]
-        wi = np.ascontiguousarray(wim_all[: h * step: step])[:, None]
-        c = cols if s < split else 1
-        nov, extremes = _butterflies(
-            re.reshape(-1, 2, h, c), im.reshape(-1, 2, h, c), wr, wi, plan, scratch)
-        overflows += nov
+            h = 1 << s
+            step = n >> (s + 1)
+            wr = np.ascontiguousarray(plan._tw_re[: h * step: step])[:, None]
+            wi = np.ascontiguousarray(wim_all[: h * step: step])[:, None]
+            c = cols if s < split else 1
+            nov, extremes = _butterflies(
+                re.reshape(-1, 2, h, c), im.reshape(-1, 2, h, c), wr, wi, plan, scratch)
+            overflows += nov
 
-        if bfp == "post":
-            applied, extremes = shift_block((re, im), shift, DATAPATH_POLICY, extremes)
-            gamma -= applied
-        stage_exponents.append(gamma)
+            if bfp == "post":
+                applied, extremes = shift_block((re, im), shift, DATAPATH_POLICY, extremes)
+                gamma -= applied
+            stage_exponents.append(gamma)
 
     final = exponent + gamma - (plan.n_stages if inverse else 0)
     slots = plan.n_stages * (n // 2)

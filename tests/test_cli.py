@@ -273,6 +273,24 @@ def test_study_refusals_read_the_config_file(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("twiddle_bits", 8), ("headroom", 1),
+                                       ("fft_mode", "fixed")])
+def test_sweep_parallel_refuses_fft_keys_in_its_config(tmp_path, capsys, key, value):
+    """sweep-parallel runs no FFT: its flags leave out the FFT's, and a config
+    file may not set them either.  Without the key the same file runs."""
+    config, out = tmp_path / "c.json", tmp_path / "s.csv"
+    study = {"kind": "cosine", "n": 16, "m": 16, "seed": 1, "bits": 12}
+    argv = ["sweep-parallel", "--config", str(config), "--out", str(out)]
+    config.write_text(json.dumps(study))
+    assert cli.main(argv) == 0 and out.exists()
+    out.unlink()
+    config.write_text(json.dumps({**study, key: value}))
+    assert cli.main(argv) == 2
+    assert (f"--{key.replace('_', '-')} is not read by sweep-parallel"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_double_study_reads_fft_mode(tmp_path):
     """--fft-mode stays read under --double: the FFT row is priced by it."""
     out = tmp_path / "s.csv"

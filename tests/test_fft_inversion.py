@@ -587,6 +587,38 @@ class TestPlanIsFrozen:
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n,bits", [(4096, 16), (4096, None), (256, 16)])
+def test_entry_points_leave_numpy_state_as_found(n, bits):
+    """At n = 4096 (rows of 64 words) the stage loop sizes numpy's ufunc
+    buffer to its rows; at n = 256 (rows of 16) it keeps the caller's.  Under
+    a caller's own buffer size and error state, every entry point gives the
+    bits of a run under numpy's defaults and leaves that state as it was."""
+    plan = FftPlan.make(n, bits=bits)
+    rng = np.random.default_rng(13)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = rng.standard_normal(n)
+    y = fi.Interferogram(x, fi.OpdGrid.transform_matched(fi.SpectralGrid(n, 1.0), n))
+    calls = [lambda: fft_bfp(z, plan), lambda: dct2_via_fft(x, plan),
+             lambda: idct2_via_fft(x, plan), lambda: reconstruct_fft(y, plan)]
+    if bits is not None:
+        re, im, exponent = quantize_complex_block(z, plan.data_format, plan.headroom_bits)
+        calls.append(lambda: fft_bfp_block(re, im, exponent, plan))
+
+    def bits_of(out):
+        if isinstance(out, fft_inversion.FftResult):
+            return out.re.tobytes(), out.im.tobytes(), out.exponent, asdict(out.telemetry)
+        values, telemetry = out
+        return getattr(values, "values", values).tobytes(), asdict(telemetry)
+
+    default = [bits_of(call()) for call in calls]
+    with np.errstate(divide="ignore"):
+        np.setbufsize(16)
+        state = np.getbufsize(), np.geterr()
+        for call, want in zip(calls, default):
+            assert bits_of(call()) == want
+            assert (np.getbufsize(), np.geterr()) == state
+
+
 class TestDct:
     def test_constant_input(self):
         plan = FftPlan.make(64)

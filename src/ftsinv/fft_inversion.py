@@ -32,17 +32,29 @@ Normalization modes
 ``fixed``  plain fixed point, no normalization (overflow is possible and is
            counted in telemetry).
 
-Words are int64 at every width.  A butterfly output ``(a 2**ft +- w b) >> ft``
-is formed as ``a + (+-w b >> ft)``: the datapath truncates, and a floor moves
-no integer across the binary point, so ``a`` bypasses the multiplier as in a
-BFP engine (Welch, 1969).  ``w b`` sums two products.  Where they fit one
-int64, as :func:`~ftsinv.fxp._limb_plan` decides, a stage forms them with
-``np.multiply(..., out=)`` in three half-store scratch planes, allocated
-once per transform, and writes its outputs from there, so it allocates
-nothing; wider words take the exact limb MAC of :mod:`ftsinv.fxp`.  A
-stage's outputs are saturated once, as one block, which yields the block's
-least and greatest words; the block exponent is decided from those, carried
-from stage to stage, so no stage reads the store again to normalize it.
+A butterfly output ``(a 2**ft +- w b) >> ft`` is formed as
+``a + (+-w b >> ft)``: the datapath truncates, and a floor moves no integer
+across the binary point, so ``a`` bypasses the multiplier as in a BFP engine
+(Welch, 1969).  ``w b`` sums two products.  Where they fit one int64, as
+:func:`~ftsinv.fxp._limb_plan` decides, a stage forms them with
+``np.multiply(..., out=)`` in three half-store scratch planes and writes its
+outputs from there, so it allocates nothing; wider words take the exact limb
+MAC of :mod:`ftsinv.fxp`.  A stage's outputs are saturated once, as one
+block, which yields the block's least and greatest words; the block exponent
+is decided from those, carried from stage to stage, so no stage reads the
+store again to normalize it.
+
+A plan is compiled once, as an engine is synthesized once.  Its word type
+(:attr:`FftPlan.word_type`) is int32 where its widths prove that every
+integer a stage forms fits one, else int64, and float64 on an exact plan;
+every stage's twiddle column pair is held in that type from the plan's first
+transform on.  The port's store and the scratch planes exist once per size
+and word type (:func:`_workspace`), and every transform and every plan of
+that size reuses them, so a compiled FFT is not re-entrant: two threads may
+not run transforms of one size and word type at once.  No result aliases
+them: ``fft_bfp`` and ``fft_bfp_block`` copy their words out as int64
+(float64 on an exact plan), and the DCT routes read the store into new
+arrays.
 
 numpy's ufunc iterator copies every operand whose contiguous rows are shorter
 than its buffer (8192 elements) through that buffer, and the stages' operands
@@ -121,11 +133,14 @@ class BankedMemory:
     Logical index ``i`` sits in bank ``parity(i)`` at address ``i >> 1``
     (:func:`_port_map`), so a full butterfly issue needs one read per bank
     per cycle; the ``_parity`` and ``bank_map`` tests check that layout.
-    ``re`` and ``im`` are the one store the stage loop works on, in the
-    plan's word type.  :meth:`scatter`, the load, writes natural-order words
-    into the slots the stages read them from (:func:`_load_order`), and
-    :meth:`gather`, the read-out, hands over the store itself.  Both refuse
-    any ``(par, adr)`` list other than the full map.
+    ``re`` and ``im`` are the one store the stage loop works on, in one word
+    type.  The transforms keep one port per size and word type
+    (:func:`_workspace`), so it persists as an engine's memory does, and
+    every transform loads it and reads it out once.  :meth:`scatter`, the
+    load, writes natural-order words of any dtype into the slots the stages
+    read them from (:func:`_load_order`), and :meth:`gather`, the read-out,
+    hands over the store itself, which the next load overwrites.  Both
+    refuse any ``(par, adr)`` list other than the full map.
     """
 
     def __init__(self, n_points: int, dtype):
@@ -170,6 +185,28 @@ def _load_order(n: int) -> np.ndarray:
     return order
 
 
+@functools.lru_cache(maxsize=8)
+def _column_index(n: int) -> np.ndarray:
+    """The twiddle-table positions of every stage's column, stage after
+    stage: stage s reads the h = 2**s entries ``k n / 2h``, and they sit
+    from position h - 1 on; read-only, built once per size."""
+    idx = np.concatenate([np.arange(0, n // 2, n >> (s + 1))
+                          for s in range(n.bit_length() - 1)])
+    idx.setflags(write=False)
+    return idx
+
+
+@functools.lru_cache(maxsize=8)
+def _workspace(n_points: int, word) -> tuple:
+    """The engine's memories for ``n_points``-word transforms on ``word``
+    words: the port (:class:`BankedMemory`) and the three n/2-word scratch
+    planes of :func:`_butterflies`, allocated once per size and word type and
+    reused by every transform and every plan of that size; the eight most
+    recently used are kept."""
+    return BankedMemory(n_points, word), tuple(np.empty(n_points // 2, word)
+                                               for _ in range(3))
+
+
 @dataclass(frozen=True)
 class FftPlan:
     """Immutable transform descriptor: size, formats, normalization mode.
@@ -179,7 +216,10 @@ class FftPlan:
     float64 words, with float products and no block exponent.  The
     twiddle tables hold what the datapath reads: the words in
     ``twiddle_format`` on a fixed-point plan, the doubles on an exact one.
-    Every table is read-only, so a stage that wrote into one would raise.
+    The plan is its compiled datapath as well: its word type
+    (:attr:`word_type`) and its stages' twiddle columns in that type, held
+    from its first transform on.  Every table and column is read-only, so a
+    stage that wrote into one would raise.
     """
 
     n_points: int
@@ -249,6 +289,51 @@ class FftPlan:
     @property
     def n_stages(self) -> int:
         return self.n_points.bit_length() - 1
+
+    @property
+    def word_type(self) -> type:
+        """The type of the words the stages run on: float64 on an exact plan,
+        and on a fixed-point plan int32 where the widths prove that every
+        integer a stage forms fits one, else int64.
+
+        Let ``wd`` and ``wt`` be the data and twiddle widths and
+        ``ft = wt - 2`` the twiddle fraction, so every twiddle word is at
+        most ``2**ft`` in magnitude.  Every word entering a stage is an
+        ``e``-bit signed word, ``e = wd`` except in post mode below two
+        headroom bits, where ``e = wd + 2 - headroom_bits``: a stage grows
+        its block by under two bits, ``|a| + 2 |b| < 4 * 2**k`` for words
+        in ``[-2**k, 2**k)``, and the post shift, decided from the block
+        that entered the stage, moves the outputs up to the target headroom
+        of the entering block, so up to ``2 - headroom_bits`` bits past the
+        format, unsaturated; pre shifts land in the format, and every right
+        shift shrinks.  Then each product ``w b`` is within
+        ``2**(e + wt - 3)``, their sum ``t`` and its negation within
+        ``2**(e + wt - 2)``, ``t >> ft`` within ``2**e``, and a stage
+        output before saturation within ``2**(e - 1) + 2**e < 2**(e + 1)``.
+        With ``e + wt <= 32`` all of these are within ``2**30``, and since
+        ``wt >= 2`` every word is within 30 bits, so a block shift stays
+        inside int32 too.  A plan whose products need limbs is far wider
+        and keeps int64.
+        """
+        if self.exact:
+            return np.float64
+        wd, wt = self.data_format.total_bits, self.twiddle_format.total_bits
+        e = wd + max(0, 2 - self.headroom_bits) if self.mode == "post" else wd
+        return np.int32 if e + wt <= 32 else np.int64
+
+    @functools.cached_property
+    def _columns(self) -> tuple:
+        """Every stage's twiddle words ``(wr, wi)`` as contiguous ``(h, 1)``
+        columns in the word type, stage s reading every ``n / 2**(s+1)``-th
+        table entry: built at the plan's first transform, read-only, and
+        ``n - 1`` words per table in all (:func:`_column_index`)."""
+        idx = _column_index(self.n_points)
+        wr, wi = (t.take(idx).astype(self.word_type, copy=False)[:, None]
+                  for t in (self._tw_re, self._tw_im))
+        for words in (wr, wi):
+            words.setflags(write=False)
+        return tuple((wr[h - 1: 2 * h - 1], wi[h - 1: 2 * h - 1])
+                     for h in (1 << s for s in range(self.n_stages)))
 
 
 @dataclass
@@ -323,16 +408,22 @@ def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):
                        plan.data_format)
 
 
-def _butterflies(v_re, v_im, wr, wi, plan: FftPlan, scratch) -> tuple:
+def _butterflies(v_re, v_im, wr, wi, plan: FftPlan, scratch, inverse: bool) -> tuple:
     """A stage's butterflies, in place: ``v[:, 0]`` holds the a-operands and
     ``v[:, 1]`` the b-operands, and the twiddle words ``wr``, ``wi`` broadcast
-    against them; ``a + w b`` replaces a and ``a - w b`` replaces b.  Returns
-    the number of saturated outputs and the
-    :func:`~ftsinv.fxp.block_extremes` of the outputs, which their
-    saturation reads anyway (None on an exact plan).
+    against them; ``a + w b`` replaces a and ``a - w b`` replaces b, where
+    ``w`` is ``wr + i wi``, or its conjugate if ``inverse``.  Returns the
+    number of saturated outputs and the :func:`~ftsinv.fxp.block_extremes`
+    of the outputs, which their saturation reads anyway (None on an exact
+    plan).
 
-    ``scratch`` holds three half-store planes of the plan's word type where
-    the products fit one word, else None (:func:`_fft_core`).  With them,
+    The conjugate swaps the subtraction and the addition that take in
+    ``wi``'s products, where the forward transform would negate ``wi``: the
+    same integers, and the same doubles, because ``x - (-y) == x + y`` and
+    ``x * -y == -(x * y)`` in IEEE arithmetic.
+
+    ``scratch`` holds three half-store planes of the word type where the
+    products fit one word, else None (:func:`_fft_core`).  With them,
     ``w b`` is formed in two planes, the third holding each second product
     and then each negated sum, and the outputs are written from there: the
     stage allocates no temporary.  Without them, ``w b`` is limbs
@@ -347,10 +438,11 @@ def _butterflies(v_re, v_im, wr, wi, plan: FftPlan, scratch) -> tuple:
     # because a + w b overwrites a
     if scratch is not None:
         t_re, t_im, u = (p.reshape(b_re.shape) for p in scratch)
+        op_re, op_im = (np.add, np.subtract) if inverse else (np.subtract, np.add)
         np.multiply(b_re, wr, out=t_re)
-        np.subtract(t_re, np.multiply(b_im, wi, out=u), out=t_re)
-        np.multiply(b_re, wi, out=t_im)
-        np.add(t_im, np.multiply(b_im, wr, out=u), out=t_im)
+        op_re(t_re, np.multiply(b_im, wi, out=u), out=t_re)     # b_re wr -+ b_im wi
+        np.multiply(b_im, wr, out=t_im)
+        op_im(t_im, np.multiply(b_re, wi, out=u), out=t_im)     # b_im wr +- b_re wi
         if plan.exact:
             for a, b, t in ((a_re, b_re, t_re), (a_im, b_im, t_im)):
                 np.subtract(a, t, out=b)
@@ -367,7 +459,8 @@ def _butterflies(v_re, v_im, wr, wi, plan: FftPlan, scratch) -> tuple:
         widths = (plan.twiddle_format.total_bits, fmt.total_bits, 1, np.multiply)
         t_re, t_im = _macs([wr, wi], b_re, *widths)         # wr b_re, wi b_re
         u_im, u_re = _macs([wr, wi], b_im, *widths)         # wr b_im, wi b_im
-        t_re, t_im = t_re.plus(u_re, -1), t_im.plus(u_im)
+        sign = 1 if inverse else -1                         # the sign wi b_im enters with
+        t_re, t_im = t_re.plus(u_re, sign), u_im.plus(t_im, -sign)
         del u_re, u_im                                      # free them before the output stage
         for v, a, t in ((v_re, a_re, t_re), (v_im, a_im, t_im)):
             overflows += _add_floor(a, t, -1, ft, fmt, v[:, 1])
@@ -383,14 +476,12 @@ def _butterflies(v_re, v_im, wr, wi, plan: FftPlan, scratch) -> tuple:
 
 @contextlib.contextmanager
 def _ufunc_buffer(size: int):
-    """numpy's ufunc buffer set to ``size`` elements, and on exit set back to
-    what the caller had: numpy 2 scopes it to an ``errstate`` context, numpy 1
-    keeps it process-wide, so it is restored explicitly."""
-    old = np.setbufsize(size)
-    try:
+    """numpy's ufunc buffer set to ``size`` elements for the scope: numpy 2
+    keeps the buffer size in the ``errstate`` context, which sets it back to
+    what the caller had on exit."""
+    with np.errstate():
+        np.setbufsize(size)
         yield
-    finally:
-        np.setbufsize(old)
 
 
 def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
@@ -412,19 +503,20 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     - the store is then transposed back in place, and s >= split runs on it
       with c = 1, pairing blocks of h >= 2**split words.
 
-    The twiddles of a stage are contiguous copies of its stride through the
-    table.  The port's store, and the three scratch planes of
-    :func:`_butterflies` (n/2 words each, allocated once here to serve every
-    stage), hold the plan's word type, int64 or float64, whatever the
-    input's dtype; a plan whose butterfly products need limbs gets no
-    planes.  ``exponent`` is the entry block's exponent and ``extremes`` its
+    The twiddles of a stage are the plan's column pair for it
+    (``FftPlan._columns``).  The port's store, and the three scratch planes
+    of :func:`_butterflies` (n/2 words each), are the size's workspace in
+    the plan's word type (:func:`_workspace`), whatever the input's dtype; a
+    plan whose butterfly products need limbs uses no planes.  ``exponent``
+    is the entry block's exponent and ``extremes`` its
     :func:`~ftsinv.fxp.block_extremes` (0 and None on an exact plan); after
     that the block is never read for them: each stage's output stage reports
     its outputs' extremes, and a block shift carries them along.  A pre or
     post shift is decided from the extremes of the block entering the
     stage.  The last stage leaves the store in natural order, and the port's
-    gather hands it over as the result.  ``inverse`` conjugates the twiddles
-    and takes the 1/N as an exponent step of -log2 N.
+    gather hands it over as the result, which the next transform of the size
+    overwrites.  ``inverse`` conjugates the twiddles and takes the 1/N as an
+    exponent step of -log2 N.
 
     The stages run with numpy's ufunc buffer (:func:`_ufunc_buffer`) set to
     their shortest row, ``min(2**split, n / 2**split)`` words, because numpy
@@ -443,17 +535,14 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     """
     n = plan.n_points
     port = _port_map(n)
-    mem = BankedMemory(n, np.float64 if plan.exact else np.int64)
+    mem, planes = _workspace(n, plan.word_type)
     mem.scatter(*port, re, im)
     re, im = mem.re, mem.im
-
-    wim_all = -plan._tw_im if inverse else plan._tw_im
-    scratch = None
     # no limbs means twiddle and data widths sum to at most 63 bits, so data
     # words are within 61: there fxp._add_floor's sum is this same addition
-    if plan.exact or _limb_plan(plan.twiddle_format.total_bits,
-                                plan.data_format.total_bits, 1)[0] is None:
-        scratch = [np.empty(n // 2, dtype=re.dtype) for _ in range(3)]
+    one_word = plan.exact or _limb_plan(plan.twiddle_format.total_bits,
+                                        plan.data_format.total_bits, 1)[0] is None
+    scratch = planes if one_word else None
 
     split = plan.n_stages // 2
     rows, cols = 1 << split, n >> split
@@ -464,7 +553,7 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     buffer = (_ufunc_buffer(short) if scratch is not None and short >= 64
               else contextlib.nullcontext())
     with buffer:
-        for s in range(plan.n_stages):
+        for s, (wr, wi) in enumerate(plan._columns):
             if s == split and split:
                 # transposed back in place: numpy reads an overlapping source first
                 for p in (re, im):
@@ -475,13 +564,9 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
                 applied, extremes = shift_block((re, im), shift, DATAPATH_POLICY, extremes)
                 gamma -= applied
 
-            h = 1 << s
-            step = n >> (s + 1)
-            wr = np.ascontiguousarray(plan._tw_re[: h * step: step])[:, None]
-            wi = np.ascontiguousarray(wim_all[: h * step: step])[:, None]
-            c = cols if s < split else 1
-            nov, extremes = _butterflies(
-                re.reshape(-1, 2, h, c), im.reshape(-1, 2, h, c), wr, wi, plan, scratch)
+            h, c = 1 << s, cols if s < split else 1
+            nov, extremes = _butterflies(re.reshape(-1, 2, h, c), im.reshape(-1, 2, h, c),
+                                         wr, wi, plan, scratch, inverse)
             overflows += nov
 
             if bfp == "post":
@@ -498,13 +583,27 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     return FftResult(*mem.gather(*port), final, telemetry)
 
 
+def _words_out(res: FftResult) -> FftResult:
+    """``res`` with its words copied out of the workspace, as int64 words
+    (float64 on an exact plan)."""
+    word = np.float64 if res.re.dtype == np.float64 else np.int64
+    res.re, res.im = res.re.astype(word), res.im.astype(word)
+    return res
+
+
 def fft_bfp(x: np.ndarray, plan: FftPlan) -> FftResult:
     """Forward DFT of a complex vector on the planned datapath.
 
     Fixed-point plans quantize the input to the plan's headroom first; the
     result mantissas together with the returned exponent satisfy
-    ``DFT(x) ~= (re + 1j*im) * 2**exponent``.
+    ``DFT(x) ~= (re + 1j*im) * 2**exponent``.  The mantissas are int64
+    (float64 on an exact plan), whatever the plan's word type.
     """
+    return _words_out(_forward(x, plan))
+
+
+def _forward(x: np.ndarray, plan: FftPlan) -> FftResult:
+    """:func:`fft_bfp` with its words left in the workspace."""
     x = np.asarray(x, dtype=np.complex128)
     if x.size != plan.n_points:
         raise ValueError(f"input length {x.size} != plan size {plan.n_points}")
@@ -516,7 +615,8 @@ def fft_bfp(x: np.ndarray, plan: FftPlan) -> FftResult:
 
 def fft_bfp_block(re, im, exponent: int, plan: FftPlan) -> FftResult:
     """Transform pre-quantized integer mantissas, of any integer dtype, on the
-    plan's int64 words (headroom must already be in place)."""
+    plan's words (headroom must already be in place); the result's words are
+    int64."""
     if plan.exact:
         raise ValueError("mantissa entry point requires a fixed-point plan")
     re, im = np.asarray(re), np.asarray(im)
@@ -532,7 +632,7 @@ def fft_bfp_block(re, im, exponent: int, plan: FftPlan) -> FftResult:
         raise ValueError(
             f"input headroom {head} below the plan requirement {plan.headroom_bits}"
         )
-    return _fft_core(re, im, exponent, plan, extremes)
+    return _words_out(_fft_core(re, im, exponent, plan, extremes))
 
 
 def _even_odd_permute(x: np.ndarray) -> np.ndarray:
@@ -553,7 +653,7 @@ def dct2_via_fft(x: np.ndarray, plan: FftPlan):
     Computed as an N-point complex FFT of the even-odd permuted sequence
     followed by a real-part twiddle stage.  Returns (values, telemetry).
     """
-    res = fft_bfp(_even_odd_permute(np.asarray(x, dtype=np.float64)), plan)
+    res = _forward(_even_odd_permute(np.asarray(x, dtype=np.float64)), plan)
     c, nov = _twiddle_mac(plan, plan._dct_cos, res.re, plan._dct_sin, res.im, 1)
     telemetry = res.telemetry
     telemetry.overflow_events += nov

@@ -2,20 +2,23 @@
 
 Every datapath in this package (FFT butterflies, DCT twiddle stages,
 matrix-vector MACs) runs on the primitives defined here.  Words are int64
-arrays at every width up to 64 bits.  Every array product and sum goes
-through one exact MAC, :func:`_mac`, and one output stage,
-:func:`_requantize` or :func:`_add_floor`: one int64 operation where the
-words fit, else limbs whose products are exact in int64 (the error-free
-splitting of Ozaki, Ogita, Oishi and Rump, Numer. Algorithms, 2012), summed
-uncarried into base-2^b int64 digits.  Each accumulator is carried once, at
-the output stage, and its high digits collapse into one int64 wherever they
-fit, so a wide output costs one shift, rounding and saturation, as a
-one-digit output does.  An FFT stage whose products fit one int64
-(:func:`_limb_plan`) forms those same int64 operations itself, in place.  A
-matrix product whose partial sums all stay within 2^52 (words up to 23 bits
-at 256 terms) runs as one float64 BLAS product instead: every integer it
-forms is then exact in float64, by the same argument, and numpy has no BLAS
-for int64.
+arrays at every width up to 64 bits, with one exception: the FFT's store,
+whose stages run on int32 words where the plan's widths prove that every
+integer they form fits one (``FftPlan.word_type``), and which hands its
+words back as int64.  Every array product and sum goes through one exact
+MAC, :func:`_mac`, and one output stage, :func:`_requantize` or
+:func:`_add_floor`: one int64 operation where the words fit, else limbs
+whose products are exact in int64 (the error-free splitting of Ozaki,
+Ogita, Oishi and Rump, Numer. Algorithms, 2012), summed uncarried into
+base-2^b int64 digits.  Each accumulator is carried once, at the output
+stage, and its high digits collapse into one int64 wherever they fit, so a
+wide output costs one shift, rounding and saturation, as a one-digit output
+does.  An FFT stage whose products fit one int64 (:func:`_limb_plan`) forms
+those same operations itself, in place, on its store's words.  A matrix
+product whose partial sums all stay within 2^52 (words up to 23 bits at 256
+terms) runs as one float64 BLAS product instead: every integer it forms is
+then exact in float64, by the same argument, and numpy has no BLAS for
+int64.
 
 Conventions:
   * two's-complement signed rasters, ``value = raw * 2**(-frac_bits)``

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ftsinv as fi
-from ftsinv import fft_inversion
+from ftsinv import fft_inversion, fxp
 from ftsinv.fft_inversion import (
     BankedMemory,
     FftPlan,
@@ -316,6 +316,29 @@ class TestButterfly:
             else:
                 assert exponents[0] < 0, bits
 
+    @pytest.mark.parametrize("mode", fft_inversion.MODES)
+    @pytest.mark.parametrize("headroom_bits", [0, 1, 2, 3])
+    def test_int32_words_at_their_width_bound(self, mode, headroom_bits):
+        """Data and twiddle widths summing to 31, 32 and 33 bits, where the
+        word type turns from int32 to int64: a post-mode plan below two
+        headroom bits counts the ``2 - headroom_bits`` bits its shifts carry
+        words past their format.  On the sign adversary, full-scale blocks
+        and -1 blocks, words, exponents and saturated outputs equal the
+        Python-int model's."""
+        n = 16
+        excess = max(0, 2 - headroom_bits) if mode == "post" else 0
+        for bits, twiddle_bits in ((16, 15), (16, 16), (16, 17), (12, 19), (20, 12), (20, 13)):
+            plan = FftPlan.make(n, bits=bits, twiddle_bits=twiddle_bits, mode=mode,
+                                headroom_bits=headroom_bits)
+            int32 = bits + excess + twiddle_bits <= 32
+            assert plan.word_type is (np.int32 if int32 else np.int64), (bits, twiddle_bits)
+            adversary = quantize_complex_block(make_sign_adversary(n, bits), plan.data_format,
+                                               headroom_bits)[:2]
+            blocks = [adversary] + [self._bfp_block(plan, [v] * 32, n)
+                                    for v in (-(1 << 63), (1 << 63) - 1, -1)]
+            for re, im in blocks:
+                self._check_bfp_stages(plan, re, im)
+
     @pytest.mark.parametrize("headroom_bits,n,widths", [
         (0, 16, range(2, 65)), (1, 16, range(3, 65)), (2, 1024, (14, 16, 40, 62, 63, 64))])
     def test_post_blocks_below_three_headroom_bits_saturate_like_the_model(
@@ -457,9 +480,10 @@ class TestFftBfp:
 
     @pytest.mark.parametrize("bits, dtype", [(32, np.int32), (16, np.int16)])
     def test_narrow_mantissas_run_on_int64_words(self, bits, dtype):
-        """Mantissas of a narrower integer dtype give the int64 run's bits:
-        with no headroom in fixed mode they saturate, where a store in their
-        own dtype would wrap.  Non-integer mantissas are refused."""
+        """Mantissas of a narrower integer dtype give the int64 run's bits,
+        returned as int64 words whatever the plan's word type (int32 at 16
+        bits): with no headroom in fixed mode they saturate, where a store in
+        their own dtype would wrap.  Non-integer mantissas are refused."""
         plan = FftPlan.make(64, bits=bits, mode="fixed", headroom_bits=0)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -585,6 +609,107 @@ class TestPlanIsFrozen:
             call()
         for a, b in zip(inputs, kept):
             assert np.array_equal(a, b)
+
+
+def test_benchmark_plans_word_types():
+    """The word types the benchmark's plans run on: int32 at 16 data and
+    twiddle bits in every mode (``fft-65536``, and ``airy-sweep`` up to 16
+    bits), int64 above, int64 with limbs at 40 bits (``wide-k``), and
+    float64 on exact plans.  The entry points still return int64 words."""
+    for mode in fft_inversion.MODES:
+        assert FftPlan.make(65536, bits=16, mode=mode).word_type is np.int32
+    cfg = fi.bench.reference_airy_config()
+    for bits, word in ((4, np.int32), (16, np.int32), (18, np.int64), (None, np.float64)):
+        assert fi.bench._fft_plan_for_bits(cfg.n, bits, cfg).word_type is word, bits
+    wide = FftPlan.make(4096, bits=40, mode="post")
+    assert wide.word_type is np.int64
+    assert fxp._limb_plan(wide.twiddle_format.total_bits, wide.data_format.total_bits,
+                          1)[0] is not None
+    plan = FftPlan.make(64, bits=16)
+    res = fft_bfp(np.ones(64), plan)
+    assert res.re.dtype == res.im.dtype == np.int64
+    assert fft_bfp_block(res.re >> 8, res.im >> 8, 0, plan).re.dtype == np.int64
+
+
+class TestWorkspace:
+    """Every transform of a size and word type runs on one store and one set
+    of scratch planes, and every plan holds its twiddle columns."""
+
+    PLANS = ((64, 16, "post"), (64, 24, "pre"), (64, None, "post"), (256, 16, "fixed"),
+             (256, 40, "post"))
+
+    @staticmethod
+    def _runs(plan, seed):
+        """The words of every entry point on ``plan``, as bytes."""
+        n = plan.n_points
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = rng.standard_normal(n)
+        y = fi.Interferogram(x, fi.OpdGrid.transform_matched(fi.SpectralGrid(n, 1.0), n))
+        res = fft_bfp(z, plan)
+        out = [res.re, res.im, dct2_via_fft(x, plan)[0], idct2_via_fft(x, plan)[0],
+               reconstruct_fft(y, plan)[0].values]
+        if not plan.exact:
+            re, im, exponent = quantize_complex_block(z, plan.data_format, plan.headroom_bits)
+            block = fft_bfp_block(re, im, exponent, plan)
+            out += [block.re, block.im]
+        return [a.tobytes() for a in out]
+
+    def test_interleaved_runs_give_the_bits_of_fresh_runs(self):
+        """Runs that alternate two sizes, and plans of one size with other
+        word types, give the bits of runs on a fresh plan and a fresh
+        workspace."""
+        fresh = {}
+        for spec in self.PLANS:
+            for seed in (1, 2):
+                fft_inversion._workspace.cache_clear()
+                plan = FftPlan.make(spec[0], bits=spec[1], mode=spec[2])
+                fresh[spec, seed] = self._runs(plan, seed)
+        plans = {spec: FftPlan.make(spec[0], bits=spec[1], mode=spec[2]) for spec in self.PLANS}
+        for seed in (1, 2):
+            for spec in self.PLANS[::-1] + self.PLANS:
+                assert self._runs(plans[spec], seed) == fresh[spec, seed], spec
+
+    @pytest.mark.parametrize("bits", [16, 40, None])
+    def test_results_outlive_the_next_run(self, bits):
+        """The result of run i is unchanged after run i + 1 on the same plan,
+        for every entry point: no result aliases the workspace."""
+        n = 64
+        plan = FftPlan.make(n, bits=bits)
+        rng = np.random.default_rng(17)
+        z1, z2 = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        grid = fi.OpdGrid.transform_matched(fi.SpectralGrid(n, 1.0), n)
+        calls = [lambda z: fft_bfp(z, plan).re, lambda z: fft_bfp(z, plan).im,
+                 lambda z: dct2_via_fft(z.real, plan)[0],
+                 lambda z: idct2_via_fft(z.real, plan)[0],
+                 lambda z: reconstruct_fft(fi.Interferogram(z.real, grid), plan)[0].values]
+        if bits is not None:
+            def block(z, part):
+                re, im, exponent = quantize_complex_block(z, plan.data_format,
+                                                          plan.headroom_bits)
+                return getattr(fft_bfp_block(re, im, exponent, plan), part)
+            calls += [lambda z: block(z, "re"), lambda z: block(z, "im")]
+        for call in calls:
+            first = call(z1)
+            kept = first.copy()
+            second = call(z2)
+            assert np.array_equal(first, kept)
+            assert not np.array_equal(first, second)
+
+    def test_plans_hold_read_only_columns_in_their_word_type(self):
+        """Each plan's stage columns are the strided table entries in its word
+        type, read-only, and built once."""
+        for bits in (16, 40, None):
+            plan = FftPlan.make(32, bits=bits)
+            assert plan._columns is plan._columns
+            for s, (wr, wi) in enumerate(plan._columns):
+                step = 32 >> (s + 1)
+                assert wr.shape == wi.shape == (1 << s, 1)
+                for col, table in ((wr, plan._tw_re), (wi, plan._tw_im)):
+                    assert col.dtype == plan.word_type
+                    assert np.array_equal(col[:, 0], table[::step])
+                    with pytest.raises(ValueError):
+                        col[0] = 0
 
 
 @pytest.mark.parametrize("n,bits", [(4096, 16), (4096, None), (256, 16)])

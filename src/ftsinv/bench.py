@@ -10,6 +10,7 @@ file is self-describing.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -221,11 +222,21 @@ def build_setup(cfg: ExperimentConfig) -> StudySetup:
 
 def _fft_plan_for_bits(n: int, bits: int | None, cfg: ExperimentConfig) -> FftPlan:
     if bits is None:
-        return FftPlan.make(n, mode=cfg.fft_mode)
+        return _fft_plan(n, mode=cfg.fft_mode)
     head = min(cfg.headroom, bits - 3)
     head = max(head, 1)
-    return FftPlan.make(n, bits=bits, twiddle_bits=cfg.twiddle_bits or bits,
-                        mode=cfg.fft_mode, headroom_bits=head)
+    return _fft_plan(n, bits=bits, twiddle_bits=cfg.twiddle_bits or bits,
+                     mode=cfg.fft_mode, headroom_bits=head)
+
+
+@functools.lru_cache(maxsize=32)
+def _fft_plan(n: int, **kwargs) -> FftPlan:
+    """``FftPlan.make(n, **kwargs)``, made once: a plan is immutable and
+    compiles its stage columns at its first transform, so every FFT op of a
+    sweep at one size, widths, mode and headroom runs on one plan.  The 32
+    most recently used are kept, room for a sweep's widths and its double
+    plan (11 in ``sweep_precision``)."""
+    return FftPlan.make(n, **kwargs)
 
 
 def _quantize_only_data(values: np.ndarray, bits: int) -> np.ndarray:

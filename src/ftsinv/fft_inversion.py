@@ -88,6 +88,7 @@ from .fxp import (
     _mac,
     _macs,
     _requantize,
+    _ufunc_buffer,
     block_extremes,
     headroom,
     quantize_array,
@@ -474,16 +475,6 @@ def _butterflies(v_re, v_im, wr, wi, plan: FftPlan, scratch, inverse: bool) -> t
     return overflows, (lo, hi)
 
 
-@contextlib.contextmanager
-def _ufunc_buffer(size: int):
-    """numpy's ufunc buffer set to ``size`` elements for the scope: numpy 2
-    keeps the buffer size in the ``errstate`` context, which sets it back to
-    what the caller had on exit."""
-    with np.errstate():
-        np.setbufsize(size)
-        yield
-
-
 def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
               inverse: bool = False) -> FftResult:
     """Stage loop of every entry point, for both kinds of plan.
@@ -518,10 +509,11 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     overwrites.  ``inverse`` conjugates the twiddles and takes the 1/N as an
     exponent step of -log2 N.
 
-    The stages run with numpy's ufunc buffer (:func:`_ufunc_buffer`) set to
-    their shortest row, ``min(2**split, n / 2**split)`` words, because numpy
-    copies an operand whose contiguous rows are shorter than the buffer through
-    it on every pass: in process, interleaved, on one thread, that made
+    The stages run with numpy's ufunc buffer
+    (:func:`~ftsinv.fxp._ufunc_buffer`) set to their shortest row,
+    ``min(2**split, n / 2**split)`` words, because numpy copies an operand
+    whose contiguous rows are shorter than the buffer through it on every
+    pass: in process, interleaved, on one thread, that made
     ``reconstruct_fft`` at n = 65 536 take 0.86-0.91x the time at 16 bits and
     0.73x on an exact plan.  A limb plan keeps numpy's default, because with
     the row-sized buffer it read 0.93-1.06x at n = 65 536 and 0.94-1.03x at

@@ -2,23 +2,28 @@
 
 Every datapath in this package (FFT butterflies, DCT twiddle stages,
 matrix-vector MACs) runs on the primitives defined here.  Words are int64
-arrays at every width up to 64 bits, with one exception: the FFT's store,
-whose stages run on int32 words where the plan's widths prove that every
-integer they form fits one (``FftPlan.word_type``), and which hands its
-words back as int64.  Every array product and sum goes through one exact
-MAC, :func:`_mac`, and one output stage, :func:`_requantize` or
-:func:`_add_floor`: one int64 operation where the words fit, else limbs
-whose products are exact in int64 (the error-free splitting of Ozaki,
-Ogita, Oishi and Rump, Numer. Algorithms, 2012), summed uncarried into
-base-2^b int64 digits.  Each accumulator is carried once, at the output
-stage, and its high digits collapse into one int64 wherever they fit, so a
-wide output costs one shift, rounding and saturation, as a one-digit output
-does.  An FFT stage whose products fit one int64 (:func:`_limb_plan`) forms
-those same operations itself, in place, on its store's words.  A matrix
-product whose partial sums all stay within 2^52 (words up to 23 bits at 256
-terms) runs as one float64 BLAS product instead: every integer it forms is
-then exact in float64, by the same argument, and numpy has no BLAS for
-int64.
+arrays at every width up to 64 bits, with two exceptions, each a datapath
+compiled once whose widths bound every integer it forms:
+
+* the FFT's store, whose stages run on int32 words where that bound fits
+  one (``FftPlan.word_type``), and which hands its words back as int64;
+* the matrix datapaths (``CompiledPinv``, ``CompiledSvd``), whose words are
+  float64 where every product's partial sums stay within 2^52 (words up to
+  23 bits at 256 terms, :func:`word_type`): every integer they form is then
+  exact in float64, by the argument below, so a matrix product runs as one
+  float64 BLAS product (numpy has no BLAS for int64) and its output stage
+  rounds in float64.
+
+Every array product and sum goes through one exact MAC, :func:`_mac`, and
+one output stage, :func:`_requantize` or :func:`_add_floor`: one operation
+in the words' type where the words fit, else limbs whose products are exact
+in int64 (the error-free splitting of Ozaki, Ogita, Oishi and Rump, Numer.
+Algorithms, 2012), summed uncarried into base-2^b int64 digits.  Each
+accumulator is carried once, at the output stage, and its high digits
+collapse into one int64 wherever they fit, so a wide output costs one
+shift, rounding and saturation, as a one-digit output does.  An FFT stage
+whose products fit one int64 (:func:`_limb_plan`) forms those same
+operations itself, in place, on its store's words.
 
 Conventions:
   * two's-complement signed rasters, ``value = raw * 2**(-frac_bits)``
@@ -28,6 +33,7 @@ Conventions:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -152,7 +158,8 @@ def shift_block(parts: tuple, shift: int, mode: RoundingMode, extremes: tuple) -
 
 
 # ---------------------------------------------------------------------------
-# vectorized helpers (int64 words at every width up to 64 bits)
+# vectorized helpers (int64 words at every width up to 64 bits; float64
+# words where :func:`word_type` makes them exact)
 # ---------------------------------------------------------------------------
 
 def shift_right_array(m: np.ndarray, s: int, mode: RoundingMode,
@@ -190,9 +197,12 @@ def quantize_array(
     x: np.ndarray,
     fmt: FxpFormat,
     mode: RoundingMode = ENTRY_POLICY,
+    dtype: type = np.int64,
 ) -> np.ndarray:
-    """Vector quantization to int64 mantissas; overflow is resolved on the
-    rounded floats, so the one cast never sees a value outside the format."""
+    """Vector quantization to mantissas of type ``dtype``: int64, or float64
+    for a datapath whose :func:`word_type` it is.  Overflow is resolved on
+    the rounded floats, so the one int64 cast never sees a value outside the
+    format; float64 words are those rounded floats, saturated."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot quantize non-finite values")
@@ -204,7 +214,9 @@ def quantize_array(
         r = np.floor(scaled)
     top = 2.0 ** (fmt.total_bits - 1)
     if r.max(initial=0.0) < top and r.min(initial=0.0) >= -top:
-        return r.astype(np.int64)
+        return r.astype(dtype, copy=False)
+    if dtype is np.float64:
+        return np.clip(r, fmt.min_raw, fmt.max_raw)
     hi, lo = r >= top, r < -top
     raw = np.where(hi | lo, 0.0, r).astype(np.int64)
     raw[hi], raw[lo] = fmt.max_raw, fmt.min_raw
@@ -212,7 +224,26 @@ def quantize_array(
 
 
 def dequantize_array(raw: np.ndarray, fmt: FxpFormat) -> np.ndarray:
-    return np.asarray(raw, dtype=np.float64) * fmt.resolution
+    """The values of the words ``raw`` in ``fmt``.  A float64 word may be
+    -0.0 (``floor(-0.0)``, ``rint(-0.4)``); its value is 0, as an int64
+    word's is."""
+    out = np.asarray(raw, dtype=np.float64) * fmt.resolution
+    out += 0.0
+    return out
+
+
+@contextlib.contextmanager
+def _ufunc_buffer(size: int):
+    """numpy's ufunc buffer set to ``size`` elements for the scope.  numpy
+    copies an operand whose contiguous rows are shorter than the buffer
+    (8192 elements by default) through it on every pass, so operations on
+    rows of ``size`` words can run faster with a buffer of one row; entering
+    the scope costs ~4 us, so each caller measures where it pays.  numpy 2
+    keeps the buffer size in the ``errstate`` context, which sets it back to
+    what the caller had on exit.  Bits never depend on it."""
+    with np.errstate():
+        np.setbufsize(size)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +258,20 @@ _FLOAT_EXACT_BITS = 52  # sums of 2**guard products within 2**52 are integers
 
 def _guard_bits(terms: int) -> int:
     return max(1, math.ceil(math.log2(max(terms, 2))))
+
+
+def _float_exact(wa: int, wb: int, guard: int) -> bool:
+    """Whether up to ``2**guard`` products of ``wa``- by ``wb``-bit words,
+    and every partial sum of them, are integers that float64 holds exactly."""
+    return wa + wb - 2 + guard <= _FLOAT_EXACT_BITS
+
+
+def word_type(*products) -> type:
+    """The word type of a compiled matrix datapath whose products are
+    ``(wa, wb, guard)``: ``wa``- by ``wb``-bit words, up to ``2**guard`` of
+    them summed (a guard of 0 is one product per output).  float64 where
+    every product is exact in float64 (:func:`_float_exact`), else int64."""
+    return (np.float64 if all(_float_exact(*p) for p in products) else np.int64)
 
 
 def _limb_magnitudes(width: int, bits: int) -> list:
@@ -323,7 +368,9 @@ class _Wide:
         self.bits = bits
 
     def __getitem__(self, rows) -> "_Wide":
-        return _Wide([d[rows] for d in self.digits], self.bits)
+        """The accumulators of ``rows``, copied, as :func:`_requantize`
+        spends what it is given."""
+        return _Wide([d[rows].copy() for d in self.digits], self.bits)
 
     def plus(self, other: "_Wide", sign: int = 1) -> "_Wide":
         """``self + sign * other``, both from the same limb plan, whose
@@ -364,19 +411,19 @@ def _macs(coefs: list, b: np.ndarray, wa: int, wb: int, guard: int, op) -> list:
     computed in int64 limb by limb.  A ``guard`` above 0 with ``np.multiply``
     leaves room for :meth:`_Wide.plus` to sum up to ``2**guard`` such
     products.  Each limb product lands in its digit uncarried.  ``b`` is
-    converted or split into limbs once for all the coefficient operands.
-    Where whole words fit (:func:`_limb_plan` gives no limb width), each
-    accumulator is the one int64 ``op(a, b)``.
+    split into limbs once for all the coefficient operands.  Where whole
+    words fit (:func:`_limb_plan` gives no limb width), each accumulator is
+    the one ``op(a, b)`` in the words' type.
 
-    A matmul whose sums stay within ``2**_FLOAT_EXACT_BITS`` runs as one
-    float64 BLAS product: every word, product and partial sum is then an
-    integer that float64 holds exactly, in any order of summation and with
-    or without fused multiply-adds, so it gives the int64 product's bits.
-    Every other product runs in int64."""
-    if op is np.matmul and wa + wb - 2 + guard <= _FLOAT_EXACT_BITS:
-        fb = b.astype(np.float64)
-        return [_Wide([np.matmul(a.astype(np.float64), fb).astype(np.int64)], _SAFE_BITS)
-                for a in coefs]
+    Float64 words (a matrix datapath's :func:`word_type`) take that branch:
+    their widths keep every sum within ``2**_FLOAT_EXACT_BITS``, so every
+    word, product and partial sum is an integer that float64 holds exactly,
+    in any order of summation and with or without fused multiply-adds, and a
+    matmul runs as one BLAS product with the int64 product's value.  They
+    are refused at other widths."""
+    if b.dtype == np.float64 and not _float_exact(wa, wb, guard):
+        raise ValueError(f"float64 words are not exact for {wa}- by {wb}-bit "
+                         f"products with {guard} guard bits")
     bits, split_a = _limb_plan(wa, wb, guard)
     if bits is None:
         return [_Wide([op(a, b)], _SAFE_BITS) for a in coefs]
@@ -417,15 +464,27 @@ def _collapse(d: list, bits: int, shift: int):
 def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
     """``acc * 2**-shift`` rounded under ``mode`` and saturated to ``fmt``.
 
-    The digits are carried once.  Where the digits from the one holding bit
-    ``shift - 1`` (or the top one, if that is lower) up make one int64, they
-    collapse into it (:func:`_collapse`), and the output is one shift,
-    rounding and saturation, a one-digit accumulator's whole path;
+    A float64 accumulator (one digit, from float64 words) is spent: its
+    digit is scaled by ``2**-shift`` and floored or rounded half to even
+    (``np.rint``) in place, all exact on its integers, and becomes the
+    float64 output words.
+
+    Otherwise the digits are carried once.  Where the digits from the one
+    holding bit ``shift - 1`` (or the top one, if that is lower) up make one
+    int64, they collapse into it (:func:`_collapse`), and the output is one
+    shift, rounding and saturation, a one-digit accumulator's whole path;
     round-half-even takes its sticky bit from the digits below.  Left shifts,
     shifts of 63 bits or more past the top digit, and outputs whose high
-    digits do not fit one int64 take the bit window below.  Returns the int64
-    words and the number of saturated outputs.
+    digits do not fit one int64 take the bit window below.  Returns the
+    words, in the accumulator's type, and the number of saturated outputs.
     """
+    if acc.digits[0].dtype == np.float64:
+        words = acc.digits[0]           # spent: the output words are formed in it
+        if shift:
+            # exact: a power of two scales integers below 2**52 with no rounding
+            words *= 2.0 ** -shift
+        (np.rint if mode is RoundingMode.ROUND_HALF_EVEN else np.floor)(words, out=words)
+        return saturate_array(words, fmt)[:2]
     bits, mask = acc.bits, (1 << acc.bits) - 1
     d = _carry(acc.digits, bits)
     collapsed = _collapse(d, bits, shift)

@@ -15,9 +15,12 @@ the hardware splits it:
 
 Every fixed-point product accumulates exactly in the package's one MAC,
 :func:`~ftsinv.fxp._mac`, and rounds once in its output stage,
-:func:`~ftsinv.fxp._requantize`, in int64 at every width; a matrix-vector
-product whose sums fit the float64 significand (words up to 23 bits at
-M = 256) runs exactly on BLAS.  The one banked kernel, :func:`_banked_mac`,
+:func:`~ftsinv.fxp._requantize`, in the datapath's word type
+(:func:`~ftsinv.fxp.word_type`): float64 where every product's sums fit the
+float64 significand (words up to 23 bits at M = 256), so matrix-vector
+products run exactly on BLAS and no word is converted, else int64.  The
+words are quantized into that type once, at compile time, and each run
+quantizes its vectors into it.  The one banked kernel, :func:`_banked_mac`,
 runs the pseudo-inverse and products 1 (column scaling of V) and 3 of the
 SVD route whole: each output row is one bank's own dot product, so K is
 modelled, not walked, in ``telemetry.k``, the cost model's latency and the
@@ -31,6 +34,7 @@ run counts the multiplies its products issue in its own telemetry, product
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +48,10 @@ from .fxp import (
     _guard_bits,
     _mac,
     _requantize,
+    _ufunc_buffer,
     dequantize_array,
     quantize_array,
+    word_type,
 )
 from .optics import Interferogram, TransferMatrix
 
@@ -265,7 +271,9 @@ class CompiledPinv:
     ``matrix`` is the whole double-precision matrix: the double reference's
     one product, and where a fixed-point run fixes its output binary point.
     ``words`` are the coefficient words in ``mat_fmt``, every bank's rows in
-    one array (:func:`_banked_mac`); the double reference reads none.
+    one array (:func:`_banked_mac`), in the datapath's
+    :func:`~ftsinv.fxp.word_type`, which each run quantizes y into as well;
+    the double reference reads none.
     """
 
     matrix: np.ndarray
@@ -273,6 +281,11 @@ class CompiledPinv:
     k: int
     mat_fmt: FxpFormat | None = None
     words: np.ndarray | None = None
+
+    @property
+    def word_type(self) -> type | None:
+        """float64 or int64; None on the double reference."""
+        return None if self.words is None else self.words.dtype.type
 
 
 def compile_pinv(adag, fmt=None, k: int = 1) -> CompiledPinv:
@@ -287,7 +300,10 @@ def compile_pinv(adag, fmt=None, k: int = 1) -> CompiledPinv:
     if width is None:
         return CompiledPinv(matrix, None, k)
     mat_fmt = _tensor_format(fmt, width, matrix)
-    return CompiledPinv(matrix, fmt, k, mat_fmt, quantize_array(matrix, mat_fmt))
+    # one product: the coefficient words by y's width-bit words, M terms
+    word = word_type((mat_fmt.total_bits, width, _guard_bits(matrix.shape[1])))
+    return CompiledPinv(matrix, fmt, k, mat_fmt,
+                        quantize_array(matrix, mat_fmt, dtype=word))
 
 
 def reconstruct_pinv(
@@ -324,7 +340,8 @@ def reconstruct_pinv(
         vec_fmt = _tensor_format(datapath.fmt, width, y)
         out_fmt = _tensor_format(datapath.fmt, width, x_ref)    # the output scale
         out, telemetry.overflow_events, telemetry.mults = _banked_mac(
-            datapath.words, np.matmul, quantize_array(y, vec_fmt),
+            datapath.words, np.matmul,
+            quantize_array(y, vec_fmt, dtype=datapath.word_type),
             (mat_fmt, vec_fmt, out_fmt), mode)
         telemetry.accumulator_bits = _accumulator_bits(mat_fmt, vec_fmt, m)
         x_hat = dequantize_array(out, out_fmt)
@@ -359,7 +376,10 @@ class CompiledSvd:
     V and U^T are quantized once per binary point a kept set of columns
     needs: quantizing a whole matrix and slicing the kept columns gives the
     words quantizing the slice would, and the per-column maxima give each
-    kept set's format.
+    kept set's format.  Every word of the datapath (V, U^T, y, the
+    penalized diagonal and the outputs of products 1 and 2) is of its
+    ``word_type``, fixed at compile time from all three products
+    (:func:`compile_svd`); None on the double reference.
 
     Product 2 depends on the acquisition and the kept lanes, not on the
     penalized values, so runs that differ only in the diagonal (a rank or
@@ -377,6 +397,7 @@ class CompiledSvd:
     ut: np.ndarray                 # U^T, row-major
     v_colmax: np.ndarray           # max |V| per column
     ut_rowmax: np.ndarray          # max |U^T| per row
+    word_type: type | None
     _words: dict = field(default_factory=dict, repr=False)
     _y: np.ndarray | None = field(default=None, repr=False)
     _y_words: tuple = field(default=(), repr=False)     # (fmt_y, y_raw)
@@ -387,8 +408,8 @@ class CompiledSvd:
         """All of V (``"v"``) or U^T (``"ut"``) quantized at ``fmt``."""
         key = (name, fmt)
         if key not in self._words:
-            self._words[key] = quantize_array(
-                self.factors.v if name == "v" else self.ut, fmt)
+            self._words[key] = quantize_array(self.factors.v if name == "v" else self.ut,
+                                              fmt, dtype=self.word_type)
         return self._words[key]
 
     def product2(self, y: np.ndarray, kept, mode: RoundingMode) -> _Product2:
@@ -401,7 +422,7 @@ class CompiledSvd:
             y_words = ()
             if width is not None:
                 fmt_y = _tensor_format(self.fmt, width, y)
-                y_words = (fmt_y, quantize_array(y, fmt_y))
+                y_words = (fmt_y, quantize_array(y, fmt_y, dtype=self.word_type))
             self._y, self._y_words, self._ut_y, self._stages = y, y_words, {}, {}
         key = (kept.stop if isinstance(kept, slice) else kept.tobytes(), mode)
         stage = self._stages.get(key)
@@ -438,13 +459,24 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def compile_svd(factors: SvdFactors, fmt=None, k: int = 1) -> CompiledSvd:
     """Lay out the factors for the datapath ``fmt`` with ``k`` banks; see
     :func:`reconstruct_svd`.  The banks partition the N rows of V, so
-    ``1 <= k <= N``."""
+    ``1 <= k <= N``.
+
+    The word type is float64 where all three products are exact in float64
+    at the datapath's width w: product 1 (one V word by one z word), product
+    2 (M terms of U^T y) and product 3 (up to r terms of O1 O2, r the number
+    of singular values); else int64."""
     n = factors.v.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"partition count must be in [1, {n}], got {k}")
+    width = _resolve_width(fmt)
+    word = None
+    if width is not None:
+        m, r = factors.u.shape
+        word = word_type((width, width, 0), (width, width, _guard_bits(m)),
+                         (width, width, _guard_bits(r)))
     return CompiledSvd(factors, fmt, k, np.ascontiguousarray(factors.u.T),
                        np.max(np.abs(factors.v), axis=0, initial=0.0),
-                       np.max(np.abs(factors.u), axis=0, initial=0.0))
+                       np.max(np.abs(factors.u), axis=0, initial=0.0), word)
 
 
 def reconstruct_svd(
@@ -485,37 +517,46 @@ def reconstruct_svd(
     stage = datapath.product2(y, kept, mode)
     vk = f.v[:, kept]
     zk = z.zeta[kept]
-
-    # the double reference; V's column-major layout fixes the order in
-    # which BLAS sums, and so its bits
-    x_ref = (vk * zk) @ stage.o2_ref
     width = _resolve_width(datapath.fmt)
-    if width is None:
-        x_hat = x_ref
-        telemetry.mults = rank * (2 * n + m)
-    else:
-        fmt = datapath.fmt
-        v_colmax = datapath.v_colmax[kept]
-        fmt_v = _tensor_format(fmt, width, v_colmax)
-        fmt_z = _tensor_format(fmt, width, zk)
-        # rounding is monotone: max_j colmax|V|_j |z_j| is max |V_k diag(z)|
-        fmt_o1 = _tensor_format(fmt, width, v_colmax * np.abs(zk))
-        fmt_x = _tensor_format(fmt, width, x_ref)
 
-        # product 1: column scaling of V by the penalized diagonal
-        o1, nov1, mults1 = _banked_mac(
-            datapath.words("v", fmt_v)[:, kept], np.multiply,
-            quantize_array(zk, fmt_z), (fmt_v, fmt_z, fmt_o1), mode)
-        # product 2: U^T y, from the stage this acquisition and kept set share
-        mults2 = rank * m
-        # product 3: O1 O2, each bank on the rows product 1 left in it
-        x_raw, nov3, mults3 = _banked_mac(o1, np.matmul, stage.o2,
-                                          (fmt_o1, stage.fmt_o2, fmt_x), mode)
-        telemetry.mults = mults1 + mults2 + mults3
-        telemetry.overflow_events = nov1 + stage.overflows + nov3
-        telemetry.accumulator_bits = _accumulator_bits(stage.fmt_u, stage.fmt_y, m)
-        x_hat = dequantize_array(x_raw, fmt_x)
-        telemetry.data_format = f"{width}-bit"
+    # the column scalings (x_ref's and product 1) run along V's column-major
+    # columns of N words, which numpy's default ufunc buffer copies through
+    # in pieces.  With a buffer of one column, in process on one thread,
+    # each took 0.57-0.68x the time at N = r = 256, and a whole run read
+    # 0.78-0.96x at N = 256, 0.99-1.03x at N = 128 and 1.06-1.12x at N = 64,
+    # where the scope's own cost outweighs the copies it saves.
+    buffer = _ufunc_buffer(n) if n >= 256 else contextlib.nullcontext()
+    with buffer:
+        # the double reference; V's column-major layout fixes the order in
+        # which BLAS sums, and so its bits
+        x_ref = (vk * zk) @ stage.o2_ref
+        if width is None:
+            x_hat = x_ref
+            telemetry.mults = rank * (2 * n + m)
+        else:
+            fmt = datapath.fmt
+            v_colmax = datapath.v_colmax[kept]
+            fmt_v = _tensor_format(fmt, width, v_colmax)
+            fmt_z = _tensor_format(fmt, width, zk)
+            # rounding is monotone: max_j colmax|V|_j |z_j| is max |V_k diag(z)|
+            fmt_o1 = _tensor_format(fmt, width, v_colmax * np.abs(zk))
+            fmt_x = _tensor_format(fmt, width, x_ref)
+
+            # product 1: column scaling of V by the penalized diagonal
+            o1, nov1, mults1 = _banked_mac(
+                datapath.words("v", fmt_v)[:, kept], np.multiply,
+                quantize_array(zk, fmt_z, dtype=datapath.word_type),
+                (fmt_v, fmt_z, fmt_o1), mode)
+            # product 2: U^T y, from the stage this acquisition and kept set share
+            mults2 = rank * m
+            # product 3: O1 O2, each bank on the rows product 1 left in it
+            x_raw, nov3, mults3 = _banked_mac(o1, np.matmul, stage.o2,
+                                              (fmt_o1, stage.fmt_o2, fmt_x), mode)
+            telemetry.mults = mults1 + mults2 + mults3
+            telemetry.overflow_events = nov1 + stage.overflows + nov3
+            telemetry.accumulator_bits = _accumulator_bits(stage.fmt_u, stage.fmt_y, m)
+            x_hat = dequantize_array(x_raw, fmt_x)
+            telemetry.data_format = f"{width}-bit"
 
     telemetry.latency_cycles = hwmodel.latency_cycles(scheme_name, k, n=n, m=m, rank=rank)
     return InversionResult(x_hat, telemetry)

@@ -115,3 +115,17 @@ def test_invert_once_refuses_a_missing_grid_point(small_cosine_setup, method, po
                                                   message):
     with pytest.raises(ConfigError, match=message):
         bench.invert_once(small_cosine_setup, method, 12, **point)
+
+
+def test_fft_plans_are_made_once_per_configuration():
+    """Every FFT op of a precision sweep at one width runs on one plan:
+    all widths of a sweep and its double plan stay cached together."""
+    cfg = bench.reference_airy_config()
+    widths = [None] + list(range(4, 24, 2))
+    plans = [bench._fft_plan_for_bits(cfg.n, bits, cfg) for bits in widths]
+    assert len({id(p) for p in plans}) == len(widths)
+    again = [bench._fft_plan_for_bits(cfg.n, bits, cfg) for bits in widths]
+    assert all(a is b for a, b in zip(plans, again))
+    other = dataclasses.replace(cfg, fft_mode="fixed")
+    assert bench._fft_plan_for_bits(cfg.n, 16, other).mode == "fixed"
+    assert bench._fft_plan_for_bits(cfg.n, 16, other) is not plans[7]

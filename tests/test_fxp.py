@@ -357,14 +357,20 @@ class TestAgainstReference:
            frac=st.integers(0, 63), mode=st.sampled_from(list(RoundingMode)))
     def test_quantize_array_matches_quantize(self, raws, steps, reals, frac, mode):
         """Reals up to twice each format's range, on its grid points, quarter
-        steps and ties, and reals of any magnitude."""
+        steps and ties, and reals of any magnitude; float64 words, which
+        hold every word up to 53 bits, give the same integers."""
         for width in WIDTHS:
             fmt = FxpFormat(width, min(frac, width - 1))
             xs = [math.ldexp((v >> (65 - width)) + step, -fmt.frac_bits)
                   for v, step in zip(raws, steps)] + reals
+            want = [quantize(x, fmt, mode).raw for x in xs]
             got = quantize_array(np.array(xs), fmt, mode)
             assert got.dtype == np.int64
-            assert got.tolist() == [quantize(x, fmt, mode).raw for x in xs], width
+            assert got.tolist() == want, width
+            if width <= 53:
+                got = quantize_array(np.array(xs), fmt, mode, dtype=np.float64)
+                assert got.dtype == np.float64
+                assert got.tolist() == want, width
 
     @settings(max_examples=60)
     @given(parts=st.lists(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=6,

@@ -15,6 +15,7 @@ from ftsinv.errors import SvdConvergenceError
 from ftsinv.fxp import (
     FxpFormat,
     RoundingMode,
+    _float_exact,
     _guard_bits,
     _limb_plan,
     _mac,
@@ -447,8 +448,15 @@ def _kernel_operands(width: int, shape, rng):
     return words
 
 
+def _word_types(wa: int, wb: int, guard: int) -> list:
+    """int64, and float64 where those widths make it a datapath's exact word
+    type (:func:`~ftsinv.fxp.word_type`)."""
+    return [np.int64] + ([np.float64] if _float_exact(wa, wb, guard) else [])
+
+
 class TestLimbKernel:
-    """The int64 limb MAC against exact Python integers."""
+    """The int64 limb MAC, and the float64 words of exact widths, against
+    exact Python integers."""
 
     @pytest.mark.parametrize("m", [1, 7, 256])
     @pytest.mark.parametrize("width", [16, 23, 33, 40, 48, 64])
@@ -458,32 +466,38 @@ class TestLimbKernel:
         min_raw = FxpFormat(width, 0).min_raw
         vectors = (_kernel_operands(width, (2, m), rng)[-1],
                    np.full(m, min_raw, dtype=np.int64))
-        for b in vectors:
+        for b, word in itertools.product(vectors,
+                                         _word_types(width, width, _guard_bits(m))):
             exact = [sum(int(x) * int(v) for x, v in zip(row, b)) for row in a]
             for shift in (-3, 0, width - 1, width + 5, 2 * width - 2):
                 mat_fmt, vec_fmt, out_fmt = _shift_formats(width, shift)
                 for mode in RoundingMode:
                     out, overflows, mults = _banked_mac(
-                        a, np.matmul, b, (mat_fmt, vec_fmt, out_fmt), mode)
+                        a.astype(word), np.matmul, b.astype(word),
+                        (mat_fmt, vec_fmt, out_fmt), mode)
                     want, want_over = _python_outputs(exact, shift, mode, out_fmt)
-                    assert out.dtype == np.int64
-                    assert out.tolist() == want, (shift, mode)
+                    assert out.dtype == word
+                    assert out.tolist() == want, (shift, mode, word)
                     assert overflows == want_over
                     assert mults == a.size
 
-    @pytest.mark.parametrize("width", [16, 23, 33, 40, 48, 64])
+    @pytest.mark.parametrize("width", [16, 23, 27, 33, 40, 48, 64])
     def test_scale_matches_python_ints(self, width):
         rng = np.random.default_rng(width)
         a = _kernel_operands(width, (6, 9), rng)
         diagonals = _kernel_operands(width, (3, 9), rng)[[0, 2]]
-        for d, shift in itertools.product(diagonals, (-2, 0, width - 1, 2 * width - 2)):
+        for d, shift, word in itertools.product(diagonals,
+                                                (-2, 0, width - 1, 2 * width - 2),
+                                                _word_types(width, width, 0)):
             exact = [int(x) * int(v) for row in a for x, v in zip(row, d)]
             mat_fmt, diag_fmt, out_fmt = _shift_formats(width, shift)
             for mode in RoundingMode:
                 scaled, overflows, mults = _banked_mac(
-                    a, np.multiply, d, (mat_fmt, diag_fmt, out_fmt), mode)
+                    a.astype(word), np.multiply, d.astype(word),
+                    (mat_fmt, diag_fmt, out_fmt), mode)
                 want, want_over = _python_outputs(exact, shift, mode, out_fmt)
-                assert scaled.ravel().tolist() == want, (shift, mode)
+                assert scaled.dtype == word
+                assert scaled.ravel().tolist() == want, (shift, mode, word)
                 assert overflows == want_over
                 assert mults == a.size
 
@@ -491,7 +505,8 @@ class TestLimbKernel:
                                         (24, 25), (25, 25)])
     def test_matvec_at_the_float_switch(self, wa, wb):
         """M = 256 products of ``wa``- by ``wb``-bit words, whose sums need
-        50 to 56 bits: up to 52 they run on float64 BLAS, from 53 in int64.
+        50 to 56 bits: up to 52, float64 words run on BLAS and int64 words in
+        int64; from 53, only int64 words run, and float64 words are refused.
         Where a 54-bit accumulator took BLAS, all ``max_raw`` words with one
         vector word a step lower would give an odd sum past 2**53, which
         float64 cannot hold."""
@@ -510,17 +525,27 @@ class TestLimbKernel:
                     (np.full((4, m), fa.min_raw), np.full(m, fb.min_raw)),
                     (odd(fa, (4, m)), odd(fb, m))]
         out_fmt = FxpFormat(64, 0)
-        for a, b in operands:
+        words = _word_types(wa, wb, _guard_bits(m))
+        assert (np.float64 in words) == (wa + wb <= 46)
+        for (a, b), word in itertools.product(operands, words):
             exact = [sum(int(x) * int(v) for x, v in zip(row, b)) for row in a]
             for shift in (0, wa - 1, wa + wb - 2):
                 mat_fmt = FxpFormat(wa, min(shift, wa - 1))
                 vec_fmt = FxpFormat(wb, shift - mat_fmt.frac_bits)
                 for mode in RoundingMode:
                     out, overflows, _ = _banked_mac(
-                        a, np.matmul, b, (mat_fmt, vec_fmt, out_fmt), mode)
+                        a.astype(word), np.matmul, b.astype(word),
+                        (mat_fmt, vec_fmt, out_fmt), mode)
                     want, want_over = _python_outputs(exact, shift, mode, out_fmt)
-                    assert out.tolist() == want, (a[0, 0], shift, mode)
+                    assert out.dtype == word
+                    assert out.tolist() == want, (a[0, 0], shift, mode, word)
                     assert overflows == want_over == 0
+        if np.float64 not in words:
+            a, b = operands[0]
+            with pytest.raises(ValueError, match="not exact"):
+                _banked_mac(a.astype(np.float64), np.matmul, b.astype(np.float64),
+                            (FxpFormat(wa, 0), FxpFormat(wb, 0), out_fmt),
+                            RoundingMode.TRUNCATE)
 
     @pytest.mark.parametrize("fills", [("max_raw", "max_raw"), ("min_raw", "min_raw"),
                                        ("max_raw", "min_raw")])
@@ -589,6 +614,84 @@ class TestLimbKernel:
                 want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                 assert out.tolist() == want, (sign, shift, i, mode)
                 assert overflows == want_over
+
+
+class TestWordType:
+    """Where the widths make every product exact in float64, a compiled
+    matrix datapath holds its words as float64, and the routes give the
+    same values as on int64 words."""
+
+    @pytest.fixture(scope="class")
+    def square(self):
+        f = svd_factorize(np.random.default_rng(21).standard_normal((256, 256)))
+        return f, pinv_matrix(f)
+
+    @pytest.mark.parametrize("bits, word", [(22, np.float64), (23, np.float64),
+                                            (24, np.int64), (32, np.int64)])
+    def test_word_type_at_m_and_r_256(self, square, bits, word):
+        """Every product of a 23-bit datapath sums within 2**52 at M = r =
+        256; one bit more and the words are int64."""
+        f, adag = square
+        pinv = compile_pinv(adag, bits)
+        assert pinv.word_type is word and pinv.words.dtype == word
+        svd = compile_svd(f, bits)
+        assert svd.word_type is word
+        assert svd.words("v", FxpFormat(bits, bits - 1)).dtype == word
+        assert svd.words("ut", FxpFormat(bits, bits - 1)).dtype == word
+        assert compile_pinv(adag).word_type is compile_svd(f).word_type is None
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_outputs_hold_no_negative_zero(self, graded):
+        """Outputs that round or truncate to zero from below read +0.0, as
+        the values of int64 words do, although float64 words form -0.0
+        (``rint(-0.4)``, ``floor(-0.0)``) on the way.  A sparse spectrum
+        behind a matrix with orthonormal columns, or with singular values
+        graded over three decades, leaves outputs of every route just below
+        zero at 6 to 12 bits."""
+        rng = np.random.default_rng(4)
+        if graded:
+            a = rng.standard_normal((24, 16)) * np.logspace(0, -3, 16)
+        else:
+            a = np.linalg.qr(rng.standard_normal((24, 24)))[0][:, :16]
+            a *= np.logspace(0, -1, 16)
+        y = a @ np.r_[1.0, -0.5, np.zeros(14)] + 1e-3 * rng.standard_normal(24)
+        f = svd_factorize(a)
+        adag = pinv_matrix(f)
+        routes = {"pinv": lambda fmt, mode: reconstruct_pinv(adag, y, fmt=fmt, mode=mode)}
+        for name, scheme in (("tsvd", Tsvd(8)), ("tik", Tikhonov(1e-2))):
+            routes[name] = (lambda fmt, mode, z=penalize(f.xi, scheme):
+                            reconstruct_svd(f, z, y, fmt=fmt, mode=mode))
+        from_below = dict.fromkeys(routes, 0)
+        for (name, run), bits, mode in itertools.product(routes.items(), (6, 8, 10, 12),
+                                                         RoundingMode):
+            x_hat = run(bits, mode).x_hat
+            assert not np.signbit(x_hat[x_hat == 0]).any(), (name, bits, mode)
+            from_below[name] += np.count_nonzero((x_hat == 0) & (run(None, mode).x_hat < 0))
+        assert all(from_below.values()), from_below
+
+    @pytest.mark.parametrize("bits", [16, 32, None])
+    def test_routes_leave_numpy_state_as_found(self, bits):
+        """The routes give the bits of a run under numpy's defaults, under a
+        16-element ufunc buffer, and leave numpy's state as they found it;
+        N = 256 unknowns run the SVD route's column scalings with a buffer
+        of one column."""
+        rng = np.random.default_rng(17)
+        f = svd_factorize(rng.standard_normal((264, 256)))
+        adag, y = pinv_matrix(f), rng.standard_normal(264)
+        calls = [lambda: reconstruct_pinv(adag, y, fmt=bits)]
+        calls += [lambda s=s: reconstruct_svd(f, penalize(f.xi, s), y, fmt=bits)
+                  for s in (Tsvd(200), Tikhonov(0.3))]
+
+        def bits_of(res):
+            return res.x_hat.tobytes(), asdict(res.telemetry)
+
+        default = [bits_of(call()) for call in calls]
+        with np.errstate(divide="ignore"):
+            np.setbufsize(16)
+            state = np.getbufsize(), np.geterr()
+            for call, want in zip(calls, default):
+                assert bits_of(call()) == want
+                assert (np.getbufsize(), np.geterr()) == state
 
 
 class TestNoiseAmplification:

@@ -244,17 +244,11 @@ def _quantize_only_data(values: np.ndarray, bits: int) -> np.ndarray:
     return dequantize_array(quantize_array(values, fmt), fmt)
 
 
-def _datapath_format(setup: StudySetup, bits: int | None):
-    """The matrix datapath's format: double precision when only the data
-    are quantized."""
-    return None if setup.config.quantize == "data-only" else bits
-
-
 def _compile_datapath(method: str, factors: SvdFactors, fmt, k: int = 1, adag=None):
     """The matrix route's datapath compiled at ``fmt`` and ``k``, on which
-    :func:`run_matrix_route` runs any grid point; None for the FFT route.
-    The pseudo-inverse route compiles ``adag``, formed from ``factors`` when
-    not given."""
+    :func:`run_route` runs any grid point; None for any other method.  The
+    pseudo-inverse route compiles ``adag``, formed from ``factors`` when not
+    given."""
     if method == "pinv":
         return compile_pinv(pinv_matrix(factors) if adag is None else adag, fmt, k)
     if method in ("tsvd", "tik"):
@@ -262,14 +256,34 @@ def _compile_datapath(method: str, factors: SvdFactors, fmt, k: int = 1, adag=No
     return None
 
 
-def run_matrix_route(datapath, xi: np.ndarray, y, method: str,
-                     rank: int | None = None, lam: float | None = None):
-    """Run the acquisition ``y`` through a matrix route's compiled
-    ``datapath`` at one grid point: pinv reads none, tsvd keeps ``rank`` and
-    tik weights by ``lam`` of the singular values ``xi``.  Returns the
-    :class:`~ftsinv.matrix_inversion.InversionResult` and the point's label."""
+def _compile_route(setup: StudySetup, method: str, bits: int | None, k: int):
+    """The route's acquisition (normalized on the fft route) and its datapath
+    compiled at ``bits`` and ``k`` (the FFT plan on the fft route).  Under
+    ``quantize="data-only"`` the acquisition alone is quantized, at ``bits``
+    over its own range, and the datapath is the double-precision one."""
+    cfg = setup.config
+    y = setup.y_norm if method == "fft" else setup.y
+    if cfg.quantize == "data-only" and bits is not None:
+        y = Interferogram(_quantize_only_data(y.values, bits), y.grid, y.mean_spectrum)
+        bits = None
+    if method == "fft":
+        return y, _fft_plan_for_bits(cfg.n, bits, cfg)
+    return y, _compile_datapath(method, setup.factors, bits, k, setup.adag)
+
+
+def run_route(datapath, xi: np.ndarray, y, method: str,
+              rank: int | None = None, lam: float | None = None):
+    """Run the acquisition ``y`` through a route's compiled ``datapath`` at
+    one grid point; returns (estimate, telemetry, param_label).  The fft
+    route's datapath is its FFT plan, run on the normalized acquisition.
+    fft and pinv read no point; tsvd keeps ``rank`` and tik weights by
+    ``lam`` of the singular values ``xi``."""
+    if method == "fft":
+        spectrum, telemetry = reconstruct_fft(y, datapath)
+        return spectrum.values, telemetry, ""
     if method == "pinv":
-        return reconstruct_pinv(datapath, y), ""
+        res = reconstruct_pinv(datapath, y)
+        return res.x_hat, res.telemetry, ""
     if method not in ("tsvd", "tik"):
         raise ConfigError(f"unknown method {method!r}")
     point, flag = (rank, "--rank") if method == "tsvd" else (lam, "--lambda")
@@ -277,57 +291,35 @@ def run_matrix_route(datapath, xi: np.ndarray, y, method: str,
         raise ConfigError(f"{method} requires {flag}")
     scheme = Tsvd(rank) if method == "tsvd" else Tikhonov(lam)
     res = reconstruct_svd(datapath, penalize(xi, scheme), y)
-    return res, str(rank) if method == "tsvd" else f"{lam:.6g}"
+    return res.x_hat, res.telemetry, str(rank) if method == "tsvd" else f"{lam:.6g}"
 
 
 def invert_once(setup: StudySetup, method: str, bits: int | None,
-                k: int = 1, rank: int | None = None, lam: float | None = None,
-                datapath=None):
+                k: int = 1, rank: int | None = None, lam: float | None = None):
     """One reconstruction; returns (snr_db, estimate, telemetry, param_label).
-
-    The matrix routes run :func:`run_matrix_route` on ``datapath``, the
-    route compiled by :func:`_compile_datapath` for the same ``bits`` and
-    ``k``; without it this compiles its own there, as ``ftsinv invert``
-    does.
-    """
-    cfg = setup.config
-    data_only = cfg.quantize == "data-only" and bits is not None
-    if method == "fft":
-        plan = _fft_plan_for_bits(cfg.n, None if data_only else bits, cfg)
-        y_norm = setup.y_norm
-        if data_only:
-            y_norm = Interferogram(_quantize_only_data(y_norm.values, bits),
-                                   y_norm.grid, y_norm.mean_spectrum)
-        spectrum, telemetry = reconstruct_fft(y_norm, plan)
-        return snr_db(setup.x, spectrum), spectrum.values, telemetry, ""
-    y = setup.y
-    if data_only:
-        y = Interferogram(_quantize_only_data(y.values, bits), y.grid,
-                          y.mean_spectrum)
-    if datapath is None:
-        datapath = _compile_datapath(method, setup.factors,
-                                     _datapath_format(setup, bits), k, setup.adag)
-    res, label = run_matrix_route(datapath, setup.factors.xi, y, method, rank, lam)
-    return snr_db(setup.x, res.x_hat), res.x_hat, res.telemetry, label
+    Compiles the route's datapath, the FFT plan on the fft route, and runs
+    :func:`run_route` on it once."""
+    y, datapath = _compile_route(setup, method, bits, k)
+    estimate, telemetry, label = run_route(datapath, setup.factors.xi, y, method, rank, lam)
+    return snr_db(setup.x, estimate), estimate, telemetry, label
 
 
 def best_inversion(setup: StudySetup, method: str, bits: int | None, k: int = 1):
     """Best SNR over the method's regularization grid (pinv/fft have none).
 
-    The matrix routes compile their datapath once and run every grid point
-    on it.
+    Every route compiles its datapath, the FFT plan on the fft route, and
+    quantizes a data-only acquisition once, then runs every grid point on them.
     """
-    datapath = _compile_datapath(method, setup.factors,
-                                 _datapath_format(setup, bits), k, setup.adag)
+    y, datapath = _compile_route(setup, method, bits, k)
     if method == "tsvd":
         grid = [{"rank": r} for r in setup.rank_grid]
     elif method == "tik":
         grid = [{"lam": lam} for lam in setup.lambda_grid]
     else:
         grid = [{}]
-    results = [invert_once(setup, method, bits, k, datapath=datapath, **point)
-               for point in grid]
-    return max(results, key=lambda t: t[0])
+    runs = [run_route(datapath, setup.factors.xi, y, method, **point) for point in grid]
+    return max(((snr_db(setup.x, estimate), estimate, telemetry, label)
+                for estimate, telemetry, label in runs), key=lambda t: t[0])
 
 
 @dataclass

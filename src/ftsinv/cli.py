@@ -168,12 +168,13 @@ def _cmd_invert(args) -> int:
     factors = svd_factorize(a)
     datapath = bench._compile_datapath(method, factors, args.bits,
                                        args.k if args.k is not None else 1)
-    res, _ = bench.run_matrix_route(datapath, factors.xi, y, method, args.rank, args.lam)
+    x_hat, telemetry, _ = bench.run_route(datapath, factors.xi, y, method,
+                                          args.rank, args.lam)
     bandwidth = args.bandwidth if args.bandwidth is not None else 1.0
-    sg = SpectralGrid(res.x_hat.size, bandwidth)
-    fileio.write_series_csv(args.out, "wavenumber", sg.midpoints(), res.x_hat)
-    print(f"{method} inversion: {res.telemetry.mults} multiplies, "
-          f"{res.telemetry.latency_cycles} model cycles")
+    sg = SpectralGrid(x_hat.size, bandwidth)
+    fileio.write_series_csv(args.out, "wavenumber", sg.midpoints(), x_hat)
+    print(f"{method} inversion: {telemetry.mults} multiplies, "
+          f"{telemetry.latency_cycles} model cycles")
     return 0
 
 

@@ -30,10 +30,6 @@ class SpectralGrid:
         if not (self.bandwidth > 0):
             raise ValueError("bandwidth must be > 0")
 
-    @property
-    def step(self) -> float:
-        return self.bandwidth / self.n_bins
-
     def midpoints(self) -> np.ndarray:
         n = np.arange(self.n_bins)
         return (2 * n + 1) / (2 * self.n_bins) * self.bandwidth
@@ -175,10 +171,6 @@ class TransferMatrix:
             raise ValueError(f"matrix shape {self.matrix.shape} != grids {expected}")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("transfer matrix must be finite")
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
 
 def build_transfer_matrix(

@@ -69,7 +69,8 @@ def test_data_only_runs_the_double_route_on_quantized_data(small_cosine_setup, m
                                                           method, bits):
     """``quantize="data-only"`` quantizes the acquisition alone, at ``bits``
     over its own range, and runs the double-precision route on it: the FFT on
-    an exact plan, a matrix route on a datapath that holds no words."""
+    an exact plan, a matrix route on a datapath that holds no words, one
+    datapath for every grid point of a best-point search."""
     setup = dataclasses.replace(small_cosine_setup, config=dataclasses.replace(
         small_cosine_setup.config, quantize="data-only"))
     name = "y_norm" if method == "fft" else "y"
@@ -86,22 +87,22 @@ def test_data_only_runs_the_double_route_on_quantized_data(small_cosine_setup, m
         assert got[2] == want[2]
         assert got[2].final_exponent == got[2].overflow_events == 0
 
-    compiled = []
-    compile_datapath = bench._compile_datapath
+    ran = []
+    run_route = bench.run_route
 
-    def recording(*args):
-        compiled.append(compile_datapath(*args))
-        return compiled[-1]
+    def recording(datapath, *args, **point):
+        ran.append(datapath)
+        return run_route(datapath, *args, **point)
 
-    monkeypatch.setattr(bench, "_compile_datapath", recording)
+    monkeypatch.setattr(bench, "run_route", recording)
     bench.best_inversion(setup, method, bits)
-    (datapath,) = compiled
+    (datapath,) = {id(d): d for d in ran}.values()
     if method == "pinv":
         assert datapath.fmt is None and datapath.words is None
     elif method == "tik":
         assert datapath.fmt is None and datapath._words == {}
     else:
-        assert datapath is None
+        assert datapath.exact
 
 
 @pytest.mark.parametrize("method,point,message", [

@@ -10,7 +10,9 @@ import pytest
 
 from ftsinv import bench, cli, fileio, hwmodel
 from ftsinv.errors import ConfigError, OverflowViolationError
+from ftsinv.fft_inversion import FftPlan, reconstruct_fft
 from ftsinv.matrix_inversion import pinv_matrix, reconstruct_pinv, svd_factorize
+from ftsinv.optics import Interferogram, OpdGrid, OpticalParams, normalize_interferogram
 
 N = 32
 MODEL_FLAGS = ["--kind", "airy", "--n", str(N), "--m", str(N), "--r", "0.7",
@@ -25,11 +27,20 @@ def simulated(tmp_path):
     return y, a
 
 
-def test_simulate_matches_build_setup(simulated):
-    _, _, values = fileio.read_series_csv(simulated[0])
+def test_simulate_matches_build_setup(tmp_path):
+    """simulate writes build_setup's interferogram and, with --spectrum-out,
+    its true spectrum on the spectral grid's midpoints."""
+    y, x = tmp_path / "y.csv", tmp_path / "x.csv"
+    assert cli.main(["simulate", *MODEL_FLAGS, "--out", str(y),
+                     "--spectrum-out", str(x)]) == 0
     cfg = bench.ExperimentConfig(kind="airy", n=N, m=N, r=0.7,
                                  opd_oversampling=0.9, noise_snr_db=40.0, seed=11)
-    assert np.array_equal(values, bench.build_setup(cfg).y.values)
+    setup = bench.build_setup(cfg)
+    _, _, values = fileio.read_series_csv(y)
+    assert np.array_equal(values, setup.y.values)
+    _, wavenumbers, spectrum = fileio.read_series_csv(x)
+    assert np.array_equal(wavenumbers, setup.spectral_grid.midpoints())
+    assert np.array_equal(spectrum, setup.x.values)
 
 
 @pytest.mark.parametrize("route", [["--method", "pinv"],
@@ -152,16 +163,30 @@ def test_invert_rejects_partition_counts_below_one(simulated, tmp_path, capsys,
     (["--method", "pinv"], "--matrix"),
     (["--method", "tsvd", "--rank", "24"], "--matrix"),
     (["--method", "tik", "--lambda", "1.0"], "--matrix"),
+    (["--method", "fft", "--normalize"], "--mean-spectrum"),
 ])
 def test_invert_names_the_missing_flag(simulated, tmp_path, capsys, route, flag):
-    """A matrix route without its matrix, or without its grid point, exits 2
-    naming the flag, writing nothing."""
+    """A matrix route without its matrix, or without its grid point, and an
+    FFT normalized without the mean spectrum exit 2 naming the flag,
+    writing nothing."""
     y, a = simulated
-    matrix = [] if flag == "--matrix" else ["--matrix", str(a)]
+    matrix = [] if flag == "--matrix" or "fft" in route else ["--matrix", str(a)]
     out = tmp_path / "x.csv"
     assert cli.main(["invert", *route, "--bits", "16", *matrix, "--in", str(y),
                      "--out", str(out)]) == 2
     assert f"requires {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_invert_refuses_a_matrix_of_another_length(simulated, tmp_path, capsys):
+    """A matrix whose rows are not the interferogram's samples exits 2,
+    writing nothing."""
+    y, a = simulated
+    short, out = tmp_path / "short.bin", tmp_path / "x.csv"
+    fileio.write_matrix(short, fileio.read_matrix(a)[:-1])
+    assert cli.main(["invert", "--method", "pinv", "--bits", "16", "--in", str(y),
+                     "--matrix", str(short), "--out", str(out)]) == 2
+    assert f"matrix rows {N - 1} != interferogram length {N}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -318,6 +343,26 @@ def test_invert_fft_route(normalized_cosine, tmp_path, mode):
     assert x_hat.size == 64 and np.all(np.isfinite(x_hat))
 
 
+def test_invert_fft_normalizes_like_the_library(tmp_path):
+    """``--normalize --mean-spectrum M`` writes ``normalize_interferogram``
+    (a = 1.0, r = 0.5 by default) followed by ``reconstruct_fft`` on the
+    file's interferogram, bit for bit."""
+    y, out = tmp_path / "y.csv", tmp_path / "x.csv"
+    assert cli.main(["simulate", "--kind", "cosine", "--n", "64", "--m", "64",
+                     "--seed", "3", "--out", str(y)]) == 0
+    mean = bench.simulate(bench.ExperimentConfig(n=64, m=64, seed=3)).y.mean_spectrum
+    assert cli.main(["invert", "--method", "fft", "--bits", "16", "--normalize",
+                     "--mean-spectrum", repr(mean), "--in", str(y), "--out", str(out)]) == 0
+    _, coords, values = fileio.read_series_csv(y)
+    y_norm = normalize_interferogram(Interferogram(values, OpdGrid(coords)),
+                                     OpticalParams(1.0, 0.5), mean)
+    spectrum, _ = reconstruct_fft(y_norm, FftPlan.make(64, bits=16, mode="post",
+                                                       headroom_bits=3))
+    _, wavenumbers, x_hat = fileio.read_series_csv(out)
+    assert np.array_equal(wavenumbers, spectrum.grid.midpoints())
+    assert np.array_equal(x_hat, spectrum.values)
+
+
 def test_invert_fft_overflow_exits_3(normalized_cosine, tmp_path, capsys):
     """No headroom under post-normalization breaks the no-overflow invariant,
     which raises the overflow error, not just any numerical one."""
@@ -459,3 +504,17 @@ def test_costs_prints_csv_with_ratios(capsys):
     assert float(meta["ratio.time_pinv_k1_over_fft"]) == pytest.approx(8.0, rel=0.15)
     assert float(meta["ratio.opcount_svd_over_pinv_square"]) == 3.0
     assert not any(key.startswith("flag.") for key in meta)
+
+
+def test_costs_writes_the_printed_csv(tmp_path, capsys):
+    """``--out FILE`` writes what ``costs`` prints, and the packaged
+    calibration file named by ``--calibration`` prices as the default."""
+    assert cli.main(["costs"]) == 0
+    printed = capsys.readouterr().out
+    out, packaged = tmp_path / "c.csv", tmp_path / "p.csv"
+    assert cli.main(["costs", "--out", str(out)]) == 0
+    assert f"wrote {out} (7 rows)" in capsys.readouterr().out
+    calibration = Path(hwmodel.__file__).with_name("data") / "calibration.txt"
+    assert cli.main(["costs", "--calibration", str(calibration),
+                     "--out", str(packaged)]) == 0
+    assert out.read_text() == packaged.read_text() == printed

@@ -54,3 +54,8 @@ def test_traced_routes_reach_the_wrapped_layers(small_cosine_setup):
     for layer in ("fft_inversion.BankedMemory.gather", "fft_inversion.BankedMemory.scatter",
                   "matrix_inversion.reconstruct_pinv", "matrix_inversion.reconstruct_svd"):
         assert layer in tracer.layers, layer
+    # a tracer of its own: the direct call above records this layer already
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        bench.best_inversion(small_cosine_setup, "fft", 12)
+    assert "fft_inversion.reconstruct_fft" in tracer.layers

@@ -1,10 +1,12 @@
-"""The benchmark's four workloads start and pass their first operation.
+"""The benchmark's four workloads start, pass their first operation and
+give the outputs they gave before.
 
 ``perfbench/workloads.py`` is loaded from its file, as the benchmark runner
 loads it, so a rename or deletion in the package that breaks a workload's
 set-up, cycle or first call fails here.
 """
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -12,6 +14,15 @@ from pathlib import Path
 import pytest
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# each workload's output digest over one cycle at benchmark seed 1, as the
+# benchmark records it (BENCH_22.json)
+SEED_1_DIGESTS = {
+    "airy-sweep": "163cf35049274c1d5f37fa12e8903f9cf525c169c4306baeacd05f8631b99249",
+    "fft-65536": "066154e6b843b54f5dfd68118095fe58921624c242f9be2aaf1338c410a8240c",
+    "wide-k": "43484bc11b4bff9635fc6498bd0747202c9629e9057b4aed98fa46ff798e4d81",
+    "cli-invert": "3afc996f0337442f6c37e51cfaeb94d1d9791793f66aec4a15dc17f2c2ad3617",
+}
 
 
 def _load_workloads():
@@ -32,3 +43,21 @@ def test_workload_first_op_passes(name):
         assert checked.failures == [], f"{name} {op.key}: {checked.failures}"
     finally:
         workload.close()
+
+
+@pytest.mark.parametrize("name", list(SEED_1_DIGESTS))
+def test_seed_1_cycle_digest_is_pinned(name):
+    """No output bit moved: after the runner's untimed warm-up op, one cycle
+    hashes as ``perfbench/run.py``'s ``Tally`` hashes it, to the recorded
+    digest."""
+    workload = _load_workloads().WORKLOADS[name](1)
+    digest = hashlib.sha256()
+    try:
+        workload.setup()
+        ops = workload.cycle()
+        ops[0].check(ops[0].call())
+        for op in ops:
+            digest.update(op.key.encode() + op.check(op.call()).digest)
+    finally:
+        workload.close()
+    assert digest.hexdigest() == SEED_1_DIGESTS[name]

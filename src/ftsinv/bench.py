@@ -271,27 +271,36 @@ def _compile_route(setup: StudySetup, method: str, bits: int | None, k: int):
     return y, _compile_datapath(method, setup.factors, bits, k, setup.adag)
 
 
-def run_route(datapath, xi: np.ndarray, y, method: str,
-              rank: int | None = None, lam: float | None = None):
+def grid_point(xi: np.ndarray, method: str, rank: int | None = None,
+               lam: float | None = None):
+    """The grid point a run of ``method`` reads: on tsvd the penalized
+    diagonal keeping ``rank`` of the singular values ``xi``, on tik the one
+    weighting them by ``lam``; None on fft and pinv, which read none."""
+    if method in ("fft", "pinv"):
+        return None
+    if method not in ("tsvd", "tik"):
+        raise ConfigError(f"unknown method {method!r}")
+    point, flag = (rank, "--rank") if method == "tsvd" else (lam, "--lambda")
+    if point is None:
+        raise ConfigError(f"{method} requires {flag}")
+    return penalize(xi, Tsvd(rank) if method == "tsvd" else Tikhonov(lam))
+
+
+def run_route(datapath, y, method: str, z=None):
     """Run the acquisition ``y`` through a route's compiled ``datapath`` at
     one grid point; returns (estimate, telemetry, param_label).  The fft
     route's datapath is its FFT plan, run on the normalized acquisition.
-    fft and pinv read no point; tsvd keeps ``rank`` and tik weights by
-    ``lam`` of the singular values ``xi``."""
+    tsvd and tik run the diagonal ``z``: :func:`grid_point`'s, or one the
+    datapath compiled (:meth:`~ftsinv.matrix_inversion.CompiledSvd.diagonals`)."""
     if method == "fft":
         spectrum, telemetry = reconstruct_fft(y, datapath)
         return spectrum.values, telemetry, ""
     if method == "pinv":
         res = reconstruct_pinv(datapath, y)
         return res.x_hat, res.telemetry, ""
-    if method not in ("tsvd", "tik"):
-        raise ConfigError(f"unknown method {method!r}")
-    point, flag = (rank, "--rank") if method == "tsvd" else (lam, "--lambda")
-    if point is None:
-        raise ConfigError(f"{method} requires {flag}")
-    scheme = Tsvd(rank) if method == "tsvd" else Tikhonov(lam)
-    res = reconstruct_svd(datapath, penalize(xi, scheme), y)
-    return res.x_hat, res.telemetry, str(rank) if method == "tsvd" else f"{lam:.6g}"
+    res = reconstruct_svd(datapath, z, y)
+    s = z.scheme
+    return res.x_hat, res.telemetry, str(s.rank) if method == "tsvd" else f"{s.lam:.6g}"
 
 
 def invert_once(setup: StudySetup, method: str, bits: int | None,
@@ -300,7 +309,8 @@ def invert_once(setup: StudySetup, method: str, bits: int | None,
     Compiles the route's datapath, the FFT plan on the fft route, and runs
     :func:`run_route` on it once."""
     y, datapath = _compile_route(setup, method, bits, k)
-    estimate, telemetry, label = run_route(datapath, setup.factors.xi, y, method, rank, lam)
+    z = grid_point(setup.factors.xi, method, rank, lam)
+    estimate, telemetry, label = run_route(datapath, y, method, z)
     return snr_db(setup.x, estimate), estimate, telemetry, label
 
 
@@ -308,16 +318,19 @@ def best_inversion(setup: StudySetup, method: str, bits: int | None, k: int = 1)
     """Best SNR over the method's regularization grid (pinv/fft have none).
 
     Every route compiles its datapath, the FFT plan on the fft route, and
-    quantizes a data-only acquisition once, then runs every grid point on them.
+    quantizes a data-only acquisition once, then runs every grid point on
+    them; tsvd and tik compile the whole grid's diagonals at once.
     """
     y, datapath = _compile_route(setup, method, bits, k)
+    xi = setup.factors.xi
     if method == "tsvd":
-        grid = [{"rank": r} for r in setup.rank_grid]
+        grid = datapath.diagonals([grid_point(xi, method, rank=r) for r in setup.rank_grid])
     elif method == "tik":
-        grid = [{"lam": lam} for lam in setup.lambda_grid]
+        grid = datapath.diagonals([grid_point(xi, method, lam=lam)
+                                   for lam in setup.lambda_grid])
     else:
-        grid = [{}]
-    runs = [run_route(datapath, setup.factors.xi, y, method, **point) for point in grid]
+        grid = [grid_point(xi, method)]
+    runs = [run_route(datapath, y, method, z) for z in grid]
     return max(((snr_db(setup.x, estimate), estimate, telemetry, label)
                 for estimate, telemetry, label in runs), key=lambda t: t[0])
 

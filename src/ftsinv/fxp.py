@@ -88,20 +88,39 @@ class FxpFormat:
     def for_range(cls, total_bits: int, max_abs: float) -> "FxpFormat":
         """Widest fractional split that still represents ``max_abs`` without
         saturating.  This mirrors how a designer fixes the binary point from a
-        known coefficient range."""
-        if max_abs <= 0 or not math.isfinite(max_abs):
+        known coefficient range.  A range that is not positive and finite
+        gets ``total_bits - 1`` fractional bits; :func:`frac_bits_for_range`
+        applies the same rule to an array of ranges."""
+        if not max_abs > 0:
             return cls(total_bits, total_bits - 1)
-        # max_abs = m * 2**e with 0.5 <= m < 1: with frac = total_bits - 1 - e
-        # it scales to m * 2**(total_bits - 1), which fits unless it rounds
-        # up to 2**(total_bits - 1); one fractional bit fewer always fits
-        m, e = math.frexp(max_abs)
-        frac = total_bits - 1 - e
-        if round(math.ldexp(m, total_bits - 1)) > (1 << (total_bits - 1)) - 1:
-            frac -= 1
+        frac = _frac_bits(total_bits, *math.frexp(max_abs))
         return cls(total_bits, min(max(frac, 0), total_bits - 1))
 
     def describe(self) -> str:
         return f"Q{self.total_bits - self.frac_bits}.{self.frac_bits}"
+
+
+def _frac_bits(total_bits: int, m, e):
+    """The binary-point rule of :meth:`FxpFormat.for_range` for ``max_abs =
+    m * 2**e``, ``0.5 <= m < 1`` (``math.frexp`` or ``np.frexp``, scalars or
+    arrays alike), before clamping to ``[0, total_bits - 1]``.
+
+    With ``frac = total_bits - 1 - e``, max_abs scales to ``m *
+    2**(total_bits - 1)``, which fits unless it rounds half to even up to
+    ``2**(total_bits - 1)``: iff ``m >= 1 - 2**-total_bits`` (the odd
+    ``max_raw`` loses the tie), one fractional bit fewer always fits.  That
+    bound is exact in float64 up to 53 bits, and above it rounds to 1, which
+    no ``m`` reaches, as no float64 below 1 is that close to it.  0 and NaN
+    give ``m = e = 0`` and infinity ``m = inf, e = 0``: all
+    ``total_bits - 1``.
+    """
+    return total_bits - 1 - e - ((m >= 1.0 - 2.0 ** -total_bits) & (m < 1.0))
+
+
+def frac_bits_for_range(total_bits: int, max_abs: np.ndarray) -> np.ndarray:
+    """:meth:`FxpFormat.for_range`'s fractional bits for each of an array
+    of ranges, each ``>= 0`` or NaN: one pass over the array."""
+    return np.minimum(np.maximum(_frac_bits(total_bits, *np.frexp(max_abs)), 0), total_bits - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +240,13 @@ def quantize_array(
     raw = np.where(hi | lo, 0.0, r).astype(np.int64)
     raw[hi], raw[lo] = fmt.max_raw, fmt.min_raw
     return raw
+
+
+def _round_in_place(words: np.ndarray, mode: RoundingMode) -> np.ndarray:
+    """Float64 words that a power of two has scaled, floored or rounded half
+    to even (``np.rint``) in place under ``mode``: exact, as each is an
+    integer below 2**52 times that power."""
+    return (np.rint if mode is RoundingMode.ROUND_HALF_EVEN else np.floor)(words, out=words)
 
 
 def dequantize_array(raw: np.ndarray, fmt: FxpFormat) -> np.ndarray:
@@ -483,7 +509,7 @@ def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
         if shift:
             # exact: a power of two scales integers below 2**52 with no rounding
             words *= 2.0 ** -shift
-        (np.rint if mode is RoundingMode.ROUND_HALF_EVEN else np.floor)(words, out=words)
+        _round_in_place(words, mode)
         return saturate_array(words, fmt)[:2]
     bits, mask = acc.bits, (1 << acc.bits) - 1
     d = _carry(acc.digits, bits)

@@ -48,9 +48,12 @@ from .fxp import (
     _guard_bits,
     _mac,
     _requantize,
+    _round_in_place,
     _ufunc_buffer,
     dequantize_array,
+    frac_bits_for_range,
     quantize_array,
+    saturate_array,
     word_type,
 )
 from .optics import Interferogram, TransferMatrix
@@ -381,14 +384,21 @@ class CompiledSvd:
     ``word_type``, fixed at compile time from all three products
     (:func:`compile_svd`); None on the double reference.
 
-    Product 2 depends on the acquisition and the kept lanes, not on the
-    penalized values, so runs that differ only in the diagonal (a rank or
-    ridge sweep) share it.  For the latest acquisition the datapath keeps
-    y's words, the exact U^T y accumulator per U binary point, and one
-    product-2 stage per kept set and rounding mode (:class:`_Product2`);
-    every ridge weight keeps all lanes, so a whole ridge sweep runs one
-    stage.  A run whose y differs from the latest acquisition in any bit,
-    also after an in-place change, starts them afresh.
+    A run splits its work by what it changes with:
+
+    * the diagonal alone: product 1's formats, its z words and a bound on
+      its outputs, which :meth:`diagonals` compiles for a whole rank or
+      ridge grid at once (:class:`CompiledDiagonal`);
+    * the acquisition and the kept lanes, not the penalized values: product
+      2, which runs that differ only in the diagonal share.  For the latest
+      acquisition the datapath keeps y's words, the exact U^T y accumulator
+      per U binary point, and one product-2 stage per kept set and rounding
+      mode (:class:`_Product2`); every ridge weight keeps all lanes, so a
+      whole ridge sweep runs one stage.  A run whose y differs from the
+      latest acquisition in any bit, also after an in-place change, starts
+      them afresh;
+    * the diagonal and the acquisition: the double reference x_ref, which
+      fixes the output's binary point, and the N x r products 1 and 3.
     """
 
     factors: SvdFactors
@@ -405,12 +415,68 @@ class CompiledSvd:
     _stages: dict = field(default_factory=dict, repr=False)
 
     def words(self, name: str, fmt: FxpFormat) -> np.ndarray:
-        """All of V (``"v"``) or U^T (``"ut"``) quantized at ``fmt``."""
+        """All of V (``"v"``) or U^T (``"ut"``) quantized at ``fmt``; or
+        (``"v colmax"``) the largest |V word| of each column at ``fmt``."""
         key = (name, fmt)
         if key not in self._words:
-            self._words[key] = quantize_array(self.factors.v if name == "v" else self.ut,
-                                              fmt, dtype=self.word_type)
+            if name == "v colmax":
+                words = np.max(np.abs(self.words("v", fmt)), axis=0, initial=0.0)
+            else:
+                words = quantize_array(self.factors.v if name == "v" else self.ut,
+                                       fmt, dtype=self.word_type)
+            self._words[key] = words
         return self._words[key]
+
+    def diagonals(self, zs) -> list:
+        """The penalized diagonals ``zs`` (a rank or ridge grid, or one)
+        compiled for runs on this datapath, each a :class:`CompiledDiagonal`.
+
+        Each step is one pass over the grid's (P, r) values: product 1's
+        formats by :func:`~ftsinv.fxp.frac_bits_for_range`, the z words by
+        one :func:`~ftsinv.fxp.quantize_array` of the rows scaled each to
+        its own binary point (as ``quantize_array`` scales one), and on
+        float64 words the pre-scaled words and their saturation bound."""
+        r = self.factors.xi.size
+        if any(z.zeta.size != r for z in zs):
+            raise ValueError("penalized diagonal length does not match the factors")
+        zeta = np.array([z.zeta for z in zs], dtype=np.float64).reshape(len(zs), r)
+        kept = [_kept_lanes(row) for row in zeta]
+        width = _resolve_width(self.fmt)
+        if width is None:
+            return [CompiledDiagonal(self, z, lanes, row[lanes])
+                    for z, lanes, row in zip(zs, kept, zeta)]
+        mag = np.abs(zeta)
+        # product 1's (V, z, output) ranges per point; rounding is monotone,
+        # so max_j colmax|V|_j |z_j| is max |V_k diag(z)|
+        ranges = np.array([np.where(zeta != 0, self.v_colmax, 0.0), mag,
+                           self.v_colmax * mag]).max(axis=2, initial=0.0)
+        if isinstance(self.fmt, FxpFormat):
+            fracs = np.full(ranges.shape, self.fmt.frac_bits)
+            words = quantize_array(zeta, self.fmt, dtype=self.word_type)
+        else:
+            fracs = frac_bits_for_range(width, ranges)
+            words = quantize_array(np.ldexp(zeta, fracs[1][:, None]), FxpFormat(width, 0),
+                                   dtype=self.word_type)
+        fmts = {f: FxpFormat(width, f) for f in set(fracs.ravel().tolist())}
+        fmts = [tuple(fmts[f] for f in point) for point in fracs.T.tolist()]
+        unsaturated = [()] * len(zs)
+        if self.word_type is np.float64:
+            # product 1's output stage scales V word times z word by
+            # 2**-shift: exact on the z word alone, as both are integers and
+            # so is their product, below 2**52 (compile_svd)
+            words = np.ldexp(words, (fracs[2] - fracs[0] - fracs[1])[:, None])
+            # |V word| <= its column's largest, so no output of a lane passes
+            # that largest times |z word|, rounded as the stage rounds
+            peak = (np.array([self.words("v colmax", f[0]) for f in fmts])
+                    * np.abs(words)).max(axis=1, initial=0.0)
+            top, fits = 1 << (width - 1), []
+            for mode in RoundingMode:
+                hi, lo = _round_in_place(np.array([peak, -peak]), mode)
+                fits.append((mode, ((hi < top) & (lo >= -top)).tolist()))
+            unsaturated = [tuple(mode for mode, ok in fits if ok[p]) for p in range(len(zs))]
+        return [CompiledDiagonal(self, z, lanes, row[lanes], point, w[lanes], safe)
+                for z, lanes, row, point, w, safe
+                in zip(zs, kept, zeta, fmts, words, unsaturated)]
 
     def product2(self, y: np.ndarray, kept, mode: RoundingMode) -> _Product2:
         """Product 2 of the acquisition ``y`` on the lanes ``kept`` (a
@@ -451,6 +517,46 @@ class CompiledSvd:
         return _Product2(o2_ref, fmt_y, fmt_u, fmt_o2, o2, overflows)
 
 
+@dataclass(eq=False)
+class CompiledDiagonal:
+    """A penalized diagonal compiled for the runs of one :class:`CompiledSvd`
+    (:meth:`CompiledSvd.diagonals`): what a run reads that depends on the
+    diagonal alone.
+
+    ``kept`` are the lanes with a nonzero value, a leading slice where they
+    lead (every rank and most ridge weights) and else their indices, and
+    ``zk`` their values, which the double reference reads.  On a fixed-point
+    datapath ``fmts`` are product 1's (V, z, output) formats and ``words``
+    the kept lanes' z words in the datapath's word type.  float64 words are
+    pre-scaled by 2**-shift of product 1's output stage, and
+    ``unsaturated`` holds the rounding modes under which that stage
+    provably saturates no word.
+    """
+
+    datapath: CompiledSvd
+    penalized: PenalizedDiagonal
+    kept: object
+    zk: np.ndarray
+    fmts: tuple = ()
+    words: np.ndarray | None = None
+    unsaturated: tuple = ()
+
+    @property
+    def scheme(self):
+        return self.penalized.scheme
+
+    @property
+    def rank(self) -> int:
+        return self.zk.size
+
+
+def _kept_lanes(zeta: np.ndarray):
+    """The lanes of the nonzero values of ``zeta``: a leading slice where
+    they lead, so a run reads views, else their indices."""
+    kept = np.flatnonzero(zeta)
+    return slice(0, kept.size) if kept.size == 0 or kept[-1] == kept.size - 1 else kept
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two float64 arrays hold the same bits (NaN and -0.0 included)."""
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -481,7 +587,7 @@ def compile_svd(factors: SvdFactors, fmt=None, k: int = 1) -> CompiledSvd:
 
 def reconstruct_svd(
     factors,
-    z: PenalizedDiagonal,
+    z,
     y,
     fmt=_UNSET,
     k: int = _UNSET,
@@ -490,34 +596,38 @@ def reconstruct_svd(
     """Three-product reconstruction ``x_hat = (V Z) (U^T y)`` at runtime.
 
     ``factors`` are :class:`SvdFactors` or a :class:`CompiledSvd`, which
-    fixes ``fmt`` and ``k`` as in :func:`reconstruct_pinv`.  All three
-    matrix products run on the emulated datapath (the penalized diagonal
-    stays a runtime input so regularization parameters can change per
-    acquisition).  Lanes with a zero penalized value are skipped, so the
+    fixes ``fmt`` and ``k`` as in :func:`reconstruct_pinv`.  ``z`` is a
+    :class:`PenalizedDiagonal`, compiled here as a grid of one, or one of
+    the datapath's compiled diagonals (:meth:`CompiledSvd.diagonals`); a
+    diagonal another datapath compiled is refused with :class:`ValueError`.
+    All three matrix products run on the emulated datapath (the penalized
+    diagonal stays a runtime input so regularization parameters can change
+    per acquisition).  Lanes with a zero penalized value are skipped, so the
     multiplier count is exactly ``rank * (2N + M)`` for the effective rank.
     """
     y = _samples(y)
     datapath = _datapath(factors, CompiledSvd, compile_svd, fmt, k)
     f, k = datapath.factors, datapath.k
-    m, r = f.u.shape
+    m = f.u.shape[0]
     n = f.v.shape[0]
     if y.size != m:
         raise ValueError(f"interferogram length {y.size} != matrix rows {m}")
-    if z.zeta.size != r:
-        raise ValueError("penalized diagonal length does not match the factors")
+    if isinstance(z, PenalizedDiagonal):
+        (z,) = datapath.diagonals([z])
+    elif z.datapath is not datapath:
+        raise ValueError("a compiled diagonal runs only on the datapath that compiled it")
     scheme_name = "tik" if isinstance(z.scheme, Tikhonov) else "tsvd"
-    telemetry = InversionTelemetry(method=scheme_name, k=k, scheme=z.describe())
-
-    kept = np.flatnonzero(z.zeta)
-    rank = kept.size
+    telemetry = InversionTelemetry(method=scheme_name, k=k, scheme=z.penalized.describe())
+    width = _resolve_width(datapath.fmt)
+    if width is not None:
+        telemetry.data_format = f"{width}-bit"
+    rank = z.rank
+    telemetry.mults = rank * (2 * n + m)
+    telemetry.latency_cycles = hwmodel.latency_cycles(scheme_name, k, n=n, m=m, rank=rank)
     if rank == 0:
         return InversionResult(np.zeros(n), telemetry)
-    # a leading run of kept lanes (every rank and most ridge weights) is a view
-    kept = slice(0, rank) if kept[-1] == rank - 1 else kept
+    kept = z.kept
     stage = datapath.product2(y, kept, mode)
-    vk = f.v[:, kept]
-    zk = z.zeta[kept]
-    width = _resolve_width(datapath.fmt)
 
     # the column scalings (x_ref's and product 1) run along V's column-major
     # columns of N words, which numpy's default ufunc buffer copies through
@@ -529,35 +639,27 @@ def reconstruct_svd(
     with buffer:
         # the double reference; V's column-major layout fixes the order in
         # which BLAS sums, and so its bits
-        x_ref = (vk * zk) @ stage.o2_ref
+        x_ref = (f.v[:, kept] * z.zk) @ stage.o2_ref
         if width is None:
-            x_hat = x_ref
-            telemetry.mults = rank * (2 * n + m)
+            return InversionResult(x_ref, telemetry)
+        fmt_v, fmt_z, fmt_o1 = z.fmts
+        fmt_x = _tensor_format(datapath.fmt, width, x_ref)
+
+        # product 1: column scaling of V by the penalized diagonal
+        v_words = datapath.words("v", fmt_v)[:, kept]
+        if datapath.word_type is np.float64:
+            # the z words carry the output stage's scale: one exact multiply,
+            # rounded in place, and saturated only where the compiled bound
+            # cannot rule it out
+            o1, nov1 = _round_in_place(v_words * z.words, mode), 0
+            if mode not in z.unsaturated:
+                o1, nov1, _ = saturate_array(o1, fmt_o1)
         else:
-            fmt = datapath.fmt
-            v_colmax = datapath.v_colmax[kept]
-            fmt_v = _tensor_format(fmt, width, v_colmax)
-            fmt_z = _tensor_format(fmt, width, zk)
-            # rounding is monotone: max_j colmax|V|_j |z_j| is max |V_k diag(z)|
-            fmt_o1 = _tensor_format(fmt, width, v_colmax * np.abs(zk))
-            fmt_x = _tensor_format(fmt, width, x_ref)
-
-            # product 1: column scaling of V by the penalized diagonal
-            o1, nov1, mults1 = _banked_mac(
-                datapath.words("v", fmt_v)[:, kept], np.multiply,
-                quantize_array(zk, fmt_z, dtype=datapath.word_type),
-                (fmt_v, fmt_z, fmt_o1), mode)
-            # product 2: U^T y, from the stage this acquisition and kept set share
-            mults2 = rank * m
-            # product 3: O1 O2, each bank on the rows product 1 left in it
-            x_raw, nov3, mults3 = _banked_mac(o1, np.matmul, stage.o2,
-                                              (fmt_o1, stage.fmt_o2, fmt_x), mode)
-            telemetry.mults = mults1 + mults2 + mults3
-            telemetry.overflow_events = nov1 + stage.overflows + nov3
-            telemetry.accumulator_bits = _accumulator_bits(stage.fmt_u, stage.fmt_y, m)
-            x_hat = dequantize_array(x_raw, fmt_x)
-            telemetry.data_format = f"{width}-bit"
-
-    telemetry.latency_cycles = hwmodel.latency_cycles(scheme_name, k, n=n, m=m, rank=rank)
-    return InversionResult(x_hat, telemetry)
-
+            o1, nov1, _ = _banked_mac(v_words, np.multiply, z.words, z.fmts, mode)
+        # product 2: U^T y, from the stage this acquisition and kept set share
+        # product 3: O1 O2, each bank on the rows product 1 left in it
+        x_raw, nov3, _ = _banked_mac(o1, np.matmul, stage.o2,
+                                     (fmt_o1, stage.fmt_o2, fmt_x), mode)
+    telemetry.overflow_events = nov1 + stage.overflows + nov3
+    telemetry.accumulator_bits = _accumulator_bits(stage.fmt_u, stage.fmt_y, m)
+    return InversionResult(dequantize_array(x_raw, fmt_x), telemetry)

@@ -7,11 +7,14 @@ the hardware splits it:
 
 * **compile** (:func:`compile_pinv`, :func:`compile_svd`) quantizes the
   coefficient matrices for one word width and fixes the bank count K: what
-  is written to on-chip RAM once;
+  is written to on-chip RAM once.  A compiled SVD datapath also compiles
+  the penalized diagonals of a whole rank or ridge grid at once
+  (:meth:`CompiledSvd.diagonals`): each point's product-1 formats and z
+  words, in one pass over the grid;
 * **run** (:func:`reconstruct_pinv`, :func:`reconstruct_svd`) streams one
-  acquisition, and on the SVD route one penalized diagonal, through them.
-  Given a matrix or factors instead of a compiled datapath, the run step
-  compiles its own.
+  acquisition, and on the SVD route one compiled diagonal, through them.
+  Given a matrix, factors or a penalized diagonal instead of their compiled
+  form, the run step compiles its own.
 
 Every fixed-point product accumulates exactly in the package's one MAC,
 :func:`~ftsinv.fxp._mac`, and rounds once in its output stage,
@@ -20,16 +23,22 @@ Every fixed-point product accumulates exactly in the package's one MAC,
 float64 significand (words up to 23 bits at M = 256), so matrix-vector
 products run exactly on BLAS and no word is converted, else int64.  The
 words are quantized into that type once, at compile time, and each run
-quantizes its vectors into it.  The one banked kernel, :func:`_banked_mac`,
-runs the pseudo-inverse and products 1 (column scaling of V) and 3 of the
-SVD route whole: each output row is one bank's own dot product, so K is
-modelled, not walked, in ``telemetry.k``, the cost model's latency and the
-K-identity tests.  Product 2 (U^T y) changes only with the
-acquisition and the kept lanes, so a compiled SVD datapath forms it once per
-acquisition and kept set of lanes, output stage included, and every run of
-a rank or ridge sweep on that set reads it (see :class:`CompiledSvd`).  Each
-run counts the multiplies its products issue in its own telemetry, product
-2's included.
+quantizes its acquisition into it.  The one banked kernel,
+:func:`_banked_mac`, runs the pseudo-inverse and products 1 (column scaling
+of V) and 3 of the SVD route whole: each output row is one bank's own dot
+product, so K is modelled, not walked, in ``telemetry.k``, the cost model's
+latency and the K-identity tests.  On float64 words product 1 needs no MAC:
+its compiled z words carry its output stage's power-of-two scale, so it is
+one exact multiply and one rounding in place, and its saturation scans run
+only where a bound compiled with the diagonal cannot rule saturation out.
+Product 2 (U^T y) changes only with the acquisition and the kept lanes, so
+a compiled SVD datapath forms it once per acquisition and kept set of lanes,
+output stage included, and every run of a rank or ridge sweep on that set
+reads it (see :class:`CompiledSvd`).  A run of a compiled diagonal thus
+does only the work that changes with both the diagonal and the
+acquisition: the double reference that fixes its output's binary point,
+and the N x r products 1 and 3.  Each run counts the multiplies its
+products issue in its own telemetry, product 2's included.
 """
 
 from __future__ import annotations

@@ -130,3 +130,33 @@ def test_fft_plans_are_made_once_per_configuration():
     other = dataclasses.replace(cfg, fft_mode="fixed")
     assert bench._fft_plan_for_bits(cfg.n, 16, other).mode == "fixed"
     assert bench._fft_plan_for_bits(cfg.n, 16, other) is not plans[7]
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"kind": "sinc"}, "unknown model kind 'sinc'"),
+    ({"quantize": "coefficients"}, "quantize must be 'all' or 'data-only'"),
+    ({"methods": ["pinv", "lsq"]}, "unknown method 'lsq' in methods"),
+    ({"k": 0}, "k must be >= 1"),
+    ({"bits": 3}, r"bits must lie in \[4, 32\]"),
+    ({"bits": 33}, r"bits must lie in \[4, 32\]"),
+    ({"bits_list": [8, 40]}, r"bits_list entries must lie in \[4, 32\]"),
+    ({"k_list": [1, 17]}, r"k_list entries must lie in \[1, 16\]"),
+    ({"k_list": [0]}, r"k_list entries must lie in \[1, 16\]"),
+    ({"bits": "16"}, "not supported between"),
+])
+def test_config_refuses_bad_fields(fields, message):
+    """Every field check raises ConfigError, from a dict or from JSON; so
+    does a field of the wrong type."""
+    with pytest.raises(ConfigError, match=message):
+        bench.ExperimentConfig.from_dict(fields)
+    with pytest.raises(ConfigError, match=message):
+        bench.ExperimentConfig.from_json(json.dumps(fields))
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"bits": 16,', "bad config JSON"),
+    ("[16]", "config JSON must be an object"),
+])
+def test_config_refuses_bad_json(text, message):
+    with pytest.raises(ConfigError, match=message):
+        bench.ExperimentConfig.from_json(text)

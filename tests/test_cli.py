@@ -452,6 +452,18 @@ def test_config_refuses_removed_keys(key, value):
         bench.ExperimentConfig.from_dict({key: value})
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"kind": "cosine", "n": 16,', "bad config JSON"),
+    ('{"kind": "cosine", "k": 0}', "k must be >= 1"),
+])
+def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
+    config, out = tmp_path / "c.json", tmp_path / "s.csv"
+    config.write_text(text)
+    assert cli.main(["compare", "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _csv(text):
     """(metadata, header, rows) of a sweep CSV."""
     lines = text.splitlines()

@@ -18,6 +18,7 @@ from ftsinv.fxp import (
     _macs,
     _requantize,
     block_extremes,
+    frac_bits_for_range,
     headroom,
     quantize_array,
     shift_block,
@@ -50,6 +51,31 @@ def _for_range_by_search(total_bits: int, max_abs: float) -> FxpFormat:
     while frac > 0 and round(max_abs * (1 << frac)) > (1 << (total_bits - 1)) - 1:
         frac -= 1
     return FxpFormat(total_bits, frac)
+
+
+def _widest_frac(total_bits: int, max_abs: float) -> int:
+    """Exact model of ``FxpFormat.for_range``: the most fractional bits in
+    ``[0, total_bits - 1]`` at which ``max_abs``, scaled exactly, rounds half
+    to even to at most ``max_raw``; ``total_bits - 1`` for a range that is
+    not positive and finite."""
+    if not (max_abs > 0 and math.isfinite(max_abs)):
+        return total_bits - 1
+    for frac in range(total_bits - 1, 0, -1):
+        if round(Fraction(max_abs) * 2 ** frac) <= (1 << (total_bits - 1)) - 1:
+            return frac
+    return 0
+
+
+def _range_cases(total_bits: int) -> list:
+    """0, the smallest subnormal, inf, NaN, and at each of a spread of
+    exponents e: 2**e, and (1 - 2**-w) 2**e, where one fractional bit fewer
+    starts to be needed, with the floats one ulp either side of it."""
+    cases = [0.0, 5e-324, math.inf, math.nan]
+    for e in (-1022, -40, -1, 0, 1, total_bits - 2, total_bits - 1, total_bits, 62, 63, 64, 1023):
+        edge = math.ldexp(1.0 - 2.0 ** -total_bits, e)
+        cases += [math.ldexp(1.0, e), math.nextafter(edge, 0.0), edge,
+                  math.nextafter(edge, math.inf)]
+    return cases
 
 
 class TestFormat:
@@ -88,6 +114,15 @@ class TestFormat:
         values += [2.0 ** (width - 1) * f for f in (1.0, 1.5, 2.0, 1 + 2.0 ** -20)]
         for v in values:
             assert FxpFormat.for_range(width, v) == _for_range_by_search(width, v), v
+
+    @pytest.mark.parametrize("width", range(2, 65))
+    def test_for_range_matches_the_exact_model(self, width):
+        """``for_range`` and its grid form, over the same cases, give the
+        fractional bits of an exact rational model."""
+        cases = _range_cases(width)
+        want = [_widest_frac(width, v) for v in cases]
+        assert [FxpFormat.for_range(width, v).frac_bits for v in cases] == want
+        assert frac_bits_for_range(width, np.array(cases)).tolist() == want
 
     def test_for_range_past_the_float_range_saturates(self):
         """Where the search overflowed a float, the closed form gives the

@@ -63,6 +63,12 @@ class TestCalibration:
         with pytest.raises(ConfigError):
             hwmodel.CalibrationTable.parse("fft.latency = 4300")
 
+    def test_missing_entry_named(self):
+        text = (PACKAGE / "data" / "calibration.txt").read_text()
+        kept = [line for line in text.splitlines() if not line.startswith("fft.anchor_points")]
+        with pytest.raises(ConfigError, match="calibration entry 'fft.anchor_points' missing"):
+            hwmodel.CalibrationTable.parse("\n".join(kept))
+
 
 class TestAnchorFidelity:
     def test_pinv_anchors_within_5_percent(self):
@@ -130,6 +136,12 @@ class TestStructure:
             hwmodel.fft_cost(48)
         with pytest.raises(ConfigError):
             hwmodel.method_cost("dft", 1)
+        with pytest.raises(ConfigError, match="unknown matrix method 'lsq'"):
+            hwmodel.latency_cycles("lsq", 1)
+        with pytest.raises(ConfigError, match="unknown transform mode 'mid'"):
+            hwmodel.fft_cost(64, "mid")
+        with pytest.raises(ConfigError, match="rank scaling requires explicit n and m"):
+            hwmodel.latency_cycles("tsvd", 1, rank=4, n=16)
 
 
 def _resources(method, k=1, calib=None):

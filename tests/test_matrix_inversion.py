@@ -1,5 +1,6 @@
 """Factorization, penalization, and the banked fixed-point MAC datapaths."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -23,6 +24,7 @@ from ftsinv.fxp import (
     quantize_array,
 )
 from ftsinv.matrix_inversion import (
+    PenalizedDiagonal,
     SvdFactors,
     Tikhonov,
     Tsvd,
@@ -245,6 +247,18 @@ class TestReconstructSvd:
         assert np.all(res.x_hat == 0)
         assert res.telemetry.mults == 0
 
+    @pytest.mark.parametrize("fmt,data_format", [(12, "12-bit"), (None, "double")])
+    def test_zero_penalty_reports_its_datapath(self, tall_problem, fmt, data_format):
+        """A run that keeps no lane still reports the datapath it ran on and
+        the latency the cost model gives rank 0."""
+        _, f, _, _, y = tall_problem
+        z = penalize(f.xi, Tikhonov(1.0))
+        z.zeta[:] = 0.0
+        telemetry = reconstruct_svd(f, z, y, fmt=fmt, k=2).telemetry
+        assert telemetry.data_format == data_format
+        assert telemetry.latency_cycles == hwmodel.latency_cycles("tik", 2, n=16, m=20, rank=0)
+        assert telemetry.latency_cycles > 0
+
     def test_mult_count_formula(self, tall_problem):
         _, f, _, _, y = tall_problem
         for rank in (4, 9, 16):
@@ -415,6 +429,73 @@ class TestCompiledDatapaths:
             with pytest.raises(ValueError, match="partition count"):
                 reconstruct_svd(f, z, np.ones(6), fmt=fmt, k=k)
         assert reconstruct_svd(f, z, np.ones(6), fmt=fmt, k=4).telemetry.k == 4
+
+
+def _grid(f: SvdFactors) -> list:
+    """Ranks, ridge weights (0 included) and a scattered kept set."""
+    zs = [penalize(f.xi, Tsvd(r)) for r in (1, 4, 9, 16)]
+    zs += [penalize(f.xi, Tikhonov(lam)) for lam in (0.0, 1e-3, 0.05, 0.3, 2.0)]
+    scattered = penalize(f.xi, Tikhonov(0.05))
+    scattered.zeta[::3] = 0.0
+    return zs + [scattered]
+
+
+class TestCompiledDiagonals:
+    @pytest.mark.parametrize("fmt", [5, 12, 32, None, FxpFormat(12, 11), FxpFormat(12, 4)])
+    def test_grid_matches_each_point_alone(self, tall_problem, fmt):
+        """A grid compiled at once runs every point, in both rounding modes,
+        as that point compiled alone does; and as it does with product 1's
+        saturation scans run whatever the bound says."""
+        _, f, _, _, y = tall_problem
+        zs = _grid(f)
+        datapath = compile_svd(f, fmt, k=2)
+        for mode in RoundingMode:
+            for z, compiled in zip(zs, datapath.diagonals(zs)):
+                got = reconstruct_svd(datapath, compiled, y, mode=mode)
+                want = reconstruct_svd(f, z, y, fmt=fmt, k=2, mode=mode)
+                scanned = reconstruct_svd(datapath, dataclasses.replace(compiled, unsaturated=()),
+                                          y, mode=mode)
+                for other in (want, scanned):
+                    assert np.array_equal(got.x_hat, other.x_hat), (fmt, mode, z.describe())
+                    assert got.telemetry == other.telemetry
+
+    def test_saturation_bound_rounds_as_the_stage_rounds(self):
+        """At 8 bits with one fractional bit, V words of +-15 times a z word
+        of 17 leave product 1's output stage at +-127.5: truncation keeps
+        127 and -128, round-half-even carries 127.5 to 128, which
+        saturates.  The bound clears truncation alone, and a bound that
+        cleared both would miss that overflow."""
+        f = SvdFactors(np.ones((1, 1)), np.ones(1), np.array([[7.5], [-7.5]]))
+        datapath = compile_svd(f, FxpFormat(8, 1))
+        (z,) = datapath.diagonals([PenalizedDiagonal(np.array([8.5]), Tikhonov(1.0))])
+        assert z.unsaturated == (RoundingMode.TRUNCATE,)
+        y = np.array([0.5])             # product 3 halves o1: no overflow of its own
+        for mode in RoundingMode:
+            got = reconstruct_svd(datapath, z, y, mode=mode).telemetry
+            unbounded = reconstruct_svd(datapath, dataclasses.replace(z, unsaturated=()),
+                                        y, mode=mode).telemetry
+            assert got == unbounded
+        rounded = reconstruct_svd(datapath, z, y, mode=RoundingMode.ROUND_HALF_EVEN).telemetry
+        trusting = dataclasses.replace(z, unsaturated=tuple(RoundingMode))
+        missed = reconstruct_svd(datapath, trusting, y, mode=RoundingMode.ROUND_HALF_EVEN)
+        assert missed.telemetry.overflow_events == rounded.overflow_events - 1
+
+    def test_a_diagonal_runs_only_where_it_was_compiled(self, tall_problem):
+        _, f, _, _, y = tall_problem
+        datapath = compile_svd(f, 12)
+        (z,) = datapath.diagonals([penalize(f.xi, Tsvd(4))])
+        for other in (compile_svd(f, 12), compile_svd(f, 16)):
+            with pytest.raises(ValueError, match="datapath that compiled it"):
+                reconstruct_svd(other, z, y)
+        with pytest.raises(ValueError, match="datapath that compiled it"):
+            reconstruct_svd(f, z, y, fmt=12)
+        assert reconstruct_svd(datapath, z, y).telemetry.mults == 4 * (2 * 16 + 20)
+
+    def test_grid_refuses_a_diagonal_of_another_length(self, tall_problem):
+        _, f, _, _, _ = tall_problem
+        z = PenalizedDiagonal(np.ones(f.rank_bound + 1), Tikhonov(1.0))
+        with pytest.raises(ValueError, match="does not match the factors"):
+            compile_svd(f, 12).diagonals([penalize(f.xi, Tsvd(4)), z])
 
 
 def _shift_formats(width: int, shift: int):

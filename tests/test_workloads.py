@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+TRACING = WORKLOADS.with_name("tracing.py")
 
 # each workload's output digest over one cycle at benchmark seed 1, as the
 # benchmark records it (BENCH_22.json)
@@ -61,3 +62,31 @@ def test_seed_1_cycle_digest_is_pinned(name):
     finally:
         workload.close()
     assert digest.hexdigest() == SEED_1_DIGESTS[name]
+
+
+def test_traced_airy_sweep_cycle_reaches_every_run():
+    """Under the benchmark's span tracer, as ``--trace 1`` runs it, a seed-1
+    ``airy-sweep`` cycle hashes to the same pinned digest, and each of its 10
+    widths runs all 16 ranks and 40 ridge weights through the wrapped
+    ``reconstruct_svd``: no route fails under tracing or runs around a
+    wrapped layer."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    workload = _load_workloads().WORKLOADS["airy-sweep"](1)
+    tracer = tracing.Tracer()
+    digest = hashlib.sha256()
+    try:
+        workload.setup()
+        ops = workload.cycle()
+        ops[0].check(ops[0].call())
+        with tracer.installed():
+            for op in ops:
+                result = tracer.call("op", op.call)
+                digest.update(op.key.encode() + op.check(result).digest)
+    finally:
+        workload.close()
+    assert digest.hexdigest() == SEED_1_DIGESTS["airy-sweep"]
+    summary = tracer.summary()
+    assert summary["roots"]["op"] == len(ops) == 40
+    assert summary["totals"]["op"]["matrix_inversion.reconstruct_svd.calls"] == 10 * (16 + 40)

@@ -475,13 +475,12 @@ class CompiledSvd:
             # so is their product, below 2**52 (compile_svd)
             words = np.ldexp(words, (fracs[2] - fracs[0] - fracs[1])[:, None])
             # |V word| <= its column's largest, so no output of a lane passes
-            # that largest times |z word|, rounded as the stage rounds
+            # that largest times |z word|, rounded as the stage rounds; the
+            # format holds one more negative word, so the positive side decides
             peak = (np.array([self.words("v colmax", f[0]) for f in fmts])
                     * np.abs(words)).max(axis=1, initial=0.0)
-            top, fits = 1 << (width - 1), []
-            for mode in RoundingMode:
-                hi, lo = _round_in_place(np.array([peak, -peak]), mode)
-                fits.append((mode, ((hi < top) & (lo >= -top)).tolist()))
+            fits = [(mode, (_round_in_place(peak.copy(), mode) < 2.0 ** (width - 1)).tolist())
+                    for mode in RoundingMode]
             unsaturated = [tuple(mode for mode, ok in fits if ok[p]) for p in range(len(zs))]
         return [CompiledDiagonal(self, z, lanes, row[lanes], point, w[lanes], safe)
                 for z, lanes, row, point, w, safe

@@ -444,18 +444,24 @@ class TestCompiledDiagonals:
     @pytest.mark.parametrize("fmt", [5, 12, 32, None, FxpFormat(12, 11), FxpFormat(12, 4)])
     def test_grid_matches_each_point_alone(self, tall_problem, fmt):
         """A grid compiled at once runs every point, in both rounding modes,
-        as that point compiled alone does; and as it does with product 1's
-        saturation scans run whatever the bound says."""
+        as that point compiled alone does; as it does with product 1's
+        saturation scans run whatever the bound says; and, on float64 words,
+        as the same datapath on int64 words does, where product 1 is a MAC
+        with its own output stage and no bound."""
         _, f, _, _, y = tall_problem
         zs = _grid(f)
         datapath = compile_svd(f, fmt, k=2)
+        on_ints = dataclasses.replace(datapath, word_type=np.int64, _words={}, _y=None,
+                                      _y_words=(), _ut_y={}, _stages={})
         for mode in RoundingMode:
-            for z, compiled in zip(zs, datapath.diagonals(zs)):
+            for z, compiled, as_ints in zip(zs, datapath.diagonals(zs), on_ints.diagonals(zs)):
                 got = reconstruct_svd(datapath, compiled, y, mode=mode)
-                want = reconstruct_svd(f, z, y, fmt=fmt, k=2, mode=mode)
-                scanned = reconstruct_svd(datapath, dataclasses.replace(compiled, unsaturated=()),
-                                          y, mode=mode)
-                for other in (want, scanned):
+                want = [reconstruct_svd(f, z, y, fmt=fmt, k=2, mode=mode),
+                        reconstruct_svd(datapath, dataclasses.replace(compiled, unsaturated=()),
+                                        y, mode=mode)]
+                if datapath.word_type is np.float64:
+                    want.append(reconstruct_svd(on_ints, as_ints, y, mode=mode))
+                for other in want:
                     assert np.array_equal(got.x_hat, other.x_hat), (fmt, mode, z.describe())
                     assert got.telemetry == other.telemetry
 

@@ -460,6 +460,8 @@ class CompiledSvd:
         ranges = np.array([np.where(zeta != 0, self.v_colmax, 0.0), mag,
                            self.v_colmax * mag]).max(axis=2, initial=0.0)
         if isinstance(self.fmt, FxpFormat):
+            # a given format may not hold the values, and scaled outside
+            # quantize_array they could pass the float range and be refused
             fracs = np.full(ranges.shape, self.fmt.frac_bits)
             words = quantize_array(zeta, self.fmt, dtype=self.word_type)
         else:

@@ -424,16 +424,11 @@ class CompiledSvd:
     _stages: dict = field(default_factory=dict, repr=False)
 
     def words(self, name: str, fmt: FxpFormat) -> np.ndarray:
-        """All of V (``"v"``) or U^T (``"ut"``) quantized at ``fmt``; or
-        (``"v colmax"``) the largest |V word| of each column at ``fmt``."""
+        """All of V (``"v"``) or U^T (``"ut"``) quantized at ``fmt``."""
         key = (name, fmt)
         if key not in self._words:
-            if name == "v colmax":
-                words = np.max(np.abs(self.words("v", fmt)), axis=0, initial=0.0)
-            else:
-                words = quantize_array(self.factors.v if name == "v" else self.ut,
-                                       fmt, dtype=self.word_type)
-            self._words[key] = words
+            self._words[key] = quantize_array(self.factors.v if name == "v" else self.ut,
+                                              fmt, dtype=self.word_type)
         return self._words[key]
 
     def diagonals(self, zs) -> list:
@@ -476,11 +471,15 @@ class CompiledSvd:
             # 2**-shift: exact on the z word alone, as both are integers and
             # so is their product, below 2**52 (compile_svd)
             words = np.ldexp(words, (fracs[2] - fracs[0] - fracs[1])[:, None])
-            # |V word| <= its column's largest, so no output of a lane passes
-            # that largest times |z word|, rounded as the stage rounds; the
-            # format holds one more negative word, so the positive side decides
-            peak = (np.array([self.words("v colmax", f[0]) for f in fmts])
-                    * np.abs(words)).max(axis=1, initial=0.0)
+            # V words round half to even at entry, the same either side of 0,
+            # and saturate to at most 2**(width - 1) in magnitude, so a
+            # column's largest |V word| is at most its max |V| so rounded.
+            # No output of a lane passes that times |z word|, rounded as the
+            # stage rounds; the format holds one more negative word, so the
+            # positive side decides
+            v_peak = np.minimum(np.rint(np.ldexp(self.v_colmax, fracs[0][:, None])),
+                                2.0 ** (width - 1))
+            peak = (v_peak * np.abs(words)).max(axis=1, initial=0.0)
             fits = [(mode, (_round_in_place(peak.copy(), mode) < 2.0 ** (width - 1)).tolist())
                     for mode in RoundingMode]
             unsaturated = [tuple(mode for mode, ok in fits if ok[p]) for p in range(len(zs))]

@@ -466,12 +466,13 @@ class TestCompiledDiagonals:
                     assert got.telemetry == other.telemetry
 
     def test_saturation_bound_rounds_as_the_stage_rounds(self):
-        """At 8 bits with one fractional bit, V words of +-15 times a z word
-        of 17 leave product 1's output stage at +-127.5: truncation keeps
-        127 and -128, round-half-even carries 127.5 to 128, which
-        saturates.  The bound clears truncation alone, and a bound that
-        cleared both would miss that overflow."""
-        f = SvdFactors(np.ones((1, 1)), np.ones(1), np.array([[7.5], [-7.5]]))
+        """At 8 bits with one fractional bit, V values of +-7.3 round to
+        words of +-15, which times a z word of 17 leave product 1's output
+        stage at +-127.5: truncation keeps 127 and -128, round-half-even
+        carries 127.5 to 128, which saturates.  The bound, from the rounded
+        V words, clears truncation alone, and a bound that cleared both
+        would miss that overflow."""
+        f = SvdFactors(np.ones((1, 1)), np.ones(1), np.array([[7.3], [-7.3]]))
         datapath = compile_svd(f, FxpFormat(8, 1))
         (z,) = datapath.diagonals([PenalizedDiagonal(np.array([8.5]), Tikhonov(1.0))])
         assert z.unsaturated == (RoundingMode.TRUNCATE,)

@@ -22,6 +22,8 @@ from .errors import ConfigError
 from .fft_inversion import FftPlan, reconstruct_fft
 from .fxp import DATAPATH_POLICY, ENTRY_POLICY, FxpFormat, quantize_array, dequantize_array
 from .matrix_inversion import (
+    CompiledPinv,
+    CompiledSvd,
     SvdFactors,
     Tikhonov,
     Tsvd,
@@ -197,12 +199,12 @@ def simulate(cfg: ExperimentConfig) -> ForwardModel:
     return ForwardModel(cfg, sg, og, params, transfer, x, y_clean, y)
 
 
-def factorize(model: ForwardModel) -> StudySetup:
-    """Factorize the model's transfer matrix, lay out the regularization
-    grids from its singular values and normalize the interferogram for the
-    transform route."""
+def build_setup(cfg: ExperimentConfig) -> StudySetup:
+    """Simulate the experiment's forward model, factorize its transfer
+    matrix, lay out the regularization grids from its singular values and
+    normalize the interferogram for the transform route."""
+    model = simulate(cfg)
     factors = svd_factorize(model.transfer)
-    cfg = model.config
     xi_max = float(factors.xi[0])
     lam_grid = xi_max * np.logspace(math.log10(cfg.lambda_rel_min),
                                     math.log10(cfg.lambda_rel_max),
@@ -215,18 +217,17 @@ def factorize(model: ForwardModel) -> StudySetup:
                       rank_grid=ranks)
 
 
-def build_setup(cfg: ExperimentConfig) -> StudySetup:
-    """Simulate the experiment's forward model and factorize its matrix."""
-    return factorize(simulate(cfg))
-
-
 def _fft_plan_for_bits(n: int, bits: int | None, cfg: ExperimentConfig) -> FftPlan:
+    """The study's FFT plan at ``bits``, None for double precision.  The
+    config's headroom is clamped to ``bits - 3``, as a sweep runs it at every
+    width: :func:`~ftsinv.fft_inversion.idct2_via_fft` enters its words one
+    headroom bit above the plan's, so at 4 bits the default 3 would leave
+    them no mantissa.  :meth:`FftPlan.make` refuses any setting it cannot
+    run."""
     if bits is None:
         return _fft_plan(n, mode=cfg.fft_mode)
-    head = min(cfg.headroom, bits - 3)
-    head = max(head, 1)
-    return _fft_plan(n, bits=bits, twiddle_bits=cfg.twiddle_bits or bits,
-                     mode=cfg.fft_mode, headroom_bits=head)
+    return _fft_plan(n, bits=bits, twiddle_bits=cfg.twiddle_bits, mode=cfg.fft_mode,
+                     headroom_bits=min(cfg.headroom, bits - 3))
 
 
 @functools.lru_cache(maxsize=32)
@@ -246,14 +247,12 @@ def _quantize_only_data(values: np.ndarray, bits: int) -> np.ndarray:
 
 def _compile_datapath(method: str, factors: SvdFactors, fmt, k: int = 1, adag=None):
     """The matrix route's datapath compiled at ``fmt`` and ``k``, on which
-    :func:`run_route` runs any grid point; None for any other method.  The
-    pseudo-inverse route compiles ``adag``, formed from ``factors`` when not
-    given."""
+    :func:`run_route` runs any grid point.  The pseudo-inverse route
+    compiles ``adag``, formed from ``factors`` when not given; tsvd and tik
+    compile the factors."""
     if method == "pinv":
         return compile_pinv(pinv_matrix(factors) if adag is None else adag, fmt, k)
-    if method in ("tsvd", "tik"):
-        return compile_svd(factors, fmt, k)
-    return None
+    return compile_svd(factors, fmt, k)
 
 
 def _compile_route(setup: StudySetup, method: str, bits: int | None, k: int):
@@ -286,53 +285,49 @@ def grid_point(xi: np.ndarray, method: str, rank: int | None = None,
     return penalize(xi, Tsvd(rank) if method == "tsvd" else Tikhonov(lam))
 
 
-def run_route(datapath, y, method: str, z=None):
+def run_route(datapath, y, z=None):
     """Run the acquisition ``y`` through a route's compiled ``datapath`` at
-    one grid point; returns (estimate, telemetry, param_label).  The fft
-    route's datapath is its FFT plan, run on the normalized acquisition.
-    tsvd and tik run the diagonal ``z``: :func:`grid_point`'s, or one the
-    datapath compiled (:meth:`~ftsinv.matrix_inversion.CompiledSvd.diagonals`)."""
-    if method == "fft":
+    one grid point; returns (estimate, telemetry, param_label).  An FFT plan
+    runs the normalized acquisition and a compiled pseudo-inverse no grid
+    point; a compiled SVD runs the diagonal ``z``, :func:`grid_point`'s or
+    one it compiled (:meth:`~ftsinv.matrix_inversion.CompiledSvd.diagonals`)."""
+    if isinstance(datapath, FftPlan):
         spectrum, telemetry = reconstruct_fft(y, datapath)
         return spectrum.values, telemetry, ""
-    if method == "pinv":
+    if isinstance(datapath, CompiledPinv):
         res = reconstruct_pinv(datapath, y)
         return res.x_hat, res.telemetry, ""
     res = reconstruct_svd(datapath, z, y)
     s = z.scheme
-    return res.x_hat, res.telemetry, str(s.rank) if method == "tsvd" else f"{s.lam:.6g}"
+    return res.x_hat, res.telemetry, str(s.rank) if isinstance(s, Tsvd) else f"{s.lam:.6g}"
+
+
+def _best_run(setup: StudySetup, method: str, bits: int | None, k: int, points: list):
+    """Best SNR over the grid ``points`` (:func:`grid_point`'s); returns
+    (snr_db, estimate, telemetry, param_label).  The route's datapath (the
+    FFT plan on the fft route), a data-only acquisition's words and, on
+    tsvd and tik, all the points' diagonals are compiled once."""
+    y, datapath = _compile_route(setup, method, bits, k)
+    if isinstance(datapath, CompiledSvd):
+        points = datapath.diagonals(points)
+    runs = [run_route(datapath, y, z) for z in points]
+    return max(((snr_db(setup.x, estimate), estimate, telemetry, label)
+                for estimate, telemetry, label in runs), key=lambda t: t[0])
 
 
 def invert_once(setup: StudySetup, method: str, bits: int | None,
                 k: int = 1, rank: int | None = None, lam: float | None = None):
-    """One reconstruction; returns (snr_db, estimate, telemetry, param_label).
-    Compiles the route's datapath, the FFT plan on the fft route, and runs
-    :func:`run_route` on it once."""
-    y, datapath = _compile_route(setup, method, bits, k)
-    z = grid_point(setup.factors.xi, method, rank, lam)
-    estimate, telemetry, label = run_route(datapath, y, method, z)
-    return snr_db(setup.x, estimate), estimate, telemetry, label
+    """One reconstruction; returns (snr_db, estimate, telemetry, param_label)."""
+    return _best_run(setup, method, bits, k,
+                     [grid_point(setup.factors.xi, method, rank, lam)])
 
 
 def best_inversion(setup: StudySetup, method: str, bits: int | None, k: int = 1):
-    """Best SNR over the method's regularization grid (pinv/fft have none).
-
-    Every route compiles its datapath, the FFT plan on the fft route, and
-    quantizes a data-only acquisition once, then runs every grid point on
-    them; tsvd and tik compile the whole grid's diagonals at once.
-    """
-    y, datapath = _compile_route(setup, method, bits, k)
-    xi = setup.factors.xi
-    if method == "tsvd":
-        grid = datapath.diagonals([grid_point(xi, method, rank=r) for r in setup.rank_grid])
-    elif method == "tik":
-        grid = datapath.diagonals([grid_point(xi, method, lam=lam)
-                                   for lam in setup.lambda_grid])
-    else:
-        grid = [grid_point(xi, method)]
-    runs = [run_route(datapath, y, method, z) for z in grid]
-    return max(((snr_db(setup.x, estimate), estimate, telemetry, label)
-                for estimate, telemetry, label in runs), key=lambda t: t[0])
+    """Best SNR over the method's regularization grid (pinv/fft have none)."""
+    grid = {"tsvd": [{"rank": r} for r in setup.rank_grid],
+            "tik": [{"lam": lam} for lam in setup.lambda_grid]}.get(method, [{}])
+    return _best_run(setup, method, bits, k,
+                     [grid_point(setup.factors.xi, method, **kw) for kw in grid])
 
 
 @dataclass
@@ -379,6 +374,15 @@ def _cost(cfg: ExperimentConfig, method: str, k: int, label: str):
                                fft_points=cfg.n, fft_mode=cfg.fft_mode)
 
 
+def _best_rows(cfg: ExperimentConfig, setup: StudySetup, widths):
+    """Each requested method's best run at each of ``widths``, at the
+    config's parallelism: (method, bits, param_label, snr_db, mults, cost)."""
+    for method in cfg.methods:
+        for bits in widths:
+            s, _, telemetry, label = best_inversion(setup, method, bits, cfg.k)
+            yield method, bits, label, s, telemetry.mults, _cost(cfg, method, cfg.k, label)
+
+
 def sweep_precision(cfg: ExperimentConfig, setup: StudySetup | None = None) -> SweepResult:
     """Quality versus word width for every requested method.
 
@@ -388,13 +392,8 @@ def sweep_precision(cfg: ExperimentConfig, setup: StudySetup | None = None) -> S
     setup = setup or build_setup(cfg)
     columns = ["method", "bits", "reg_param", "snr_db", "mults",
                "latency_cycles", "time_us"]
-    rows = []
-    for method in cfg.methods:
-        for bits in cfg.bits_list:
-            s, _, telemetry, label = best_inversion(setup, method, bits, cfg.k)
-            cost = _cost(cfg, method, cfg.k, label)
-            rows.append((method, bits, label, s, telemetry.mults,
-                         cost.latency_cycles, cost.time_us))
+    rows = [(*row, cost.latency_cycles, cost.time_us)
+            for *row, cost in _best_rows(cfg, setup, cfg.bits_list)]
     return SweepResult(columns, rows, _metadata(cfg, "sweep-precision"))
 
 
@@ -427,13 +426,9 @@ def run_comparison(cfg: ExperimentConfig, setup: StudySetup | None = None) -> Sw
     setup = setup or build_setup(cfg)
     columns = ["method", "bits", "k", "reg_param", "snr_db", "mults",
                "latency_cycles", "time_us", "dsp", "bram", "lut"]
-    rows = []
-    for method in cfg.methods:
-        s, _, telemetry, label = best_inversion(setup, method, cfg.bits, cfg.k)
-        cost = _cost(cfg, method, cfg.k, label)
-        rows.append((method, cfg.bits, cfg.k, label, s,
-                     telemetry.mults, cost.latency_cycles,
-                     cost.time_us, cost.dsp, cost.bram, cost.lut))
+    rows = [(method, bits, cfg.k, *row, cost.latency_cycles, cost.time_us,
+             cost.dsp, cost.bram, cost.lut)
+            for method, bits, *row, cost in _best_rows(cfg, setup, [cfg.bits])]
     return SweepResult(columns, rows, _metadata(cfg, "compare"))
 
 

@@ -169,7 +169,7 @@ def _cmd_invert(args) -> int:
     datapath = bench._compile_datapath(method, factors, args.bits,
                                        args.k if args.k is not None else 1)
     x_hat, telemetry, _ = bench.run_route(
-        datapath, y, method, bench.grid_point(factors.xi, method, args.rank, args.lam))
+        datapath, y, bench.grid_point(factors.xi, method, args.rank, args.lam))
     bandwidth = args.bandwidth if args.bandwidth is not None else 1.0
     sg = SpectralGrid(x_hat.size, bandwidth)
     fileio.write_series_csv(args.out, "wavenumber", sg.midpoints(), x_hat)

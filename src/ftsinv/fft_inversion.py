@@ -187,17 +187,6 @@ def _load_order(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _column_index(n: int) -> np.ndarray:
-    """The twiddle-table positions of every stage's column, stage after
-    stage: stage s reads the h = 2**s entries ``k n / 2h``, and they sit
-    from position h - 1 on; read-only, built once per size."""
-    idx = np.concatenate([np.arange(0, n // 2, n >> (s + 1))
-                          for s in range(n.bit_length() - 1)])
-    idx.setflags(write=False)
-    return idx
-
-
-@functools.lru_cache(maxsize=8)
 def _workspace(n_points: int, word) -> tuple:
     """The engine's memories for ``n_points``-word transforms on ``word``
     words: the port (:class:`BankedMemory`) and the three n/2-word scratch
@@ -325,10 +314,12 @@ class FftPlan:
     @functools.cached_property
     def _columns(self) -> tuple:
         """Every stage's twiddle words ``(wr, wi)`` as contiguous ``(h, 1)``
-        columns in the word type, stage s reading every ``n / 2**(s+1)``-th
-        table entry: built at the plan's first transform, read-only, and
-        ``n - 1`` words per table in all (:func:`_column_index`)."""
-        idx = _column_index(self.n_points)
+        columns in the word type, stage s reading the h = 2**s table entries
+        ``k n / 2h``: built at the plan's first transform, read-only, and
+        ``n - 1`` words per table in all."""
+        n = self.n_points
+        idx = np.concatenate([np.arange(0, n // 2, n >> (s + 1))
+                              for s in range(self.n_stages)])
         wr, wi = (t.take(idx).astype(self.word_type, copy=False)[:, None]
                   for t in (self._tw_re, self._tw_im))
         for words in (wr, wi):
@@ -705,13 +696,12 @@ def reconstruct_fft(y_norm: Interferogram, plan: FftPlan):
     grid = y_norm.grid
     if not grid.is_regular:
         raise ValueError("FFT route requires a regularly sampled OPD grid")
-    step = float(grid.delta[1])                 # is_regular checked the lattice
     if grid.n_samples != plan.n_points:
         raise ValueError(
             f"square problem required: {grid.n_samples} samples vs plan {plan.n_points}"
         )
     # the cosine-transform lattice implies this bandwidth
-    bandwidth = 1.0 / (2.0 * step)
+    bandwidth = 1.0 / (2.0 * grid.step)
     values, telemetry = idct2_via_fft(2.0 * y_norm.values, plan)
     spectrum = Spectrum(values, SpectralGrid(plan.n_points, bandwidth))
     return spectrum, telemetry

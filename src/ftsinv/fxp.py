@@ -227,10 +227,7 @@ def quantize_array(
         raise ValueError("cannot quantize non-finite values")
     with np.errstate(over="ignore"):        # past the float range: inf, saturated below
         scaled = np.ldexp(x, fmt.frac_bits)
-    if mode is RoundingMode.ROUND_HALF_EVEN:
-        r = np.rint(scaled)
-    else:
-        r = np.floor(scaled)
+    r = _round_in_place(scaled, mode)
     top = 2.0 ** (fmt.total_bits - 1)
     if r.max(initial=0.0) < top and r.min(initial=0.0) >= -top:
         return r.astype(dtype, copy=False)
@@ -242,11 +239,11 @@ def quantize_array(
     return raw
 
 
-def _round_in_place(words: np.ndarray, mode: RoundingMode) -> np.ndarray:
-    """Float64 words that a power of two has scaled, floored or rounded half
-    to even (``np.rint``) in place under ``mode``: exact, as each is an
-    integer below 2**52 times that power."""
-    return (np.rint if mode is RoundingMode.ROUND_HALF_EVEN else np.floor)(words, out=words)
+def _round_in_place(values: np.ndarray, mode: RoundingMode) -> np.ndarray:
+    """Any float64 ``values`` floored, or rounded half to even (``np.rint``),
+    in place under ``mode``, and returned.  Exact: each value's floor and
+    nearest integer are float64 values too."""
+    return (np.rint if mode is RoundingMode.ROUND_HALF_EVEN else np.floor)(values, out=values)
 
 
 def dequantize_array(raw: np.ndarray, fmt: FxpFormat) -> np.ndarray:

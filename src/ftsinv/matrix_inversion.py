@@ -156,7 +156,7 @@ def penalize(xi: np.ndarray, scheme) -> PenalizedDiagonal:
         zeta[: scheme.rank] = 1.0 / kept
         return PenalizedDiagonal(zeta, scheme)
     if isinstance(scheme, Tikhonov):
-        if scheme.lam < 0:
+        if not scheme.lam >= 0:                 # NaN fails it too
             raise ValueError("ridge parameter must be >= 0")
         if scheme.lam == 0:
             if np.any(xi == 0):

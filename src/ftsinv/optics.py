@@ -224,7 +224,7 @@ def simulate_interferogram(
     """``y = A x + n`` with optional white Gaussian noise, in double precision."""
     if x.grid != a.spectral_grid:
         raise ValueError("spectrum grid does not match the transfer matrix")
-    if noise_std < 0:
+    if not noise_std >= 0:                      # NaN fails it too
         raise ValueError("noise_std must be >= 0")
     y = a.matrix @ x.values
     if noise_std > 0:

@@ -160,3 +160,54 @@ def test_config_refuses_bad_fields(fields, message):
 def test_config_refuses_bad_json(text, message):
     with pytest.raises(ConfigError, match=message):
         bench.ExperimentConfig.from_json(text)
+
+
+def test_study_fft_plans_take_the_config_settings():
+    """A study's FFT plan runs the configured twiddle width and headroom:
+    only the headroom is clamped, to ``bits - 3``, which the default 3 needs
+    at 4 bits.  ``test_cli`` checks that the settings a plan cannot run are
+    refused."""
+    cfg = bench.ExperimentConfig(kind="cosine", n=16, m=16)
+    plan = bench._fft_plan_for_bits(16, 4, cfg)
+    assert plan.headroom_bits == 1 and plan.twiddle_format.total_bits == 4
+    for headroom in (0, 2):
+        plan = bench._fft_plan_for_bits(16, 12, dataclasses.replace(cfg, headroom=headroom))
+        assert plan.headroom_bits == headroom
+    plan = bench._fft_plan_for_bits(16, 12, dataclasses.replace(cfg, twiddle_bits=8))
+    assert plan.twiddle_format.total_bits == 8
+
+
+def test_simulate_noise_snr_limits():
+    """An infinite acquisition SNR is noiseless; a NaN one is refused."""
+    cfg = bench.ExperimentConfig(kind="cosine", n=16, m=16, seed=1, noise_snr_db=float("inf"))
+    model = bench.simulate(cfg)
+    assert np.array_equal(model.y.values, model.y_clean.values)
+    with pytest.raises(ValueError, match="noise_std must be >= 0"):
+        bench.simulate(dataclasses.replace(cfg, noise_snr_db=float("nan")))
+
+
+@pytest.mark.parametrize("reference,estimate,message", [
+    ([1.0, 2.0], [1.0], "length mismatch"),
+    ([0.0, 0.0], [1.0, 0.0], "identically zero reference"),
+])
+def test_snr_db_refuses_what_it_cannot_score(reference, estimate, message):
+    with pytest.raises(ValueError, match=message):
+        bench.snr_db(reference, estimate)
+
+
+def test_snr_db_is_capped():
+    """Exact recovery, and any error more than 300 dB down, read 300 dB."""
+    assert bench.snr_db([1.0, 2.0], [1.0, 2.0]) == bench.SNR_CAP_DB
+    assert bench.snr_db([1.0, 0.0], [1.0, 1e-20]) == bench.SNR_CAP_DB
+    assert bench.snr_db([1.0, 0.0], [1.0, 1e-3]) == pytest.approx(60.0)
+
+
+def test_cost_table_carries_the_calibration_flags():
+    """A ratio that strays from its headline is written as a flag line."""
+    text = (Path(bench.__file__).with_name("data") / "calibration.txt").read_text()
+    calib = bench.hwmodel.CalibrationTable.parse(text.replace("fft.fmax = 98.0",
+                                                              "fft.fmax = 300.0"))
+    _, _, flags = bench.hwmodel.compare_methods(calib)
+    meta = bench.cost_table(calib).metadata
+    assert flags and [meta[f"flag.{i}"] for i in range(len(flags))] == flags
+    assert not any(key.startswith("flag.") for key in bench.cost_table().metadata)

@@ -190,6 +190,43 @@ def test_invert_refuses_a_matrix_of_another_length(simulated, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_invert_refuses_a_truncated_matrix_file(simulated, tmp_path, capsys):
+    """A matrix container cut short exits 2, writing nothing."""
+    y, a = simulated
+    cut, out = tmp_path / "cut.bin", tmp_path / "x.csv"
+    cut.write_bytes(a.read_bytes()[:-8])
+    assert cli.main(["invert", "--method", "pinv", "--bits", "16", "--in", str(y),
+                     "--matrix", str(cut), "--out", str(out)]) == 2
+    assert f"payload size {N * N * 8 - 8} != {N * N * 8}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_invert_ridge_parameter_limits(simulated, tmp_path, capsys):
+    """--lambda nan exits 2, writing nothing; --lambda inf weighs every
+    singular value to zero and writes the zero spectrum."""
+    y, a = simulated
+    out = tmp_path / "x.csv"
+    argv = ["invert", "--method", "tik", "--double", "--in", str(y), "--matrix", str(a),
+            "--out", str(out)]
+    assert cli.main([*argv, "--lambda", "nan"]) == 2
+    assert "ridge parameter must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main([*argv, "--lambda", "inf"]) == 0
+    _, _, x_hat = fileio.read_series_csv(out)
+    assert x_hat.size == N and not np.any(x_hat)
+
+
+def test_simulate_refuses_a_nan_noise_snr(tmp_path, capsys):
+    """--noise-snr nan exits 2, writing nothing, where it once wrote the
+    noiseless interferogram."""
+    out = tmp_path / "y.csv"
+    flags = [*MODEL_FLAGS[:MODEL_FLAGS.index("--noise-snr")], "--noise-snr", "nan",
+             "--seed", "11"]
+    assert cli.main(["simulate", *flags, "--out", str(out)]) == 2
+    assert "noise_std must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invert_rejects_non_finite_opd(simulated, tmp_path, capsys):
     """An interferogram with nan in its opd column exits 2, writing nothing."""
     y, a = simulated
@@ -324,6 +361,31 @@ def test_double_study_reads_fft_mode(tmp_path):
     _, header, rows = _csv(out.read_text())
     (fft,) = [dict(zip(header, r)) for r in rows if r[0] == "fft"]
     assert int(fft["latency_cycles"]) == hwmodel.fft_cost(16, "pre").latency_cycles
+
+
+@pytest.mark.parametrize("flag,message", [(["--headroom", "-3"], "headroom_bits out of range"),
+                                          (["--twiddle-bits", "0"], "total_bits must be in")])
+def test_compare_refuses_fft_settings_its_plan_cannot_run(tmp_path, capsys, flag, message):
+    """A study hands its FFT settings to the plan, which refuses these, as
+    ``ftsinv invert`` does: exit 2, nothing written."""
+    out = tmp_path / "s.csv"
+    assert cli.main(["compare", *STUDY_FLAGS, "--bits", "12", *flag, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_runs_the_fft_at_zero_headroom(tmp_path, monkeypatch):
+    """--headroom 0 reaches the FFT plan as given."""
+    made, make = [], bench._fft_plan
+
+    def recording(n, **settings):
+        made.append(settings)
+        return make(n, **settings)
+
+    monkeypatch.setattr(bench, "_fft_plan", recording)
+    assert cli.main(["compare", *STUDY_FLAGS, "--bits", "12", "--headroom", "0",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    assert made == [dict(bits=12, twiddle_bits=None, mode="post", headroom_bits=0)]
 
 
 @pytest.fixture

@@ -1009,3 +1009,19 @@ def test_large_golden_bits():
     assert sorted(got) == sorted(want)
     moved = [key for key in want if got[key] != want[key]]
     assert not moved, f"reconstruct_fft output moved at {moved}"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: FftPlan.make(16, bits=4, headroom_bits=3), "no mantissa below the headroom"),
+    (lambda: FftPlan.make(16, bits=8, headroom_bits=-1), "headroom_bits out of range"),
+    (lambda: FftPlan.make(16, headroom_bits=31), "headroom_bits out of range"),
+    (lambda: quantize_complex_block(np.ones(4), FxpFormat(8, 7), 7), "leaves no mantissa"),
+    (lambda: fft_bfp_block(np.zeros(16, np.int64), np.zeros(16, np.int64), 0,
+                           FftPlan.make(16)), "requires a fixed-point plan"),
+    (lambda: idct2_via_fft(np.ones(8), FftPlan.make(16)), "input length 8 != plan size 16"),
+], ids=["width", "headroom", "exact-headroom", "block-headroom", "exact-block", "idct-length"])
+def test_input_checks_raise_value_error(call, message):
+    """Each check of a transform's inputs raises ValueError naming what it
+    refuses."""
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -530,3 +530,9 @@ class TestExactMac:
         assert out.dtype == np.int64
         assert out.tolist() == [r for r, _ in results]
         assert overflows == sum(over for _, over in results)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_array_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize_array(np.array([1.0, bad]), FxpFormat(8, 4))

@@ -256,3 +256,19 @@ class TestCrossValidation:
             slots = (n // 2) * (n.bit_length() - 1)
             assert res.telemetry.butterflies == slots
             assert res.telemetry.mults == 4 * slots
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: hwmodel.HwCost(-1, 0, 0, 10, 100.0), ValueError, "non-negative"),
+    (lambda: hwmodel.HwCost(1, 0, 0, -10, 100.0), ValueError, "non-negative"),
+    (lambda: hwmodel.HwCost(1, 0, 0, 10, 0.0), ValueError, "fmax must be positive"),
+    (lambda: hwmodel.CalibrationTable.parse(
+        (PACKAGE / "data" / "calibration.txt").read_text().replace(
+            "fft.latency = 4300", "fft.latency = 430")),
+     ConfigError, "negative overhead"),
+], ids=["resources", "latency", "fmax", "fft-overhead"])
+def test_input_checks_raise_their_errors(call, error, message):
+    """A cost with negative resources or no clock, and a calibration whose
+    FFT anchor is shorter than its structural cycles, are refused."""
+    with pytest.raises(error, match=message):
+        call()

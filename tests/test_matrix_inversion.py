@@ -141,6 +141,17 @@ class TestPenalize:
         with pytest.raises(ValueError):
             penalize(np.array([1.0]), Tikhonov(-0.1))
 
+    def test_tik_ridge_limits(self, tall_problem):
+        """A NaN ridge parameter is refused; an infinite one weighs every
+        singular value to zero, so the route returns the zero estimate."""
+        with pytest.raises(ValueError, match="ridge parameter must be >= 0"):
+            penalize(np.array([1.0]), Tikhonov(float("nan")))
+        _, f, _, _, y = tall_problem
+        z = penalize(f.xi, Tikhonov(float("inf")))
+        assert not np.any(z.zeta)
+        for fmt in (None, 16):
+            assert not np.any(reconstruct_svd(f, z, y, fmt=fmt).x_hat)
+
 
 class TestPinvMatrix:
     def test_identity(self):
@@ -842,3 +853,22 @@ def test_golden_bits():
     assert sorted(got) == sorted(want)
     moved = [key for key in want if got[key] != want[key]]
     assert not moved, f"matrix route output moved at {moved}"
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: svd_factorize(np.ones(3)), ValueError, "expected a 2-D matrix"),
+    (lambda: penalize(np.ones(2), "ridge"), TypeError, "unknown scheme 'ridge'"),
+    (lambda: pinv_matrix(svd_factorize(np.zeros((3, 2)))), ValueError,
+     "cannot invert an all-zero matrix"),
+    (lambda: pinv_matrix(SvdFactors(np.zeros((3, 0)), np.zeros(0), np.zeros((2, 0)))),
+     ValueError, "cannot invert an all-zero matrix"),
+    (lambda: pinv_matrix(SvdFactors(np.eye(2), np.array([np.nan, 1.0]), np.eye(2))),
+     ValueError, "no singular values above the drop threshold"),
+    (lambda: reconstruct_svd(SvdFactors(np.eye(2), np.ones(2), np.eye(2)),
+                             penalize(np.ones(2), Tsvd(1)), np.ones(3)),
+     ValueError, "interferogram length 3 != matrix rows 2"),
+], ids=["1-d", "scheme", "zero-matrix", "no-values", "nan-value", "svd-length"])
+def test_input_checks_raise_their_errors(call, error, message):
+    """Each check of the matrix routes' inputs raises its typed error."""
+    with pytest.raises(error, match=message):
+        call()

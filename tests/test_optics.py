@@ -293,3 +293,41 @@ class TestFileIO:
         path.write_text("0.0,1.0\n0.5,2.0\n")
         with pytest.raises(ValueError):
             fileio.read_series_csv(path)
+
+    def test_malformed_input_refused(self, tmp_path):
+        """A container cut short and a series whose columns differ in length
+        raise ValueError."""
+        path = tmp_path / "m.bin"
+        fileio.write_matrix(path, np.ones((3, 2)))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="payload size 40 != 48"):
+            fileio.read_matrix(path)
+        with pytest.raises(ValueError, match="length mismatch"):
+            fileio.write_series_csv(tmp_path / "s.csv", "opd", [0.0, 0.5], [1.0])
+
+
+OG8 = fi.OpdGrid.regular(8, 0.5)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: fi.OpdGrid.regular(4, 0.0), "step must be > 0"),
+    (lambda: fi.Spectrum(np.ones(7), SG8), "spectrum length does not match its grid"),
+    (lambda: fi.Spectrum([1.0] * 7 + [np.nan], SG8), "spectrum values must be finite"),
+    (lambda: fi.Interferogram(np.ones(9), OG8), "interferogram length does not match"),
+    (lambda: fi.Interferogram([np.inf] + [1.0] * 7, OG8), "interferogram values must be finite"),
+    (lambda: fi.TransferMatrix(np.ones((8, 7)), SG8, OG8), r"matrix shape \(8, 7\)"),
+    (lambda: fi.TransferMatrix(np.full((8, 8), np.nan), SG8, OG8), "transfer matrix must be finite"),
+    (lambda: fi.simulate_interferogram(
+        fi.build_transfer_matrix(SG8, OG8, "cosine", fi.OpticalParams()),
+        fi.gaussian_mixture_spectrum(SG8, 2), noise_std=float("nan")), "noise_std must be >= 0"),
+    (lambda: fi.simulate_interferogram(
+        fi.build_transfer_matrix(SG8, OG8, "cosine", fi.OpticalParams()),
+        fi.gaussian_mixture_spectrum(SG8, 2), noise_std=-1.0), "noise_std must be >= 0"),
+], ids=["opd-step", "spectrum-length", "spectrum-finite", "interferogram-length",
+        "interferogram-finite", "matrix-shape", "matrix-finite", "noise-nan", "noise-negative"])
+def test_input_checks_raise_value_error(call, message):
+    """Each constructor's shape and finiteness checks, the regular grid's
+    step check and the noise level check raise ValueError; NaN noise is
+    refused, not taken as noiseless."""
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -64,16 +64,14 @@ def test_seed_1_cycle_digest_is_pinned(name):
     assert digest.hexdigest() == SEED_1_DIGESTS[name]
 
 
-def test_traced_airy_sweep_cycle_reaches_every_run():
-    """Under the benchmark's span tracer, as ``--trace 1`` runs it, a seed-1
-    ``airy-sweep`` cycle hashes to the same pinned digest, and each of its 10
-    widths runs all 16 ranks and 40 ridge weights through the wrapped
-    ``reconstruct_svd``: no route fails under tracing or runs around a
-    wrapped layer."""
+def _traced_cycle(name: str):
+    """One seed-1 cycle of the workload ``name`` under the benchmark's span
+    tracer, as ``--trace 1`` runs it, after the untimed warm-up op; returns
+    the cycle's digest, its op count and the tracer's summary."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    workload = _load_workloads().WORKLOADS["airy-sweep"](1)
+    workload = _load_workloads().WORKLOADS[name](1)
     tracer = tracing.Tracer()
     digest = hashlib.sha256()
     try:
@@ -86,7 +84,33 @@ def test_traced_airy_sweep_cycle_reaches_every_run():
                 digest.update(op.key.encode() + op.check(result).digest)
     finally:
         workload.close()
-    assert digest.hexdigest() == SEED_1_DIGESTS["airy-sweep"]
-    summary = tracer.summary()
-    assert summary["roots"]["op"] == len(ops) == 40
+    return digest.hexdigest(), len(ops), tracer.summary()
+
+
+def test_traced_airy_sweep_cycle_reaches_every_run():
+    """Under the span tracer a seed-1 ``airy-sweep`` cycle hashes to the
+    same pinned digest, and each of its 10 widths runs all 16 ranks and 40
+    ridge weights through the wrapped ``reconstruct_svd``: no route fails
+    under tracing or runs around a wrapped layer."""
+    digest, n_ops, summary = _traced_cycle("airy-sweep")
+    assert digest == SEED_1_DIGESTS["airy-sweep"]
+    assert summary["roots"]["op"] == n_ops == 40
     assert summary["totals"]["op"]["matrix_inversion.reconstruct_svd.calls"] == 10 * (16 + 40)
+
+
+def test_traced_cli_invert_cycle_calls_each_layer_once_per_run():
+    """Under the span tracer a seed-1 ``cli-invert`` cycle hashes to the
+    same pinned digest, and each of its six ``ftsinv invert`` runs (three
+    routes at two widths) enters the wrapped ``cli.main``, writes one
+    spectrum and runs its route's product once: the CLI reaches every
+    wrapped layer it reached before."""
+    digest, n_ops, summary = _traced_cycle("cli-invert")
+    assert digest == SEED_1_DIGESTS["cli-invert"]
+    assert summary["roots"]["op"] == n_ops == 6
+    calls = {layer: summary["totals"]["op"].get(f"{layer}.calls", 0)
+             for layer in ("cli.main", "fileio.write_series_csv",
+                           "matrix_inversion.reconstruct_pinv",
+                           "matrix_inversion.reconstruct_svd")}
+    assert calls == {"cli.main": 6, "fileio.write_series_csv": 6,
+                     "matrix_inversion.reconstruct_pinv": 2,
+                     "matrix_inversion.reconstruct_svd": 4}

@@ -89,7 +89,7 @@ class ExperimentConfig:
     bits: int | None = 16
     twiddle_bits: int | None = None
     fft_mode: str = "post"
-    headroom: int = 3
+    headroom: int = 3                 # FFT; the default is fitted to bits - 3
     k: int = 1
     quantize: str = "all"             # "all" or "data-only"
 
@@ -116,6 +116,11 @@ class ExperimentConfig:
             raise ConfigError("bits_list entries must lie in [4, 32]")
         if any(not (1 <= k <= 16) for k in self.k_list):
             raise ConfigError("k_list entries must lie in [1, 16]")
+        # the ridge grid build_setup lays out; an inverted pair descends
+        if self.lambda_points < 1:
+            raise ConfigError("lambda_points must be >= 1")
+        if not all(0 < v < math.inf for v in (self.lambda_rel_min, self.lambda_rel_max)):
+            raise ConfigError("lambda_rel_min and lambda_rel_max must be finite and > 0")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -217,27 +222,22 @@ def build_setup(cfg: ExperimentConfig) -> StudySetup:
                       rank_grid=ranks)
 
 
-def _fft_plan_for_bits(n: int, bits: int | None, cfg: ExperimentConfig) -> FftPlan:
-    """The study's FFT plan at ``bits``, None for double precision.  The
-    config's headroom is clamped to ``bits - 3``, as a sweep runs it at every
-    width: :func:`~ftsinv.fft_inversion.idct2_via_fft` enters its words one
-    headroom bit above the plan's, so at 4 bits the default 3 would leave
-    them no mantissa.  :meth:`FftPlan.make` refuses any setting it cannot
-    run."""
-    if bits is None:
-        return _fft_plan(n, mode=cfg.fft_mode)
-    return _fft_plan(n, bits=bits, twiddle_bits=cfg.twiddle_bits, mode=cfg.fft_mode,
-                     headroom_bits=min(cfg.headroom, bits - 3))
-
-
 @functools.lru_cache(maxsize=32)
-def _fft_plan(n: int, **kwargs) -> FftPlan:
-    """``FftPlan.make(n, **kwargs)``, made once: a plan is immutable and
-    compiles its stage columns at its first transform, so every FFT op of a
-    sweep at one size, widths, mode and headroom runs on one plan.  The 32
-    most recently used are kept, room for a sweep's widths and its double
-    plan (11 in ``sweep_precision``)."""
-    return FftPlan.make(n, **kwargs)
+def _fft_plan(n: int, bits: int | None = None, headroom: int | None = None,
+              **settings) -> FftPlan:
+    """Every study's and ``ftsinv invert``'s FFT plan: ``n`` points at
+    ``bits`` (None: double precision) with the ``settings``
+    :meth:`FftPlan.make` reads, ``twiddle_bits`` and ``mode``, which it
+    refuses where it cannot run them.  An unset ``headroom`` is the default
+    3 fitted down to ``bits - 3``, as
+    :func:`~ftsinv.fft_inversion.idct2_via_fft` enters its words one headroom
+    bit above the plan's; a given one is used as given.  Made once, as a plan
+    is immutable and compiles its stage columns at its first transform: the
+    32 most recent are kept, room for a sweep's widths and double plan."""
+    default = ExperimentConfig.headroom
+    fitted = default if bits is None else min(default, bits - 3)
+    return FftPlan.make(n, bits, headroom_bits=fitted if headroom is None else headroom,
+                        **settings)
 
 
 def _quantize_only_data(values: np.ndarray, bits: int) -> np.ndarray:
@@ -257,7 +257,8 @@ def _compile_datapath(method: str, factors: SvdFactors, fmt, k: int = 1, adag=No
 
 def _compile_route(setup: StudySetup, method: str, bits: int | None, k: int):
     """The route's acquisition (normalized on the fft route) and its datapath
-    compiled at ``bits`` and ``k`` (the FFT plan on the fft route).  Under
+    compiled at ``bits`` and ``k``: on the fft route :func:`_fft_plan`'s
+    plan, with the config's default headroom left unset.  Under
     ``quantize="data-only"`` the acquisition alone is quantized, at ``bits``
     over its own range, and the datapath is the double-precision one."""
     cfg = setup.config
@@ -266,7 +267,11 @@ def _compile_route(setup: StudySetup, method: str, bits: int | None, k: int):
         y = Interferogram(_quantize_only_data(y.values, bits), y.grid, y.mean_spectrum)
         bits = None
     if method == "fft":
-        return y, _fft_plan_for_bits(cfg.n, bits, cfg)
+        # a double plan has no words, so no twiddle width or headroom
+        fixed = {} if bits is None else dict(
+            twiddle_bits=cfg.twiddle_bits,
+            headroom=None if cfg.headroom == ExperimentConfig.headroom else cfg.headroom)
+        return y, _fft_plan(cfg.n, bits, mode=cfg.fft_mode, **fixed)
     return y, _compile_datapath(method, setup.factors, bits, k, setup.adag)
 
 

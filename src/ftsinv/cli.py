@@ -19,7 +19,7 @@ from pathlib import Path
 from . import bench, fileio, hwmodel
 from .bench import ExperimentConfig
 from .errors import ConfigError, NumericalError, OverflowViolationError
-from .fft_inversion import MODES, FftPlan, reconstruct_fft
+from .fft_inversion import MODES, reconstruct_fft
 from .matrix_inversion import svd_factorize
 from .optics import (
     Interferogram,
@@ -52,7 +52,8 @@ _DATAPATH_FLAGS = {
     "--bits": dict(type=int, help="datapath word width"),
     "--twiddle-bits": dict(type=int, dest="twiddle_bits"),
     "--fft-mode": dict(choices=list(MODES), dest="fft_mode"),
-    "--headroom": dict(type=int),
+    "--headroom": dict(type=int, help="FFT block headroom bits; unset, the default 3 "
+                                      "fitted down to bits - 3, else used as given"),
     "--rank": dict(type=int, help="kept singular values (tsvd)"),
     "--lambda": dict(type=float, dest="lam", help="ridge parameter (tik)"),
     "--parallel-k": dict(type=int, dest="k", help="banked memories"),
@@ -116,6 +117,11 @@ _FIXED_POINT_FLAGS = {"bits": "--bits", "twiddle_bits": "--twiddle-bits",
                       "fft_mode": "--fft-mode", "headroom": "--headroom"}
 
 
+def _given(**values) -> dict:
+    """The ``values`` that are set: a flag left out keeps its reader's default."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _cmd_invert(args) -> int:
     method = args.method or "pinv"
     for routes, flags in _ROUTE_FLAGS:
@@ -131,20 +137,13 @@ def _cmd_invert(args) -> int:
     y = Interferogram(values, grid)
 
     if method == "fft":
-        n = grid.n_samples
-        plan = FftPlan.make(
-            n,
-            bits=args.bits,
-            twiddle_bits=args.twiddle_bits,
-            mode=args.fft_mode or "post",
-            headroom_bits=args.headroom if args.headroom is not None else 3,
-        )
+        plan = bench._fft_plan(grid.n_samples, args.bits, args.headroom,
+                               **_given(twiddle_bits=args.twiddle_bits, mode=args.fft_mode))
         if args.normalize:
             if args.mean_spectrum is None:
                 raise ConfigError("--normalize requires --mean-spectrum")
-            params = OpticalParams(args.a if args.a is not None else 1.0,
-                                   args.r if args.r is not None else 0.5)
-            y = normalize_interferogram(y, params, args.mean_spectrum)
+            y = normalize_interferogram(y, OpticalParams(**_given(a=args.a, r=args.r)),
+                                        args.mean_spectrum)
         elif (args.mean_spectrum, args.a, args.r) != (None, None, None):
             raise ConfigError("--mean-spectrum, --a and --r are read only with --normalize")
         spectrum, telemetry = reconstruct_fft(y, plan)
@@ -166,8 +165,7 @@ def _cmd_invert(args) -> int:
             f"matrix rows {a.shape[0]} != interferogram length {y.values.size}"
         )
     factors = svd_factorize(a)
-    datapath = bench._compile_datapath(method, factors, args.bits,
-                                       args.k if args.k is not None else 1)
+    datapath = bench._compile_datapath(method, factors, args.bits, **_given(k=args.k))
     x_hat, telemetry, _ = bench.run_route(
         datapath, y, bench.grid_point(factors.xi, method, args.rank, args.lam))
     bandwidth = args.bandwidth if args.bandwidth is not None else 1.0

@@ -88,6 +88,7 @@ from .fxp import (
     _mac,
     _macs,
     _requantize,
+    _round_in_place,
     _ufunc_buffer,
     block_extremes,
     headroom,
@@ -378,7 +379,7 @@ def quantize_complex_block(x: np.ndarray, fmt: FxpFormat, target_headroom: int):
         return z, z.copy(), 0
     gamma = math.ceil(math.log2(peak / limit))
     while True:
-        words = [np.rint(np.ldexp(p, -gamma)) for p in parts]
+        words = [_round_in_place(np.ldexp(p, -gamma), ENTRY_POLICY) for p in parts]
         if max(np.max(np.abs(v)) for v in words) < bound:
             break
         gamma += 1

@@ -146,8 +146,6 @@ def cosine_transmittance(sigma: float, delta: float, p: OpticalParams) -> float:
 
 def airy_transmittance(sigma: float, delta: float, p: OpticalParams) -> float:
     """Fabry-Perot etalon: ``a / ((1-r)^2 + 4 r sin^2(pi*delta*sigma))``."""
-    if p.r >= 1:
-        raise ValueError("airy transmittance requires r < 1")
     s = np.sin(np.pi * delta * sigma)
     return p.a / ((1.0 - p.r) ** 2 + 4.0 * p.r * s * s)
 

@@ -1,7 +1,8 @@
 """Python-int model of the fixed-point rules, the oracle tests compare against.
 
 Scalar copies of the rounding, saturation and butterfly rules that
-``ftsinv.fxp`` and ``ftsinv.fft_inversion`` apply to int64 arrays.  Python
+``ftsinv.fxp`` and ``ftsinv.fft_inversion`` apply to int64 arrays, and of
+the word-level matrix routes of ``ftsinv.matrix_inversion``.  Python
 integers are exact at any width, so every product and sum here is the exact
 one.  The last functions read package results in double precision: the
 residuals and condition of SVD factors and the value of an FFT result.
@@ -179,6 +180,67 @@ def bfp_stages(plan, re, im):
             exponent -= applied
         exponents.append(exponent)
     return words, exponents, overflows
+
+
+def _output_stage(exact, shift: int, mode: RoundingMode, fmt: FxpFormat):
+    """The exact integers ``exact`` rounded ``shift`` bits under ``mode`` and
+    saturated to ``fmt``: (words, overflow count)."""
+    outs = [apply_overflow(rshift_round(v, shift, mode), fmt) for v in exact]
+    return [word for word, _ in outs], sum(over for _, over in outs)
+
+
+def _dot(a, b) -> int:
+    return sum(p * q for p, q in zip(a, b))
+
+
+def _entry_words(values, fmt: FxpFormat) -> list:
+    return [quantize(float(v), fmt).raw for v in values]
+
+
+def pinv_words(adag, y, fmts, mode: RoundingMode = DATAPATH_POLICY):
+    """The pseudo-inverse route ``x = A_dagger y`` on Python ints.
+
+    ``fmts`` are the (coefficient, y, output) formats.  The entries of
+    ``adag`` and ``y`` are quantized into theirs under the entry policy;
+    each output is its row's exact sum of products, rounded under ``mode``
+    to the output format and saturated.  Returns (output words, overflow
+    count).
+    """
+    mat_fmt, vec_fmt, out_fmt = fmts
+    y_words = _entry_words(y, vec_fmt)
+    return _output_stage([_dot(_entry_words(row, mat_fmt), y_words) for row in adag],
+                         mat_fmt.frac_bits + vec_fmt.frac_bits - out_fmt.frac_bits,
+                         mode, out_fmt)
+
+
+def svd_words(v, ut, zeta, y, fmts: dict, mode: RoundingMode = DATAPATH_POLICY):
+    """The penalized-SVD route ``x = (V Z)(U^T y)`` on Python ints, over the
+    lanes where ``zeta`` is nonzero.
+
+    ``fmts`` maps each tensor to its format: ``"y"``, ``"u"`` (U^T),
+    ``"o2"`` (U^T y), ``"v"``, ``"z"``, ``"o1"`` (V Z) and ``"x"``.  V,
+    U^T, ``zeta`` and ``y`` are quantized into theirs under the entry
+    policy.  Product 2 takes each kept row of U^T by y, product 1 each V
+    word by its lane's z word and product 3 each row of O1 by O2; each
+    output is the exact sum, rounded under ``mode`` to its format and
+    saturated.  Returns (x words, overflow counts of products 1, 2 and 3).
+    """
+    kept = [j for j, value in enumerate(zeta) if value != 0]
+    frac = {name: fmt.frac_bits for name, fmt in fmts.items()}
+    y_words = _entry_words(y, fmts["y"])
+    o2, over2 = _output_stage([_dot(_entry_words(ut[j], fmts["u"]), y_words) for j in kept],
+                              frac["u"] + frac["y"] - frac["o2"], mode, fmts["o2"])
+    z_words = _entry_words([zeta[j] for j in kept], fmts["z"])
+    o1, over1 = [], 0
+    for row in v:
+        v_words = _entry_words([row[j] for j in kept], fmts["v"])
+        words, over = _output_stage([p * q for p, q in zip(v_words, z_words)],
+                                    frac["v"] + frac["z"] - frac["o1"], mode, fmts["o1"])
+        o1.append(words)
+        over1 += over
+    x, over3 = _output_stage([_dot(row, o2) for row in o1],
+                             frac["o1"] + frac["o2"] - frac["x"], mode, fmts["x"])
+    return x, (over1, over2, over3)
 
 
 def svd_residuals(f, a) -> dict:

@@ -118,18 +118,22 @@ def test_invert_once_refuses_a_missing_grid_point(small_cosine_setup, method, po
         bench.invert_once(small_cosine_setup, method, 12, **point)
 
 
-def test_fft_plans_are_made_once_per_configuration():
+def _with_config(setup, **fields):
+    """``setup`` studied under its config with ``fields`` replaced."""
+    return dataclasses.replace(setup, config=dataclasses.replace(setup.config, **fields))
+
+
+def test_fft_plans_are_made_once_per_configuration(reference_setup):
     """Every FFT op of a precision sweep at one width runs on one plan:
     all widths of a sweep and its double plan stay cached together."""
-    cfg = bench.reference_airy_config()
     widths = [None] + list(range(4, 24, 2))
-    plans = [bench._fft_plan_for_bits(cfg.n, bits, cfg) for bits in widths]
+    plans = [bench._compile_route(reference_setup, "fft", bits, 1)[1] for bits in widths]
     assert len({id(p) for p in plans}) == len(widths)
-    again = [bench._fft_plan_for_bits(cfg.n, bits, cfg) for bits in widths]
+    again = [bench._compile_route(reference_setup, "fft", bits, 1)[1] for bits in widths]
     assert all(a is b for a, b in zip(plans, again))
-    other = dataclasses.replace(cfg, fft_mode="fixed")
-    assert bench._fft_plan_for_bits(cfg.n, 16, other).mode == "fixed"
-    assert bench._fft_plan_for_bits(cfg.n, 16, other) is not plans[7]
+    other = _with_config(reference_setup, fft_mode="fixed")
+    assert bench._compile_route(other, "fft", 16, 1)[1].mode == "fixed"
+    assert bench._compile_route(other, "fft", 16, 1)[1] is not plans[7]
 
 
 @pytest.mark.parametrize("fields,message", [
@@ -143,6 +147,10 @@ def test_fft_plans_are_made_once_per_configuration():
     ({"k_list": [1, 17]}, r"k_list entries must lie in \[1, 16\]"),
     ({"k_list": [0]}, r"k_list entries must lie in \[1, 16\]"),
     ({"bits": "16"}, "not supported between"),
+    ({"lambda_points": 0}, "lambda_points must be >= 1"),
+    *[({key: value}, "lambda_rel_min and lambda_rel_max must be finite and > 0")
+      for key in ("lambda_rel_min", "lambda_rel_max")
+      for value in (0.0, -1e-8, float("inf"), float("nan"))],
 ])
 def test_config_refuses_bad_fields(fields, message):
     """Every field check raises ConfigError, from a dict or from JSON; so
@@ -163,18 +171,23 @@ def test_config_refuses_bad_json(text, message):
 
 
 def test_study_fft_plans_take_the_config_settings():
-    """A study's FFT plan runs the configured twiddle width and headroom:
-    only the headroom is clamped, to ``bits - 3``, which the default 3 needs
-    at 4 bits.  ``test_cli`` checks that the settings a plan cannot run are
-    refused."""
-    cfg = bench.ExperimentConfig(kind="cosine", n=16, m=16)
-    plan = bench._fft_plan_for_bits(16, 4, cfg)
-    assert plan.headroom_bits == 1 and plan.twiddle_format.total_bits == 4
-    for headroom in (0, 2):
-        plan = bench._fft_plan_for_bits(16, 12, dataclasses.replace(cfg, headroom=headroom))
-        assert plan.headroom_bits == headroom
-    plan = bench._fft_plan_for_bits(16, 12, dataclasses.replace(cfg, twiddle_bits=8))
-    assert plan.twiddle_format.total_bits == 8
+    """A study's FFT plan runs the configured twiddle width and headroom.
+    Only the default headroom is fitted, to ``bits - 3``, which it needs at
+    4 and 5 bits; a given one is used as given, also past ``bits - 3``.  A
+    double plan has no words and reads neither.  ``test_cli`` checks that
+    the settings a plan cannot run are refused."""
+    setup = bench.build_setup(bench.ExperimentConfig(kind="cosine", n=16, m=16))
+
+    def plan(bits, **fields):
+        return bench._compile_route(_with_config(setup, **fields), "fft", bits, 1)[1]
+
+    assert plan(4).headroom_bits == 1 and plan(4).twiddle_format.total_bits == 4
+    assert [plan(bits).headroom_bits for bits in (5, 6, 12)] == [2, 3, 3]
+    for headroom in (0, 2, 10):
+        assert plan(12, headroom=headroom).headroom_bits == headroom
+    assert plan(12, twiddle_bits=8).twiddle_format.total_bits == 8
+    double = plan(None, headroom=1, twiddle_bits=8)
+    assert double.exact and double.headroom_bits == 3
 
 
 def test_simulate_noise_snr_limits():

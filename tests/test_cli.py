@@ -363,8 +363,14 @@ def test_double_study_reads_fft_mode(tmp_path):
     assert int(fft["latency_cycles"]) == hwmodel.fft_cost(16, "pre").latency_cycles
 
 
-@pytest.mark.parametrize("flag,message", [(["--headroom", "-3"], "headroom_bits out of range"),
-                                          (["--twiddle-bits", "0"], "total_bits must be in")])
+# FFT settings no plan can run: the 12-bit headroom 10 leaves the DCT's
+# entry words, one headroom bit above the plan's, no mantissa
+UNRUNNABLE_FFT = [(["--headroom", "-3"], "headroom_bits out of range"),
+                  (["--twiddle-bits", "0"], "total_bits must be in"),
+                  (["--headroom", "10"], "headroom 11 leaves no mantissa in 12-bit words")]
+
+
+@pytest.mark.parametrize("flag,message", UNRUNNABLE_FFT)
 def test_compare_refuses_fft_settings_its_plan_cannot_run(tmp_path, capsys, flag, message):
     """A study hands its FFT settings to the plan, which refuses these, as
     ``ftsinv invert`` does: exit 2, nothing written."""
@@ -374,18 +380,41 @@ def test_compare_refuses_fft_settings_its_plan_cannot_run(tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,message", UNRUNNABLE_FFT)
+def test_invert_refuses_fft_settings_its_plan_cannot_run(normalized_cosine, tmp_path, capsys,
+                                                         flag, message):
+    """``ftsinv invert`` makes its plan where the studies make theirs, with the
+    same refusals."""
+    out = tmp_path / "x.csv"
+    assert cli.main(["invert", "--method", "fft", "--bits", "12", *flag,
+                     "--in", str(normalized_cosine), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_precision_runs_a_given_headroom_at_every_width(tmp_path, capsys):
+    """A given headroom is not fitted to a sweep's narrow widths: 2 leaves the
+    4-bit DCT entry words no mantissa, so the default widths exit 2 and
+    write nothing."""
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep-precision", *STUDY_FLAGS, "--headroom", "2",
+                     "--out", str(out)]) == 2
+    assert "headroom 3 leaves no mantissa in 4-bit words" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_runs_the_fft_at_zero_headroom(tmp_path, monkeypatch):
     """--headroom 0 reaches the FFT plan as given."""
     made, make = [], bench._fft_plan
 
-    def recording(n, **settings):
-        made.append(settings)
-        return make(n, **settings)
+    def recording(n, bits=None, headroom=None, **settings):
+        made.append(dict(bits=bits, headroom=headroom, **settings))
+        return make(n, bits, headroom, **settings)
 
     monkeypatch.setattr(bench, "_fft_plan", recording)
     assert cli.main(["compare", *STUDY_FLAGS, "--bits", "12", "--headroom", "0",
                      "--out", str(tmp_path / "s.csv")]) == 0
-    assert made == [dict(bits=12, twiddle_bits=None, mode="post", headroom_bits=0)]
+    assert made == [dict(bits=12, twiddle_bits=None, mode="post", headroom=0)]
 
 
 @pytest.fixture
@@ -403,6 +432,22 @@ def test_invert_fft_route(normalized_cosine, tmp_path, mode):
                      "--in", str(normalized_cosine), "--out", str(out)]) == 0
     _, _, x_hat = fileio.read_series_csv(out)
     assert x_hat.size == 64 and np.all(np.isfinite(x_hat))
+
+
+@pytest.mark.parametrize("bits", [4, 5])
+@pytest.mark.parametrize("mode", ["pre", "post", "fixed"])
+def test_invert_fft_runs_the_plan_a_study_makes(normalized_cosine, tmp_path, mode, bits):
+    """Without --headroom, ``invert`` runs the plan a study of the same
+    acquisition makes at ``bits``, its default headroom fitted to the
+    width, and writes the study's estimate bit for bit."""
+    out = tmp_path / "x.csv"
+    assert cli.main(["invert", "--method", "fft", "--bits", str(bits), "--fft-mode", mode,
+                     "--in", str(normalized_cosine), "--out", str(out)]) == 0
+    setup = bench.build_setup(bench.ExperimentConfig(kind="cosine", n=64, m=64, seed=3,
+                                                     fft_mode=mode))
+    _, estimate, _, _ = bench.invert_once(setup, "fft", bits)
+    _, _, x_hat = fileio.read_series_csv(out)
+    assert np.array_equal(x_hat, estimate)
 
 
 def test_invert_fft_normalizes_like_the_library(tmp_path):
@@ -517,6 +562,10 @@ def test_config_refuses_removed_keys(key, value):
 @pytest.mark.parametrize("text,message", [
     ('{"kind": "cosine", "n": 16,', "bad config JSON"),
     ('{"kind": "cosine", "k": 0}', "k must be >= 1"),
+    ('{"kind": "cosine", "n": 16, "m": 16, "seed": 1, "lambda_points": 0}',
+     "lambda_points must be >= 1"),
+    ('{"kind": "cosine", "n": 16, "m": 16, "seed": 1, "lambda_rel_max": 1e400}',
+     "lambda_rel_min and lambda_rel_max must be finite and > 0"),
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
     config, out = tmp_path / "c.json", tmp_path / "s.csv"

@@ -620,7 +620,7 @@ def test_benchmark_plans_word_types():
         assert FftPlan.make(65536, bits=16, mode=mode).word_type is np.int32
     cfg = fi.bench.reference_airy_config()
     for bits, word in ((4, np.int32), (16, np.int32), (18, np.int64), (None, np.float64)):
-        assert fi.bench._fft_plan_for_bits(cfg.n, bits, cfg).word_type is word, bits
+        assert fi.bench._fft_plan(cfg.n, bits, mode=cfg.fft_mode).word_type is word, bits
     wide = FftPlan.make(4096, bits=40, mode="post")
     assert wide.word_type is np.int64
     assert fxp._limb_plan(wide.twiddle_format.total_bits, wide.data_format.total_bits,

@@ -13,6 +13,8 @@ from ftsinv.fxp import (
     FxpFormat,
     RoundingMode,
     _guard_bits,
+    _lazy_digits_fit,
+    _limb_magnitudes,
     _limb_plan,
     _mac,
     _macs,
@@ -530,6 +532,18 @@ class TestExactMac:
         assert out.dtype == np.int64
         assert out.tolist() == [r for r, _ in results]
         assert overflows == sum(over for _, over in results)
+
+
+def test_limb_plan_narrows_its_limbs_until_the_digits_fit():
+    """64- by 64-bit words, both split, summed 2**50 at a time: the first
+    limb width, ``(62 - 50) // 2 = 6``, and 5 let a digit pass an int64, so
+    the plan narrows to 4-bit limbs.  At 58 guard bits no width fits."""
+    fit = [_lazy_digits_fit(_limb_magnitudes(64, bits), _limb_magnitudes(64, bits), 50, bits)
+           for bits in (6, 5, 4)]
+    assert fit == [False, False, True]
+    assert _limb_plan(64, 64, 50) == (4, True)
+    with pytest.raises(ValueError, match="58 guard bits leave no room in int64"):
+        _limb_plan(64, 64, 58)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -4,11 +4,14 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ftsinv as fi
 from ftsinv import hwmodel
@@ -38,7 +41,14 @@ from ftsinv.matrix_inversion import (
     svd_factorize,
 )
 
-from reference import apply_overflow, gram_condition, rshift_round, svd_residuals
+from reference import (
+    apply_overflow,
+    gram_condition,
+    pinv_words,
+    rshift_round,
+    svd_residuals,
+    svd_words,
+)
 
 
 class TestSvdFactorize:
@@ -514,6 +524,95 @@ class TestCompiledDiagonals:
         z = PenalizedDiagonal(np.ones(f.rank_bound + 1), Tikhonov(1.0))
         with pytest.raises(ValueError, match="does not match the factors"):
             compile_svd(f, 12).diagonals([penalize(f.xi, Tsvd(4)), z])
+
+
+@st.composite
+def _route_cases(draw):
+    """A small problem and a width on either side of each switch the matrix
+    routes' fast paths take: float64 words (the widest width whose products
+    are all float-exact, and one bit wider, for each route), one-digit int64
+    words, limbs of the vector words alone and of both; with a rank or ridge
+    diagonal keeping a leading, scattered or empty set of lanes, whose
+    product-1 peak may sit at the edge of its format."""
+    m, n = draw(st.integers(2, 12)), draw(st.integers(3, 7))
+    r = min(m, n)
+    edges = [max(w for w in range(4, 40) if all(_float_exact(w, w, g) for g in guards))
+             for guards in ([_guard_bits(m)], [0, _guard_bits(m), _guard_bits(r)])]
+    width = draw(st.sampled_from([4, 6, 12, 20, 30, 31, 32, 40, 48, 53, 54, 60, 63, 64,
+                                  *[e + d for e in edges for d in (0, 1)]]))
+    lanes = draw(st.sampled_from(["leading", "scattered"] * 3 + ["empty"]))
+    return dict(m=m, n=n, width=width, lanes=lanes,
+                scale=2.0 ** draw(st.integers(-12, 12)),
+                rank=draw(st.integers(1, r)), ridge=draw(st.booleans()),
+                lam=draw(st.floats(1e-4, 10.0)),
+                # product 1's peak scaled to its format, 2**(width - 1) - edge,
+                # saturates where entry rounding lifts it; an edge up to 1/2
+                # would round it to 2**(width - 1), so the format halves it
+                edge=draw(st.sampled_from([None, 0.5, 0.5625, 0.625, 0.75, 1.0, 2.0])),
+                k=draw(st.sampled_from([1, 3])), mode=draw(st.sampled_from(list(RoundingMode))),
+                seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _route_diagonal(f: SvdFactors, case, rng) -> PenalizedDiagonal:
+    xi, r, width = f.xi, f.rank_bound, case["width"]
+    z = (penalize(xi, Tikhonov(case["lam"])) if case["ridge"]
+         else penalize(xi, Tsvd(case["rank"])))
+    zeta = z.zeta.copy()
+    if case["lanes"] == "scattered":         # lane 0 and others dropped, one kept
+        zeta[[0, *rng.permutation(r)[: r // 2]]] = 0.0
+        zeta[rng.integers(1, r)] = z.zeta[0]
+    elif case["lanes"] == "empty":
+        zeta[:] = 0.0
+    peak = np.max(np.max(np.abs(f.v), axis=0) * np.abs(zeta))
+    if case["edge"] is not None and peak > 0:
+        # product 1's peak just below 2, in a format with width - 2
+        # fractional bits, neither end clamped
+        zeta *= math.ldexp(2.0 ** (width - 1) - case["edge"], 2 - width) / peak
+    return PenalizedDiagonal(zeta, z.scheme)
+
+
+def _range_format(width: int, values) -> FxpFormat:
+    return FxpFormat.for_range(width, float(np.max(np.abs(values), initial=0.0)))
+
+
+class TestWordModel:
+    """Both matrix routes against :func:`reference.pinv_words` and
+    :func:`reference.svd_words`, Python-int models of their words, given
+    the binary points the library's rule takes from the double
+    references.  The estimates must match exactly, which pins every word up
+    to 53 bits, and so must each route's overflow count."""
+
+    @settings(max_examples=250)
+    @given(_route_cases())
+    def test_routes_match_the_word_model(self, case):
+        rng = np.random.default_rng(case["seed"])
+        m, n, width, mode, k = case["m"], case["n"], case["width"], case["mode"], case["k"]
+        a = case["scale"] * rng.standard_normal((m, n)) * np.logspace(0, -rng.uniform(0, 4), n)
+        y = a @ rng.standard_normal(n) + 1e-3 * case["scale"] * rng.standard_normal(m)
+        f = svd_factorize(a)
+
+        adag = pinv_matrix(f)
+        fmts = tuple(_range_format(width, t) for t in (adag, y, adag @ y))
+        res = reconstruct_pinv(adag, y, fmt=width, k=k, mode=mode)
+        words, overflows = pinv_words(adag.tolist(), y.tolist(), fmts, mode)
+        assert np.array_equal(res.x_hat, np.array(words, dtype=float) * fmts[2].resolution)
+        assert res.telemetry.overflow_events == overflows
+
+        z = _route_diagonal(f, case, rng)
+        datapath = compile_svd(f, width, k)
+        (compiled,) = datapath.diagonals([z])
+        kept, lanes = compiled.kept, np.flatnonzero(z.zeta)
+        o2_ref = datapath.ut[kept] @ y
+        fmts = dict(y=_range_format(width, y), u=_range_format(width, f.u[:, lanes]),
+                    o2=_range_format(width, o2_ref), v=_range_format(width, f.v[:, lanes]),
+                    z=_range_format(width, z.zeta),
+                    o1=_range_format(width, np.max(np.abs(f.v), axis=0) * np.abs(z.zeta)),
+                    x=_range_format(width, (f.v[:, kept] * compiled.zk) @ o2_ref))
+        res = reconstruct_svd(datapath, compiled, y, mode=mode)
+        words, overflows = svd_words(f.v.tolist(), datapath.ut.tolist(), z.zeta.tolist(),
+                                     y.tolist(), fmts, mode)
+        assert np.array_equal(res.x_hat, np.array(words, dtype=float) * fmts["x"].resolution)
+        assert res.telemetry.overflow_events == sum(overflows)
 
 
 def _shift_formats(width: int, shift: int):

@@ -258,7 +258,7 @@ def _compile_datapath(method: str, factors: SvdFactors, fmt, k: int = 1, adag=No
 def _compile_route(setup: StudySetup, method: str, bits: int | None, k: int):
     """The route's acquisition (normalized on the fft route) and its datapath
     compiled at ``bits`` and ``k``: on the fft route :func:`_fft_plan`'s
-    plan, with the config's default headroom left unset.  Under
+    plan, a headroom equal to the default, given or not, left unset.  Under
     ``quantize="data-only"`` the acquisition alone is quantized, at ``bits``
     over its own range, and the datapath is the double-precision one."""
     cfg = setup.config

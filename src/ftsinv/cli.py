@@ -52,8 +52,8 @@ _DATAPATH_FLAGS = {
     "--bits": dict(type=int, help="datapath word width"),
     "--twiddle-bits": dict(type=int, dest="twiddle_bits"),
     "--fft-mode": dict(choices=list(MODES), dest="fft_mode"),
-    "--headroom": dict(type=int, help="FFT block headroom bits; unset, the default 3 "
-                                      "fitted down to bits - 3, else used as given"),
+    "--headroom": dict(type=int, help="FFT block headroom bits; unset, or 3 in a study: "
+                                      "the default 3 fitted down to bits - 3; else as given"),
     "--rank": dict(type=int, help="kept singular values (tsvd)"),
     "--lambda": dict(type=float, dest="lam", help="ridge parameter (tik)"),
     "--parallel-k": dict(type=int, dest="k", help="banked memories"),

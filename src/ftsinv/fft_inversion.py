@@ -84,6 +84,7 @@ from .fxp import (
     ENTRY_POLICY,
     FxpFormat,
     _add_floor,
+    _frac_bits,
     _limb_plan,
     _mac,
     _macs,
@@ -102,11 +103,8 @@ MODES = ("pre", "post", "fixed")
 
 
 def _parity(idx: np.ndarray) -> np.ndarray:
-    """Parity of the population count of each index (XOR fold)."""
-    v = np.array(idx, dtype=np.int64)
-    for s in (32, 16, 8, 4, 2, 1):
-        v ^= v >> s
-    return v & 1
+    """Parity of the population count of each index, as int64."""
+    return np.bitwise_count(idx).astype(np.int64) & 1
 
 
 @functools.lru_cache(maxsize=8)
@@ -168,12 +166,8 @@ class BankedMemory:
 
 
 def _bit_reverse_permutation(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
+    """Each index of a power-of-two ``n`` with its bits reversed."""
+    return np.arange(n).reshape((2,) * (n.bit_length() - 1)).transpose().ravel()
 
 
 @functools.lru_cache(maxsize=8)
@@ -355,9 +349,12 @@ def quantize_complex_block(x: np.ndarray, fmt: FxpFormat, target_headroom: int):
     """Scale-and-quantize a complex vector into int64 mantissas and an exponent.
 
     Returns (re, im, exponent) with every mantissa magnitude at most
-    ``2**(total_bits - 1 - target_headroom) - 1``.  A real vector is a complex
-    one with a zero imaginary part: it gives the same words and exponent
-    without forming that part.
+    ``2**(total_bits - 1 - target_headroom) - 1``: the words rounded under
+    ``ENTRY_POLICY`` at the least exponent where they fit, which is
+    :meth:`FxpFormat.for_range`'s rule in ``total_bits - target_headroom``
+    bits, save the one-high window of ROADMAP item 13.  A real vector is a
+    complex one with a zero imaginary part: it gives the same words and
+    exponent without forming that part.
     """
     x = np.asarray(x)
     if np.iscomplexobj(x):
@@ -370,22 +367,17 @@ def quantize_complex_block(x: np.ndarray, fmt: FxpFormat, target_headroom: int):
         raise ValueError(
             f"headroom {target_headroom} leaves no mantissa in {w}-bit words"
         )
-    limit = (1 << (w - 1 - target_headroom)) - 1
-    # |v| <= limit as |v| < 2**k, exact in floats, where limit may round up
-    bound = 2.0 ** (w - 1 - target_headroom)
     peak = max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
     if peak == 0.0:
         z = np.zeros(x.size, dtype=np.int64)
         return z, z.copy(), 0
-    gamma = math.ceil(math.log2(peak / limit))
-    while True:
-        words = [_round_in_place(np.ldexp(p, -gamma), ENTRY_POLICY) for p in parts]
-        if max(np.max(np.abs(v)) for v in words) < bound:
-            break
-        gamma += 1
-    re = words[0].astype(np.int64)
-    im = words[1].astype(np.int64) if len(words) > 1 else np.zeros_like(re)
-    return re, im, gamma
+    limit = (1 << (w - 1 - target_headroom)) - 1
+    # ROADMAP item 13: the log2 term adds one for most peaks in (limit, limit + 1/2) * 2**k
+    gamma = max(math.ceil(math.log2(peak / limit)),
+                -_frac_bits(w - target_headroom, *math.frexp(peak)))
+    words = [_round_in_place(np.ldexp(p, -gamma), ENTRY_POLICY).astype(np.int64)
+             for p in parts]
+    return words[0], (words[1] if len(words) > 1 else np.zeros_like(words[0])), gamma
 
 
 def _twiddle_mac(plan: FftPlan, w1, x1, w2, x2, sign: int):

@@ -52,6 +52,7 @@ from . import hwmodel
 from .errors import SvdConvergenceError
 from .fxp import (
     DATAPATH_POLICY,
+    ENTRY_POLICY,
     FxpFormat,
     RoundingMode,
     _guard_bits,
@@ -471,13 +472,15 @@ class CompiledSvd:
             # 2**-shift: exact on the z word alone, as both are integers and
             # so is their product, below 2**52 (compile_svd)
             words = np.ldexp(words, (fracs[2] - fracs[0] - fracs[1])[:, None])
-            # V words round half to even at entry, the same either side of 0,
-            # and saturate to at most 2**(width - 1) in magnitude, so a
-            # column's largest |V word| is at most its max |V| so rounded.
-            # No output of a lane passes that times |z word|, rounded as the
-            # stage rounds; the format holds one more negative word, so the
-            # positive side decides
-            v_peak = np.minimum(np.rint(np.ldexp(self.v_colmax, fracs[0][:, None])),
+            # V words round at entry under ENTRY_POLICY and saturate to at
+            # most 2**(width - 1) in magnitude, so a column's largest |V word|
+            # is at most its max |V| so rounded, on whichever side of 0 rounds
+            # further out.  No output of a lane passes that times |z word|,
+            # rounded as the stage rounds; the format holds one more negative
+            # word, so the positive side decides
+            scaled = np.ldexp(self.v_colmax, fracs[0][:, None])
+            v_peak = np.minimum(np.maximum(-_round_in_place(-scaled, ENTRY_POLICY),
+                                           _round_in_place(scaled, ENTRY_POLICY)),
                                 2.0 ** (width - 1))
             peak = (v_peak * np.abs(words)).max(axis=1, initial=0.0)
             fits = [(mode, (_round_in_place(peak.copy(), mode) < 2.0 ** (width - 1)).tolist())

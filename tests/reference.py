@@ -76,6 +76,30 @@ def quantize(x: float, fmt: FxpFormat, mode: RoundingMode = ENTRY_POLICY) -> Fxp
     return FxpValue(apply_overflow(raw, fmt)[0], fmt)
 
 
+def least_entry_exponent(peak: float, width: int) -> tuple:
+    """``(g, in_window)``: the least exponent ``g`` at which ``peak * 2**-g``
+    rounds half to even to at most ``limit = 2**(width - 1) - 1``, found by
+    search on the exact value, and whether ``peak`` lies in the window
+    ``(limit, limit + 1/2) * 2**g``, where it rounds down to ``limit``.
+
+    ``width`` is the entry's word width less its headroom.  Rounding is
+    monotone, so the peak decides for a whole block; the search starts
+    where the peak scales past ``2**width`` and steps up."""
+    limit = (1 << (width - 1)) - 1
+    p = Fraction(peak)
+    g = p.numerator.bit_length() - p.denominator.bit_length() - 1 - width
+    while round(p / Fraction(2) ** g) > limit:
+        g += 1
+    return g, limit < p / Fraction(2) ** g < limit + Fraction(1, 2)
+
+
+def entry_block_words(parts, exponent: int) -> list:
+    """Each part's values times ``2**-exponent``, rounded half to even
+    exactly."""
+    scale = Fraction(2) ** -exponent
+    return [[round(Fraction(float(v)) * scale) for v in part] for part in parts]
+
+
 def fxp_mul(a: FxpValue, b: FxpValue, out_fmt: FxpFormat,
             mode: RoundingMode = DATAPATH_POLICY) -> FxpValue:
     """Exact product realigned and rounded to ``out_fmt``."""

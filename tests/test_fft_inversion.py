@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,7 +30,15 @@ from ftsinv.fft_inversion import (
 from ftsinv.fxp import FxpFormat
 
 from conftest import complex_snr_db
-from reference import bank_map, bfp_stages, block_headroom, butterfly_radix2, to_complex
+from reference import (
+    bank_map,
+    bfp_stages,
+    block_headroom,
+    butterfly_radix2,
+    entry_block_words,
+    least_entry_exponent,
+    to_complex,
+)
 
 
 def direct_dct2(x):
@@ -544,6 +553,63 @@ class TestFftBfp:
         x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         res = fft_bfp(x, plan)
         assert res.telemetry.overflow_events > 0   # growth with no normalization
+
+
+@st.composite
+def _entry_blocks(draw):
+    """``(x, width, headroom)``: a real or complex block whose peak, on
+    either part and of either sign, sits on either side of an edge of the
+    window ``(limit, limit + 1/2) * 2**k`` (up to two floats away), inside
+    it, or at a power of two; the other words are fractions of the peak."""
+    width = draw(st.integers(4, 64))
+    headroom = draw(st.integers(0, width - 2))
+    limit = (1 << (width - 1 - headroom)) - 1
+    k = draw(st.integers(-60, 60))
+    where = draw(st.sampled_from(["low edge", "high edge", "inside", "power of two"]))
+    if where == "inside":
+        peak = math.ldexp(limit + draw(st.floats(0, 0.5, exclude_min=True, exclude_max=True)), k)
+    else:
+        peak = math.ldexp({"low edge": float(limit), "high edge": limit + 0.5,
+                           "power of two": 1.0}[where], k)
+        steps = draw(st.integers(-2, 2))
+        for _ in range(abs(steps)):
+            peak = math.nextafter(peak, math.copysign(math.inf, steps))
+    size = draw(st.integers(1, 6))
+    fractions = st.lists(st.floats(-1, 1), min_size=size, max_size=size)
+    parts = [np.array(draw(fractions)) * peak
+             for _ in range(1 + draw(st.booleans()))]
+    parts[draw(st.integers(0, len(parts) - 1))][draw(st.integers(0, size - 1))] = \
+        draw(st.sampled_from([peak, -peak]))
+    x = parts[0] + 1j * parts[1] if len(parts) > 1 else parts[0]
+    return x, width, headroom
+
+
+class TestEntryExponent:
+    """The entry quantizer against :func:`reference.least_entry_exponent`,
+    an exact search for the least exponent at which every word fits.  The
+    quantizer is called through its module, so a patch of it applies."""
+
+    @given(_entry_blocks())
+    def test_exponent_and_words_match_the_exact_model(self, case):
+        """The exponent is the least one at which every word rounds half to
+        even into ``width - headroom`` bits, plus one inside the window
+        ``(limit, limit + 1/2) * 2**least`` (ROADMAP item 13) wherever the
+        float64 estimate ``ceil(log2(peak / limit))`` sees the peak above
+        ``limit * 2**least``: next to the window's low edge it rounds that
+        excess away.  The words are the values so scaled, rounded half to
+        even exactly, as int64."""
+        x, width, headroom = case
+        re, im, exponent = fft_inversion.quantize_complex_block(
+            x, FxpFormat(width, width - 1), headroom)
+        parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+        peak = max(float(np.max(np.abs(p))) for p in parts)
+        least, in_window = least_entry_exponent(peak, width - headroom)
+        limit = (1 << (width - 1 - headroom)) - 1
+        assert exponent == least + (in_window and math.ceil(math.log2(peak / limit)) > least)
+        words = entry_block_words(parts, exponent)
+        assert re.dtype == im.dtype == np.int64
+        assert re.tolist() == words[0]
+        assert im.tolist() == (words[1] if len(words) > 1 else [0] * x.size)
 
 
 class TestPlanIsFrozen:

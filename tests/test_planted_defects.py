@@ -1,0 +1,152 @@
+"""Planted defects, each of which named tier-1 checks must kill.
+
+Each row of :data:`DEFECTS` plants one defect in ``src/ftsinv`` by patching
+one function, or one constant, where its module binds it: a function is
+replaced by a mutant, its own source with one snippet rewritten and compiled
+in its module's namespace, so every caller that looks the name up in that
+module runs the defect.  A check that imported the name into its own module
+keeps the original, so a row names checks that reach the defect through the
+package.  The test runs the row's checks in this process, by their node ids,
+and asserts that each one fails; the patch and every per-size cache of the
+package are undone afterwards.  A defect that no check killed would stay in
+the table as a survivor, with the reason; every defect here is killed.
+"""
+
+from __future__ import annotations
+
+import __future__
+import inspect
+import sys
+import textwrap
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+from hypothesis import Phase, settings
+
+from ftsinv import bench, fft_inversion, fxp, matrix_inversion
+
+TESTS = Path(__file__).resolve().parent
+
+
+@dataclass(frozen=True)
+class Defect:
+    """``target`` of ``owner`` (a module or class) planted with ``new``: in
+    place of the snippet ``old`` of its source, or, where ``old`` is None,
+    as the constant's value."""
+
+    name: str
+    owner: object
+    target: str
+    old: str | None
+    new: object
+    checks: tuple
+
+
+ENTRY_WINDOW = "test_fft_inversion.py::TestEntryExponent::test_exponent_and_words_match_the_exact_model"
+BOUND_ROUNDS = ("test_matrix_inversion.py::TestCompiledDiagonals::"
+                "test_saturation_bound_rounds_as_the_stage_rounds")
+WORD_MODEL = "test_matrix_inversion.py::TestWordModel::test_routes_match_the_word_model"
+
+DEFECTS = [
+    Defect("entry exponent one lower (ROADMAP item 15, A)",
+           fft_inversion, "quantize_complex_block", "gamma = max(", "gamma = -1 + max(",
+           (ENTRY_WINDOW, "test_fft_inversion.py::test_golden_bits[fft_bfp]")),
+    Defect("entry exponent without the ROADMAP item 13 term",
+           fft_inversion, "quantize_complex_block",
+           "max(math.ceil(math.log2(peak / limit)),", "(",
+           (ENTRY_WINDOW, "test_workloads.py::test_seed_1_cycle_digest_is_pinned[airy-sweep]")),
+    Defect("product 1's bound with V's peak floored",
+           matrix_inversion.CompiledSvd, "diagonals",
+           "scaled = np.ldexp(self.v_colmax, fracs[0][:, None])",
+           "scaled = np.floor(np.ldexp(self.v_colmax, fracs[0][:, None]))",
+           (BOUND_ROUNDS, WORD_MODEL)),
+    Defect("product 1's bound compared with <=",
+           matrix_inversion.CompiledSvd, "diagonals",
+           "< 2.0 ** (width - 1)).tolist())", "<= 2.0 ** (width - 1)).tolist())",
+           (BOUND_ROUNDS, WORD_MODEL)),
+    Defect("port banks inverted",
+           fft_inversion, "_parity", "return np.bitwise_count(idx).astype(np.int64) & 1",
+           "return 1 - (np.bitwise_count(idx).astype(np.int64) & 1)",
+           ("test_fft_inversion.py::TestBankMap::test_port_map_matches_bank_map",)),
+    Defect("bit reversal replaced by the identity",
+           fft_inversion, "_bit_reverse_permutation", ".transpose().ravel()", ".ravel()",
+           ("test_fft_inversion.py::test_golden_bits[fft_bfp]",
+            "test_fft_inversion.py::TestFftBfp::test_exact_mode_matches_reference_fft")),
+    Defect("post shift decided from the stage's output block (ROADMAP item 15, B)",
+           fft_inversion, "_fft_core", 'if bfp == "post":\n',
+           'if bfp == "post":\n'
+           "                shift = headroom(extremes, plan.data_format.total_bits)"
+           " - plan.headroom_bits\n",
+           ("test_fft_inversion.py::test_golden_bits[fft_bfp]",
+            "test_fft_inversion.py::TestButterfly::test_bfp_blocks_match_the_model[small-post]")),
+    Defect("DCT twiddle stage rounding half to even (ROADMAP item 15, C)",
+           fft_inversion, "_twiddle_mac", "frac_bits, DATAPATH_POLICY,", "frac_bits, ENTRY_POLICY,",
+           ("test_fft_inversion.py::test_golden_bits[dct2_via_fft]",
+            "test_fft_inversion.py::test_golden_bits[idct2_via_fft]")),
+    Defect("float64 words trusted to 56 bits (ROADMAP item 15, D)",
+           fxp, "_FLOAT_EXACT_BITS", None, 56,
+           ("test_matrix_inversion.py::TestLimbKernel::test_matvec_at_the_float_switch[24-24]",
+            "test_matrix_inversion.py::TestWordType::test_word_type_at_m_and_r_256[24-int64]")),
+]
+
+
+def _mutant(owner, name: str, old: str, new: str):
+    """``owner.name`` compiled from its source with ``old`` replaced by
+    ``new``, in the namespace of the module that defines it."""
+    func = inspect.getattr_static(owner, name)
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{name}: {old!r} is not in its source once"
+    module = sys.modules[func.__module__]
+    code = compile(source.replace(old, new), module.__file__, "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    scope = {}
+    exec(code, vars(module), scope)
+    return scope[name]
+
+
+def _clear_caches() -> None:
+    """Forget every per-size map, workspace, limb plan and FFT plan, which a
+    defect may have built."""
+    for module in (fxp, fft_inversion, matrix_inversion, bench):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+class _Failures:
+    """The node ids a nested run reports, and those that failed."""
+
+    def __init__(self):
+        self.ran, self.failed = set(), set()
+
+    def pytest_runtest_logreport(self, report):
+        self.ran.add(report.nodeid)
+        if report.failed:
+            self.failed.add(report.nodeid)
+
+
+# a property on the default settings stops at its first failing example
+settings.register_profile("planted", settings.get_profile("tier1"),
+                          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+
+@pytest.mark.parametrize("defect", DEFECTS, ids=[d.name for d in DEFECTS])
+def test_named_checks_kill_the_defect(defect, monkeypatch):
+    planted = (defect.new if defect.old is None
+               else _mutant(defect.owner, defect.target, defect.old, defect.new))
+    runs = _Failures()
+    settings.load_profile("planted")
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(defect.owner, defect.target, planted)
+            _clear_caches()
+            pytest.main(["-p", "no:cacheprovider", "-p", "no:terminal",
+                         *(str(TESTS / check) for check in defect.checks)], plugins=[runs])
+    finally:
+        settings.load_profile("tier1")
+        _clear_caches()
+    ids = {check: [i for i in runs.ran if i.endswith("tests/" + check)]
+           for check in defect.checks}
+    assert all(ids.values()), f"checks that did not run: {ids}"
+    assert {check for check, ran in ids.items() if set(ran) & runs.failed} == set(defect.checks)

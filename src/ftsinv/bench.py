@@ -10,7 +10,6 @@ file is self-describing.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -222,7 +221,6 @@ def build_setup(cfg: ExperimentConfig) -> StudySetup:
                       rank_grid=ranks)
 
 
-@functools.lru_cache(maxsize=32)
 def _fft_plan(n: int, bits: int | None = None, headroom: int | None = None,
               **settings) -> FftPlan:
     """Every study's and ``ftsinv invert``'s FFT plan: ``n`` points at
@@ -231,9 +229,9 @@ def _fft_plan(n: int, bits: int | None = None, headroom: int | None = None,
     refuses where it cannot run them.  An unset ``headroom`` is the default
     3 fitted down to ``bits - 3``, as
     :func:`~ftsinv.fft_inversion.idct2_via_fft` enters its words one headroom
-    bit above the plan's; a given one is used as given.  Made once, as a plan
-    is immutable and compiles its stage columns at its first transform: the
-    32 most recent are kept, room for a sweep's widths and double plan."""
+    bit above the plan's; a given one is used as given.  A plan is a value,
+    so making it again is cheap: the tables and columns it reads are built
+    once per size and format (:func:`~ftsinv.fft_inversion._tables`)."""
     default = ExperimentConfig.headroom
     fitted = default if bits is None else min(default, bits - 3)
     return FftPlan.make(n, bits, headroom_bits=fitted if headroom is None else headroom,

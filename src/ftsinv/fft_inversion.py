@@ -44,17 +44,19 @@ block, which yields the block's least and greatest words; the block exponent
 is decided from those, carried from stage to stage, so no stage reads the
 store again to normalize it.
 
-A plan is compiled once, as an engine is synthesized once.  Its word type
+An engine's ROMs and memories are fixed when it is synthesized, by its size
+and word formats, so each is built once, keyed by what it is built from, and
+every plan with that key shares it.  A plan's word type
 (:attr:`FftPlan.word_type`) is int32 where its widths prove that every
-integer a stage forms fits one, else int64, and float64 on an exact plan;
-every stage's twiddle column pair is held in that type from the plan's first
-transform on.  The port's store and the scratch planes exist once per size
-and word type (:func:`_workspace`), and every transform and every plan of
-that size reuses them, so a compiled FFT is not re-entrant: two threads may
-not run transforms of one size and word type at once.  No result aliases
-them: ``fft_bfp`` and ``fft_bfp_block`` copy their words out as int64
-(float64 on an exact plan), and the DCT routes read the store into new
-arrays.
+integer a stage forms fits one, else int64, and float64 on an exact plan.
+The read-only twiddle and DCT tables exist once per size and twiddle format
+(:func:`_tables`), and the stages' twiddle columns once per word type as
+well (:func:`_columns`).  The port's store and the scratch planes exist once
+per size and word type (:func:`_workspace`), so a compiled FFT is not
+re-entrant: two threads may not run transforms of one size and word type at
+once.  No result aliases them: ``fft_bfp`` and ``fft_bfp_block`` copy their
+words out as int64 (float64 on an exact plan), and the DCT routes read the
+store into new arrays.
 
 numpy's ufunc iterator copies every operand whose contiguous rows are shorter
 than its buffer (8192 elements) through that buffer, and the stages' operands
@@ -88,6 +90,7 @@ from .fxp import (
     _limb_plan,
     _mac,
     _macs,
+    _read_only,
     _requantize,
     _round_in_place,
     _ufunc_buffer,
@@ -121,10 +124,7 @@ def _port_map(n_points: int) -> tuple:
     it is computed once per size and kept read-only.
     """
     idx = np.arange(n_points)
-    port = (_parity(idx).astype(np.int8), idx >> 1)
-    for a in port:
-        a.setflags(write=False)
-    return port
+    return tuple(map(_read_only, (_parity(idx).astype(np.int8), idx >> 1)))
 
 
 class BankedMemory:
@@ -176,9 +176,7 @@ def _load_order(n: int) -> np.ndarray:
     transposed to the ``(2**split, n / 2**split)`` array that the first
     ``split = n_stages // 2`` stages run on; read-only, built once per size."""
     rows = 1 << ((n.bit_length() - 1) // 2)
-    order = _bit_reverse_permutation(n).reshape(-1, rows).T.ravel()
-    order.setflags(write=False)
-    return order
+    return _read_only(_bit_reverse_permutation(n).reshape(-1, rows).T.ravel())
 
 
 @functools.lru_cache(maxsize=8)
@@ -192,19 +190,43 @@ def _workspace(n_points: int, word) -> tuple:
                                                for _ in range(3))
 
 
+@functools.lru_cache(maxsize=32)
+def _tables(n: int, twiddle_format: FxpFormat | None) -> tuple:
+    """The ``n``-point ROMs ``(tw_re, tw_im, dct_cos, dct_sin)``, twiddles
+    ``exp(-2 pi i k / n)`` and DCT twiddles ``exp(i pi k / 2n)``: words in
+    ``twiddle_format`` rounded under ``ENTRY_POLICY``, doubles where it is
+    None.  Read-only, shared by every plan of the size and twiddle format."""
+    ang = -2.0 * np.pi * np.arange(n // 2) / n
+    angd = np.pi * np.arange(n) / (2.0 * n)
+    tables = (np.cos(ang), np.sin(ang), np.cos(angd), np.sin(angd))
+    if twiddle_format is not None:
+        tables = (quantize_array(t, twiddle_format, ENTRY_POLICY) for t in tables)
+    return tuple(map(_read_only, tables))
+
+
+@functools.lru_cache(maxsize=32)
+def _columns(n: int, twiddle_format: FxpFormat | None, word) -> tuple:
+    """Every stage's twiddle column pair ``(wr, wi)``: stage s reads the
+    h = 2**s entries ``k n / 2h`` of :func:`_tables` as ``(h, 1)`` columns of
+    ``word`` words, read-only and contiguous, ``n - 1`` words per table."""
+    stages = n.bit_length() - 1
+    idx = np.concatenate([np.arange(0, n // 2, n >> (s + 1)) for s in range(stages)])
+    wr, wi = (_read_only(t.take(idx).astype(word, copy=False)[:, None])
+              for t in _tables(n, twiddle_format)[:2])
+    return tuple((wr[h - 1: 2 * h - 1], wi[h - 1: 2 * h - 1])
+                 for h in (1 << s for s in range(stages)))
+
+
 @dataclass(frozen=True)
 class FftPlan:
     """Immutable transform descriptor: size, formats, normalization mode.
 
     ``data_format is None`` selects the double-precision reference: every
     entry point runs the same body, and the same butterfly schedule, on
-    float64 words, with float products and no block exponent.  The
-    twiddle tables hold what the datapath reads: the words in
-    ``twiddle_format`` on a fixed-point plan, the doubles on an exact one.
-    The plan is its compiled datapath as well: its word type
-    (:attr:`word_type`) and its stages' twiddle columns in that type, held
-    from its first transform on.  Every table and column is read-only, so a
-    stage that wrote into one would raise.
+    float64 words, with float products and no block exponent.  A plan is a
+    value, its five settings alone: plans with equal settings compare and
+    hash equal, and read one set of tables, columns and memories
+    (:func:`_tables`, :func:`_columns`, :func:`_workspace`).
     """
 
     n_points: int
@@ -212,10 +234,6 @@ class FftPlan:
     twiddle_format: FxpFormat | None
     mode: str
     headroom_bits: int
-    _tw_re: np.ndarray = field(repr=False, default=None)
-    _tw_im: np.ndarray = field(repr=False, default=None)
-    _dct_cos: np.ndarray = field(repr=False, default=None)
-    _dct_sin: np.ndarray = field(repr=False, default=None)
 
     @classmethod
     def make(
@@ -233,8 +251,7 @@ class FftPlan:
         if bits is None and twiddle_bits is not None:
             raise ValueError("twiddle_bits needs bits: a double-precision plan "
                              "has no twiddle words")
-        data_fmt = None
-        tw_fmt = None
+        data_fmt = tw_fmt = None
         if bits is not None:
             if twiddle_bits is None:
                 twiddle_bits = bits
@@ -245,27 +262,7 @@ class FftPlan:
             tw_fmt = FxpFormat(twiddle_bits, twiddle_bits - 2)
         if not (0 <= headroom_bits <= (bits - 2 if bits else 30)):
             raise ValueError("headroom_bits out of range")
-
-        ang = -2.0 * np.pi * np.arange(n_points // 2) / n_points
-        angd = np.pi * np.arange(n_points) / (2.0 * n_points)
-        tables = (np.cos(ang), np.sin(ang), np.cos(angd), np.sin(angd))
-        if tw_fmt is not None:
-            tables = tuple(quantize_array(t, tw_fmt, ENTRY_POLICY) for t in tables)
-        for t in tables:
-            t.setflags(write=False)         # a frozen plan's tables stay as built
-        tw_re, tw_im, dct_cos, dct_sin = tables
-
-        return cls(
-            n_points=n_points,
-            data_format=data_fmt,
-            twiddle_format=tw_fmt,
-            mode=mode,
-            headroom_bits=headroom_bits,
-            _tw_re=tw_re,
-            _tw_im=tw_im,
-            _dct_cos=dct_cos,
-            _dct_sin=dct_sin,
-        )
+        return cls(n_points, data_fmt, tw_fmt, mode, headroom_bits)
 
     @property
     def exact(self) -> bool:
@@ -305,22 +302,6 @@ class FftPlan:
         wd, wt = self.data_format.total_bits, self.twiddle_format.total_bits
         e = wd + max(0, 2 - self.headroom_bits) if self.mode == "post" else wd
         return np.int32 if e + wt <= 32 else np.int64
-
-    @functools.cached_property
-    def _columns(self) -> tuple:
-        """Every stage's twiddle words ``(wr, wi)`` as contiguous ``(h, 1)``
-        columns in the word type, stage s reading the h = 2**s table entries
-        ``k n / 2h``: built at the plan's first transform, read-only, and
-        ``n - 1`` words per table in all."""
-        n = self.n_points
-        idx = np.concatenate([np.arange(0, n // 2, n >> (s + 1))
-                              for s in range(self.n_stages)])
-        wr, wi = (t.take(idx).astype(self.word_type, copy=False)[:, None]
-                  for t in (self._tw_re, self._tw_im))
-        for words in (wr, wi):
-            words.setflags(write=False)
-        return tuple((wr[h - 1: 2 * h - 1], wi[h - 1: 2 * h - 1])
-                     for h in (1 << s for s in range(self.n_stages)))
 
 
 @dataclass
@@ -478,12 +459,12 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     - the store is then transposed back in place, and s >= split runs on it
       with c = 1, pairing blocks of h >= 2**split words.
 
-    The twiddles of a stage are the plan's column pair for it
-    (``FftPlan._columns``).  The port's store, and the three scratch planes
-    of :func:`_butterflies` (n/2 words each), are the size's workspace in
-    the plan's word type (:func:`_workspace`), whatever the input's dtype; a
-    plan whose butterfly products need limbs uses no planes.  ``exponent``
-    is the entry block's exponent and ``extremes`` its
+    The twiddles of a stage are its column pair (:func:`_columns`).  The
+    port's store, and the three scratch planes of :func:`_butterflies` (n/2
+    words each), are the size's workspace in the plan's word type
+    (:func:`_workspace`), whatever the input's dtype; a plan whose
+    butterfly products need limbs uses no planes.  ``exponent`` is the entry
+    block's exponent and ``extremes`` its
     :func:`~ftsinv.fxp.block_extremes` (0 and None on an exact plan); after
     that the block is never read for them: each stage's output stage reports
     its outputs' extremes, and a block shift carries them along.  A pre or
@@ -512,6 +493,7 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     n = plan.n_points
     port = _port_map(n)
     mem, planes = _workspace(n, plan.word_type)
+    columns = _columns(n, plan.twiddle_format, plan.word_type)
     mem.scatter(*port, re, im)
     re, im = mem.re, mem.im
     # no limbs means twiddle and data widths sum to at most 63 bits, so data
@@ -529,7 +511,7 @@ def _fft_core(re, im, exponent: int, plan: FftPlan, extremes,
     buffer = (_ufunc_buffer(short) if scratch is not None and short >= 64
               else contextlib.nullcontext())
     with buffer:
-        for s, (wr, wi) in enumerate(plan._columns):
+        for s, (wr, wi) in enumerate(columns):
             if s == split and split:
                 # transposed back in place: numpy reads an overlapping source first
                 for p in (re, im):
@@ -630,7 +612,8 @@ def dct2_via_fft(x: np.ndarray, plan: FftPlan):
     followed by a real-part twiddle stage.  Returns (values, telemetry).
     """
     res = _forward(_even_odd_permute(np.asarray(x, dtype=np.float64)), plan)
-    c, nov = _twiddle_mac(plan, plan._dct_cos, res.re, plan._dct_sin, res.im, 1)
+    _, _, cos_t, sin_t = _tables(plan.n_points, plan.twiddle_format)
+    c, nov = _twiddle_mac(plan, cos_t, res.re, sin_t, res.im, 1)
     telemetry = res.telemetry
     telemetry.overflow_events += nov
     telemetry.dct_stage_mults += 2 * plan.n_points
@@ -658,7 +641,7 @@ def idct2_via_fft(c: np.ndarray, plan: FftPlan):
         raw, _, exponent = quantize_complex_block(c, plan.data_format,
                                                   plan.headroom_bits + 1)
     raw_rev = np.concatenate([np.zeros_like(raw[:1]), raw[:0:-1]])   # C_{N-k}, 0 at k=0
-    cos_t, sin_t = plan._dct_cos, plan._dct_sin
+    _, _, cos_t, sin_t = _tables(n, plan.twiddle_format)
     v_re, nov_re = _twiddle_mac(plan, cos_t, raw, sin_t, raw_rev, 1)
     v_im, nov_im = _twiddle_mac(plan, sin_t, raw, cos_t, raw_rev, -1)
     extremes = None

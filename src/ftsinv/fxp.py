@@ -269,6 +269,12 @@ def _ufunc_buffer(size: int):
         yield
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only as a compiled table is: a write into it raises."""
+    a.setflags(write=False)
+    return a
+
+
 # ---------------------------------------------------------------------------
 # exact wide accumulation in int64
 # ---------------------------------------------------------------------------

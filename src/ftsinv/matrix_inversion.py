@@ -44,6 +44,7 @@ products issue in its own telemetry, product 2's included.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,7 @@ from .fxp import (
     RoundingMode,
     _guard_bits,
     _mac,
+    _read_only,
     _requantize,
     _round_in_place,
     _ufunc_buffer,
@@ -75,7 +77,9 @@ from .optics import Interferogram, TransferMatrix
 
 @dataclass
 class SvdFactors:
-    """``A = U diag(xi) V^T`` with singular values in decreasing order."""
+    """``A = U diag(xi) V^T`` with singular values in decreasing order, and
+    the layout every datapath of any width reads: U^T row-major and the
+    peaks of V's columns and U^T's rows, built at first use, read-only."""
 
     u: np.ndarray
     xi: np.ndarray
@@ -85,6 +89,18 @@ class SvdFactors:
     def rank_bound(self) -> int:
         return int(self.xi.size)
 
+    @functools.cached_property
+    def ut(self) -> np.ndarray:
+        return _read_only(np.ascontiguousarray(self.u.T))
+
+    @functools.cached_property
+    def v_colmax(self) -> np.ndarray:
+        return _read_only(np.max(np.abs(self.v), axis=0, initial=0.0))
+
+    @functools.cached_property
+    def ut_rowmax(self) -> np.ndarray:
+        return _read_only(np.max(np.abs(self.u), axis=0, initial=0.0))
+
 
 def svd_factorize(a) -> SvdFactors:
     """Thin SVD in double precision (LAPACK, via ``np.linalg.svd``).
@@ -93,8 +109,9 @@ def svd_factorize(a) -> SvdFactors:
     largest-magnitude entry of the u column is positive.  Floor truncation
     and two's-complement saturation are not sign-symmetric, so without a
     fixed convention the fixed-point SVD routes would depend on the signs
-    the factorizer happened to pick.  Raises :class:`SvdConvergenceError`
-    if LAPACK does not converge.
+    the factorizer happened to pick.  The factors are read-only, as the
+    layout built from them is kept.  Raises :class:`SvdConvergenceError` if
+    LAPACK does not converge.
     """
     if isinstance(a, TransferMatrix):
         a = a.matrix
@@ -112,7 +129,7 @@ def svd_factorize(a) -> SvdFactors:
     signs = np.where(pivots < 0, -1.0, 1.0)
     u *= signs
     vt *= signs[:, None]
-    return SvdFactors(u=u, xi=xi, v=vt.T)
+    return SvdFactors(*map(_read_only, (u, xi, vt.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +405,11 @@ class CompiledSvd:
 
     V and U^T are quantized once per binary point a kept set of columns
     needs: quantizing a whole matrix and slicing the kept columns gives the
-    words quantizing the slice would, and the per-column maxima give each
-    kept set's format.  Every word of the datapath (V, U^T, y, the
-    penalized diagonal and the outputs of products 1 and 2) is of its
-    ``word_type``, fixed at compile time from all three products
-    (:func:`compile_svd`); None on the double reference.
+    words quantizing the slice would, and the per-column maxima, which the
+    factors hold (:class:`SvdFactors`), give each kept set's format.  Every
+    word of the datapath (V, U^T, y, the penalized diagonal and the outputs
+    of products 1 and 2) is of its ``word_type``, fixed at compile time from
+    all three products (:func:`compile_svd`); None on the double reference.
 
     A run splits its work by what it changes with:
 
@@ -414,9 +431,6 @@ class CompiledSvd:
     factors: SvdFactors
     fmt: object
     k: int
-    ut: np.ndarray                 # U^T, row-major
-    v_colmax: np.ndarray           # max |V| per column
-    ut_rowmax: np.ndarray          # max |U^T| per row
     word_type: type | None
     _words: dict = field(default_factory=dict, repr=False)
     _y: np.ndarray | None = field(default=None, repr=False)
@@ -428,8 +442,8 @@ class CompiledSvd:
         """All of V (``"v"``) or U^T (``"ut"``) quantized at ``fmt``."""
         key = (name, fmt)
         if key not in self._words:
-            self._words[key] = quantize_array(self.factors.v if name == "v" else self.ut,
-                                              fmt, dtype=self.word_type)
+            self._words[key] = quantize_array(getattr(self.factors, name), fmt,
+                                              dtype=self.word_type)
         return self._words[key]
 
     def diagonals(self, zs) -> list:
@@ -453,8 +467,8 @@ class CompiledSvd:
         mag = np.abs(zeta)
         # product 1's (V, z, output) ranges per point; rounding is monotone,
         # so max_j colmax|V|_j |z_j| is max |V_k diag(z)|
-        ranges = np.array([np.where(zeta != 0, self.v_colmax, 0.0), mag,
-                           self.v_colmax * mag]).max(axis=2, initial=0.0)
+        ranges = np.array([np.where(zeta != 0, self.factors.v_colmax, 0.0), mag,
+                           self.factors.v_colmax * mag]).max(axis=2, initial=0.0)
         if isinstance(self.fmt, FxpFormat):
             # a given format may not hold the values, and scaled outside
             # quantize_array they could pass the float range and be refused
@@ -478,7 +492,7 @@ class CompiledSvd:
             # further out.  No output of a lane passes that times |z word|,
             # rounded as the stage rounds; the format holds one more negative
             # word, so the positive side decides
-            scaled = np.ldexp(self.v_colmax, fracs[0][:, None])
+            scaled = np.ldexp(self.factors.v_colmax, fracs[0][:, None])
             v_peak = np.minimum(np.maximum(-_round_in_place(-scaled, ENTRY_POLICY),
                                            _round_in_place(scaled, ENTRY_POLICY)),
                                 2.0 ** (width - 1))
@@ -509,12 +523,12 @@ class CompiledSvd:
         return stage
 
     def _product2(self, kept, mode: RoundingMode) -> _Product2:
-        o2_ref = self.ut[kept] @ self._y
+        o2_ref = self.factors.ut[kept] @ self._y
         if not self._y_words:
             return _Product2(o2_ref)
         fmt_y, y_raw = self._y_words
         width = fmt_y.total_bits
-        fmt_u = _tensor_format(self.fmt, width, self.ut_rowmax[kept])
+        fmt_u = _tensor_format(self.fmt, width, self.factors.ut_rowmax[kept])
         fmt_o2 = _tensor_format(self.fmt, width, o2_ref)
         acc = self._ut_y.get(fmt_u)
         if acc is None:
@@ -575,7 +589,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def compile_svd(factors: SvdFactors, fmt=None, k: int = 1) -> CompiledSvd:
-    """Lay out the factors for the datapath ``fmt`` with ``k`` banks; see
+    """The factors on the datapath ``fmt`` with ``k`` banks; see
     :func:`reconstruct_svd`.  The banks partition the N rows of V, so
     ``1 <= k <= N``.
 
@@ -592,9 +606,7 @@ def compile_svd(factors: SvdFactors, fmt=None, k: int = 1) -> CompiledSvd:
         m, r = factors.u.shape
         word = word_type((width, width, 0), (width, width, _guard_bits(m)),
                          (width, width, _guard_bits(r)))
-    return CompiledSvd(factors, fmt, k, np.ascontiguousarray(factors.u.T),
-                       np.max(np.abs(factors.v), axis=0, initial=0.0),
-                       np.max(np.abs(factors.u), axis=0, initial=0.0), word)
+    return CompiledSvd(factors, fmt, k, word)
 
 
 def reconstruct_svd(

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ftsinv.fft_inversion import _tables
 from ftsinv.fxp import (
     DATAPATH_POLICY,
     ENTRY_POLICY,
@@ -178,6 +179,7 @@ def bfp_stages(plan, re, im):
     stages = n.bit_length() - 1
     brev = [int(format(i, f"0{stages}b")[::-1], 2) for i in range(n)] if stages else [0]
     words = [(int(re[i]), int(im[i])) for i in brev]
+    tw_re, tw_im = _tables(n, plan.twiddle_format)[:2]
 
     def shifted(block, shift):
         if not any(v for w in block for v in w):
@@ -194,7 +196,7 @@ def bfp_stages(plan, re, im):
         h, step = 1 << s, n >> (s + 1)
         for base in range(0, n, 2 * h):
             for k in range(h):
-                w = (int(plan._tw_re[k * step]), int(plan._tw_im[k * step]))
+                w = (int(tw_re[k * step]), int(tw_im[k * step]))
                 words[base + k], words[base + k + h], nov = butterfly_radix2(
                     words[base + k], words[base + k + h], w, plan.data_format,
                     plan.twiddle_format)

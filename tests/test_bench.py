@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ftsinv import bench
+from ftsinv import bench, fft_inversion
 from ftsinv.errors import ConfigError
 from ftsinv.fxp import FxpFormat, dequantize_array, quantize_array
 from ftsinv.optics import Interferogram
@@ -123,17 +123,23 @@ def _with_config(setup, **fields):
     return dataclasses.replace(setup, config=dataclasses.replace(setup.config, **fields))
 
 
-def test_fft_plans_are_made_once_per_configuration(reference_setup):
-    """Every FFT op of a precision sweep at one width runs on one plan:
-    all widths of a sweep and its double plan stay cached together."""
-    widths = [None] + list(range(4, 24, 2))
-    plans = [bench._compile_route(reference_setup, "fft", bits, 1)[1] for bits in widths]
-    assert len({id(p) for p in plans}) == len(widths)
-    again = [bench._compile_route(reference_setup, "fft", bits, 1)[1] for bits in widths]
-    assert all(a is b for a, b in zip(plans, again))
-    other = _with_config(reference_setup, fft_mode="fixed")
-    assert bench._compile_route(other, "fft", 16, 1)[1].mode == "fixed"
-    assert bench._compile_route(other, "fft", 16, 1)[1] is not plans[7]
+def test_fft_plans_are_values_that_share_their_tables(reference_setup):
+    """A study's FFT plan is its settings: at every width of a sweep and on
+    its double plan, two compiles give equal plans with equal hashes, which
+    read one set of tables and stage columns, and a plan in another mode is
+    another plan on the same tables."""
+    def reads(plan):
+        key = (plan.n_points, plan.twiddle_format)
+        return fft_inversion._tables(*key), fft_inversion._columns(*key, plan.word_type)
+
+    fixed = _with_config(reference_setup, fft_mode="fixed")
+    for bits in [None] + list(range(4, 24, 2)):
+        plan, again, other = (bench._compile_route(setup, "fft", bits, 1)[1]
+                              for setup in (reference_setup, reference_setup, fixed))
+        assert plan == again and hash(plan) == hash(again), bits
+        assert all(a is b for a, b in zip(reads(plan), reads(again))), bits
+        assert other.mode == "fixed" and other != plan, bits
+        assert reads(other)[0] is reads(plan)[0], bits
 
 
 @pytest.mark.parametrize("fields,message", [

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -193,12 +193,13 @@ class TestButterfly:
         n = plan.n_points
         brev = _bit_reverse_permutation(n)
         words = [(int(r), int(i)) for r, i in zip(re[brev], im[brev])]
+        tw_re, tw_im = fft_inversion._tables(n, plan.twiddle_format)[:2]
         overflows = 0
         for s in range(plan.n_stages):
             h, step = 1 << s, n >> (s + 1)
             for base in range(0, n, 2 * h):
                 for k in range(h):
-                    w = (int(plan._tw_re[k * step]), int(plan._tw_im[k * step]))
+                    w = (int(tw_re[k * step]), int(tw_im[k * step]))
                     words[base + k], words[base + k + h], nov = butterfly_radix2(
                         words[base + k], words[base + k + h], w, plan.data_format,
                         plan.twiddle_format)
@@ -613,16 +614,31 @@ class TestEntryExponent:
 
 
 class TestPlanIsFrozen:
-    TABLES = ("_tw_re", "_tw_im", "_dct_cos", "_dct_sin")
+    SETTINGS = ["n_points", "data_format", "twiddle_format", "mode", "headroom_bits"]
 
     @pytest.mark.parametrize("bits", [None, 16])
     def test_tables_are_read_only(self, bits):
         """The plan's tables, and the per-size load order every plan of the
         size shares, are read-only."""
         plan = FftPlan.make(16, bits=bits)
-        for table in (*(getattr(plan, name) for name in self.TABLES), _load_order(16)):
+        for table in (*fft_inversion._tables(16, plan.twiddle_format), _load_order(16)):
             with pytest.raises(ValueError):
                 table[0] = 0
+
+    def test_plans_are_values(self):
+        """A plan holds its five settings and nothing else, also after it ran,
+        so plans with equal settings are equal, hash equal and are one set
+        member; other settings make another plan."""
+        plan = FftPlan.make(16, bits=12)
+        dct2_via_fft(np.ones(16), plan)
+        assert [f.name for f in fields(FftPlan)] == list(vars(plan)) == self.SETTINGS
+        same = FftPlan.make(16, bits=12)
+        assert plan == same and hash(plan) == hash(same)
+        others = [FftPlan.make(16, bits=12, mode="pre"),
+                  FftPlan.make(16, bits=12, twiddle_bits=10),
+                  FftPlan.make(16, bits=12, headroom_bits=2), FftPlan.make(32, bits=12),
+                  FftPlan.make(16)]
+        assert len({plan, same, *others}) == 1 + len(others)
 
     @pytest.mark.parametrize("mode", ["pre", "post", "fixed"])
     def test_runs_change_no_input_and_repeat(self, mode):
@@ -699,7 +715,7 @@ def test_benchmark_plans_word_types():
 
 class TestWorkspace:
     """Every transform of a size and word type runs on one store and one set
-    of scratch planes, and every plan holds its twiddle columns."""
+    of scratch planes, and reads its twiddle columns from one set."""
 
     PLANS = ((64, 16, "post"), (64, 24, "pre"), (64, None, "post"), (256, 16, "fixed"),
              (256, 40, "post"))
@@ -762,16 +778,20 @@ class TestWorkspace:
             assert np.array_equal(first, kept)
             assert not np.array_equal(first, second)
 
-    def test_plans_hold_read_only_columns_in_their_word_type(self):
-        """Each plan's stage columns are the strided table entries in its word
-        type, read-only, and built once."""
+    def test_columns_are_read_only_table_entries_in_the_word_type(self):
+        """Each stage's columns are the strided table entries in the plan's
+        word type, read-only, and built once per size, twiddle format and
+        word type."""
         for bits in (16, 40, None):
             plan = FftPlan.make(32, bits=bits)
-            assert plan._columns is plan._columns
-            for s, (wr, wi) in enumerate(plan._columns):
+            key = (32, plan.twiddle_format, plan.word_type)
+            columns = fft_inversion._columns(*key)
+            assert columns is fft_inversion._columns(*key)
+            tables = fft_inversion._tables(32, plan.twiddle_format)[:2]
+            for s, (wr, wi) in enumerate(columns):
                 step = 32 >> (s + 1)
                 assert wr.shape == wi.shape == (1 << s, 1)
-                for col, table in ((wr, plan._tw_re), (wi, plan._tw_im)):
+                for col, table in zip((wr, wi), tables):
                     assert col.dtype == plan.word_type
                     assert np.array_equal(col[:, 0], table[::step])
                     with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from ftsinv.fxp import (
     quantize_array,
 )
 from ftsinv.matrix_inversion import (
+    CompiledSvd,
     PenalizedDiagonal,
     SvdFactors,
     Tikhonov,
@@ -396,6 +397,32 @@ class TestCompiledDatapaths:
         assert np.array_equal(got.x_hat, want.x_hat)
         assert got.telemetry == want.telemetry
 
+    def test_layout_is_made_once_per_factorization(self, tall_problem):
+        """Datapaths of every width compiled from one factorization read one
+        row-major U^T and one set of V's column and U^T's row peaks, which
+        compiling does not build and a run builds read-only.  A write into
+        them, or into the factors ``svd_factorize`` gave, raises instead of
+        leaving a stale layout."""
+        _, tall, _, _, y = tall_problem
+        f = SvdFactors(tall.u, tall.xi, tall.v)
+        names = ("ut", "v_colmax", "ut_rowmax")
+        assert not {field.name for field in dataclasses.fields(CompiledSvd)} & set(names)
+        datapaths = [compile_svd(f, fmt) for fmt in (12, 16, 32)]
+        assert not set(vars(f)) & set(names)
+        z = penalize(f.xi, Tikhonov(0.05))
+        layouts = []
+        for datapath in datapaths:
+            reconstruct_svd(datapath, z, y)
+            layouts.append([getattr(datapath.factors, name) for name in names])
+        assert all(a is b for layout in layouts[1:] for a, b in zip(layouts[0], layout))
+        ut, v_colmax, ut_rowmax = layouts[0]
+        assert np.array_equal(ut, f.u.T) and ut.flags.c_contiguous
+        assert np.array_equal(v_colmax, np.max(np.abs(f.v), axis=0))
+        assert np.array_equal(ut_rowmax, np.max(np.abs(f.u), axis=0))
+        for array in (*layouts[0], tall.u, tall.xi, tall.v):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
     @pytest.mark.parametrize("fmt", [12, 32, None])
     def test_compiled_pinv_matches_one_shot(self, tall_problem, fmt):
         _, _, adag, _, y = tall_problem
@@ -602,14 +629,14 @@ class TestWordModel:
         datapath = compile_svd(f, width, k)
         (compiled,) = datapath.diagonals([z])
         kept, lanes = compiled.kept, np.flatnonzero(z.zeta)
-        o2_ref = datapath.ut[kept] @ y
+        o2_ref = f.ut[kept] @ y
         fmts = dict(y=_range_format(width, y), u=_range_format(width, f.u[:, lanes]),
                     o2=_range_format(width, o2_ref), v=_range_format(width, f.v[:, lanes]),
                     z=_range_format(width, z.zeta),
                     o1=_range_format(width, np.max(np.abs(f.v), axis=0) * np.abs(z.zeta)),
                     x=_range_format(width, (f.v[:, kept] * compiled.zk) @ o2_ref))
         res = reconstruct_svd(datapath, compiled, y, mode=mode)
-        words, overflows = svd_words(f.v.tolist(), datapath.ut.tolist(), z.zeta.tolist(),
+        words, overflows = svd_words(f.v.tolist(), f.ut.tolist(), z.zeta.tolist(),
                                      y.tolist(), fmts, mode)
         assert np.array_equal(res.x_hat, np.array(words, dtype=float) * fmts["x"].resolution)
         assert res.telemetry.overflow_events == sum(overflows)

@@ -3,13 +3,14 @@
 Each row of :data:`DEFECTS` plants one defect in ``src/ftsinv`` by patching
 one function, or one constant, where its module binds it: a function is
 replaced by a mutant, its own source with one snippet rewritten and compiled
-in its module's namespace, so every caller that looks the name up in that
-module runs the defect.  A check that imported the name into its own module
-keeps the original, so a row names checks that reach the defect through the
-package.  The test runs the row's checks in this process, by their node ids,
-and asserts that each one fails; the patch and every per-size cache of the
-package are undone afterwards.  A defect that no check killed would stay in
-the table as a survivor, with the reason; every defect here is killed.
+in its module's namespace, both there and in every package module that
+imported it, so every caller in the package runs the defect.  A check that
+imported the name into its own module keeps the original, so a row names
+checks that reach the defect through the package.  The test runs the row's
+checks in this process, by their node ids, and asserts that each one fails;
+the patch and every per-size cache of the package are undone afterwards.  A
+defect that no check killed would stay in the table as a survivor, with the
+reason; every defect here is killed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, settings
 
-from ftsinv import bench, fft_inversion, fxp, matrix_inversion
+from ftsinv import bench, cli, fft_inversion, fileio, fxp, hwmodel, matrix_inversion, optics
 
 TESTS = Path(__file__).resolve().parent
 
@@ -47,6 +48,8 @@ ENTRY_WINDOW = "test_fft_inversion.py::TestEntryExponent::test_exponent_and_word
 BOUND_ROUNDS = ("test_matrix_inversion.py::TestCompiledDiagonals::"
                 "test_saturation_bound_rounds_as_the_stage_rounds")
 WORD_MODEL = "test_matrix_inversion.py::TestWordModel::test_routes_match_the_word_model"
+COLUMNS = ("test_fft_inversion.py::TestWorkspace::"
+           "test_columns_are_read_only_table_entries_in_the_word_type")
 
 DEFECTS = [
     Defect("entry exponent one lower (ROADMAP item 15, A)",
@@ -58,8 +61,8 @@ DEFECTS = [
            (ENTRY_WINDOW, "test_workloads.py::test_seed_1_cycle_digest_is_pinned[airy-sweep]")),
     Defect("product 1's bound with V's peak floored",
            matrix_inversion.CompiledSvd, "diagonals",
-           "scaled = np.ldexp(self.v_colmax, fracs[0][:, None])",
-           "scaled = np.floor(np.ldexp(self.v_colmax, fracs[0][:, None]))",
+           "scaled = np.ldexp(self.factors.v_colmax, fracs[0][:, None])",
+           "scaled = np.floor(np.ldexp(self.factors.v_colmax, fracs[0][:, None]))",
            (BOUND_ROUNDS, WORD_MODEL)),
     Defect("product 1's bound compared with <=",
            matrix_inversion.CompiledSvd, "diagonals",
@@ -88,6 +91,28 @@ DEFECTS = [
            fxp, "_FLOAT_EXACT_BITS", None, 56,
            ("test_matrix_inversion.py::TestLimbKernel::test_matvec_at_the_float_switch[24-24]",
             "test_matrix_inversion.py::TestWordType::test_word_type_at_m_and_r_256[24-int64]")),
+    Defect("twiddle tables quantized at 16 bits whatever their key",
+           fft_inversion, "_tables", "quantize_array(t, twiddle_format, ENTRY_POLICY)",
+           "quantize_array(t, FxpFormat(16, 14), ENTRY_POLICY)",
+           ("test_fft_inversion.py::test_golden_bits[fft_bfp]",
+            "test_fft_inversion.py::test_golden_bits[dct2_via_fft]")),
+    Defect("stage columns left in the tables' type, whatever the word",
+           fft_inversion, "_columns", ".astype(word, copy=False)", "",
+           (COLUMNS,)),
+    Defect("inverse transform without conjugated twiddles",
+           fft_inversion, "_fft_core", "wr, wi, plan, scratch, inverse)",
+           "wr, wi, plan, scratch, False)",
+           ("test_fft_inversion.py::test_golden_bits[idct2_via_fft]",
+            "test_fft_inversion.py::TestDct::test_inverse_round_trip")),
+    Defect("product 1's pre-scale one bit off",
+           matrix_inversion.CompiledSvd, "diagonals", "(fracs[2] - fracs[0] - fracs[1])",
+           "(fracs[2] - fracs[0] - fracs[1] - 1)",
+           (WORD_MODEL, "test_matrix_inversion.py::test_golden_bits")),
+    Defect("output stage shifting one bit late",
+           fxp, "_requantize", "shift_right_array(high, shift - bits * c, mode,",
+           "shift_right_array(high, shift - bits * c + 1, mode,",
+           ("test_matrix_inversion.py::TestLimbKernel::test_matvec_matches_python_ints[16-7]",
+            "test_fft_inversion.py::test_golden_bits[dct2_via_fft]")),
 ]
 
 
@@ -105,10 +130,13 @@ def _mutant(owner, name: str, old: str, new: str):
     return scope[name]
 
 
+PACKAGE = (fxp, optics, fft_inversion, matrix_inversion, hwmodel, fileio, bench, cli)
+
+
 def _clear_caches() -> None:
-    """Forget every per-size map, workspace, limb plan and FFT plan, which a
+    """Forget every per-size map, workspace, limb plan and FFT table, which a
     defect may have built."""
-    for module in (fxp, fft_inversion, matrix_inversion, bench):
+    for module in PACKAGE:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -139,6 +167,11 @@ def test_named_checks_kill_the_defect(defect, monkeypatch):
     settings.load_profile("planted")
     try:
         with monkeypatch.context() as patch:
+            if defect.old is not None:
+                original = getattr(defect.owner, defect.target)
+                for module in PACKAGE:
+                    for name in [n for n, v in vars(module).items() if v is original]:
+                        patch.setattr(module, name, planted)
             patch.setattr(defect.owner, defect.target, planted)
             _clear_caches()
             pytest.main(["-p", "no:cacheprovider", "-p", "no:terminal",

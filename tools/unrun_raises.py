@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import ast
 import sys
-import threading
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "ftsinv"
+from line_tracer import PACKAGE, ROOT, traced
 
 
 def raise_statements(path: Path) -> list:
@@ -34,25 +32,10 @@ def run_traced(pytest_args: list) -> tuple:
     (file, line) pairs of the package that ran)."""
     import pytest
 
-    prefix, ran = f"{PACKAGE}/", set()
-
-    def on_line(frame, event, arg):
-        if event == "line":
-            ran.add((frame.f_code.co_filename, frame.f_lineno))
-        return on_line
-
-    def on_call(frame, event, arg):
-        return on_line if frame.f_code.co_filename.startswith(prefix) else None
-
     sys.path.insert(0, str(ROOT / "src"))
-    sys.settrace(on_call)
-    threading.settrace(on_call)
-    try:
+    with traced(set()) as ran:
         code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"),
                             *pytest_args])
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
     return int(code), ran
 
 

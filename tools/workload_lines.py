@@ -19,13 +19,11 @@ from __future__ import annotations
 import ast
 import importlib.util
 import sys
-import threading
-from pathlib import Path
 
 sys.dont_write_bytecode = True
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "ftsinv"
+from line_tracer import PACKAGE, ROOT, traced     # imported after the switch
+
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SEED = 1
 
@@ -43,27 +41,15 @@ def run_traced(names: list) -> set:
     """Run each named workload's set-up and one cycle; returns the set of
     (file, line) pairs of the package that ran."""
     workloads = load_workloads().WORKLOADS
-    prefix, ran = f"{PACKAGE}/", set()
-
-    def on_line(frame, event, arg):
-        if event == "line":
-            ran.add((frame.f_code.co_filename, frame.f_lineno))
-        return on_line
-
-    def on_call(frame, event, arg):
-        return on_line if frame.f_code.co_filename.startswith(prefix) else None
-
+    ran = set()
     for name in names or workloads:
         workload = workloads[name](SEED)
-        sys.settrace(on_call)
-        threading.settrace(on_call)
         try:
-            workload.setup()
-            for op in workload.cycle():
-                op.check(op.call())
+            with traced(ran):
+                workload.setup()
+                for op in workload.cycle():
+                    op.check(op.call())
         finally:
-            sys.settrace(None)
-            threading.settrace(None)
             workload.close()
     return ran
 

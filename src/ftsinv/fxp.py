@@ -275,6 +275,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` if no write can reach it, else a read-only copy in its own
+    memory order, which keeps the bits of a BLAS product with it."""
+    link = a
+    while isinstance(link, np.ndarray) and not link.flags.writeable:
+        link = link.base
+    return a if link is None else _read_only(a.copy(order="K"))
+
+
 # ---------------------------------------------------------------------------
 # exact wide accumulation in int64
 # ---------------------------------------------------------------------------

@@ -1,19 +1,20 @@
 """Analytical hardware cost model for the three inversion routes.
 
-Latency follows a two-parameter law per route: a work term divided by the
-parallelism factor plus a fitted overhead intercept.  Work terms are the
-exact operation counts of the emulated datapaths (``N*M`` for the
-pseudo-inverse route, ``R'*(2N+M)`` for the penalized-SVD route,
-``(n/2)*log2(n)`` butterfly slots for the transform route), so they can be
-cross-checked against live multiplier telemetry.  Maximum frequencies are
-measured calibration data, never predicted.
+Latency is a work term over the parallelism factor K plus a fitted overhead
+intercept.  Work terms are the exact operation counts of the emulated
+datapaths (``N*M`` for the pseudo-inverse route, ``R'*(2N+M)`` for the
+penalized-SVD route, ``(n/2)*log2(n)`` butterfly slots for the transform
+route), so live multiplier telemetry cross-checks them.  Both matrix routes
+are K row-banked MAC memories under one law, :func:`_matrix_cost`: DSPs per
+memory times K, and RAM, LUT and fmax read at K from anchor rows.  Maximum
+frequencies are measured calibration data, never predicted.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -56,6 +57,11 @@ class LatencyFit:
     max_rel_residual: float
 
 
+_ROW_QUANTITIES = ("latency", "fmax", "lut", "ram", "dsp_per_memory")
+# the matrix architecture of each method: tsvd and tik share the SVD one
+_ARCHITECTURE = {"pinv": "pinv", "tsvd": "svd", "tik": "svd"}
+
+
 def _fit_inverse_k(points: dict) -> LatencyFit:
     ks = np.array(sorted(points))
     y = np.array([points[k] for k in ks], dtype=np.float64)
@@ -68,42 +74,27 @@ def _fit_inverse_k(points: dict) -> LatencyFit:
 
 
 class CalibrationTable:
-    """Anchors parsed from the key-value text file plus fitted constants."""
+    """Anchors parsed from the key-value text file plus fitted constants.  A
+    ``route.quantity.kK`` entry is row ``(route, quantity)``'s anchor at K;
+    without ``.kK`` it is a row of one anchor, held at every K."""
 
     def __init__(self, entries: dict):
         self.entries = entries
-
-        def grab(prefix):
-            out = {}
-            for key, e in entries.items():
-                m = re.fullmatch(rf"{re.escape(prefix)}\.k(\d+)", key)
-                if m:
-                    out[int(m.group(1))] = e.value
-            if not out:
-                raise ConfigError(f"calibration is missing '{prefix}.k*' entries")
-            return out
-
-        self.pinv_latency = grab("pinv.latency")
-        self.pinv_fmax = grab("pinv.fmax")
-        self.pinv_lut = grab("pinv.lut")
-        self.svd_latency = grab("svd.latency")
-        self.svd_fmax = grab("svd.fmax")
-        self.svd_lut = grab("svd.lut")
-        self.svd_ram = grab("svd.ram")
-        self.pinv_fit = _fit_inverse_k(self.pinv_latency)
-        self.svd_fit = _fit_inverse_k(self.svd_latency)
+        self.rows = {}
+        for key, e in entries.items():
+            if m := re.fullmatch(r"(pinv|svd)\.(\w+)(?:\.k(\d+))?", key):
+                self.rows.setdefault(m.group(1, 2), {})[int(m[3] or 1)] = e.value
+        missing = [f"{r}.{q}" for r in ("pinv", "svd") for q in _ROW_QUANTITIES
+                   if (r, q) not in self.rows]
+        if missing:
+            raise ConfigError(f"calibration is missing '{missing[0]}.k*' entries")
+        self.pinv_fit = _fit_inverse_k(self.rows["pinv", "latency"])
+        self.svd_fit = _fit_inverse_k(self.rows["svd", "latency"])
 
         # transform-route anchor decomposition: the post-mode model is pinned
         # to reproduce the anchor latency exactly at the anchor size
-        n0 = int(self["fft.anchor_points"])
-        stages0 = n0.bit_length() - 1
-        slots0 = (n0 // 2) * stages0
         self.fft_fixed_overhead = int(
-            self["fft.latency"]
-            - slots0
-            - stages0 * self["fft.norm_cycles_per_stage"]
-            - n0 * self["fft.io_cycles_per_point"]
-        )
+            self["fft.latency"] - _fft_cycles(int(self["fft.anchor_points"]), "post", self))
         if self.fft_fixed_overhead < 0:
             raise ConfigError("fft anchor decomposition yields negative overhead")
 
@@ -171,32 +162,37 @@ def latency_cycles(method: str, k: int, calib: CalibrationTable | None = None,
         raise ConfigError("K must be >= 1")
     calib = calib or default_calibration()
     sized = n is not None and m is not None
-    if method == "pinv":
+    route = _ARCHITECTURE.get(method)
+    if route is None:
+        raise ConfigError(f"unknown matrix method {method!r}")
+    if route == "pinv":
         fit, ops = calib.pinv_fit, n * m if sized else None
-    elif method in ("tsvd", "tik"):
+    else:
         if rank is not None and not sized:
             raise ConfigError("rank scaling requires explicit n and m")
         fit = calib.svd_fit
         ops = (rank if rank is not None else min(n, m)) * (2 * n + m) if sized else None
-    else:
-        raise ConfigError(f"unknown matrix method {method!r}")
     work = fit.slope if ops is None else ops * calib["mac.cycles_per_op"]
     return math.ceil(work / k) + round(fit.intercept)
+
+
+def _matrix_cost(method: str, k: int, calib: CalibrationTable | None,
+                 cycles: int) -> HwCost:
+    """Cost of ``method``'s architecture with K row-banked memories taking
+    ``cycles``: ``dsp_per_memory`` DSPs per memory, and RAM, LUT and fmax
+    read at K from its anchor rows."""
+    calib = calib or default_calibration()
+    route = _ARCHITECTURE[method]
+    fmax, lut, ram, dsp = (_interp(calib.rows[route, q], k)
+                           for q in ("fmax", "lut", "ram", "dsp_per_memory"))
+    return HwCost(k * int(dsp), round(ram), round(lut), cycles, fmax)
 
 
 def pinv_cost(k: int, calib: CalibrationTable | None = None,
               n: int | None = None, m: int | None = None) -> HwCost:
     """Cost of the pseudo-inverse route with K row-banked memories; see
     :func:`latency_cycles`."""
-    cycles = latency_cycles("pinv", k, calib, n=n, m=m)
-    calib = calib or default_calibration()
-    return HwCost(
-        dsp=k * int(calib["pinv.dsp_per_memory"]),
-        bram=int(calib["pinv.ram"]),
-        lut=round(_interp(calib.pinv_lut, k)),
-        latency_cycles=cycles,
-        fmax_mhz=_interp(calib.pinv_fmax, k),
-    )
+    return _matrix_cost("pinv", k, calib, latency_cycles("pinv", k, calib, n=n, m=m))
 
 
 def svd_cost(k: int, calib: CalibrationTable | None = None,
@@ -205,15 +201,20 @@ def svd_cost(k: int, calib: CalibrationTable | None = None,
     """Cost of the penalized-SVD route (truncation or ridge); see
     :func:`latency_cycles`.  DSP usage doubles per memory because two
     products are in flight."""
-    cycles = latency_cycles("tsvd", k, calib, n=n, m=m, rank=rank)
-    calib = calib or default_calibration()
-    return HwCost(
-        dsp=k * int(calib["svd.dsp_per_memory"]),
-        bram=round(_interp(calib.svd_ram, k)),
-        lut=round(_interp(calib.svd_lut, k)),
-        latency_cycles=cycles,
-        fmax_mhz=_interp(calib.svd_fmax, k),
-    )
+    return _matrix_cost("tsvd", k, calib,
+                        latency_cycles("tsvd", k, calib, n=n, m=m, rank=rank))
+
+
+def _fft_cycles(n_points: int, mode: str, calib: CalibrationTable) -> int:
+    """The transform engine's cycles less its fixed overhead: butterfly
+    slots at the mode's initiation interval, per-point load/store and, unless
+    ``fixed``, per-stage normalization bookkeeping."""
+    stages = n_points.bit_length() - 1
+    ii = int(calib["fft.pre_mode_ii"]) if mode == "pre" else 1
+    cycles = (n_points // 2) * stages * ii + n_points * int(calib["fft.io_cycles_per_point"])
+    if mode != "fixed":
+        cycles += stages * int(calib["fft.norm_cycles_per_stage"])
+    return cycles
 
 
 def fft_cost(n_points: int, mode: str = "post",
@@ -230,18 +231,11 @@ def fft_cost(n_points: int, mode: str = "post",
     if mode not in MODES:
         raise ConfigError(f"unknown transform mode {mode!r}")
     calib = calib or default_calibration()
-    stages = n_points.bit_length() - 1
-    slots = (n_points // 2) * stages
-    ii = int(calib["fft.pre_mode_ii"]) if mode == "pre" else 1
-    cycles = slots * ii + n_points * int(calib["fft.io_cycles_per_point"])
-    if mode != "fixed":
-        cycles += stages * int(calib["fft.norm_cycles_per_stage"])
-    cycles += calib.fft_fixed_overhead
     return HwCost(
         dsp=int(calib["fft.dsp"]),
         bram=int(calib["fft.ram"]),
         lut=int(calib["fft.lut"]),
-        latency_cycles=int(cycles),
+        latency_cycles=_fft_cycles(n_points, mode, calib) + calib.fft_fixed_overhead,
         fmax_mhz=float(calib["fft.fmax"]),
     )
 
@@ -261,15 +255,14 @@ def method_cost(method: str, k: int, calib: CalibrationTable | None = None,
                 n: int | None = None, m: int | None = None,
                 rank: int | None = None, fft_points: int | None = None,
                 fft_mode: str = "post") -> HwCost:
+    calib = calib or default_calibration()
     if method == "fft":
-        calib = calib or default_calibration()
         pts = fft_points or int(calib["fft.anchor_points"])
         return fft_cost(pts, fft_mode, calib)
-    if method == "pinv":
-        return pinv_cost(k, calib, n=n, m=m)
-    if method in ("tsvd", "tik"):
-        return svd_cost(k, calib, n=n, m=m, rank=rank)
-    raise ConfigError(f"unknown method {method!r}")
+    if method not in _ARCHITECTURE:
+        raise ConfigError(f"unknown method {method!r}")
+    return _matrix_cost(method, k, calib,
+                        latency_cycles(method, k, calib, n=n, m=m, rank=rank))
 
 
 def compare_methods(calib: CalibrationTable | None = None):
@@ -286,16 +279,7 @@ def compare_methods(calib: CalibrationTable | None = None):
     rows = []
     for method, k in _COMPARED:
         cost = method_cost(method, k, calib)
-        rows.append({
-            "method": method,
-            "k": k,
-            "latency_cycles": cost.latency_cycles,
-            "fmax_mhz": cost.fmax_mhz,
-            "time_us": cost.time_us,
-            "dsp": cost.dsp,
-            "bram": cost.bram,
-            "lut": cost.lut,
-        })
+        rows.append({"method": method, "k": k, **asdict(cost), "time_us": cost.time_us})
     t_fft = fft_cost(int(calib["fft.anchor_points"]), "post", calib).time_us
     ratios = {}
     flags = []

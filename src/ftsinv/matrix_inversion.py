@@ -56,6 +56,7 @@ from .fxp import (
     ENTRY_POLICY,
     FxpFormat,
     RoundingMode,
+    _frozen,
     _guard_bits,
     _mac,
     _read_only,
@@ -75,15 +76,20 @@ from .optics import Interferogram, TransferMatrix
 # offline factorization
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SvdFactors:
     """``A = U diag(xi) V^T`` with singular values in decreasing order, and
     the layout every datapath of any width reads: U^T row-major and the
-    peaks of V's columns and U^T's rows, built at first use, read-only."""
+    peaks of V's columns and U^T's rows, built at first use.  Both are
+    read-only, so the layout cannot go stale (:func:`~ftsinv.fxp._frozen`)."""
 
     u: np.ndarray
     xi: np.ndarray
     v: np.ndarray
+
+    def __post_init__(self):
+        for name in ("u", "xi", "v"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def rank_bound(self) -> int:
@@ -109,9 +115,8 @@ def svd_factorize(a) -> SvdFactors:
     largest-magnitude entry of the u column is positive.  Floor truncation
     and two's-complement saturation are not sign-symmetric, so without a
     fixed convention the fixed-point SVD routes would depend on the signs
-    the factorizer happened to pick.  The factors are read-only, as the
-    layout built from them is kept.  Raises :class:`SvdConvergenceError` if
-    LAPACK does not converge.
+    the factorizer happened to pick.  Raises :class:`SvdConvergenceError`
+    if LAPACK does not converge.
     """
     if isinstance(a, TransferMatrix):
         a = a.matrix
@@ -129,7 +134,7 @@ def svd_factorize(a) -> SvdFactors:
     signs = np.where(pivots < 0, -1.0, 1.0)
     u *= signs
     vt *= signs[:, None]
-    return SvdFactors(*map(_read_only, (u, xi, vt.T)))
+    return SvdFactors(_read_only(u), _read_only(xi), _read_only(vt).T)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +193,7 @@ def pinv_matrix(f: SvdFactors) -> np.ndarray:
     """Moore-Penrose pseudo-inverse from the factors (double precision).
 
     Singular values below 1e-12 times the largest are treated as zero rather
-    than inverted.
+    than inverted.  The matrix is read-only.
     """
     xi = f.xi
     if xi.size == 0 or xi[0] == 0:
@@ -198,7 +203,7 @@ def pinv_matrix(f: SvdFactors) -> np.ndarray:
         raise ValueError("no singular values above the drop threshold")
     inv = np.zeros_like(xi)
     inv[keep] = 1.0 / xi[keep]
-    return (f.v * inv) @ f.u.T
+    return _read_only((f.v * inv) @ f.u.T)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +326,9 @@ class CompiledPinv:
 def compile_pinv(adag, fmt=None, k: int = 1) -> CompiledPinv:
     """Quantize the matrix ``adag`` once for the datapath ``fmt`` on ``k``
     row banks, ``1 <= k <= N``, which telemetry and the cost model read; see
-    :func:`reconstruct_pinv` for ``fmt``."""
-    matrix = np.atleast_2d(np.asarray(adag))
+    :func:`reconstruct_pinv` for ``fmt``.  Each run reads ``adag`` too, so a
+    writable one is kept as a read-only copy (:func:`~ftsinv.fxp._frozen`)."""
+    matrix = _frozen(np.atleast_2d(np.asarray(adag)))
     n = matrix.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"partition count must be in [1, {n}], got {k}")

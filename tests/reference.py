@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ftsinv.fft_inversion import _tables
 from ftsinv.fxp import (
     DATAPATH_POLICY,
     ENTRY_POLICY,
@@ -179,7 +178,12 @@ def bfp_stages(plan, re, im):
     stages = n.bit_length() - 1
     brev = [int(format(i, f"0{stages}b")[::-1], 2) for i in range(n)] if stages else [0]
     words = [(int(re[i]), int(im[i])) for i in brev]
-    tw_re, tw_im = _tables(n, plan.twiddle_format)[:2]
+    # the twiddle ROM, exp(-2 pi i k / n): one array call per part, as the
+    # ROM's doubles are made, each rounded half to even
+    ang = -2.0 * np.pi * np.arange(n // 2) / n
+    tw_re, tw_im = ([quantize(float(c), plan.twiddle_format,
+                              RoundingMode.ROUND_HALF_EVEN).raw for c in part(ang)]
+                    for part in (np.cos, np.sin))
 
     def shifted(block, shift):
         if not any(v for w in block for v in w):

@@ -1,8 +1,11 @@
 """Cost model: anchor fidelity, structural terms, telemetry cross-validation."""
 
+import hashlib
 import importlib.util
+import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +63,20 @@ class TestCalibration:
         assert 0 < calib.svd_fit.max_rel_residual < 0.05
 
     def test_missing_entries_detected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"missing 'pinv\.latency\.k\*' entries"):
             hwmodel.CalibrationTable.parse("fft.latency = 4300")
+        text = (PACKAGE / "data" / "calibration.txt").read_text()
+        kept = [line for line in text.splitlines() if not line.startswith("svd.dsp")]
+        with pytest.raises(ConfigError, match=r"missing 'svd\.dsp_per_memory\.k\*' entries"):
+            hwmodel.CalibrationTable.parse("\n".join(kept))
+
+    def test_one_anchor_rows_hold_at_every_k(self):
+        """An entry without a ``.k`` suffix and the same entry as a K = 1
+        anchor are one row of one anchor."""
+        text = (PACKAGE / "data" / "calibration.txt").read_text()
+        calib = hwmodel.CalibrationTable.parse(text.replace("pinv.ram =", "pinv.ram.k1 ="))
+        for k in (1, 4, 9):
+            assert hwmodel.pinv_cost(k, calib) == hwmodel.pinv_cost(k)
 
     def test_missing_entry_named(self):
         text = (PACKAGE / "data" / "calibration.txt").read_text()
@@ -202,6 +217,54 @@ class TestOffAnchorK:
         cost = hwmodel.method_cost(method, k, calib)
         assert cost.latency_cycles == cycles
         assert cost.fmax_mhz == pytest.approx(fmax, rel=1e-12)
+
+
+COST_GOLDEN_PATH = Path(__file__).with_name("cost_golden.json")
+
+
+def _cost_golden_digests() -> dict:
+    """SHA-256 of every ``HwCost`` field the model prices: ``method_cost`` at
+    K = 1-16 for each method, at anchor scale and at the sized cases 64x48 and
+    256x256 (tsvd and tik at ranks None, 1, 10 and 48), under the shipped and
+    the K = 1/4-only calibration; and ``fft_cost`` at n = 2 ... 65536 in each
+    mode.  Keys are ``"calibration/method/size/rank"`` and ``"fft_cost/mode/n"``.
+
+    Regenerate ``cost_golden.json`` (only when a change is meant to move a
+    cost) with ``json.dumps(_cost_golden_digests(), indent=1, sort_keys=True)``.
+    """
+    def digest(costs):
+        h = hashlib.sha256()
+        for cost in costs:
+            h.update(json.dumps(asdict(cost), sort_keys=True).encode())
+        return h.hexdigest()
+
+    digests = {}
+    for name, calib in (("shipped", None), ("gap", _gap_calibration())):
+        cases = [("fft", None, None), ("pinv", None, None)]
+        cases += [(m, None, None) for m in ("tsvd", "tik")]
+        for n, m in ((64, 48), (256, 256)):
+            cases.append(("pinv", (n, m), None))
+            cases += [(meth, (n, m), r) for meth in ("tsvd", "tik")
+                      for r in (None, 1, 10, 48)]
+        for method, size, rank in cases:
+            n, m = size or (None, None)
+            costs = [hwmodel.method_cost(method, k, calib, n=n, m=m, rank=rank)
+                     for k in range(1, 17)]
+            where = "anchor" if size is None else f"{n}x{m}"
+            digests[f"{name}/{method}/{where}/{rank}"] = digest(costs)
+    for mode in ("pre", "post", "fixed"):
+        for e in range(1, 17):
+            digests[f"fft_cost/{mode}/{2 ** e}"] = digest([hwmodel.fft_cost(2 ** e, mode)])
+    return digests
+
+
+def test_cost_golden():
+    """Every cost field the model prices is pinned bit for bit."""
+    want = json.loads(COST_GOLDEN_PATH.read_text())
+    got = _cost_golden_digests()
+    assert sorted(got) == sorted(want)
+    moved = [key for key in want if got[key] != want[key]]
+    assert not moved, f"costs moved at {moved}"
 
 
 class TestCompareMethods:

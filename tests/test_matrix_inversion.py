@@ -423,6 +423,45 @@ class TestCompiledDatapaths:
             with pytest.raises(ValueError):
                 array[0] = 0
 
+    def test_factors_cannot_change_under_their_layout(self, tall_problem):
+        """Factors built from writable arrays hold read-only copies in the
+        arrays' own memory order: a write into them or a reassigned field
+        raises, a write into the caller's arrays moves no run, and the runs
+        equal those on the factors ``svd_factorize`` gave, which are held
+        as they are."""
+        _, tall, _, _, y = tall_problem
+        held = SvdFactors(tall.u, tall.xi, tall.v)
+        assert all(getattr(held, n) is getattr(tall, n) for n in ("u", "xi", "v"))
+        u, xi, v = (a.copy(order="K") for a in (tall.u, tall.xi, tall.v))
+        f = SvdFactors(u, xi, v)
+        assert f.v.flags.f_contiguous and not f.v.flags.writeable
+        z = penalize(f.xi, Tsvd(10))
+        want = reconstruct_svd(tall, z, y, fmt=12)
+        assert np.array_equal(reconstruct_svd(f, z, y, fmt=12).x_hat, want.x_hat)
+        with pytest.raises(ValueError, match="read-only"):
+            f.v *= 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.v = v
+        u *= 4
+        v *= 4
+        assert np.array_equal(reconstruct_svd(f, z, y, fmt=12).x_hat, want.x_hat)
+
+    def test_compiled_pinv_keeps_its_matrix(self, tall_problem):
+        """A compiled pseudo-inverse keeps a read-only copy of a writable
+        matrix, which each run reads for its output binary point, so a write
+        into the caller's matrix moves no run; the read-only matrix
+        ``pinv_matrix`` gives is kept as it is."""
+        _, _, adag, _, y = tall_problem
+        assert not adag.flags.writeable
+        assert compile_pinv(adag, 12).matrix is adag
+        mine = adag.copy()
+        datapath = compile_pinv(mine, 12, k=2)
+        mine *= 4
+        got = reconstruct_pinv(datapath, y)
+        want = reconstruct_pinv(compile_pinv(adag, 12, k=2), y)
+        assert np.array_equal(got.x_hat, want.x_hat)
+        assert got.telemetry == want.telemetry
+
     @pytest.mark.parametrize("fmt", [12, 32, None])
     def test_compiled_pinv_matches_one_shot(self, tall_problem, fmt):
         _, _, adag, _, y = tall_problem

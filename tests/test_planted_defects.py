@@ -1,10 +1,11 @@
 """Planted defects, each of which named tier-1 checks must kill.
 
 Each row of :data:`DEFECTS` plants one defect in ``src/ftsinv`` by patching
-one function, or one constant, where its module binds it: a function is
-replaced by a mutant, its own source with one snippet rewritten and compiled
-in its module's namespace, both there and in every package module that
-imported it, so every caller in the package runs the defect.  A check that
+one function or class, or one constant, where its module binds it: a
+function or class is replaced by a mutant, its own source with one snippet
+rewritten and compiled in its module's namespace, both there and in every
+package module that imported it, so every caller in the package runs the
+defect.  A check that
 imported the name into its own module keeps the original, so a row names
 checks that reach the defect through the package.  The test runs the row's
 checks in this process, by their node ids, and asserts that each one fails;
@@ -48,6 +49,8 @@ ENTRY_WINDOW = "test_fft_inversion.py::TestEntryExponent::test_exponent_and_word
 BOUND_ROUNDS = ("test_matrix_inversion.py::TestCompiledDiagonals::"
                 "test_saturation_bound_rounds_as_the_stage_rounds")
 WORD_MODEL = "test_matrix_inversion.py::TestWordModel::test_routes_match_the_word_model"
+STAGE_MODEL = ("test_fft_inversion.py::TestButterfly::"
+               "test_bfp_stages_match_the_model_at_every_width")
 COLUMNS = ("test_fft_inversion.py::TestWorkspace::"
            "test_columns_are_read_only_table_entries_in_the_word_type")
 
@@ -95,7 +98,7 @@ DEFECTS = [
            fft_inversion, "_tables", "quantize_array(t, twiddle_format, ENTRY_POLICY)",
            "quantize_array(t, FxpFormat(16, 14), ENTRY_POLICY)",
            ("test_fft_inversion.py::test_golden_bits[fft_bfp]",
-            "test_fft_inversion.py::test_golden_bits[dct2_via_fft]")),
+            "test_fft_inversion.py::test_golden_bits[dct2_via_fft]", STAGE_MODEL)),
     Defect("stage columns left in the tables' type, whatever the word",
            fft_inversion, "_columns", ".astype(word, copy=False)", "",
            (COLUMNS,)),
@@ -113,6 +116,36 @@ DEFECTS = [
            "shift_right_array(high, shift - bits * c + 1, mode,",
            ("test_matrix_inversion.py::TestLimbKernel::test_matvec_matches_python_ints[16-7]",
             "test_fft_inversion.py::test_golden_bits[dct2_via_fft]")),
+    Defect("truncating shift one bit late",
+           fxp, "shift_right_array", "return m >> s\n", "return m >> (s + 1)\n",
+           ("test_fft_inversion.py::TestButterfly::test_bfp_blocks_match_the_model[full-pre]",
+            "test_matrix_inversion.py::test_golden_bits")),
+    Defect("one-word butterfly's t >> ft one bit short",
+           fft_inversion, "_butterflies", "a += np.right_shift(t, ft, out=t)",
+           "a += np.right_shift(t, ft - 1, out=t)",
+           ("test_fft_inversion.py::TestButterfly::test_bfp_blocks_match_the_model[small-post]",
+            "test_fft_inversion.py::test_golden_bits[fft_bfp]")),
+    Defect("saturation counting no overflow",
+           fxp, "saturate_array", "return raw, n, (max(", "return raw, 0, (max(",
+           ("test_fft_inversion.py::TestButterfly::test_post_blocks_below_three_headroom_"
+            "bits_saturate_like_the_model[0-16-widths0]", WORD_MODEL)),
+    Defect("one guard bit fewer",
+           fxp, "_guard_bits", "math.log2(max(terms, 2))))", "math.log2(max(terms, 2)))) - 1",
+           (WORD_MODEL, "test_matrix_inversion.py::test_golden_bits")),
+    Defect("stage shift keeping one headroom bit fewer",
+           fft_inversion, "_fft_core", "total_bits) - plan.headroom_bits\n",
+           "total_bits) - plan.headroom_bits + 1\n",
+           (STAGE_MODEL, "test_fft_inversion.py::test_golden_bits[fft_bfp]")),
+    Defect("SVD route priced from the pseudo-inverse rows",
+           hwmodel, "_matrix_cost", "route = _ARCHITECTURE[method]", 'route = "pinv"',
+           ("test_hwmodel.py::test_cost_golden",
+            "test_hwmodel.py::TestResources::test_svd_rows_verbatim")),
+    Defect("telemetry reporting K = 1 whatever K",
+           matrix_inversion, "InversionTelemetry", "    k: int = 1\n",
+           "    k: int = 1\n\n    def __post_init__(self):\n        self.k = 1\n",
+           ("test_matrix_inversion.py::TestReconstructPinv::test_latency_attached",
+            "test_matrix_inversion.py::TestCompiledDatapaths::"
+            "test_partition_count_bounded_by_unknowns[16]")),
 ]
 
 

@@ -88,7 +88,7 @@ class ExperimentConfig:
     bits: int | None = 16
     twiddle_bits: int | None = None
     fft_mode: str = "post"
-    headroom: int = 3                 # FFT; the default is fitted to bits - 3
+    headroom: int | None = None       # FFT; None: FftPlan.make's fitted default
     k: int = 1
     quantize: str = "all"             # "all" or "data-only"
 
@@ -221,23 +221,6 @@ def build_setup(cfg: ExperimentConfig) -> StudySetup:
                       rank_grid=ranks)
 
 
-def _fft_plan(n: int, bits: int | None = None, headroom: int | None = None,
-              **settings) -> FftPlan:
-    """Every study's and ``ftsinv invert``'s FFT plan: ``n`` points at
-    ``bits`` (None: double precision) with the ``settings``
-    :meth:`FftPlan.make` reads, ``twiddle_bits`` and ``mode``, which it
-    refuses where it cannot run them.  An unset ``headroom`` is the default
-    3 fitted down to ``bits - 3``, as
-    :func:`~ftsinv.fft_inversion.idct2_via_fft` enters its words one headroom
-    bit above the plan's; a given one is used as given.  A plan is a value,
-    so making it again is cheap: the tables and columns it reads are built
-    once per size and format (:func:`~ftsinv.fft_inversion._tables`)."""
-    default = ExperimentConfig.headroom
-    fitted = default if bits is None else min(default, bits - 3)
-    return FftPlan.make(n, bits, headroom_bits=fitted if headroom is None else headroom,
-                        **settings)
-
-
 def _quantize_only_data(values: np.ndarray, bits: int) -> np.ndarray:
     fmt = FxpFormat.for_range(bits, float(np.max(np.abs(values), initial=0.0)))
     return dequantize_array(quantize_array(values, fmt), fmt)
@@ -255,21 +238,20 @@ def _compile_datapath(method: str, factors: SvdFactors, fmt, k: int = 1, adag=No
 
 def _compile_route(setup: StudySetup, method: str, bits: int | None, k: int):
     """The route's acquisition (normalized on the fft route) and its datapath
-    compiled at ``bits`` and ``k``: on the fft route :func:`_fft_plan`'s
-    plan, a headroom equal to the default, given or not, left unset.  Under
-    ``quantize="data-only"`` the acquisition alone is quantized, at ``bits``
-    over its own range, and the datapath is the double-precision one."""
+    compiled at ``bits`` and ``k``: on the fft route the plan
+    :meth:`~ftsinv.fft_inversion.FftPlan.make` makes from the config's
+    twiddle width, mode and headroom as given, which it fits or refuses.
+    Under ``quantize="data-only"`` the acquisition alone is quantized, at
+    ``bits`` over its own range, and the datapath is the double-precision
+    one."""
     cfg = setup.config
     y = setup.y_norm if method == "fft" else setup.y
     if cfg.quantize == "data-only" and bits is not None:
         y = Interferogram(_quantize_only_data(y.values, bits), y.grid, y.mean_spectrum)
         bits = None
     if method == "fft":
-        # a double plan has no words, so no twiddle width or headroom
-        fixed = {} if bits is None else dict(
-            twiddle_bits=cfg.twiddle_bits,
-            headroom=None if cfg.headroom == ExperimentConfig.headroom else cfg.headroom)
-        return y, _fft_plan(cfg.n, bits, mode=cfg.fft_mode, **fixed)
+        return y, FftPlan.make(cfg.n, bits, twiddle_bits=cfg.twiddle_bits, mode=cfg.fft_mode,
+                               headroom_bits=cfg.headroom)
     return y, _compile_datapath(method, setup.factors, bits, k, setup.adag)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import bench, fileio, hwmodel
 from .bench import ExperimentConfig
 from .errors import ConfigError, NumericalError, OverflowViolationError
-from .fft_inversion import MODES, reconstruct_fft
+from .fft_inversion import MODES, FftPlan, reconstruct_fft
 from .matrix_inversion import svd_factorize
 from .optics import (
     Interferogram,
@@ -52,8 +52,8 @@ _DATAPATH_FLAGS = {
     "--bits": dict(type=int, help="datapath word width"),
     "--twiddle-bits": dict(type=int, dest="twiddle_bits"),
     "--fft-mode": dict(choices=list(MODES), dest="fft_mode"),
-    "--headroom": dict(type=int, help="FFT block headroom bits; unset, or 3 in a study: "
-                                      "the default 3 fitted down to bits - 3; else as given"),
+    "--headroom": dict(type=int, help="FFT block headroom bits; unset: 3, fitted down to "
+                                      "bits - 3; else as given"),
     "--rank": dict(type=int, help="kept singular values (tsvd)"),
     "--lambda": dict(type=float, dest="lam", help="ridge parameter (tik)"),
     "--parallel-k": dict(type=int, dest="k", help="banked memories"),
@@ -137,8 +137,8 @@ def _cmd_invert(args) -> int:
     y = Interferogram(values, grid)
 
     if method == "fft":
-        plan = bench._fft_plan(grid.n_samples, args.bits, args.headroom,
-                               **_given(twiddle_bits=args.twiddle_bits, mode=args.fft_mode))
+        plan = FftPlan.make(grid.n_samples, args.bits, args.twiddle_bits,
+                            headroom_bits=args.headroom, **_given(mode=args.fft_mode))
         if args.normalize:
             if args.mean_spectrum is None:
                 raise ConfigError("--normalize requires --mean-spectrum")

@@ -242,27 +242,34 @@ class FftPlan:
         bits: int | None = None,
         twiddle_bits: int | None = None,
         mode: str = "post",
-        headroom_bits: int = 3,
+        headroom_bits: int | None = None,
     ) -> "FftPlan":
+        """The plan of ``n_points`` points at ``bits`` (None: double
+        precision), the one place an FFT setting is fitted or refused; None
+        is unset.  An unset ``twiddle_bits`` is ``bits``.  An unset
+        ``headroom_bits`` is 3 fitted down to ``bits - 3``, since
+        :func:`idct2_via_fft` enters its words one headroom bit above the
+        plan's; a given one is used as given.  A double-precision plan has
+        no words, so it refuses both settings and keeps headroom 3."""
         if n_points < 2 or (n_points & (n_points - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 2, got {n_points}")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if bits is None and twiddle_bits is not None:
-            raise ValueError("twiddle_bits needs bits: a double-precision plan "
-                             "has no twiddle words")
-        data_fmt = tw_fmt = None
-        if bits is not None:
-            if twiddle_bits is None:
-                twiddle_bits = bits
-            if bits < headroom_bits + 2:
-                raise ValueError("data width leaves no mantissa below the headroom")
-            # frac = width-2 so the +-1.0 twiddles are exactly representable
-            data_fmt = FxpFormat(bits, bits - 1)
-            tw_fmt = FxpFormat(twiddle_bits, twiddle_bits - 2)
-        if not (0 <= headroom_bits <= (bits - 2 if bits else 30)):
+        if bits is None:
+            if (twiddle_bits, headroom_bits) != (None, None):
+                raise ValueError("twiddle_bits and headroom_bits need bits: a "
+                                 "double-precision plan has no words")
+            return cls(n_points, None, None, mode, 3)
+        if headroom_bits is None:
+            headroom_bits = min(3, bits - 3)
+        if bits < headroom_bits + 2:
+            raise ValueError("data width leaves no mantissa below the headroom")
+        if headroom_bits < 0:
             raise ValueError("headroom_bits out of range")
-        return cls(n_points, data_fmt, tw_fmt, mode, headroom_bits)
+        # frac = width-2 so the +-1.0 twiddles are exactly representable
+        tw = bits if twiddle_bits is None else twiddle_bits
+        return cls(n_points, FxpFormat(bits, bits - 1), FxpFormat(tw, tw - 2), mode,
+                   headroom_bits)
 
     @property
     def exact(self) -> bool:

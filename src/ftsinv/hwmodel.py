@@ -75,15 +75,22 @@ def _fit_inverse_k(points: dict) -> LatencyFit:
 
 class CalibrationTable:
     """Anchors parsed from the key-value text file plus fitted constants.  A
-    ``route.quantity.kK`` entry is row ``(route, quantity)``'s anchor at K;
-    without ``.kK`` it is a row of one anchor, held at every K."""
+    ``route.quantity.kK`` entry is row ``(route, quantity)``'s anchor at
+    K >= 1; without ``.kK`` it is a row of one anchor, held at every K.  An
+    anchor given twice is refused, not replaced."""
 
     def __init__(self, entries: dict):
         self.entries = entries
         self.rows = {}
         for key, e in entries.items():
             if m := re.fullmatch(r"(pinv|svd)\.(\w+)(?:\.k(\d+))?", key):
-                self.rows.setdefault(m.group(1, 2), {})[int(m[3] or 1)] = e.value
+                row, k = self.rows.setdefault(m.group(1, 2), {}), int(m[3] or 1)
+                if k < 1:
+                    raise ConfigError(f"calibration entry {key!r}: K must be >= 1")
+                if k in row:
+                    raise ConfigError(f"calibration entry {key!r} repeats its row's "
+                                      f"K = {k} anchor")
+                row[k] = e.value
         missing = [f"{r}.{q}" for r in ("pinv", "svd") for q in _ROW_QUANTITIES
                    if (r, q) not in self.rows]
         if missing:
@@ -115,8 +122,11 @@ class CalibrationTable:
             if "=" not in body:
                 raise ConfigError(f"calibration line {lineno}: expected 'key = value'")
             key, _, value = body.partition("=")
+            key = key.strip()
+            if key in entries:
+                raise ConfigError(f"calibration line {lineno}: {key!r} given twice")
             try:
-                entries[key.strip()] = CalibEntry(float(value), comment.strip())
+                entries[key] = CalibEntry(float(value), comment.strip())
             except ValueError:
                 raise ConfigError(
                     f"calibration line {lineno}: bad number {value.strip()!r}"
@@ -257,7 +267,7 @@ def method_cost(method: str, k: int, calib: CalibrationTable | None = None,
                 fft_mode: str = "post") -> HwCost:
     calib = calib or default_calibration()
     if method == "fft":
-        pts = fft_points or int(calib["fft.anchor_points"])
+        pts = int(calib["fft.anchor_points"]) if fft_points is None else fft_points
         return fft_cost(pts, fft_mode, calib)
     if method not in _ARCHITECTURE:
         raise ConfigError(f"unknown method {method!r}")

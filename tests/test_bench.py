@@ -178,10 +178,10 @@ def test_config_refuses_bad_json(text, message):
 
 def test_study_fft_plans_take_the_config_settings():
     """A study's FFT plan runs the configured twiddle width and headroom.
-    Only the default headroom is fitted, to ``bits - 3``, which it needs at
-    4 and 5 bits; a given one is used as given, also past ``bits - 3``.  A
-    double plan has no words and reads neither.  ``test_cli`` checks that
-    the settings a plan cannot run are refused."""
+    Only an unset headroom is fitted, to ``bits - 3``, which it needs at 4
+    and 5 bits; a given one is used as given, 3 included, also past
+    ``bits - 3``.  A double plan has no words and refuses either setting.
+    ``test_cli`` checks that the settings a plan cannot run are refused."""
     setup = bench.build_setup(bench.ExperimentConfig(kind="cosine", n=16, m=16))
 
     def plan(bits, **fields):
@@ -189,11 +189,25 @@ def test_study_fft_plans_take_the_config_settings():
 
     assert plan(4).headroom_bits == 1 and plan(4).twiddle_format.total_bits == 4
     assert [plan(bits).headroom_bits for bits in (5, 6, 12)] == [2, 3, 3]
-    for headroom in (0, 2, 10):
+    for headroom in (0, 2, 3, 10):
         assert plan(12, headroom=headroom).headroom_bits == headroom
+    with pytest.raises(ValueError, match="no mantissa below the headroom"):
+        plan(4, headroom=3)
     assert plan(12, twiddle_bits=8).twiddle_format.total_bits == 8
-    double = plan(None, headroom=1, twiddle_bits=8)
-    assert double.exact and double.headroom_bits == 3
+    assert plan(None).exact and plan(None).headroom_bits == 3
+    for fields in ({"headroom": 1}, {"twiddle_bits": 8}, {"headroom": 1, "twiddle_bits": 8}):
+        with pytest.raises(ValueError, match="a double-precision plan has no words"):
+            plan(None, **fields)
+
+
+@pytest.mark.parametrize("fields", [{"twiddle_bits": 8}, {"headroom": 1}])
+def test_double_comparison_refuses_fft_word_settings(fields):
+    """A double-precision comparison given an FFT twiddle width or headroom
+    raises rather than running its plan without them."""
+    cfg = bench.ExperimentConfig(kind="cosine", n=16, m=16, bits=None, methods=["fft"],
+                                 **fields)
+    with pytest.raises(ValueError, match="a double-precision plan has no words"):
+        bench.run_comparison(cfg)
 
 
 def test_simulate_noise_snr_limits():

@@ -1,5 +1,8 @@
 """Command-line round trips: simulate to files, invert from them."""
 
+import contextlib
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -310,6 +313,13 @@ STUDY_FLAGS = ["--kind", "cosine", "--n", "16", "--m", "16", "--seed", "1"]
                    id=f"{command}--data-only{flag[0]}")
       for command, bits in (("sweep-precision", []), ("compare", ["--bits", "12"]))
       for flag in (["--twiddle-bits", "8"], ["--headroom", "1"])],
+    # a given 3, the value the plan fits an unset headroom from, counts as given
+    *[pytest.param([command, *where, "--headroom", "3"], f"--headroom is not read under {why}",
+                   id=f"{command}{where[0]}--headroom-3")
+      for command, where, why in (
+          ("compare", ["--double"], "--double"),
+          ("compare", ["--quantize", "data-only"], "--quantize data-only"),
+          ("sweep-precision", ["--quantize", "data-only"], "--quantize data-only"))],
 ])
 def test_studies_refuse_fixed_point_flags_they_do_not_read(tmp_path, capsys, argv, message):
     """Under --double nothing is quantized, and under --quantize data-only
@@ -393,28 +403,31 @@ def test_invert_refuses_fft_settings_its_plan_cannot_run(normalized_cosine, tmp_
 
 
 def test_sweep_precision_runs_a_given_headroom_at_every_width(tmp_path, capsys):
-    """A given headroom is not fitted to a sweep's narrow widths: 2 leaves the
-    4-bit DCT entry words no mantissa, so the default widths exit 2 and
-    write nothing."""
+    """A given headroom is not fitted to a sweep's narrow widths, 3 no more
+    than 2: 3 leaves the 4-bit plan no mantissa, and 2 the 4-bit DCT entry
+    words, so the default widths exit 2 and write nothing."""
     out = tmp_path / "s.csv"
-    assert cli.main(["sweep-precision", *STUDY_FLAGS, "--headroom", "2",
-                     "--out", str(out)]) == 2
-    assert "headroom 3 leaves no mantissa in 4-bit words" in capsys.readouterr().err
-    assert not out.exists()
+    for headroom, message in (("2", "headroom 3 leaves no mantissa in 4-bit words"),
+                              ("3", "data width leaves no mantissa below the headroom")):
+        assert cli.main(["sweep-precision", *STUDY_FLAGS, "--headroom", headroom,
+                         "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_compare_runs_the_fft_at_zero_headroom(tmp_path, monkeypatch):
     """--headroom 0 reaches the FFT plan as given."""
-    made, make = [], bench._fft_plan
+    made, make = [], FftPlan.make
 
-    def recording(n, bits=None, headroom=None, **settings):
-        made.append(dict(bits=bits, headroom=headroom, **settings))
-        return make(n, bits, headroom, **settings)
+    def recording(*args, **settings):
+        made.append(inspect.signature(make).bind(*args, **settings).arguments)
+        return make(*args, **settings)
 
-    monkeypatch.setattr(bench, "_fft_plan", recording)
+    monkeypatch.setattr(FftPlan, "make", recording)
     assert cli.main(["compare", *STUDY_FLAGS, "--bits", "12", "--headroom", "0",
                      "--out", str(tmp_path / "s.csv")]) == 0
-    assert made == [dict(bits=12, twiddle_bits=None, mode="post", headroom=0)]
+    assert made == [dict(n_points=16, bits=12, twiddle_bits=None, mode="post",
+                         headroom_bits=0)]
 
 
 @pytest.fixture
@@ -436,18 +449,42 @@ def test_invert_fft_route(normalized_cosine, tmp_path, mode):
 
 @pytest.mark.parametrize("bits", [4, 5])
 @pytest.mark.parametrize("mode", ["pre", "post", "fixed"])
-def test_invert_fft_runs_the_plan_a_study_makes(normalized_cosine, tmp_path, mode, bits):
+def test_invert_fft_runs_the_plan_a_study_makes(normalized_cosine, tmp_path, monkeypatch,
+                                                mode, bits):
     """Without --headroom, ``invert`` runs the plan a study of the same
-    acquisition makes at ``bits``, its default headroom fitted to the
-    width, and writes the study's estimate bit for bit."""
+    acquisition makes at ``bits``, its headroom fitted to the width, and
+    writes the study's estimate bit for bit.  At every study width of the
+    parity of ``bits``, up to 32, with the headroom unset or given, it makes
+    the plan a study with the same settings makes, or refuses it alike."""
     out = tmp_path / "x.csv"
-    assert cli.main(["invert", "--method", "fft", "--bits", str(bits), "--fft-mode", mode,
-                     "--in", str(normalized_cosine), "--out", str(out)]) == 0
-    setup = bench.build_setup(bench.ExperimentConfig(kind="cosine", n=64, m=64, seed=3,
-                                                     fft_mode=mode))
-    _, estimate, _, _ = bench.invert_once(setup, "fft", bits)
+    argv = ["invert", "--method", "fft", "--fft-mode", mode, "--in", str(normalized_cosine),
+            "--out", str(out)]
+    assert cli.main([*argv, "--bits", str(bits)]) == 0
+    cfg = bench.ExperimentConfig(kind="cosine", n=64, m=64, seed=3, fft_mode=mode)
+    _, estimate, _, _ = bench.invert_once(bench.build_setup(cfg), "fft", bits)
     _, _, x_hat = fileio.read_series_csv(out)
     assert np.array_equal(x_hat, estimate)
+
+    made, make = [], FftPlan.make
+
+    def recording(*args, **settings):
+        try:
+            made.append(make(*args, **settings))
+        except ValueError as exc:
+            made.append(str(exc))
+            raise
+        return made[-1]
+
+    monkeypatch.setattr(FftPlan, "make", recording)
+    for headroom in (None, 0, 3):
+        setup = bench.build_setup(dataclasses.replace(cfg, headroom=headroom))
+        given = [] if headroom is None else ["--headroom", str(headroom)]
+        for width in range(bits, 33, 2):
+            made.clear()
+            cli.main([*argv, "--bits", str(width), *given])
+            with contextlib.suppress(ValueError):
+                bench._compile_route(setup, "fft", width, 1)
+            assert len(made) == 2 and made[0] == made[1], (headroom, width)
 
 
 def test_invert_fft_normalizes_like_the_library(tmp_path):

@@ -460,7 +460,7 @@ class TestFftBfp:
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         slots = (n // 2) * 7
         for bits in (None, 14):
-            plan = FftPlan.make(n, bits=bits, mode="post", headroom_bits=3)
+            plan = FftPlan.make(n, bits=bits, mode="post")
             for tel, dct_mults in ((fft_bfp(x, plan).telemetry, 0),
                                    (dct2_via_fft(x.real, plan)[1], 2 * n),
                                    (idct2_via_fft(x.real, plan)[1], 4 * n)):
@@ -513,6 +513,14 @@ class TestFftBfp:
         """A double-precision plan has no twiddle words to size."""
         with pytest.raises(ValueError, match="twiddle_bits"):
             FftPlan.make(64, twiddle_bits=8)
+
+    def test_unset_headroom_is_three_fitted_to_the_width(self):
+        """An unset headroom is 3, fitted down to ``bits - 3`` so that the
+        DCT's entry words, one headroom bit above the plan's, keep a
+        mantissa; a double-precision plan keeps 3."""
+        for bits in range(4, 65):
+            assert FftPlan.make(16, bits).headroom_bits == min(3, bits - 3), bits
+        assert FftPlan.make(16).headroom_bits == 3
 
     def test_insufficient_headroom_rejected(self):
         plan = FftPlan.make(16, bits=12, mode="post", headroom_bits=3)
@@ -702,7 +710,7 @@ def test_benchmark_plans_word_types():
         assert FftPlan.make(65536, bits=16, mode=mode).word_type is np.int32
     cfg = fi.bench.reference_airy_config()
     for bits, word in ((4, np.int32), (16, np.int32), (18, np.int64), (None, np.float64)):
-        assert fi.bench._fft_plan(cfg.n, bits, mode=cfg.fft_mode).word_type is word, bits
+        assert FftPlan.make(cfg.n, bits, mode=cfg.fft_mode).word_type is word, bits
     wide = FftPlan.make(4096, bits=40, mode="post")
     assert wide.word_type is np.int64
     assert fxp._limb_plan(wide.twiddle_format.total_bits, wide.data_format.total_bits,
@@ -1100,7 +1108,7 @@ def test_large_golden_bits():
 @pytest.mark.parametrize("call,message", [
     (lambda: FftPlan.make(16, bits=4, headroom_bits=3), "no mantissa below the headroom"),
     (lambda: FftPlan.make(16, bits=8, headroom_bits=-1), "headroom_bits out of range"),
-    (lambda: FftPlan.make(16, headroom_bits=31), "headroom_bits out of range"),
+    (lambda: FftPlan.make(16, headroom_bits=3), "a double-precision plan has no words"),
     (lambda: quantize_complex_block(np.ones(4), FxpFormat(8, 7), 7), "leaves no mantissa"),
     (lambda: fft_bfp_block(np.zeros(16, np.int64), np.zeros(16, np.int64), 0,
                            FftPlan.make(16)), "requires a fixed-point plan"),

@@ -329,9 +329,20 @@ class TestCrossValidation:
         (PACKAGE / "data" / "calibration.txt").read_text().replace(
             "fft.latency = 4300", "fft.latency = 430")),
      ConfigError, "negative overhead"),
-], ids=["resources", "latency", "fmax", "fft-overhead"])
+    *[(lambda line=line: hwmodel.CalibrationTable.parse(
+        (PACKAGE / "data" / "calibration.txt").read_text() + line), ConfigError, message)
+      for line, message in (("fft.lut = 1", "'fft.lut' given twice"),
+                            ("pinv.latency.k1 = 1", "'pinv.latency.k1' given twice"),
+                            ("pinv.ram.k1 = 30", "'pinv.ram.k1' repeats its row's K = 1"),
+                            ("pinv.latency.k0 = 5000", "'pinv.latency.k0': K must be >= 1"))],
+    *[(lambda points=points: hwmodel.method_cost("fft", 1, fft_points=points), ConfigError,
+       "n_points must be a power of two") for points in (0, 48)],
+], ids=["resources", "latency", "fmax", "fft-overhead", "calib-twice", "calib-anchor-twice",
+        "calib-row-twice", "calib-k0", "fft-points-0", "fft-points-48"])
 def test_input_checks_raise_their_errors(call, error, message):
-    """A cost with negative resources or no clock, and a calibration whose
-    FFT anchor is shorter than its structural cycles, are refused."""
+    """A cost with negative resources or no clock, a calibration whose FFT
+    anchor is shorter than its structural cycles or that gives an entry or
+    an anchor twice or an anchor below K = 1, and an FFT size that is not a
+    power of two, 0 included, are refused."""
     with pytest.raises(error, match=message):
         call()

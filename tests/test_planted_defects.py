@@ -146,6 +146,20 @@ DEFECTS = [
            ("test_matrix_inversion.py::TestReconstructPinv::test_latency_attached",
             "test_matrix_inversion.py::TestCompiledDatapaths::"
             "test_partition_count_bounded_by_unknowns[16]")),
+    Defect("a given FFT headroom of 3 fitted as if unset",
+           fft_inversion.FftPlan, "make", "if headroom_bits is None:",
+           "if headroom_bits in (None, 3):",
+           ("test_bench.py::test_study_fft_plans_take_the_config_settings",
+            "test_cli.py::test_sweep_precision_runs_a_given_headroom_at_every_width")),
+    Defect("an unset FFT headroom fitted one bit loose",
+           fft_inversion.FftPlan, "make", "min(3, bits - 3)", "min(3, bits - 2)",
+           ("test_fft_inversion.py::TestFftBfp::test_unset_headroom_is_three_fitted_to_the_width",
+            "test_cli.py::test_invert_fft_runs_the_plan_a_study_makes[pre-4]")),
+    Defect("saturation dropped: no clamp, no count",
+           fxp, "saturate_array", "if lo >= fmt.min_raw and hi <= fmt.max_raw:", "if True:",
+           (WORD_MODEL, "test_matrix_inversion.py::test_golden_bits",
+            "test_fft_inversion.py::TestButterfly::test_post_blocks_below_three_headroom_"
+            "bits_saturate_like_the_model[0-16-widths0]")),
 ]
 
 

@@ -34,17 +34,22 @@ only where a bound compiled with the diagonal cannot rule saturation out.
 Product 2 (U^T y) changes only with the acquisition and the kept lanes, so
 a compiled SVD datapath forms it once per acquisition and kept set of lanes,
 output stage included, and every run of a rank or ridge sweep on that set
-reads it (see :class:`CompiledSvd`).  A run of a compiled diagonal thus
+reads it (see :class:`CompiledSvd`).  So does the output format of product
+3, which the range of the double reference x_ref fixes: on the first run of
+an acquisition, one product of V by the penalized U^T y of every point of a
+grid bounds each point's max |x_ref| tightly enough to decide its format
+(:meth:`CompiledSvd.output_format`), and only a point the bound cannot
+decide, or a grid of one, forms x_ref.  A run of a compiled diagonal thus
 does only the work that changes with both the diagonal and the
-acquisition: the double reference that fixes its output's binary point,
-and the N x r products 1 and 3.  Each run counts the multiplies its
-products issue in its own telemetry, product 2's included.
+acquisition: the N x r products 1 and 3.  Each run counts the multiplies
+its products issue in its own telemetry, product 2's included.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +111,22 @@ class SvdFactors:
     @functools.cached_property
     def ut_rowmax(self) -> np.ndarray:
         return _read_only(np.max(np.abs(self.u), axis=0, initial=0.0))
+
+    @functools.cached_property
+    def v_rownorm(self) -> float:
+        """The largest 2-norm of a row of V, rounded up (:func:`_norm_bounds`)."""
+        return float(_norm_bounds(self.v, 1).max(initial=0.0))
+
+
+def _norm_bounds(a: np.ndarray, axis: int) -> np.ndarray:
+    """Upper bounds on the 2-norms of the vectors of ``a`` along ``axis``.
+    A float norm of n terms errs by less than (n/2 + 2) u relative, u =
+    2**-53, and by less than sqrt(n) 2**-537 absolute where squares fall
+    below the float range; each bound is raised past both, and past the
+    roundings of the few products that scale it."""
+    n = a.shape[axis]
+    return ((np.linalg.norm(a, axis=axis) + math.sqrt(n) * 2.0 ** -537)
+            * (1 + (n + 8) * 2.0 ** -52))
 
 
 def svd_factorize(a) -> SvdFactors:
@@ -367,14 +388,15 @@ def reconstruct_pinv(
     telemetry = InversionTelemetry(method="pinv", k=datapath.k, scheme="pinv")
 
     width = _resolve_width(datapath.fmt)
-    x_ref = datapath.matrix @ y
     if width is None:
-        x_hat = x_ref
+        x_hat = datapath.matrix @ y
         telemetry.mults = n * m
     else:
         mat_fmt = datapath.mat_fmt
         vec_fmt = _tensor_format(datapath.fmt, width, y)
-        out_fmt = _tensor_format(datapath.fmt, width, x_ref)    # the output scale
+        # the output scale, from the double reference where no format is given
+        out_fmt = (datapath.fmt if isinstance(datapath.fmt, FxpFormat)
+                   else _tensor_format(width, width, datapath.matrix @ y))
         out, telemetry.overflow_events, telemetry.mults = _banked_mac(
             datapath.words, np.matmul,
             quantize_array(y, vec_fmt, dtype=datapath.word_type),
@@ -394,10 +416,11 @@ def reconstruct_pinv(
 class _Product2:
     """Everything product 2 gives a run of one acquisition on one kept set of
     lanes, whatever its diagonal: the double reference ``o2_ref = U_k^T y``,
-    and on a fixed-point datapath the formats of y, U_k^T and product 2's
-    output, the output words and their saturation count."""
+    and on a fixed-point datapath its peak, the formats of y, U_k^T and
+    product 2's output, the output words and their saturation count."""
 
     o2_ref: np.ndarray
+    o2_peak: float = 0.0
     fmt_y: FxpFormat | None = None
     fmt_u: FxpFormat | None = None
     fmt_o2: FxpFormat | None = None
@@ -430,8 +453,11 @@ class CompiledSvd:
       whole ridge sweep runs one stage.  A run whose y differs from the
       latest acquisition in any bit, also after an in-place change, starts
       them afresh;
-    * the diagonal and the acquisition: the double reference x_ref, which
-      fixes the output's binary point, and the N x r products 1 and 3.
+    * the diagonal and the acquisition: product 3's output format, which
+      the range of the double reference x_ref fixes where no format is
+      given, and which :meth:`output_format` decides for every point of a
+      grid at once on its first run of an acquisition and keeps for the
+      latest grid, and the N x r products 1 and 3.
     """
 
     factors: SvdFactors
@@ -443,6 +469,7 @@ class CompiledSvd:
     _y_words: tuple = field(default=(), repr=False)     # (fmt_y, y_raw)
     _ut_y: dict = field(default_factory=dict, repr=False)
     _stages: dict = field(default_factory=dict, repr=False)
+    _formats: tuple = field(default=(None, None), repr=False)   # (grid, its formats)
 
     def words(self, name: str, fmt: FxpFormat) -> np.ndarray:
         """All of V (``"v"``) or U^T (``"ut"``) quantized at ``fmt``."""
@@ -468,8 +495,8 @@ class CompiledSvd:
         kept = [_kept_lanes(row) for row in zeta]
         width = _resolve_width(self.fmt)
         if width is None:
-            return [CompiledDiagonal(self, z, lanes, row[lanes])
-                    for z, lanes, row in zip(zs, kept, zeta)]
+            return _grid([CompiledDiagonal(self, z, lanes, row[lanes])
+                          for z, lanes, row in zip(zs, kept, zeta)])
         mag = np.abs(zeta)
         # product 1's (V, z, output) ranges per point; rounding is monotone,
         # so max_j colmax|V|_j |z_j| is max |V_k diag(z)|
@@ -506,14 +533,14 @@ class CompiledSvd:
             fits = [(mode, (_round_in_place(peak.copy(), mode) < 2.0 ** (width - 1)).tolist())
                     for mode in RoundingMode]
             unsaturated = [tuple(mode for mode, ok in fits if ok[p]) for p in range(len(zs))]
-        return [CompiledDiagonal(self, z, lanes, row[lanes], point, w[lanes], safe)
-                for z, lanes, row, point, w, safe
-                in zip(zs, kept, zeta, fmts, words, unsaturated)]
+        return _grid([CompiledDiagonal(self, z, lanes, row[lanes], point, w[lanes], safe)
+                      for z, lanes, row, point, w, safe
+                      in zip(zs, kept, zeta, fmts, words, unsaturated)])
 
     def product2(self, y: np.ndarray, kept, mode: RoundingMode) -> _Product2:
         """Product 2 of the acquisition ``y`` on the lanes ``kept`` (a
         leading slice or an index array), its output stage rounding under
-        ``mode``."""
+        ``mode``; ``y`` becomes the latest acquisition."""
         if self._y is None or not _same_bits(self._y, y):
             y = np.array(y, order="C")       # a contiguous copy of its own
             width = _resolve_width(self.fmt)
@@ -521,12 +548,80 @@ class CompiledSvd:
             if width is not None:
                 fmt_y = _tensor_format(self.fmt, width, y)
                 y_words = (fmt_y, quantize_array(y, fmt_y, dtype=self.word_type))
-            self._y, self._y_words, self._ut_y, self._stages = y, y_words, {}, {}
+            self._y, self._y_words, self._ut_y = y, y_words, {}
+            self._stages, self._formats = {}, (None, None)
+        return self._stage(kept, mode)
+
+    def _stage(self, kept, mode: RoundingMode) -> _Product2:
         key = (kept.stop if isinstance(kept, slice) else kept.tobytes(), mode)
         stage = self._stages.get(key)
         if stage is None:
             stage = self._stages[key] = self._product2(kept, mode)
         return stage
+
+    def output_format(self, z: CompiledDiagonal, mode: RoundingMode) -> FxpFormat:
+        """Product 3's output format for the compiled diagonal ``z`` on the
+        latest acquisition (:meth:`product2`) of a fixed-point datapath: a
+        given format itself, else ``FxpFormat.for_range`` of max |x_ref|.
+
+        At an integer width the first call for any point of a grid of two
+        or more decides every point's format from a bound
+        (:meth:`_output_formats`), which the datapath keeps for the latest
+        such grid; a point it leaves undecided, a grid of one, whose bound
+        would cost more than the x_ref it saves, and a diagonal whose lanes
+        or values are not its grid point's, form x_ref."""
+        if isinstance(self.fmt, FxpFormat):
+            return self.fmt
+        width = _resolve_width(self.fmt)
+        grid, p = z.grid, z.index
+        held, formats = self._formats
+        if held is not grid and len(grid.zk) > 1:
+            held, formats = self._formats = grid, self._output_formats(grid, mode)
+        fmt = (formats[p] if held is grid and grid.kept[p] is z.kept and grid.zk[p] is z.zk
+               else None)
+        if fmt is None:
+            fmt = _tensor_format(width, width,
+                                 _x_ref(self.factors, z, self._stage(z.kept, mode)))
+        return fmt
+
+    def _output_formats(self, grid: _Grid, mode: RoundingMode) -> list:
+        """Product 3's output format of each point of ``grid`` on the latest
+        acquisition, or None where the bound cannot decide it.
+
+        Column p of Q (r x P) is point p's products ``zk * o2_ref`` on its
+        kept lanes, 0 elsewhere, so column p of V Q sums point p's x_ref in
+        another order.  Under any order of summation or fused multiply-add,
+        x_ref and V Q each lie within ``gamma_{r+1} sum_j |V_ij z_j o_j| <=
+        gamma_{r+1} rho ||q_p||_2`` of the exact sum (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 3.1), with ``gamma_n = n u / (1
+        - n u)``, u = 2**-53 and rho the largest row 2-norm of V.  So max
+        |x_ref| lies within ``E_p = 2 gamma_{r+1} rho ||q_p||_2`` of the peak
+        of column p, plus margins for the rounding of E_p and for subnormal
+        products (each below 2**-1074 in absolute error).
+        ``FxpFormat.for_range`` is monotone in its range, so a format equal
+        at both ends of ``peak +- E_p`` is x_ref's; a point whose ends
+        straddle its one threshold, ``2**k (1 - 2**-w)``, or whose lower end
+        is not positive or upper end not finite, is left undecided."""
+        f, width = self.factors, _resolve_width(self.fmt)
+        r = f.xi.size
+        q = np.zeros((r, len(grid.zk)))
+        o2_peak = np.zeros(len(grid.zk))
+        gamma = (r + 1) * 2.0 ** -53 / (1 - (r + 1) * 2.0 ** -53)
+        rho = f.v_rownorm
+        with np.errstate(over="ignore", invalid="ignore"):      # past the float range: undecided
+            for p, (kept, zk) in enumerate(zip(grid.kept, grid.zk)):
+                if zk.size:
+                    stage = self._stage(kept, mode)
+                    q[kept, p] = zk * stage.o2_ref
+                    o2_peak[p] = stage.o2_peak
+            peak = np.max(np.abs(f.v @ q), axis=0, initial=0.0)
+            bound = 2 * gamma * rho * _norm_bounds(q, 0) + 2.0 ** -1072 * r * (rho + o2_peak + 4)
+            ends = np.nextafter(peak + [[-1.0], [1.0]] * bound, [[-np.inf], [np.inf]])
+        lo, hi = ends
+        frac = frac_bits_for_range(width, ends)
+        decided = (lo > 0) & (hi < np.inf) & (frac[0] == frac[1])
+        return [FxpFormat(width, b) if ok else None
+                for b, ok in zip(frac[1].tolist(), decided.tolist())]
 
     def _product2(self, kept, mode: RoundingMode) -> _Product2:
         o2_ref = self.factors.ut[kept] @ self._y
@@ -535,7 +630,8 @@ class CompiledSvd:
         fmt_y, y_raw = self._y_words
         width = fmt_y.total_bits
         fmt_u = _tensor_format(self.fmt, width, self.factors.ut_rowmax[kept])
-        fmt_o2 = _tensor_format(self.fmt, width, o2_ref)
+        o2_peak = float(np.max(np.abs(o2_ref), initial=0.0))
+        fmt_o2 = _tensor_format(self.fmt, width, o2_peak)
         acc = self._ut_y.get(fmt_u)
         if acc is None:
             # exact U^T y over every row of U^T, shared by every kept set
@@ -546,7 +642,7 @@ class CompiledSvd:
         o2, overflows = _requantize(acc[kept],
                                     fmt_u.frac_bits + fmt_y.frac_bits - fmt_o2.frac_bits,
                                     mode, fmt_o2)
-        return _Product2(o2_ref, fmt_y, fmt_u, fmt_o2, o2, overflows)
+        return _Product2(o2_ref, o2_peak, fmt_y, fmt_u, fmt_o2, o2, overflows)
 
 
 @dataclass(eq=False)
@@ -562,7 +658,9 @@ class CompiledDiagonal:
     the kept lanes' z words in the datapath's word type.  float64 words are
     pre-scaled by 2**-shift of product 1's output stage, and
     ``unsaturated`` holds the rounding modes under which that stage
-    provably saturates no word.
+    provably saturates no word.  ``grid`` holds the lanes and values of
+    every diagonal that one call of :meth:`CompiledSvd.diagonals` compiled,
+    this one's at ``index``, for :meth:`CompiledSvd.output_format`.
     """
 
     datapath: CompiledSvd
@@ -572,6 +670,8 @@ class CompiledDiagonal:
     fmts: tuple = ()
     words: np.ndarray | None = None
     unsaturated: tuple = ()
+    grid: _Grid | None = field(default=None, repr=False)
+    index: int = 0
 
     @property
     def scheme(self):
@@ -580,6 +680,31 @@ class CompiledDiagonal:
     @property
     def rank(self) -> int:
         return self.zk.size
+
+
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """The kept lanes and values of the points of one grid, in order: what
+    their output formats depend on besides the acquisition.  It holds no
+    diagonal or datapath, so a datapath that keeps it beside its formats is
+    in no reference cycle."""
+
+    kept: tuple
+    zk: tuple
+
+
+def _grid(points: list) -> list:
+    """``points``, each told its grid and its index in it."""
+    grid = _Grid(tuple(z.kept for z in points), tuple(z.zk for z in points))
+    for index, point in enumerate(points):
+        point.grid, point.index = grid, index
+    return points
+
+
+def _x_ref(f: SvdFactors, z: CompiledDiagonal, stage: _Product2) -> np.ndarray:
+    """The double reference ``(V_k diag zk) o2_ref``; V's column-major
+    layout fixes the order in which BLAS sums, and so its bits."""
+    return (f.v[:, z.kept] * z.zk) @ stage.o2_ref
 
 
 def _kept_lanes(zeta: np.ndarray):
@@ -634,6 +759,14 @@ def reconstruct_svd(
     diagonal stays a runtime input so regularization parameters can change
     per acquisition).  Lanes with a zero penalized value are skipped, so the
     multiplier count is exactly ``rank * (2N + M)`` for the effective rank.
+
+    The double route returns the double reference ``x_ref = (V_k diag zk)
+    o2_ref``.  A fixed-point run at an integer width takes its output binary
+    point from max |x_ref| without forming x_ref: the first run of any point
+    of a grid on an acquisition bounds every point's x_ref at once, and only
+    a point whose bound straddles a format threshold, or a grid of one, forms
+    it (:meth:`CompiledSvd.output_format`); a run at a given format forms
+    none.
     """
     y = _samples(y)
     datapath = _datapath(factors, CompiledSvd, compile_svd, fmt, k)
@@ -659,21 +792,23 @@ def reconstruct_svd(
     kept = z.kept
     stage = datapath.product2(y, kept, mode)
 
-    # the column scalings (x_ref's and product 1) run along V's column-major
-    # columns of N words, which numpy's default ufunc buffer copies through
-    # in pieces.  With a buffer of one column, in process on one thread,
-    # each took 0.57-0.68x the time at N = r = 256, and a whole run read
-    # 0.78-0.96x at N = 256, 0.99-1.03x at N = 128 and 1.06-1.12x at N = 64,
-    # where the scope's own cost outweighs the copies it saves.
+    # the column scalings (product 1, and x_ref's where it is formed) run
+    # along V's column-major columns of N words, which numpy's default ufunc
+    # buffer copies through in pieces.  With a buffer of one column, in
+    # process on one thread, each took 0.57-0.68x the time at N = r = 256,
+    # and a whole run read 0.78-0.96x at N = 256, 0.99-1.03x at N = 128 and
+    # 1.06-1.12x at N = 64, where the scope's own cost outweighs the copies
+    # it saves.  With product 1 alone in it at N = 256 (medians of 15), the
+    # 40-point ridge and 16-rank grids run 0.71x and 0.78x at 16 bits,
+    # 0.95x and 0.97x at 32 bits (int64 words), and 0.60x and 0.68x on the
+    # double route; a ridge grid of one, which forms x_ref, 0.83x, 0.91x
+    # and 0.70x.
     buffer = _ufunc_buffer(n) if n >= 256 else contextlib.nullcontext()
     with buffer:
-        # the double reference; V's column-major layout fixes the order in
-        # which BLAS sums, and so its bits
-        x_ref = (f.v[:, kept] * z.zk) @ stage.o2_ref
         if width is None:
-            return InversionResult(x_ref, telemetry)
+            return InversionResult(_x_ref(f, z, stage), telemetry)
         fmt_v, fmt_z, fmt_o1 = z.fmts
-        fmt_x = _tensor_format(datapath.fmt, width, x_ref)
+        fmt_x = datapath.output_format(z, mode)
 
         # product 1: column scaling of V by the penalized diagonal
         v_words = datapath.words("v", fmt_v)[:, kept]

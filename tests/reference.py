@@ -273,6 +273,44 @@ def svd_words(v, ut, zeta, y, fmts: dict, mode: RoundingMode = DATAPATH_POLICY):
     return x, (over1, over2, over3)
 
 
+def limb_plan(wa: int, wb: int, guard: int):
+    """The limb plan of ``wa``- by ``wb``-bit words, ``2**guard`` products
+    summed, on Python ints: ``(bits, split_a)`` as
+    :func:`~ftsinv.fxp._limb_plan` returns it, from the same start width
+    narrowed until the worst-case lazy digits stay below 2**63.
+
+    Limbs below a word's top are unsigned ``bits``-bit values and the top
+    holds the rest of the signed word, so each limb's largest magnitude is
+    ``2**bits - 1`` or the top's most negative value.  Digit p sums
+    ``2**guard`` products of every limb pair with ``i + j = p`` at those
+    magnitudes, plus the carry out of digit p - 1, the ceiling of that digit
+    over ``2**bits``."""
+    if wa + wb - 2 + guard <= 62:
+        return None, False
+    split_a = wa - 1 + guard >= 62
+    bits = (62 - guard) // 2 if split_a else 62 - guard - (wa - 1)
+    for bits in range(bits, 0, -1):
+        peaks_a = _limb_peaks(wa, bits) if split_a else [2 ** (wa - 1)]
+        peaks_b = _limb_peaks(wb, bits)
+        carry, fits = 0, True
+        for p in range(len(peaks_a) + len(peaks_b) - 1):
+            digit = carry + 2 ** guard * sum(
+                peaks_a[i] * peaks_b[p - i] for i in range(len(peaks_a))
+                if 0 <= p - i < len(peaks_b))
+            fits = fits and digit < 2 ** 63
+            carry = -(-digit // 2 ** bits)
+        if fits:
+            return bits, split_a
+    raise ValueError(f"{guard} guard bits leave no room in int64")
+
+
+def _limb_peaks(width: int, bits: int) -> list:
+    """The largest magnitude of each ``bits``-bit limb of ``width``-bit
+    words, lowest first."""
+    count = max(1, math.ceil((width - 1) / bits))
+    return [2 ** bits - 1] * (count - 1) + [2 ** (width - 1 - bits * (count - 1))]
+
+
 def svd_residuals(f, a) -> dict:
     """Orthogonality and reconstruction residuals (max norms) of the SVD
     factors ``f`` of the matrix ``a``."""

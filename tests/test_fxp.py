@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftsinv import fxp
 from ftsinv.fxp import (
     DATAPATH_POLICY,
     FxpFormat,
@@ -281,12 +282,13 @@ def normalize(parts, width, target, mode, shift=None):
     """One block normalization of a BFP stage on copies of ``parts``:
     :func:`shift_block` by ``shift``, or by the shift that brings the
     block's headroom to ``target``.  The extremes it carries must be those
-    of the shifted block."""
+    of the shifted block.  It looks ``shift_block`` up on its module, so a
+    defect planted there runs here."""
     parts = tuple(np.array(p, dtype=np.int64) for p in parts)
     extremes = block_extremes(parts)
     if shift is None:
         shift = headroom(extremes, width) - target
-    applied, carried = shift_block(parts, shift, mode, extremes)
+    applied, carried = fxp.shift_block(parts, shift, mode, extremes)
     assert carried == block_extremes(parts)
     return parts, applied
 
@@ -313,9 +315,15 @@ class TestNormalizeBlock:
 
     def test_left_shift_past_int64_reads_the_block_again(self):
         """A left shift past the block's headroom wraps the int64 words, so
-        the extremes of the shifted block come from its words."""
+        the extremes of the shifted block come from its words: also where
+        the greatest word reaches exactly 2**63, or the least one just
+        passes -2**63."""
         (out,), shift = normalize((np.array([1 << 62, -3]),), 64, 0, self.TRUNC, 2)
         assert out.tolist() == [0, -12] and shift == 2
+        (out,), shift = normalize((np.array([1 << 62, -3]),), 64, 0, self.TRUNC, 1)
+        assert out.tolist() == [-(1 << 63), -6] and shift == 1
+        (out,), shift = normalize((np.array([-(1 << 62) - 1, 3]),), 64, 0, self.TRUNC, 1)
+        assert out.tolist() == [(1 << 63) - 2, 6] and shift == 1
 
     def test_already_at_target_identity(self):
         m = np.array([5, -3, 2])

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ftsinv as fi
-from ftsinv import hwmodel
+from ftsinv import bench, hwmodel, matrix_inversion
 from ftsinv.errors import SvdConvergenceError
 from ftsinv.fxp import (
     FxpFormat,
@@ -33,6 +33,7 @@ from ftsinv.matrix_inversion import (
     Tikhonov,
     Tsvd,
     _banked_mac,
+    _tensor_format,
     compile_pinv,
     compile_svd,
     penalize,
@@ -45,6 +46,7 @@ from ftsinv.matrix_inversion import (
 from reference import (
     apply_overflow,
     gram_condition,
+    limb_plan,
     pinv_words,
     rshift_round,
     svd_residuals,
@@ -246,6 +248,25 @@ class TestReconstructPinv:
         _, _, adag, _, _ = tall_problem
         with pytest.raises(ValueError):
             reconstruct_pinv(adag, np.zeros(7), fmt=12)
+
+    @pytest.mark.parametrize("fmt, products", [(None, 1), (12, 1), (FxpFormat(12, 8), 0)])
+    def test_double_product_only_where_it_is_read(self, tall_problem, fmt, products):
+        """The double product ``A_dagger y`` is the double route's estimate
+        and an integer width's output scale; a given format is the output
+        format, so its runs form none."""
+        _, _, adag, _, y = tall_problem
+        calls = []
+
+        class Counting(np.ndarray):
+            def __matmul__(self, other):
+                calls.append(other.shape)
+                return np.asarray(self) @ other
+
+        datapath = compile_pinv(adag, fmt)
+        counted = dataclasses.replace(datapath, matrix=datapath.matrix.view(Counting))
+        got = reconstruct_pinv(counted, y)
+        assert len(calls) == products
+        assert np.array_equal(got.x_hat, reconstruct_pinv(datapath, y).x_hat)
 
     def test_latency_attached(self, tall_problem):
         """A run reports the cost model's latency for its route, K and size."""
@@ -667,18 +688,170 @@ class TestWordModel:
         z = _route_diagonal(f, case, rng)
         datapath = compile_svd(f, width, k)
         (compiled,) = datapath.diagonals([z])
-        kept, lanes = compiled.kept, np.flatnonzero(z.zeta)
-        o2_ref = f.ut[kept] @ y
-        fmts = dict(y=_range_format(width, y), u=_range_format(width, f.u[:, lanes]),
-                    o2=_range_format(width, o2_ref), v=_range_format(width, f.v[:, lanes]),
-                    z=_range_format(width, z.zeta),
-                    o1=_range_format(width, np.max(np.abs(f.v), axis=0) * np.abs(z.zeta)),
-                    x=_range_format(width, (f.v[:, kept] * compiled.zk) @ o2_ref))
         res = reconstruct_svd(datapath, compiled, y, mode=mode)
-        words, overflows = svd_words(f.v.tolist(), f.ut.tolist(), z.zeta.tolist(),
-                                     y.tolist(), fmts, mode)
-        assert np.array_equal(res.x_hat, np.array(words, dtype=float) * fmts["x"].resolution)
-        assert res.telemetry.overflow_events == sum(overflows)
+        estimate, overflows = _svd_model(f, compiled, y, width, mode)
+        assert np.array_equal(res.x_hat, estimate)
+        assert res.telemetry.overflow_events == overflows
+
+
+def _svd_model(f: SvdFactors, compiled, y, width: int, mode: RoundingMode):
+    """The estimate and overflow count of :func:`reference.svd_words` for
+    the compiled diagonal ``compiled``, given the binary points the
+    library's rule takes from the double references, x_ref's included."""
+    zeta = compiled.penalized.zeta
+    kept, lanes = compiled.kept, np.flatnonzero(zeta)
+    o2_ref = f.ut[kept] @ y
+    fmts = dict(y=_range_format(width, y), u=_range_format(width, f.u[:, lanes]),
+                o2=_range_format(width, o2_ref), v=_range_format(width, f.v[:, lanes]),
+                z=_range_format(width, zeta),
+                o1=_range_format(width, np.max(np.abs(f.v), axis=0) * np.abs(zeta)),
+                x=_range_format(width, (f.v[:, kept] * compiled.zk) @ o2_ref))
+    words, overflows = svd_words(f.v.tolist(), f.ut.tolist(), zeta.tolist(), y.tolist(),
+                                 fmts, mode)
+    return np.array(words, dtype=float) * fmts["x"].resolution, sum(overflows)
+
+
+@st.composite
+def _grid_cases(draw):
+    """A small problem, a rank or ridge grid, its lanes leading or with lane
+    0 and others dropped, a width of float64 or int64 words, and a few
+    acquisitions, an all-zero one among the scales."""
+    return dict(m=draw(st.integers(2, 12)), n=draw(st.integers(3, 8)),
+                width=draw(st.integers(4, 40)), ridge=draw(st.booleans()),
+                points=draw(st.integers(1, 6)), scattered=draw(st.booleans()),
+                scales=draw(st.lists(st.sampled_from([0.0, *(2.0 ** e
+                                                             for e in range(-60, 61, 6))]),
+                                     min_size=1, max_size=3)),
+                k=draw(st.sampled_from([1, 2])),
+                mode=draw(st.sampled_from(list(RoundingMode))),
+                seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _decided(datapath, z):
+    """The output format the bound decided for the compiled diagonal ``z``
+    on the datapath's latest acquisition, None where it decided none."""
+    grid, formats = datapath._formats
+    return formats[z.index] if grid is z.grid else None
+
+
+class TestOutputFormats:
+    """Product 3's output format, decided for a whole grid per acquisition
+    from the bound on its double reference (:meth:`CompiledSvd.output_format`),
+    is the format of that reference."""
+
+    @settings(max_examples=150)
+    @given(_grid_cases())
+    def test_each_point_takes_its_double_reference_format(self, case):
+        """Every point with a kept lane, on every acquisition, takes
+        ``for_range`` of its own x_ref, decided by the bound or formed; an
+        all-zero acquisition, and a grid of one, leave every point undecided."""
+        rng = np.random.default_rng(case["seed"])
+        m, n, width, mode = case["m"], case["n"], case["width"], case["mode"]
+        a = rng.standard_normal((m, n)) * np.logspace(0, -rng.uniform(0, 6), n)
+        f = svd_factorize(a)
+        r, points = f.rank_bound, case["points"]
+        if case["ridge"]:
+            zs = [penalize(f.xi, Tikhonov(lam)) for lam in 10.0 ** rng.uniform(-4, 1, points)]
+        else:
+            zs = [penalize(f.xi, Tsvd(int(rank))) for rank in rng.integers(1, r + 1, points)]
+        if case["scattered"]:
+            for z in zs:
+                z.zeta[[0, *rng.permutation(r)[: r // 3]]] = 0.0
+        datapath = compile_svd(f, width, case["k"])
+        grid = datapath.diagonals(zs)
+        for scale in case["scales"]:
+            y = scale * (a @ rng.standard_normal(n) + 1e-3 * rng.standard_normal(m))
+            for z in grid:
+                if z.rank == 0:
+                    continue
+                reconstruct_svd(datapath, z, y, mode=mode)
+                x_ref = (f.v[:, z.kept] * z.zk) @ (f.ut[z.kept] @ y)
+                want = _tensor_format(width, width, x_ref)
+                assert datapath.output_format(z, mode) == want
+                assert _decided(datapath, z) in (None, want)
+                if scale == 0 or len(grid) == 1:
+                    assert _decided(datapath, z) is None
+
+    def test_points_at_the_format_threshold_form_their_reference(self):
+        """A point whose max |x_ref| sits a few ulps on either side of the
+        threshold ``8 (1 - 2**-16)`` of 16-bit formats is one the bound
+        cannot decide: it forms x_ref, takes one fractional bit more below
+        the threshold than at or above it, and gives the words of the
+        Python-int model at x_ref's own format.  Powers of two are no
+        threshold: a peak a few ulps from 8 is decided."""
+        rng = np.random.default_rng(31)
+        m, n, width = 12, 8, 16
+        a = rng.standard_normal((m, n)) * np.logspace(0, -2, n)
+        f = svd_factorize(a)
+        datapath = compile_svd(f, width)
+        z = datapath.diagonals([penalize(f.xi, Tikhonov(lam)) for lam in (0.01, 0.1)])[0]
+        y0 = a @ rng.standard_normal(n)
+
+        def near(target):
+            """Acquisitions whose point-0 peak lies within 4 ulps of ``target``,
+            by their distance in ulps."""
+            def peak(y):
+                return np.max(np.abs((f.v[:, z.kept] * z.zk) @ (f.ut[z.kept] @ y)))
+
+            c = target / peak(y0)
+            found = {}
+            for j in range(-40, 41):
+                y = y0 * (c * (1 + j * 2.0 ** -52))
+                found.setdefault((peak(y) - target) / np.spacing(target), y)
+            return {d: y for d, y in found.items() if abs(d) <= 4}
+
+        threshold = 8 * (1 - 2.0 ** -width)
+        cases = near(threshold)
+        assert min(cases) < 0 <= max(cases)
+        for d, y in cases.items():
+            for mode in RoundingMode:
+                got = reconstruct_svd(datapath, z, y, mode=mode)
+                assert _decided(datapath, z) is None, d
+                assert datapath.output_format(z, mode).frac_bits == (12 if d < 0 else 11)
+                estimate, overflows = _svd_model(f, z, y, width, mode)
+                assert np.array_equal(got.x_hat, estimate), (d, mode)
+                assert got.telemetry.overflow_events == overflows
+        for d, y in near(8.0).items():
+            reconstruct_svd(datapath, z, y)
+            assert _decided(datapath, z) == FxpFormat(width, 11), d
+
+    def test_runs_alternating_between_grids_take_their_own_formats(self, tall_problem):
+        """Runs that alternate between a rank and a ridge grid on one
+        acquisition each give what their point compiled alone gives; the
+        datapath keeps the formats of the latest grid it bounded, no more."""
+        _, f, _, _, y = tall_problem
+        datapath = compile_svd(f, 12)
+        ranks = datapath.diagonals([penalize(f.xi, Tsvd(rank)) for rank in (2, 5, 9)])
+        ridge = datapath.diagonals([penalize(f.xi, Tikhonov(lam)) for lam in (0.01, 0.3, 2.0)])
+        for pair in zip(ranks, ridge):
+            for z in pair:
+                got = reconstruct_svd(datapath, z, y)
+                alone = reconstruct_svd(f, z.penalized, y, fmt=12)
+                assert np.array_equal(got.x_hat, alone.x_hat)
+                assert got.telemetry == alone.telemetry
+                assert datapath._formats[0] is z.grid
+
+    def test_the_reference_study_needs_no_double_reference(self, reference_setup, monkeypatch):
+        """On the frozen Airy study the bound decides every point of the
+        rank and ridge grids at every width, so no fixed-point run forms
+        x_ref; a run on a given format forms none either, and the double
+        route's estimate is x_ref itself, one per run."""
+        setup = reference_setup
+        formed = []
+        x_ref = matrix_inversion._x_ref
+
+        def counting(*args):
+            formed.append(x_ref(*args))
+            return formed[-1]
+
+        monkeypatch.setattr(matrix_inversion, "_x_ref", counting)
+        for bits in [*setup.config.bits_list, FxpFormat(16, 12)]:
+            for method in ("tsvd", "tik"):
+                bench.best_inversion(setup, method, bits)
+        assert formed == []
+        estimate = bench.best_inversion(setup, "tik", None)[1]
+        assert len(formed) == len(setup.lambda_grid)
+        assert any(x is estimate for x in formed)
 
 
 def _shift_formats(width: int, shift: int):
@@ -836,6 +1009,16 @@ class TestLimbKernel:
                 want, want_over = _python_outputs(exact, shift, mode, out_fmt)
                 assert out.tolist() == want, (shift, mode)
                 assert overflows == want_over
+
+    def test_limb_plans_match_the_worst_case_digit_model(self):
+        """Limb plans against :func:`reference.limb_plan`'s worst-case lazy
+        digits, where more than 2**19 terms make the carry between digits
+        decide the width: at (44, 64, 20) and (42, 61, 22) and their mirrors
+        a carry of half its size would pass limbs one bit wider."""
+        for wa, wb, guard in [(44, 64, 20), (64, 44, 20), (42, 61, 22), (61, 42, 22),
+                              *itertools.product((32, 44, 56, 64), (32, 44, 56, 64),
+                                                 (0, 8, 19, 20, 22))]:
+            assert _limb_plan(wa, wb, guard) == limb_plan(wa, wb, guard), (wa, wb, guard)
 
     @pytest.mark.parametrize("width", [56, 64])
     def test_largest_lazy_signed_sums(self, width):

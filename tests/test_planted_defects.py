@@ -53,6 +53,9 @@ STAGE_MODEL = ("test_fft_inversion.py::TestButterfly::"
                "test_bfp_stages_match_the_model_at_every_width")
 COLUMNS = ("test_fft_inversion.py::TestWorkspace::"
            "test_columns_are_read_only_table_entries_in_the_word_type")
+THRESHOLD = ("test_matrix_inversion.py::TestOutputFormats::"
+             "test_points_at_the_format_threshold_form_their_reference")
+WRAP = "test_fxp.py::TestNormalizeBlock::test_left_shift_past_int64_reads_the_block_again"
 
 DEFECTS = [
     Defect("entry exponent one lower (ROADMAP item 15, A)",
@@ -155,6 +158,23 @@ DEFECTS = [
            fft_inversion.FftPlan, "make", "min(3, bits - 3)", "min(3, bits - 2)",
            ("test_fft_inversion.py::TestFftBfp::test_unset_headroom_is_three_fitted_to_the_width",
             "test_cli.py::test_invert_fft_runs_the_plan_a_study_makes[pre-4]")),
+    Defect("E_p = 0",
+           matrix_inversion.CompiledSvd, "_output_formats",
+           "bound = 2 * gamma * rho * _norm_bounds(q, 0) + 2.0 ** -1072 * r * (rho + o2_peak + 4)",
+           "bound = 0 * o2_peak",
+           (THRESHOLD,)),
+    Defect("uncertified point given the format at peak + E_p",
+           matrix_inversion.CompiledSvd, "_output_formats",
+           "FxpFormat(width, b) if ok else None", "FxpFormat(width, b)",
+           (THRESHOLD,)),
+    Defect("left-shift wrap check against 2**64 on the positive side",
+           fxp, "shift_block", "hi >= 1 << 63", "hi >= 1 << 64", (WRAP,)),
+    Defect("left-shift wrap check against -2**64 on the negative side",
+           fxp, "shift_block", "lo < -(1 << 63)", "lo < -(1 << 64)", (WRAP,)),
+    Defect("lazy digits carried at half their carry",
+           fxp, "_lazy_digits_fit", "carry = -(-digit >> bits)", "carry = -(-digit >> (bits + 1))",
+           ("test_matrix_inversion.py::TestLimbKernel::"
+            "test_limb_plans_match_the_worst_case_digit_model",)),
     Defect("saturation dropped: no clamp, no count",
            fxp, "saturate_array", "if lo >= fmt.min_raw and hi <= fmt.max_raw:", "if True:",
            (WORD_MODEL, "test_matrix_inversion.py::test_golden_bits",

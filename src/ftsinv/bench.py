@@ -137,13 +137,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        return cls.from_dict(cls.read_json(text))
+
+    @staticmethod
+    def read_json(text: str) -> dict:
+        """The settings a config's JSON ``text`` gives, as it gives them."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad config JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config JSON must be an object")
-        return cls.from_dict(data)
+        return data
 
 
 def reference_airy_config() -> ExperimentConfig:

@@ -67,9 +67,15 @@ def _add_datapath_flags(p: argparse.ArgumentParser, flags: str) -> None:
         p.add_argument(flag, **_DATAPATH_FLAGS[flag])
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args) -> tuple:
+    """The config a command runs, and the names of the settings given, by a
+    flag or by a key of the config file; a null key, like an unset flag,
+    gives none."""
+    given = set()
     if args.config:
-        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+        settings = ExperimentConfig.read_json(Path(args.config).read_text())
+        cfg = ExperimentConfig.from_dict(settings)
+        given = {name for name, value in settings.items() if value is not None}
     elif args.seed is None:
         raise ConfigError("--seed is mandatory for stochastic runs "
                           "(or provide it via --config)")
@@ -77,15 +83,16 @@ def _config_from_args(args) -> ExperimentConfig:
         cfg = ExperimentConfig()
     overrides = {name: value for name, value in vars(args).items()
                  if name in ExperimentConfig.__dataclass_fields__ and value is not None}
+    given |= set(overrides)
     if getattr(args, "double", False):
         if args.bits is not None:
             raise ConfigError("--bits is not read under --double")
         overrides["bits"] = None
-    return ExperimentConfig.from_dict({**asdict(cfg), **overrides})
+    return ExperimentConfig.from_dict({**asdict(cfg), **overrides}), given
 
 
 def _cmd_simulate(args) -> int:
-    model = bench.simulate(_config_from_args(args))
+    model = bench.simulate(_config_from_args(args)[0])
     sg, og, y = model.spectral_grid, model.opd_grid, model.y
     fileio.write_series_csv(args.out, "opd", og.delta, y.values)
     if args.spectrum_out:
@@ -177,7 +184,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    cfg = _config_from_args(args)
+    cfg, given = _config_from_args(args)
     # sweep-parallel runs no FFT; sweep-precision reads bits_list, not bits; the
     # FFT runs a double plan under --double and --quantize data-only, and
     # --fft-mode still prices its row
@@ -192,7 +199,7 @@ def _cmd_study(args) -> int:
     if double:
         unread["quantize"] = "under --double"
     for name, why in unread.items():
-        if getattr(cfg, name) != getattr(ExperimentConfig, name):     # its default
+        if name in given:
             raise ConfigError(f"--{name.replace('_', '-')} is not read {why}")
     result = args.study(cfg)
     result.write_csv(args.out)

@@ -10,11 +10,11 @@ the hardware splits it:
   is written to on-chip RAM once.  A compiled SVD datapath also compiles
   the penalized diagonals of a whole rank or ridge grid at once
   (:meth:`CompiledSvd.diagonals`): each point's product-1 formats and z
-  words, in one pass over the grid;
+  words, in one pass over the grid, which is compiled to run whole;
 * **run** (:func:`reconstruct_pinv`, :func:`reconstruct_svd`) streams one
   acquisition, and on the SVD route one compiled diagonal, through them.
   Given a matrix, factors or a penalized diagonal instead of their compiled
-  form, the run step compiles its own.
+  form, the run step compiles its own, a diagonal as a grid of one.
 
 Every fixed-point product accumulates exactly in the package's one MAC,
 :func:`~ftsinv.fxp._mac`, and rounds once in its output stage,
@@ -24,14 +24,14 @@ float64 significand (words up to 23 bits at M = 256), so matrix-vector
 products run exactly on BLAS and no word is converted, else int64.  The
 words are quantized into that type once, at compile time, and each run
 quantizes its acquisition into it.  The one banked kernel,
-:func:`_banked_mac`, runs the pseudo-inverse and products 1 (column scaling
-of V) and 3 of the SVD route whole: each output row is one bank's own dot
-product, so K is modelled, not walked, in ``telemetry.k``, the cost model's
-latency and the K-identity tests.  On float64 words product 1 needs no MAC:
-its compiled z words carry its output stage's power-of-two scale, so it is
-one exact multiply and one rounding in place, and its saturation scans run
-only where a bound compiled with the diagonal cannot rule saturation out.
-Product 2 (U^T y) changes only with the acquisition and the kept lanes, so
+:func:`_banked_mac`, runs the pseudo-inverse and the SVD route's product 1
+(column scaling of V) on int64 words whole, and product 3 runs on all rows
+at once too: each output row is one bank's own dot product, so K is
+modelled, not walked, in ``telemetry.k``, the cost model's latency and the
+K-identity tests.  On float64 words product 1 needs no MAC: its compiled z
+words carry its output stage's power-of-two scale, so it is one exact
+multiply and one rounding in place, and its saturation scans run only where
+a bound compiled with the diagonal cannot rule saturation out.  Product 2 (U^T y) changes only with the acquisition and the kept lanes, so
 a compiled SVD datapath forms it once per acquisition and kept set of lanes,
 output stage included, and every run of a rank or ridge sweep on that set
 reads it (see :class:`CompiledSvd`).  So does the output format of product
@@ -39,10 +39,14 @@ reads it (see :class:`CompiledSvd`).  So does the output format of product
 an acquisition, one product of V by the penalized U^T y of every point of a
 grid bounds each point's max |x_ref| tightly enough to decide its format
 (:meth:`CompiledSvd.output_format`), and only a point the bound cannot
-decide, or a grid of one, forms x_ref.  A run of a compiled diagonal thus
-does only the work that changes with both the diagonal and the
-acquisition: the N x r products 1 and 3.  Each run counts the multiplies
-its products issue in its own telemetry, product 2's included.
+decide, or a grid of one, forms x_ref.  Products 1 and 3 change with both
+the diagonal and the acquisition, but a grid's points share most of their
+words, so the first run of any point of a grid on an acquisition forms
+every point's product-3 accumulator in one pass
+(:meth:`CompiledSvd.accumulator`), and a grid of one forms its own on each
+run.  A run of a compiled diagonal of a larger grid thus does only its
+output stage and telemetry, which counts every multiply its products
+run, shared ones included.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -457,7 +462,10 @@ class CompiledSvd:
       the range of the double reference x_ref fixes where no format is
       given, and which :meth:`output_format` decides for every point of a
       grid at once on its first run of an acquisition and keeps for the
-      latest grid, and the N x r products 1 and 3.
+      latest grid; and the N x r products 1 and 3, whose exact
+      accumulators :meth:`accumulator` forms for every point of a grid in
+      one pass and keeps for the latest grid of two or more and rounding
+      mode.
     """
 
     factors: SvdFactors
@@ -470,6 +478,7 @@ class CompiledSvd:
     _ut_y: dict = field(default_factory=dict, repr=False)
     _stages: dict = field(default_factory=dict, repr=False)
     _formats: tuple = field(default=(None, None), repr=False)   # (grid, its formats)
+    _sums: tuple = field(default=(None, None, ()), repr=False)  # (grid, mode, its sums)
 
     def words(self, name: str, fmt: FxpFormat) -> np.ndarray:
         """All of V (``"v"``) or U^T (``"ut"``) quantized at ``fmt``."""
@@ -487,7 +496,11 @@ class CompiledSvd:
         formats by :func:`~ftsinv.fxp.frac_bits_for_range`, the z words by
         one :func:`~ftsinv.fxp.quantize_array` of the rows scaled each to
         its own binary point (as ``quantize_array`` scales one), and on
-        float64 words the pre-scaled words and their saturation bound."""
+        float64 words the pre-scaled words and their saturation bound.
+        A grid of two or more is compiled to run whole: the first run of
+        any of its points on an acquisition forms every point's output
+        format and product-3 accumulator (:meth:`output_format`,
+        :meth:`accumulator`)."""
         r = self.factors.xi.size
         if any(z.zeta.size != r for z in zs):
             raise ValueError("penalized diagonal length does not match the factors")
@@ -549,7 +562,7 @@ class CompiledSvd:
                 fmt_y = _tensor_format(self.fmt, width, y)
                 y_words = (fmt_y, quantize_array(y, fmt_y, dtype=self.word_type))
             self._y, self._y_words, self._ut_y = y, y_words, {}
-            self._stages, self._formats = {}, (None, None)
+            self._stages, self._formats, self._sums = {}, (None, None), (None, None, ())
         return self._stage(kept, mode)
 
     def _stage(self, kept, mode: RoundingMode) -> _Product2:
@@ -568,17 +581,16 @@ class CompiledSvd:
         or more decides every point's format from a bound
         (:meth:`_output_formats`), which the datapath keeps for the latest
         such grid; a point it leaves undecided, a grid of one, whose bound
-        would cost more than the x_ref it saves, and a diagonal whose lanes
-        or values are not its grid point's, form x_ref."""
+        would cost more than the x_ref it saves, and a diagonal whose fields
+        are not its grid point's (:meth:`_Grid.holds`), form x_ref."""
         if isinstance(self.fmt, FxpFormat):
             return self.fmt
         width = _resolve_width(self.fmt)
-        grid, p = z.grid, z.index
+        grid = z.grid
         held, formats = self._formats
         if held is not grid and len(grid.zk) > 1:
             held, formats = self._formats = grid, self._output_formats(grid, mode)
-        fmt = (formats[p] if held is grid and grid.kept[p] is z.kept and grid.zk[p] is z.zk
-               else None)
+        fmt = formats[z.index] if held is grid and grid.holds(z) else None
         if fmt is None:
             fmt = _tensor_format(width, width,
                                  _x_ref(self.factors, z, self._stage(z.kept, mode)))
@@ -623,6 +635,114 @@ class CompiledSvd:
         return [FxpFormat(width, b) if ok else None
                 for b, ok in zip(frac[1].tolist(), decided.tolist())]
 
+    def accumulator(self, z: CompiledDiagonal, mode: RoundingMode) -> tuple:
+        """Product 3's exact accumulator (a :class:`~ftsinv.fxp._Wide`) for
+        the compiled diagonal ``z``, which has a kept lane, on the latest
+        acquisition (:meth:`product2`) of a fixed-point datapath, with
+        product 1's saturation count on z's lanes.  The caller may spend
+        the accumulator.
+
+        The first call for any point of a grid of two or more under
+        ``mode`` forms every point's (:meth:`_accumulators`), which the
+        datapath keeps for the latest grid and mode, and each call takes a
+        copy of its own; a grid of one, and a diagonal whose fields are not
+        its grid point's (:meth:`_Grid.holds`), which runs alone, form theirs
+        on each call and keep none."""
+        grid = z.grid
+        if not grid.holds(z):
+            grid = _Grid.of([z])
+        if len(grid.kept) == 1:
+            return self._accumulators(grid, mode)[0]
+        held, held_mode, sums = self._sums
+        if held is not grid or held_mode is not mode:
+            sums = self._accumulators(grid, mode)
+            self._sums = (grid, mode, sums)
+        acc, count = sums[z.index]
+        return acc[:], count
+
+    def _accumulators(self, grid: _Grid, mode: RoundingMode) -> list:
+        """Product 3's accumulator and product 1's saturation count of every
+        point of ``grid`` with a kept lane, on the latest acquisition; None
+        for the others.
+
+        Points on leading lanes whose product-1 formats (V, z, o1) and
+        product-2 stage formats (U, o2) coincide form a group, whose base is
+        the point with the most kept lanes; any other point, and the point
+        of a grid of one, is a group of one.  In a group a lane's o1 column
+        and o2 word are fixed by its z word, so the leading lanes on which a
+        point's z words equal the base's carry the base's products.  The
+        base's product 1 runs once, in blocks cut where those prefixes end,
+        and each cut holds the exact partial sum of the base's products 3 up
+        to it and their saturation count; a point's accumulator is the sum
+        at its cut plus that of its own tail lanes, and a group of one's is
+        its one block.  Each sum is of a subset of the point's own exact
+        products, on one limb plan whose guard covers the base's lanes
+        (:meth:`~ftsinv.fxp._Wide.plus`), so it is the accumulator the point
+        forms alone.  Every product 1 is formed in one buffer."""
+        groups, stages, grouped = {}, {}, len(grid.kept) > 1
+        for p, kept in enumerate(grid.kept):
+            if grid.zk[p].size:
+                stage = stages[p] = self._stage(kept, mode)
+                key = ((grid.fmts[p], stage.fmt_u, stage.fmt_o2)
+                       if grouped and isinstance(kept, slice) else p)
+                groups.setdefault(key, []).append(p)
+        sums = [None] * len(grid.kept)
+        n = self.factors.v.shape[0]
+        buf = (np.empty((n, max(zk.size for zk in grid.zk)), order="F")
+               if self.word_type is np.float64 else None)
+        with _column_scalings(n):
+            for members in groups.values():
+                base = max(members, key=lambda p: grid.zk[p].size)
+                words, stage = grid.words[base], stages[base]
+                widths = (grid.fmts[base][2].total_bits, stage.fmt_o2.total_bits,
+                          _guard_bits(words.size))
+
+                def extend(acc, count, p, start, end):
+                    """``(acc, count)`` plus point p's products on lanes start to end."""
+                    o1, overflows = self._product1(grid, p, start, end, mode, buf)
+                    part = _mac(o1, stage.o2[start:end], *widths, np.matmul)
+                    return (part if acc is None else acc.plus(part)), count + overflows
+
+                if len(members) == 1:
+                    sums[base] = extend(None, 0, base, 0, words.size)
+                    continue
+                # each point's cut: the leading lanes on which its z words are the base's
+                cuts = {base: words.size}
+                for p in members:
+                    if p != base:
+                        rank = grid.zk[p].size
+                        differ = np.flatnonzero(grid.words[p] != words[:rank])
+                        cuts[p] = int(differ[0]) if differ.size else rank
+                prefix, start = {0: (None, 0)}, 0
+                for end in sorted(set(cuts.values()) - {0}):
+                    prefix[end] = extend(*prefix[start], base, start, end)
+                    start = end
+                for p in members:
+                    cut, rank = cuts[p], grid.zk[p].size
+                    acc, count = prefix[cut]
+                    sums[p] = (acc, count) if cut == rank else extend(acc, count, p, cut, rank)
+        return sums
+
+    def _product1(self, grid: _Grid, p: int, start: int, end: int, mode: RoundingMode,
+                  buf: np.ndarray | None) -> tuple:
+        """Product 1, V's columns scaled by point p's z words, on its kept
+        lanes ``start`` to ``end`` of ``grid``; returns the output words and
+        their saturation count.  On float64 words the output is formed in
+        those columns of ``buf``."""
+        kept, fmts = grid.kept[p], grid.fmts[p]
+        words = grid.words[p][start:end]
+        v_words = self.words("v", fmts[0])[:, slice(start, end) if isinstance(kept, slice)
+                                           else kept[start:end]]
+        if self.word_type is not np.float64:
+            return _banked_mac(v_words, np.multiply, words, fmts, mode)[:2]
+        # the z words carry the output stage's scale: one exact multiply,
+        # rounded in place, and saturated only where the compiled bound
+        # cannot rule it out
+        o1 = _round_in_place(np.multiply(v_words, words, out=buf[:, start:end]), mode)
+        if mode in grid.unsaturated[p]:
+            return o1, 0
+        return saturate_array(o1, fmts[2])[:2]
+
     def _product2(self, kept, mode: RoundingMode) -> _Product2:
         o2_ref = self.factors.ut[kept] @ self._y
         if not self._y_words:
@@ -658,9 +778,12 @@ class CompiledDiagonal:
     the kept lanes' z words in the datapath's word type.  float64 words are
     pre-scaled by 2**-shift of product 1's output stage, and
     ``unsaturated`` holds the rounding modes under which that stage
-    provably saturates no word.  ``grid`` holds the lanes and values of
-    every diagonal that one call of :meth:`CompiledSvd.diagonals` compiled,
-    this one's at ``index``, for :meth:`CompiledSvd.output_format`.
+    provably saturates no word.  ``grid`` holds those fields of every
+    diagonal that one call of :meth:`CompiledSvd.diagonals` compiled, this
+    one's at ``index``, from which the datapath forms the output formats
+    and product-3 accumulators of all of them at once.  A diagonal whose
+    fields are not its grid point's (one made by ``dataclasses.replace``)
+    runs alone, from its own fields.
     """
 
     datapath: CompiledSvd
@@ -684,27 +807,59 @@ class CompiledDiagonal:
 
 @dataclass(frozen=True, eq=False)
 class _Grid:
-    """The kept lanes and values of the points of one grid, in order: what
-    their output formats depend on besides the acquisition.  It holds no
-    diagonal or datapath, so a datapath that keeps it beside its formats is
+    """The compiled fields of the points of one grid, in order, each named
+    as on :class:`CompiledDiagonal`: what their output formats and product-3
+    accumulators depend on besides the acquisition.  It holds no diagonal
+    or datapath, so a datapath that keeps it beside its formats and sums is
     in no reference cycle."""
 
     kept: tuple
     zk: tuple
+    fmts: tuple
+    words: tuple
+    unsaturated: tuple
+
+    @classmethod
+    def of(cls, points) -> _Grid:
+        """The grid of the compiled diagonals ``points``' fields."""
+        return cls(*zip(*map(_grid_fields, points)))
+
+    def holds(self, z: CompiledDiagonal) -> bool:
+        """Whether ``z``'s fields are those of this grid's point at its index."""
+        return all(a is b[z.index] for a, b in zip(_grid_fields(z), _grid_fields(self)))
+
+
+_grid_fields = operator.attrgetter(*(f.name for f in fields(_Grid)))
 
 
 def _grid(points: list) -> list:
     """``points``, each told its grid and its index in it."""
-    grid = _Grid(tuple(z.kept for z in points), tuple(z.zk for z in points))
+    grid = _Grid.of(points)
     for index, point in enumerate(points):
         point.grid, point.index = grid, index
     return points
 
 
+def _column_scalings(n: int):
+    """The scope of column scalings of V (x_ref's and the grid pass's
+    products 1), which run along V's column-major columns of ``n`` words."""
+    # numpy's default ufunc buffer copies those columns through in pieces.
+    # With a buffer of one column, in process on one thread, each took
+    # 0.57-0.68x the time at N = r = 256, and a whole run read 0.78-0.96x at
+    # N = 256, 0.99-1.03x at N = 128 and 1.06-1.12x at N = 64, where the
+    # scope's own cost outweighs the copies it saves.  With product 1 alone
+    # in it at N = 256 (medians of 15), the 40-point ridge and 16-rank grids
+    # run 0.71x and 0.78x at 16 bits, 0.95x and 0.97x at 32 bits (int64
+    # words), and 0.60x and 0.68x on the double route; a ridge grid of one,
+    # which forms x_ref, 0.83x, 0.91x and 0.70x.
+    return _ufunc_buffer(n) if n >= 256 else contextlib.nullcontext()
+
+
 def _x_ref(f: SvdFactors, z: CompiledDiagonal, stage: _Product2) -> np.ndarray:
     """The double reference ``(V_k diag zk) o2_ref``; V's column-major
     layout fixes the order in which BLAS sums, and so its bits."""
-    return (f.v[:, z.kept] * z.zk) @ stage.o2_ref
+    with _column_scalings(f.v.shape[0]):
+        return (f.v[:, z.kept] * z.zk) @ stage.o2_ref
 
 
 def _kept_lanes(zeta: np.ndarray):
@@ -716,7 +871,7 @@ def _kept_lanes(zeta: np.ndarray):
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two float64 arrays hold the same bits (NaN and -0.0 included)."""
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def compile_svd(factors: SvdFactors, fmt=None, k: int = 1) -> CompiledSvd:
@@ -766,7 +921,10 @@ def reconstruct_svd(
     of a grid on an acquisition bounds every point's x_ref at once, and only
     a point whose bound straddles a format threshold, or a grid of one, forms
     it (:meth:`CompiledSvd.output_format`); a run at a given format forms
-    none.
+    none.  Products 1 and 3 of every point of a grid of two or more run in
+    one pass on its first run (:meth:`CompiledSvd.accumulator`), so a run
+    does only its output stage and telemetry; a grid of one forms them on
+    each run.
     """
     y = _samples(y)
     datapath = _datapath(factors, CompiledSvd, compile_svd, fmt, k)
@@ -789,42 +947,15 @@ def reconstruct_svd(
     telemetry.latency_cycles = hwmodel.latency_cycles(scheme_name, k, n=n, m=m, rank=rank)
     if rank == 0:
         return InversionResult(np.zeros(n), telemetry)
-    kept = z.kept
-    stage = datapath.product2(y, kept, mode)
-
-    # the column scalings (product 1, and x_ref's where it is formed) run
-    # along V's column-major columns of N words, which numpy's default ufunc
-    # buffer copies through in pieces.  With a buffer of one column, in
-    # process on one thread, each took 0.57-0.68x the time at N = r = 256,
-    # and a whole run read 0.78-0.96x at N = 256, 0.99-1.03x at N = 128 and
-    # 1.06-1.12x at N = 64, where the scope's own cost outweighs the copies
-    # it saves.  With product 1 alone in it at N = 256 (medians of 15), the
-    # 40-point ridge and 16-rank grids run 0.71x and 0.78x at 16 bits,
-    # 0.95x and 0.97x at 32 bits (int64 words), and 0.60x and 0.68x on the
-    # double route; a ridge grid of one, which forms x_ref, 0.83x, 0.91x
-    # and 0.70x.
-    buffer = _ufunc_buffer(n) if n >= 256 else contextlib.nullcontext()
-    with buffer:
-        if width is None:
-            return InversionResult(_x_ref(f, z, stage), telemetry)
-        fmt_v, fmt_z, fmt_o1 = z.fmts
-        fmt_x = datapath.output_format(z, mode)
-
-        # product 1: column scaling of V by the penalized diagonal
-        v_words = datapath.words("v", fmt_v)[:, kept]
-        if datapath.word_type is np.float64:
-            # the z words carry the output stage's scale: one exact multiply,
-            # rounded in place, and saturated only where the compiled bound
-            # cannot rule it out
-            o1, nov1 = _round_in_place(v_words * z.words, mode), 0
-            if mode not in z.unsaturated:
-                o1, nov1, _ = saturate_array(o1, fmt_o1)
-        else:
-            o1, nov1, _ = _banked_mac(v_words, np.multiply, z.words, z.fmts, mode)
-        # product 2: U^T y, from the stage this acquisition and kept set share
-        # product 3: O1 O2, each bank on the rows product 1 left in it
-        x_raw, nov3, _ = _banked_mac(o1, np.matmul, stage.o2,
-                                     (fmt_o1, stage.fmt_o2, fmt_x), mode)
+    stage = datapath.product2(y, z.kept, mode)
+    if width is None:
+        return InversionResult(_x_ref(f, z, stage), telemetry)
+    fmt_x = datapath.output_format(z, mode)
+    # products 1 and 3, formed for the whole grid on its first run
+    acc, nov1 = datapath.accumulator(z, mode)
+    # product 3's output stage, each bank on the rows product 1 left in it
+    x_raw, nov3 = _requantize(acc, z.fmts[2].frac_bits + stage.fmt_o2.frac_bits
+                              - fmt_x.frac_bits, mode, fmt_x)
     telemetry.overflow_events = nov1 + stage.overflows + nov3
     telemetry.accumulator_bits = _accumulator_bits(stage.fmt_u, stage.fmt_y, m)
     return InversionResult(dequantize_array(x_raw, fmt_x), telemetry)

@@ -363,6 +363,35 @@ def test_sweep_parallel_refuses_fft_keys_in_its_config(tmp_path, capsys, key, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (["compare", *STUDY_FLAGS, "--double", "--quantize", "all"], None,
+     "--quantize is not read under --double"),
+    (["compare", "--double"], {"quantize": "all"}, "--quantize is not read under --double"),
+    (["sweep-parallel", "--bits", "12"], {"fft_mode": "post"},
+     "--fft-mode is not read by sweep-parallel"),
+    # a null key gives no setting, as an unset flag gives none
+    (["sweep-parallel", "--bits", "12"], {"headroom": None}, None),
+    (["compare", "--double"], {"twiddle_bits": None}, None),
+])
+def test_a_setting_given_at_its_default_is_refused_where_unread(tmp_path, capsys, argv,
+                                                                config, message):
+    """A setting a study does not read exits 2 when it is given, by flag or
+    by config key, also at its ``ExperimentConfig`` default; a config key
+    set to null runs as if left out."""
+    out = tmp_path / "s.csv"
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "cosine", "n": 16, "m": 16, "seed": 1, **config}))
+        argv = [*argv, "--config", str(path)]
+    code = cli.main([*argv, "--out", str(out)])
+    if message is None:
+        assert code == 0 and out.exists()
+    else:
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_double_study_reads_fft_mode(tmp_path):
     """--fft-mode stays read under --double: the FFT row is priced by it."""
     out = tmp_path / "s.csv"

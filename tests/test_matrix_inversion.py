@@ -694,18 +694,22 @@ class TestWordModel:
         assert res.telemetry.overflow_events == overflows
 
 
-def _svd_model(f: SvdFactors, compiled, y, width: int, mode: RoundingMode):
+def _svd_model(f: SvdFactors, compiled, y, width, mode: RoundingMode):
     """The estimate and overflow count of :func:`reference.svd_words` for
-    the compiled diagonal ``compiled``, given the binary points the
-    library's rule takes from the double references, x_ref's included."""
+    the compiled diagonal ``compiled``: at an integer ``width``, given the
+    binary points the library's rule takes from the double references,
+    x_ref's included; at a given :class:`FxpFormat`, every tensor in it."""
     zeta = compiled.penalized.zeta
     kept, lanes = compiled.kept, np.flatnonzero(zeta)
     o2_ref = f.ut[kept] @ y
-    fmts = dict(y=_range_format(width, y), u=_range_format(width, f.u[:, lanes]),
-                o2=_range_format(width, o2_ref), v=_range_format(width, f.v[:, lanes]),
-                z=_range_format(width, zeta),
-                o1=_range_format(width, np.max(np.abs(f.v), axis=0) * np.abs(zeta)),
-                x=_range_format(width, (f.v[:, kept] * compiled.zk) @ o2_ref))
+    if isinstance(width, FxpFormat):
+        fmts = dict.fromkeys(("y", "u", "o2", "v", "z", "o1", "x"), width)
+    else:
+        fmts = dict(y=_range_format(width, y), u=_range_format(width, f.u[:, lanes]),
+                    o2=_range_format(width, o2_ref), v=_range_format(width, f.v[:, lanes]),
+                    z=_range_format(width, zeta),
+                    o1=_range_format(width, np.max(np.abs(f.v), axis=0) * np.abs(zeta)),
+                    x=_range_format(width, (f.v[:, kept] * compiled.zk) @ o2_ref))
     words, overflows = svd_words(f.v.tolist(), f.ut.tolist(), zeta.tolist(), y.tolist(),
                                  fmts, mode)
     return np.array(words, dtype=float) * fmts["x"].resolution, sum(overflows)
@@ -852,6 +856,120 @@ class TestOutputFormats:
         estimate = bench.best_inversion(setup, "tik", None)[1]
         assert len(formed) == len(setup.lambda_grid)
         assert any(x is estimate for x in formed)
+
+
+@st.composite
+def _pass_cases(draw):
+    """A small problem; a rank or ridge grid of two to six points, one of
+    them on a scattered kept set when drawn; a width of float64, int64 or
+    limb words, or a given format under which product 1 saturates; K; and
+    a run order: points of the grid, of another grid on the same datapath,
+    on one of two acquisitions, in either rounding mode."""
+    return dict(m=draw(st.integers(2, 12)), n=draw(st.integers(3, 8)),
+                width=draw(st.integers(4, 40)), given=draw(st.booleans()),
+                ridge=draw(st.booleans()), points=draw(st.integers(2, 6)),
+                scattered=draw(st.booleans()), k=draw(st.integers(1, 3)),
+                runs=draw(st.lists(st.tuples(st.booleans(), st.integers(0, 5),
+                                             st.integers(0, 1),
+                                             st.sampled_from(list(RoundingMode))),
+                                   min_size=1, max_size=10)),
+                seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestGridPass:
+    """Products 1 and 3 of a whole grid, formed in one pass on its first run
+    of an acquisition and rounding mode (:meth:`CompiledSvd.accumulator`):
+    every point gives what its diagonal, compiled and run alone, gives."""
+
+    @settings(max_examples=120)
+    @given(_pass_cases())
+    def test_every_point_equals_its_diagonal_alone(self, case):
+        """Points run in any order, as a subset, and interleaved with another
+        grid's points and another acquisition each equal their diagonal
+        alone, estimate and telemetry, and the word model
+        (:func:`reference.svd_words`), which shares no code with the pass.
+        Under the given format V's columns reach past its range and every
+        kept value of lane 0 is at least 1, so product 1 saturates at every
+        point, by a count of its own."""
+        rng = np.random.default_rng(case["seed"])
+        m, n, width = case["m"], case["n"], case["width"]
+        a = rng.standard_normal((m, n)) * np.logspace(0, -rng.uniform(0, 6), n)
+        f = svd_factorize(a)
+        fmt = width
+        if case["given"]:
+            fmt = FxpFormat(width, width - 3)           # range [-4, 4)
+            # 16 |V| >= 16 / sqrt(n) > 4 somewhere in every column, and
+            # xi <= 0.5 keeps lane 0's values >= 1 on both schemes
+            f = SvdFactors(f.u, f.xi / (2 * f.xi[0]), 16 * f.v)
+        r = f.rank_bound
+        lams = 10.0 ** rng.uniform(-4, -1, (2, case["points"]))
+        ranks = rng.integers(1, r + 1, (2, case["points"]))
+
+        def grid(ridge, row):
+            zs = [penalize(f.xi, Tikhonov(lam)) if ridge else penalize(f.xi, Tsvd(int(rank)))
+                  for lam, rank in zip(lams[row], ranks[row])]
+            if case["scattered"] and r > 2:         # lane 1 dropped, lane 0 kept
+                zs[0].zeta[[1, *rng.permutation(np.arange(2, r))[: r // 3]]] = 0.0
+            return zs
+
+        datapath = compile_svd(f, fmt, case["k"])
+        grids = [datapath.diagonals(grid(case["ridge"], 0)),
+                 datapath.diagonals(grid(not case["ridge"], 1))]
+        ys = [a @ rng.standard_normal(n) + 1e-3 * rng.standard_normal(m) for _ in range(2)]
+        for other, index, acquisition, mode in case["runs"]:
+            zs = grids[other]
+            z, y = zs[index % len(zs)], ys[acquisition]
+            got = reconstruct_svd(datapath, z, y, mode=mode)
+            alone = reconstruct_svd(f, z.penalized, y, fmt=fmt, k=case["k"], mode=mode)
+            assert np.array_equal(got.x_hat, alone.x_hat), (z.describe(), mode)
+            assert got.telemetry == alone.telemetry
+            estimate, overflows = _svd_model(f, z, y, fmt, mode)
+            assert np.array_equal(got.x_hat, estimate), (z.describe(), mode)
+            assert got.telemetry.overflow_events == overflows
+            if case["given"] and z.rank:
+                nov1 = datapath.accumulator(z, mode)[1]
+                assert nov1 > 0 and nov1 <= got.telemetry.overflow_events
+
+    def test_points_apart_in_product_2_formats_run_apart(self):
+        """Ranks 1 and 2 share product 1's formats and their lane-0 words,
+        but U^T's second row peaks higher than its first, so their product-2
+        stages differ in format: each runs from its own stage's words."""
+        u = np.array([[0.3, 1.8], [0.2, 0.1], [0.1, -0.3], [0.9, 0.2]])
+        v = np.array([[0.5, 0.5], [0.3, -0.4], [0.2, 0.1]])
+        f = SvdFactors(u, np.ones(2), v)
+        y = np.array([0.7, -0.2, 0.4, 0.1])
+        datapath = compile_svd(f, 12)
+        grid = datapath.diagonals([penalize(f.xi, Tsvd(1)), penalize(f.xi, Tsvd(2))])
+        assert grid[0].fmts == grid[1].fmts
+        for mode in RoundingMode:
+            stages = [datapath.product2(y, z.kept, mode) for z in grid]
+            assert stages[0].fmt_u != stages[1].fmt_u
+            for z in grid:
+                got = reconstruct_svd(datapath, z, y, mode=mode)
+                alone = reconstruct_svd(f, z.penalized, y, fmt=12, mode=mode)
+                assert np.array_equal(got.x_hat, alone.x_hat), (z.describe(), mode)
+                assert got.telemetry == alone.telemetry
+
+    def test_the_reference_study_forms_each_shared_lane_once(self, reference_setup,
+                                                             monkeypatch):
+        """On the frozen Airy study at 16 bits the 16 ranks fall into two
+        groups and the 40 ridge weights into four; per grid the pass forms
+        product 1 on 504 of the ranks' 2 156 kept lanes and on 4 884 of the
+        ridge weights' 10 240, each grid once per acquisition."""
+        setup, lanes = reference_setup, []
+        product1 = CompiledSvd._product1
+
+        def counting(self, grid, p, start, end, mode, buf):
+            lanes.append(end - start)
+            return product1(self, grid, p, start, end, mode, buf)
+
+        monkeypatch.setattr(CompiledSvd, "_product1", counting)
+        for method, formed in (("tsvd", 504), ("tik", 4884)):
+            lanes.clear()
+            bench.best_inversion(setup, method, 16)
+            assert sum(lanes) == formed, method
+        assert sum(setup.rank_grid) == 2156
+        assert len(setup.lambda_grid) * setup.factors.rank_bound == 10240
 
 
 def _shift_formats(width: int, shift: int):

@@ -56,6 +56,7 @@ COLUMNS = ("test_fft_inversion.py::TestWorkspace::"
 THRESHOLD = ("test_matrix_inversion.py::TestOutputFormats::"
              "test_points_at_the_format_threshold_form_their_reference")
 WRAP = "test_fxp.py::TestNormalizeBlock::test_left_shift_past_int64_reads_the_block_again"
+GRID_PASS = "test_matrix_inversion.py::TestGridPass::test_every_point_equals_its_diagonal_alone"
 
 DEFECTS = [
     Defect("entry exponent one lower (ROADMAP item 15, A)",
@@ -167,6 +168,21 @@ DEFECTS = [
            matrix_inversion.CompiledSvd, "_output_formats",
            "FxpFormat(width, b) if ok else None", "FxpFormat(width, b)",
            (THRESHOLD,)),
+    Defect("grid pass sharing one lane past each point's common prefix",
+           matrix_inversion.CompiledSvd, "_accumulators",
+           "cuts[p] = int(differ[0]) if differ.size else rank",
+           "cuts[p] = (int(differ[0]) if differ.size else rank) + 1",
+           (GRID_PASS, "test_matrix_inversion.py::TestGridPass::"
+                       "test_the_reference_study_forms_each_shared_lane_once")),
+    Defect("grid pass grouping points without product 2's formats",
+           matrix_inversion.CompiledSvd, "_accumulators",
+           "(grid.fmts[p], stage.fmt_u, stage.fmt_o2)", "(grid.fmts[p],)",
+           (GRID_PASS, "test_matrix_inversion.py::TestGridPass::"
+                       "test_points_apart_in_product_2_formats_run_apart")),
+    Defect("grid pass charging the base's whole product-1 overflow count to every point",
+           matrix_inversion.CompiledSvd, "_accumulators",
+           "acc, count = prefix[cut]", "acc, count = prefix[cut][0], prefix[words.size][1]",
+           (GRID_PASS,)),
     Defect("left-shift wrap check against 2**64 on the positive side",
            fxp, "shift_block", "hi >= 1 << 63", "hi >= 1 << 64", (WRAP,)),
     Defect("left-shift wrap check against -2**64 on the negative side",

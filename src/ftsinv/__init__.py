@@ -39,6 +39,7 @@ from .matrix_inversion import (
     compile_pinv,
     compile_svd,
     penalize,
+    penalize_grid,
     pinv_matrix,
     reconstruct_pinv,
     reconstruct_svd,

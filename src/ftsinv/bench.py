@@ -29,6 +29,7 @@ from .matrix_inversion import (
     compile_pinv,
     compile_svd,
     penalize,
+    penalize_grid,
     pinv_matrix,
     reconstruct_pinv,
     reconstruct_svd,
@@ -313,11 +314,16 @@ def invert_once(setup: StudySetup, method: str, bits: int | None,
 
 
 def best_inversion(setup: StudySetup, method: str, bits: int | None, k: int = 1):
-    """Best SNR over the method's regularization grid (pinv/fft have none)."""
-    grid = {"tsvd": [{"rank": r} for r in setup.rank_grid],
-            "tik": [{"lam": lam} for lam in setup.lambda_grid]}.get(method, [{}])
-    return _best_run(setup, method, bits, k,
-                     [grid_point(setup.factors.xi, method, **kw) for kw in grid])
+    """Best SNR over the method's regularization grid (pinv/fft have none),
+    whose penalized diagonals are formed at once."""
+    xi = setup.factors.xi
+    if method == "tsvd":
+        points = penalize_grid(xi, [Tsvd(r) for r in setup.rank_grid])
+    elif method == "tik":
+        points = penalize_grid(xi, [Tikhonov(lam) for lam in setup.lambda_grid])
+    else:
+        points = [grid_point(xi, method)]
+    return _best_run(setup, method, bits, k, points)
 
 
 @dataclass

@@ -183,24 +183,35 @@ def _cmd_invert(args) -> int:
     return 0
 
 
+# the word widths and bank counts each study reads: one or a list of each
+_STUDY_READS = {"sweep-precision": ("bits_list", "k"), "sweep-parallel": ("bits", "k_list"),
+                "compare": ("bits", "k")}
+
+
+def _setting(name: str) -> str:
+    """How a message names the setting ``name``: its flag, else its config key."""
+    flag = "--parallel-k" if name == "k" else "--" + name.replace("_", "-")
+    return flag if flag in _DATAPATH_FLAGS else f'config key "{name}"'
+
+
 def _cmd_study(args) -> int:
     cfg, given = _config_from_args(args)
-    # sweep-parallel runs no FFT; sweep-precision reads bits_list, not bits; the
-    # FFT runs a double plan under --double and --quantize data-only, and
-    # --fft-mode still prices its row
+    # sweep-parallel runs no FFT; the FFT runs a double plan under --double and
+    # --quantize data-only, and --fft-mode still prices its row
     double = args.command != "sweep-precision" and cfg.bits is None
-    unread = {}
+    unread = dict.fromkeys(sorted({"bits", "bits_list", "k", "k_list"}
+                                  - {*_STUDY_READS[args.command]}), f"by {args.command}")
     if args.command == "sweep-parallel":
-        unread = dict.fromkeys(("twiddle_bits", "headroom", "fft_mode"),
-                               "by sweep-parallel, which runs no FFT")
+        unread.update(dict.fromkeys(("twiddle_bits", "headroom", "fft_mode"),
+                                    "by sweep-parallel, which runs no FFT"))
     elif double or cfg.quantize == "data-only":
-        unread = dict.fromkeys(("twiddle_bits", "headroom"), "under --double" if double
-                               else "under --quantize data-only")
+        unread.update(dict.fromkeys(("twiddle_bits", "headroom"), "under --double" if double
+                                    else "under --quantize data-only"))
     if double:
-        unread["quantize"] = "under --double"
+        unread.update(bits="under --double", quantize="under --double")
     for name, why in unread.items():
         if name in given:
-            raise ConfigError(f"--{name.replace('_', '-')} is not read {why}")
+            raise ConfigError(f"{_setting(name)} is not read {why}")
     result = args.study(cfg)
     result.write_csv(args.out)
     print(f"wrote {args.out} ({len(result.rows)} rows)")

@@ -201,13 +201,15 @@ def shift_right_array(m: np.ndarray, s: int, mode: RoundingMode,
     return q + ((r > half) | ((r == half) & up))
 
 
-def saturate_array(raw: np.ndarray, fmt: FxpFormat):
+def saturate_array(raw: np.ndarray, fmt: FxpFormat, rows: bool = False):
     """Clamp to the format range, in place; returns ``(raw, overflow_count,
-    extremes)``, the :func:`block_extremes` of the clamped words."""
+    extremes)``, the :func:`block_extremes` of the clamped words.  With
+    ``rows``, the count is an array of one count per row of a 2-D ``raw``."""
     lo, hi = block_extremes(raw)
     if lo >= fmt.min_raw and hi <= fmt.max_raw:
-        return raw, 0, (lo, hi)
-    n = int(np.count_nonzero((raw > fmt.max_raw) | (raw < fmt.min_raw)))
+        return raw, np.zeros(len(raw), dtype=np.intp) if rows else 0, (lo, hi)
+    outside = (raw > fmt.max_raw) | (raw < fmt.min_raw)
+    n = np.count_nonzero(outside, axis=1) if rows else int(np.count_nonzero(outside))
     np.clip(raw, fmt.min_raw, fmt.max_raw, out=raw)
     return raw, n, (max(lo, fmt.min_raw), min(hi, fmt.max_raw))
 
@@ -505,7 +507,10 @@ def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
     A float64 accumulator (one digit, from float64 words) is spent: its
     digit is scaled by ``2**-shift`` and floored or rounded half to even
     (``np.rint``) in place, all exact on its integers, and becomes the
-    float64 output words.
+    float64 output words.  Its ``shift`` may be a column of shifts, one per
+    row of a 2-D digit: each row is then scaled by its own and saturated to
+    ``fmt``'s range, which its width alone fixes, and the saturation count
+    is an array of one count per row.
 
     Otherwise the digits are carried once.  Where the digits from the one
     holding bit ``shift - 1`` (or the top one, if that is lower) up make one
@@ -518,11 +523,14 @@ def _requantize(acc: _Wide, shift: int, mode: RoundingMode, fmt: FxpFormat):
     """
     if acc.digits[0].dtype == np.float64:
         words = acc.digits[0]           # spent: the output words are formed in it
-        if shift:
-            # exact: a power of two scales integers below 2**52 with no rounding
+        rows = isinstance(shift, np.ndarray)
+        # exact: a power of two scales integers below 2**52 with no rounding
+        if rows:
+            words *= np.ldexp(1.0, -shift)
+        elif shift:
             words *= 2.0 ** -shift
         _round_in_place(words, mode)
-        return saturate_array(words, fmt)[:2]
+        return saturate_array(words, fmt, rows)[:2]
     bits, mask = acc.bits, (1 << acc.bits) - 1
     d = _carry(acc.digits, bits)
     collapsed = _collapse(d, bits, shift)

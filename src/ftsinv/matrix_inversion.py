@@ -31,31 +31,35 @@ modelled, not walked, in ``telemetry.k``, the cost model's latency and the
 K-identity tests.  On float64 words product 1 needs no MAC: its compiled z
 words carry its output stage's power-of-two scale, so it is one exact
 multiply and one rounding in place, and its saturation scans run only where
-a bound compiled with the diagonal cannot rule saturation out.  Product 2 (U^T y) changes only with the acquisition and the kept lanes, so
+a bound compiled with the diagonal cannot rule saturation out.
+
+Product 2 (U^T y) changes only with the acquisition and the kept lanes, so
 a compiled SVD datapath forms it once per acquisition and kept set of lanes,
-output stage included, and every run of a rank or ridge sweep on that set
-reads it (see :class:`CompiledSvd`).  So does the output format of product
-3, which the range of the double reference x_ref fixes: on the first run of
-an acquisition, one product of V by the penalized U^T y of every point of a
-grid bounds each point's max |x_ref| tightly enough to decide its format
-(:meth:`CompiledSvd.output_format`), and only a point the bound cannot
-decide, or a grid of one, forms x_ref.  Products 1 and 3 change with both
-the diagonal and the acquisition, but a grid's points share most of their
-words, so the first run of any point of a grid on an acquisition forms
-every point's product-3 accumulator in one pass
-(:meth:`CompiledSvd.accumulator`), and a grid of one forms its own on each
-run.  A run of a compiled diagonal of a larger grid thus does only its
-output stage and telemetry, which counts every multiply its products
-run, shared ones included.
+output stage included, and the ranks of a grid whose formats coincide share
+one output stage (see :class:`CompiledSvd`).  The output format of product
+3, which the range of the double reference x_ref fixes, is decided once per
+acquisition too: one product of V by the penalized U^T y of every point of
+a grid bounds each point's max |x_ref| tightly enough to decide its format,
+and only a point the bound cannot decide, or a grid of one, forms x_ref.
+Products 1 and 3 change with both the diagonal and the acquisition, but a
+grid's points share most of their words, so the first run of any point of
+a grid on an acquisition runs every point in one pass
+(:meth:`CompiledSvd.output`): product-3 accumulators from the lanes the
+points share, and on float64 words one output stage for the whole grid.
+A run of a compiled diagonal of a larger grid thus looks up its estimate
+and forms its telemetry, which counts every multiply its products run,
+shared ones included; a grid of one runs on each call.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +77,7 @@ from .fxp import (
     _requantize,
     _round_in_place,
     _ufunc_buffer,
+    _Wide,
     dequantize_array,
     frac_bits_for_range,
     quantize_array,
@@ -191,28 +196,48 @@ def penalize(xi: np.ndarray, scheme) -> PenalizedDiagonal:
     """Penalized reciprocal diagonal for the chosen regularization scheme.
 
     Truncation keeps the reciprocals of the ``rank`` largest singular values;
-    ridge weighting maps each value to ``xi / (xi^2 + lambda^2)``.
+    ridge weighting maps each value to ``xi / (xi^2 + lambda^2)``.  One
+    scheme is a grid of one (:func:`penalize_grid`).
     """
+    return penalize_grid(xi, [scheme])[0]
+
+
+def penalize_grid(xi: np.ndarray, schemes) -> list:
+    """The penalized diagonals of a rank or ridge grid, one per scheme of
+    ``schemes`` (all :class:`Tsvd` or all :class:`Tikhonov`), as
+    :func:`penalize` defines them: the rows of one (P, r) array, each value
+    formed by the operations one scheme alone takes, so with its bits."""
     xi = np.asarray(xi, dtype=np.float64)
     r = xi.size
-    if isinstance(scheme, Tsvd):
-        if not (1 <= scheme.rank <= r):
-            raise ValueError(f"rank must be in [1, {r}], got {scheme.rank}")
-        kept = xi[: scheme.rank]
-        if np.any(kept == 0):
+    schemes = list(schemes)
+    if all(isinstance(s, Tsvd) for s in schemes):
+        ranks = [s.rank for s in schemes]
+        bad = next((rank for rank in ranks if not 1 <= rank <= r), None)
+        if bad is not None:
+            raise ValueError(f"rank must be in [1, {r}], got {bad}")
+        kept = xi[:max(ranks, default=0)]
+        if (kept == 0).any():
             raise ValueError("zero singular value inside the kept range")
-        zeta = np.zeros(r)
-        zeta[: scheme.rank] = 1.0 / kept
-        return PenalizedDiagonal(zeta, scheme)
-    if isinstance(scheme, Tikhonov):
-        if not scheme.lam >= 0:                 # NaN fails it too
+        inv = np.zeros(r)
+        inv[:kept.size] = 1.0 / kept
+        rows = np.where(np.arange(r) < np.array(ranks)[:, None], inv, 0.0)
+    elif all(isinstance(s, Tikhonov) for s in schemes):
+        lams = [s.lam for s in schemes]
+        if not all(lam >= 0 for lam in lams):      # NaN fails it too
             raise ValueError("ridge parameter must be >= 0")
-        if scheme.lam == 0:
-            if np.any(xi == 0):
-                raise ValueError("zero singular value with zero ridge parameter")
-            return PenalizedDiagonal(1.0 / xi, scheme)
-        return PenalizedDiagonal(xi / (xi * xi + scheme.lam ** 2), scheme)
-    raise TypeError(f"unknown scheme {scheme!r}")
+        exact = [p for p, lam in enumerate(lams) if lam == 0]
+        if exact and (xi == 0).any():
+            raise ValueError("zero singular value with zero ridge parameter")
+        # lambda^2 by Python's power, as one scheme squares its float
+        rows = xi / (xi * xi + np.array([lam ** 2 for lam in lams])[:, None])
+        if exact:
+            rows[exact] = 1.0 / xi
+    else:
+        unknown = next((s for s in schemes if not isinstance(s, (Tsvd, Tikhonov))), None)
+        if unknown is not None:
+            raise TypeError(f"unknown scheme {unknown!r}")
+        raise ValueError("a grid is all rank or all ridge schemes")
+    return list(map(PenalizedDiagonal, rows, schemes))
 
 
 def pinv_matrix(f: SvdFactors) -> np.ndarray:
@@ -433,6 +458,16 @@ class _Product2:
     overflows: int = 0
 
 
+class _Output(NamedTuple):
+    """A fixed-point run of one compiled diagonal on one acquisition: its
+    estimate, product 3's output format, and the saturation counts of
+    products 1, 2 and 3."""
+
+    x_hat: np.ndarray
+    fmt_x: FxpFormat
+    overflows: tuple
+
+
 @dataclass(eq=False)
 class CompiledSvd:
     """SVD factors in the coefficient memories of one datapath.
@@ -455,17 +490,18 @@ class CompiledSvd:
       acquisition the datapath keeps y's words, the exact U^T y accumulator
       per U binary point, and one product-2 stage per kept set and rounding
       mode (:class:`_Product2`); every ridge weight keeps all lanes, so a
-      whole ridge sweep runs one stage.  A run whose y differs from the
-      latest acquisition in any bit, also after an in-place change, starts
-      them afresh;
+      whole ridge sweep runs one stage, and the ranks of a grid whose
+      formats coincide share one output stage (:meth:`_product2`).  A run
+      whose y differs from the latest acquisition in any bit, also after an
+      in-place change, starts them afresh;
     * the diagonal and the acquisition: product 3's output format, which
       the range of the double reference x_ref fixes where no format is
-      given, and which :meth:`output_format` decides for every point of a
-      grid at once on its first run of an acquisition and keeps for the
-      latest grid; and the N x r products 1 and 3, whose exact
-      accumulators :meth:`accumulator` forms for every point of a grid in
-      one pass and keeps for the latest grid of two or more and rounding
-      mode.
+      given, and which :meth:`_output_formats` decides for every point of a
+      grid at once and the datapath keeps for the latest grid; and the N x
+      r products 1 and 3 and product 3's output stage, which
+      :meth:`output` runs for every point of a grid in one pass, keeping
+      each point's estimate and counts for the latest grid of two or more
+      and rounding mode.
     """
 
     factors: SvdFactors
@@ -478,7 +514,7 @@ class CompiledSvd:
     _ut_y: dict = field(default_factory=dict, repr=False)
     _stages: dict = field(default_factory=dict, repr=False)
     _formats: tuple = field(default=(None, None), repr=False)   # (grid, its formats)
-    _sums: tuple = field(default=(None, None, ()), repr=False)  # (grid, mode, its sums)
+    _runs: tuple = field(default=(None, None, ()), repr=False)  # (grid, mode, its outputs)
 
     def words(self, name: str, fmt: FxpFormat) -> np.ndarray:
         """All of V (``"v"``) or U^T (``"ut"``) quantized at ``fmt``."""
@@ -492,20 +528,25 @@ class CompiledSvd:
         """The penalized diagonals ``zs`` (a rank or ridge grid, or one)
         compiled for runs on this datapath, each a :class:`CompiledDiagonal`.
 
-        Each step is one pass over the grid's (P, r) values: product 1's
+        Each step is one pass over the grid's (P, r) values: the kept lanes,
+        from each row's nonzero count and its first zero lane; product 1's
         formats by :func:`~ftsinv.fxp.frac_bits_for_range`, the z words by
         one :func:`~ftsinv.fxp.quantize_array` of the rows scaled each to
         its own binary point (as ``quantize_array`` scales one), and on
         float64 words the pre-scaled words and their saturation bound.
         A grid of two or more is compiled to run whole: the first run of
-        any of its points on an acquisition forms every point's output
-        format and product-3 accumulator (:meth:`output_format`,
-        :meth:`accumulator`)."""
+        any of its points on an acquisition runs every point
+        (:meth:`output`)."""
         r = self.factors.xi.size
         if any(z.zeta.size != r for z in zs):
             raise ValueError("penalized diagonal length does not match the factors")
         zeta = np.array([z.zeta for z in zs], dtype=np.float64).reshape(len(zs), r)
-        kept = [_kept_lanes(row) for row in zeta]
+        nonzero = zeta != 0
+        counts = np.count_nonzero(nonzero, axis=1)
+        # a row's kept lanes lead where its first zero lane, if any, is past them
+        leads = (nonzero.argmin(axis=1) >= counts) | (counts == r)
+        kept = [slice(0, c) if lead else np.flatnonzero(row)
+                for c, lead, row in zip(counts.tolist(), leads.tolist(), zeta)]
         width = _resolve_width(self.fmt)
         if width is None:
             return _grid([CompiledDiagonal(self, z, lanes, row[lanes])
@@ -513,7 +554,7 @@ class CompiledSvd:
         mag = np.abs(zeta)
         # product 1's (V, z, output) ranges per point; rounding is monotone,
         # so max_j colmax|V|_j |z_j| is max |V_k diag(z)|
-        ranges = np.array([np.where(zeta != 0, self.factors.v_colmax, 0.0), mag,
+        ranges = np.array([np.where(nonzero, self.factors.v_colmax, 0.0), mag,
                            self.factors.v_colmax * mag]).max(axis=2, initial=0.0)
         if isinstance(self.fmt, FxpFormat):
             # a given format may not hold the values, and scaled outside
@@ -524,8 +565,8 @@ class CompiledSvd:
             fracs = frac_bits_for_range(width, ranges)
             words = quantize_array(np.ldexp(zeta, fracs[1][:, None]), FxpFormat(width, 0),
                                    dtype=self.word_type)
-        fmts = {f: FxpFormat(width, f) for f in set(fracs.ravel().tolist())}
-        fmts = [tuple(fmts[f] for f in point) for point in fracs.T.tolist()]
+        table = _formats(width, fracs.ravel())
+        fmts = [(table[v], table[z], table[o]) for v, z, o in zip(*fracs.tolist())]
         unsaturated = [()] * len(zs)
         if self.word_type is np.float64:
             # product 1's output stage scales V word times z word by
@@ -543,9 +584,9 @@ class CompiledSvd:
                                            _round_in_place(scaled, ENTRY_POLICY)),
                                 2.0 ** (width - 1))
             peak = (v_peak * np.abs(words)).max(axis=1, initial=0.0)
-            fits = [(mode, (_round_in_place(peak.copy(), mode) < 2.0 ** (width - 1)).tolist())
+            fits = [(_round_in_place(peak.copy(), mode) < 2.0 ** (width - 1)).tolist()
                     for mode in RoundingMode]
-            unsaturated = [tuple(mode for mode, ok in fits if ok[p]) for p in range(len(zs))]
+            unsaturated = [tuple(itertools.compress(RoundingMode, fit)) for fit in zip(*fits)]
         return _grid([CompiledDiagonal(self, z, lanes, row[lanes], point, w[lanes], safe)
                       for z, lanes, row, point, w, safe
                       in zip(zs, kept, zeta, fmts, words, unsaturated)])
@@ -554,51 +595,108 @@ class CompiledSvd:
         """Product 2 of the acquisition ``y`` on the lanes ``kept`` (a
         leading slice or an index array), its output stage rounding under
         ``mode``; ``y`` becomes the latest acquisition."""
-        if self._y is None or not _same_bits(self._y, y):
-            y = np.array(y, order="C")       # a contiguous copy of its own
-            width = _resolve_width(self.fmt)
-            y_words = ()
-            if width is not None:
-                fmt_y = _tensor_format(self.fmt, width, y)
-                y_words = (fmt_y, quantize_array(y, fmt_y, dtype=self.word_type))
-            self._y, self._y_words, self._ut_y = y, y_words, {}
-            self._stages, self._formats, self._sums = {}, (None, None), (None, None, ())
-        return self._stage(kept, mode)
+        self._acquire(y)
+        return self._product2([kept], mode)[0]
 
-    def _stage(self, kept, mode: RoundingMode) -> _Product2:
-        key = (kept.stop if isinstance(kept, slice) else kept.tobytes(), mode)
-        stage = self._stages.get(key)
-        if stage is None:
-            stage = self._stages[key] = self._product2(kept, mode)
-        return stage
+    def output(self, z: CompiledDiagonal, y: np.ndarray, mode: RoundingMode) -> _Output:
+        """The run of the compiled diagonal ``z``, which has a kept lane, on
+        the acquisition ``y`` of a fixed-point datapath under ``mode``; ``y``
+        becomes the latest acquisition.  The estimate is the caller's own.
 
-    def output_format(self, z: CompiledDiagonal, mode: RoundingMode) -> FxpFormat:
-        """Product 3's output format for the compiled diagonal ``z`` on the
-        latest acquisition (:meth:`product2`) of a fixed-point datapath: a
-        given format itself, else ``FxpFormat.for_range`` of max |x_ref|.
-
-        At an integer width the first call for any point of a grid of two
-        or more decides every point's format from a bound
-        (:meth:`_output_formats`), which the datapath keeps for the latest
-        such grid; a point it leaves undecided, a grid of one, whose bound
-        would cost more than the x_ref it saves, and a diagonal whose fields
-        are not its grid point's (:meth:`_Grid.holds`), form x_ref."""
-        if isinstance(self.fmt, FxpFormat):
-            return self.fmt
-        width = _resolve_width(self.fmt)
+        The first call for any point of a grid of two or more under ``mode``
+        runs every point (:meth:`_outputs`), which the datapath keeps for
+        the latest grid and mode, and each call copies its point's estimate;
+        a grid of one, and a diagonal whose fields are not its grid point's
+        (:meth:`_Grid.holds`), which runs alone, run on each call and keep
+        nothing."""
+        self._acquire(y)
         grid = z.grid
-        held, formats = self._formats
-        if held is not grid and len(grid.zk) > 1:
-            held, formats = self._formats = grid, self._output_formats(grid, mode)
-        fmt = formats[z.index] if held is grid and grid.holds(z) else None
-        if fmt is None:
-            fmt = _tensor_format(width, width,
-                                 _x_ref(self.factors, z, self._stage(z.kept, mode)))
-        return fmt
+        if not grid.holds(z):
+            grid = _Grid.of([z])
+        if len(grid.kept) == 1:
+            return self._outputs(grid, mode)[0]
+        held, held_mode, outputs = self._runs
+        if held is not grid or held_mode is not mode:
+            outputs = self._outputs(grid, mode)
+            self._runs = (grid, mode, outputs)
+        x_hat, fmt_x, overflows = outputs[z.index]
+        return _Output(x_hat.copy(), fmt_x, overflows)
 
-    def _output_formats(self, grid: _Grid, mode: RoundingMode) -> list:
+    def _acquire(self, y: np.ndarray) -> None:
+        """Make ``y`` the latest acquisition: what the datapath keeps for
+        another starts afresh, unless ``y`` has the same bits."""
+        if self._y is not None and _same_bits(self._y, y):
+            return
+        y = np.array(y, order="C")       # a contiguous copy of its own
+        width = _resolve_width(self.fmt)
+        y_words = ()
+        if width is not None:
+            fmt_y = _tensor_format(self.fmt, width, y)
+            y_words = (fmt_y, quantize_array(y, fmt_y, dtype=self.word_type))
+        self._y, self._y_words, self._ut_y = y, y_words, {}
+        self._stages, self._formats, self._runs = {}, (None, None), (None, None, ())
+
+    def _outputs(self, grid: _Grid, mode: RoundingMode) -> list:
+        """The :class:`_Output` of every point of ``grid`` with a kept lane
+        on the latest acquisition, None for the others.
+
+        The grid's product-2 stages are formed together (:meth:`_product2`),
+        its output formats decided together (:meth:`_output_formats`; a
+        point the bound leaves undecided forms x_ref), and its products 1
+        and 3 run in one pass over the lanes its points share
+        (:meth:`_accumulators`).  On float64 words the accumulators are the
+        rows of one (P, N) array, whose output stage is one
+        :func:`~ftsinv.fxp._requantize` with a column of shifts, counted row
+        by row; other words run each point's output stage in turn.  A grid
+        of one forms its stage, its x_ref and its one block straight, with
+        no grouping."""
+        f, width = self.factors, _resolve_width(self.fmt)
+        n = f.v.shape[0]
+        alone = len(grid.kept) == 1
+        points = [p for p, zk in enumerate(grid.zk) if zk.size]
+        stages = [None] * len(grid.kept)
+        for p, stage in zip(points, self._product2([grid.kept[p] for p in points], mode)):
+            stages[p] = stage
+        fmts_x = [self.fmt] * len(stages)
+        if not isinstance(self.fmt, FxpFormat):
+            held, formats = self._formats
+            if not alone and held is not grid:
+                held, formats = self._formats = grid, self._output_formats(grid, stages)
+            fmts_x = list(formats) if held is grid else [None]
+        with _column_scalings(n):
+            for p in points:
+                if fmts_x[p] is None:
+                    fmts_x[p] = _tensor_format(width, width, _x_ref(
+                        f, grid.kept[p], grid.zk[p], stages[p].o2_ref))
+            if alone:
+                lanes = grid.zk[0].size
+                accs = [self._block(grid, 0, 0, lanes, stages[0], mode, None, _guard_bits(lanes))]
+            else:
+                accs = self._accumulators(grid, stages, mode)
+        shifts = [grid.fmts[p][2].frac_bits + stages[p].fmt_o2.frac_bits - fmts_x[p].frac_bits
+                  for p in points]
+        if self.word_type is np.float64 and not alone:
+            rows = np.array([accs[p][0].digits[0] for p in points])
+            x_hat, nov3 = _requantize(_Wide([rows], accs[points[0]][0].bits),
+                                      np.array(shifts)[:, None], mode, fmts_x[points[0]])
+            # each row dequantized at its own format, as dequantize_array does
+            x_hat *= np.ldexp(1.0, [-fmts_x[p].frac_bits for p in points])[:, None]
+            x_hat += 0.0
+            nov3 = nov3.tolist()
+        else:
+            outs = [_requantize(accs[p][0], shift, mode, fmts_x[p])
+                    for p, shift in zip(points, shifts)]
+            x_hat = [dequantize_array(words, fmts_x[p]) for (words, _), p in zip(outs, points)]
+            nov3 = [count for _, count in outs]
+        outputs = [None] * len(stages)
+        for p, x, count in zip(points, x_hat, nov3):
+            outputs[p] = _Output(x, fmts_x[p], (accs[p][1], stages[p].overflows, count))
+        return outputs
+
+    def _output_formats(self, grid: _Grid, stages: list) -> list:
         """Product 3's output format of each point of ``grid`` on the latest
-        acquisition, or None where the bound cannot decide it.
+        acquisition, given its product-2 ``stages``, or None where the bound
+        cannot decide it.
 
         Column p of Q (r x P) is point p's products ``zk * o2_ref`` on its
         kept lanes, 0 elsewhere, so column p of V Q sums point p's x_ref in
@@ -621,9 +719,8 @@ class CompiledSvd:
         gamma = (r + 1) * 2.0 ** -53 / (1 - (r + 1) * 2.0 ** -53)
         rho = f.v_rownorm
         with np.errstate(over="ignore", invalid="ignore"):      # past the float range: undecided
-            for p, (kept, zk) in enumerate(zip(grid.kept, grid.zk)):
+            for p, (kept, zk, stage) in enumerate(zip(grid.kept, grid.zk, stages)):
                 if zk.size:
-                    stage = self._stage(kept, mode)
                     q[kept, p] = zk * stage.o2_ref
                     o2_peak[p] = stage.o2_peak
             peak = np.max(np.abs(f.v @ q), axis=0, initial=0.0)
@@ -635,100 +732,80 @@ class CompiledSvd:
         return [FxpFormat(width, b) if ok else None
                 for b, ok in zip(frac[1].tolist(), decided.tolist())]
 
-    def accumulator(self, z: CompiledDiagonal, mode: RoundingMode) -> tuple:
-        """Product 3's exact accumulator (a :class:`~ftsinv.fxp._Wide`) for
-        the compiled diagonal ``z``, which has a kept lane, on the latest
-        acquisition (:meth:`product2`) of a fixed-point datapath, with
-        product 1's saturation count on z's lanes.  The caller may spend
-        the accumulator.
-
-        The first call for any point of a grid of two or more under
-        ``mode`` forms every point's (:meth:`_accumulators`), which the
-        datapath keeps for the latest grid and mode, and each call takes a
-        copy of its own; a grid of one, and a diagonal whose fields are not
-        its grid point's (:meth:`_Grid.holds`), which runs alone, form theirs
-        on each call and keep none."""
-        grid = z.grid
-        if not grid.holds(z):
-            grid = _Grid.of([z])
-        if len(grid.kept) == 1:
-            return self._accumulators(grid, mode)[0]
-        held, held_mode, sums = self._sums
-        if held is not grid or held_mode is not mode:
-            sums = self._accumulators(grid, mode)
-            self._sums = (grid, mode, sums)
-        acc, count = sums[z.index]
-        return acc[:], count
-
-    def _accumulators(self, grid: _Grid, mode: RoundingMode) -> list:
+    def _accumulators(self, grid: _Grid, stages: list, mode: RoundingMode) -> list:
         """Product 3's accumulator and product 1's saturation count of every
-        point of ``grid`` with a kept lane, on the latest acquisition; None
-        for the others.
+        point of ``grid`` with a kept lane, given its product-2 ``stages``,
+        on the latest acquisition; None for the others.
 
         Points on leading lanes whose product-1 formats (V, z, o1) and
         product-2 stage formats (U, o2) coincide form a group, whose base is
-        the point with the most kept lanes; any other point, and the point
-        of a grid of one, is a group of one.  In a group a lane's o1 column
-        and o2 word are fixed by its z word, so the leading lanes on which a
-        point's z words equal the base's carry the base's products.  The
-        base's product 1 runs once, in blocks cut where those prefixes end,
-        and each cut holds the exact partial sum of the base's products 3 up
-        to it and their saturation count; a point's accumulator is the sum
-        at its cut plus that of its own tail lanes, and a group of one's is
-        its one block.  Each sum is of a subset of the point's own exact
-        products, on one limb plan whose guard covers the base's lanes
-        (:meth:`~ftsinv.fxp._Wide.plus`), so it is the accumulator the point
-        forms alone.  Every product 1 is formed in one buffer."""
-        groups, stages, grouped = {}, {}, len(grid.kept) > 1
-        for p, kept in enumerate(grid.kept):
-            if grid.zk[p].size:
-                stage = stages[p] = self._stage(kept, mode)
+        the point with the most kept lanes; any other point is a group of
+        one.  In a group a lane's o1 column and o2 word are fixed by its z
+        word, so the leading lanes on which a point's z words equal the
+        base's carry the base's products.  The base's product 1 runs once,
+        in blocks cut where those prefixes end, and each cut holds the exact
+        partial sum of the base's products 3 up to it and their saturation
+        count; a point's accumulator is the sum at its cut plus that of its
+        own tail lanes, and a group of one's is its one block.  Each sum is
+        of a subset of the point's own exact products, on one limb plan
+        whose guard covers the base's lanes (:meth:`~ftsinv.fxp._Wide.plus`),
+        so it is the accumulator the point forms alone.  Every product 1 is
+        formed in one buffer."""
+        groups = {}
+        for p, (kept, stage) in enumerate(zip(grid.kept, stages)):
+            if stage is not None:
                 key = ((grid.fmts[p], stage.fmt_u, stage.fmt_o2)
-                       if grouped and isinstance(kept, slice) else p)
+                       if isinstance(kept, slice) else p)
                 groups.setdefault(key, []).append(p)
         sums = [None] * len(grid.kept)
-        n = self.factors.v.shape[0]
-        buf = (np.empty((n, max(zk.size for zk in grid.zk)), order="F")
+        buf = (np.empty((self.factors.v.shape[0], max(zk.size for zk in grid.zk)), order="F")
                if self.word_type is np.float64 else None)
-        with _column_scalings(n):
-            for members in groups.values():
-                base = max(members, key=lambda p: grid.zk[p].size)
-                words, stage = grid.words[base], stages[base]
-                widths = (grid.fmts[base][2].total_bits, stage.fmt_o2.total_bits,
-                          _guard_bits(words.size))
+        for members in groups.values():
+            base = max(members, key=lambda p: grid.zk[p].size)
+            words, stage = grid.words[base], stages[base]
+            guard = _guard_bits(words.size)
 
-                def extend(acc, count, p, start, end):
-                    """``(acc, count)`` plus point p's products on lanes start to end."""
-                    o1, overflows = self._product1(grid, p, start, end, mode, buf)
-                    part = _mac(o1, stage.o2[start:end], *widths, np.matmul)
-                    return (part if acc is None else acc.plus(part)), count + overflows
+            def extend(acc, count, p, start, end):
+                """``(acc, count)`` plus point p's products on lanes start to end."""
+                part, overflows = self._block(grid, p, start, end, stage, mode, buf, guard)
+                return (part if acc is None else acc.plus(part)), count + overflows
 
-                if len(members) == 1:
-                    sums[base] = extend(None, 0, base, 0, words.size)
-                    continue
-                # each point's cut: the leading lanes on which its z words are the base's
-                cuts = {base: words.size}
-                for p in members:
-                    if p != base:
-                        rank = grid.zk[p].size
-                        differ = np.flatnonzero(grid.words[p] != words[:rank])
-                        cuts[p] = int(differ[0]) if differ.size else rank
-                prefix, start = {0: (None, 0)}, 0
-                for end in sorted(set(cuts.values()) - {0}):
-                    prefix[end] = extend(*prefix[start], base, start, end)
-                    start = end
-                for p in members:
-                    cut, rank = cuts[p], grid.zk[p].size
-                    acc, count = prefix[cut]
-                    sums[p] = (acc, count) if cut == rank else extend(acc, count, p, cut, rank)
+            if len(members) == 1:
+                sums[base] = extend(None, 0, base, 0, words.size)
+                continue
+            # each point's cut: the leading lanes on which its z words are the base's
+            cuts = {base: words.size}
+            for p in members:
+                if p != base:
+                    rank = grid.zk[p].size
+                    differ = np.flatnonzero(grid.words[p] != words[:rank])
+                    cuts[p] = int(differ[0]) if differ.size else rank
+            prefix, start = {0: (None, 0)}, 0
+            for end in sorted(set(cuts.values()) - {0}):
+                prefix[end] = extend(*prefix[start], base, start, end)
+                start = end
+            for p in members:
+                cut, rank = cuts[p], grid.zk[p].size
+                acc, count = prefix[cut]
+                sums[p] = (acc, count) if cut == rank else extend(acc, count, p, cut, rank)
         return sums
+
+    def _block(self, grid: _Grid, p: int, start: int, end: int, stage: _Product2,
+               mode: RoundingMode, buf: np.ndarray | None, guard: int) -> tuple:
+        """Point p's products 1 and 3 on its kept lanes ``start`` to ``end``
+        of ``grid``, on product 2's ``stage``: product 3's exact partial sum
+        over them, on the limb plan of ``guard`` bits, and product 1's
+        saturation count."""
+        o1, overflows = self._product1(grid, p, start, end, mode, buf)
+        return _mac(o1, stage.o2[start:end], grid.fmts[p][2].total_bits,
+                    stage.fmt_o2.total_bits, guard, np.matmul), overflows
 
     def _product1(self, grid: _Grid, p: int, start: int, end: int, mode: RoundingMode,
                   buf: np.ndarray | None) -> tuple:
         """Product 1, V's columns scaled by point p's z words, on its kept
         lanes ``start`` to ``end`` of ``grid``; returns the output words and
         their saturation count.  On float64 words the output is formed in
-        those columns of ``buf``."""
+        those columns of ``buf``, where one is given."""
         kept, fmts = grid.kept[p], grid.fmts[p]
         words = grid.words[p][start:end]
         v_words = self.words("v", fmts[0])[:, slice(start, end) if isinstance(kept, slice)
@@ -738,32 +815,76 @@ class CompiledSvd:
         # the z words carry the output stage's scale: one exact multiply,
         # rounded in place, and saturated only where the compiled bound
         # cannot rule it out
-        o1 = _round_in_place(np.multiply(v_words, words, out=buf[:, start:end]), mode)
+        o1 = _round_in_place(np.multiply(v_words, words,
+                                         out=None if buf is None else buf[:, start:end]), mode)
         if mode in grid.unsaturated[p]:
             return o1, 0
         return saturate_array(o1, fmts[2])[:2]
 
-    def _product2(self, kept, mode: RoundingMode) -> _Product2:
-        o2_ref = self.factors.ut[kept] @ self._y
-        if not self._y_words:
-            return _Product2(o2_ref)
+
+    def _product2(self, sets: list, mode: RoundingMode) -> list:
+        """Product 2's stage of each kept set of ``sets`` on the latest
+        acquisition under ``mode``; the sets the datapath has none of yet
+        are formed together.
+
+        Each set's ``o2_ref`` is its own product ``U^T[kept] y``, as BLAS
+        runs the rows past a multiple of its kernel's block through another
+        kernel: a leading slice of a wider set's product can differ from it
+        in its last bits.  On a fixed-point datapath, U's range on a leading
+        set is a prefix maximum of U^T's row peaks and the output range the
+        set's own peak; leading sets whose U and output formats coincide
+        form a group.  The output stage is elementwise, so one stage of the
+        widest member's accumulator rows gives every member its leading
+        words and, where it saturates none, its count of 0; where it
+        saturates a word, every other member forms its stage alone, as the
+        counts are per set."""
+        keys = [(kept.stop if isinstance(kept, slice) else kept.tobytes(), mode)
+                for kept in sets]
+        new = {key: kept for key, kept in zip(keys, sets) if key not in self._stages}
+        sets = list(new.values())
+        refs = [self.factors.ut[kept] @ self._y for kept in sets]
+        if not (refs and self._y_words):
+            self._stages.update(zip(new, map(_Product2, refs)))
+            return [self._stages[key] for key in keys]
+        f, new_keys = self.factors, list(new)
         fmt_y, y_raw = self._y_words
         width = fmt_y.total_bits
-        fmt_u = _tensor_format(self.fmt, width, self.factors.ut_rowmax[kept])
-        o2_peak = float(np.max(np.abs(o2_ref), initial=0.0))
-        fmt_o2 = _tensor_format(self.fmt, width, o2_peak)
-        acc = self._ut_y.get(fmt_u)
-        if acc is None:
-            # exact U^T y over every row of U^T, shared by every kept set
-            acc = self._ut_y[fmt_u] = _mac(
-                self.words("ut", fmt_u), y_raw, fmt_u.total_bits, fmt_y.total_bits,
-                _guard_bits(y_raw.size), np.matmul)
-        # the output stage is elementwise, so its banks need no split
-        o2, overflows = _requantize(acc[kept],
-                                    fmt_u.frac_bits + fmt_y.frac_bits - fmt_o2.frac_bits,
-                                    mode, fmt_o2)
-        return _Product2(o2_ref, o2_peak, fmt_y, fmt_u, fmt_o2, o2, overflows)
-
+        starts = [0, *itertools.accumulate(ref.size for ref in refs[:-1])]
+        peaks = np.maximum.reduceat(np.abs(np.concatenate(refs)), starts)
+        if isinstance(self.fmt, FxpFormat):
+            fmts = [(self.fmt, self.fmt)] * len(sets)
+        else:
+            prefix = np.maximum.accumulate(f.ut_rowmax)
+            u_ranges = [prefix[kept.stop - 1] if isinstance(kept, slice) else
+                        f.ut_rowmax[kept].max(initial=0.0) for kept in sets]
+            fracs = frac_bits_for_range(width, np.array([u_ranges, peaks]))
+            table = _formats(width, fracs.ravel())
+            fmts = [(table[u], table[o]) for u, o in fracs.T.tolist()]
+        groups = {}
+        for i, kept in enumerate(sets):
+            groups.setdefault(fmts[i] if isinstance(kept, slice) else i, []).append(i)
+        peaks = peaks.tolist()
+        for members in groups.values():
+            fmt_u, fmt_o2 = fmts[members[0]]
+            acc = self._ut_y.get(fmt_u)
+            if acc is None:
+                # exact U^T y over every row of U^T, shared by every kept set
+                acc = self._ut_y[fmt_u] = _mac(
+                    self.words("ut", fmt_u), y_raw, fmt_u.total_bits, fmt_y.total_bits,
+                    _guard_bits(y_raw.size), np.matmul)
+            shift = fmt_u.frac_bits + fmt_y.frac_bits - fmt_o2.frac_bits
+            # the output stage is elementwise, so its banks need no split
+            widest = max(members, key=lambda i: refs[i].size)
+            o2, overflows = _requantize(acc[sets[widest]], shift, mode, fmt_o2)
+            for i in members:
+                words, count = o2[:refs[i].size], 0
+                if i == widest:
+                    count = overflows
+                elif overflows:
+                    words, count = _requantize(acc[sets[i]], shift, mode, fmt_o2)
+                self._stages[new_keys[i]] = _Product2(refs[i], peaks[i], fmt_y, fmt_u, fmt_o2,
+                                                      words, count)
+        return [self._stages[key] for key in keys]
 
 @dataclass(eq=False)
 class CompiledDiagonal:
@@ -780,8 +901,8 @@ class CompiledDiagonal:
     ``unsaturated`` holds the rounding modes under which that stage
     provably saturates no word.  ``grid`` holds those fields of every
     diagonal that one call of :meth:`CompiledSvd.diagonals` compiled, this
-    one's at ``index``, from which the datapath forms the output formats
-    and product-3 accumulators of all of them at once.  A diagonal whose
+    one's at ``index``, from which the datapath runs all of them at once
+    (:meth:`CompiledSvd.output`).  A diagonal whose
     fields are not its grid point's (one made by ``dataclasses.replace``)
     runs alone, from its own fields.
     """
@@ -808,10 +929,9 @@ class CompiledDiagonal:
 @dataclass(frozen=True, eq=False)
 class _Grid:
     """The compiled fields of the points of one grid, in order, each named
-    as on :class:`CompiledDiagonal`: what their output formats and product-3
-    accumulators depend on besides the acquisition.  It holds no diagonal
-    or datapath, so a datapath that keeps it beside its formats and sums is
-    in no reference cycle."""
+    as on :class:`CompiledDiagonal`: what their runs depend on besides the
+    acquisition.  It holds no diagonal or datapath, so a datapath that
+    keeps it beside its formats and outputs is in no reference cycle."""
 
     kept: tuple
     zk: tuple
@@ -855,18 +975,18 @@ def _column_scalings(n: int):
     return _ufunc_buffer(n) if n >= 256 else contextlib.nullcontext()
 
 
-def _x_ref(f: SvdFactors, z: CompiledDiagonal, stage: _Product2) -> np.ndarray:
-    """The double reference ``(V_k diag zk) o2_ref``; V's column-major
-    layout fixes the order in which BLAS sums, and so its bits."""
-    with _column_scalings(f.v.shape[0]):
-        return (f.v[:, z.kept] * z.zk) @ stage.o2_ref
+def _x_ref(f: SvdFactors, kept, zk: np.ndarray, o2_ref: np.ndarray) -> np.ndarray:
+    """The double reference ``(V_k diag zk) o2_ref`` on the lanes ``kept``,
+    for the caller to form in its :func:`_column_scalings` scope; V's
+    column-major layout fixes the order in which BLAS sums, and so its
+    bits."""
+    return (f.v[:, kept] * zk) @ o2_ref
 
 
-def _kept_lanes(zeta: np.ndarray):
-    """The lanes of the nonzero values of ``zeta``: a leading slice where
-    they lead, so a run reads views, else their indices."""
-    kept = np.flatnonzero(zeta)
-    return slice(0, kept.size) if kept.size == 0 or kept[-1] == kept.size - 1 else kept
+def _formats(width: int, fracs: np.ndarray) -> dict:
+    """``FxpFormat(width, b)`` for each distinct fractional bit count ``b``
+    of ``fracs``, built once each."""
+    return {b: FxpFormat(width, b) for b in set(fracs.tolist())}
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -920,11 +1040,11 @@ def reconstruct_svd(
     point from max |x_ref| without forming x_ref: the first run of any point
     of a grid on an acquisition bounds every point's x_ref at once, and only
     a point whose bound straddles a format threshold, or a grid of one, forms
-    it (:meth:`CompiledSvd.output_format`); a run at a given format forms
-    none.  Products 1 and 3 of every point of a grid of two or more run in
-    one pass on its first run (:meth:`CompiledSvd.accumulator`), so a run
-    does only its output stage and telemetry; a grid of one forms them on
-    each run.
+    it; a run at a given format forms none.  That first run of a grid of two
+    or more runs every point, output stage included
+    (:meth:`CompiledSvd.output`), so a run of a compiled diagonal of such a
+    grid looks up its estimate and forms its telemetry; a grid of one runs
+    on each call.
     """
     y = _samples(y)
     datapath = _datapath(factors, CompiledSvd, compile_svd, fmt, k)
@@ -947,15 +1067,12 @@ def reconstruct_svd(
     telemetry.latency_cycles = hwmodel.latency_cycles(scheme_name, k, n=n, m=m, rank=rank)
     if rank == 0:
         return InversionResult(np.zeros(n), telemetry)
-    stage = datapath.product2(y, z.kept, mode)
     if width is None:
-        return InversionResult(_x_ref(f, z, stage), telemetry)
-    fmt_x = datapath.output_format(z, mode)
-    # products 1 and 3, formed for the whole grid on its first run
-    acc, nov1 = datapath.accumulator(z, mode)
-    # product 3's output stage, each bank on the rows product 1 left in it
-    x_raw, nov3 = _requantize(acc, z.fmts[2].frac_bits + stage.fmt_o2.frac_bits
-                              - fmt_x.frac_bits, mode, fmt_x)
-    telemetry.overflow_events = nov1 + stage.overflows + nov3
-    telemetry.accumulator_bits = _accumulator_bits(stage.fmt_u, stage.fmt_y, m)
-    return InversionResult(dequantize_array(x_raw, fmt_x), telemetry)
+        stage = datapath.product2(y, z.kept, mode)
+        with _column_scalings(n):
+            return InversionResult(_x_ref(f, z.kept, z.zk, stage.o2_ref), telemetry)
+    out = datapath.output(z, y, mode)
+    telemetry.overflow_events = sum(out.overflows)
+    # product 2's: U^T and y words of the datapath's width, M terms
+    telemetry.accumulator_bits = 2 * width + _guard_bits(m)
+    return InversionResult(out.x_hat, telemetry)

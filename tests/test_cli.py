@@ -372,6 +372,19 @@ def test_sweep_parallel_refuses_fft_keys_in_its_config(tmp_path, capsys, key, va
     # a null key gives no setting, as an unset flag gives none
     (["sweep-parallel", "--bits", "12"], {"headroom": None}, None),
     (["compare", "--double"], {"twiddle_bits": None}, None),
+    # the word widths and bank counts a study does not read
+    (["sweep-precision"], {"bits": 12}, "--bits is not read by sweep-precision"),
+    (["sweep-precision"], {"bits": 16}, "--bits is not read by sweep-precision"),
+    (["sweep-precision"], {"k_list": [1, 2]},
+     'config key "k_list" is not read by sweep-precision'),
+    (["compare"], {"bits_list": [8]}, 'config key "bits_list" is not read by compare'),
+    (["compare"], {"k_list": [2]}, 'config key "k_list" is not read by compare'),
+    (["sweep-parallel", "--bits", "12"], {"k": 2}, "--parallel-k is not read by sweep-parallel"),
+    (["sweep-parallel", "--bits", "12"], {"bits_list": [8]},
+     'config key "bits_list" is not read by sweep-parallel'),
+    (["compare", "--double"], {"bits": 12}, "--bits is not read under --double"),
+    (["sweep-precision"], {"bits_list": [8], "k": 2}, None),
+    (["sweep-parallel"], {"bits": 12, "k_list": [1, 2]}, None),
 ])
 def test_a_setting_given_at_its_default_is_refused_where_unread(tmp_path, capsys, argv,
                                                                 config, message):

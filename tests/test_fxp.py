@@ -20,6 +20,7 @@ from ftsinv.fxp import (
     _mac,
     _macs,
     _requantize,
+    _Wide,
     block_extremes,
     frac_bits_for_range,
     headroom,
@@ -540,6 +541,27 @@ class TestExactMac:
         assert out.dtype == np.int64
         assert out.tolist() == [r for r, _ in results]
         assert overflows == sum(over for _, over in results)
+
+    @pytest.mark.parametrize("mode", list(RoundingMode))
+    def test_a_column_of_shifts_runs_each_row_as_its_own_stage(self, mode):
+        """A float64 accumulator of 6 rows and a column of shifts, one per
+        row (negative, zero and past the words' widths among them), gives
+        each row the words and saturation count of that row's own output
+        stage under its shift and the Python-int model's; rows 0 and 3
+        saturate and row 4 does not."""
+        rng = np.random.default_rng(33)
+        exact = rng.integers(-(1 << 40), 1 << 40, size=(6, 50)) >> rng.integers(0, 40, (6, 1))
+        exact[[0, 3], :2] = [1 << 40, -(1 << 40)]
+        shifts = np.array([[0], [3], [-2], [28], [45], [17]])
+        fmt = FxpFormat(12, 5)
+        words, counts = _requantize(_Wide([exact.astype(np.float64)], 62), shifts, mode, fmt)
+        assert counts[0] > 0 and counts[3] > 0 and counts[4] == 0
+        for row, shift, got, count in zip(exact, shifts[:, 0].tolist(), words, counts.tolist()):
+            alone, overflows = _requantize(_Wide([row.astype(np.float64)], 62), shift, mode, fmt)
+            assert got.tobytes() == alone.tobytes() and count == overflows
+            model = [apply_overflow(rshift_round(v, shift, mode), fmt) for v in row.tolist()]
+            assert got.tolist() == [w for w, _ in model]
+            assert count == sum(over for _, over in model)
 
 
 def test_limb_plan_narrows_its_limbs_until_the_digits_fit():

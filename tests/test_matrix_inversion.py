@@ -17,6 +17,7 @@ import ftsinv as fi
 from ftsinv import bench, hwmodel, matrix_inversion
 from ftsinv.errors import SvdConvergenceError
 from ftsinv.fxp import (
+    DATAPATH_POLICY,
     FxpFormat,
     RoundingMode,
     _float_exact,
@@ -37,6 +38,7 @@ from ftsinv.matrix_inversion import (
     compile_pinv,
     compile_svd,
     penalize,
+    penalize_grid,
     pinv_matrix,
     reconstruct_pinv,
     reconstruct_svd,
@@ -153,6 +155,29 @@ class TestPenalize:
             penalize(np.array([1.0, 2.0]), Tsvd(3))
         with pytest.raises(ValueError):
             penalize(np.array([1.0]), Tikhonov(-0.1))
+
+    def test_a_grid_forms_each_diagonal_with_its_own_bits(self, reference_setup):
+        """One (P, r) pass over the frozen study's rank and ridge grids, 0 and
+        an infinite ridge parameter among them, gives each diagonal the bytes
+        of the one-scheme formulas: the reciprocals of the kept values, and
+        ``xi / (xi^2 + lambda^2)``, or ``1 / xi`` at lambda 0.  A grid mixing
+        the two schemes is refused, an unknown scheme is a TypeError."""
+        setup = reference_setup
+        xi = setup.factors.xi
+        ranks = [*setup.rank_grid, 1, 3, 253]
+        for rank, z in zip(ranks, penalize_grid(xi, [Tsvd(k) for k in ranks])):
+            want = np.zeros_like(xi)
+            want[:rank] = 1.0 / xi[:rank]
+            assert z.zeta.tobytes() == want.tobytes() and z.scheme == Tsvd(rank)
+        lams = [*setup.lambda_grid, 0.0, float("inf"), 1e-200]
+        for lam, z in zip(lams, penalize_grid(xi, [Tikhonov(lam) for lam in lams])):
+            want = 1.0 / xi if lam == 0 else xi / (xi * xi + lam ** 2)
+            assert z.zeta.tobytes() == want.tobytes() and z.scheme == Tikhonov(lam)
+        assert penalize_grid(xi, []) == []
+        with pytest.raises(ValueError, match="all rank or all ridge"):
+            penalize_grid(xi, [Tsvd(2), Tikhonov(0.1)])
+        with pytest.raises(TypeError, match="unknown scheme"):
+            penalize_grid(xi, [Tsvd(2), "rank 3"])
 
     def test_tik_ridge_limits(self, tall_problem):
         """A NaN ridge parameter is refused; an infinite one weighs every
@@ -740,7 +765,7 @@ def _decided(datapath, z):
 
 class TestOutputFormats:
     """Product 3's output format, decided for a whole grid per acquisition
-    from the bound on its double reference (:meth:`CompiledSvd.output_format`),
+    from the bound on its double reference (:meth:`CompiledSvd._output_formats`),
     is the format of that reference."""
 
     @settings(max_examples=150)
@@ -771,7 +796,7 @@ class TestOutputFormats:
                 reconstruct_svd(datapath, z, y, mode=mode)
                 x_ref = (f.v[:, z.kept] * z.zk) @ (f.ut[z.kept] @ y)
                 want = _tensor_format(width, width, x_ref)
-                assert datapath.output_format(z, mode) == want
+                assert datapath.output(z, y, mode).fmt_x == want
                 assert _decided(datapath, z) in (None, want)
                 if scale == 0 or len(grid) == 1:
                     assert _decided(datapath, z) is None
@@ -811,7 +836,7 @@ class TestOutputFormats:
             for mode in RoundingMode:
                 got = reconstruct_svd(datapath, z, y, mode=mode)
                 assert _decided(datapath, z) is None, d
-                assert datapath.output_format(z, mode).frac_bits == (12 if d < 0 else 11)
+                assert datapath.output(z, y, mode).fmt_x.frac_bits == (12 if d < 0 else 11)
                 estimate, overflows = _svd_model(f, z, y, width, mode)
                 assert np.array_equal(got.x_hat, estimate), (d, mode)
                 assert got.telemetry.overflow_events == overflows
@@ -876,10 +901,20 @@ def _pass_cases(draw):
                 seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
+def _same_stage(got, want) -> bool:
+    """Whether two product-2 stages hold the same bits, ``o2_ref``'s included."""
+    return (got.o2_ref.tobytes() == want.o2_ref.tobytes()
+            and (got.o2_peak, got.fmt_y, got.fmt_u, got.fmt_o2, got.overflows)
+            == (want.o2_peak, want.fmt_y, want.fmt_u, want.fmt_o2, want.overflows)
+            and got.o2.dtype == want.o2.dtype and np.array_equal(got.o2, want.o2))
+
+
 class TestGridPass:
-    """Products 1 and 3 of a whole grid, formed in one pass on its first run
-    of an acquisition and rounding mode (:meth:`CompiledSvd.accumulator`):
-    every point gives what its diagonal, compiled and run alone, gives."""
+    """A whole grid run in one pass on its first run of an acquisition and
+    rounding mode (:meth:`CompiledSvd.output`): product 2 once per group of
+    kept sets, products 1 and 3 once per shared lane and product 3's output
+    stage once per grid.  Every point gives what its diagonal, compiled and
+    run alone, gives."""
 
     @settings(max_examples=120)
     @given(_pass_cases())
@@ -887,10 +922,15 @@ class TestGridPass:
         """Points run in any order, as a subset, and interleaved with another
         grid's points and another acquisition each equal their diagonal
         alone, estimate and telemetry, and the word model
-        (:func:`reference.svd_words`), which shares no code with the pass.
+        (:func:`reference.svd_words`), which shares no code with the pass;
+        each point's product-2 stage equals its kept set's formed alone.
         Under the given format V's columns reach past its range and every
         kept value of lane 0 is at least 1, so product 1 saturates at every
-        point, by a count of its own."""
+        point, by a count of its own; U's columns do too, and on the first
+        acquisition, a full-scale y signed as U's lane 0, product 2
+        saturates lane 0 of every kept set, so every group of two or more
+        kept sets forms each member's stage alone.  Every rank grid holds
+        rank 1 and one more rank of its own."""
         rng = np.random.default_rng(case["seed"])
         m, n, width = case["m"], case["n"], case["width"]
         a = rng.standard_normal((m, n)) * np.logspace(0, -rng.uniform(0, 6), n)
@@ -899,11 +939,13 @@ class TestGridPass:
         if case["given"]:
             fmt = FxpFormat(width, width - 3)           # range [-4, 4)
             # 16 |V| >= 16 / sqrt(n) > 4 somewhere in every column, and
-            # xi <= 0.5 keeps lane 0's values >= 1 on both schemes
-            f = SvdFactors(f.u, f.xi / (2 * f.xi[0]), 16 * f.v)
+            # xi <= 0.5 keeps lane 0's values >= 1 on both schemes;
+            # 16 |U| > 4 likewise, so some U word of lane 0 is full scale
+            f = SvdFactors(16 * f.u, f.xi / (2 * f.xi[0]), 16 * f.v)
         r = f.rank_bound
         lams = 10.0 ** rng.uniform(-4, -1, (2, case["points"]))
         ranks = rng.integers(1, r + 1, (2, case["points"]))
+        ranks[:, :2] = [1, 1 + rng.integers(1, r)]
 
         def grid(ridge, row):
             zs = [penalize(f.xi, Tikhonov(lam)) if ridge else penalize(f.xi, Tsvd(int(rank)))
@@ -916,6 +958,10 @@ class TestGridPass:
         grids = [datapath.diagonals(grid(case["ridge"], 0)),
                  datapath.diagonals(grid(not case["ridge"], 1))]
         ys = [a @ rng.standard_normal(n) + 1e-3 * rng.standard_normal(m) for _ in range(2)]
+        if case["given"]:
+            # a product of a full-scale U word by 3.5 is past 4, and no term
+            # of lane 0's sum is negative
+            ys[0] = 3.5 * np.sign(f.u[:, 0])
         for other, index, acquisition, mode in case["runs"]:
             zs = grids[other]
             z, y = zs[index % len(zs)], ys[acquisition]
@@ -926,8 +972,13 @@ class TestGridPass:
             estimate, overflows = _svd_model(f, z, y, fmt, mode)
             assert np.array_equal(got.x_hat, estimate), (z.describe(), mode)
             assert got.telemetry.overflow_events == overflows
+            if z.rank:
+                stage = datapath.product2(y, z.kept, mode)
+                assert _same_stage(stage, compile_svd(f, fmt).product2(y, z.kept, mode))
+                if case["given"] and acquisition == 0:
+                    assert stage.overflows > 0
             if case["given"] and z.rank:
-                nov1 = datapath.accumulator(z, mode)[1]
+                nov1 = datapath.output(z, y, mode).overflows[0]
                 assert nov1 > 0 and nov1 <= got.telemetry.overflow_events
 
     def test_points_apart_in_product_2_formats_run_apart(self):
@@ -949,6 +1000,51 @@ class TestGridPass:
                 alone = reconstruct_svd(f, z.penalized, y, fmt=12, mode=mode)
                 assert np.array_equal(got.x_hat, alone.x_hat), (z.describe(), mode)
                 assert got.telemetry == alone.telemetry
+
+    def test_ranks_off_the_gemv_block_keep_their_own_reference(self, reference_setup):
+        """Ranks 3, 5, 7, 250 and 253 of the frozen Airy study: each kept
+        set's ``o2_ref`` is its own product ``U^T[:k] y``, bit for bit, where
+        a leading slice of the full-rank product could differ in its last
+        bits; each run and each stage equals its kept set's formed alone."""
+        setup = reference_setup
+        f, y = setup.factors, setup.y.values
+        ranks = (3, 5, 7, 250, 253)
+        for width in (8, 16, 32, None):
+            datapath = compile_svd(f, width)
+            grid = datapath.diagonals(penalize_grid(f.xi, [Tsvd(k) for k in ranks]))
+            for z, rank in zip(grid, ranks):
+                got = reconstruct_svd(datapath, z, y)
+                alone = reconstruct_svd(f, z.penalized, y, fmt=width)
+                assert np.array_equal(got.x_hat, alone.x_hat) and got.telemetry == alone.telemetry
+                stage = datapath.product2(y, z.kept, DATAPATH_POLICY)
+                assert stage.o2_ref.tobytes() == (f.ut[:rank] @ y).tobytes(), (width, rank)
+                if width is not None:
+                    alone = compile_svd(f, width).product2(y, z.kept, DATAPATH_POLICY)
+                    assert _same_stage(stage, alone), (width, rank)
+
+    def test_a_saturating_group_forms_each_member_alone(self):
+        """Ranks 1, 2 and 3 share U's and product 2's given format, so their
+        stages form one group; y saturates lanes 0 and 2 but not lane 1, so
+        the members count 1, 1 and 2 saturated words, each its own, and
+        each stage equals its kept set's formed alone."""
+        u = np.array([[3.0, 0.5, 3.0], [3.0, -0.5, 3.0]])
+        v = np.eye(3)
+        f = SvdFactors(u, np.ones(3), v)
+        y = np.array([1.5, 1.5])
+        fmt = FxpFormat(8, 5)                           # range [-4, 4)
+        datapath = compile_svd(f, fmt)
+        grid = datapath.diagonals(penalize_grid(f.xi, [Tsvd(k) for k in (1, 2, 3)]))
+        for mode in RoundingMode:
+            for z in grid:
+                got = reconstruct_svd(datapath, z, y, mode=mode)
+                alone = reconstruct_svd(f, z.penalized, y, fmt=fmt, mode=mode)
+                assert np.array_equal(got.x_hat, alone.x_hat)
+                assert got.telemetry == alone.telemetry
+            stages = [datapath.product2(y, z.kept, mode) for z in grid]
+            assert [stage.overflows for stage in stages] == [1, 1, 2]
+            for z, stage in zip(grid, stages):
+                assert _same_stage(stage, compile_svd(f, fmt).product2(y, z.kept, mode))
+                assert datapath.output(z, y, mode).overflows[1] == stage.overflows
 
     def test_the_reference_study_forms_each_shared_lane_once(self, reference_setup,
                                                              monkeypatch):

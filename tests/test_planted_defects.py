@@ -57,6 +57,8 @@ THRESHOLD = ("test_matrix_inversion.py::TestOutputFormats::"
              "test_points_at_the_format_threshold_form_their_reference")
 WRAP = "test_fxp.py::TestNormalizeBlock::test_left_shift_past_int64_reads_the_block_again"
 GRID_PASS = "test_matrix_inversion.py::TestGridPass::test_every_point_equals_its_diagonal_alone"
+SATURATING_GROUP = ("test_matrix_inversion.py::TestGridPass::"
+                    "test_a_saturating_group_forms_each_member_alone")
 
 DEFECTS = [
     Defect("entry exponent one lower (ROADMAP item 15, A)",
@@ -73,7 +75,7 @@ DEFECTS = [
            (BOUND_ROUNDS, WORD_MODEL)),
     Defect("product 1's bound compared with <=",
            matrix_inversion.CompiledSvd, "diagonals",
-           "< 2.0 ** (width - 1)).tolist())", "<= 2.0 ** (width - 1)).tolist())",
+           "< 2.0 ** (width - 1)).tolist()\n", "<= 2.0 ** (width - 1)).tolist()\n",
            (BOUND_ROUNDS, WORD_MODEL)),
     Defect("port banks inverted",
            fft_inversion, "_parity", "return np.bitwise_count(idx).astype(np.int64) & 1",
@@ -182,6 +184,21 @@ DEFECTS = [
     Defect("grid pass charging the base's whole product-1 overflow count to every point",
            matrix_inversion.CompiledSvd, "_accumulators",
            "acc, count = prefix[cut]", "acc, count = prefix[cut][0], prefix[words.size][1]",
+           (GRID_PASS,)),
+    Defect("a product-2 group's words requantized at one member's formats",
+           matrix_inversion.CompiledSvd, "_product2",
+           "groups.setdefault(fmts[i] if isinstance(kept, slice) else i, []).append(i)",
+           "groups.setdefault(fmts[i][0] if isinstance(kept, slice) else i, []).append(i)",
+           (GRID_PASS,)),
+    Defect("a saturating product-2 group's count charged to every member",
+           matrix_inversion.CompiledSvd, "_product2",
+           "elif overflows:\n"
+           "                words, count = _requantize(acc[sets[i]], shift, mode, fmt_o2)",
+           "elif overflows:\n                count = overflows",
+           (GRID_PASS, SATURATING_GROUP)),
+    Defect("one point's output shift applied to its neighbour's row",
+           matrix_inversion.CompiledSvd, "_outputs",
+           "np.array(shifts)[:, None]", "np.roll(shifts, 1)[:, None]",
            (GRID_PASS,)),
     Defect("left-shift wrap check against 2**64 on the positive side",
            fxp, "shift_block", "hi >= 1 << 63", "hi >= 1 << 64", (WRAP,)),

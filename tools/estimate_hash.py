@@ -9,17 +9,20 @@ its telemetry record (as sorted JSON) to a SHA-256 digest per method and to
 one over all runs, which are printed with the run count::
 
     python tools/estimate_hash.py
+    python tools/estimate_hash.py --expect 39dd164a3851b25e
 
 The seeds are 31415 and 1-4, the widths 4-22, 24, 28, 32, 40 and double
 precision, which cover float64, int64 and limb words.  Two trees that
 print the same digests gave the same bits in every run.  BLAS runs on one
 thread, as in ``perfbench/run.py``, because its summation order, and so the
 factorization's and the double route's bits, change with the thread count.
-Exits 0.
+Exits 0; with ``--expect HEX``, 1 where the digest over all runs does not
+begin with ``HEX`` (the whole digest, or at least its first 8 digits).
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 
@@ -73,11 +76,24 @@ def digests() -> tuple:
     return ({m: h.hexdigest() for m, h in per_method.items()}, total.hexdigest(), runs)
 
 
+def _hex_prefix(text: str) -> str:
+    if not (8 <= len(text) <= 64 and all(c in "0123456789abcdef" for c in text)):
+        raise argparse.ArgumentTypeError("expected 8 to 64 lowercase hex digits")
+    return text
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", type=_hex_prefix, metavar="HEX",
+                        help="exit 1 unless the digest over all runs begins with HEX")
+    args = parser.parse_args()
     per_method, total, runs = digests()
     for method, digest in per_method.items():
         print(f"{method}: {digest}")
     print(f"all {runs} runs: {total}")
+    if args.expect is not None and not total.startswith(args.expect):
+        print(f"expected {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 
